@@ -36,7 +36,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, check_f_invariance
 from .errors import ComponentError, InvariantError, ModelError, SpecError
-from .linalg import complement_columns, mgs_columns, sym_eigen
+from .linalg import complement_columns, g_inner, mgs_columns, sym_eigen
 from .sampling import DEFAULT_SEED
 from .structure import StructureField
 
@@ -621,7 +621,7 @@ def _column_select(g: np.ndarray, cand: np.ndarray, rank: int) -> np.ndarray:
     cand = np.array(cand, dtype=float)
     out = np.empty((cand.shape[0], rank))
     for j in range(rank):
-        norms = np.sqrt(np.maximum(np.einsum("ij,ik,kj->j", cand, g, cand), 0.0))
+        norms = np.sqrt(np.maximum(g_inner(g, cand, cand), 0.0))
         idx = int(np.argmax(norms))
         q = cand[:, idx] / max(norms[idx], 1e-300)
         out[:, j] = q

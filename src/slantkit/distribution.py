@@ -15,6 +15,8 @@ eta annihilates the image of phi.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import (
@@ -28,6 +30,7 @@ from .linalg import (
     AmbientPoint,
     TangentVector,
     complement_columns,
+    g_inner,
     mgs_columns,
     projector_matrix,
 )
@@ -127,6 +130,18 @@ class Decomposition:
             self._frames[key] = frame
         return frame
 
+    @contextmanager
+    def transient_frames(self):
+        """Scope for frames needed only by the work inside it (the displaced
+        points of finite differences): frames added inside are dropped on
+        exit, frames resident before are kept."""
+        mark = len(self._frames)
+        try:
+            yield
+        finally:
+            for key in list(self._frames)[mark:]:
+                del self._frames[key]
+
     def tm_directions(self) -> list[np.ndarray]:
         """Unit coordinate directions spanning TM (per the mask), or the full
         ambient frame when no mask is set."""
@@ -148,6 +163,7 @@ class PointFrame:
         self.x = x
         self.point = AmbientPoint(x)
         self.g = s.metric_at(x)
+        self._inner_g = None if s.metric_is_euclidean else self.g
         self.phi = s.phi_at(x)
         self.epsilon = s.epsilon
         self.xi = None
@@ -192,7 +208,7 @@ class PointFrame:
     # -- basic maps ------------------------------------------------------------
 
     def inner(self, u, v):
-        return np.einsum("i...,ij,j...->...", u, self.g, v)
+        return g_inner(self._inner_g, u, v)
 
     def norm(self, u):
         return np.sqrt(np.maximum(self.inner(u, u), 0.0))

@@ -19,7 +19,13 @@ from .classifier import component_slant, cluster_eigenvalues, _lambda_to_alpha_t
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition
 from .errors import RankError, ModelError
-from .linalg import mgs_columns, principal_angle_values, projector_matrix, sym_eigen
+from .linalg import (
+    g_inner,
+    mgs_columns,
+    principal_angle_values,
+    projector_matrix,
+    sym_eigen,
+)
 from .sampling import DEFAULT_SEED
 
 
@@ -65,7 +71,7 @@ def build_dual(dec: Decomposition, point, f_on_h_tol: float = F_ON_H_TOL) -> Dua
     for i in frame.proper_indices:
         b = frame.component_basis(i)
         w = frame.proj_g @ (frame.phi @ b)       # w-part lands in G exactly
-        norms = np.sqrt(np.maximum(np.einsum("ij,ik,kj->j", w, g, w), 0.0))
+        norms = np.sqrt(np.maximum(g_inner(g, w, w), 0.0))
         if float(norms.min(initial=1.0)) < W_INJECTIVITY_TOL:
             name = dec.components[i].name
             raise RankError(
@@ -86,7 +92,7 @@ def build_dual(dec: Decomposition, point, f_on_h_tol: float = F_ON_H_TOL) -> Dua
     if h_basis.shape[1]:
         fh = frame.proj_d @ (frame.phi @ h_basis)
         residual = float(np.max(np.sqrt(np.maximum(
-            np.einsum("ij,ik,kj->j", fh, g, fh), 0.0))))
+            g_inner(g, fh, fh), 0.0))))
         if residual > f_on_h_tol:
             raise ModelError(
                 f"f does not vanish on the computed H (residual {residual:.3e}) at "
@@ -98,7 +104,7 @@ def _pick_columns(g: np.ndarray, cand: np.ndarray, rank: int) -> np.ndarray:
     cand = np.array(cand, dtype=float)
     out = np.empty((cand.shape[0], rank))
     for j in range(rank):
-        norms = np.sqrt(np.maximum(np.einsum("ij,ik,kj->j", cand, g, cand), 0.0))
+        norms = np.sqrt(np.maximum(g_inner(g, cand, cand), 0.0))
         idx = int(np.argmax(norms))
         if norms[idx] < 1e-10:
             raise RankError("H extraction collapsed")

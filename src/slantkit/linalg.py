@@ -84,7 +84,7 @@ class TangentVector:
 class MetricAtPoint:
     """A symmetric positive definite bilinear form at one point."""
 
-    __slots__ = ("matrix", "_chol")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix):
         arr = _to_array(matrix, "metric matrix")
@@ -95,12 +95,11 @@ class MetricAtPoint:
             raise InvariantError("metric matrix is not symmetric")
         arr = 0.5 * (arr + arr.T)
         try:
-            chol = np.linalg.cholesky(arr)
+            np.linalg.cholesky(arr)      # positive-definiteness check only
         except np.linalg.LinAlgError:
             raise InvariantError("metric matrix is not positive definite") from None
         arr.setflags(write=False)
         self.matrix = arr
-        self._chol = chol
 
     @classmethod
     def identity(cls, n: int) -> "MetricAtPoint":
@@ -109,10 +108,6 @@ class MetricAtPoint:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def chol_t(self) -> np.ndarray:
-        """Upper factor R with R.T @ R = matrix; maps g-orthonormal to euclidean."""
-        return self._chol.T
 
 
 class SubspaceBasis:
@@ -161,14 +156,27 @@ class SubspaceBasis:
 
 # ---------------------------------------------------------------------------
 # Array-level primitives (shared by the typed operations and the inner loops)
+#
+# `g_inner` is the one place a g-contraction g(u, v) of batches is written;
+# every other module calls it rather than writing its own contraction.
 # ---------------------------------------------------------------------------
+
+def g_inner(gmat: np.ndarray | None, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """g(u, v) contracted over the first axis, for vectors (n,) or batches
+    (n, ...) that broadcast against each other, e.g. (n, t) against (n, 1).
+
+    One matmul `gmat @ v`, then a two-operand contraction; `gmat=None`
+    stands for the euclidean metric and skips the matmul.
+    """
+    return np.einsum("i...,i...->...", u, v if gmat is None else gmat @ v)
+
 
 def mgs_columns(gmat: np.ndarray, raw: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     """g-orthonormalize the columns of `raw` by modified Gram-Schmidt with one
     re-orthogonalization pass. Raises RankError when a pivot collapses."""
     raw = np.array(raw, dtype=float)
     n, r = raw.shape
-    col_norms = np.sqrt(np.maximum(np.einsum("ij,ik,kj->j", raw, gmat, raw), 0.0))
+    col_norms = np.sqrt(np.maximum(g_inner(gmat, raw, raw), 0.0))
     scale = max(float(col_norms.max(initial=0.0)), 1e-300)
     out = np.empty((n, r))
     for j in range(r):
@@ -204,7 +212,7 @@ def complement_columns(gmat: np.ndarray, onb: np.ndarray) -> np.ndarray:
     cand = np.eye(n) - projector_matrix(gmat, onb if r else np.zeros((n, 0)))
     picked = np.empty((n, m))
     for j in range(m):
-        norms = np.sqrt(np.maximum(np.einsum("ij,ik,kj->j", cand, gmat, cand), 0.0))
+        norms = np.sqrt(np.maximum(g_inner(gmat, cand, cand), 0.0))
         idx = int(np.argmax(norms))
         if norms[idx] < 1e-10:
             raise RankError("complement extraction collapsed; projector is inconsistent")
@@ -231,13 +239,6 @@ def principal_angle_values(gmat: np.ndarray, a_onb: np.ndarray, b_onb: np.ndarra
     sin = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0))[:m]
     angles = np.where(cos ** 2 < 0.5, np.arccos(cos), np.arcsin(sin))
     return np.sort(angles)
-
-
-def span_gap(gmat: np.ndarray, a_onb: np.ndarray, b_onb: np.ndarray) -> float:
-    """Largest principal angle between two spans (0 iff they coincide,
-    assuming equal ranks)."""
-    angles = principal_angle_values(gmat, a_onb, b_onb)
-    return float(angles[-1]) if angles.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import expr as fe
 from .errors import DimensionError, EvalError, KindError, SpecError
+from .linalg import g_inner
 from .sampling import DEFAULT_SEED, map_ordered, rng_for
 
 KIND_HERMITIAN = "hermitian-like"
@@ -65,21 +66,14 @@ class StructureField:
         self.phi_columns = tuple(phi_columns)
         self.metric_exprs = tuple(metric) if metric is not None else None
         self.xi = xi
+        # True when the metric is absent or the literal identity matrix.
+        self.metric_is_euclidean = metric is None or all(
+            isinstance(entry, fe.Num) and entry.value == (1.0 if i == j else 0.0)
+            for i, row in enumerate(metric) for j, entry in enumerate(row))
 
     @property
     def is_contact(self) -> bool:
         return self.kind == KIND_CONTACT
-
-    @property
-    def metric_is_euclidean(self) -> bool:
-        if self.metric_exprs is None:
-            return True
-        for i, row in enumerate(self.metric_exprs):
-            for j, entry in enumerate(row):
-                want = 1.0 if i == j else 0.0
-                if not (isinstance(entry, fe.Num) and entry.value == want):
-                    return False
-        return True
 
     def phi_at(self, point) -> np.ndarray:
         """Matrix of phi at the point; column c is the image of e_{c+1}."""
@@ -138,39 +132,40 @@ def _axiom_residuals(s: StructureField, x: np.ndarray, pairs: np.ndarray) -> dic
     """Worst relative residual per axiom at one point over a batch of vector
     pairs (n x t x 2)."""
     g = s.metric_at(x)
+    gk = None if s.metric_is_euclidean else g
     phi = s.phi_at(x)
     X = pairs[:, :, 0]
     Y = pairs[:, :, 1]
     phiX = phi @ X
     phiY = phi @ Y
-    nX = np.sqrt(np.einsum("it,ij,jt->t", X, g, X))
-    nY = np.sqrt(np.einsum("it,ij,jt->t", Y, g, Y))
+    nX = np.sqrt(g_inner(gk, X, X))
+    nY = np.sqrt(g_inner(gk, Y, Y))
     scale = np.maximum(nX * nY, 1e-300)
 
     out = {}
-    compat = np.einsum("it,ij,jt->t", phiX, g, Y) - s.epsilon * np.einsum("it,ij,jt->t", X, g, phiY)
+    compat = g_inner(gk, phiX, Y) - s.epsilon * g_inner(gk, X, phiY)
     out["compatibility"] = float(np.max(np.abs(compat) / scale))
 
     phi2X = phi @ phiX
     if s.is_contact:
         xi = s.xi_at(x)
-        etaX = np.einsum("it,ij,j->t", X, g, xi)
-        etaY = np.einsum("it,ij,j->t", Y, g, xi)
+        etaX = g_inner(gk, X, xi[:, None])
+        etaY = g_inner(gk, Y, xi[:, None])
         target = s.epsilon * (X - xi[:, None] * etaX[None, :])
-        law = np.einsum("it,ij,jt->t", phiX, g, phiY) - (
-            np.einsum("it,ij,jt->t", X, g, Y) - etaX * etaY)
+        law = g_inner(gk, phiX, phiY) - (g_inner(gk, X, Y) - etaX * etaY)
         out["metric-law"] = float(np.max(np.abs(law) / scale))
         out["xi-unit"] = abs(float(xi @ g @ xi) - 1.0)
         phixi = phi @ xi
         out["phi-xi"] = float(np.sqrt(max(phixi @ g @ phixi, 0.0)))
-        out["eta-phi"] = float(np.max(np.abs(np.einsum("it,ij,j->t", phiX, g, xi)) / np.maximum(nX, 1e-300)))
+        out["eta-phi"] = float(np.max(np.abs(g_inner(gk, phiX, xi[:, None]))
+                                      / np.maximum(nX, 1e-300)))
     else:
         target = s.epsilon * X
-        law = np.einsum("it,ij,jt->t", phiX, g, phiY) - np.einsum("it,ij,jt->t", X, g, Y)
+        law = g_inner(gk, phiX, phiY) - g_inner(gk, X, Y)
         out["metric-law"] = float(np.max(np.abs(law) / scale))
     diff = phi2X - target
     out["squared-endomorphism"] = float(
-        np.max(np.sqrt(np.einsum("it,ij,jt->t", diff, g, diff)) / np.maximum(nX, 1e-300)))
+        np.max(np.sqrt(g_inner(gk, diff, diff)) / np.maximum(nX, 1e-300)))
     return out
 
 

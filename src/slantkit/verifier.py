@@ -994,7 +994,10 @@ def _check_in_mask(dec: Decomposition, direction: np.ndarray):
 def nabla_f2(dec: Decomposition, probe: CovariantProbe, point, direction, y) -> np.ndarray:
     """(nabla_X f^2) Y in flat ambient space by central differences of the
     ambient matrix field of f^2|D, with Y extended constantly along X (any
-    smooth extension gives the same value, and the constant one is free)."""
+    smooth extension gives the same value, and the constant one is free).
+
+    `y` is one vector (n,) or the columns of an (n, r) matrix; the displaced
+    fields at x +- hX are computed once for all columns."""
     _require_flat_masked(dec, need_mask=False)
     x = np.asarray(getattr(point, "coords", point), dtype=float)
     d = np.asarray(getattr(direction, "comps", direction), dtype=float)
@@ -1040,36 +1043,40 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
     by_name = {e["name"]: e for e in classification.components}
     tm_dirs = probe.directions if probe.directions is not None else dec.tm_directions()
     comps = dec.components
+    max_nabla = [0.0] * len(comps)
+    max_dlam_in = [0.0] * len(comps)
+    max_dlam_tm = [0.0] * len(comps)
+    # Points outer: the displaced frames of one point are shared by all its
+    # components and dropped before the next point.
+    for point in points:
+        frame = dec.frame_at(point)
+        with dec.transient_frames():
+            for ci in range(len(comps)):
+                basis = frame.component_basis(ci)
+                for col in range(basis.shape[1]):
+                    x_dir = basis[:, col]
+                    val = nabla_f2(dec, probe, frame.x, x_dir, basis)
+                    max_nabla[ci] = max(max_nabla[ci],
+                                        float(np.max(np.linalg.norm(val, axis=0))))
+                    dl = eigenvalue_directional_derivative(dec, frame.x, ci, x_dir,
+                                                          probe.h, tolerances)
+                    max_dlam_in[ci] = max(max_dlam_in[ci], abs(dl))
+                for d in tm_dirs:
+                    dl = eigenvalue_directional_derivative(dec, frame.x, ci, d,
+                                                          probe.h, tolerances)
+                    max_dlam_tm[ci] = max(max_dlam_tm[ci], abs(dl))
     rows = []
     consistent_all = True
     for ci, comp in enumerate(comps):
-        max_nabla = 0.0
-        max_dlam_in = 0.0
-        max_dlam_tm = 0.0
-        for point in points:
-            frame = dec.frame_at(point)
-            basis = frame.component_basis(ci)
-            for col in range(basis.shape[1]):
-                x_dir = basis[:, col]
-                for ycol in range(basis.shape[1]):
-                    val = nabla_f2(dec, probe, frame.x, x_dir, basis[:, ycol])
-                    max_nabla = max(max_nabla, float(np.linalg.norm(val)))
-                dl = eigenvalue_directional_derivative(dec, frame.x, ci, x_dir,
-                                                      probe.h, tolerances)
-                max_dlam_in = max(max_dlam_in, abs(dl))
-            for d in tm_dirs:
-                dl = eigenvalue_directional_derivative(dec, frame.x, ci, d,
-                                                      probe.h, tolerances)
-                max_dlam_tm = max(max_dlam_tm, abs(dl))
-        derivative_constant = max_dlam_tm <= probe.zero_threshold
+        derivative_constant = max_dlam_tm[ci] <= probe.zero_threshold
         classifier_constant = by_name[comp.name]["verdict"] in ("invariant", "slant")
         consistent = derivative_constant == classifier_constant
         consistent_all = consistent_all and consistent
         rows.append({
             "component": comp.name,
-            "max_nabla_f2": max_nabla,
-            "max_dlambda_within": max_dlam_in,
-            "max_dlambda_tm": max_dlam_tm,
+            "max_nabla_f2": max_nabla[ci],
+            "max_dlambda_within": max_dlam_in[ci],
+            "max_dlambda_tm": max_dlam_tm[ci],
             "derivative_constant": derivative_constant,
             "classifier_constant": classifier_constant,
             "consistent": consistent,

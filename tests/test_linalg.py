@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slantkit import expr as fe
+from slantkit.distribution import Decomposition, DistributionFrame
 from slantkit.errors import (
     BasePointError,
     DimensionError,
@@ -17,12 +19,14 @@ from slantkit.linalg import (
     MetricAtPoint,
     SubspaceBasis,
     TangentVector,
+    g_inner,
     gram_schmidt,
     inner,
     principal_angles,
     projector,
     sym_eigen,
 )
+from slantkit.structure import KIND_HERMITIAN, StructureField
 
 
 def vec(comps, base=None):
@@ -67,6 +71,55 @@ class TestInner:
         v = vec([0, 1], AmbientPoint([1.0, 0.0]))
         with pytest.raises(BasePointError):
             inner(g, u, v)
+
+
+    # Oracle: the three-operand einsum g_ij u^i v^j, written out directly.
+    @pytest.mark.parametrize("metric", ["none", "eye", "spd"])
+    @pytest.mark.parametrize("shapes", [((6,), (6,)), ((6, 9), (6, 9)),
+                                        ((6, 9), (6, 1)), ((6, 1), (6, 9))])
+    def test_g_inner_matches_three_operand_einsum(self, metric, shapes):
+        n = 6
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((n, n))
+        gmat = {"none": None, "eye": np.eye(n), "spd": a @ a.T + n * np.eye(n)}[metric]
+        u = rng.standard_normal(shapes[0])
+        v = rng.standard_normal(shapes[1])
+        oracle = np.einsum("i...,ij,j...->...", u, np.eye(n) if gmat is None else gmat, v)
+        got = g_inner(gmat, u, v)
+        assert got.shape == oracle.shape
+        np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def _structure(metric):
+        n = 2
+        cols = [["0", "1"], ["-1", "0"]]
+        return StructureField(n, -1, KIND_HERMITIAN,
+                              [[fe.parse(c, n) for c in col] for col in cols],
+                              metric=[[fe.parse(c, n) for c in row] for row in metric])
+
+    def test_metric_is_euclidean_only_for_literal_identity(self):
+        assert self._structure([["1", "0"], ["0", "1"]]).metric_is_euclidean
+        assert not self._structure([["2", "0"], ["0", "1"]]).metric_is_euclidean
+        assert not self._structure([["1", "0"], ["0", "1 + x1"]]).metric_is_euclidean
+
+    def test_point_frame_inner_non_euclidean(self):
+        n = 2
+        s = self._structure([["2", "0"], ["0", "1"]])
+        dec = Decomposition(s, [DistributionFrame("D", [
+            fe.VectorFieldExpr.parse(["1", "0"], n),
+            fe.VectorFieldExpr.parse(["0", "1"], n)])])
+        frame = dec.frame_at(np.zeros(n))
+        g = np.diag([2.0, 1.0])
+        rng = np.random.default_rng(8)
+        u = rng.standard_normal((n, 7))
+        v = rng.standard_normal((n, 7))
+        want = np.array([u[:, t] @ g @ v[:, t] for t in range(7)])
+        np.testing.assert_allclose(frame.inner(u, v), want, rtol=1e-13)
+        assert frame.inner(u[:, 0], v[:, 0]) == pytest.approx(want[0], rel=1e-13)
+        np.testing.assert_allclose(frame.inner(u, v[:, :1]),
+                                   [u[:, t] @ g @ v[:, 0] for t in range(7)], rtol=1e-13)
+        np.testing.assert_allclose(frame.norm(u) ** 2,
+                                   [u[:, t] @ g @ u[:, t] for t in range(7)], rtol=1e-13)
 
 
 class TestGramSchmidt:

@@ -117,6 +117,18 @@ class TestNablaF2:
         v12 = nabla_f2(ex5_one.decomposition, probe, p, x_dir, y1 + 2 * y2)
         assert np.linalg.norm(v12 - v1 - 2 * v2) <= 1e-6 * (1 + np.linalg.norm(v12))
 
+    def test_matrix_y_matches_columns(self, ex5_one):
+        probe = CovariantProbe()
+        p = np.zeros(10)
+        p[2] = 0.5
+        x_dir = np.eye(10)[:, 2]
+        ys = np.eye(10)[:, [3, 6, 7]]
+        batched = nabla_f2(ex5_one.decomposition, probe, p, x_dir, ys)
+        assert batched.shape == ys.shape
+        for col in range(ys.shape[1]):
+            one = nabla_f2(ex5_one.decomposition, probe, p, x_dir, ys[:, col])
+            np.testing.assert_allclose(batched[:, col], one, rtol=1e-12, atol=1e-12)
+
     def test_additivity_in_x_to_first_order(self, ex5_one):
         probe = CovariantProbe()
         p = np.zeros(10)
@@ -171,6 +183,28 @@ class TestEigenDerivative:
         assert d == pytest.approx(0.32, abs=1e-6)
 
 
+def _component_outer_rows(dec, probe, points):
+    """Reference for the probe maxima: components outer, one
+    nabla_f2 call per (X, Y) column pair, every displaced frame kept."""
+    rows = []
+    for ci, comp in enumerate(dec.components):
+        max_nabla = max_in = max_tm = 0.0
+        for point in points:
+            frame = dec.frame_at(point)
+            basis = frame.component_basis(ci)
+            for col in range(basis.shape[1]):
+                for ycol in range(basis.shape[1]):
+                    val = nabla_f2(dec, probe, frame.x, basis[:, col], basis[:, ycol])
+                    max_nabla = max(max_nabla, float(np.linalg.norm(val)))
+                max_in = max(max_in, abs(eigenvalue_directional_derivative(
+                    dec, frame.x, ci, basis[:, col], probe.h)))
+            for d in dec.tm_directions():
+                max_tm = max(max_tm, abs(eigenvalue_directional_derivative(
+                    dec, frame.x, ci, d, probe.h)))
+        rows.append((comp.name, max_nabla, max_in, max_tm))
+    return rows
+
+
 class TestConnectionReport:
     def test_constant_fixtures_consistent(self, ex1, ex3):
         probe = CovariantProbe()
@@ -192,6 +226,19 @@ class TestConnectionReport:
         assert d1["max_dlambda_tm"] >= 1e-2
         assert not d1["derivative_constant"]
         assert not d1["classifier_constant"]
+
+    def test_displaced_frames_dropped_and_report_unchanged(self):
+        probe = CovariantProbe()
+        fx = build_fixture("ex8", k=2, epsilon=-1, gamma=0.5)
+        points = fx.default_points()[:3]
+        dec = fx.decomposition
+        rep = connection_criterion_report(dec, probe, points)
+        assert len(dec._frames) == len(points)
+        assert rep["consistent"]
+        oracle = _component_outer_rows(build_fixture("ex8", k=2, epsilon=-1, gamma=0.5)
+                                       .decomposition, probe, points)
+        assert [(r["component"], r["max_nabla_f2"], r["max_dlambda_within"],
+                 r["max_dlambda_tm"]) for r in rep["components"]] == oracle
 
     def test_requires_mask(self, ex1):
         dec = Decomposition(ex1.structure, list(ex1.decomposition.proper),
