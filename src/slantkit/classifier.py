@@ -36,7 +36,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, check_f_invariance
 from .errors import ComponentError, InvariantError, ModelError, SpecError
-from .linalg import complement_columns, g_inner, mgs_columns, sym_eigen
+from .linalg import complement_columns, mgs_columns, pivoted_columns, sym_eigen
 from .sampling import DEFAULT_SEED
 from .structure import StructureField
 
@@ -140,6 +140,58 @@ def slant_function_table(dec: Decomposition, index: int, points,
 
 
 # ---------------------------------------------------------------------------
+# Slant-table statistics. A slant table holds one row per sample point and
+# one column per component (classify) or cluster track (discover,
+# _analyze_tracks); every constancy and distinctness decision reads it here.
+# ---------------------------------------------------------------------------
+
+def _witness_point(point) -> list:
+    """Coordinates of a sample point (array or AmbientPoint) for a report."""
+    return np.asarray(getattr(point, "coords", point)).tolist()
+
+
+def _constancy_span(table: np.ndarray) -> np.ndarray:
+    """Max minus min of each column's slant values over the points."""
+    return table.max(axis=0) - table.min(axis=0)
+
+
+def _first_coincidence(table: np.ndarray, tol: float) -> int | None:
+    """First row at which two slant values lie within `tol`, or None."""
+    k = table.shape[1]
+    for p, row in enumerate(table):
+        if any(abs(row[a] - row[b]) <= tol for a in range(k) for b in range(a + 1, k)):
+            return p
+    return None
+
+
+def _first_agreeing_pair(table: np.ndarray, tol: float) -> tuple[int, int] | None:
+    """First column pair (a, b), a < b, whose slant values lie within `tol`
+    at every row, or None."""
+    k = table.shape[1]
+    for a in range(k):
+        for b in range(a + 1, k):
+            if float(np.abs(table[:, a] - table[:, b]).max()) <= tol:
+                return a, b
+    return None
+
+
+def _component_entry(name: str, rank: int, declared_invariant: bool, theta: np.ndarray,
+                     lam, tolerances: Tolerances) -> dict:
+    """Report entry of one component from its slant values over the points:
+    `invariant` when they all vanish, `slant` when they are constant,
+    `pointwise-slant` otherwise."""
+    if float(theta.max()) <= tolerances.angle_const:
+        verdict = "invariant"
+    elif float(_constancy_span(theta)) <= tolerances.angle_const:
+        verdict = "slant"
+    else:
+        verdict = "pointwise-slant"
+    return {"name": name, "rank": rank, "declared_invariant": declared_invariant,
+            "verdict": verdict, "theta": [float(t) for t in theta],
+            "lambda": [float(v) for v in lam]}
+
+
+# ---------------------------------------------------------------------------
 # Cluster tracks across points (for generic / skew-CR / CR verdicts)
 # ---------------------------------------------------------------------------
 
@@ -207,33 +259,19 @@ def _analyze_tracks(spectra, epsilon, tolerances, points):
         p_bad = special[0] if special else next(
             p for p in range(npts) if tracks.types[p][t_bad] != tracks.types[0][t_bad])
         info["witness"] = {"reason": "a cluster attains 0 or eps at some points only",
-                           "track": t_bad, "point": np.asarray(
-                               getattr(points[p_bad], "coords", points[p_bad])).tolist()}
+                           "track": t_bad, "point": _witness_point(points[p_bad])}
     interior = [t for t in range(ntracks) if types_by_track[t] == {"interior"}]
     info["interior_exists"] = bool(interior)
     info["all_special"] = info["type_stable"] and not interior
     info["all_zero"] = all(ts == {"zero"} for ts in types_by_track)
-    theta_span = tracks.thetas.max(axis=0) - tracks.thetas.min(axis=0)
+    theta_span = _constancy_span(tracks.thetas)
     info["all_constant"] = bool(np.all(theta_span <= tolerances.angle_const))
     info["strictly_pointwise"] = any(theta_span[t] > tolerances.angle_const for t in interior)
-    sep = True
-    sep_witness = None
-    for p in range(npts):
-        row = tracks.thetas[p]
-        for a in range(ntracks):
-            for b in range(a + 1, ntracks):
-                if abs(row[a] - row[b]) <= tolerances.angle_distinct:
-                    sep = False
-                    sep_witness = {"reason": "matched clusters not separated",
-                                   "point": np.asarray(
-                                       getattr(points[p], "coords", points[p])).tolist()}
-                    break
-            if not sep:
-                break
-        if not sep:
-            break
-    info["separated_everywhere"] = sep
-    if not sep and info["witness"] is None:
+    p_sep = _first_coincidence(tracks.thetas, tolerances.angle_distinct)
+    sep_witness = None if p_sep is None else {
+        "reason": "matched clusters not separated", "point": _witness_point(points[p_sep])}
+    info["separated_everywhere"] = p_sep is None
+    if p_sep is not None and info["witness"] is None:
         info["witness"] = sep_witness
     margin = tolerances.alpha_margin
     for t in interior:
@@ -285,15 +323,6 @@ class ClassificationReport:
         }
 
 
-def _pairwise_separated(values: np.ndarray, tol: float) -> bool:
-    k = values.shape[0]
-    for a in range(k):
-        for b in range(a + 1, k):
-            if abs(values[a] - values[b]) <= tol:
-                return False
-    return True
-
-
 def classify(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOLERANCES,
              seed: int = DEFAULT_SEED, invariance_trials: int = 10) -> ClassificationReport:
     """Classify a declared decomposition over the sample points."""
@@ -316,26 +345,10 @@ def classify(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOLERA
             theta[pi, ci] = cl.theta
             lam[pi, ci] = cl.lam
 
-    # per-component verdicts
-    comp_entries = []
-    measured_invariant = []
-    for ci, comp in enumerate(comps):
-        col = theta[:, ci]
-        if float(col.max()) <= tolerances.angle_const:
-            verdict = "invariant"
-        elif float(col.max() - col.min()) <= tolerances.angle_const:
-            verdict = "slant"
-        else:
-            verdict = "pointwise-slant"
-        measured_invariant.append(verdict == "invariant")
-        comp_entries.append({
-            "name": comp.name,
-            "rank": comp.rank,
-            "declared_invariant": ci == inv_idx,
-            "verdict": verdict,
-            "theta": [float(t) for t in col],
-            "lambda": [float(l) for l in lam[:, ci]],
-        })
+    comp_entries = [_component_entry(comp.name, comp.rank, ci == inv_idx, theta[:, ci],
+                                     lam[:, ci], tolerances)
+                    for ci, comp in enumerate(comps)]
+    measured_invariant = [e["verdict"] == "invariant" for e in comp_entries]
 
     proper_idx = [ci for ci in range(ncomp) if ci != inv_idx]
     k = len(proper_idx)
@@ -353,50 +366,39 @@ def classify(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOLERA
         bad = np.flatnonzero(theta[:, ci] <= tolerances.angle_const)
         if bad.size:
             positivity_ok = False
-            evidence.setdefault("proper-positivity", {
+            evidence["proper-positivity"] = {
                 "reason": f"proper component {comps[ci].name!r} has slant value 0",
-                "point": np.asarray(getattr(points[bad[0]], "coords",
-                                            points[bad[0]])).tolist()})
+                "point": _witness_point(points[bad[0]])}
             break
 
-    prop_theta = theta[:, proper_idx] if proper_idx else np.zeros((len(points), 0))
-    all_constant = all(
-        float(prop_theta[:, j].max() - prop_theta[:, j].min()) <= tolerances.angle_const
-        for j in range(k))
+    prop_theta = theta[:, proper_idx]
+    all_constant = bool(np.all(_constancy_span(prop_theta) <= tolerances.angle_const))
 
     # pointwise-k-slant: pairwise distinct at every sampled point
     pks = invariant_ok and positivity_ok and k > 0
-    for pi in range(len(points)):
-        if not pks:
-            break
-        if not _pairwise_separated(prop_theta[pi], tolerances.angle_distinct):
-            pks = False
-            evidence["pointwise-k-slant"] = {
-                "reason": "slant values coincide at a sampled point",
-                "point": np.asarray(getattr(points[pi], "coords", points[pi])).tolist(),
-                "theta": [float(t) for t in prop_theta[pi]]}
-    if k == 0 and "pointwise-k-slant" not in evidence:
+    p_bad = _first_coincidence(prop_theta, tolerances.angle_distinct) if pks else None
+    if p_bad is not None:
+        pks = False
+        evidence["pointwise-k-slant"] = {
+            "reason": "slant values coincide at a sampled point",
+            "point": _witness_point(points[p_bad]),
+            "theta": [float(t) for t in prop_theta[p_bad]]}
+    if k == 0:
         evidence["pointwise-k-slant"] = {"reason": "no proper component"}
 
     # k-pointwise-slant: distinct as functions (some sampled point separates)
     kps = invariant_ok and positivity_ok and k > 0
-    for a in range(k):
-        if not kps:
-            break
-        for b in range(a + 1, k):
-            gap = np.abs(prop_theta[:, a] - prop_theta[:, b])
-            if float(gap.max(initial=0.0)) <= tolerances.angle_distinct:
-                kps = False
-                evidence["k-pointwise-slant"] = {
-                    "reason": "two slant functions agree at every sampled point",
-                    "components": [comps[proper_idx[a]].name, comps[proper_idx[b]].name]}
-                break
-    if k == 0:
+    pair = _first_agreeing_pair(prop_theta, tolerances.angle_distinct) if kps else None
+    if pair is not None:
         kps = False
-        evidence.setdefault("k-pointwise-slant", {"reason": "no proper component"})
+        evidence["k-pointwise-slant"] = {
+            "reason": "two slant functions agree at every sampled point",
+            "components": [comps[proper_idx[j]].name for j in pair]}
+    if k == 0:
+        evidence["k-pointwise-slant"] = {"reason": "no proper component"}
 
     kslant = all_constant and pks
-    if not kslant and "k-slant" not in evidence:
+    if not kslant:
         evidence["k-slant"] = (
             {"reason": "a slant function is not constant on the sampled points"}
             if not all_constant else
@@ -457,8 +459,7 @@ def _named_cases(labels, k, has_invariant, prop_theta, tolerances) -> list[str]:
         return named
     first = prop_theta[0]
     is_half_pi = [abs(t - HALF_PI) <= tolerances.angle_const for t in first]
-    theta_const = [float(prop_theta[:, j].max() - prop_theta[:, j].min())
-                   <= tolerances.angle_const for j in range(k)]
+    theta_const = _constancy_span(prop_theta) <= tolerances.angle_const
     if labels["k-slant"]:
         if k == 1:
             if has_invariant:
@@ -534,7 +535,7 @@ def discover(structure: StructureField, points, mask: tuple[int, ...] | None = N
             inside = complement_columns(g, mgs_columns(g, xi[:, None]))
             # restrict the complement of <xi> back into TM before extracting D
             cand = proj_tm @ inside
-            basis_d = mgs_columns(g, _column_select(g, cand, len(free) - 1))
+            basis_d = mgs_columns(g, pivoted_columns(g, cand, len(free) - 1))
         else:
             basis_d = mgs_columns(g, tm)
         proj_d = basis_d @ basis_d.T @ g
@@ -549,48 +550,29 @@ def discover(structure: StructureField, points, mask: tuple[int, ...] | None = N
         raise ComponentError(f"eigenstructure is not stable across points: {tr['witness']}")
 
     thetas = np.array([[c.theta for c in s.clusters] for s in spectra])
-    ntracks = thetas.shape[1]
-    comp_entries = []
-    inv_flags = []
-    for t in range(ntracks):
-        col = thetas[:, t]
-        if float(col.max()) <= tolerances.angle_const:
-            verdict = "invariant"
-        elif float(col.max() - col.min()) <= tolerances.angle_const:
-            verdict = "slant"
-        else:
-            verdict = "pointwise-slant"
-        inv_flags.append(verdict == "invariant")
-        comp_entries.append({
-            "name": f"C{t + 1}",
-            "rank": spectra[0].clusters[t].multiplicity,
-            "declared_invariant": False,
-            "verdict": verdict,
-            "theta": [float(v) for v in col],
-            "lambda": [float(s.clusters[t].lam) for s in spectra],
-        })
+    comp_entries = [_component_entry(f"C{t + 1}", spectra[0].clusters[t].multiplicity, False,
+                                     thetas[:, t], [s.clusters[t].lam for s in spectra],
+                                     tolerances)
+                    for t in range(thetas.shape[1])]
+    inv_flags = [e["verdict"] == "invariant" for e in comp_entries]
 
-    proper_tracks = [t for t in range(ntracks) if not inv_flags[t]]
+    proper_tracks = [t for t, inv in enumerate(inv_flags) if not inv]
     k = len(proper_tracks)
-    prop_theta = thetas[:, proper_tracks] if proper_tracks else np.zeros((len(points), 0))
+    prop_theta = thetas[:, proper_tracks]
     evidence: dict[str, dict] = {}
 
-    pks = k > 0 and all(_pairwise_separated(prop_theta[p], tolerances.angle_distinct)
-                        for p in range(len(points)))
+    pks = k > 0 and _first_coincidence(prop_theta, tolerances.angle_distinct) is None
     if not pks:
-        evidence["pointwise-k-slant"] = tr.get("sep_witness") or {"reason": "no proper cluster"}
-    kps = k > 0 and all(
-        float(np.abs(prop_theta[:, a] - prop_theta[:, b]).max()) > tolerances.angle_distinct
-        for a in range(k) for b in range(a + 1, k))
+        evidence["pointwise-k-slant"] = tr["sep_witness"] or {"reason": "no proper cluster"}
+    kps = k > 0 and _first_agreeing_pair(prop_theta, tolerances.angle_distinct) is None
     if not kps:
         evidence["k-pointwise-slant"] = {"reason": "two cluster slant functions agree "
                                                    "at every sampled point"}
-    all_constant = all(float(prop_theta[:, j].max() - prop_theta[:, j].min())
-                       <= tolerances.angle_const for j in range(k))
+    all_constant = bool(np.all(_constancy_span(prop_theta) <= tolerances.angle_const))
     kslant = all_constant and pks
     if not kslant:
-        evidence.setdefault("k-slant", {"reason": "cluster slant functions not constant "
-                                                  "and separated on sampled points"})
+        evidence["k-slant"] = {"reason": "cluster slant functions not constant "
+                                         "and separated on sampled points"}
     generic = (tr["type_stable"] and tr["strictly_pointwise"]
                and tr["separated_everywhere"])
     if not generic:
@@ -614,16 +596,3 @@ def discover(structure: StructureField, points, mask: tuple[int, ...] | None = N
     _assert_lattice(labels)
     return ClassificationReport(points, _display_order(comp_entries), labels, evidence,
                                 named, spectra, tr["alpha_flags"], seed, tolerances, k)
-
-
-def _column_select(g: np.ndarray, cand: np.ndarray, rank: int) -> np.ndarray:
-    """Pick `rank` columns of cand by pivoted g-norm deflation."""
-    cand = np.array(cand, dtype=float)
-    out = np.empty((cand.shape[0], rank))
-    for j in range(rank):
-        norms = np.sqrt(np.maximum(g_inner(g, cand, cand), 0.0))
-        idx = int(np.argmax(norms))
-        q = cand[:, idx] / max(norms[idx], 1e-300)
-        out[:, j] = q
-        cand -= np.outer(q, q @ g @ cand)
-    return out

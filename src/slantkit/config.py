@@ -7,6 +7,8 @@ overridable from the CLI or a spec file's "tolerances" object.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 from .errors import SpecError
@@ -27,17 +29,21 @@ class Tolerances:
     zero_threshold: float = 1e-4   # below this a finite difference counts as zero
 
     def override(self, mapping: dict | None) -> "Tolerances":
-        if not mapping:
+        if mapping is None:
             return self
+        if not isinstance(mapping, dict):
+            raise SpecError("tolerances must be an object of name -> number")
         known = set(self.__dataclass_fields__)
         bad = set(mapping) - known
         if bad:
             raise SpecError(f"unknown tolerance keys: {sorted(bad)}")
         values = {}
         for key, value in mapping.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise SpecError(f"tolerance {key} must be a number, not {value!r}")
             value = float(value)
-            if not value > 0:
-                raise SpecError(f"tolerance {key} must be positive")
+            if not 0 < value < math.inf:
+                raise SpecError(f"tolerance {key} must be positive and finite")
             values[key] = value
         return replace(self, **values)
 

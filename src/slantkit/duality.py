@@ -22,6 +22,7 @@ from .errors import RankError, ModelError
 from .linalg import (
     g_inner,
     mgs_columns,
+    pivoted_columns,
     principal_angle_values,
     projector_matrix,
     sym_eigen,
@@ -85,7 +86,7 @@ def build_dual(dec: Decomposition, point, f_on_h_tol: float = F_ON_H_TOL) -> Dua
         for b in duals:
             proj_h = proj_h - projector_matrix(g, b)
         cand = proj_h @ basis_g
-        h_basis = mgs_columns(g, _pick_columns(g, cand, h_dim))
+        h_basis = mgs_columns(g, pivoted_columns(g, cand, h_dim))
     else:
         h_basis = np.zeros((dec.structure.n, 0))
     residual = 0.0
@@ -98,20 +99,6 @@ def build_dual(dec: Decomposition, point, f_on_h_tol: float = F_ON_H_TOL) -> Dua
                 f"f does not vanish on the computed H (residual {residual:.3e}) at "
                 f"{frame.x.tolist()}; the decomposition or structure is invalid")
     return DualDecomposition(frame.x, basis_g, duals, h_basis, residual)
-
-
-def _pick_columns(g: np.ndarray, cand: np.ndarray, rank: int) -> np.ndarray:
-    cand = np.array(cand, dtype=float)
-    out = np.empty((cand.shape[0], rank))
-    for j in range(rank):
-        norms = np.sqrt(np.maximum(g_inner(g, cand, cand), 0.0))
-        idx = int(np.argmax(norms))
-        if norms[idx] < 1e-10:
-            raise RankError("H extraction collapsed")
-        q = cand[:, idx] / norms[idx]
-        out[:, j] = q
-        cand -= np.outer(q, q @ g @ cand)
-    return out
 
 
 def dual_slant_theta(dec: Decomposition, point, dual_basis: np.ndarray,

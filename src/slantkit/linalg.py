@@ -201,8 +201,8 @@ def projector_matrix(gmat: np.ndarray, onb: np.ndarray) -> np.ndarray:
 def complement_columns(gmat: np.ndarray, onb: np.ndarray) -> np.ndarray:
     """g-orthonormal basis of the g-orthogonal complement of span(onb).
 
-    Deterministic: candidates are the columns of I - P taken by largest
-    remaining g-norm, first index wins ties.
+    Deterministic: the candidates are the columns of I - P, picked by
+    `pivoted_columns`.
     """
     n = gmat.shape[0]
     r = 0 if onb is None or onb.size == 0 else onb.shape[1]
@@ -210,16 +210,28 @@ def complement_columns(gmat: np.ndarray, onb: np.ndarray) -> np.ndarray:
     if m <= 0:
         return np.zeros((n, 0))
     cand = np.eye(n) - projector_matrix(gmat, onb if r else np.zeros((n, 0)))
-    picked = np.empty((n, m))
-    for j in range(m):
+    return mgs_columns(gmat, pivoted_columns(gmat, cand, m))
+
+
+def pivoted_columns(gmat: np.ndarray, cand: np.ndarray, rank: int) -> np.ndarray:
+    """`rank` g-unit columns taken from `cand` by pivoted g-norm deflation.
+
+    Each step takes the candidate column of largest remaining g-norm (first
+    index wins ties) and deflates every candidate against it. Raises
+    RankError when the largest remaining g-norm falls below 1e-10 (absolute),
+    i.e. the candidates span fewer than `rank` dimensions.
+    """
+    cand = np.array(cand, dtype=float)
+    out = np.empty((cand.shape[0], rank))
+    for j in range(rank):
         norms = np.sqrt(np.maximum(g_inner(gmat, cand, cand), 0.0))
         idx = int(np.argmax(norms))
         if norms[idx] < 1e-10:
-            raise RankError("complement extraction collapsed; projector is inconsistent")
+            raise RankError(f"pivoted deflation collapsed after {j} of {rank} columns")
         q = cand[:, idx] / norms[idx]
-        picked[:, j] = q
+        out[:, j] = q
         cand -= np.outer(q, q @ gmat @ cand)
-    return mgs_columns(gmat, picked)
+    return out
 
 
 def principal_angle_values(gmat: np.ndarray, a_onb: np.ndarray, b_onb: np.ndarray) -> np.ndarray:

@@ -1,15 +1,11 @@
-"""Seeded sampling helpers and the optional per-point thread pool.
+"""Seeded sampling helpers.
 
 Every random draw in the package flows through `rng_for`, keyed by the run
 seed plus integer stream labels, so verdicts are reproducible and independent
-of evaluation order. `SLANTKIT_THREADS` caps the pool used for per-point
-work; the default of 1 keeps everything serial.
+of evaluation order.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,24 +18,6 @@ def rng_for(seed: int, *streams: int) -> np.random.Generator:
     """Deterministic generator for (seed, stream...) tuples."""
     key = [int(seed) & _MASK64] + [int(s) & _MASK64 for s in streams]
     return np.random.default_rng(key)
-
-
-def thread_count() -> int:
-    raw = os.environ.get("SLANTKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def map_ordered(fn, items):
-    """Apply fn over items, possibly on a thread pool, preserving order."""
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def box_points(n: int, mask: tuple[int, ...] | None, count: int, box=(-2.0, 2.0),

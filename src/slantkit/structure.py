@@ -21,7 +21,7 @@ import numpy as np
 from . import expr as fe
 from .errors import DimensionError, EvalError, KindError, SpecError
 from .linalg import g_inner
-from .sampling import DEFAULT_SEED, map_ordered, rng_for
+from .sampling import DEFAULT_SEED, rng_for
 
 KIND_HERMITIAN = "hermitian-like"
 KIND_CONTACT = "contact-like"
@@ -181,22 +181,16 @@ def validate_structure(s: StructureField, points, trials: int = 25,
     if trials < 1:
         raise SpecError("trials must be >= 1")
 
-    def one_point(item):
-        idx, point = item
-        x = np.asarray(getattr(point, "coords", point), dtype=float)
-        rng = rng_for(seed, 101, idx)
-        pairs = rng.standard_normal((s.n, trials, 2))
-        try:
-            return idx, x, _axiom_residuals(s, x, pairs), None
-        except EvalError as exc:
-            return idx, x, None, str(exc)
-
     worst: dict[str, float] = {}
     witness = {"axiom": None, "point": None, "residual": 0.0}
     failures = []
-    for idx, x, residuals, err in map_ordered(one_point, enumerate(points)):
-        if err is not None:
-            failures.append({"point": x.tolist(), "error": err})
+    for idx, point in enumerate(points):
+        x = np.asarray(getattr(point, "coords", point), dtype=float)
+        pairs = rng_for(seed, 101, idx).standard_normal((s.n, trials, 2))
+        try:
+            residuals = _axiom_residuals(s, x, pairs)
+        except EvalError as exc:
+            failures.append({"point": x.tolist(), "error": str(exc)})
             continue
         for name, value in residuals.items():
             if name not in worst or value > worst[name]:

@@ -971,9 +971,9 @@ def run_identity_suite(dec: Decomposition, points, trials: int = 50,
 
 @dataclass
 class CovariantProbe:
-    h: float = 1e-5
-    zero_threshold: float = 1e-4
-    directions: list | None = None   # defaults to the masked coordinate axes
+    """Central-difference step and zero threshold of the connection probes."""
+    h: float = DEFAULT_TOLERANCES.fd_step
+    zero_threshold: float = DEFAULT_TOLERANCES.zero_threshold
 
 
 def _require_flat_masked(dec: Decomposition, need_mask: bool = True):
@@ -1012,10 +1012,12 @@ def nabla_f2(dec: Decomposition, probe: CovariantProbe, point, direction, y) -> 
 
 
 def eigenvalue_directional_derivative(dec: Decomposition, point, comp_index: int,
-                                      direction, h: float = 1e-5,
+                                      direction, h: float | None = None,
                                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
     """X(lambda_i): central difference of the component eigenvalue, matching
-    the single cluster at the displaced points by nearest lambda."""
+    the single cluster at the displaced points by nearest lambda. The step
+    `h` defaults to `tolerances.fd_step`."""
+    h = tolerances.fd_step if h is None else h
     x = np.asarray(getattr(point, "coords", point), dtype=float)
     d = np.asarray(getattr(direction, "comps", direction), dtype=float)
     _check_in_mask(dec, d)
@@ -1041,7 +1043,7 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
     if classification is None:
         classification = classify(dec, points, tolerances, seed=seed)
     by_name = {e["name"]: e for e in classification.components}
-    tm_dirs = probe.directions if probe.directions is not None else dec.tm_directions()
+    tm_dirs = dec.tm_directions()
     comps = dec.components
     max_nabla = [0.0] * len(comps)
     max_dlam_in = [0.0] * len(comps)

@@ -14,7 +14,7 @@ from slantkit.config import DEFAULT_TOLERANCES
 from slantkit.distribution import Decomposition
 from slantkit.errors import ComponentError, ModelError, SpecError
 from slantkit.gallery import build_fixture
-from slantkit.sampling import rng_for
+from slantkit.sampling import box_points, rng_for
 from slantkit.taxonomy import VERDICT_LATTICE, lattice_closure
 
 
@@ -268,3 +268,16 @@ class TestDiscovery:
         with pytest.raises(ComponentError):
             discover(ex4_zero.structure, ex4_zero.default_points()[:6],
                      mask=ex4_zero.mask)
+
+
+# The golden-report cases (tests/test_golden.py): declared and discovery mode
+# decide their labels through the same slant-table statistics.
+@pytest.mark.parametrize("fid, k, epsilon, gamma", [
+    ("ex1", 2, -1, None), ("ex3", 2, 1, None), ("ex4", 2, -1, 0.5), ("ex9", 3, 1, 2.0)])
+def test_classify_and_discover_agree_on_golden_cases(fid, k, epsilon, gamma):
+    fx = build_fixture(fid, k=k, epsilon=epsilon, gamma=gamma)
+    pts = box_points(fx.structure.n, fx.mask, 6, seed=11)
+    declared = classify(fx.decomposition, pts)
+    found = discover(fx.structure, pts, mask=fx.mask)
+    assert found.labels == declared.labels
+    assert found.named_cases == declared.named_cases

@@ -179,3 +179,30 @@ def test_tolerance_flags(capsys, tmp_path, ex1_spec):
     code, out, _ = run(capsys, "classify", str(path), "--distinct-tol", "3.0")
     assert code == 0
     assert "k-slant" in out.split("not satisfied:")[1]
+
+
+_BAD_TOLERANCES = {
+    "string": ({"cluster": "abc"}, ()),
+    "numeric-string": ({"cluster": "1e-8"}, ()),
+    "list": ({"cluster": [1]}, ()),
+    "null": ({"cluster": None}, ()),
+    "boolean": ({"cluster": True}, ()),
+    "infinite": ({"cluster": float("inf")}, ()),
+    "nan": ({"cluster": float("nan")}, ()),
+    "negative": ({"cluster": -1e-8}, ()),
+    "not-an-object": (5, ()),
+    "false-object": (False, ()),
+    "flag-infinite": (None, ("--cluster-tol", "inf")),
+    "flag-nan": (None, ("--angle-tol", "nan")),
+}
+
+
+@pytest.mark.parametrize("tolerances, flags", list(_BAD_TOLERANCES.values()),
+                         ids=list(_BAD_TOLERANCES))
+def test_bad_tolerance_exit_2(capsys, tmp_path, ex1_spec, tolerances, flags):
+    _, doc = ex1_spec
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(dict(doc, tolerances=tolerances)))
+    code, _, err = run(capsys, "validate", str(path), *flags)
+    assert code == 2
+    assert "tolerance" in err

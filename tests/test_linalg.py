@@ -19,11 +19,15 @@ from slantkit.linalg import (
     MetricAtPoint,
     SubspaceBasis,
     TangentVector,
+    complement_columns,
     g_inner,
     gram_schmidt,
     inner,
+    mgs_columns,
+    pivoted_columns,
     principal_angles,
     projector,
+    projector_matrix,
     sym_eigen,
 )
 from slantkit.structure import KIND_HERMITIAN, StructureField
@@ -182,6 +186,54 @@ class TestProjector:
         b = gram_schmidt(g, basis([[1, 1]]))
         p = projector(g, b)
         assert np.max(np.abs(g.matrix @ p - p.T @ g.matrix)) < 1e-10
+
+
+def _deflation_oracle(g, cand, rank):
+    """Reference for `pivoted_columns`: the deflation written out inline,
+    operation for operation, so the two must agree bit for bit."""
+    cand = np.array(cand, dtype=float)
+    out = np.empty((cand.shape[0], rank))
+    for j in range(rank):
+        norms = np.sqrt(np.maximum(g_inner(g, cand, cand), 0.0))
+        idx = int(np.argmax(norms))
+        if norms[idx] < 1e-10:
+            raise RankError("collapsed")
+        q = cand[:, idx] / norms[idx]
+        out[:, j] = q
+        cand -= np.outer(q, q @ g @ cand)
+    return out
+
+
+class TestPivotedColumns:
+    @pytest.mark.parametrize("metric", ["eye", "spd"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_oracle(self, metric, seed):
+        n, r = 9, 3
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        g = np.eye(n) if metric == "eye" else a @ a.T + n * np.eye(n)
+        onb = mgs_columns(g, rng.standard_normal((n, r)))
+        complement_cand = np.eye(n) - projector_matrix(g, onb)   # complement_columns
+        dense_cand = rng.standard_normal((n, n + 2))
+        for cand, rank in ((complement_cand, n - r), (dense_cand, n)):
+            got = pivoted_columns(g, cand, rank)
+            assert np.array_equal(got, _deflation_oracle(g, cand, rank))
+            np.testing.assert_allclose(got.T @ g @ got, np.eye(rank), atol=1e-9)
+        assert np.array_equal(complement_columns(g, onb),
+                              mgs_columns(g, _deflation_oracle(g, complement_cand, n - r)))
+
+    def test_first_index_wins_ties(self):
+        cand = np.diag([1.0, 2.0, 2.0])
+        got = pivoted_columns(np.eye(3), cand, 3)
+        assert np.array_equal(got, np.eye(3)[:, [1, 2, 0]])
+
+    @pytest.mark.parametrize("cand, rank", [
+        (np.zeros((3, 2)), 1),
+        (np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), 3),
+    ])
+    def test_rank_deficient_raises(self, cand, rank):
+        with pytest.raises(RankError):
+            pivoted_columns(np.eye(3), cand, rank)
 
 
 class TestSymEigen:

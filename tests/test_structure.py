@@ -149,11 +149,3 @@ def test_structure_field_validation_errors():
         StructureField(2, 1, "weird", [[fe.parse("0", 2)] * 2] * 2)
     with pytest.raises(SpecError):
         StructureField(2, 1, KIND_CONTACT, [[fe.parse("0", 2)] * 2] * 2)  # no xi
-
-
-def test_thread_cap_does_not_change_results(monkeypatch, ex1):
-    pts = ex1.default_points()[:6]
-    serial = validate_structure(ex1.structure, pts, trials=8)
-    monkeypatch.setenv("SLANTKIT_THREADS", "4")
-    threaded = validate_structure(ex1.structure, pts, trials=8)
-    assert serial.to_json_dict() == threaded.to_json_dict()
