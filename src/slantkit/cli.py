@@ -25,12 +25,9 @@ from .classifier import classify, discover
 from .config import Tolerances
 from .duality import dual_report
 from .errors import (
-    ComponentError,
     EvalError,
-    ModelError,
     ParamError,
     ParseError,
-    RankError,
     SlantKitError,
     SpecError,
     UnsupportedError,
@@ -203,31 +200,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    commands = {"validate": cmd_validate, "classify": cmd_classify, "dual": cmd_dual,
+                "identities": cmd_identities, "gallery": cmd_gallery}
     try:
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "dual":
-            return cmd_dual(args)
-        if args.command == "identities":
-            return cmd_identities(args)
-        if args.command == "gallery":
-            return cmd_gallery(args)
-        parser.error(f"unknown command {args.command!r}")
-    except (SpecError, ParseError, ParamError, UnsupportedError) as exc:
+        return commands[args.command](args)
+    except (SpecError, ParseError, ParamError, UnsupportedError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except EvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ModelError, ComponentError, RankError) as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return MATH_FAILURE
     except SlantKitError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return MATH_FAILURE
-    return 0
 
 
 if __name__ == "__main__":

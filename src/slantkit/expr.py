@@ -307,6 +307,20 @@ def _eval(e: Expr, x: np.ndarray) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def require_finite(values: np.ndarray, entries, x: np.ndarray, label: str):
+    """Raise EvalError naming the first non-finite entry of an assembled
+    array; `entries` holds its expressions, indexed like `values`."""
+    if np.isfinite(values).all():
+        return
+    idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+    entry = entries
+    for i in idx:
+        entry = entry[i]
+    where = "".join(f"[{i}]" for i in idx)
+    raise EvalError(f"non-finite value {values[idx]} of {label}{where} at {x.tolist()}",
+                    to_source(entry))
+
+
 DEFAULT_FD_STEP = 1e-5
 
 
@@ -346,7 +360,9 @@ class VectorFieldExpr:
 
     def at(self, point) -> np.ndarray:
         x = np.asarray(getattr(point, "coords", point), dtype=float)
-        return np.array([_eval(c, x) for c in self.components])
+        values = np.array([_eval(c, x) for c in self.components])
+        require_finite(values, self.components, x, "vector field")
+        return values
 
     def is_zero_component(self, index: int) -> bool:
         """True when component `index` (0-based) is the literal constant 0."""

@@ -82,6 +82,7 @@ class StructureField:
         for c, col in enumerate(self.phi_columns):
             for r, entry in enumerate(col):
                 mat[r, c] = fe._eval(entry, x)
+        fe.require_finite(mat.T, self.phi_columns, x, "phi_columns")
         return mat
 
     def metric_at(self, point) -> np.ndarray:
@@ -92,6 +93,7 @@ class StructureField:
         for i, row in enumerate(self.metric_exprs):
             for j, entry in enumerate(row):
                 mat[i, j] = fe._eval(entry, x)
+        fe.require_finite(mat, self.metric_exprs, x, "metric")
         return 0.5 * (mat + mat.T)
 
     def xi_at(self, point) -> np.ndarray:

@@ -9,6 +9,13 @@ kind report "skipped(setting)"; keys quantified over an empty domain at all
 sampled points (no invariant remainder H, no right-angle component) report
 "skipped(vacuous)".
 
+The paper proves most identities twice: once on the proper components D_i
+with f and w, and once on their duals w(D_i) with the roles of f and w
+swapped and the invariant part D_0 replaced by H. Each such twin pair is one
+evaluator fn(ctx, side) registered under both keys; `PointContext.sides`
+holds the two `Side`s ("D" and "w(D)") it runs on. Identities whose D side
+sums over D_0 through projectors are not twins and keep their own evaluators.
+
 The connection criteria probe the flat-ambient covariant derivative of the
 restricted endomorphism square by central differences within the submanifold
 mask, and cross-tabulate the derivative verdicts against the classifier's
@@ -26,9 +33,9 @@ from .classifier import classify, component_slant
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition
 from .errors import SpecError, UnsupportedError
+from .linalg import complement_columns
 from .sampling import DEFAULT_SEED, rng_for
 
-HALF_PI = math.pi / 2.0
 PI2_TOL = 1e-8
 TINY = 1e-300
 
@@ -65,11 +72,6 @@ class PointContext:
         self.cy = [f.bases[i] @ norm((f.bases[i].shape[1], t)) for i in range(ncomp)]
         self.x_d = sum(self.cx) if ncomp else np.zeros((n, t))
         self.y_d = sum(self.cy) if ncomp else np.zeros((n, t))
-        self.x_prop = (sum(self.cx[i] for i in self.proper)
-                       if self.proper else np.zeros((n, t)))
-        self.y_prop = (sum(self.cy[i] for i in self.proper)
-                       if self.proper else np.zeros((n, t)))
-        from .linalg import complement_columns
         self.basis_perp = complement_columns(f.g, f.basis_d)
         m = self.basis_perp.shape[1]
         self.u_perp = self.basis_perp @ norm((m, t)) if m else np.zeros((n, t))
@@ -98,6 +100,16 @@ class PointContext:
             self.xi_unit = None
         self.z_dg = self.x_d + self.u_g
         self.w_dg = self.y_d + self.v_g
+        xs = [self.cx[i] for i in self.proper]
+        ys = [self.cy[i] for i in self.proper]
+        d0 = inv is not None
+        self.sides = {
+            "D": Side(f.f, f.w, xs, ys, sum(xs) if xs else np.zeros((n, t)),
+                      sum(ys) if ys else np.zeros((n, t)),
+                      self.cx[inv] if d0 else None, self.cy[inv] if d0 else None),
+            "w(D)": Side(f.w, f.f, self.wu, self.wv, self.u_w, self.v_w,
+                         self.u_h, self.v_h),
+        }
 
     # residual helpers ------------------------------------------------------
 
@@ -116,14 +128,35 @@ class PointContext:
     def eta(self, v):
         return self.frame.inner(v, self.xi_unit[:, None])
 
-    def slant_pairs(self, pred):
-        """(slot, comp index) pairs of proper components satisfying pred on
-        (cos, sin); slot indexes the dual basis list."""
-        out = []
-        for slot, i in enumerate(self.proper):
-            if pred(self.cos[i], self.sin[i]):
-                out.append((slot, i))
-        return out
+    def components(self, side, pred=None):
+        """(i, X_i, Y_i) over the side's proper components, keeping those
+        whose (cos, sin)(theta_i) satisfy `pred` when one is given."""
+        return [(i, side.xs[slot], side.ys[slot]) for slot, i in enumerate(self.proper)
+                if pred is None or pred(self.cos[i], self.sin[i])]
+
+
+@dataclass(frozen=True)
+class Side:
+    """One side of the D_i <-> w(D_i) duality at a point.
+
+    `own` maps each of the side's components into itself (f on D_i, w on
+    w(D_i)); `other` maps it onto its twin (w: D_i -> w(D_i), f: w(D_i) ->
+    D_i). `xs`/`ys` are the draws in the proper components, slot-aligned
+    with `PointContext.proper`, and `x`/`y` their sums. `x0`/`y0` are the
+    draws in the invariant part (D_0, or H on the dual side), None when it
+    is zero."""
+    own: object
+    other: object
+    xs: list
+    ys: list
+    x: np.ndarray
+    y: np.ndarray
+    x0: np.ndarray | None
+    y0: np.ndarray | None
+
+    def round_trip(self, v):
+        """fwX on the D side, wfU on the w(D) side."""
+        return self.own(self.other(v))
 
 
 @dataclass(frozen=True)
@@ -135,11 +168,26 @@ class IdentityCase:
     evaluator: object = field(repr=False)
 
 
-def _case(key, settings, domain, statement):
+def _case(key, settings, domain, statement, side=None, twin=None):
+    """Register an evaluator under `key`.
+
+    A twin evaluator fn(ctx, side) is registered once per side of the
+    duality, `side` naming the `PointContext.sides` entry it sees. `twin`, a
+    (key, domain, statement) triple, registers the w(D) side right after the
+    D side; a twin whose keys are not adjacent registers its w(D) side with
+    a later `_case(..., side="w(D)")(fn)`."""
     def wrap(fn):
-        REGISTRY.append(IdentityCase(key, settings, domain, statement, fn))
+        ev = fn if side is None else (lambda ctx: fn(ctx, ctx.sides[side]))
+        REGISTRY.append(IdentityCase(key, settings, domain, statement, ev))
+        if twin is not None:
+            _case(twin[0], settings, *twin[1:], side="w(D)")(fn)
         return fn
     return wrap
+
+
+def _worst(residuals):
+    """Largest per-component residual; None when no component was quantified."""
+    return max(residuals, default=None)
 
 
 REGISTRY: list[IdentityCase] = []
@@ -375,18 +423,14 @@ def _split_g2(ctx):
        "w2(D_i) inside w(D_i); w2(D_i) = 0 when theta_i = pi/2")
 def _w2comp(ctx):
     f = ctx.frame
-    worst = None
-    for slot, i in enumerate(ctx.proper):
-        xi_vec = ctx.cx[i]
-        w2 = f.w(f.w(xi_vec))
+
+    def residual(i, x, b):
+        w2 = f.w(f.w(x))
         if abs(ctx.sin2[i] - 1.0) <= PI2_TOL:
-            r = ctx.vec_rel(w2, xi_vec)
-        else:
-            b = ctx.dual.duals[slot]
-            proj = b @ b.T @ f.g
-            r = ctx.vec_rel(w2 - proj @ w2, xi_vec)
-        worst = r if worst is None else max(worst, r)
-    return worst
+            return ctx.vec_rel(w2, x)
+        return ctx.vec_rel(w2 - (b @ b.T @ f.g) @ w2, x)
+
+    return _worst(residual(i, ctx.cx[i], b) for i, b in zip(ctx.proper, ctx.dual.duals))
 
 
 # -- norm relations ------------------------------------------------------------------
@@ -414,63 +458,33 @@ def _nwdual(ctx):
     return ctx.rel(diff, u, u)
 
 
-@_case("norm.f-invariant", "both", "X_0 in D_0", "|fX_0| = |X_0|")
-def _nfinv(ctx):
-    if ctx.inv is None:
+@_case("norm.f-invariant", "both", "X_0 in D_0", "|fX_0| = |X_0|", side="D")
+def _norm_invariant(ctx, side):
+    if side.x0 is None:
         return None
     f = ctx.frame
-    x0 = ctx.cx[ctx.inv]
-    diff = f.norm(f.f(x0)) - f.norm(x0)
-    return ctx.rel(diff, x0)
+    diff = f.norm(side.own(side.x0)) - f.norm(side.x0)
+    return ctx.rel(diff, side.x0)
 
 
-@_case("norm.wx-sin", "both", "X_i in D_i", "|wX_i| = sin(theta_i) * |X_i|")
-def _nwx(ctx):
+@_case("norm.wx-sin", "both", "X_i in D_i", "|wX_i| = sin(theta_i) * |X_i|", side="D",
+       twin=("norm.fu-sin", "U_i in w(D_i)", "|fU_i| = sin(theta_i) * |U_i|"))
+def _norm_sin(ctx, side):
     f = ctx.frame
-    worst = None
-    for i in ctx.proper:
-        xi_vec = ctx.cx[i]
-        diff = f.norm(f.w(xi_vec)) - ctx.sin[i] * f.norm(xi_vec)
-        r = ctx.rel(diff, xi_vec)
-        worst = r if worst is None else max(worst, r)
-    return worst
-
-
-@_case("norm.fu-sin", "both", "U_i in w(D_i)", "|fU_i| = sin(theta_i) * |U_i|")
-def _nfu(ctx):
-    f = ctx.frame
-    worst = None
-    for slot, i in enumerate(ctx.proper):
-        ui = ctx.wu[slot]
-        diff = f.norm(f.f(ui)) - ctx.sin[i] * f.norm(ui)
-        r = ctx.rel(diff, ui)
-        worst = r if worst is None else max(worst, r)
-    return worst
+    return _worst(ctx.rel(f.norm(side.other(x)) - ctx.sin[i] * f.norm(x), x)
+                  for i, x, _ in ctx.components(side))
 
 
 @_case("norm.wx-sumsq", "both", "X in sum of proper D_i",
-       "|wX|^2 = sum_i sin^2(theta_i) * |X_i|^2")
-def _nwxsum(ctx):
-    if not ctx.proper:
+       "|wX|^2 = sum_i sin^2(theta_i) * |X_i|^2", side="D",
+       twin=("norm.fu-sumsq", "U in w(D)", "|fU|^2 = sum_i sin^2(theta_i) * |U_i|^2"))
+def _norm_sumsq(ctx, side):
+    if not side.xs:
         return None
     f = ctx.frame
-    x = ctx.x_prop
-    total = sum(ctx.sin2[i] * f.inner(ctx.cx[i], ctx.cx[i]) for i in ctx.proper)
-    diff = f.inner(f.w(x), f.w(x)) - total
-    return ctx.rel(diff, x, x)
-
-
-@_case("norm.fu-sumsq", "both", "U in w(D)",
-       "|fU|^2 = sum_i sin^2(theta_i) * |U_i|^2")
-def _nfusum(ctx):
-    if not ctx.wu:
-        return None
-    f = ctx.frame
-    u = ctx.u_w
-    total = sum(ctx.sin2[i] * f.inner(ctx.wu[slot], ctx.wu[slot])
-                for slot, i in enumerate(ctx.proper))
-    diff = f.inner(f.f(u), f.f(u)) - total
-    return ctx.rel(diff, u, u)
+    total = sum(ctx.sin2[i] * f.inner(x, x) for i, x, _ in ctx.components(side))
+    ox = side.other(side.x)
+    return ctx.rel(f.inner(ox, ox) - total, side.x, side.x)
 
 
 # -- angle (conformality) relations -----------------------------------------------
@@ -479,65 +493,42 @@ def _cos_diff(f, a, b, c, d):
     return float(np.max(np.abs(f.cos_angle(a, b) - f.cos_angle(c, d))))
 
 
-@_case("angle.f-invariant", "both", "X_0, Y_0 in D_0",
-       "cos<(fX_0, fY_0) = cos<(phi X_0, phi Y_0) = cos<(X_0, Y_0)")
-def _afinv(ctx):
-    if ctx.inv is None:
-        return None
+def _own_and_phi_conformal(ctx, side, x, y):
+    """Angle change of (x, y) under the side's own map and under phi."""
     f = ctx.frame
-    x0, y0 = ctx.cx[ctx.inv], ctx.cy[ctx.inv]
-    return max(_cos_diff(f, f.f(x0), f.f(y0), x0, y0),
-               _cos_diff(f, f.apply_phi(x0), f.apply_phi(y0), x0, y0))
+    return max(_cos_diff(f, side.own(x), side.own(y), x, y),
+               _cos_diff(f, f.apply_phi(x), f.apply_phi(y), x, y))
+
+
+@_case("angle.f-invariant", "both", "X_0, Y_0 in D_0",
+       "cos<(fX_0, fY_0) = cos<(phi X_0, phi Y_0) = cos<(X_0, Y_0)", side="D")
+def _angle_invariant(ctx, side):
+    if side.x0 is None:
+        return None
+    return _own_and_phi_conformal(ctx, side, side.x0, side.y0)
 
 
 @_case("angle.f-slant", "both", "X_i, Y_i in D_i, theta_i < pi/2",
-       "cos<(fX_i, fY_i) = cos<(phi X_i, phi Y_i) = cos<(X_i, Y_i)")
-def _afslant(ctx):
-    f = ctx.frame
-    worst = None
-    for _, i in ctx.slant_pairs(lambda c, s: c > PI2_TOL):
-        xi_vec, yi_vec = ctx.cx[i], ctx.cy[i]
-        r = max(_cos_diff(f, f.f(xi_vec), f.f(yi_vec), xi_vec, yi_vec),
-                _cos_diff(f, f.apply_phi(xi_vec), f.apply_phi(yi_vec), xi_vec, yi_vec))
-        worst = r if worst is None else max(worst, r)
-    return worst
+       "cos<(fX_i, fY_i) = cos<(phi X_i, phi Y_i) = cos<(X_i, Y_i)", side="D")
+def _angle_slant(ctx, side):
+    return _worst(_own_and_phi_conformal(ctx, side, x, y)
+                  for _, x, y in ctx.components(side, lambda c, s: c > PI2_TOL))
 
 
 @_case("dual.w-metric-cos2", "both", "U_i, V_i in w(D_i)",
        "g(wU_i, wV_i) = cos^2(theta_i) * g(U_i, V_i)")
 def _wmcos(ctx):
     f = ctx.frame
-    worst = None
-    for slot, i in enumerate(ctx.proper):
-        ui, vi = ctx.wu[slot], ctx.wv[slot]
-        diff = f.inner(f.w(ui), f.w(vi)) - ctx.cos2[i] * f.inner(ui, vi)
-        r = ctx.rel(diff, ui, vi)
-        worst = r if worst is None else max(worst, r)
-    return worst
+    return _worst(ctx.rel(f.inner(f.w(u), f.w(v)) - ctx.cos2[i] * f.inner(u, v), u, v)
+                  for i, u, v in zip(ctx.proper, ctx.wu, ctx.wv))
 
 
-@_case("angle.w-h", "both", "U_0, V_0 in H",
-       "cos<(wU_0, wV_0) = cos<(U_0, V_0) = cos<(phi U_0, phi V_0)")
-def _awh(ctx):
-    if ctx.u_h is None:
-        return None
-    f = ctx.frame
-    u0, v0 = ctx.u_h, ctx.v_h
-    return max(_cos_diff(f, f.w(u0), f.w(v0), u0, v0),
-               _cos_diff(f, f.apply_phi(u0), f.apply_phi(v0), u0, v0))
-
-
-@_case("angle.w-dual", "both", "U_i, V_i in w(D_i), theta_i < pi/2",
-       "cos<(wU_i, wV_i) = cos<(U_i, V_i) = cos<(phi U_i, phi V_i)")
-def _awdual(ctx):
-    f = ctx.frame
-    worst = None
-    for slot, i in ctx.slant_pairs(lambda c, s: c > PI2_TOL):
-        ui, vi = ctx.wu[slot], ctx.wv[slot]
-        r = max(_cos_diff(f, f.w(ui), f.w(vi), ui, vi),
-                _cos_diff(f, f.apply_phi(ui), f.apply_phi(vi), ui, vi))
-        worst = r if worst is None else max(worst, r)
-    return worst
+_case("angle.w-h", "both", "U_0, V_0 in H",
+      "cos<(wU_0, wV_0) = cos<(U_0, V_0) = cos<(phi U_0, phi V_0)",
+      side="w(D)")(_angle_invariant)
+_case("angle.w-dual", "both", "U_i, V_i in w(D_i), theta_i < pi/2",
+      "cos<(wU_i, wV_i) = cos<(U_i, V_i) = cos<(phi U_i, phi V_i)",
+      side="w(D)")(_angle_slant)
 
 
 @_case("angle.phi-dg", "both", "Z, W in D + G",
@@ -548,97 +539,51 @@ def _aphidg(ctx):
 
 
 @_case("dual.wx-metric-sin2", "both", "X_i, Y_i in D_i",
-       "g(wX_i, wY_i) = sin^2(theta_i) * g(X_i, Y_i)")
-def _wxsin(ctx):
+       "g(wX_i, wY_i) = sin^2(theta_i) * g(X_i, Y_i)", side="D",
+       twin=("dual.fu-metric-sin2", "U_i, V_i in w(D_i)",
+             "g(fU_i, fV_i) = sin^2(theta_i) * g(U_i, V_i)"))
+def _metric_sin2(ctx, side):
     f = ctx.frame
-    worst = None
-    for i in ctx.proper:
-        xi_vec, yi_vec = ctx.cx[i], ctx.cy[i]
-        diff = f.inner(f.w(xi_vec), f.w(yi_vec)) - ctx.sin2[i] * f.inner(xi_vec, yi_vec)
-        r = ctx.rel(diff, xi_vec, yi_vec)
-        worst = r if worst is None else max(worst, r)
-    return worst
-
-
-@_case("dual.fu-metric-sin2", "both", "U_i, V_i in w(D_i)",
-       "g(fU_i, fV_i) = sin^2(theta_i) * g(U_i, V_i)")
-def _fusin(ctx):
-    f = ctx.frame
-    worst = None
-    for slot, i in enumerate(ctx.proper):
-        ui, vi = ctx.wu[slot], ctx.wv[slot]
-        diff = f.inner(f.f(ui), f.f(vi)) - ctx.sin2[i] * f.inner(ui, vi)
-        r = ctx.rel(diff, ui, vi)
-        worst = r if worst is None else max(worst, r)
-    return worst
+    return _worst(ctx.rel(f.inner(side.other(x), side.other(y))
+                          - ctx.sin2[i] * f.inner(x, y), x, y)
+                  for i, x, y in ctx.components(side))
 
 
 @_case("angle.wx-conformal", "both", "X_i, Y_i in D_i, theta_i > 0",
-       "cos<(wX_i, wY_i) = cos<(X_i, Y_i)")
-def _awx(ctx):
+       "cos<(wX_i, wY_i) = cos<(X_i, Y_i)", side="D",
+       twin=("angle.fu-conformal", "U_i, V_i in w(D_i), theta_i > 0",
+             "cos<(fU_i, fV_i) = cos<(U_i, V_i)"))
+def _angle_conformal(ctx, side):
     f = ctx.frame
-    worst = None
-    for _, i in ctx.slant_pairs(lambda c, s: s > PI2_TOL):
-        r = _cos_diff(f, f.w(ctx.cx[i]), f.w(ctx.cy[i]), ctx.cx[i], ctx.cy[i])
-        worst = r if worst is None else max(worst, r)
-    return worst
-
-
-@_case("angle.fu-conformal", "both", "U_i, V_i in w(D_i), theta_i > 0",
-       "cos<(fU_i, fV_i) = cos<(U_i, V_i)")
-def _afu(ctx):
-    f = ctx.frame
-    worst = None
-    for slot, i in ctx.slant_pairs(lambda c, s: s > PI2_TOL):
-        r = _cos_diff(f, f.f(ctx.wu[slot]), f.f(ctx.wv[slot]), ctx.wu[slot], ctx.wv[slot])
-        worst = r if worst is None else max(worst, r)
-    return worst
+    return _worst(_cos_diff(f, side.other(x), side.other(y), x, y)
+                  for _, x, y in ctx.components(side, lambda c, s: s > PI2_TOL))
 
 
 # -- summed relations across components ----------------------------------------------
 
 @_case("sum.w-metric", "both", "X, Y in sum of proper D_i",
-       "g(wX, wY) = sum_i sin^2(theta_i) * g(X_i, Y_i)")
-def _swm(ctx):
-    if not ctx.proper:
+       "g(wX, wY) = sum_i sin^2(theta_i) * g(X_i, Y_i)", side="D",
+       twin=("sum.f-metric", "U, V in w(D)",
+             "g(fU, fV) = sum_i sin^2(theta_i) * g(U_i, V_i)"))
+def _sum_metric(ctx, side):
+    if not side.xs:
         return None
     f = ctx.frame
-    x, y = ctx.x_prop, ctx.y_prop
-    total = sum(ctx.sin2[i] * f.inner(ctx.cx[i], ctx.cy[i]) for i in ctx.proper)
-    return ctx.rel(f.inner(f.w(x), f.w(y)) - total, x, y)
-
-
-@_case("sum.f-metric", "both", "U, V in w(D)",
-       "g(fU, fV) = sum_i sin^2(theta_i) * g(U_i, V_i)")
-def _sfm(ctx):
-    if not ctx.wu:
-        return None
-    f = ctx.frame
-    total = sum(ctx.sin2[i] * f.inner(ctx.wu[slot], ctx.wv[slot])
-                for slot, i in enumerate(ctx.proper))
-    return ctx.rel(f.inner(f.f(ctx.u_w), f.f(ctx.v_w)) - total, ctx.u_w, ctx.v_w)
+    total = sum(ctx.sin2[i] * f.inner(x, y) for i, x, y in ctx.components(side))
+    return ctx.rel(f.inner(side.other(side.x), side.other(side.y)) - total, side.x, side.y)
 
 
 @_case("sum.w-angle", "both", "X, Y in sum of proper D_i",
-       "cos<(wX, wY) = cos<(sum sin(theta_i) X_i, sum sin(theta_i) Y_i)")
-def _swa(ctx):
-    if not ctx.proper:
+       "cos<(wX, wY) = cos<(sum sin(theta_i) X_i, sum sin(theta_i) Y_i)", side="D",
+       twin=("sum.f-angle", "U, V in w(D)",
+             "cos<(fU, fV) = cos<(sum sin(theta_i) U_i, sum sin(theta_i) V_i)"))
+def _sum_angle(ctx, side):
+    if not side.xs:
         return None
-    f = ctx.frame
-    sx = sum(ctx.sin[i] * ctx.cx[i] for i in ctx.proper)
-    sy = sum(ctx.sin[i] * ctx.cy[i] for i in ctx.proper)
-    return _cos_diff(f, f.w(ctx.x_prop), f.w(ctx.y_prop), sx, sy)
-
-
-@_case("sum.f-angle", "both", "U, V in w(D)",
-       "cos<(fU, fV) = cos<(sum sin(theta_i) U_i, sum sin(theta_i) V_i)")
-def _sfa(ctx):
-    if not ctx.wu:
-        return None
-    f = ctx.frame
-    su = sum(ctx.sin[i] * ctx.wu[slot] for slot, i in enumerate(ctx.proper))
-    sv = sum(ctx.sin[i] * ctx.wv[slot] for slot, i in enumerate(ctx.proper))
-    return _cos_diff(f, f.f(ctx.u_w), f.f(ctx.v_w), su, sv)
+    comps = ctx.components(side)
+    sx = sum(ctx.sin[i] * x for i, x, _ in comps)
+    sy = sum(ctx.sin[i] * y for i, _, y in comps)
+    return _cos_diff(ctx.frame, side.other(side.x), side.other(side.y), sx, sy)
 
 
 def _all_positive_sin(ctx):
@@ -646,144 +591,79 @@ def _all_positive_sin(ctx):
 
 
 @_case("invsin.x-metric", "both", "X, Y in sum of proper D_i, theta_i > 0",
-       "g(X, Y) = sum_i g(wX_i, wY_i) / sin^2(theta_i)")
-def _ixm(ctx):
-    if not ctx.proper or not _all_positive_sin(ctx):
+       "g(X, Y) = sum_i g(wX_i, wY_i) / sin^2(theta_i)", side="D",
+       twin=("invsin.u-metric", "U, V in w(D), theta_i > 0",
+             "g(U, V) = sum_i g(fU_i, fV_i) / sin^2(theta_i)"))
+def _invsin_metric(ctx, side):
+    if not side.xs or not _all_positive_sin(ctx):
         return None
     f = ctx.frame
-    total = sum(f.inner(f.w(ctx.cx[i]), f.w(ctx.cy[i])) / ctx.sin2[i] for i in ctx.proper)
-    return ctx.rel(f.inner(ctx.x_prop, ctx.y_prop) - total, ctx.x_prop, ctx.y_prop)
-
-
-@_case("invsin.u-metric", "both", "U, V in w(D), theta_i > 0",
-       "g(U, V) = sum_i g(fU_i, fV_i) / sin^2(theta_i)")
-def _ium(ctx):
-    if not ctx.wu or not _all_positive_sin(ctx):
-        return None
-    f = ctx.frame
-    total = sum(f.inner(f.f(ctx.wu[slot]), f.f(ctx.wv[slot])) / ctx.sin2[i]
-                for slot, i in enumerate(ctx.proper))
-    return ctx.rel(f.inner(ctx.u_w, ctx.v_w) - total, ctx.u_w, ctx.v_w)
+    total = sum(f.inner(side.other(x), side.other(y)) / ctx.sin2[i]
+                for i, x, y in ctx.components(side))
+    return ctx.rel(f.inner(side.x, side.y) - total, side.x, side.y)
 
 
 @_case("invsin.x-angle", "both", "X, Y in sum of proper D_i, theta_i > 0",
-       "cos<(X, Y) = cos<(sum wX_i / sin(theta_i), sum wY_i / sin(theta_i))")
-def _ixa(ctx):
-    if not ctx.proper or not _all_positive_sin(ctx):
+       "cos<(X, Y) = cos<(sum wX_i / sin(theta_i), sum wY_i / sin(theta_i))", side="D",
+       twin=("invsin.u-angle", "U, V in w(D), theta_i > 0",
+             "cos<(U, V) = cos<(sum fU_i / sin(theta_i), sum fV_i / sin(theta_i))"))
+def _invsin_angle(ctx, side):
+    if not side.xs or not _all_positive_sin(ctx):
         return None
-    f = ctx.frame
-    sx = sum(f.w(ctx.cx[i]) / ctx.sin[i] for i in ctx.proper)
-    sy = sum(f.w(ctx.cy[i]) / ctx.sin[i] for i in ctx.proper)
-    return _cos_diff(f, ctx.x_prop, ctx.y_prop, sx, sy)
-
-
-@_case("invsin.u-angle", "both", "U, V in w(D), theta_i > 0",
-       "cos<(U, V) = cos<(sum fU_i / sin(theta_i), sum fV_i / sin(theta_i))")
-def _iua(ctx):
-    if not ctx.wu or not _all_positive_sin(ctx):
-        return None
-    f = ctx.frame
-    su = sum(f.f(ctx.wu[slot]) / ctx.sin[i] for slot, i in enumerate(ctx.proper))
-    sv = sum(f.f(ctx.wv[slot]) / ctx.sin[i] for slot, i in enumerate(ctx.proper))
-    return _cos_diff(f, ctx.u_w, ctx.v_w, su, sv)
+    comps = ctx.components(side)
+    sx = sum(side.other(x) / ctx.sin[i] for i, x, _ in comps)
+    sy = sum(side.other(y) / ctx.sin[i] for i, _, y in comps)
+    return _cos_diff(ctx.frame, side.x, side.y, sx, sy)
 
 
 # -- sin^4 corollaries ------------------------------------------------------------
 
 @_case("sin4.fw-metric", "both", "X_i, Y_i in D_i",
-       "g(fwX_i, fwY_i) = sin^4(theta_i) * g(X_i, Y_i)")
-def _s4fw(ctx):
+       "g(fwX_i, fwY_i) = sin^4(theta_i) * g(X_i, Y_i)", side="D",
+       twin=("sin4.wf-metric", "U_i, V_i in w(D_i)",
+             "g(wfU_i, wfV_i) = sin^4(theta_i) * g(U_i, V_i)"))
+def _sin4_metric(ctx, side):
     f = ctx.frame
-    worst = None
-    for i in ctx.proper:
-        a = f.f(f.w(ctx.cx[i]))
-        b = f.f(f.w(ctx.cy[i]))
-        diff = f.inner(a, b) - ctx.sin2[i] ** 2 * f.inner(ctx.cx[i], ctx.cy[i])
-        r = ctx.rel(diff, ctx.cx[i], ctx.cy[i])
-        worst = r if worst is None else max(worst, r)
-    return worst
-
-
-@_case("sin4.wf-metric", "both", "U_i, V_i in w(D_i)",
-       "g(wfU_i, wfV_i) = sin^4(theta_i) * g(U_i, V_i)")
-def _s4wf(ctx):
-    f = ctx.frame
-    worst = None
-    for slot, i in enumerate(ctx.proper):
-        a = f.w(f.f(ctx.wu[slot]))
-        b = f.w(f.f(ctx.wv[slot]))
-        diff = f.inner(a, b) - ctx.sin2[i] ** 2 * f.inner(ctx.wu[slot], ctx.wv[slot])
-        r = ctx.rel(diff, ctx.wu[slot], ctx.wv[slot])
-        worst = r if worst is None else max(worst, r)
-    return worst
+    return _worst(ctx.rel(f.inner(side.round_trip(x), side.round_trip(y))
+                          - ctx.sin2[i] ** 2 * f.inner(x, y), x, y)
+                  for i, x, y in ctx.components(side))
 
 
 @_case("sin4.fw-angle", "both", "X_i, Y_i in D_i, theta_i > 0",
-       "cos<(fwX_i, fwY_i) = cos<(X_i, Y_i)")
-def _s4fwa(ctx):
+       "cos<(fwX_i, fwY_i) = cos<(X_i, Y_i)", side="D",
+       twin=("sin4.wf-angle", "U_i, V_i in w(D_i), theta_i > 0",
+             "cos<(wfU_i, wfV_i) = cos<(U_i, V_i)"))
+def _sin4_angle(ctx, side):
     f = ctx.frame
-    worst = None
-    for _, i in ctx.slant_pairs(lambda c, s: s > PI2_TOL):
-        r = _cos_diff(f, f.f(f.w(ctx.cx[i])), f.f(f.w(ctx.cy[i])), ctx.cx[i], ctx.cy[i])
-        worst = r if worst is None else max(worst, r)
-    return worst
-
-
-@_case("sin4.wf-angle", "both", "U_i, V_i in w(D_i), theta_i > 0",
-       "cos<(wfU_i, wfV_i) = cos<(U_i, V_i)")
-def _s4wfa(ctx):
-    f = ctx.frame
-    worst = None
-    for slot, i in ctx.slant_pairs(lambda c, s: s > PI2_TOL):
-        r = _cos_diff(f, f.w(f.f(ctx.wu[slot])), f.w(f.f(ctx.wv[slot])),
-                      ctx.wu[slot], ctx.wv[slot])
-        worst = r if worst is None else max(worst, r)
-    return worst
+    return _worst(_cos_diff(f, side.round_trip(x), side.round_trip(y), x, y)
+                  for _, x, y in ctx.components(side, lambda c, s: s > PI2_TOL))
 
 
 @_case("sin4sum.fw-metric", "both", "X, Y in sum of proper D_i",
-       "g(fwX, fwY) = sum_i sin^4(theta_i) * g(X_i, Y_i)")
-def _s4sfw(ctx):
-    if not ctx.proper:
+       "g(fwX, fwY) = sum_i sin^4(theta_i) * g(X_i, Y_i)", side="D",
+       twin=("sin4sum.wf-metric", "U, V in w(D)",
+             "g(wfU, wfV) = sum_i sin^4(theta_i) * g(U_i, V_i)"))
+def _sin4sum_metric(ctx, side):
+    if not side.xs:
         return None
     f = ctx.frame
-    total = sum(ctx.sin2[i] ** 2 * f.inner(ctx.cx[i], ctx.cy[i]) for i in ctx.proper)
-    lhs = f.inner(f.f(f.w(ctx.x_prop)), f.f(f.w(ctx.y_prop)))
-    return ctx.rel(lhs - total, ctx.x_prop, ctx.y_prop)
-
-
-@_case("sin4sum.wf-metric", "both", "U, V in w(D)",
-       "g(wfU, wfV) = sum_i sin^4(theta_i) * g(U_i, V_i)")
-def _s4swf(ctx):
-    if not ctx.wu:
-        return None
-    f = ctx.frame
-    total = sum(ctx.sin2[i] ** 2 * f.inner(ctx.wu[slot], ctx.wv[slot])
-                for slot, i in enumerate(ctx.proper))
-    lhs = f.inner(f.w(f.f(ctx.u_w)), f.w(f.f(ctx.v_w)))
-    return ctx.rel(lhs - total, ctx.u_w, ctx.v_w)
+    total = sum(ctx.sin2[i] ** 2 * f.inner(x, y) for i, x, y in ctx.components(side))
+    lhs = f.inner(side.round_trip(side.x), side.round_trip(side.y))
+    return ctx.rel(lhs - total, side.x, side.y)
 
 
 @_case("sin4sum.fw-angle", "both", "X, Y in sum of proper D_i",
-       "cos<(fwX, fwY) = cos<(sum sin^2(theta_i) X_i, sum sin^2(theta_i) Y_i)")
-def _s4sfwa(ctx):
-    if not ctx.proper:
+       "cos<(fwX, fwY) = cos<(sum sin^2(theta_i) X_i, sum sin^2(theta_i) Y_i)", side="D",
+       twin=("sin4sum.wf-angle", "U, V in w(D)",
+             "cos<(wfU, wfV) = cos<(sum sin^2(theta_i) U_i, sum sin^2(theta_i) V_i)"))
+def _sin4sum_angle(ctx, side):
+    if not side.xs:
         return None
-    f = ctx.frame
-    sx = sum(ctx.sin2[i] * ctx.cx[i] for i in ctx.proper)
-    sy = sum(ctx.sin2[i] * ctx.cy[i] for i in ctx.proper)
-    return _cos_diff(f, f.f(f.w(ctx.x_prop)), f.f(f.w(ctx.y_prop)), sx, sy)
-
-
-@_case("sin4sum.wf-angle", "both", "U, V in w(D)",
-       "cos<(wfU, wfV) = cos<(sum sin^2(theta_i) U_i, sum sin^2(theta_i) V_i)")
-def _s4swfa(ctx):
-    if not ctx.wu:
-        return None
-    f = ctx.frame
-    su = sum(ctx.sin2[i] * ctx.wu[slot] for slot, i in enumerate(ctx.proper))
-    sv = sum(ctx.sin2[i] * ctx.wv[slot] for slot, i in enumerate(ctx.proper))
-    return _cos_diff(f, f.w(f.f(ctx.u_w)), f.w(f.f(ctx.v_w)), su, sv)
+    comps = ctx.components(side)
+    sx = sum(ctx.sin2[i] * x for i, x, _ in comps)
+    sy = sum(ctx.sin2[i] * y for i, _, y in comps)
+    return _cos_diff(ctx.frame, side.round_trip(side.x), side.round_trip(side.y),
+                     sx, sy)
 
 
 # -- G-side component sums ---------------------------------------------------------
@@ -851,37 +731,16 @@ def _hm(ctx):
     return ctx.rel(diff, ctx.u_h, ctx.v_h)
 
 
-@_case("h.norm", "both", "U_0 in H", "|wU_0| = |U_0|")
-def _hn(ctx):
-    if ctx.u_h is None:
-        return None
-    f = ctx.frame
-    diff = f.norm(f.w(ctx.u_h)) - f.norm(ctx.u_h)
-    return ctx.rel(diff, ctx.u_h)
+_case("h.norm", "both", "U_0 in H", "|wU_0| = |U_0|", side="w(D)")(_norm_invariant)
 
 
 # -- the right-angle special case -------------------------------------------------------------
 
-@_case("pi2.fw", "both", "X_j in D_j with theta_j = pi/2", "fwX_j = eps * X_j")
-def _pi2fw(ctx):
-    f = ctx.frame
-    worst = None
-    for _, i in ctx.slant_pairs(lambda c, s: abs(s - 1.0) <= PI2_TOL):
-        xj = ctx.cx[i]
-        r = ctx.vec_rel(f.f(f.w(xj)) - ctx.eps * xj, xj)
-        worst = r if worst is None else max(worst, r)
-    return worst
-
-
-@_case("pi2.wf", "both", "U_j in w(D_j) with theta_j = pi/2", "wfU_j = eps * U_j")
-def _pi2wf(ctx):
-    f = ctx.frame
-    worst = None
-    for slot, i in ctx.slant_pairs(lambda c, s: abs(s - 1.0) <= PI2_TOL):
-        uj = ctx.wu[slot]
-        r = ctx.vec_rel(f.w(f.f(uj)) - ctx.eps * uj, uj)
-        worst = r if worst is None else max(worst, r)
-    return worst
+@_case("pi2.fw", "both", "X_j in D_j with theta_j = pi/2", "fwX_j = eps * X_j", side="D",
+       twin=("pi2.wf", "U_j in w(D_j) with theta_j = pi/2", "wfU_j = eps * U_j"))
+def _pi2(ctx, side):
+    return _worst(ctx.vec_rel(side.round_trip(x) - ctx.eps * x, x)
+                  for _, x, _ in ctx.components(side, lambda c, s: abs(s - 1.0) <= PI2_TOL))
 
 
 _DUAL_PREFIXES = ("gside.", "h.", "dual.", "invsin.u", "sum.f-", "sin4.wf",

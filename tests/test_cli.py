@@ -38,6 +38,7 @@ class TestGalleryCommand:
     def test_emit_rejects_bad_params(self, capsys):
         code, _, err = run(capsys, "gallery", "emit", "ex4", "--gamma", "-1")
         assert code == 2
+        assert err.startswith("error:")
         assert "gamma" in err
 
 
@@ -206,3 +207,85 @@ def test_bad_tolerance_exit_2(capsys, tmp_path, ex1_spec, tolerances, flags):
     code, _, err = run(capsys, "validate", str(path), *flags)
     assert code == 2
     assert "tolerance" in err
+
+
+def _set_phi(entry):
+    def mutate(doc):
+        doc["phi_columns"][0][0] = entry
+    return mutate
+
+
+def _drop_mask(doc):
+    doc.pop("submanifold_mask")
+
+
+def _merge_proper(doc):
+    dists = doc["distributions"]
+    dists["D12"] = dists["D1"] + dists["D2"]
+    doc["decomposition"] = {"invariant": "D0", "proper": ["D12"]}
+
+
+def _repeat_field(doc):
+    doc["distributions"]["D1"] = [doc["distributions"]["D1"][0]] * 2
+
+
+def _double_phi(doc):
+    doc["phi_columns"] = [[f"2*({e})" for e in col] for col in doc["phi_columns"]]
+
+
+# error family -> (spec mutation, command argv after the spec path, exit code,
+# stderr prefix, a word of the message)
+_ERROR_FAMILIES = {
+    "SpecError": (lambda doc: doc.update(epsilon=0), ("validate",), 2, "error:", "epsilon"),
+    "ParseError": (_set_phi("1 +"), ("validate",), 2, "error:", "offset"),
+    "EvalError": (_set_phi("1/(x1-x1)"), ("identities",), 2, "error:", "division by zero"),
+    "UnsupportedError": (_drop_mask, ("identities", "--connection"), 2, "error:", "mask"),
+    "ComponentError": (_merge_proper, ("classify",), 1, "failure:", "eigenvalue clusters"),
+    "RankError": (_repeat_field, ("classify",), 1, "failure:", "dependent"),
+    "ModelError": (_double_phi, ("classify", "--force"), 1, "failure:", "outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("mutate, argv, exit_code, prefix, word",
+                         list(_ERROR_FAMILIES.values()), ids=list(_ERROR_FAMILIES))
+def test_error_family_exit_code_and_prefix(capsys, tmp_path, ex1_spec, mutate, argv,
+                                           exit_code, prefix, word):
+    doc = json.loads(json.dumps(ex1_spec[1]))
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == exit_code
+    assert err.startswith(prefix)
+    assert word in err
+
+
+class TestNonFiniteField:
+    """A 401-digit literal parses to inf, so 0*inf is nan: evaluation errors
+    with the entry's source and the point, not nan residuals."""
+
+    ENTRY = "0*1" + "0" * 400
+
+    def _spec(self, tmp_path, ex1_spec):
+        doc = json.loads(json.dumps(ex1_spec[1]))
+        _set_phi(self.ENTRY)(doc)
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
+        return path, doc
+
+    def test_validate_witnesses_evaluation(self, capsys, tmp_path, ex1_spec):
+        path, doc = self._spec(tmp_path, ex1_spec)
+        out_path = tmp_path / "r.json"
+        code, _, _ = run(capsys, "validate", str(path), "--json", str(out_path))
+        assert code == 1
+        witness = json.loads(out_path.read_text())["structure"]["witness"]
+        assert witness["axiom"] == "evaluation"
+        assert witness["point"] == doc["sample_points"][0]
+        assert "phi_columns[0][0]" in witness["error"]
+        assert "'0*inf'" in witness["error"]
+
+    def test_classify_force_exit_2(self, capsys, tmp_path, ex1_spec):
+        path, _ = self._spec(tmp_path, ex1_spec)
+        code, _, err = run(capsys, "classify", str(path), "--force")
+        assert code == 2
+        assert err.startswith("error: non-finite value nan of phi_columns[0][0]")

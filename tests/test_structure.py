@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slantkit import expr as fe
-from slantkit.errors import KindError, SpecError
+from slantkit.errors import EvalError, KindError, SpecError
 from slantkit.gallery import build_fixture
 from slantkit.sampling import rng_for
 from slantkit.structure import (
@@ -44,6 +44,32 @@ class TestPhiAt:
         expected = np.zeros(11)
         expected[5] = -1.0
         assert np.allclose(col, expected, atol=1e-15)
+
+
+class TestNonFiniteEntries:
+    """An entry that evaluates to inf or nan raises EvalError naming its spec
+    position, its source and the point."""
+
+    HUGE = "1" + "0" * 400   # parses to inf
+
+    def test_phi_entry(self):
+        cols = [["0", "1"], [f"0*{self.HUGE}", "0"]]
+        s = StructureField(2, -1, KIND_HERMITIAN, parse_columns(cols, 2))
+        with pytest.raises(EvalError, match=r"nan of phi_columns\[1\]\[0\] at \[0.5, 0.0\]"
+                                             r" in '0\*inf'"):
+            s.phi_at(np.array([0.5, 0.0]))
+
+    def test_metric_entry(self):
+        cols = [["0", "1"], ["-1", "0"]]
+        metric = parse_columns([["1", "0"], [self.HUGE, "1"]], 2)
+        s = StructureField(2, -1, KIND_HERMITIAN, parse_columns(cols, 2), metric=metric)
+        with pytest.raises(EvalError, match=r"inf of metric\[1\]\[0\] at \[0.0, 1.0\]"):
+            s.metric_at(np.array([0.0, 1.0]))
+
+    def test_vector_field_entry(self):
+        field = fe.VectorFieldExpr.parse(["x1", f"x1 - {self.HUGE}"], 2)
+        with pytest.raises(EvalError, match=r"-inf of vector field\[1\] at \[1.0, 0.0\]"):
+            field.at(np.array([1.0, 0.0]))
 
 
 class TestValidate:

@@ -249,3 +249,78 @@ class TestConnectionReport:
         dec.mask = None
         with pytest.raises(UnsupportedError):
             connection_criterion_report(dec, CovariantProbe(), [np.zeros(11)] * 2)
+
+
+# The 16 identities proved once on the proper components D_i and once on
+# their duals w(D_i); each pair shares one evaluator.
+TWIN_PAIRS = [
+    ("norm.f-invariant", "h.norm"),
+    ("norm.wx-sin", "norm.fu-sin"),
+    ("norm.wx-sumsq", "norm.fu-sumsq"),
+    ("angle.f-invariant", "angle.w-h"),
+    ("angle.f-slant", "angle.w-dual"),
+    ("dual.wx-metric-sin2", "dual.fu-metric-sin2"),
+    ("angle.wx-conformal", "angle.fu-conformal"),
+    ("sum.w-metric", "sum.f-metric"),
+    ("sum.w-angle", "sum.f-angle"),
+    ("invsin.x-metric", "invsin.u-metric"),
+    ("invsin.x-angle", "invsin.u-angle"),
+    ("sin4.fw-metric", "sin4.wf-metric"),
+    ("sin4.fw-angle", "sin4.wf-angle"),
+    ("sin4sum.fw-metric", "sin4sum.wf-metric"),
+    ("sin4sum.fw-angle", "sin4sum.wf-angle"),
+    ("pi2.fw", "pi2.wf"),
+]
+
+# Pairs quantified over the invariant part: D_0 on the D side, H on the dual.
+INVARIANT_PAIRS = {("norm.f-invariant", "h.norm"), ("angle.f-invariant", "angle.w-h")}
+
+
+def _sub_decomposition(fx, proper, with_d0):
+    """Keep the listed proper components (0-based) of a gallery fixture; the
+    dropped ones and their images make up a nonzero H."""
+    dec = fx.decomposition
+    return Decomposition(fx.structure, [dec.proper[i] for i in proper],
+                         invariant=dec.invariant if with_d0 else None, mask=fx.mask)
+
+
+def _twin_cases(ex1):
+    """name -> (decomposition, points, has D_0, has H, right-angle slant
+    values, slant values below pi/2) on the sampled points."""
+    from test_duality import sub_decomposition_with_h
+    ex3 = build_fixture("ex3", k=2, epsilon=1)
+    ex9 = build_fixture("ex9", k=3, epsilon=1, gamma=2.0)
+    return {
+        "ex1": (ex1.decomposition, ex1, True, False, True, True),
+        "ex9-k3": (ex9.decomposition, ex9, True, False, False, True),
+        "ex1-D0D1-with-H": (sub_decomposition_with_h(ex1), ex1, True, True, True, False),
+        "ex3-D2-with-H": (_sub_decomposition(ex3, [1], False), ex3, False, True, False, True),
+        "ex3-D0D2-with-H": (_sub_decomposition(ex3, [1], True), ex3, True, True, False, True),
+    }
+
+
+@pytest.fixture(scope="module")
+def twin_verdicts(ex1):
+    keys = {key for pair in TWIN_PAIRS for key in pair}
+    out = {}
+    for name, (dec, fx, *flags) in _twin_cases(ex1).items():
+        rep = run_identity_suite(dec, fx.default_points()[:4], trials=20, keys=keys)
+        out[name] = ({e["key"]: e["verdict"] for e in rep.entries}, *flags)
+    return out
+
+
+@pytest.mark.parametrize("d_key, w_key", TWIN_PAIRS, ids=[d for d, _ in TWIN_PAIRS])
+def test_twin_pair_verdicts(twin_verdicts, d_key, w_key):
+    def expect(quantified):
+        return "pass" if quantified else "skipped(vacuous)"
+
+    for name, (verdicts, d0, h, right, below_right) in twin_verdicts.items():
+        got = (verdicts[d_key], verdicts[w_key])
+        if (d_key, w_key) in INVARIANT_PAIRS:
+            assert got == (expect(d0), expect(h)), name
+        elif d_key == "pi2.fw":
+            assert got == (expect(right),) * 2, name
+        elif d_key == "angle.f-slant":
+            assert got == (expect(below_right),) * 2, name
+        else:
+            assert got == ("pass", "pass"), name
