@@ -120,13 +120,42 @@ def component_slant(dec: Decomposition, point, index: int,
     spec = _spectrum_of_matrix(frame.f2_component(index), frame.bases[index], frame.x,
                                frame.epsilon, tolerances.cluster, tolerances.lambda_band)
     if len(spec.clusters) != 1:
-        name = dec.components[index].name
-        lams = [c.lam for c in spec.clusters]
-        raise ComponentError(
-            f"component {name!r} carries {len(spec.clusters)} eigenvalue clusters "
-            f"{lams} at {frame.x.tolist()}; the declared decomposition is coarser "
-            "than the eigenstructure")
+        raise _coarser_than_eigenstructure(frame, index, [c.lam for c in spec.clusters])
     return spec.clusters[0]
+
+
+def single_cluster_lambda(frame, index: int, mat: np.ndarray,
+                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+    """lambda of component `index` at `frame` from its f^2 matrix `mat`
+    (r x r, symmetric): the trace mean tr(mat) / r, which is the mean of the
+    single cluster `component_slant` finds, computed without a spectrum.
+
+    The cluster count is still checked. The eigenvalue spread of `mat` is at
+    most sqrt(2) * ||mat - lambda I||_F, so a certificate at or below
+    cluster/2 proves one cluster; otherwise eigvalsh and
+    `cluster_eigenvalues` count the clusters as `component_slant` does, and
+    more than one raises ComponentError. ModelError when a cluster lies
+    outside the lambda band."""
+    r = mat.shape[0]
+    lam = float(np.trace(mat)) / r
+    if math.sqrt(2.0) * float(np.linalg.norm(mat - lam * np.eye(r))) > 0.5 * tolerances.cluster:
+        evals = np.linalg.eigvalsh(mat)
+        lams = [float(np.mean(evals[group]))
+                for group in cluster_eigenvalues(evals, tolerances.cluster)]
+        for value in lams:
+            _lambda_to_alpha_theta(value, frame.epsilon, tolerances.lambda_band)
+        if len(lams) != 1:
+            raise _coarser_than_eigenstructure(frame, index, lams)
+    _lambda_to_alpha_theta(lam, frame.epsilon, tolerances.lambda_band)
+    return lam
+
+
+def _coarser_than_eigenstructure(frame, index: int, lams: list[float]) -> ComponentError:
+    name = frame.dec.components[index].name
+    return ComponentError(
+        f"component {name!r} carries {len(lams)} eigenvalue clusters "
+        f"{lams} at {frame.x.tolist()}; the declared decomposition is coarser "
+        "than the eigenstructure")
 
 
 def slant_function_table(dec: Decomposition, index: int, points,

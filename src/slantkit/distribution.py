@@ -266,7 +266,21 @@ class PointFrame:
         if proj is None:
             proj = self.proj_d
         op = proj @ self.phi
-        mat = basis.T @ self.g @ (op @ (op @ basis))
+        return self._symmetrized(basis.T @ self.g @ (op @ (op @ basis)))
+
+    def f2_blocks(self, f2: np.ndarray, indices):
+        """Yield (i, matrix of f^2 on component i in its orthonormal basis)
+        for each i in `indices`, read from the diagonal blocks of one
+        basis_d^T g f2 basis_d, where `f2` is `self.f2_ambient()`. Each block
+        passes the asymmetry check of `f2_matrix_on` when it is yielded."""
+        fb = f2 @ self.basis_d
+        gram = self.basis_d.T @ (fb if self._inner_g is None else self.g @ fb)
+        ends = np.cumsum([b.shape[1] for b in self.bases])
+        for i in indices:
+            lo = ends[i] - self.bases[i].shape[1]
+            yield i, self._symmetrized(gram[lo:ends[i], lo:ends[i]])
+
+    def _symmetrized(self, mat: np.ndarray) -> np.ndarray:
         scale = max(float(np.linalg.norm(mat)), 1e-300)
         asym = float(np.linalg.norm(mat - mat.T))
         if asym > F2_SYMMETRY_RTOL * scale and asym > 1e-14:

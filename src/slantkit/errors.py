@@ -69,3 +69,7 @@ class EvalError(SlantKitError):
             message = f"{message} in {subexpr!r}"
         super().__init__(message)
         self.subexpr = subexpr
+
+
+class MetricError(EvalError):
+    """The evaluated metric is not positive definite at a point."""

@@ -167,7 +167,12 @@ class _Parser:
         if text in ("", "."):
             self.pos = start
             raise self.error("malformed number")
-        return Num(float(text))
+        value = float(text)
+        if not math.isfinite(value):
+            # Num(inf) would render as "inf", which is outside the grammar
+            self.pos = start
+            raise self.error("number literal overflows a double")
+        return Num(value)
 
     def identifier(self) -> Expr:
         start = self.pos
@@ -276,6 +281,8 @@ def _eval(e: Expr, x: np.ndarray) -> float:
             return math.sqrt(max(v, 0.0))
         if e.func == "abs":
             return abs(v)
+        if e.func in ("sin", "cos") and math.isinf(v):
+            raise EvalError(f"{e.func} of {v}", to_source(e))
         if e.func == "sin":
             return math.sin(v)
         if e.func == "cos":
@@ -336,16 +343,43 @@ def directional_derivative(e: Expr, point, direction, h: float = DEFAULT_FD_STEP
     return (_eval(e, p + h * d) - _eval(e, p - h * d)) / (2.0 * h)
 
 
+class LiteralFill:
+    """Evaluates an array of expressions at points. Bare `Num` entries are
+    copied from an array built once; only the other entries are walked per
+    point, in the order given. Constant subexpressions are not folded, so
+    `1/0` still raises EvalError when it is evaluated.
+
+    `items` yields (index into an array of `shape`, expression)."""
+
+    __slots__ = ("literals", "live")
+
+    def __init__(self, shape: tuple[int, ...], items):
+        self.literals = np.zeros(shape)
+        self.live = []
+        for idx, entry in items:
+            if isinstance(entry, Num):
+                self.literals[idx] = entry.value
+            else:
+                self.live.append((idx, entry))
+
+    def at(self, x: np.ndarray) -> np.ndarray:
+        out = self.literals.copy()
+        for idx, entry in self.live:
+            out[idx] = _eval(entry, x)
+        return out
+
+
 class VectorFieldExpr:
     """A vector field with one scalar expression per ambient coordinate."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_fill")
 
     def __init__(self, components):
         comps = tuple(components)
         if not comps:
             raise DimensionError("a vector field needs at least one component")
         self.components = comps
+        self._fill = LiteralFill((len(comps),), (((i,), c) for i, c in enumerate(comps)))
 
     @classmethod
     def parse(cls, sources, n: int) -> "VectorFieldExpr":
@@ -360,7 +394,7 @@ class VectorFieldExpr:
 
     def at(self, point) -> np.ndarray:
         x = np.asarray(getattr(point, "coords", point), dtype=float)
-        values = np.array([_eval(c, x) for c in self.components])
+        values = self._fill.at(x)
         require_finite(values, self.components, x, "vector field")
         return values
 

@@ -16,10 +16,12 @@ sufficient coverage and fully reproducible.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import expr as fe
-from .errors import DimensionError, EvalError, KindError, SpecError
+from .errors import DimensionError, EvalError, KindError, MetricError, SpecError
 from .linalg import g_inner
 from .sampling import DEFAULT_SEED, rng_for
 
@@ -66,6 +68,12 @@ class StructureField:
         self.phi_columns = tuple(phi_columns)
         self.metric_exprs = tuple(metric) if metric is not None else None
         self.xi = xi
+        # column c of phi holds the image of e_{c+1}; entries are walked
+        # column by column, metric entries row by row
+        self._phi_fill = fe.LiteralFill((n, n), (
+            ((r, c), e) for c, col in enumerate(phi_columns) for r, e in enumerate(col)))
+        self._metric_fill = None if metric is None else fe.LiteralFill((n, n), (
+            ((i, j), e) for i, row in enumerate(metric) for j, e in enumerate(row)))
         # True when the metric is absent or the literal identity matrix.
         self.metric_is_euclidean = metric is None or all(
             isinstance(entry, fe.Num) and entry.value == (1.0 if i == j else 0.0)
@@ -78,10 +86,7 @@ class StructureField:
     def phi_at(self, point) -> np.ndarray:
         """Matrix of phi at the point; column c is the image of e_{c+1}."""
         x = np.asarray(getattr(point, "coords", point), dtype=float)
-        mat = np.empty((self.n, self.n))
-        for c, col in enumerate(self.phi_columns):
-            for r, entry in enumerate(col):
-                mat[r, c] = fe._eval(entry, x)
+        mat = self._phi_fill.at(x)
         fe.require_finite(mat.T, self.phi_columns, x, "phi_columns")
         return mat
 
@@ -89,12 +94,16 @@ class StructureField:
         if self.metric_exprs is None:
             return np.eye(self.n)
         x = np.asarray(getattr(point, "coords", point), dtype=float)
-        mat = np.empty((self.n, self.n))
-        for i, row in enumerate(self.metric_exprs):
-            for j, entry in enumerate(row):
-                mat[i, j] = fe._eval(entry, x)
+        mat = self._metric_fill.at(x)
         fe.require_finite(mat, self.metric_exprs, x, "metric")
-        return 0.5 * (mat + mat.T)
+        mat = 0.5 * (mat + mat.T)
+        if not self.metric_is_euclidean:
+            try:
+                np.linalg.cholesky(mat)      # positive-definiteness check only
+            except np.linalg.LinAlgError:
+                raise MetricError(
+                    f"metric is not positive definite at {x.tolist()}") from None
+        return mat
 
     def xi_at(self, point) -> np.ndarray:
         if not self.is_contact:
@@ -171,12 +180,18 @@ def _axiom_residuals(s: StructureField, x: np.ndarray, pairs: np.ndarray) -> dic
     return out
 
 
+def _exceeds(value: float, current: float) -> bool:
+    """value > current, where nan exceeds every number (the first nan wins)."""
+    return value > current or (math.isnan(value) and not math.isnan(current))
+
+
 def validate_structure(s: StructureField, points, trials: int = 25,
                        tol: float = DEFAULT_STRUCTURE_TOL,
                        seed: int = DEFAULT_SEED) -> StructureVerdict:
     """Check every structure axiom on seeded random vector pairs at each
     point; an evaluation failure at a point becomes a failed verdict with the
-    point as witness rather than an exception."""
+    point as witness rather than an exception: axiom `metric-positive` for a
+    metric that is not positive definite there, `evaluation` otherwise."""
     points = list(points)
     if not points:
         raise SpecError("validate_structure needs at least one point")
@@ -192,16 +207,17 @@ def validate_structure(s: StructureField, points, trials: int = 25,
         try:
             residuals = _axiom_residuals(s, x, pairs)
         except EvalError as exc:
-            failures.append({"point": x.tolist(), "error": str(exc)})
+            axiom = "metric-positive" if isinstance(exc, MetricError) else "evaluation"
+            failures.append({"axiom": axiom, "point": x.tolist(), "error": str(exc)})
             continue
         for name, value in residuals.items():
-            if name not in worst or value > worst[name]:
+            if name not in worst or _exceeds(value, worst[name]):
                 worst[name] = value
-            if value > witness["residual"]:
+            if _exceeds(value, witness["residual"]):
                 witness = {"axiom": name, "point": x.tolist(), "residual": value}
     passed = not failures and bool(worst) and all(v <= tol for v in worst.values())
     if failures:
-        witness = {"axiom": "evaluation", "point": failures[0]["point"],
-                   "residual": float("inf"), "error": failures[0]["error"]}
-        worst["evaluation"] = float("inf")
+        witness = dict(failures[0], residual=float("inf"))
+        for failure in failures:
+            worst[failure["axiom"]] = float("inf")
     return StructureVerdict(passed, worst, witness, tol, seed)

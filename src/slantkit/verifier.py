@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import classify, component_slant
+from .classifier import classify, single_cluster_lambda
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition
 from .errors import SpecError, UnsupportedError
@@ -870,19 +870,43 @@ def nabla_f2(dec: Decomposition, probe: CovariantProbe, point, direction, y) -> 
     return ((fp - fm) / (2.0 * h)) @ yv
 
 
+def _cluster_lambdas(frame, f2: np.ndarray, indices,
+                     tolerances: Tolerances) -> dict[int, float]:
+    """lambda_i at a frame for each component index in `indices`, from the
+    frame's ambient f^2 matrix `f2`; the cluster count and lambda band are
+    checked per component (`classifier.single_cluster_lambda`)."""
+    return {i: single_cluster_lambda(frame, i, mat, tolerances)
+            for i, mat in frame.f2_blocks(f2, indices)}
+
+
 def eigenvalue_directional_derivative(dec: Decomposition, point, comp_index: int,
                                       direction, h: float | None = None,
                                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """X(lambda_i): central difference of the component eigenvalue, matching
-    the single cluster at the displaced points by nearest lambda. The step
+    """X(lambda_i): central difference of the component's single-cluster
+    eigenvalue, read at x +- hX as the trace mean of its f^2 block. The step
     `h` defaults to `tolerances.fd_step`."""
     h = tolerances.fd_step if h is None else h
     x = np.asarray(getattr(point, "coords", point), dtype=float)
     d = np.asarray(getattr(direction, "comps", direction), dtype=float)
     _check_in_mask(dec, d)
-    lam_p = component_slant(dec, x + h * d, comp_index, tolerances).lam
-    lam_m = component_slant(dec, x - h * d, comp_index, tolerances).lam
-    return (lam_p - lam_m) / (2.0 * h)
+    lams = []
+    for displaced in (x + h * d, x - h * d):
+        fr = dec.frame_at(displaced)
+        lams.append(_cluster_lambdas(fr, fr.f2_ambient(), [comp_index], tolerances)[comp_index])
+    return (lams[0] - lams[1]) / (2.0 * h)
+
+
+def _probe_directions(frame, tm_dirs) -> list[list]:
+    """The directions X of the probe at one sample point, each once, as
+    [X, the components whose basis column X is, whether X is a masked
+    coordinate direction]. Basis columns come first, in component order."""
+    dirs: dict[tuple, list] = {}
+    for ci, basis in enumerate(frame.bases):
+        for col in basis.T:
+            dirs.setdefault(tuple(col.tolist()), [col, set(), False])[1].add(ci)
+    for d in tm_dirs:
+        dirs.setdefault(tuple(d.tolist()), [d, set(), False])[2] = True
+    return list(dirs.values())
 
 
 def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, points,
@@ -892,6 +916,15 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
     """Per component: (a) max |(nabla_X f^2) Y| over X, Y in D_i,
     (b) max |X(lambda_i)| over X in D_i, (c) the same over all masked
     directions; cross-tabulated against the classifier's constancy verdicts.
+
+    Each displaced point x +- hX is visited once. Its ambient f^2 gives the
+    central difference (nabla_X f^2) for every component X lies in, and
+    lambda_i there for every component differentiated along X: the trace
+    mean of the component's f^2 block, which is the mean of its single
+    eigenvalue cluster. The displaced frame is built in full, and the
+    cluster count and lambda band are still checked there
+    (`classifier.single_cluster_lambda`), so a component whose cluster splits
+    at x +- hX raises ComponentError.
 
     The hypotheses behind the underlying equivalences (covariant derivatives
     staying inside D) are sample-checked only, never certified; entries say
@@ -904,28 +937,35 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
     by_name = {e["name"]: e for e in classification.components}
     tm_dirs = dec.tm_directions()
     comps = dec.components
+    every = range(len(comps))
+    h = probe.h
     max_nabla = [0.0] * len(comps)
     max_dlam_in = [0.0] * len(comps)
     max_dlam_tm = [0.0] * len(comps)
-    # Points outer: the displaced frames of one point are shared by all its
-    # components and dropped before the next point.
+    # Points outer: the displaced frames of one point are dropped before the
+    # next point.
     for point in points:
         frame = dec.frame_at(point)
         with dec.transient_frames():
-            for ci in range(len(comps)):
-                basis = frame.component_basis(ci)
-                for col in range(basis.shape[1]):
-                    x_dir = basis[:, col]
-                    val = nabla_f2(dec, probe, frame.x, x_dir, basis)
+            for d, within, along_tm in _probe_directions(frame, tm_dirs):
+                _check_in_mask(dec, d)
+                fp = dec.frame_at(frame.x + h * d)
+                fm = dec.frame_at(frame.x - h * d)
+                f2p, f2m = fp.f2_ambient(), fm.f2_ambient()
+                checked = every if along_tm else sorted(within)
+                lam_p = _cluster_lambdas(fp, f2p, checked, tolerances)
+                lam_m = _cluster_lambdas(fm, f2m, checked, tolerances)
+                df2 = (f2p - f2m) / (2.0 * h)
+                for ci in within:
+                    val = df2 @ frame.component_basis(ci)
                     max_nabla[ci] = max(max_nabla[ci],
                                         float(np.max(np.linalg.norm(val, axis=0))))
-                    dl = eigenvalue_directional_derivative(dec, frame.x, ci, x_dir,
-                                                          probe.h, tolerances)
-                    max_dlam_in[ci] = max(max_dlam_in[ci], abs(dl))
-                for d in tm_dirs:
-                    dl = eigenvalue_directional_derivative(dec, frame.x, ci, d,
-                                                          probe.h, tolerances)
-                    max_dlam_tm[ci] = max(max_dlam_tm[ci], abs(dl))
+                for ci in checked:
+                    dl = abs((lam_p[ci] - lam_m[ci]) / (2.0 * h))
+                    if ci in within:
+                        max_dlam_in[ci] = max(max_dlam_in[ci], dl)
+                    if along_tm:
+                        max_dlam_tm[ci] = max(max_dlam_tm[ci], dl)
     rows = []
     consistent_all = True
     for ci, comp in enumerate(comps):

@@ -261,10 +261,12 @@ def test_error_family_exit_code_and_prefix(capsys, tmp_path, ex1_spec, mutate, a
 
 
 class TestNonFiniteField:
-    """A 401-digit literal parses to inf, so 0*inf is nan: evaluation errors
-    with the entry's source and the point, not nan residuals."""
+    """The product of two 201-digit literals overflows to inf, so 0*inf is
+    nan: evaluation errors with the entry's source and the point, not nan
+    residuals."""
 
-    ENTRY = "0*1" + "0" * 400
+    HUGE = "1" + "0" * 200
+    ENTRY = f"0*({HUGE}*{HUGE})"
 
     def _spec(self, tmp_path, ex1_spec):
         doc = json.loads(json.dumps(ex1_spec[1]))
@@ -282,10 +284,45 @@ class TestNonFiniteField:
         assert witness["axiom"] == "evaluation"
         assert witness["point"] == doc["sample_points"][0]
         assert "phi_columns[0][0]" in witness["error"]
-        assert "'0*inf'" in witness["error"]
+        assert f"'{self.ENTRY}'" in witness["error"]
 
     def test_classify_force_exit_2(self, capsys, tmp_path, ex1_spec):
         path, _ = self._spec(tmp_path, ex1_spec)
         code, _, err = run(capsys, "classify", str(path), "--force")
         assert code == 2
         assert err.startswith("error: non-finite value nan of phi_columns[0][0]")
+
+
+class TestIndefiniteMetric:
+    """ex3 k=2 with metric[0][0] = "-1": validate names axiom
+    metric-positive and the point; the other commands exit 2 naming it."""
+
+    @pytest.fixture()
+    def spec(self, tmp_path):
+        fx = build_fixture("ex3", k=2, epsilon=1)
+        doc = fixture_to_spec_dict(fx, points=fx.default_points()[:4])
+        n = doc["ambient_dim"]
+        doc["metric"] = [["-1" if i == j == 0 else "1" if i == j else "0" for j in range(n)]
+                         for i in range(n)]
+        path = tmp_path / "indefinite.json"
+        path.write_text(json.dumps(doc))
+        return path, doc
+
+    def test_validate_witnesses_metric_positive(self, capsys, tmp_path, spec):
+        path, doc = spec
+        out_path = tmp_path / "r.json"
+        code, _, _ = run(capsys, "validate", str(path), "--json", str(out_path))
+        assert code == 1
+        witness = json.loads(out_path.read_text())["structure"]["witness"]
+        assert witness["axiom"] == "metric-positive"
+        assert witness["point"] == doc["sample_points"][0]
+
+    @pytest.mark.parametrize("argv", [("classify", "--force"), ("dual",), ("identities",)],
+                             ids=["classify-force", "dual", "identities"])
+    def test_commands_exit_2_naming_the_point(self, capsys, spec, argv):
+        path, doc = spec
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert err.startswith("error: metric is not positive definite at "
+                              f"{doc['sample_points'][0]}")
+

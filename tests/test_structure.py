@@ -1,8 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from slantkit import expr as fe
-from slantkit.errors import EvalError, KindError, SpecError
+from slantkit import structure
+from slantkit.errors import EvalError, KindError, MetricError, SpecError
 from slantkit.gallery import build_fixture
 from slantkit.sampling import rng_for
 from slantkit.structure import (
@@ -50,24 +54,25 @@ class TestNonFiniteEntries:
     """An entry that evaluates to inf or nan raises EvalError naming its spec
     position, its source and the point."""
 
-    HUGE = "1" + "0" * 400   # parses to inf
+    HUGE = "1" + "0" * 200
+    INF = f"({HUGE}*{HUGE})"   # finite literals, overflowing product
 
     def test_phi_entry(self):
-        cols = [["0", "1"], [f"0*{self.HUGE}", "0"]]
+        cols = [["0", "1"], [f"0*{self.INF}", "0"]]
         s = StructureField(2, -1, KIND_HERMITIAN, parse_columns(cols, 2))
         with pytest.raises(EvalError, match=r"nan of phi_columns\[1\]\[0\] at \[0.5, 0.0\]"
-                                             r" in '0\*inf'"):
+                                             + re.escape(f" in '0*{self.INF}'")):
             s.phi_at(np.array([0.5, 0.0]))
 
     def test_metric_entry(self):
         cols = [["0", "1"], ["-1", "0"]]
-        metric = parse_columns([["1", "0"], [self.HUGE, "1"]], 2)
+        metric = parse_columns([["1", "0"], [self.INF, "1"]], 2)
         s = StructureField(2, -1, KIND_HERMITIAN, parse_columns(cols, 2), metric=metric)
         with pytest.raises(EvalError, match=r"inf of metric\[1\]\[0\] at \[0.0, 1.0\]"):
             s.metric_at(np.array([0.0, 1.0]))
 
     def test_vector_field_entry(self):
-        field = fe.VectorFieldExpr.parse(["x1", f"x1 - {self.HUGE}"], 2)
+        field = fe.VectorFieldExpr.parse(["x1", f"x1 - {self.INF}"], 2)
         with pytest.raises(EvalError, match=r"-inf of vector field\[1\] at \[1.0, 0.0\]"):
             field.at(np.array([1.0, 0.0]))
 
@@ -105,6 +110,57 @@ class TestValidate:
     def test_needs_points(self, ex1):
         with pytest.raises(SpecError):
             validate_structure(ex1.structure, [], trials=3)
+
+    def test_nan_residual_is_the_witness(self, monkeypatch, ex3):
+        """A nan residual compares false against every number; it must still
+        become the axiom's worst residual and the witness, and fail."""
+        residuals = iter([{"compatibility": 0.0}, {"compatibility": float("nan")},
+                          {"compatibility": 1e-12}])
+        monkeypatch.setattr(structure, "_axiom_residuals", lambda *_: next(residuals))
+        points = [np.full(10, float(i)) for i in range(3)]
+        verdict = validate_structure(ex3.structure, points, trials=3)
+        assert not verdict.passed
+        assert math.isnan(verdict.residuals["compatibility"])
+        assert verdict.witness["axiom"] == "compatibility"
+        assert verdict.witness["point"] == points[1].tolist()
+        assert math.isnan(verdict.witness["residual"])
+
+
+def indefinite_ex3():
+    """ex3 k=2 with the explicit metric diag(-1, 1, ..., 1)."""
+    fx = build_fixture("ex3", k=2, epsilon=1)
+    n = fx.structure.n
+    metric = [["-1" if i == j == 0 else "1" if i == j else "0" for j in range(n)]
+              for i in range(n)]
+    return fx, StructureField(n, 1, KIND_HERMITIAN, fx.structure.phi_columns,
+                              metric=parse_columns(metric, n))
+
+
+class TestMetricPositive:
+    def test_metric_at_raises_naming_the_point(self):
+        fx, s = indefinite_ex3()
+        point = fx.default_points()[0]
+        with pytest.raises(MetricError, match=re.escape(f"at {point.tolist()}")):
+            s.metric_at(point)
+
+    def test_validate_witnesses_metric_positive(self):
+        fx, s = indefinite_ex3()
+        points = fx.default_points()[:3]
+        verdict = validate_structure(s, points, trials=5)
+        assert not verdict.passed
+        assert verdict.residuals == {"metric-positive": float("inf")}
+        assert verdict.witness["axiom"] == "metric-positive"
+        assert verdict.witness["point"] == points[0].tolist()
+        assert "not positive definite" in verdict.witness["error"]
+
+    def test_literal_identity_metric_skips_the_check(self):
+        fx = build_fixture("ex3", k=2, epsilon=1)
+        n = fx.structure.n
+        eye = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+        s = StructureField(n, 1, KIND_HERMITIAN, fx.structure.phi_columns,
+                           metric=parse_columns(eye, n))
+        assert s.metric_is_euclidean
+        assert validate_structure(s, fx.default_points()[:3], trials=5).passed
 
 
 class TestEta:

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from slantkit.distribution import Decomposition
-from slantkit.errors import SpecError, UnsupportedError
+from slantkit.classifier import component_slant
+from slantkit.cli import main
+from slantkit.distribution import Decomposition, DistributionFrame
+from slantkit.errors import ComponentError, SpecError, UnsupportedError
+from slantkit.expr import VectorFieldExpr
 from slantkit.gallery import build_fixture, fixture_to_spec_dict
 from slantkit.specfile import load_manifold_spec
 from slantkit.verifier import (
@@ -205,6 +208,82 @@ def _component_outer_rows(dec, probe, points):
     return rows
 
 
+def _component_slant_rows(dec, probe, points):
+    """Reference for the probe maxima with lambda_i(x +- hX) from
+    `component_slant`: eigh and clustering at every displaced point."""
+    h = probe.h
+    rows = []
+    for ci, comp in enumerate(dec.components):
+        max_nabla = max_in = max_tm = 0.0
+        for point in points:
+            x = dec.frame_at(point).x
+            basis = dec.frame_at(point).component_basis(ci)
+
+            def dlam(d):
+                lam_p = component_slant(dec, x + h * d, ci).lam
+                lam_m = component_slant(dec, x - h * d, ci).lam
+                return abs((lam_p - lam_m) / (2.0 * h))
+
+            for col in basis.T:
+                val = nabla_f2(dec, probe, x, col, basis)
+                max_nabla = max(max_nabla, float(np.max(np.linalg.norm(val, axis=0))))
+                max_in = max(max_in, dlam(col))
+            for d in dec.tm_directions():
+                max_tm = max(max_tm, dlam(d))
+        rows.append((comp.name, max_nabla, max_in, max_tm))
+    return rows
+
+
+def _turned(fx, angle=0.3):
+    """fx's decomposition with the two coordinate fields of each component
+    turned by a constant angle inside their plane: the same distributions,
+    with orthonormal bases that are not coordinate-aligned."""
+    n = fx.structure.n
+    c, s = f"cos({angle})", f"sin({angle})"
+
+    def turn(comp):
+        a, b = (f.to_sources().index("1") for f in comp.fields)
+        u, v = ["0"] * n, ["0"] * n
+        u[a], u[b], v[a], v[b] = c, s, f"-{s}", c
+        return DistributionFrame(comp.name, [VectorFieldExpr.parse(u, n),
+                                             VectorFieldExpr.parse(v, n)], mask=fx.mask)
+
+    dec = fx.decomposition
+    return Decomposition(fx.structure, [turn(comp) for comp in dec.proper],
+                         invariant=turn(dec.invariant), mask=fx.mask)
+
+
+def _split_spec() -> dict:
+    """Hermitian-kind spec, n = 10, D1 = span(e3, e4, e7, e8) merging two
+    slant blocks with angles 0.5 and 0.5 + x1: one eigenvalue cluster where
+    x1 = 0, two elsewhere."""
+    n = 10
+    cols = [["0"] * n for _ in range(n)]
+
+    def put(col, row, src):
+        cols[col - 1][row - 1] = src
+
+    put(1, 2, "1")
+    put(2, 1, "-1")
+    for a, angle in ((3, "0.5"), (7, "0.5 + x1")):   # the hermitian block on a .. a+3
+        c1, c2 = f"cos({angle})", f"sin({angle})"
+        b, c, d = a + 1, a + 2, a + 3
+        for col, row, src in ((a, b, c1), (a, d, c2), (b, a, f"-({c1})"), (b, c, f"-({c2})"),
+                              (c, b, c2), (c, d, f"-({c1})"), (d, a, f"-({c2})"), (d, c, c1)):
+            put(col, row, src)
+
+    def unit(i):
+        return ["1" if j == i else "0" for j in range(1, n + 1)]
+
+    return {"ambient_dim": n, "epsilon": -1, "kind": "hermitian-like", "metric": "euclidean",
+            "phi_columns": cols, "submanifold_mask": [1, 2, 3, 4, 7, 8],
+            "distributions": {"D0": [unit(1), unit(2)],
+                              "D1": [unit(3), unit(4), unit(7), unit(8)]},
+            "decomposition": {"invariant": "D0", "proper": ["D1"]},
+            "sample_points": [[0, 0.3, 0.2, -0.1, 0, 0, 0.4, 0.1, 0, 0],
+                              [0, -0.5, 0.1, 0.3, 0, 0, -0.2, 0.6, 0, 0]]}
+
+
 class TestConnectionReport:
     def test_constant_fixtures_consistent(self, ex1, ex3):
         probe = CovariantProbe()
@@ -239,6 +318,44 @@ class TestConnectionReport:
                                        .decomposition, probe, points)
         assert [(r["component"], r["max_nabla_f2"], r["max_dlambda_within"],
                  r["max_dlambda_tm"]) for r in rep["components"]] == oracle
+
+    @pytest.mark.parametrize("case", ["ex5", "ex5-rotated", "ex3-rotated", "ex8-rotated"])
+    def test_probe_matches_component_slant_oracle(self, case):
+        """lambda_i at x +- hX from eigh and clustering (`component_slant`)
+        gives the same maxima as the trace means, within 1e-9."""
+        params = {"ex5": dict(k=2, epsilon=1, gamma=2.0), "ex3": dict(k=2, epsilon=-1),
+                  "ex8": dict(k=2, epsilon=-1, gamma=0.5)}
+        fid, _, rotated = case.partition("-")
+        decs = []
+        for _ in range(2):   # separate frame caches for the report and the oracle
+            fx = build_fixture(fid, **params[fid])
+            decs.append(_turned(fx) if rotated else fx.decomposition)
+        points = fx.default_points()[:3]
+        if rotated:
+            basis = decs[0].frame_at(points[0]).component_basis(1)
+            assert np.count_nonzero(np.abs(basis) > 1e-3) == 4   # not coordinate-aligned
+        probe = CovariantProbe()
+        rep = connection_criterion_report(decs[0], probe, points)
+        got = [(r["component"], r["max_nabla_f2"], r["max_dlambda_within"],
+                r["max_dlambda_tm"]) for r in rep["components"]]
+        want = _component_slant_rows(decs[1], probe, points)
+        assert [g[0] for g in got] == [w[0] for w in want]
+        assert np.allclose([g[1:] for g in got], [w[1:] for w in want], rtol=0, atol=1e-9)
+
+    def test_cluster_split_at_displaced_point_raises(self, capsys, tmp_path):
+        """D1 is one cluster at both sample points (x1 = 0) and splits by
+        about 8e-6 at x +- h e1; the probe raises ComponentError there."""
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(_split_spec()))
+        spec = load_manifold_spec(path)
+        dec = spec.decomposition
+        for point in spec.points:   # one cluster at the sample points
+            assert component_slant(dec, point, 1).multiplicity == 4
+        with pytest.raises(ComponentError, match=r"'D1' carries 2 eigenvalue clusters"):
+            connection_criterion_report(dec, CovariantProbe(), spec.points)
+        assert main(["identities", str(path)]) == 0
+        assert main(["identities", str(path), "--connection"]) == 1
+        assert capsys.readouterr().err.startswith("failure: component 'D1' carries 2")
 
     def test_requires_mask(self, ex1):
         dec = Decomposition(ex1.structure, list(ex1.decomposition.proper),
