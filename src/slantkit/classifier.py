@@ -1,10 +1,11 @@
 """Slant spectra and the taxonomy verdicts.
 
-The slant data of a component D_i at a point is read off the eigenvalues of
-the restricted square f^2|D_i: every eigenvalue lambda satisfies
-eps * lambda = cos(theta)^2 for the slant value theta at that point. A valid
-component carries exactly one eigenvalue cluster; the full spectrum of f^2|D
-clustered per point drives the generic / skew-CR / CR style verdicts.
+The slant value theta of a component D_i at a point is read off the
+restricted square f^2|D_i = eps * cos(theta)^2 * I: a valid component carries
+exactly one eigenvalue cluster, whose value lambda is the trace mean of the
+component's block of the frame's f^2 Gram (`single_cluster_lambda`), and
+eps * lambda = cos(theta)^2. The full spectrum of f^2|D clustered per point
+drives the generic / skew-CR / CR style verdicts.
 
 Constancy and distinctness are decided over the finite sample set only and
 every report says so; the underlying definitions quantify over the whole
@@ -34,7 +35,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .distribution import Decomposition, check_f_invariance
+from .distribution import Decomposition, check_f_invariance, f2_gram
 from .errors import ComponentError, InvariantError, ModelError, SpecError
 from .linalg import complement_columns, mgs_columns, pivoted_columns, sym_eigen
 from .sampling import DEFAULT_SEED
@@ -114,28 +115,30 @@ def slant_spectrum(dec: Decomposition, point, cluster_tol: float | None = None,
 
 def component_slant(dec: Decomposition, point, index: int,
                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> SlantCluster:
-    """Single slant cluster of component `index`; ComponentError when the
-    component holds more than one eigenvalue cluster."""
+    """Single slant cluster of component `index`, read from its block of
+    the frame's f^2 Gram by `single_cluster_lambda`; its eigenbasis is the
+    component's orthonormal basis, since every vector of a single cluster is
+    an eigenvector."""
     frame = dec.frame_at(point)
-    spec = _spectrum_of_matrix(frame.f2_component(index), frame.bases[index], frame.x,
-                               frame.epsilon, tolerances.cluster, tolerances.lambda_band)
-    if len(spec.clusters) != 1:
-        raise _coarser_than_eigenstructure(frame, index, [c.lam for c in spec.clusters])
-    return spec.clusters[0]
+    basis = frame.bases[index]
+    lam = single_cluster_lambda(frame, dec.components[index].name,
+                                frame.f2_component(index), tolerances)
+    alpha, theta = _lambda_to_alpha_theta(lam, frame.epsilon, tolerances.lambda_band)
+    return SlantCluster(lam, alpha, theta, basis.shape[1], basis)
 
 
-def single_cluster_lambda(frame, index: int, mat: np.ndarray,
+def single_cluster_lambda(frame, name: str, mat: np.ndarray,
                           tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """lambda of component `index` at `frame` from its f^2 matrix `mat`
-    (r x r, symmetric): the trace mean tr(mat) / r, which is the mean of the
-    single cluster `component_slant` finds, computed without a spectrum.
+    """lambda of the component `name` at `frame` from its f^2 matrix `mat`
+    (r x r, symmetric, in an orthonormal basis of the component): the trace
+    mean tr(mat) / r, the mean of its single eigenvalue cluster. This is the
+    one reader of slant values.
 
-    The cluster count is still checked. The eigenvalue spread of `mat` is at
-    most sqrt(2) * ||mat - lambda I||_F, so a certificate at or below
-    cluster/2 proves one cluster; otherwise eigvalsh and
-    `cluster_eigenvalues` count the clusters as `component_slant` does, and
-    more than one raises ComponentError. ModelError when a cluster lies
-    outside the lambda band."""
+    The cluster count is checked. The eigenvalue spread of `mat` is at most
+    sqrt(2) * ||mat - lambda I||_F, so a certificate at or below cluster/2
+    proves one cluster; otherwise eigvalsh and `cluster_eigenvalues` count
+    the clusters, and more than one raises ComponentError naming `name`.
+    ModelError when a cluster lies outside the lambda band."""
     r = mat.shape[0]
     lam = float(np.trace(mat)) / r
     if math.sqrt(2.0) * float(np.linalg.norm(mat - lam * np.eye(r))) > 0.5 * tolerances.cluster:
@@ -145,17 +148,12 @@ def single_cluster_lambda(frame, index: int, mat: np.ndarray,
         for value in lams:
             _lambda_to_alpha_theta(value, frame.epsilon, tolerances.lambda_band)
         if len(lams) != 1:
-            raise _coarser_than_eigenstructure(frame, index, lams)
+            raise ComponentError(
+                f"component {name!r} carries {len(lams)} eigenvalue clusters "
+                f"{lams} at {frame.x.tolist()}; the declared decomposition is coarser "
+                "than the eigenstructure")
     _lambda_to_alpha_theta(lam, frame.epsilon, tolerances.lambda_band)
     return lam
-
-
-def _coarser_than_eigenstructure(frame, index: int, lams: list[float]) -> ComponentError:
-    name = frame.dec.components[index].name
-    return ComponentError(
-        f"component {name!r} carries {len(lams)} eigenvalue clusters "
-        f"{lams} at {frame.x.tolist()}; the declared decomposition is coarser "
-        "than the eigenstructure")
 
 
 def slant_function_table(dec: Decomposition, index: int, points,
@@ -568,9 +566,7 @@ def discover(structure: StructureField, points, mask: tuple[int, ...] | None = N
         else:
             basis_d = mgs_columns(g, tm)
         proj_d = basis_d @ basis_d.T @ g
-        op = proj_d @ phi
-        mat = basis_d.T @ g @ (op @ (op @ basis_d))
-        mat = 0.5 * (mat + mat.T)
+        mat = f2_gram(g, basis_d, proj_d @ phi, x)
         spectra.append(_spectrum_of_matrix(mat, basis_d, x, structure.epsilon,
                                            tolerances.cluster, tolerances.lambda_band))
 

@@ -41,6 +41,23 @@ PAIRWISE_ORTHO_TOL = 1e-10
 F2_SYMMETRY_RTOL = 1e-9
 
 
+def f2_gram(g: np.ndarray | None, basis: np.ndarray, op: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """basis^T g op(op(basis)): the square of the operator `op` on the
+    g-orthonormal columns of `basis` (`g` None for the euclidean metric),
+    symmetrized. For a compatible phi it is symmetric in exact arithmetic,
+    so a relative asymmetry above F2_SYMMETRY_RTOL raises ModelError naming
+    the point `x`."""
+    image = op @ (op @ basis)
+    mat = basis.T @ (image if g is None else g @ image)
+    scale = max(float(np.linalg.norm(mat)), 1e-300)
+    asym = float(np.linalg.norm(mat - mat.T))
+    if asym > F2_SYMMETRY_RTOL * scale and asym > 1e-14:
+        raise ModelError(
+            f"restricted endomorphism square is asymmetric (residual {asym:.3e}) at "
+            f"{x.tolist()}; the decomposition or structure is invalid")
+    return 0.5 * (mat + mat.T)
+
+
 class DistributionFrame:
     """A named rank-r distribution spanned by r vector fields.
 
@@ -153,8 +170,8 @@ class Decomposition:
 class PointFrame:
     """All pointwise data of a decomposition at one sample point.
 
-    Heavyweight pieces (dual bases, complement of D) are built lazily and
-    cached; the object is treated as immutable once built.
+    Heavyweight pieces (dual bases, complement of D, the f^2 Gram) are
+    built lazily and cached; the object is treated as immutable once built.
     """
 
     def __init__(self, dec: Decomposition, x: np.ndarray):
@@ -185,6 +202,7 @@ class PointFrame:
         self.proj_d = projector_matrix(self.g, self.basis_d)
         self._proj_comp = [projector_matrix(self.g, b) for b in self.bases]
         self._basis_g = None
+        self._f2 = None
         self._dual = None
 
     # -- construction checks -------------------------------------------------
@@ -260,40 +278,20 @@ class PointFrame:
 
     # -- restricted endomorphism squares ----------------------------------------
 
-    def f2_matrix_on(self, basis: np.ndarray, proj: np.ndarray | None = None) -> np.ndarray:
-        """Matrix of v -> P(phi(P(phi(v)))) restricted to the orthonormal
-        columns of `basis`, where P projects onto D by default."""
-        if proj is None:
-            proj = self.proj_d
-        op = proj @ self.phi
-        return self._symmetrized(basis.T @ self.g @ (op @ (op @ basis)))
-
-    def f2_blocks(self, f2: np.ndarray, indices):
-        """Yield (i, matrix of f^2 on component i in its orthonormal basis)
-        for each i in `indices`, read from the diagonal blocks of one
-        basis_d^T g f2 basis_d, where `f2` is `self.f2_ambient()`. Each block
-        passes the asymmetry check of `f2_matrix_on` when it is yielded."""
-        fb = f2 @ self.basis_d
-        gram = self.basis_d.T @ (fb if self._inner_g is None else self.g @ fb)
-        ends = np.cumsum([b.shape[1] for b in self.bases])
-        for i in indices:
-            lo = ends[i] - self.bases[i].shape[1]
-            yield i, self._symmetrized(gram[lo:ends[i], lo:ends[i]])
-
-    def _symmetrized(self, mat: np.ndarray) -> np.ndarray:
-        scale = max(float(np.linalg.norm(mat)), 1e-300)
-        asym = float(np.linalg.norm(mat - mat.T))
-        if asym > F2_SYMMETRY_RTOL * scale and asym > 1e-14:
-            raise ModelError(
-                f"restricted endomorphism square is asymmetric (residual {asym:.3e}) at "
-                f"{self.x.tolist()}; the decomposition or structure is invalid")
-        return 0.5 * (mat + mat.T)
-
     def f2_full(self) -> np.ndarray:
-        return self.f2_matrix_on(self.basis_d)
+        """Matrix of f^2|D in the orthonormal basis of D (`f2_gram` with
+        op = P_D phi), built once per frame; read-only."""
+        if self._f2 is None:
+            self._f2 = f2_gram(self._inner_g, self.basis_d, self.proj_d @ self.phi, self.x)
+            self._f2.setflags(write=False)
+        return self._f2
 
     def f2_component(self, i: int) -> np.ndarray:
-        return self.f2_matrix_on(self.bases[i])
+        """Matrix of f^2|D_i in the orthonormal basis of D_i: the i-th
+        diagonal block of `f2_full`."""
+        lo = sum(b.shape[1] for b in self.bases[:i])
+        hi = lo + self.bases[i].shape[1]
+        return self.f2_full()[lo:hi, lo:hi]
 
     def f2_ambient(self) -> np.ndarray:
         """f^2 as an ambient-operator matrix: project, apply phi, twice over."""

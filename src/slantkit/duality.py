@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classifier import component_slant, cluster_eigenvalues, _lambda_to_alpha_theta
+from .classifier import _lambda_to_alpha_theta, component_slant, single_cluster_lambda
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .distribution import Decomposition
+from .distribution import Decomposition, f2_gram
 from .errors import RankError, ModelError
 from .linalg import (
     g_inner,
@@ -25,7 +25,6 @@ from .linalg import (
     pivoted_columns,
     principal_angle_values,
     projector_matrix,
-    sym_eigen,
 )
 from .sampling import DEFAULT_SEED
 
@@ -101,20 +100,17 @@ def build_dual(dec: Decomposition, point, f_on_h_tol: float = F_ON_H_TOL) -> Dua
     return DualDecomposition(frame.x, basis_g, duals, h_basis, residual)
 
 
-def dual_slant_theta(dec: Decomposition, point, dual_basis: np.ndarray,
+def dual_slant_theta(dec: Decomposition, point, index: int,
                      tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Slant value of a dual component w(D_i), read off the square of the
-    G-component of phi restricted to it."""
+    """Slant value of the dual w(D_index) of proper component `index`, read
+    by `single_cluster_lambda` off the square of the G-component of phi
+    restricted to it; ComponentError naming w(D_index) when that square
+    carries more than one eigenvalue cluster."""
     frame = dec.frame_at(point)
-    mat = frame.f2_matrix_on(dual_basis, proj=frame.proj_g)
-    evals, _ = sym_eigen(mat)
-    groups = cluster_eigenvalues(evals, tolerances.cluster)
-    if len(groups) != 1:
-        raise ModelError(f"dual component carries {len(groups)} eigenvalue clusters "
-                         f"at {frame.x.tolist()}")
-    lam = float(np.mean(evals))
-    _, theta = _lambda_to_alpha_theta(lam, frame.epsilon, tolerances.lambda_band)
-    return theta
+    basis = frame.dual().duals[frame.proper_indices.index(index)]
+    mat = f2_gram(frame.g, basis, frame.proj_g @ frame.phi, frame.x)
+    lam = single_cluster_lambda(frame, f"w({dec.components[index].name})", mat, tolerances)
+    return _lambda_to_alpha_theta(lam, frame.epsilon, tolerances.lambda_band)[1]
 
 
 class DualRoundtripReport:
@@ -146,7 +142,7 @@ def dual_roundtrip_check(dec: Decomposition, point, tol: float | None = None,
         angles = principal_angle_values(frame.g, fw_onb, frame.component_basis(i))
         max_angle = float(angles[-1]) if angles.size else 0.0
         theta_src = component_slant(dec, point, i, tolerances).theta
-        theta_dual = dual_slant_theta(dec, point, wb, tolerances)
+        theta_dual = dual_slant_theta(dec, point, i, tolerances)
         ok = (max_angle < tol and wb.shape[1] == frame.component_basis(i).shape[1]
               and abs(theta_src - theta_dual) <= 1e-8)
         passed = passed and ok

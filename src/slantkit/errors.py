@@ -72,4 +72,10 @@ class EvalError(SlantKitError):
 
 
 class MetricError(EvalError):
-    """The evaluated metric is not positive definite at a point."""
+    """The evaluated metric is not symmetric or not positive definite at a
+    point; `axiom` names the failed one (`metric-symmetric`,
+    `metric-positive`)."""
+
+    def __init__(self, message: str, axiom: str):
+        super().__init__(message)
+        self.axiom = axiom

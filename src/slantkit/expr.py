@@ -328,21 +328,6 @@ def require_finite(values: np.ndarray, entries, x: np.ndarray, label: str):
                     to_source(entry))
 
 
-DEFAULT_FD_STEP = 1e-5
-
-
-def directional_derivative(e: Expr, point, direction, h: float = DEFAULT_FD_STEP) -> float:
-    """Central-difference directional derivative along `direction` at `point`;
-    O(h^2) for smooth fields."""
-    if h <= 0:
-        raise EvalError("finite-difference step must be positive")
-    p = np.asarray(getattr(point, "coords", point), dtype=float)
-    d = np.asarray(getattr(direction, "comps", direction), dtype=float)
-    if p.shape != d.shape:
-        raise DimensionError("point and direction dimensions differ")
-    return (_eval(e, p + h * d) - _eval(e, p - h * d)) / (2.0 * h)
-
-
 class LiteralFill:
     """Evaluates an array of expressions at points. Bare `Num` entries are
     copied from an array built once; only the other entries are walked per

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expr as fe
 from .errors import DimensionError, EvalError, KindError, MetricError, SpecError
-from .linalg import g_inner
+from .linalg import SYMMETRY_RTOL, g_inner
 from .sampling import DEFAULT_SEED, rng_for
 
 KIND_HERMITIAN = "hermitian-like"
@@ -96,13 +96,18 @@ class StructureField:
         x = np.asarray(getattr(point, "coords", point), dtype=float)
         mat = self._metric_fill.at(x)
         fe.require_finite(mat, self.metric_exprs, x, "metric")
-        mat = 0.5 * (mat + mat.T)
         if not self.metric_is_euclidean:
+            asym = float(np.linalg.norm(mat - mat.T))
+            if asym > SYMMETRY_RTOL * max(float(np.linalg.norm(mat)), 1e-300):
+                raise MetricError(
+                    f"metric is not symmetric at {x.tolist()} (residual {asym:.3e})",
+                    "metric-symmetric")
+            mat = 0.5 * (mat + mat.T)
             try:
                 np.linalg.cholesky(mat)      # positive-definiteness check only
             except np.linalg.LinAlgError:
-                raise MetricError(
-                    f"metric is not positive definite at {x.tolist()}") from None
+                raise MetricError(f"metric is not positive definite at {x.tolist()}",
+                                  "metric-positive") from None
         return mat
 
     def xi_at(self, point) -> np.ndarray:
@@ -190,8 +195,9 @@ def validate_structure(s: StructureField, points, trials: int = 25,
                        seed: int = DEFAULT_SEED) -> StructureVerdict:
     """Check every structure axiom on seeded random vector pairs at each
     point; an evaluation failure at a point becomes a failed verdict with the
-    point as witness rather than an exception: axiom `metric-positive` for a
-    metric that is not positive definite there, `evaluation` otherwise."""
+    point as witness rather than an exception: axiom `metric-symmetric` or
+    `metric-positive` for a metric that is not symmetric or not positive
+    definite there, `evaluation` otherwise."""
     points = list(points)
     if not points:
         raise SpecError("validate_structure needs at least one point")
@@ -207,7 +213,7 @@ def validate_structure(s: StructureField, points, trials: int = 25,
         try:
             residuals = _axiom_residuals(s, x, pairs)
         except EvalError as exc:
-            axiom = "metric-positive" if isinstance(exc, MetricError) else "evaluation"
+            axiom = exc.axiom if isinstance(exc, MetricError) else "evaluation"
             failures.append({"axiom": axiom, "point": x.tolist(), "error": str(exc)})
             continue
         for name, value in residuals.items():

@@ -43,7 +43,8 @@ TINY = 1e-300
 class PointContext:
     """Frame, dual slice, trig data, and seeded draws at one sample point."""
 
-    def __init__(self, dec: Decomposition, point, trials: int, seed: int, pidx: int):
+    def __init__(self, dec: Decomposition, point, trials: int, seed: int, pidx: int,
+                 tolerances: Tolerances = DEFAULT_TOLERANCES):
         self.frame = dec.frame_at(point)
         self.dual = self.frame.dual()
         f = self.frame
@@ -51,13 +52,9 @@ class PointContext:
         self.contact = f.xi is not None
         ncomp = len(f.bases)
         inv = f.invariant_index
-        self.cos2 = np.empty(ncomp)
-        for i in range(ncomp):
-            if i == inv:
-                self.cos2[i] = 1.0
-            else:
-                evals = np.linalg.eigvalsh(f.f2_component(i))
-                self.cos2[i] = min(max(self.eps * float(np.mean(evals)), 0.0), 1.0)
+        self.cos2 = np.ones(ncomp)
+        for i, lam in _lambdas(f, f.proper_indices, tolerances).items():
+            self.cos2[i] = min(max(self.eps * lam, 0.0), 1.0)
         self.sin2 = 1.0 - self.cos2
         self.cos = np.sqrt(self.cos2)
         self.sin = np.sqrt(self.sin2)
@@ -793,7 +790,8 @@ def run_identity_suite(dec: Decomposition, points, trials: int = 50,
     tol = tolerances.identity if tol is None else tol
     setting = "contact" if dec.structure.is_contact else "hermitian"
     wanted = set(keys) if keys is not None else None
-    contexts = [PointContext(dec, p, trials, seed, i) for i, p in enumerate(points)]
+    contexts = [PointContext(dec, p, trials, seed, i, tolerances)
+                for i, p in enumerate(points)]
     entries = []
     for case in REGISTRY:
         if wanted is not None and case.key not in wanted:
@@ -870,13 +868,13 @@ def nabla_f2(dec: Decomposition, probe: CovariantProbe, point, direction, y) -> 
     return ((fp - fm) / (2.0 * h)) @ yv
 
 
-def _cluster_lambdas(frame, f2: np.ndarray, indices,
-                     tolerances: Tolerances) -> dict[int, float]:
-    """lambda_i at a frame for each component index in `indices`, from the
-    frame's ambient f^2 matrix `f2`; the cluster count and lambda band are
-    checked per component (`classifier.single_cluster_lambda`)."""
-    return {i: single_cluster_lambda(frame, i, mat, tolerances)
-            for i, mat in frame.f2_blocks(f2, indices)}
+def _lambdas(frame, indices, tolerances: Tolerances) -> dict[int, float]:
+    """lambda_i at a frame for each component index in `indices`
+    (`classifier.single_cluster_lambda` on its block of the frame's f^2
+    Gram)."""
+    return {i: single_cluster_lambda(frame, frame.dec.components[i].name,
+                                     frame.f2_component(i), tolerances)
+            for i in indices}
 
 
 def eigenvalue_directional_derivative(dec: Decomposition, point, comp_index: int,
@@ -891,8 +889,7 @@ def eigenvalue_directional_derivative(dec: Decomposition, point, comp_index: int
     _check_in_mask(dec, d)
     lams = []
     for displaced in (x + h * d, x - h * d):
-        fr = dec.frame_at(displaced)
-        lams.append(_cluster_lambdas(fr, fr.f2_ambient(), [comp_index], tolerances)[comp_index])
+        lams.append(_lambdas(dec.frame_at(displaced), [comp_index], tolerances)[comp_index])
     return (lams[0] - lams[1]) / (2.0 * h)
 
 
@@ -951,11 +948,10 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
                 _check_in_mask(dec, d)
                 fp = dec.frame_at(frame.x + h * d)
                 fm = dec.frame_at(frame.x - h * d)
-                f2p, f2m = fp.f2_ambient(), fm.f2_ambient()
                 checked = every if along_tm else sorted(within)
-                lam_p = _cluster_lambdas(fp, f2p, checked, tolerances)
-                lam_m = _cluster_lambdas(fm, f2m, checked, tolerances)
-                df2 = (f2p - f2m) / (2.0 * h)
+                lam_p = _lambdas(fp, checked, tolerances)
+                lam_m = _lambdas(fm, checked, tolerances)
+                df2 = (fp.f2_ambient() - fm.f2_ambient()) / (2.0 * h)
                 for ci in within:
                     val = df2 @ frame.component_basis(ci)
                     max_nabla[ci] = max(max_nabla[ci],

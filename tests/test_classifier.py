@@ -12,6 +12,7 @@ from slantkit.classifier import (
 )
 from slantkit.config import DEFAULT_TOLERANCES
 from slantkit.distribution import Decomposition
+from slantkit.duality import dual_slant_theta
 from slantkit.errors import ComponentError, ModelError, SpecError
 from slantkit.gallery import build_fixture
 from slantkit.sampling import box_points, rng_for
@@ -270,10 +271,14 @@ class TestDiscovery:
                      mask=ex4_zero.mask)
 
 
-# The golden-report cases (tests/test_golden.py): declared and discovery mode
-# decide their labels through the same slant-table statistics.
-@pytest.mark.parametrize("fid, k, epsilon, gamma", [
-    ("ex1", 2, -1, None), ("ex3", 2, 1, None), ("ex4", 2, -1, 0.5), ("ex9", 3, 1, 2.0)])
+# The golden-report cases (tests/test_golden.py).
+_GOLDEN_CASES = [
+    ("ex1", 2, -1, None), ("ex3", 2, 1, None), ("ex4", 2, -1, 0.5), ("ex9", 3, 1, 2.0)]
+
+
+# Declared and discovery mode decide their labels through the same
+# slant-table statistics.
+@pytest.mark.parametrize("fid, k, epsilon, gamma", _GOLDEN_CASES)
 def test_classify_and_discover_agree_on_golden_cases(fid, k, epsilon, gamma):
     fx = build_fixture(fid, k=k, epsilon=epsilon, gamma=gamma)
     pts = box_points(fx.structure.n, fx.mask, 6, seed=11)
@@ -281,3 +286,29 @@ def test_classify_and_discover_agree_on_golden_cases(fid, k, epsilon, gamma):
     found = discover(fx.structure, pts, mask=fx.mask)
     assert found.labels == declared.labels
     assert found.named_cases == declared.named_cases
+
+
+def _eigh_lambda(frame, basis, proj):
+    """Reference lambda: the eigvalsh mean of the square of proj phi on the
+    orthonormal columns of `basis`, formed here rather than read from the
+    frame's f^2 Gram."""
+    op = proj @ frame.phi
+    mat = basis.T @ frame.g @ op @ op @ basis
+    return float(np.mean(np.linalg.eigvalsh(0.5 * (mat + mat.T))))
+
+
+@pytest.mark.parametrize("fid, k, epsilon, gamma", _GOLDEN_CASES)
+def test_trace_mean_lambda_matches_eigh_mean(fid, k, epsilon, gamma):
+    """component_slant and dual_slant_theta read lambda as a trace mean; it
+    equals the eigvalsh mean of the same block within 1e-12."""
+    fx = build_fixture(fid, k=k, epsilon=epsilon, gamma=gamma)
+    dec = fx.decomposition
+    for pt in box_points(fx.structure.n, fx.mask, 3, seed=11):
+        frame = dec.frame_at(pt)
+        for i, basis in enumerate(frame.bases):
+            want = _eigh_lambda(frame, basis, frame.proj_d)
+            assert component_slant(dec, pt, i).lam == pytest.approx(want, abs=1e-12)
+        for slot, i in enumerate(frame.proper_indices):
+            want = _eigh_lambda(frame, frame.dual().duals[slot], frame.proj_g)
+            cos2 = math.cos(dual_slant_theta(dec, pt, i)) ** 2
+            assert cos2 == pytest.approx(min(max(epsilon * want, 0.0), 1.0), abs=1e-12)

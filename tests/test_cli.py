@@ -229,6 +229,11 @@ def _repeat_field(doc):
     doc["distributions"]["D1"] = [doc["distributions"]["D1"][0]] * 2
 
 
+def _asymmetric_phi_discovery(doc):
+    doc["phi_columns"][2][0] = "0.001"
+    doc["decomposition"] = None
+
+
 def _double_phi(doc):
     doc["phi_columns"] = [[f"2*({e})" for e in col] for col in doc["phi_columns"]]
 
@@ -241,8 +246,12 @@ _ERROR_FAMILIES = {
     "EvalError": (_set_phi("1/(x1-x1)"), ("identities",), 2, "error:", "division by zero"),
     "UnsupportedError": (_drop_mask, ("identities", "--connection"), 2, "error:", "mask"),
     "ComponentError": (_merge_proper, ("classify",), 1, "failure:", "eigenvalue clusters"),
+    "ComponentError-identities": (_merge_proper, ("identities",), 1, "failure:",
+                                  "eigenvalue clusters"),
     "RankError": (_repeat_field, ("classify",), 1, "failure:", "dependent"),
     "ModelError": (_double_phi, ("classify", "--force"), 1, "failure:", "outside [0, 1]"),
+    "ModelError-discover": (_asymmetric_phi_discovery, ("classify", "--force"), 1, "failure:",
+                            "asymmetric"),
 }
 
 
@@ -293,20 +302,26 @@ class TestNonFiniteField:
         assert err.startswith("error: non-finite value nan of phi_columns[0][0]")
 
 
+def _ex3_with_metric(tmp_path, entries):
+    """ex3 k=2 on four points with an explicit metric: the identity matrix
+    with `entries` ((row, column) -> source) in place of some entries."""
+    fx = build_fixture("ex3", k=2, epsilon=1)
+    doc = fixture_to_spec_dict(fx, points=fx.default_points()[:4])
+    n = doc["ambient_dim"]
+    doc["metric"] = [[entries.get((i, j), "1" if i == j else "0") for j in range(n)]
+                     for i in range(n)]
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(doc))
+    return path, doc
+
+
 class TestIndefiniteMetric:
     """ex3 k=2 with metric[0][0] = "-1": validate names axiom
     metric-positive and the point; the other commands exit 2 naming it."""
 
     @pytest.fixture()
     def spec(self, tmp_path):
-        fx = build_fixture("ex3", k=2, epsilon=1)
-        doc = fixture_to_spec_dict(fx, points=fx.default_points()[:4])
-        n = doc["ambient_dim"]
-        doc["metric"] = [["-1" if i == j == 0 else "1" if i == j else "0" for j in range(n)]
-                         for i in range(n)]
-        path = tmp_path / "indefinite.json"
-        path.write_text(json.dumps(doc))
-        return path, doc
+        return _ex3_with_metric(tmp_path, {(0, 0): "-1"})
 
     def test_validate_witnesses_metric_positive(self, capsys, tmp_path, spec):
         path, doc = spec
@@ -326,3 +341,29 @@ class TestIndefiniteMetric:
         assert err.startswith("error: metric is not positive definite at "
                               f"{doc['sample_points'][0]}")
 
+
+class TestAsymmetricMetric:
+    """ex3 k=2 with metric[0][1] = "0.9" and metric[1][0] = "0": validate
+    names axiom metric-symmetric and the point; the other commands exit 2
+    naming it."""
+
+    @pytest.fixture()
+    def spec(self, tmp_path):
+        return _ex3_with_metric(tmp_path, {(0, 1): "0.9"})
+
+    def test_validate_witnesses_metric_symmetric(self, capsys, tmp_path, spec):
+        path, doc = spec
+        out_path = tmp_path / "r.json"
+        code, _, _ = run(capsys, "validate", str(path), "--json", str(out_path))
+        assert code == 1
+        witness = json.loads(out_path.read_text())["structure"]["witness"]
+        assert witness["axiom"] == "metric-symmetric"
+        assert witness["point"] == doc["sample_points"][0]
+
+    @pytest.mark.parametrize("argv", [("classify", "--force"), ("dual",), ("identities",)],
+                             ids=["classify-force", "dual", "identities"])
+    def test_commands_exit_2_naming_the_point(self, capsys, spec, argv):
+        path, doc = spec
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert err.startswith(f"error: metric is not symmetric at {doc['sample_points'][0]}")

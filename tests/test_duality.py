@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from slantkit.duality import (
     dual_slant_theta,
     expected_span_check,
 )
+from slantkit.errors import ComponentError
 from slantkit.gallery import build_fixture
 from slantkit.linalg import principal_angle_values
 from slantkit.sampling import rng_for
@@ -124,8 +126,20 @@ class TestRoundtrip:
             dd = build_dual(ex5_one.decomposition, pt)
             for slot, i in enumerate(frame.proper_indices):
                 src = component_slant(ex5_one.decomposition, pt, i).theta
-                dual = dual_slant_theta(ex5_one.decomposition, pt, dd.duals[slot])
+                dual = dual_slant_theta(ex5_one.decomposition, pt, i)
                 assert abs(src - dual) < 1e-8
+
+    def test_dual_slant_two_clusters_names_the_dual(self, ex1):
+        # D1 + D2 declared as one proper component: its dual carries the
+        # clusters of both
+        dec = ex1.decomposition
+        d1, d2 = dec.proper
+        merged = Decomposition(
+            dec.structure, [DistributionFrame("D12", d1.fields + d2.fields, mask=ex1.mask)],
+            invariant=dec.invariant, mask=ex1.mask)
+        with pytest.raises(ComponentError,
+                           match=re.escape("component 'w(D12)' carries 2 eigenvalue clusters")):
+            dual_slant_theta(merged, np.zeros(11), 1)
 
 
 class TestDualIdentitySuite:
