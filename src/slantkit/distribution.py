@@ -15,8 +15,6 @@ eta annihilates the image of phi.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from .errors import (
@@ -146,18 +144,6 @@ class Decomposition:
             frame = PointFrame(self, x)
             self._frames[key] = frame
         return frame
-
-    @contextmanager
-    def transient_frames(self):
-        """Scope for frames needed only by the work inside it (the displaced
-        points of finite differences): frames added inside are dropped on
-        exit, frames resident before are kept."""
-        mark = len(self._frames)
-        try:
-            yield
-        finally:
-            for key in list(self._frames)[mark:]:
-                del self._frames[key]
 
     def tm_directions(self) -> list[np.ndarray]:
         """Unit coordinate directions spanning TM (per the mask), or the full

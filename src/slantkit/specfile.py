@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +99,30 @@ def _need(raw: dict, key: str):
     return raw[key]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """A real number that is not a bool and fits a finite double."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _parse_all(sources, n: int, key: str) -> list:
+    """Parse a row of expression strings; `key` names the row in errors."""
+    for j, src in enumerate(sources):
+        if not isinstance(src, str):
+            raise SpecError(f"{key}[{j}] must be an expression string, not {src!r}")
+    return [fe.parse(src, n) for src in sources]
+
+
+def _vector_field(sources, n: int, key: str) -> fe.VectorFieldExpr:
+    if not isinstance(sources, list) or len(sources) != n:
+        raise SpecError(f"{key} must be an array of {n} expression strings")
+    return fe.VectorFieldExpr(_parse_all(sources, n, key))
+
+
 def load_manifold_spec(source, seed_for_points: int | None = None) -> ManifoldSpec:
     """Load and schema-check a spec from a path, JSON text, or dict."""
     if isinstance(source, (str, Path)) and "\n" not in str(source):
@@ -119,10 +145,10 @@ def load_manifold_spec(source, seed_for_points: int | None = None) -> ManifoldSp
         raise SpecError("spec document must be a JSON object")
 
     n = _need(raw, "ambient_dim")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SpecError("ambient_dim must be a positive integer")
     epsilon = _need(raw, "epsilon")
-    if epsilon not in (-1, 1):
+    if isinstance(epsilon, bool) or epsilon not in (-1, 1):
         raise SpecError("epsilon must be -1 or 1")
     kind = _need(raw, "kind")
     if kind not in KINDS:
@@ -134,20 +160,20 @@ def load_manifold_spec(source, seed_for_points: int | None = None) -> ManifoldSp
         if (not isinstance(metric_raw, list) or len(metric_raw) != n
                 or any(not isinstance(row, list) or len(row) != n for row in metric_raw)):
             raise SpecError('metric must be "euclidean" or an n x n matrix of expressions')
-        metric = [[fe.parse(src, n) for src in row] for row in metric_raw]
+        metric = [_parse_all(row, n, f"metric[{i}]") for i, row in enumerate(metric_raw)]
 
     phi_raw = _need(raw, "phi_columns")
     if (not isinstance(phi_raw, list) or len(phi_raw) != n
             or any(not isinstance(col, list) or len(col) != n for col in phi_raw)):
         raise SpecError("phi_columns must be n arrays of n expression strings")
-    phi = [[fe.parse(src, n) for src in col] for col in phi_raw]
+    phi = [_parse_all(col, n, f"phi_columns[{i}]") for i, col in enumerate(phi_raw)]
 
     xi = None
     if kind == "contact-like":
         xi_raw = raw.get("xi")
         if xi_raw is None:
             raise SpecError("contact-like specs need xi")
-        xi = fe.VectorFieldExpr.parse(xi_raw, n)
+        xi = _vector_field(xi_raw, n, "xi")
     elif raw.get("xi") is not None:
         raise SpecError("hermitian-like specs carry no xi")
 
@@ -157,7 +183,7 @@ def load_manifold_spec(source, seed_for_points: int | None = None) -> ManifoldSp
     if raw.get("submanifold_mask") is not None:
         mask_raw = raw["submanifold_mask"]
         if (not isinstance(mask_raw, list) or not mask_raw
-                or any(not isinstance(i, int) for i in mask_raw)):
+                or any(not _is_int(i) for i in mask_raw)):
             raise SpecError("submanifold_mask must be a nonempty array of integers")
         if any(i < 1 or i > n for i in mask_raw):
             raise SpecError(f"submanifold_mask indices must lie in 1..{n}")
@@ -170,7 +196,8 @@ def load_manifold_spec(source, seed_for_points: int | None = None) -> ManifoldSp
     for name, fields_raw in dists_raw.items():
         if not isinstance(fields_raw, list) or not fields_raw:
             raise SpecError(f"distribution {name!r} must list at least one vector field")
-        fields = [fe.VectorFieldExpr.parse(src, n) for src in fields_raw]
+        fields = [_vector_field(src, n, f"distributions.{name}[{j}]")
+                  for j, src in enumerate(fields_raw)]
         frames[name] = DistributionFrame(name, fields, mask=mask)
 
     decomposition = None
@@ -180,7 +207,10 @@ def load_manifold_spec(source, seed_for_points: int | None = None) -> ManifoldSp
             raise SpecError("decomposition must be an object or null")
         inv_name = dec_raw.get("invariant")
         proper_names = dec_raw.get("proper", [])
-        if not isinstance(proper_names, list):
+        if inv_name is not None and not isinstance(inv_name, str):
+            raise SpecError("decomposition.invariant must be a distribution name or null")
+        if not isinstance(proper_names, list) or not all(isinstance(nm, str)
+                                                         for nm in proper_names):
             raise SpecError("decomposition.proper must be an array of names")
         if inv_name is None and not proper_names:
             raise SpecError("decomposition names no components")
@@ -201,11 +231,15 @@ def _load_points(points_raw, n, mask, seed_for_points) -> list[np.ndarray]:
         for key in ("seed", "count"):
             if key not in points_raw:
                 raise SpecError(f"sample_points generator needs {key!r}")
+            if not _is_int(points_raw[key]):
+                raise SpecError(f"sample_points.{key} must be an integer, "
+                                f"not {points_raw[key]!r}")
         box = points_raw.get("box", [-2.0, 2.0])
-        if not isinstance(box, list) or len(box) != 2 or not box[0] < box[1]:
-            raise SpecError("sample_points.box must be [lo, hi] with lo < hi")
-        seed = int(points_raw["seed"]) if seed_for_points is None else seed_for_points
-        count = int(points_raw["count"])
+        if (not isinstance(box, list) or len(box) != 2
+                or not all(_is_finite_number(b) for b in box) or not box[0] < box[1]):
+            raise SpecError("sample_points.box must be [lo, hi] with finite numbers lo < hi")
+        seed = points_raw["seed"] if seed_for_points is None else seed_for_points
+        count = points_raw["count"]
         if count < 1:
             raise SpecError("sample_points.count must be >= 1")
         return box_points(n, mask, count, box=(float(box[0]), float(box[1])), seed=seed)
@@ -213,11 +247,11 @@ def _load_points(points_raw, n, mask, seed_for_points) -> list[np.ndarray]:
         raise SpecError("sample_points must be a nonempty array or a generator object")
     points = []
     for row in points_raw:
-        arr = np.asarray(row, dtype=float)
-        if arr.shape != (n,):
+        if not isinstance(row, (list, tuple)) or len(row) != n:
             raise SpecError(f"sample point {row!r} does not have {n} coordinates")
-        if not np.all(np.isfinite(arr)):
-            raise SpecError("sample points must be finite")
+        if not all(_is_finite_number(v) for v in row):
+            raise SpecError(f"sample point {row!r} must hold finite numbers")
+        arr = np.asarray(row, dtype=float)
         if mask is not None:
             outside = [i for i in range(n) if (i + 1) not in mask]
             if outside and float(np.max(np.abs(arr[outside]), initial=0.0)) > 0:

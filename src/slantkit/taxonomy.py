@@ -52,10 +52,14 @@ def load_manifest() -> list[dict]:
 def manifest_check() -> dict:
     """Cross-check the checked-in manifest against the compiled registry.
 
-    Returns {"passed": bool, "missing": [...], "extra": [...], "bad": [...]}:
-    `missing` are registry keys absent from the manifest, `extra` manifest
-    keys absent from the registry, `bad` manifest rows with empty fields or
-    duplicate keys.
+    Returns {"passed": bool, "missing": [...], "extra": [...], "bad": [...],
+    "settings_mismatch": [...], "domain_mismatch": [...],
+    "statement_mismatch": [...], "order_mismatch": [...]}: `missing` are
+    registry keys absent from the manifest, `extra` manifest keys absent from
+    the registry, `bad` manifest rows with empty fields or duplicate keys,
+    `<column>_mismatch` the keys whose settings, domain or statement differ
+    between manifest and registry, and `order_mismatch` the registry keys
+    whose position among the shared keys differs from the manifest's.
     """
     from .verifier import REGISTRY
     rows = load_manifest()
@@ -69,17 +73,17 @@ def manifest_check() -> dict:
         seen.add(row["key"])
     registry_keys = {case.key for case in REGISTRY}
     manifest_keys = {row["key"] for row in rows}
-    missing = sorted(registry_keys - manifest_keys)
-    extra = sorted(manifest_keys - registry_keys)
-    settings_mismatch = []
+    result = {"missing": sorted(registry_keys - manifest_keys),
+              "extra": sorted(manifest_keys - registry_keys), "bad": bad}
     by_key = {row["key"]: row for row in rows}
-    for case in REGISTRY:
-        row = by_key.get(case.key)
-        if row is not None and row["settings"] != case.settings:
-            settings_mismatch.append(case.key)
-    passed = not (missing or extra or bad or settings_mismatch)
-    return {"passed": passed, "missing": missing, "extra": extra, "bad": bad,
-            "settings_mismatch": settings_mismatch}
+    for column in MANIFEST_COLUMNS[1:]:
+        result[f"{column}_mismatch"] = [
+            case.key for case in REGISTRY
+            if case.key in by_key and by_key[case.key][column] != getattr(case, column)]
+    registry_order = [case.key for case in REGISTRY if case.key in manifest_keys]
+    manifest_order = [row["key"] for row in rows if row["key"] in registry_keys]
+    result["order_mismatch"] = [a for a, b in zip(registry_order, manifest_order) if a != b]
+    return {"passed": not any(result.values()), **result}
 
 
 def render_manifest_markdown() -> str:

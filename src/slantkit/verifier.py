@@ -16,6 +16,23 @@ evaluator fn(ctx, side) registered under both keys; `PointContext.sides`
 holds the two `Side`s ("D" and "w(D)") it runs on. Identities whose D side
 sums over D_0 through projectors are not twins and keep their own evaluators.
 
+The paper also proves its relations in families (the adjointness formulae,
+the split systems, the cos^2/sin^2/sin^4 metric and angle relations). Each
+family is one shape function; its members are `_case` rows that bind the
+maps, the draw pair and the coefficient (table in docs/taxonomy.md):
+
+    _adjoint           g(X, aY) = eps g(bX, Y)                   adj.*
+    _double_adjoint    g(abX, Y) = eps g(bX, bY) = g(X, cbY)     adj2.*
+    _projsum_metric    g(mX, mY) = sum_i c_i g(pr_i X, pr_i Y)    dsum.metric.*
+    _projsum_vector    fbX = eps sum_i c_i pr_i X                f2.projsum, fw.projsum
+    _split             a(fX) + a(wX) = rhs                       split.*
+    _gside_vector      wbU = eps sum_i c_i U_i                   gside.*-projsum
+    _gside_metric      g(mU, mV) = sum_i c_i g(U_i, V_i)         gside.metric.*
+    _component_metric  g(mX_i, mY_i) = c_i g(X_i, Y_i)           on a Side
+    _component_angle   cos<(mX_i, mY_i) = cos<(X_i, Y_i)         on a Side
+    _summed_metric     g(mX, mY) = sum_i c_i g(X_i, Y_i)         on a Side
+    _summed_angle      cos<(mX, mY) = cos<(sum c_i X_i, sum c_i Y_i)   on a Side
+
 The connection criteria probe the flat-ambient covariant derivative of the
 restricted endomorphism square by central differences within the submanifold
 mask, and cross-tabulate the derivative verdicts against the classifier's
@@ -26,12 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .classifier import classify, single_cluster_lambda
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .distribution import Decomposition
+from .distribution import Decomposition, PointFrame
 from .errors import SpecError, UnsupportedError
 from .linalg import complement_columns
 from .sampling import DEFAULT_SEED, rng_for
@@ -168,12 +186,16 @@ class IdentityCase:
 def _case(key, settings, domain, statement, side=None, twin=None):
     """Register an evaluator under `key`.
 
-    A twin evaluator fn(ctx, side) is registered once per side of the
-    duality, `side` naming the `PointContext.sides` entry it sees. `twin`, a
-    (key, domain, statement) triple, registers the w(D) side right after the
-    D side; a twin whose keys are not adjacent registers its w(D) side with
-    a later `_case(..., side="w(D)")(fn)`."""
-    def wrap(fn):
+    `_case(...)(fn)` registers fn(ctx); `_case(...)(shape, **params)` registers
+    a family's shape with this member's parameters bound. A twin evaluator
+    fn(ctx, side) is registered once per side of the duality, `side` naming
+    the `PointContext.sides` entry it sees. `twin`, a (key, domain,
+    statement) triple, registers the w(D) side right after the D side; a twin
+    whose keys are not adjacent registers its w(D) side with a later
+    `_case(..., side="w(D)")(fn)`."""
+    def wrap(fn, **params):
+        if params:
+            fn = partial(fn, **params)
         ev = fn if side is None else (lambda ctx: fn(ctx, ctx.sides[side]))
         REGISTRY.append(IdentityCase(key, settings, domain, statement, ev))
         if twin is not None:
@@ -229,190 +251,196 @@ def _isometry(ctx):
     return ctx.rel(diff, a, b)
 
 
-# -- skew/self-adjointness of f and w -------------------------------------------------------------
+# -- identity families ------------------------------------------------------------------
+#
+# A family is one shape; each member is a `_case` row binding the shape's maps by
+# name (a PointFrame method "f", "w", "apply_phi", or a Side map "own", "other",
+# "round_trip"), its draw pair (PointContext attributes) and its coefficient.
 
-@_case("adj.f-on-d", "both", "X,Y in D", "g(X, fY) = eps * g(fX, Y)")
-def _adj_a(ctx):
+def _weighted(ctx, coeff, i, v):
+    """c_i * v, c_i the coefficient `coeff` of component i: "cos2", "sin2",
+    "sin" or "sin4" of theta_i; v itself when `coeff` is None."""
+    if coeff is None:
+        return v
+    return (ctx.sin2[i] ** 2 if coeff == "sin4" else getattr(ctx, coeff)[i]) * v
+
+
+def _cos_diff(f, a, b, c, d):
+    return float(np.max(np.abs(f.cos_angle(a, b) - f.cos_angle(c, d))))
+
+
+def _adjoint(ctx, a, b, draws):
+    """g(X, aY) = eps * g(bX, Y) on the draw pair (X, Y)."""
     f = ctx.frame
-    x, y = ctx.x_d, ctx.y_d
-    diff = f.inner(x, f.f(y)) - ctx.eps * f.inner(f.f(x), y)
+    x, y = (getattr(ctx, d) for d in draws)
+    diff = f.inner(x, getattr(f, a)(y)) - ctx.eps * f.inner(getattr(f, b)(x), y)
     return ctx.rel(diff, x, y)
 
 
-@_case("adj.f-vs-w", "both", "X in D, U in D-perp", "g(X, fU) = eps * g(wX, U)")
-def _adj_b(ctx):
+def _double_adjoint(ctx, a, b, c, draws):
+    """g(abX, Y) = eps * g(bX, bY) = g(X, cbY) on the draw pair (X, Y)."""
     f = ctx.frame
-    x, u = ctx.x_d, ctx.u_perp
-    diff = f.inner(x, f.f(u)) - ctx.eps * f.inner(f.w(x), u)
-    return ctx.rel(diff, x, u)
+    x, y = (getattr(ctx, d) for d in draws)
+    a, b, c = getattr(f, a), getattr(f, b), getattr(f, c)
+    lhs = f.inner(a(b(x)), y)
+    mid = ctx.eps * f.inner(b(x), b(y))
+    rhs = f.inner(x, c(b(y)))
+    return max(ctx.rel(lhs - mid, x, y), ctx.rel(mid - rhs, x, y))
 
 
-@_case("adj.w-on-perp", "both", "U,V in D-perp", "g(U, wV) = eps * g(wU, V)")
-def _adj_c(ctx):
-    f = ctx.frame
-    u, v = ctx.u_perp, ctx.v_perp
-    diff = f.inner(u, f.w(v)) - ctx.eps * f.inner(f.w(u), v)
-    return ctx.rel(diff, u, v)
-
-
-def _two_eq(ctx, lhs, mid, rhs, a, b):
-    d1 = lhs - mid
-    d2 = mid - rhs
-    return max(ctx.rel(d1, a, b), ctx.rel(d2, a, b))
-
-
-@_case("adj2.f-square", "both", "X,Y in D",
-       "g(f2X, Y) = eps * g(fX, fY) = g(X, f2Y)")
-def _adj2_a(ctx):
+def _projsum_metric(ctx, m, coeff, proper_only=False):
+    """g(mX, mY) = sum_i c_i * g(pr_i X, pr_i Y) for X, Y in D, i over all
+    components (or the proper ones)."""
     f = ctx.frame
     x, y = ctx.x_d, ctx.y_d
-    return _two_eq(ctx, f.inner(f.f(f.f(x)), y), ctx.eps * f.inner(f.f(x), f.f(y)),
-                   f.inner(x, f.f(f.f(y))), x, y)
+    comps = ctx.proper if proper_only else range(len(f.bases))
+    total = sum(_weighted(ctx, coeff, i, f.inner(f.pr(i, x), f.pr(i, y))) for i in comps)
+    m = getattr(f, m)
+    return ctx.rel(f.inner(m(x), m(y)) - total, x, y)
 
 
-@_case("adj2.fw-on-d", "both", "X,Y in D",
-       "g(fwX, Y) = eps * g(wX, wY) = g(X, fwY)")
-def _adj2_b(ctx):
+def _projsum_vector(ctx, b, coeff):
+    """fbX = eps * sum_i c_i * pr_i X for X in D; terms with c_i = 0 (such as
+    sin^2 on D_0) are left out."""
     f = ctx.frame
-    x, y = ctx.x_d, ctx.y_d
-    return _two_eq(ctx, f.inner(f.f(f.w(x)), y), ctx.eps * f.inner(f.w(x), f.w(y)),
-                   f.inner(x, f.f(f.w(y))), x, y)
+    x = ctx.x_d
+    c = getattr(ctx, coeff)
+    total = np.zeros_like(x)
+    for i in range(len(f.bases)):
+        if c[i] != 0.0:
+            total += c[i] * f.pr(i, x)
+    return ctx.vec_rel(f.f(getattr(f, b)(x)) - ctx.eps * total, x)
 
 
-@_case("adj2.wf-on-perp", "both", "U,V in D-perp",
-       "g(wfU, V) = eps * g(fU, fV) = g(U, wfV)")
-def _adj2_c(ctx):
+def _split(ctx, a, draw, rhs=None):
+    """One line of the split systems: a(fX) + a(wX) = rhs(ctx, X), or 0."""
     f = ctx.frame
-    u, v = ctx.u_perp, ctx.v_perp
-    return _two_eq(ctx, f.inner(f.w(f.f(u)), v), ctx.eps * f.inner(f.f(u), f.f(v)),
-                   f.inner(u, f.w(f.f(v))), u, v)
+    x = getattr(ctx, draw)
+    a = getattr(f, a)
+    diff = a(f.f(x)) + a(f.w(x))
+    if rhs is not None:
+        diff = diff - rhs(ctx, x)
+    return ctx.vec_rel(diff, x)
 
 
-@_case("adj2.w-square-perp", "both", "U,V in D-perp",
-       "g(w2U, V) = eps * g(wU, wV) = g(U, w2V)")
-def _adj2_d(ctx):
+def _eps_horizontal(ctx, x):
+    """eps * (X - eta(X) xi), eps * X without xi."""
+    return ctx.eps * (x - (np.outer(ctx.xi_unit, ctx.eta(x)) if ctx.contact else 0.0))
+
+
+def _gside_vector(ctx, b, coeff):
+    """wbU = eps * sum_i c_i * U_i for U in w(D)."""
+    if not ctx.wu:
+        return None
     f = ctx.frame
-    u, v = ctx.u_perp, ctx.v_perp
-    return _two_eq(ctx, f.inner(f.w(f.w(u)), v), ctx.eps * f.inner(f.w(u), f.w(v)),
-                   f.inner(u, f.w(f.w(v))), u, v)
+    target = ctx.eps * sum(_weighted(ctx, coeff, i, ctx.wu[slot])
+                           for slot, i in enumerate(ctx.proper))
+    return ctx.vec_rel(f.w(getattr(f, b)(ctx.u_w)) - target, ctx.u_w)
 
 
-@_case("adj2.wf-cross", "both", "X in D, U in D-perp",
-       "g(wfX, U) = eps * g(fX, fU) = g(X, f2U)")
-def _adj2_e(ctx):
+def _gside_metric(ctx, m, coeff):
+    """g(mU, mV) = sum_i c_i * g(U_i, V_i) for U, V in w(D)."""
+    if not ctx.wu:
+        return None
     f = ctx.frame
-    x, u = ctx.x_d, ctx.u_perp
-    return _two_eq(ctx, f.inner(f.w(f.f(x)), u), ctx.eps * f.inner(f.f(x), f.f(u)),
-                   f.inner(x, f.f(f.f(u))), x, u)
+    total = sum(_weighted(ctx, coeff, i, f.inner(ctx.wu[slot], ctx.wv[slot]))
+                for slot, i in enumerate(ctx.proper))
+    m = getattr(f, m)
+    return ctx.rel(f.inner(m(ctx.u_w), m(ctx.v_w)) - total, ctx.u_w, ctx.v_w)
 
 
-@_case("adj2.w-square-cross", "both", "X in D, U in D-perp",
-       "g(w2X, U) = eps * g(wX, wU) = g(X, fwU)")
-def _adj2_f(ctx):
+def _component_metric(ctx, side, m, coeff):
+    """g(mX_i, mY_i) = c_i * g(X_i, Y_i) on each proper component of the side."""
     f = ctx.frame
-    x, u = ctx.x_d, ctx.u_perp
-    return _two_eq(ctx, f.inner(f.w(f.w(x)), u), ctx.eps * f.inner(f.w(x), f.w(u)),
-                   f.inner(x, f.f(f.w(u))), x, u)
+    m = getattr(side, m)
+    return _worst(ctx.rel(f.inner(m(x), m(y)) - _weighted(ctx, coeff, i, f.inner(x, y)),
+                          x, y)
+                  for i, x, y in ctx.components(side))
 
+
+def _component_angle(ctx, side, m):
+    """cos<(mX_i, mY_i) = cos<(X_i, Y_i) on each proper component with
+    theta_i > 0."""
+    f = ctx.frame
+    m = getattr(side, m)
+    return _worst(_cos_diff(f, m(x), m(y), x, y)
+                  for _, x, y in ctx.components(side, lambda c, s: s > PI2_TOL))
+
+
+def _summed_metric(ctx, side, m, coeff):
+    """g(mX, mY) = sum_i c_i * g(X_i, Y_i) for X, Y in the side's proper sum."""
+    if not side.xs:
+        return None
+    f = ctx.frame
+    total = sum(_weighted(ctx, coeff, i, f.inner(x, y)) for i, x, y in ctx.components(side))
+    m = getattr(side, m)
+    return ctx.rel(f.inner(m(side.x), m(side.y)) - total, side.x, side.y)
+
+
+def _summed_angle(ctx, side, m, coeff):
+    """cos<(mX, mY) = cos<(sum_i c_i X_i, sum_i c_i Y_i) for X, Y in the
+    side's proper sum."""
+    if not side.xs:
+        return None
+    comps = ctx.components(side)
+    sx = sum(_weighted(ctx, coeff, i, x) for i, x, _ in comps)
+    sy = sum(_weighted(ctx, coeff, i, y) for i, _, y in comps)
+    m = getattr(side, m)
+    return _cos_diff(ctx.frame, m(side.x), m(side.y), sx, sy)
+
+
+# -- skew/self-adjointness of f and w -------------------------------------------------------------
+
+# draw pairs: X,Y in D; X in D, U in D-perp; U,V in D-perp
+_XY, _XU, _UV = ("x_d", "y_d"), ("x_d", "u_perp"), ("u_perp", "v_perp")
+
+_case("adj.f-on-d", "both", "X,Y in D", "g(X, fY) = eps * g(fX, Y)")(
+    _adjoint, a="f", b="f", draws=_XY)
+_case("adj.f-vs-w", "both", "X in D, U in D-perp", "g(X, fU) = eps * g(wX, U)")(
+    _adjoint, a="f", b="w", draws=_XU)
+_case("adj.w-on-perp", "both", "U,V in D-perp", "g(U, wV) = eps * g(wU, V)")(
+    _adjoint, a="w", b="w", draws=_UV)
+_case("adj2.f-square", "both", "X,Y in D", "g(f2X, Y) = eps * g(fX, fY) = g(X, f2Y)")(
+    _double_adjoint, a="f", b="f", c="f", draws=_XY)
+_case("adj2.fw-on-d", "both", "X,Y in D", "g(fwX, Y) = eps * g(wX, wY) = g(X, fwY)")(
+    _double_adjoint, a="f", b="w", c="f", draws=_XY)
+_case("adj2.wf-on-perp", "both", "U,V in D-perp",
+      "g(wfU, V) = eps * g(fU, fV) = g(U, wfV)")(
+    _double_adjoint, a="w", b="f", c="w", draws=_UV)
+_case("adj2.w-square-perp", "both", "U,V in D-perp",
+      "g(w2U, V) = eps * g(wU, wV) = g(U, w2V)")(
+    _double_adjoint, a="w", b="w", c="w", draws=_UV)
+_case("adj2.wf-cross", "both", "X in D, U in D-perp",
+      "g(wfX, U) = eps * g(fX, fU) = g(X, f2U)")(
+    _double_adjoint, a="w", b="f", c="f", draws=_XU)
+_case("adj2.w-square-cross", "both", "X in D, U in D-perp",
+      "g(w2X, U) = eps * g(wX, wU) = g(X, fwU)")(
+    _double_adjoint, a="w", b="w", c="f", draws=_XU)
 
 # -- projector-sum identities on D ----------------------------------------------
 
-def _proj_sum(ctx, coeffs, vecs):
-    f = ctx.frame
-    out = np.zeros_like(vecs)
-    for i in range(len(f.bases)):
-        if coeffs[i] != 0.0:
-            out += coeffs[i] * f.pr(i, vecs)
-    return out
-
-
-@_case("dsum.metric.phi", "both", "X,Y in D",
-       "g(phi X, phi Y) = sum_i g(pr_i X, pr_i Y)")
-def _dm_phi(ctx):
-    f = ctx.frame
-    x, y = ctx.x_d, ctx.y_d
-    total = sum(f.inner(f.pr(i, x), f.pr(i, y)) for i in range(len(f.bases)))
-    diff = f.inner(f.apply_phi(x), f.apply_phi(y)) - total
-    return ctx.rel(diff, x, y)
-
-
-@_case("dsum.metric.f", "both", "X,Y in D",
-       "g(fX, fY) = sum_i cos^2(theta_i) * g(pr_i X, pr_i Y)")
-def _dm_f(ctx):
-    f = ctx.frame
-    x, y = ctx.x_d, ctx.y_d
-    total = sum(ctx.cos2[i] * f.inner(f.pr(i, x), f.pr(i, y))
-                for i in range(len(f.bases)))
-    diff = f.inner(f.f(x), f.f(y)) - total
-    return ctx.rel(diff, x, y)
-
-
-@_case("dsum.metric.w", "both", "X,Y in D",
-       "g(wX, wY) = sum_{i>=1} sin^2(theta_i) * g(pr_i X, pr_i Y)")
-def _dm_w(ctx):
-    f = ctx.frame
-    x, y = ctx.x_d, ctx.y_d
-    total = sum(ctx.sin2[i] * f.inner(f.pr(i, x), f.pr(i, y)) for i in ctx.proper)
-    diff = f.inner(f.w(x), f.w(y)) - total
-    return ctx.rel(diff, x, y)
-
-
-@_case("f2.projsum", "both", "X in D",
-       "f2X = eps * sum_i cos^2(theta_i) * pr_i X")
-def _f2sum(ctx):
-    f = ctx.frame
-    x = ctx.x_d
-    diff = f.f(f.f(x)) - ctx.eps * _proj_sum(ctx, ctx.cos2, x)
-    return ctx.vec_rel(diff, x)
-
-
-@_case("fw.projsum", "both", "X in D",
-       "fwX = eps * sum_{i>=1} sin^2(theta_i) * pr_i X")
-def _fwsum(ctx):
-    f = ctx.frame
-    x = ctx.x_d
-    coeffs = np.where(np.arange(len(f.bases)) == ctx.inv, 0.0, ctx.sin2) \
-        if ctx.inv is not None else ctx.sin2
-    diff = f.f(f.w(x)) - ctx.eps * _proj_sum(ctx, coeffs, x)
-    return ctx.vec_rel(diff, x)
-
+_case("dsum.metric.phi", "both", "X,Y in D", "g(phi X, phi Y) = sum_i g(pr_i X, pr_i Y)")(
+    _projsum_metric, m="apply_phi", coeff=None)
+_case("dsum.metric.f", "both", "X,Y in D",
+      "g(fX, fY) = sum_i cos^2(theta_i) * g(pr_i X, pr_i Y)")(
+    _projsum_metric, m="f", coeff="cos2")
+_case("dsum.metric.w", "both", "X,Y in D",
+      "g(wX, wY) = sum_{i>=1} sin^2(theta_i) * g(pr_i X, pr_i Y)")(
+    _projsum_metric, m="w", coeff="sin2", proper_only=True)
+_case("f2.projsum", "both", "X in D", "f2X = eps * sum_i cos^2(theta_i) * pr_i X")(
+    _projsum_vector, b="f", coeff="cos2")
+_case("fw.projsum", "both", "X in D", "fwX = eps * sum_{i>=1} sin^2(theta_i) * pr_i X")(
+    _projsum_vector, b="w", coeff="sin2")
 
 # -- the four-line split systems --------------------------------------------------
 
-@_case("split.d", "both", "X in D (+ <xi> when contact)",
-       "f2X + fwX = eps * (X - eta(X) xi)")
-def _split_d(ctx):
-    f = ctx.frame
-    x = ctx.x_dxi
-    target = ctx.eps * (x - (np.outer(ctx.xi_unit, ctx.eta(x)) if ctx.contact else 0.0))
-    diff = f.f(f.f(x)) + f.f(f.w(x)) - target
-    return ctx.vec_rel(diff, x)
-
-
-@_case("split.d2", "both", "X in D (+ <xi> when contact)",
-       "wfX + w2X = 0")
-def _split_d2(ctx):
-    f = ctx.frame
-    x = ctx.x_dxi
-    diff = f.w(f.f(x)) + f.w(f.w(x))
-    return ctx.vec_rel(diff, x)
-
-
-@_case("split.g", "both", "U in G", "f2U + fwU = 0")
-def _split_g(ctx):
-    f = ctx.frame
-    u = ctx.u_g
-    diff = f.f(f.f(u)) + f.f(f.w(u))
-    return ctx.vec_rel(diff, u)
-
-
-@_case("split.g2", "both", "U in G", "wfU + w2U = eps * U")
-def _split_g2(ctx):
-    f = ctx.frame
-    u = ctx.u_g
-    diff = f.w(f.f(u)) + f.w(f.w(u)) - ctx.eps * u
-    return ctx.vec_rel(diff, u)
-
+_case("split.d", "both", "X in D (+ <xi> when contact)",
+      "f2X + fwX = eps * (X - eta(X) xi)")(_split, a="f", draw="x_dxi", rhs=_eps_horizontal)
+_case("split.d2", "both", "X in D (+ <xi> when contact)", "wfX + w2X = 0")(
+    _split, a="w", draw="x_dxi")
+_case("split.g", "both", "U in G", "f2U + fwU = 0")(_split, a="f", draw="u_g")
+_case("split.g2", "both", "U in G", "wfU + w2U = eps * U")(
+    _split, a="w", draw="u_g", rhs=lambda ctx, u: ctx.eps * u)
 
 # -- w^2 on components -------------------------------------------------------------
 
@@ -486,10 +514,6 @@ def _norm_sumsq(ctx, side):
 
 # -- angle (conformality) relations -----------------------------------------------
 
-def _cos_diff(f, a, b, c, d):
-    return float(np.max(np.abs(f.cos_angle(a, b) - f.cos_angle(c, d))))
-
-
 def _own_and_phi_conformal(ctx, side, x, y):
     """Angle change of (x, y) under the side's own map and under phi."""
     f = ctx.frame
@@ -512,14 +536,9 @@ def _angle_slant(ctx, side):
                   for _, x, y in ctx.components(side, lambda c, s: c > PI2_TOL))
 
 
-@_case("dual.w-metric-cos2", "both", "U_i, V_i in w(D_i)",
-       "g(wU_i, wV_i) = cos^2(theta_i) * g(U_i, V_i)")
-def _wmcos(ctx):
-    f = ctx.frame
-    return _worst(ctx.rel(f.inner(f.w(u), f.w(v)) - ctx.cos2[i] * f.inner(u, v), u, v)
-                  for i, u, v in zip(ctx.proper, ctx.wu, ctx.wv))
-
-
+_case("dual.w-metric-cos2", "both", "U_i, V_i in w(D_i)",
+      "g(wU_i, wV_i) = cos^2(theta_i) * g(U_i, V_i)", side="w(D)")(
+    _component_metric, m="own", coeff="cos2")
 _case("angle.w-h", "both", "U_0, V_0 in H",
       "cos<(wU_0, wV_0) = cos<(U_0, V_0) = cos<(phi U_0, phi V_0)",
       side="w(D)")(_angle_invariant)
@@ -535,52 +554,28 @@ def _aphidg(ctx):
     return _cos_diff(f, f.apply_phi(ctx.z_dg), f.apply_phi(ctx.w_dg), ctx.z_dg, ctx.w_dg)
 
 
-@_case("dual.wx-metric-sin2", "both", "X_i, Y_i in D_i",
-       "g(wX_i, wY_i) = sin^2(theta_i) * g(X_i, Y_i)", side="D",
-       twin=("dual.fu-metric-sin2", "U_i, V_i in w(D_i)",
-             "g(fU_i, fV_i) = sin^2(theta_i) * g(U_i, V_i)"))
-def _metric_sin2(ctx, side):
-    f = ctx.frame
-    return _worst(ctx.rel(f.inner(side.other(x), side.other(y))
-                          - ctx.sin2[i] * f.inner(x, y), x, y)
-                  for i, x, y in ctx.components(side))
-
-
-@_case("angle.wx-conformal", "both", "X_i, Y_i in D_i, theta_i > 0",
-       "cos<(wX_i, wY_i) = cos<(X_i, Y_i)", side="D",
-       twin=("angle.fu-conformal", "U_i, V_i in w(D_i), theta_i > 0",
-             "cos<(fU_i, fV_i) = cos<(U_i, V_i)"))
-def _angle_conformal(ctx, side):
-    f = ctx.frame
-    return _worst(_cos_diff(f, side.other(x), side.other(y), x, y)
-                  for _, x, y in ctx.components(side, lambda c, s: s > PI2_TOL))
-
+_case("dual.wx-metric-sin2", "both", "X_i, Y_i in D_i",
+      "g(wX_i, wY_i) = sin^2(theta_i) * g(X_i, Y_i)", side="D",
+      twin=("dual.fu-metric-sin2", "U_i, V_i in w(D_i)",
+            "g(fU_i, fV_i) = sin^2(theta_i) * g(U_i, V_i)"))(
+    _component_metric, m="other", coeff="sin2")
+_case("angle.wx-conformal", "both", "X_i, Y_i in D_i, theta_i > 0",
+      "cos<(wX_i, wY_i) = cos<(X_i, Y_i)", side="D",
+      twin=("angle.fu-conformal", "U_i, V_i in w(D_i), theta_i > 0",
+            "cos<(fU_i, fV_i) = cos<(U_i, V_i)"))(_component_angle, m="other")
 
 # -- summed relations across components ----------------------------------------------
 
-@_case("sum.w-metric", "both", "X, Y in sum of proper D_i",
-       "g(wX, wY) = sum_i sin^2(theta_i) * g(X_i, Y_i)", side="D",
-       twin=("sum.f-metric", "U, V in w(D)",
-             "g(fU, fV) = sum_i sin^2(theta_i) * g(U_i, V_i)"))
-def _sum_metric(ctx, side):
-    if not side.xs:
-        return None
-    f = ctx.frame
-    total = sum(ctx.sin2[i] * f.inner(x, y) for i, x, y in ctx.components(side))
-    return ctx.rel(f.inner(side.other(side.x), side.other(side.y)) - total, side.x, side.y)
-
-
-@_case("sum.w-angle", "both", "X, Y in sum of proper D_i",
-       "cos<(wX, wY) = cos<(sum sin(theta_i) X_i, sum sin(theta_i) Y_i)", side="D",
-       twin=("sum.f-angle", "U, V in w(D)",
-             "cos<(fU, fV) = cos<(sum sin(theta_i) U_i, sum sin(theta_i) V_i)"))
-def _sum_angle(ctx, side):
-    if not side.xs:
-        return None
-    comps = ctx.components(side)
-    sx = sum(ctx.sin[i] * x for i, x, _ in comps)
-    sy = sum(ctx.sin[i] * y for i, _, y in comps)
-    return _cos_diff(ctx.frame, side.other(side.x), side.other(side.y), sx, sy)
+_case("sum.w-metric", "both", "X, Y in sum of proper D_i",
+      "g(wX, wY) = sum_i sin^2(theta_i) * g(X_i, Y_i)", side="D",
+      twin=("sum.f-metric", "U, V in w(D)",
+            "g(fU, fV) = sum_i sin^2(theta_i) * g(U_i, V_i)"))(
+    _summed_metric, m="other", coeff="sin2")
+_case("sum.w-angle", "both", "X, Y in sum of proper D_i",
+      "cos<(wX, wY) = cos<(sum sin(theta_i) X_i, sum sin(theta_i) Y_i)", side="D",
+      twin=("sum.f-angle", "U, V in w(D)",
+            "cos<(fU, fV) = cos<(sum sin(theta_i) U_i, sum sin(theta_i) V_i)"))(
+    _summed_angle, m="other", coeff="sin")
 
 
 def _all_positive_sin(ctx):
@@ -615,98 +610,36 @@ def _invsin_angle(ctx, side):
 
 # -- sin^4 corollaries ------------------------------------------------------------
 
-@_case("sin4.fw-metric", "both", "X_i, Y_i in D_i",
-       "g(fwX_i, fwY_i) = sin^4(theta_i) * g(X_i, Y_i)", side="D",
-       twin=("sin4.wf-metric", "U_i, V_i in w(D_i)",
-             "g(wfU_i, wfV_i) = sin^4(theta_i) * g(U_i, V_i)"))
-def _sin4_metric(ctx, side):
-    f = ctx.frame
-    return _worst(ctx.rel(f.inner(side.round_trip(x), side.round_trip(y))
-                          - ctx.sin2[i] ** 2 * f.inner(x, y), x, y)
-                  for i, x, y in ctx.components(side))
-
-
-@_case("sin4.fw-angle", "both", "X_i, Y_i in D_i, theta_i > 0",
-       "cos<(fwX_i, fwY_i) = cos<(X_i, Y_i)", side="D",
-       twin=("sin4.wf-angle", "U_i, V_i in w(D_i), theta_i > 0",
-             "cos<(wfU_i, wfV_i) = cos<(U_i, V_i)"))
-def _sin4_angle(ctx, side):
-    f = ctx.frame
-    return _worst(_cos_diff(f, side.round_trip(x), side.round_trip(y), x, y)
-                  for _, x, y in ctx.components(side, lambda c, s: s > PI2_TOL))
-
-
-@_case("sin4sum.fw-metric", "both", "X, Y in sum of proper D_i",
-       "g(fwX, fwY) = sum_i sin^4(theta_i) * g(X_i, Y_i)", side="D",
-       twin=("sin4sum.wf-metric", "U, V in w(D)",
-             "g(wfU, wfV) = sum_i sin^4(theta_i) * g(U_i, V_i)"))
-def _sin4sum_metric(ctx, side):
-    if not side.xs:
-        return None
-    f = ctx.frame
-    total = sum(ctx.sin2[i] ** 2 * f.inner(x, y) for i, x, y in ctx.components(side))
-    lhs = f.inner(side.round_trip(side.x), side.round_trip(side.y))
-    return ctx.rel(lhs - total, side.x, side.y)
-
-
-@_case("sin4sum.fw-angle", "both", "X, Y in sum of proper D_i",
-       "cos<(fwX, fwY) = cos<(sum sin^2(theta_i) X_i, sum sin^2(theta_i) Y_i)", side="D",
-       twin=("sin4sum.wf-angle", "U, V in w(D)",
-             "cos<(wfU, wfV) = cos<(sum sin^2(theta_i) U_i, sum sin^2(theta_i) V_i)"))
-def _sin4sum_angle(ctx, side):
-    if not side.xs:
-        return None
-    comps = ctx.components(side)
-    sx = sum(ctx.sin2[i] * x for i, x, _ in comps)
-    sy = sum(ctx.sin2[i] * y for i, _, y in comps)
-    return _cos_diff(ctx.frame, side.round_trip(side.x), side.round_trip(side.y),
-                     sx, sy)
-
+_case("sin4.fw-metric", "both", "X_i, Y_i in D_i",
+      "g(fwX_i, fwY_i) = sin^4(theta_i) * g(X_i, Y_i)", side="D",
+      twin=("sin4.wf-metric", "U_i, V_i in w(D_i)",
+            "g(wfU_i, wfV_i) = sin^4(theta_i) * g(U_i, V_i)"))(
+    _component_metric, m="round_trip", coeff="sin4")
+_case("sin4.fw-angle", "both", "X_i, Y_i in D_i, theta_i > 0",
+      "cos<(fwX_i, fwY_i) = cos<(X_i, Y_i)", side="D",
+      twin=("sin4.wf-angle", "U_i, V_i in w(D_i), theta_i > 0",
+            "cos<(wfU_i, wfV_i) = cos<(U_i, V_i)"))(_component_angle, m="round_trip")
+_case("sin4sum.fw-metric", "both", "X, Y in sum of proper D_i",
+      "g(fwX, fwY) = sum_i sin^4(theta_i) * g(X_i, Y_i)", side="D",
+      twin=("sin4sum.wf-metric", "U, V in w(D)",
+            "g(wfU, wfV) = sum_i sin^4(theta_i) * g(U_i, V_i)"))(
+    _summed_metric, m="round_trip", coeff="sin4")
+_case("sin4sum.fw-angle", "both", "X, Y in sum of proper D_i",
+      "cos<(fwX, fwY) = cos<(sum sin^2(theta_i) X_i, sum sin^2(theta_i) Y_i)", side="D",
+      twin=("sin4sum.wf-angle", "U, V in w(D)",
+            "cos<(wfU, wfV) = cos<(sum sin^2(theta_i) U_i, sum sin^2(theta_i) V_i)"))(
+    _summed_angle, m="round_trip", coeff="sin2")
 
 # -- G-side component sums ---------------------------------------------------------
 
-@_case("gside.wf-projsum", "both", "U in w(D)",
-       "wfU = eps * sum_i sin^2(theta_i) * U_i")
-def _gwf(ctx):
-    if not ctx.wu:
-        return None
-    f = ctx.frame
-    target = ctx.eps * sum(ctx.sin2[i] * ctx.wu[slot]
-                           for slot, i in enumerate(ctx.proper))
-    return ctx.vec_rel(f.w(f.f(ctx.u_w)) - target, ctx.u_w)
-
-
-@_case("gside.w2-projsum", "both", "U in w(D)",
-       "w2U = eps * sum_i cos^2(theta_i) * U_i")
-def _gw2(ctx):
-    if not ctx.wu:
-        return None
-    f = ctx.frame
-    target = ctx.eps * sum(ctx.cos2[i] * ctx.wu[slot]
-                           for slot, i in enumerate(ctx.proper))
-    return ctx.vec_rel(f.w(f.w(ctx.u_w)) - target, ctx.u_w)
-
-
-@_case("gside.metric.w", "both", "U, V in w(D)",
-       "g(wU, wV) = sum_i cos^2(theta_i) * g(U_i, V_i)")
-def _gmw(ctx):
-    if not ctx.wu:
-        return None
-    f = ctx.frame
-    total = sum(ctx.cos2[i] * f.inner(ctx.wu[slot], ctx.wv[slot])
-                for slot, i in enumerate(ctx.proper))
-    return ctx.rel(f.inner(f.w(ctx.u_w), f.w(ctx.v_w)) - total, ctx.u_w, ctx.v_w)
-
-
-@_case("gside.metric.phi", "both", "U, V in w(D)",
-       "g(phi U, phi V) = sum_i g(U_i, V_i)")
-def _gmphi(ctx):
-    if not ctx.wu:
-        return None
-    f = ctx.frame
-    total = sum(f.inner(ctx.wu[slot], ctx.wv[slot]) for slot in range(len(ctx.wu)))
-    return ctx.rel(f.inner(f.apply_phi(ctx.u_w), f.apply_phi(ctx.v_w)) - total,
-                   ctx.u_w, ctx.v_w)
+_case("gside.wf-projsum", "both", "U in w(D)", "wfU = eps * sum_i sin^2(theta_i) * U_i")(
+    _gside_vector, b="f", coeff="sin2")
+_case("gside.w2-projsum", "both", "U in w(D)", "w2U = eps * sum_i cos^2(theta_i) * U_i")(
+    _gside_vector, b="w", coeff="cos2")
+_case("gside.metric.w", "both", "U, V in w(D)",
+      "g(wU, wV) = sum_i cos^2(theta_i) * g(U_i, V_i)")(_gside_metric, m="w", coeff="cos2")
+_case("gside.metric.phi", "both", "U, V in w(D)", "g(phi U, phi V) = sum_i g(U_i, V_i)")(
+    _gside_metric, m="apply_phi", coeff=None)
 
 
 # -- H relations ----------------------------------------------------------------------
@@ -787,6 +720,8 @@ def run_identity_suite(dec: Decomposition, points, trials: int = 50,
     points = list(points)
     if not points:
         raise SpecError("identity suite needs at least one point")
+    if trials < 1:
+        raise SpecError("trials must be >= 1")
     tol = tolerances.identity if tol is None else tol
     setting = "contact" if dec.structure.is_contact else "hermitian"
     wanted = set(keys) if keys is not None else None
@@ -848,6 +783,13 @@ def _check_in_mask(dec: Decomposition, direction: np.ndarray):
         raise SpecError("probe direction leaves the submanifold mask")
 
 
+def _displaced_frames(dec: Decomposition, x: np.ndarray, d: np.ndarray, h: float):
+    """The frames at x + hX and x - hX of a central difference along X, built
+    outside the decomposition's frame cache (they are needed once)."""
+    _check_in_mask(dec, d)
+    return PointFrame(dec, x + h * d), PointFrame(dec, x - h * d)
+
+
 def nabla_f2(dec: Decomposition, probe: CovariantProbe, point, direction, y) -> np.ndarray:
     """(nabla_X f^2) Y in flat ambient space by central differences of the
     ambient matrix field of f^2|D, with Y extended constantly along X (any
@@ -859,13 +801,11 @@ def nabla_f2(dec: Decomposition, probe: CovariantProbe, point, direction, y) -> 
     x = np.asarray(getattr(point, "coords", point), dtype=float)
     d = np.asarray(getattr(direction, "comps", direction), dtype=float)
     yv = np.asarray(getattr(y, "comps", y), dtype=float)
-    _check_in_mask(dec, d)
     if float(np.max(np.abs(d))) == 0.0:
         return np.zeros_like(yv)
     h = probe.h
-    fp = dec.frame_at(x + h * d).f2_ambient()
-    fm = dec.frame_at(x - h * d).f2_ambient()
-    return ((fp - fm) / (2.0 * h)) @ yv
+    fp, fm = _displaced_frames(dec, x, d, h)
+    return ((fp.f2_ambient() - fm.f2_ambient()) / (2.0 * h)) @ yv
 
 
 def _lambdas(frame, indices, tolerances: Tolerances) -> dict[int, float]:
@@ -886,11 +826,9 @@ def eigenvalue_directional_derivative(dec: Decomposition, point, comp_index: int
     h = tolerances.fd_step if h is None else h
     x = np.asarray(getattr(point, "coords", point), dtype=float)
     d = np.asarray(getattr(direction, "comps", direction), dtype=float)
-    _check_in_mask(dec, d)
-    lams = []
-    for displaced in (x + h * d, x - h * d):
-        lams.append(_lambdas(dec.frame_at(displaced), [comp_index], tolerances)[comp_index])
-    return (lams[0] - lams[1]) / (2.0 * h)
+    lam_p, lam_m = (_lambdas(frame, [comp_index], tolerances)[comp_index]
+                    for frame in _displaced_frames(dec, x, d, h))
+    return (lam_p - lam_m) / (2.0 * h)
 
 
 def _probe_directions(frame, tm_dirs) -> list[list]:
@@ -918,8 +856,8 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
     central difference (nabla_X f^2) for every component X lies in, and
     lambda_i there for every component differentiated along X: the trace
     mean of the component's f^2 block, which is the mean of its single
-    eigenvalue cluster. The displaced frame is built in full, and the
-    cluster count and lambda band are still checked there
+    eigenvalue cluster. The displaced frame is built in full, outside the
+    frame cache, and the cluster count and lambda band are still checked there
     (`classifier.single_cluster_lambda`), so a component whose cluster splits
     at x +- hX raises ComponentError.
 
@@ -939,29 +877,24 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
     max_nabla = [0.0] * len(comps)
     max_dlam_in = [0.0] * len(comps)
     max_dlam_tm = [0.0] * len(comps)
-    # Points outer: the displaced frames of one point are dropped before the
-    # next point.
     for point in points:
         frame = dec.frame_at(point)
-        with dec.transient_frames():
-            for d, within, along_tm in _probe_directions(frame, tm_dirs):
-                _check_in_mask(dec, d)
-                fp = dec.frame_at(frame.x + h * d)
-                fm = dec.frame_at(frame.x - h * d)
-                checked = every if along_tm else sorted(within)
-                lam_p = _lambdas(fp, checked, tolerances)
-                lam_m = _lambdas(fm, checked, tolerances)
-                df2 = (fp.f2_ambient() - fm.f2_ambient()) / (2.0 * h)
-                for ci in within:
-                    val = df2 @ frame.component_basis(ci)
-                    max_nabla[ci] = max(max_nabla[ci],
-                                        float(np.max(np.linalg.norm(val, axis=0))))
-                for ci in checked:
-                    dl = abs((lam_p[ci] - lam_m[ci]) / (2.0 * h))
-                    if ci in within:
-                        max_dlam_in[ci] = max(max_dlam_in[ci], dl)
-                    if along_tm:
-                        max_dlam_tm[ci] = max(max_dlam_tm[ci], dl)
+        for d, within, along_tm in _probe_directions(frame, tm_dirs):
+            fp, fm = _displaced_frames(dec, frame.x, d, h)
+            checked = every if along_tm else sorted(within)
+            lam_p = _lambdas(fp, checked, tolerances)
+            lam_m = _lambdas(fm, checked, tolerances)
+            df2 = (fp.f2_ambient() - fm.f2_ambient()) / (2.0 * h)
+            for ci in within:
+                val = df2 @ frame.component_basis(ci)
+                max_nabla[ci] = max(max_nabla[ci],
+                                    float(np.max(np.linalg.norm(val, axis=0))))
+            for ci in checked:
+                dl = abs((lam_p[ci] - lam_m[ci]) / (2.0 * h))
+                if ci in within:
+                    max_dlam_in[ci] = max(max_dlam_in[ci], dl)
+                if along_tm:
+                    max_dlam_tm[ci] = max(max_dlam_tm[ci], dl)
     rows = []
     consistent_all = True
     for ci, comp in enumerate(comps):

@@ -238,6 +238,16 @@ def _double_phi(doc):
     doc["phi_columns"] = [[f"2*({e})" for e in col] for col in doc["phi_columns"]]
 
 
+def _put(value, *path):
+    """Set the entry at `path` (keys and indices) to `value`."""
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return mutate
+
+
 # error family -> (spec mutation, command argv after the spec path, exit code,
 # stderr prefix, a word of the message)
 _ERROR_FAMILIES = {
@@ -252,6 +262,30 @@ _ERROR_FAMILIES = {
     "ModelError": (_double_phi, ("classify", "--force"), 1, "failure:", "outside [0, 1]"),
     "ModelError-discover": (_asymmetric_phi_discovery, ("classify", "--force"), 1, "failure:",
                             "asymmetric"),
+    "SpecError-seed-string": (_put({"seed": "one", "count": 3}, "sample_points"), ("validate",),
+                              2, "error:", "sample_points.seed"),
+    "SpecError-count-string": (_put({"seed": 1, "count": "3"}, "sample_points"), ("validate",),
+                               2, "error:", "sample_points.count"),
+    "SpecError-count-float": (_put({"seed": 1, "count": 2.7}, "sample_points"), ("validate",),
+                              2, "error:", "sample_points.count"),
+    "SpecError-count-true": (_put({"seed": 1, "count": True}, "sample_points"), ("validate",),
+                             2, "error:", "sample_points.count"),
+    "SpecError-box-string": (_put({"seed": 1, "count": 3, "box": ["a", "b"]}, "sample_points"),
+                             ("validate",), 2, "error:", "sample_points.box"),
+    "SpecError-box-infinite": (_put({"seed": 1, "count": 3, "box": [-1, float("inf")]},
+                                    "sample_points"), ("validate",), 2, "error:",
+                               "sample_points.box"),
+    "SpecError-point-string": (_put("a", "sample_points", 0, 0), ("validate",), 2, "error:",
+                               "sample point"),
+    "SpecError-invariant-list": (_put(["D0"], "decomposition", "invariant"), ("classify",), 2,
+                                 "error:", "decomposition.invariant"),
+    "SpecError-epsilon-true": (_put(True, "epsilon"), ("validate",), 2, "error:", "epsilon"),
+    "SpecError-mask-true": (_put(True, "submanifold_mask", 0), ("validate",), 2, "error:",
+                            "submanifold_mask"),
+    "SpecError-field-string": (_put("1", "distributions", "D1", 0), ("classify",), 2, "error:",
+                               "distributions.D1[0]"),
+    "SpecError-phi-number": (_put(0, "phi_columns", 0, 1), ("validate",), 2, "error:",
+                             "phi_columns[0][1]"),
 }
 
 

@@ -11,7 +11,8 @@ from slantkit.verifier import REGISTRY
 
 def test_manifest_check_pristine():
     assert manifest_check() == {"passed": True, "missing": [], "extra": [],
-                                "bad": [], "settings_mismatch": []}
+                                "bad": [], "settings_mismatch": [], "domain_mismatch": [],
+                                "statement_mismatch": [], "order_mismatch": []}
 
 
 def test_manifest_matches_registry_exactly():
@@ -54,6 +55,29 @@ def test_blank_statement_detected(monkeypatch):
     result = tx.manifest_check()
     assert not result["passed"]
     assert rows[0]["key"] in result["bad"]
+
+
+def test_changed_statement_detected(monkeypatch):
+    import slantkit.taxonomy as tx
+    rows = load_manifest()
+    rows[3] = dict(rows[3], statement=rows[3]["statement"] + " + 0")
+    monkeypatch.setattr(tx, "load_manifest", lambda: rows)
+    result = tx.manifest_check()
+    assert not result["passed"]
+    assert result["statement_mismatch"] == [rows[3]["key"]]
+    assert result["domain_mismatch"] == result["order_mismatch"] == []
+
+
+def test_changed_domain_and_order_detected(monkeypatch):
+    import slantkit.taxonomy as tx
+    rows = load_manifest()
+    rows[5] = dict(rows[5], domain="X in D")
+    rows[0], rows[1] = rows[1], rows[0]
+    monkeypatch.setattr(tx, "load_manifest", lambda: rows)
+    result = tx.manifest_check()
+    assert not result["passed"]
+    assert result["domain_mismatch"] == [rows[5]["key"]]
+    assert result["order_mismatch"] == [rows[1]["key"], rows[0]["key"]]
 
 
 def test_lattice_closure():

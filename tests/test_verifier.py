@@ -83,6 +83,11 @@ class TestSuite:
         with pytest.raises(SpecError):
             run_identity_suite(ex1.decomposition, [])
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_needs_trials(self, ex1, trials):
+        with pytest.raises(SpecError, match="trials must be >= 1"):
+            run_identity_suite(ex1.decomposition, ex1.default_points()[:2], trials=trials)
+
 
 class TestNablaF2:
     def test_constant_phi_zero_derivative(self, ex3):
@@ -169,6 +174,23 @@ class TestNablaF2:
             nabla_f2(dec, CovariantProbe(), np.zeros(n), np.eye(n)[:, 0], np.eye(n)[:, 1])
 
 
+def test_derivative_calls_leave_frame_cache_unchanged():
+    """nabla_f2 and eigenvalue_directional_derivative build their frames at
+    x +- hX outside the frame cache: only the sample points stay resident."""
+    fx = build_fixture("ex5", k=2, epsilon=1, gamma=1.0)
+    dec = fx.decomposition
+    points = fx.default_points()[:5]
+    for p in points:
+        dec.frame_at(p)
+    resident = len(dec._frames)
+    probe = CovariantProbe()
+    for p in points:
+        basis = dec.frame_at(p).component_basis(1)
+        nabla_f2(dec, probe, p, basis[:, 0], basis[:, 1])
+        eigenvalue_directional_derivative(dec, p, 1, basis[:, 0])
+        assert len(dec._frames) == resident == len(points)
+
+
 class TestEigenDerivative:
     def test_constant_fixture(self, ex1):
         for ci in (1, 2):
@@ -188,7 +210,7 @@ class TestEigenDerivative:
 
 def _component_outer_rows(dec, probe, points):
     """Reference for the probe maxima: components outer, one
-    nabla_f2 call per (X, Y) column pair, every displaced frame kept."""
+    nabla_f2 call per (X, Y) column pair, displaced frames rebuilt per call."""
     rows = []
     for ci, comp in enumerate(dec.components):
         max_nabla = max_in = max_tm = 0.0
