@@ -57,6 +57,7 @@ class ParseError(SlantKitError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
+        self.reason = message
         self.offset = offset
 
 

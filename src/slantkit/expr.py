@@ -13,11 +13,18 @@ Grammar (whitespace insensitive):
 `norm2` is a nullary identifier denoting the squared euclidean norm of the
 evaluation point. Parsed expressions are immutable and safe to share across
 threads; evaluation is pure.
+
+`LiteralFill` evaluates an array of expressions at a point through one
+generated straight-line Python function, compiled on its first use. The tree
+walker `_eval` stays the oracle: it serves `evaluate`, the differential tests
+compare the compiled fills against it, and a fill whose compiled code meets a
+domain fault re-walks its entries with it, so `_eval` alone raises EvalError.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,15 +76,34 @@ Expr = Num | Coord | Pi | Norm2 | Neg | Bin | Call
 
 ScalarFieldExpr = Expr  # the domain-type name used by the other modules
 
+# Deepest expression tree the parser accepts, in nodes from root to leaf; a
+# sum x1+x1+... of MAX_DEPTH terms is that deep. _eval, to_source and the fill
+# emitter recurse once per tree level, the parser up to six times per level of
+# parentheses, function argument or exponent; so those nest at most
+# MAX_DEPTH // 6 deep. Both bounds keep every recursion well under CPython's
+# default limit of 1000 frames.
+MAX_DEPTH = 600
+
 
 class _Parser:
+    """Recursive descent; each method returns (node, height), the height
+    counting nodes from the returned one down to its deepest leaf."""
+
     def __init__(self, src: str, n: int):
         self.src = src
         self.n = n
         self.pos = 0
+        self.nesting = 0  # factor() calls under way
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
+
+    def node(self, e: Expr, *child_heights: int) -> tuple[Expr, int]:
+        """An operation node with its height; leaves have height 1."""
+        height = 1 + max(child_heights)
+        if height > MAX_DEPTH:
+            raise self.error("expression nested too deeply")
+        return e, height
 
     def skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -95,67 +121,79 @@ class _Parser:
         self.skip_ws()
         if self.pos >= len(self.src):
             raise self.error("empty expression")
-        e = self.expr()
+        e, _ = self.expr()
         self.skip_ws()
         if self.pos != len(self.src):
             raise self.error("trailing input")
         return e
 
-    def expr(self) -> Expr:
-        left = self.term()
+    def expr(self) -> tuple[Expr, int]:
+        left, height = self.term()
         while True:
             self.skip_ws()
             op = self.peek()
             if op in ("+", "-"):
                 self.pos += 1
-                left = Bin(op, left, self.term())
+                right, right_height = self.term()
+                left, height = self.node(Bin(op, left, right), height, right_height)
             else:
-                return left
+                return left, height
 
-    def term(self) -> Expr:
-        left = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        left, height = self.factor()
         while True:
             self.skip_ws()
             op = self.peek()
             if op in ("*", "/"):
                 self.pos += 1
-                left = Bin(op, left, self.factor())
+                right, right_height = self.factor()
+                left, height = self.node(Bin(op, left, right), height, right_height)
             else:
-                return left
+                return left, height
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, int]:
+        # every recursion of the grammar passes through here: a parenthesis
+        # or function argument by way of expr and term, an exponent directly
+        if self.nesting > MAX_DEPTH // 6:
+            raise self.error("expression nested too deeply")
+        self.nesting += 1
         self.skip_ws()
         if self.peek() == "-":
             self.pos += 1
-            return Neg(self.power())
-        return self.power()
+            operand, height = self.power()
+            result = self.node(Neg(operand), height)
+        else:
+            result = self.power()
+        self.nesting -= 1
+        return result
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        base, height = self.atom()
         self.skip_ws()
         if self.peek() == "^":
             self.pos += 1
-            return Bin("^", base, self.factor())
-        return base
+            exponent, exponent_height = self.factor()
+            return self.node(Bin("^", base, exponent), height, exponent_height)
+        return base, height
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         self.skip_ws()
         ch = self.peek()
         if not ch:
             raise self.error("unexpected end of input")
         if ch == "(":
             self.pos += 1
-            e = self.expr()
+            result = self.expr()
             self.skip_ws()
             self.expect(")")
-            return e
+            return result
         if ch.isdigit() or ch == ".":
             return self.number()
         if ch.isalpha() or ch == "_":
             return self.identifier()
         raise self.error(f"unexpected character {ch!r}")
 
-    def number(self) -> Num:
+    def number(self) -> tuple[Expr, int]:
         start = self.pos
         while self.peek().isdigit():
             self.pos += 1
@@ -172,33 +210,33 @@ class _Parser:
             # Num(inf) would render as "inf", which is outside the grammar
             self.pos = start
             raise self.error("number literal overflows a double")
-        return Num(value)
+        return Num(value), 1
 
-    def identifier(self) -> Expr:
+    def identifier(self) -> tuple[Expr, int]:
         start = self.pos
         while self.peek().isalnum() or self.peek() == "_":
             self.pos += 1
         name = self.src[start:self.pos]
         if name == "pi":
-            return Pi()
+            return Pi(), 1
         if name == "norm2":
-            return Norm2()
+            return Norm2(), 1
         if name in FUNCTIONS:
             self.skip_ws()
             if self.peek() != "(":
                 self.pos = start
                 raise self.error(f"function {name!r} needs an argument list")
             self.pos += 1
-            arg = self.expr()
+            arg, height = self.expr()
             self.skip_ws()
             self.expect(")")
-            return Call(name, arg)
+            return self.node(Call(name, arg), height)
         if name.startswith("x") and name[1:].isdigit():
             idx = int(name[1:])
             if not 1 <= idx <= self.n:
                 self.pos = start
                 raise self.error(f"coordinate {name} out of range 1..{self.n}")
-            return Coord(idx)
+            return Coord(idx), 1
         self.pos = start
         raise self.error(f"unknown identifier {name!r}")
 
@@ -328,15 +366,120 @@ def require_finite(values: np.ndarray, entries, x: np.ndarray, label: str):
                     to_source(entry))
 
 
+def _sqrt(v: float) -> float:
+    """_eval's clamped sqrt; ValueError where _eval raises EvalError."""
+    if v < -SQRT_CLAMP:
+        raise ValueError(v)
+    return math.sqrt(max(v, 0.0))
+
+
+def _acos(v: float) -> float:
+    """_eval's clamped arccos; ValueError where _eval raises EvalError."""
+    if abs(v) > 1.0 + ARCCOS_CLAMP:
+        raise ValueError(v)
+    return math.acos(min(1.0, max(-1.0, v)))
+
+
+# The compiled fill's whole vocabulary: each walker operation as Python source
+# over operands that are locals, literals or coordinates. math.sin and math.cos
+# raise ValueError on inf and math.pow raises ValueError or OverflowError
+# exactly where _eval raises EvalError; Python's float '/' raises
+# ZeroDivisionError exactly where _eval's divisor check does.
+_BINARY = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "^": "pow({}, {})"}
+_CALLS = {"sqrt": "_sqrt", "abs": "abs", "sin": "sin", "cos": "cos", "arccos": "_acos"}
+_GLOBALS = {"pow": math.pow, "sin": math.sin, "cos": math.cos, "_sqrt": _sqrt, "_acos": _acos}
+# What a compiled fill raises on a domain fault, including an IndexError for
+# a point shorter than its highest coordinate.
+_FAULTS = (ArithmeticError, ValueError, IndexError)
+
+
+class _Emitter:
+    """Writes straight-line Python for a list of expressions: one statement
+    per distinct operation, each operand evaluated before it as in _eval, so
+    every float operation matches the walker's. Identical subtrees share one
+    local, because evaluation is pure; the entries of a fill repeat most of
+    their subexpressions, so this cuts the statements to compile several-fold.
+    The source holds only float literals (repr), coordinate indices and the
+    names of _BINARY and _CALLS."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.locals: dict[str, str] = {}  # right-hand side -> its local
+        self.uses_norm2 = False
+
+    def operand(self, e: Expr) -> str:
+        """Python source for the value of `e`: a literal, a coordinate, or
+        the local holding it, whose statement is appended when new."""
+        if isinstance(e, Num) and type(e.value) is float and math.isfinite(e.value):
+            return repr(e.value)
+        if isinstance(e, Coord) and type(e.index) is int:
+            return f"c[{e.index - 1}]"
+        if isinstance(e, Pi):
+            return repr(math.pi)
+        if isinstance(e, Norm2):
+            self.uses_norm2 = True
+            return "n2"
+        if isinstance(e, Neg):
+            value = "-" + self.operand(e.operand)
+        elif isinstance(e, Bin) and e.op in _BINARY:
+            value = _BINARY[e.op].format(self.operand(e.left), self.operand(e.right))
+        elif isinstance(e, Call) and e.func in _CALLS:
+            value = f"{_CALLS[e.func]}({self.operand(e.arg)})"
+        else:
+            # not a node the parser builds: fault, so that _eval decides
+            self.lines.append("raise ValueError")
+            return "None"
+        if value not in self.locals:
+            self.locals[value] = name = f"t{len(self.locals)}"
+            self.lines.append(f"{name} = {value}")
+        return self.locals[value]
+
+
+# Statements per generated function, about. CPython's compiler holds a whole
+# source in memory at once (about 3.5 kB per statement on CPython 3.11), so a
+# fill of many long entries is compiled as several functions, each ending at
+# an entry boundary.
+_CHUNK_STATEMENTS = 1000
+
+
+def _compile(entries) -> list[Callable[[np.ndarray], list]]:
+    """Functions x -> [value of each entry at x], one per run of entries, in
+    order. Their code nests no expressions, so no entry can exceed CPython's
+    parser limits."""
+    parts, emitter, results = [], _Emitter(), []
+    for e in entries:
+        results.append(emitter.operand(e))
+        if len(emitter.lines) >= _CHUNK_STATEMENTS:
+            parts.append(_function(emitter, results))
+            emitter, results = _Emitter(), []
+    if results:
+        parts.append(_function(emitter, results))
+    return parts
+
+
+def _function(emitter: _Emitter, results: list[str]) -> Callable[[np.ndarray], list]:
+    body = ["c = x.tolist()"]
+    if emitter.uses_norm2:
+        body.append("n2 = float(x @ x)")
+    body += emitter.lines
+    body.append(f"return [{', '.join(results)}]")
+    source = "def fill(x):\n" + "".join(f"    {line}\n" for line in body)
+    scope = dict(_GLOBALS)
+    exec(compile(source, "<slantkit.expr.LiteralFill>", "exec"), scope)
+    return scope["fill"]
+
+
 class LiteralFill:
     """Evaluates an array of expressions at points. Bare `Num` entries are
-    copied from an array built once; only the other entries are walked per
-    point, in the order given. Constant subexpressions are not folded, so
-    `1/0` still raises EvalError when it is evaluated.
+    copied from an array built once. The other entries run as one compiled
+    function, built on the first `at`; on a domain fault `at` discards its
+    values and walks the same entries in the order given, so the error is
+    `_eval`'s. Constant subexpressions are not folded, so `1/0` still raises
+    EvalError when it is evaluated.
 
     `items` yields (index into an array of `shape`, expression)."""
 
-    __slots__ = ("literals", "live")
+    __slots__ = ("literals", "live", "_where", "_parts")
 
     def __init__(self, shape: tuple[int, ...], items):
         self.literals = np.zeros(shape)
@@ -346,11 +489,22 @@ class LiteralFill:
                 self.literals[idx] = entry.value
             else:
                 self.live.append((idx, entry))
+        self._parts = None
 
     def at(self, x: np.ndarray) -> np.ndarray:
         out = self.literals.copy()
-        for idx, entry in self.live:
-            out[idx] = _eval(entry, x)
+        if not self.live:
+            return out
+        if self._parts is None:
+            self._where = tuple(np.array(axis) for axis in zip(*(idx for idx, _ in self.live)))
+            self._parts = _compile([entry for _, entry in self.live])
+        try:
+            values = []
+            for part in self._parts:
+                values += part(x)
+        except _FAULTS:
+            values = [_eval(entry, x) for _, entry in self.live]
+        out[self._where] = values
         return out
 
 

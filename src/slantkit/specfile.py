@@ -34,7 +34,7 @@ import numpy as np
 from . import expr as fe
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, DistributionFrame
-from .errors import SpecError
+from .errors import ParseError, SpecError
 from .sampling import box_points
 from .structure import KINDS, StructureField
 
@@ -114,7 +114,13 @@ def _parse_all(sources, n: int, key: str) -> list:
     for j, src in enumerate(sources):
         if not isinstance(src, str):
             raise SpecError(f"{key}[{j}] must be an expression string, not {src!r}")
-    return [fe.parse(src, n) for src in sources]
+    parsed = []
+    for j, src in enumerate(sources):
+        try:
+            parsed.append(fe.parse(src, n))
+        except ParseError as exc:
+            raise ParseError(f"{key}[{j}]: {exc.reason}", exc.offset) from None
+    return parsed
 
 
 def _vector_field(sources, n: int, key: str) -> fe.VectorFieldExpr:

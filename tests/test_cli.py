@@ -252,7 +252,12 @@ def _put(value, *path):
 # stderr prefix, a word of the message)
 _ERROR_FAMILIES = {
     "SpecError": (lambda doc: doc.update(epsilon=0), ("validate",), 2, "error:", "epsilon"),
-    "ParseError": (_set_phi("1 +"), ("validate",), 2, "error:", "offset"),
+    "ParseError": (_set_phi("1 +"), ("validate",), 2, "error:",
+                   "phi_columns[0][0]: unexpected end of input (offset 3)"),
+    "ParseError-deep-sum": (_set_phi("+".join(["x1"] * 1200)), ("validate",), 2, "error:",
+                            "phi_columns[0][0]: expression nested too deeply"),
+    "ParseError-deep-parens": (_set_phi("(" * 250 + "x1" + ")" * 250), ("validate",), 2,
+                               "error:", "phi_columns[0][0]: expression nested too deeply"),
     "EvalError": (_set_phi("1/(x1-x1)"), ("identities",), 2, "error:", "division by zero"),
     "UnsupportedError": (_drop_mask, ("identities", "--connection"), 2, "error:", "mask"),
     "ComponentError": (_merge_proper, ("classify",), 1, "failure:", "eigenvalue clusters"),

@@ -38,6 +38,21 @@ class TestParse:
         assert ev("8/4/2", [0.0]) == 1.0
         assert ev("1 - 2 - 3", [0.0]) == -4.0
 
+    def test_nesting_bound(self):
+        """Trees MAX_DEPTH deep, and MAX_DEPTH // 6 levels of parentheses,
+        function arguments or exponents, parse and evaluate under the default
+        recursion limit; one level more is a ParseError."""
+        forms = (lambda k: "+".join(["x1"] * k), lambda k: "(" * k + "x1" + ")" * k,
+                 lambda k: "sin(" * k + "x1" + ")" * k, lambda k: "x1^" * k + "x1")
+        for form, k in zip(forms, (fe.MAX_DEPTH,) + (fe.MAX_DEPTH // 6,) * 3):
+            e = fe.parse(form(k), 1)
+            text = fe.to_source(e)
+            assert fe.to_source(fe.parse(text, 1)) == text
+            value = fe.evaluate(e, [0.5])
+            assert fe.LiteralFill((1,), [((0,), e)]).at(np.array([0.5]))[0] == value
+            with pytest.raises(ParseError, match="nested too deeply"):
+                fe.parse(form(k + 1), 1)
+
     def test_offset_reported(self):
         with pytest.raises(ParseError) as err:
             fe.parse("x1 + $", 2)
@@ -176,8 +191,26 @@ def _outcome(fn, x):
 _MIXED = st.one_of(st.floats(-5.0, 5.0).map(fe.Num), _expr_strategy(n=3))
 _POINT = st.lists(st.floats(-3, 3), min_size=3, max_size=3).map(np.asarray)
 
+# Entries on which a compiled fill faults and re-walks, so each must raise the
+# walker's EvalError; and a long sum, which must come out bit-identical (an
+# emitter that nested it would hit CPython's parenthesis limit).
+_FAULTING = ("1/(x1-x1)", "sqrt(-1-x1^2)", "arccos(2+x1^2)", "(-1-x1^2)^0.5", "10^400")
+_LONG_SUM = "+".join(f"x{i % 3 + 1}*{i}.25" for i in range(400))
+
+
+def _fill_examples(place):
+    """An @example per entry above, at one point; `place(entry)` builds the
+    test's first argument around the parsed entry."""
+    def decorate(test):
+        for src in (*_FAULTING, _LONG_SUM):
+            test = example(place(fe.parse(src, 3)), np.array([0.75, -1.5, 2.0]))(test)
+        return test
+    return decorate
+
 
 @settings(max_examples=150, deadline=None)
+@_fill_examples(lambda e: [[fe.Coord(2), fe.Num(1.0), e], [fe.Num(0.0)] * 3,
+                           [fe.Coord(3), fe.Num(0.0), fe.parse("1/(x2-x2)", 3)]])
 @given(st.lists(st.lists(_MIXED, min_size=3, max_size=3), min_size=3, max_size=3), _POINT)
 def test_literal_fill_phi_matches_tree_walker(cols, x):
     s = StructureField(3, -1, KIND_HERMITIAN, cols)
@@ -205,6 +238,9 @@ def _metric_entry(i, j):
 
 
 @settings(max_examples=150, deadline=None)
+@_fill_examples(lambda e: ((fe.Bin("+", fe.Num(3.0), fe.Bin("^", e, fe.Num(2.0))), fe.Num(0.5),
+                            fe.Num(0.0)), (fe.Num(4.0), fe.Call("sin", fe.Coord(1))),
+                           (fe.Num(5.0),)))
 @given(st.tuples(*[st.tuples(*[_metric_entry(i, j) for j in range(i, 3)]) for i in range(3)]),
        _POINT)
 def test_literal_fill_metric_matches_tree_walker(upper, x):
@@ -227,6 +263,7 @@ def test_literal_fill_metric_matches_tree_walker(upper, x):
 
 
 @settings(max_examples=150, deadline=None)
+@_fill_examples(lambda e: [fe.Coord(1), e, fe.Call("sqrt", fe.Num(-1.0))])
 @given(st.lists(_MIXED, min_size=3, max_size=3), _POINT)
 def test_literal_fill_vector_field_matches_tree_walker(comps, x):
     field = fe.VectorFieldExpr(comps)
@@ -249,3 +286,26 @@ def test_literal_fill_does_not_fold_constants():
     assert [idx for idx, _ in field._fill.live] == [(0,)]
     with pytest.raises(EvalError, match="division by zero"):
         field.at(np.zeros(2))
+
+
+def test_literal_fill_rewalks_what_it_cannot_compile():
+    """A point shorter than the highest coordinate used, and a node the parser
+    never builds, fault the compiled fill; the re-walk raises the walker's
+    error."""
+    field = fe.VectorFieldExpr(fe.parse(src, 3) for src in ["x1", "x3+1"])
+    with pytest.raises(EvalError, match="coordinate x3 beyond point dimension 2"):
+        field.at(np.array([1.0, 2.0]))
+    field = fe.VectorFieldExpr([fe.Coord(1), fe.Call("tan", fe.Coord(1))])
+    with pytest.raises(EvalError, match="unknown function tan"):
+        field.at(np.array([1.0, 2.0]))
+
+
+def test_literal_fill_compiles_long_fills_in_parts():
+    """A fill of more than _CHUNK_STATEMENTS operations compiles as several
+    functions; together they give the walker's values, in order."""
+    entries = [fe.parse("+".join(f"x{(i + t) % 3 + 1}*{t}.{i}" for t in range(400)), 3)
+               for i in range(3)]
+    fill = fe.LiteralFill((3,), (((i,), e) for i, e in enumerate(entries)))
+    x = np.array([0.75, -1.5, 2.0])
+    assert _same(fill.at(x), np.array(_walk(entries, x)))
+    assert len(fill._parts) > 1
