@@ -104,13 +104,12 @@ def _spectrum_of_matrix(mat: np.ndarray, basis: np.ndarray, point: np.ndarray,
     return SlantSpectrum(point, clusters)
 
 
-def slant_spectrum(dec: Decomposition, point, cluster_tol: float | None = None,
+def slant_spectrum(dec: Decomposition, point,
                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> SlantSpectrum:
     """Clustered spectrum of f^2 restricted to the whole of D at one point."""
-    ct = tolerances.cluster if cluster_tol is None else cluster_tol
     frame = dec.frame_at(point)
-    return _spectrum_of_matrix(frame.f2_full(), frame.basis_d, frame.x,
-                               frame.epsilon, ct, tolerances.lambda_band)
+    return _spectrum_of_matrix(frame.f2_full(), frame.basis_d, frame.x, frame.epsilon,
+                               tolerances.cluster, tolerances.lambda_band)
 
 
 def component_slant(dec: Decomposition, point, index: int,
@@ -222,48 +221,14 @@ def _component_entry(name: str, rank: int, declared_invariant: bool, theta: np.n
 # Cluster tracks across points (for generic / skew-CR / CR verdicts)
 # ---------------------------------------------------------------------------
 
-class _ClusterTracks:
-    """Clusters matched across points by ascending-lambda order; only valid
-    when count and multiplicity vectors agree at every point."""
-
-    def __init__(self, spectra: list[SlantSpectrum], epsilon: int, tolerances: Tolerances):
-        self.ok = True
-        self.witness: dict | None = None
-        counts = [len(s.clusters) for s in spectra]
-        if len(set(counts)) != 1:
-            self.ok = False
-            bad = counts.index(min(counts)) if min(counts) != counts[0] else counts.index(max(counts))
-            self.witness = {"reason": "cluster count varies with the point",
-                            "counts": counts, "point": spectra[bad].point.tolist()}
-            return
-        mults = [tuple(c.multiplicity for c in s.clusters) for s in spectra]
-        if len(set(mults)) != 1:
-            self.ok = False
-            bad = next(i for i, m in enumerate(mults) if m != mults[0])
-            self.witness = {"reason": "cluster multiplicities vary with the point",
-                            "multiplicities": [list(m) for m in mults],
-                            "point": spectra[bad].point.tolist()}
-            return
-        self.count = counts[0]
-        ztol = tolerances.cluster
-        self.lambdas = np.array([[c.lam for c in s.clusters] for s in spectra])
-        self.thetas = np.array([[c.theta for c in s.clusters] for s in spectra])
-        self.alphas = np.array([[c.alpha for c in s.clusters] for s in spectra])
-        # per (point, track) type: zero / one / interior
-        self.types = []
-        for row in self.lambdas:
-            self.types.append(["zero" if abs(l) <= ztol
-                               else "one" if abs(l - epsilon) <= ztol
-                               else "interior" for l in row])
-
-
 def _analyze_tracks(spectra, epsilon, tolerances, points):
     """Generic / skew-CR / CR / anti-invariant ingredients from the clustered
-    full spectra."""
-    tracks = _ClusterTracks(spectra, epsilon, tolerances)
+    full spectra. Clusters are matched across points by ascending-lambda
+    order, which is valid only when the cluster count and multiplicity
+    vectors agree at every point (`tracks_ok`)."""
     info = {
-        "tracks_ok": tracks.ok,
-        "witness": tracks.witness,
+        "tracks_ok": False,
+        "witness": None,
         "type_stable": False,
         "strictly_pointwise": False,
         "all_constant": False,
@@ -273,28 +238,47 @@ def _analyze_tracks(spectra, epsilon, tolerances, points):
         "all_zero": False,
         "alpha_flags": [],
     }
-    if not tracks.ok:
+    counts = [len(s.clusters) for s in spectra]
+    if len(set(counts)) != 1:
+        bad = counts.index(min(counts)) if min(counts) != counts[0] else counts.index(max(counts))
+        info["witness"] = {"reason": "cluster count varies with the point",
+                           "counts": counts, "point": spectra[bad].point.tolist()}
         return info
-    npts, ntracks = tracks.thetas.shape
-    types_by_track = [set(tracks.types[p][t] for p in range(npts)) for t in range(ntracks)]
+    mults = [tuple(c.multiplicity for c in s.clusters) for s in spectra]
+    if len(set(mults)) != 1:
+        bad = next(i for i, m in enumerate(mults) if m != mults[0])
+        info["witness"] = {"reason": "cluster multiplicities vary with the point",
+                           "multiplicities": [list(m) for m in mults],
+                           "point": spectra[bad].point.tolist()}
+        return info
+    info["tracks_ok"] = True
+    ztol = tolerances.cluster
+    thetas = np.array([[c.theta for c in s.clusters] for s in spectra])
+    alphas = np.array([[c.alpha for c in s.clusters] for s in spectra])
+    # per (point, track) type: zero / one / interior
+    types = [["zero" if abs(c.lam) <= ztol
+              else "one" if abs(c.lam - epsilon) <= ztol
+              else "interior" for c in s.clusters] for s in spectra]
+    npts, ntracks = thetas.shape
+    types_by_track = [set(types[p][t] for p in range(npts)) for t in range(ntracks)]
     info["type_stable"] = all(len(ts) == 1 for ts in types_by_track)
     if not info["type_stable"]:
         t_bad = next(t for t in range(ntracks) if len(types_by_track[t]) > 1)
         # witness: where the special value is attained (that point breaks the
         # point-independence of the 0 / eps eigenvalues)
-        special = [p for p in range(npts) if tracks.types[p][t_bad] in ("zero", "one")]
+        special = [p for p in range(npts) if types[p][t_bad] in ("zero", "one")]
         p_bad = special[0] if special else next(
-            p for p in range(npts) if tracks.types[p][t_bad] != tracks.types[0][t_bad])
+            p for p in range(npts) if types[p][t_bad] != types[0][t_bad])
         info["witness"] = {"reason": "a cluster attains 0 or eps at some points only",
                            "track": t_bad, "point": _witness_point(points[p_bad])}
     interior = [t for t in range(ntracks) if types_by_track[t] == {"interior"}]
     info["interior_exists"] = bool(interior)
     info["all_special"] = info["type_stable"] and not interior
     info["all_zero"] = all(ts == {"zero"} for ts in types_by_track)
-    theta_span = _constancy_span(tracks.thetas)
+    theta_span = _constancy_span(thetas)
     info["all_constant"] = bool(np.all(theta_span <= tolerances.angle_const))
     info["strictly_pointwise"] = any(theta_span[t] > tolerances.angle_const for t in interior)
-    p_sep = _first_coincidence(tracks.thetas, tolerances.angle_distinct)
+    p_sep = _first_coincidence(thetas, tolerances.angle_distinct)
     sep_witness = None if p_sep is None else {
         "reason": "matched clusters not separated", "point": _witness_point(points[p_sep])}
     info["separated_everywhere"] = p_sep is None
@@ -302,8 +286,8 @@ def _analyze_tracks(spectra, epsilon, tolerances, points):
         info["witness"] = sep_witness
     margin = tolerances.alpha_margin
     for t in interior:
-        amin = float(tracks.alphas[:, t].min())
-        amax = float(tracks.alphas[:, t].max())
+        amin = float(alphas[:, t].min())
+        amax = float(alphas[:, t].max())
         if amin < margin or amax > 1.0 - margin:
             info["alpha_flags"].append(
                 {"track": t, "alpha_min": amin, "alpha_max": amax,
@@ -351,13 +335,13 @@ class ClassificationReport:
 
 
 def classify(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOLERANCES,
-             seed: int = DEFAULT_SEED, invariance_trials: int = 10) -> ClassificationReport:
+             seed: int = DEFAULT_SEED) -> ClassificationReport:
     """Classify a declared decomposition over the sample points."""
     points = list(points)
     if len(points) < 2:
         raise SpecError("classification needs at least two sample points")
-    inv_report = check_f_invariance(dec, points, trials=invariance_trials,
-                                    tol=tolerances.invariance, seed=seed)
+    inv_report = check_f_invariance(dec, points, trials=10, tol=tolerances.invariance,
+                                    seed=seed)
     if not inv_report.passed:
         raise ModelError(f"f-invariance violated: {inv_report.witness}")
 

@@ -3,8 +3,11 @@
 A `DistributionFrame` is a rank-r distribution given by r vector fields. A
 `Decomposition` fixes the ambient structure, an optional invariant component
 D0, and the proper components D1..Dk; at each sample point it materializes a
-`PointFrame` carrying the evaluated matrices (phi, metric, orthonormal bases,
-projectors) that every downstream computation shares.
+`PointFrame`, the one place that computes the per-point data every downstream
+computation shares. phi, the metric, xi and its unit, the orthonormal bases of
+the components and of D, and the projector onto D are built with the frame;
+the per-component projectors, the complements of D and of G (with the
+projector onto G), the f^2 Gram and the dual slice are built on first use.
 
 For a tangent Z, fZ is the component of phi(Z) inside D and wZ the remainder
 in the orthogonal complement. In the contact-like case D is required to be
@@ -15,8 +18,12 @@ eta annihilates the image of phi.
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import accumulate
+
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
 from .errors import (
     DimensionError,
     InvariantError,
@@ -156,8 +163,13 @@ class Decomposition:
 class PointFrame:
     """All pointwise data of a decomposition at one sample point.
 
-    Heavyweight pieces (dual bases, complement of D, the f^2 Gram) are
-    built lazily and cached; the object is treated as immutable once built.
+    Eager: `g`, `phi`, `xi` and its g-unit `xi_unit` (None for hermitian
+    kinds), the g-orthonormal `bases` of the components, their stack
+    `basis_d` with each component's column range, and `proj_d`. Built on
+    first use (`cached_property`) and kept: the component projectors behind
+    `pr`, `basis_perp` (complement of D), `basis_g` (of G), `proj_g`, the
+    f^2 Gram (`f2_full`) and the dual slice (`dual`); the connection probe's
+    displaced frames build only the f^2 Gram. Immutable once built.
     """
 
     def __init__(self, dec: Decomposition, x: np.ndarray):
@@ -169,12 +181,13 @@ class PointFrame:
         self._inner_g = None if s.metric_is_euclidean else self.g
         self.phi = s.phi_at(x)
         self.epsilon = s.epsilon
-        self.xi = None
+        self.xi = self.xi_unit = None
         if s.is_contact:
             self.xi = s.xi_at(x)
             nrm = float(np.sqrt(max(self.xi @ self.g @ self.xi, 0.0)))
             if nrm < 1e-12:
                 raise RankError("xi vanishes at the sample point")
+            self.xi_unit = self.xi / nrm
         self.bases = []
         for comp in dec.components:
             raw = comp.raw_at(x)
@@ -182,32 +195,38 @@ class PointFrame:
                 self.bases.append(mgs_columns(self.g, raw))
             except RankError as exc:
                 raise RankError(f"component {comp.name!r} at {x.tolist()}: {exc}") from None
-        self._check_orthogonality()
+        ranks = [b.shape[1] for b in self.bases]
+        # component i holds columns _offsets[i]:_offsets[i + 1] of basis_d
+        self._offsets = (0, *accumulate(ranks))
         self.basis_d = (np.column_stack(self.bases)
                         if self.bases else np.zeros((s.n, 0)))
+        self._check_orthogonality(np.repeat(np.arange(len(ranks)), ranks))
         self.proj_d = projector_matrix(self.g, self.basis_d)
-        self._proj_comp = [projector_matrix(self.g, b) for b in self.bases]
-        self._basis_g = None
-        self._f2 = None
-        self._dual = None
 
     # -- construction checks -------------------------------------------------
 
-    def _check_orthogonality(self):
-        g = self.g
+    def _check_orthogonality(self, owner: np.ndarray):
+        """One Gram basis_d^T g basis_d, whose off-diagonal blocks must
+        vanish within PAIRWISE_ORTHO_TOL, and one basis_d^T g xi; `owner`
+        holds the component of each column of basis_d. Names the first
+        failing pair (i, j), i < j, or the first component not orthogonal
+        to xi."""
         comps = self.dec.components
-        for i in range(len(self.bases)):
-            for j in range(i + 1, len(self.bases)):
-                cross = self.bases[i].T @ g @ self.bases[j]
-                if float(np.max(np.abs(cross))) > PAIRWISE_ORTHO_TOL:
-                    raise InvariantError(
-                        f"components {comps[i].name!r} and {comps[j].name!r} are not "
-                        f"orthogonal at {self.x.tolist()}")
+        g_basis = self.g @ self.basis_d
+        cross = ((np.abs(self.basis_d.T @ g_basis) > PAIRWISE_ORTHO_TOL)
+                 & (owner[:, None] < owner[None, :]))
+        if cross.any():
+            rows, cols = np.nonzero(cross)
+            i, j = min(zip(owner[rows], owner[cols]))
+            raise InvariantError(
+                f"components {comps[i].name!r} and {comps[j].name!r} are not "
+                f"orthogonal at {self.x.tolist()}")
         if self.xi is not None:
-            for b, comp in zip(self.bases, comps):
-                if float(np.max(np.abs(b.T @ g @ self.xi))) > PAIRWISE_ORTHO_TOL:
-                    raise InvariantError(
-                        f"component {comp.name!r} is not orthogonal to xi at {self.x.tolist()}")
+            off = np.flatnonzero(np.abs(self.xi @ g_basis) > PAIRWISE_ORTHO_TOL)
+            if off.size:
+                raise InvariantError(
+                    f"component {comps[owner[off[0]]].name!r} is not orthogonal to xi "
+                    f"at {self.x.tolist()}")
 
     # -- basic maps ------------------------------------------------------------
 
@@ -229,6 +248,10 @@ class PointFrame:
     def w(self, v):
         return self.phi @ v - self.f(v)
 
+    @cached_property
+    def _proj_comp(self) -> list[np.ndarray]:
+        return [projector_matrix(self.g, b) for b in self.bases]
+
     def pr(self, i: int, v):
         return self._proj_comp[i] @ v
 
@@ -246,38 +269,41 @@ class PointFrame:
 
     # -- complements -----------------------------------------------------------
 
-    @property
-    def basis_g(self) -> np.ndarray:
-        """Orthonormal basis of the complement: of D + <xi> for contact-like
-        structures, of D otherwise."""
-        if self._basis_g is None:
-            stack = [self.basis_d]
-            if self.xi is not None:
-                xin = self.xi / float(np.sqrt(max(self.xi @ self.g @ self.xi, 0.0)))
-                stack.append(xin[:, None])
-            self._basis_g = complement_columns(self.g, np.column_stack(stack))
-        return self._basis_g
+    @cached_property
+    def basis_perp(self) -> np.ndarray:
+        """Orthonormal basis of the complement of D."""
+        return complement_columns(self.g, self.basis_d)
 
-    @property
+    @cached_property
+    def basis_g(self) -> np.ndarray:
+        """Orthonormal basis of G, the complement of D + <xi> for
+        contact-like structures; `basis_perp` otherwise."""
+        if self.xi is None:
+            return self.basis_perp
+        return complement_columns(self.g, np.column_stack([self.basis_d, self.xi_unit[:, None]]))
+
+    @cached_property
     def proj_g(self) -> np.ndarray:
         return projector_matrix(self.g, self.basis_g)
 
     # -- restricted endomorphism squares ----------------------------------------
 
+    @cached_property
+    def _f2(self) -> np.ndarray:
+        f2 = f2_gram(self._inner_g, self.basis_d, self.proj_d @ self.phi, self.x)
+        f2.setflags(write=False)
+        return f2
+
     def f2_full(self) -> np.ndarray:
         """Matrix of f^2|D in the orthonormal basis of D (`f2_gram` with
-        op = P_D phi), built once per frame; read-only."""
-        if self._f2 is None:
-            self._f2 = f2_gram(self._inner_g, self.basis_d, self.proj_d @ self.phi, self.x)
-            self._f2.setflags(write=False)
+        op = P_D phi); read-only."""
         return self._f2
 
     def f2_component(self, i: int) -> np.ndarray:
         """Matrix of f^2|D_i in the orthonormal basis of D_i: the i-th
         diagonal block of `f2_full`."""
-        lo = sum(b.shape[1] for b in self.bases[:i])
-        hi = lo + self.bases[i].shape[1]
-        return self.f2_full()[lo:hi, lo:hi]
+        lo, hi = self._offsets[i], self._offsets[i + 1]
+        return self._f2[lo:hi, lo:hi]
 
     def f2_ambient(self) -> np.ndarray:
         """f^2 as an ambient-operator matrix: project, apply phi, twice over."""
@@ -286,10 +312,12 @@ class PointFrame:
 
     # -- dual decomposition (built by the duality module) ------------------------
 
+    @cached_property
+    def _dual(self):
+        from .duality import build_dual
+        return build_dual(self.dec, self.x)
+
     def dual(self):
-        if self._dual is None:
-            from .duality import build_dual
-            self._dual = build_dual(self.dec, self.x)
         return self._dual
 
 
@@ -309,10 +337,8 @@ def fw_split(dec: Decomposition, point, v) -> FWSplit:
     comps = np.asarray(getattr(v, "comps", v), dtype=float)
     if comps.shape[0] != dec.structure.n:
         raise DimensionError("vector dimension differs from ambient dimension")
-    image = frame.apply_phi(comps)
-    f_part = frame.proj_d @ image
-    w_part = image - f_part
-    return FWSplit(TangentVector(f_part, frame.point), TangentVector(w_part, frame.point))
+    return FWSplit(TangentVector(frame.f(comps), frame.point),
+                   TangentVector(frame.w(comps), frame.point))
 
 
 def f_squared_matrix(dec: Decomposition, point) -> np.ndarray:
@@ -347,7 +373,8 @@ class InvarianceReport:
 
 
 def check_f_invariance(dec: Decomposition, points, trials: int = 25,
-                       tol: float = 1e-10, seed: int = DEFAULT_SEED) -> InvarianceReport:
+                       tol: float = DEFAULT_TOLERANCES.invariance,
+                       seed: int = DEFAULT_SEED) -> InvarianceReport:
     """Measure, on random in-component vectors, how much f leaks out of each
     component and how far phi(D_i) is from being orthogonal to D_j (i != j)."""
     points = list(points)
@@ -363,7 +390,7 @@ def check_f_invariance(dec: Decomposition, points, trials: int = 25,
             coeff = rng.standard_normal((basis.shape[1], trials))
             vecs = basis @ coeff
             norms = np.maximum(frame.norm(vecs), 1e-300)
-            fv = frame.proj_d @ (frame.phi @ vecs)
+            fv = frame.f(vecs)
             leak = frame.norm(fv - frame.pr(i, fv)) / norms
             worst = float(np.max(leak))
             if worst > max_leak:

@@ -45,10 +45,6 @@ class DualDecomposition:
         self.f_on_h_residual = f_on_h_residual
 
     @property
-    def dims(self) -> list[int]:
-        return [b.shape[1] for b in self.duals]
-
-    @property
     def h_dim(self) -> int:
         return self.h_basis.shape[1]
 
@@ -61,7 +57,7 @@ class DualDecomposition:
         }
 
 
-def build_dual(dec: Decomposition, point, f_on_h_tol: float = F_ON_H_TOL) -> DualDecomposition:
+def build_dual(dec: Decomposition, point) -> DualDecomposition:
     """Construct w(D_i) for every proper component and the invariant
     remainder H at one point."""
     frame = dec.frame_at(point)
@@ -81,7 +77,7 @@ def build_dual(dec: Decomposition, point, f_on_h_tol: float = F_ON_H_TOL) -> Dua
     used = sum(b.shape[1] for b in duals)
     h_dim = basis_g.shape[1] - used
     if h_dim > 0:
-        proj_h = projector_matrix(g, basis_g)
+        proj_h = frame.proj_g
         for b in duals:
             proj_h = proj_h - projector_matrix(g, b)
         cand = proj_h @ basis_g
@@ -90,10 +86,10 @@ def build_dual(dec: Decomposition, point, f_on_h_tol: float = F_ON_H_TOL) -> Dua
         h_basis = np.zeros((dec.structure.n, 0))
     residual = 0.0
     if h_basis.shape[1]:
-        fh = frame.proj_d @ (frame.phi @ h_basis)
+        fh = frame.f(h_basis)
         residual = float(np.max(np.sqrt(np.maximum(
             g_inner(g, fh, fh), 0.0))))
-        if residual > f_on_h_tol:
+        if residual > F_ON_H_TOL:
             raise ModelError(
                 f"f does not vanish on the computed H (residual {residual:.3e}) at "
                 f"{frame.x.tolist()}; the decomposition or structure is invalid")
@@ -125,11 +121,10 @@ class DualRoundtripReport:
                 "h_dim": self.h_dim, "components": self.entries}
 
 
-def dual_roundtrip_check(dec: Decomposition, point, tol: float | None = None,
+def dual_roundtrip_check(dec: Decomposition, point,
                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> DualRoundtripReport:
     """Verify f(w(D_i)) = D_i (principal angles), dim w(D_i) = dim D_i, and
     that each dual component carries the same slant value as its source."""
-    tol = tolerances.principal if tol is None else tol
     frame = dec.frame_at(point)
     dd = frame.dual()
     entries = []
@@ -137,13 +132,14 @@ def dual_roundtrip_check(dec: Decomposition, point, tol: float | None = None,
     for slot, i in enumerate(frame.proper_indices):
         name = dec.components[i].name
         wb = dd.duals[slot]
-        fw = frame.proj_d @ (frame.phi @ wb)
+        fw = frame.f(wb)
         fw_onb = mgs_columns(frame.g, fw)
         angles = principal_angle_values(frame.g, fw_onb, frame.component_basis(i))
         max_angle = float(angles[-1]) if angles.size else 0.0
         theta_src = component_slant(dec, point, i, tolerances).theta
         theta_dual = dual_slant_theta(dec, point, i, tolerances)
-        ok = (max_angle < tol and wb.shape[1] == frame.component_basis(i).shape[1]
+        ok = (max_angle < tolerances.principal
+              and wb.shape[1] == frame.component_basis(i).shape[1]
               and abs(theta_src - theta_dual) <= 1e-8)
         passed = passed and ok
         entries.append({
@@ -159,15 +155,14 @@ def dual_roundtrip_check(dec: Decomposition, point, tol: float | None = None,
 
 
 def dual_identity_suite(dec: Decomposition, points, trials: int = 50,
-                        tol: float | None = None,
                         tolerances: Tolerances = DEFAULT_TOLERANCES,
                         seed: int = DEFAULT_SEED):
     """The G-side identities (projector sums, metric relations, H relations,
     sin^4 corollaries) evaluated on seeded random vectors; a filtered view of
     the full identity registry so both reports agree key for key."""
     from .verifier import DUAL_KEYS, run_identity_suite
-    return run_identity_suite(dec, points, trials=trials, tol=tol,
-                              tolerances=tolerances, seed=seed, keys=DUAL_KEYS)
+    return run_identity_suite(dec, points, trials=trials, tolerances=tolerances,
+                              seed=seed, keys=DUAL_KEYS)
 
 
 def dual_report(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOLERANCES) -> dict:
@@ -197,7 +192,7 @@ def dual_report(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOL
 
 
 def expected_span_check(dec: Decomposition, point, expected_indices: list[set[int]],
-                        tol: float = 1e-8) -> dict:
+                        tol: float = DEFAULT_TOLERANCES.principal) -> dict:
     """Compare each computed dual basis with an expected coordinate span
     (1-based indices). Used by the gallery oracles."""
     frame = dec.frame_at(point)

@@ -171,7 +171,7 @@ def g_inner(gmat: np.ndarray | None, u: np.ndarray, v: np.ndarray) -> np.ndarray
     return np.einsum("i...,i...->...", u, v if gmat is None else gmat @ v)
 
 
-def mgs_columns(gmat: np.ndarray, raw: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def mgs_columns(gmat: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """g-orthonormalize the columns of `raw` by modified Gram-Schmidt with one
     re-orthogonalization pass. Raises RankError when a pivot collapses."""
     raw = np.array(raw, dtype=float)
@@ -185,7 +185,7 @@ def mgs_columns(gmat: np.ndarray, raw: np.ndarray, rank_tol: float = RANK_TOL) -
             for i in range(j):
                 v -= (out[:, i] @ gmat @ v) * out[:, i]
         nrm = float(np.sqrt(max(v @ gmat @ v, 0.0)))
-        if nrm < rank_tol * scale:
+        if nrm < RANK_TOL * scale:
             raise RankError(f"column {j} is dependent on the previous ones")
         out[:, j] = v / nrm
     return out

@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from . import expr as fe
+from .config import DEFAULT_TOLERANCES
 from .errors import DimensionError, EvalError, KindError, MetricError, SpecError
 from .linalg import SYMMETRY_RTOL, g_inner
 from .sampling import DEFAULT_SEED, rng_for
@@ -28,8 +29,6 @@ from .sampling import DEFAULT_SEED, rng_for
 KIND_HERMITIAN = "hermitian-like"
 KIND_CONTACT = "contact-like"
 KINDS = (KIND_HERMITIAN, KIND_CONTACT)
-
-DEFAULT_STRUCTURE_TOL = 1e-9
 
 
 class StructureField:
@@ -191,7 +190,7 @@ def _exceeds(value: float, current: float) -> bool:
 
 
 def validate_structure(s: StructureField, points, trials: int = 25,
-                       tol: float = DEFAULT_STRUCTURE_TOL,
+                       tol: float = DEFAULT_TOLERANCES.structure,
                        seed: int = DEFAULT_SEED) -> StructureVerdict:
     """Check every structure axiom on seeded random vector pairs at each
     point; an evaluation failure at a point becomes a failed verdict with the

@@ -41,7 +41,6 @@ constancy verdicts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -51,7 +50,6 @@ from .classifier import classify, single_cluster_lambda
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, PointFrame
 from .errors import SpecError, UnsupportedError
-from .linalg import complement_columns
 from .sampling import DEFAULT_SEED, rng_for
 
 PI2_TOL = 1e-8
@@ -77,7 +75,6 @@ class PointContext:
         self.cos = np.sqrt(self.cos2)
         self.sin = np.sqrt(self.sin2)
         self.proper = f.proper_indices
-        self.inv = inv
         rng = rng_for(seed, 997, pidx)
         n = f.g.shape[0]
         t = trials
@@ -87,10 +84,9 @@ class PointContext:
         self.cy = [f.bases[i] @ norm((f.bases[i].shape[1], t)) for i in range(ncomp)]
         self.x_d = sum(self.cx) if ncomp else np.zeros((n, t))
         self.y_d = sum(self.cy) if ncomp else np.zeros((n, t))
-        self.basis_perp = complement_columns(f.g, f.basis_d)
-        m = self.basis_perp.shape[1]
-        self.u_perp = self.basis_perp @ norm((m, t)) if m else np.zeros((n, t))
-        self.v_perp = self.basis_perp @ norm((m, t)) if m else np.zeros((n, t))
+        m = f.basis_perp.shape[1]
+        self.u_perp = f.basis_perp @ norm((m, t)) if m else np.zeros((n, t))
+        self.v_perp = f.basis_perp @ norm((m, t)) if m else np.zeros((n, t))
         gdim = f.basis_g.shape[1]
         self.u_g = f.basis_g @ norm((gdim, t)) if gdim else np.zeros((n, t))
         self.v_g = f.basis_g @ norm((gdim, t)) if gdim else np.zeros((n, t))
@@ -104,15 +100,10 @@ class PointContext:
         h = self.dual.h_basis
         self.u_h = h @ norm((h.shape[1], t)) if h.shape[1] else None
         self.v_h = h @ norm((h.shape[1], t)) if h.shape[1] else None
+        self.x_dxi, self.y_dxi = self.x_d, self.y_d
         if self.contact:
-            xin = f.xi / math.sqrt(max(float(f.xi @ f.g @ f.xi), TINY))
-            self.x_dxi = self.x_d + np.outer(xin, norm(t))
-            self.y_dxi = self.y_d + np.outer(xin, norm(t))
-            self.xi_unit = xin
-        else:
-            self.x_dxi = self.x_d
-            self.y_dxi = self.y_d
-            self.xi_unit = None
+            self.x_dxi = self.x_d + np.outer(f.xi_unit, norm(t))
+            self.y_dxi = self.y_d + np.outer(f.xi_unit, norm(t))
         self.z_dg = self.x_d + self.u_g
         self.w_dg = self.y_d + self.v_g
         xs = [self.cx[i] for i in self.proper]
@@ -141,7 +132,7 @@ class PointContext:
         return float(np.max(f.norm(diff_vecs) / np.maximum(f.norm(a), TINY)))
 
     def eta(self, v):
-        return self.frame.inner(v, self.xi_unit[:, None])
+        return self.frame.inner(v, self.frame.xi_unit[:, None])
 
     def components(self, side, pred=None):
         """(i, X_i, Y_i) over the side's proper components, keeping those
@@ -237,7 +228,7 @@ def _contact_metric(ctx):
        "|phi X| = |X| for X orthogonal to xi")
 def _contact_isometry(ctx):
     f = ctx.frame
-    a = ctx.amb[0] - np.outer(ctx.xi_unit, ctx.eta(ctx.amb[0]))
+    a = ctx.amb[0] - np.outer(ctx.frame.xi_unit, ctx.eta(ctx.amb[0]))
     diff = f.norm(f.apply_phi(a)) - f.norm(a)
     return ctx.rel(diff, a)
 
@@ -325,7 +316,7 @@ def _split(ctx, a, draw, rhs=None):
 
 def _eps_horizontal(ctx, x):
     """eps * (X - eta(X) xi), eps * X without xi."""
-    return ctx.eps * (x - (np.outer(ctx.xi_unit, ctx.eta(x)) if ctx.contact else 0.0))
+    return ctx.eps * (x - (np.outer(ctx.frame.xi_unit, ctx.eta(x)) if ctx.contact else 0.0))
 
 
 def _gside_vector(ctx, b, coeff):
@@ -711,7 +702,6 @@ class SuiteReport:
 
 
 def run_identity_suite(dec: Decomposition, points, trials: int = 50,
-                       tol: float | None = None,
                        tolerances: Tolerances = DEFAULT_TOLERANCES,
                        seed: int = DEFAULT_SEED, keys=None) -> SuiteReport:
     """Evaluate every applicable registry identity at each point and report
@@ -722,7 +712,7 @@ def run_identity_suite(dec: Decomposition, points, trials: int = 50,
         raise SpecError("identity suite needs at least one point")
     if trials < 1:
         raise SpecError("trials must be >= 1")
-    tol = tolerances.identity if tol is None else tol
+    tol = tolerances.identity
     setting = "contact" if dec.structure.is_contact else "hermitian"
     wanted = set(keys) if keys is not None else None
     contexts = [PointContext(dec, p, trials, seed, i, tolerances)
@@ -817,13 +807,12 @@ def _lambdas(frame, indices, tolerances: Tolerances) -> dict[int, float]:
             for i in indices}
 
 
-def eigenvalue_directional_derivative(dec: Decomposition, point, comp_index: int,
-                                      direction, h: float | None = None,
+def eigenvalue_directional_derivative(dec: Decomposition, point, comp_index: int, direction,
                                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
     """X(lambda_i): central difference of the component's single-cluster
-    eigenvalue, read at x +- hX as the trace mean of its f^2 block. The step
-    `h` defaults to `tolerances.fd_step`."""
-    h = tolerances.fd_step if h is None else h
+    eigenvalue, read at x +- hX as the trace mean of its f^2 block, with
+    h = `tolerances.fd_step`."""
+    h = tolerances.fd_step
     x = np.asarray(getattr(point, "coords", point), dtype=float)
     d = np.asarray(getattr(direction, "comps", direction), dtype=float)
     lam_p, lam_m = (_lambdas(frame, [comp_index], tolerances)[comp_index]

@@ -190,16 +190,44 @@ def test_mask_zero_component_enforced():
                           mask=(1, 3))
 
 
+def _field_frame(name, n, *columns, mask=None):
+    """A component spanned by one field per column, each given as
+    {1-based coordinate index: coefficient}."""
+    return DistributionFrame(name, [
+        fe.VectorFieldExpr.parse([str(col.get(i, 0)) for i in range(1, n + 1)], n)
+        for col in columns], mask=mask)
+
+
 def test_components_must_be_orthogonal(ex1):
     overlapping = Decomposition(
         ex1.structure,
         [unit_frame("A", 11, [3, 4], mask=ex1.mask),
-         DistributionFrame("B", [fe.VectorFieldExpr.parse(
-             ["0", "0", "1", "0", "0", "0", "1", "0", "0", "0", "0"], 11)],
-             mask=ex1.mask)],
+         _field_frame("B", 11, {3: 1, 7: 1}, mask=ex1.mask)],
         mask=ex1.mask)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match=r"^components 'A' and 'B' are not orthogonal at "):
         overlapping.frame_at(np.zeros(11))
+    # A-B and A-C overlap, A-C the more and through both columns of A (so
+    # first and last among the entries): the first pair in (i, j) order is named
+    three = Decomposition(
+        ex1.structure,
+        [unit_frame("A", 11, [3, 4], mask=ex1.mask),
+         _field_frame("B", 11, {4: 1, 7: 1}, mask=ex1.mask),
+         _field_frame("C", 11, {3: 2, 4: 1, 7: -1}, mask=ex1.mask)],
+        mask=ex1.mask)
+    with pytest.raises(InvariantError, match=r"^components 'A' and 'B' are not orthogonal at "):
+        three.frame_at(np.zeros(11))
+
+
+def test_components_must_be_orthogonal_to_xi(ex1):
+    # xi = e11: B and C both have an xi part, C the larger; B comes first
+    dec = Decomposition(
+        ex1.structure,
+        [_field_frame("A", 11, {4: 1}, mask=ex1.mask),
+         _field_frame("B", 11, {3: 2, 11: 1}, mask=ex1.mask),
+         _field_frame("C", 11, {3: 1, 7: 1, 11: -2}, mask=ex1.mask)],
+        mask=ex1.mask)
+    with pytest.raises(InvariantError, match=r"^component 'B' is not orthogonal to xi at "):
+        dec.frame_at(np.zeros(11))
 
 
 def test_eigenvalue_range_negative_eps(ex1):

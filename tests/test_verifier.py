@@ -5,6 +5,7 @@ import pytest
 
 from slantkit.classifier import component_slant
 from slantkit.cli import main
+from slantkit.config import DEFAULT_TOLERANCES
 from slantkit.distribution import Decomposition, DistributionFrame
 from slantkit.errors import ComponentError, SpecError, UnsupportedError
 from slantkit.expr import VectorFieldExpr
@@ -211,6 +212,7 @@ class TestEigenDerivative:
 def _component_outer_rows(dec, probe, points):
     """Reference for the probe maxima: components outer, one
     nabla_f2 call per (X, Y) column pair, displaced frames rebuilt per call."""
+    tol = DEFAULT_TOLERANCES.override({"fd_step": probe.h})
     rows = []
     for ci, comp in enumerate(dec.components):
         max_nabla = max_in = max_tm = 0.0
@@ -222,10 +224,10 @@ def _component_outer_rows(dec, probe, points):
                     val = nabla_f2(dec, probe, frame.x, basis[:, col], basis[:, ycol])
                     max_nabla = max(max_nabla, float(np.linalg.norm(val)))
                 max_in = max(max_in, abs(eigenvalue_directional_derivative(
-                    dec, frame.x, ci, basis[:, col], probe.h)))
+                    dec, frame.x, ci, basis[:, col], tol)))
             for d in dec.tm_directions():
                 max_tm = max(max_tm, abs(eigenvalue_directional_derivative(
-                    dec, frame.x, ci, d, probe.h)))
+                    dec, frame.x, ci, d, tol)))
         rows.append((comp.name, max_nabla, max_in, max_tm))
     return rows
 
