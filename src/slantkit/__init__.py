@@ -24,7 +24,6 @@ from .structure import StructureField, validate_structure  # noqa: E402
 from .verifier import (  # noqa: E402
     CovariantProbe,
     connection_criterion_report,
-    nabla_f2,
     run_identity_suite,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "fixture_oracle_check",
     "fw_split",
     "load_manifold_spec",
-    "nabla_f2",
     "run_identity_suite",
     "slant_function_table",
     "slant_spectrum",

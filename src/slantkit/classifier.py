@@ -127,7 +127,7 @@ def component_slant(dec: Decomposition, point, index: int,
 
 
 def single_cluster_lambda(frame, name: str, mat: np.ndarray,
-                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+                          tolerances: Tolerances = DEFAULT_TOLERANCES):
     """lambda of the component `name` at `frame` from its f^2 matrix `mat`
     (r x r, symmetric, in an orthonormal basis of the component): the trace
     mean tr(mat) / r, the mean of its single eigenvalue cluster. This is the
@@ -137,22 +137,48 @@ def single_cluster_lambda(frame, name: str, mat: np.ndarray,
     sqrt(2) * ||mat - lambda I||_F, so a certificate at or below cluster/2
     proves one cluster; otherwise eigvalsh and `cluster_eigenvalues` count
     the clusters, and more than one raises ComponentError naming `name`.
-    ModelError when a cluster lies outside the lambda band."""
-    r = mat.shape[0]
-    lam = float(np.trace(mat)) / r
-    if math.sqrt(2.0) * float(np.linalg.norm(mat - lam * np.eye(r))) > 0.5 * tolerances.cluster:
-        evals = np.linalg.eigvalsh(mat)
-        lams = [float(np.mean(evals[group]))
-                for group in cluster_eigenvalues(evals, tolerances.cluster)]
-        for value in lams:
-            _lambda_to_alpha_theta(value, frame.epsilon, tolerances.lambda_band)
-        if len(lams) != 1:
-            raise ComponentError(
-                f"component {name!r} carries {len(lams)} eigenvalue clusters "
-                f"{lams} at {frame.x.tolist()}; the declared decomposition is coarser "
-                "than the eigenstructure")
-    _lambda_to_alpha_theta(lam, frame.epsilon, tolerances.lambda_band)
+    ModelError when a cluster lies outside the lambda band.
+
+    `mat` may also be a stack (..., r, r), such as the connection probe's
+    first-order models of the matrix near `frame`; the certificate and the
+    band are checked on every member at once, eigvalsh runs only on members
+    the certificate does not clear, and the result is the array of trace
+    means."""
+    r = mat.shape[-1]
+    band = tolerances.lambda_band
+    if mat.ndim == 2:
+        lam = float(np.trace(mat)) / r
+        cert = math.sqrt(2.0) * float(np.linalg.norm(mat - lam * np.eye(r)))
+        if cert > 0.5 * tolerances.cluster:
+            _count_clusters(frame, name, mat, tolerances, "at")
+        _lambda_to_alpha_theta(lam, frame.epsilon, band)
+        return lam
+    lam = np.trace(mat, axis1=-2, axis2=-1) / r
+    dev = mat - lam[..., None, None] * np.eye(r)
+    cert = math.sqrt(2.0) * np.sqrt(np.sum(dev * dev, axis=(-2, -1)))
+    for idx in np.argwhere(cert > 0.5 * tolerances.cluster):
+        _count_clusters(frame, name, mat[tuple(idx)], tolerances, "to first order near")
+    s = frame.epsilon * lam
+    outside = lam[(s < -band) | (s > 1.0 + band)]
+    if outside.size:
+        _lambda_to_alpha_theta(float(outside[0]), frame.epsilon, band)   # raises ModelError
     return lam
+
+
+def _count_clusters(frame, name: str, mat: np.ndarray, tolerances: Tolerances, where: str):
+    """eigvalsh and `cluster_eigenvalues` on a matrix the certificate did
+    not clear: ModelError for a cluster outside the lambda band,
+    ComponentError for more than one cluster."""
+    evals = np.linalg.eigvalsh(mat)
+    lams = [float(np.mean(evals[group]))
+            for group in cluster_eigenvalues(evals, tolerances.cluster)]
+    for value in lams:
+        _lambda_to_alpha_theta(value, frame.epsilon, tolerances.lambda_band)
+    if len(lams) != 1:
+        raise ComponentError(
+            f"component {name!r} carries {len(lams)} eigenvalue clusters "
+            f"{lams} {where} {frame.x.tolist()}; the declared decomposition is coarser "
+            "than the eigenstructure")
 
 
 def slant_function_table(dec: Decomposition, index: int, points,

@@ -25,8 +25,9 @@ class Tolerances:
     principal: float = 1e-8        # span comparisons (principal angles)
     alpha_margin: float = 1e-6     # flag alphas this close to 0 or 1
     lambda_band: float = 1e-6      # admissible overshoot of eps*lambda past [0, 1]
-    fd_step: float = 1e-5          # central-difference step
-    zero_threshold: float = 1e-4   # below this a finite difference counts as zero
+    fd_step: float = 1e-5          # h of the connection probe's first-order checks at x +- hX,
+                                   # and the step of its central-difference fallback
+    zero_threshold: float = 1e-4   # below this a derivative of the connection probe counts as zero
 
     def override(self, mapping: dict | None) -> "Tolerances":
         if mapping is None:

@@ -50,17 +50,46 @@ def f2_gram(g: np.ndarray | None, basis: np.ndarray, op: np.ndarray, x: np.ndarr
     """basis^T g op(op(basis)): the square of the operator `op` on the
     g-orthonormal columns of `basis` (`g` None for the euclidean metric),
     symmetrized. For a compatible phi it is symmetric in exact arithmetic,
-    so a relative asymmetry above F2_SYMMETRY_RTOL raises ModelError naming
-    the point `x`."""
+    so `check_f2_symmetric` raises ModelError naming the point `x` on an
+    asymmetric one."""
     image = op @ (op @ basis)
     mat = basis.T @ (image if g is None else g @ image)
-    scale = max(float(np.linalg.norm(mat)), 1e-300)
-    asym = float(np.linalg.norm(mat - mat.T))
-    if asym > F2_SYMMETRY_RTOL * scale and asym > 1e-14:
-        raise ModelError(
-            f"restricted endomorphism square is asymmetric (residual {asym:.3e}) at "
-            f"{x.tolist()}; the decomposition or structure is invalid")
+    check_f2_symmetric(mat, "at", x)
     return 0.5 * (mat + mat.T)
+
+
+def check_f2_symmetric(mat: np.ndarray, place: str, x: np.ndarray):
+    """ModelError when an f^2 Gram `mat`, or a matrix of a stack of them
+    (..., r, r), has a relative asymmetry above F2_SYMMETRY_RTOL; the
+    message puts it `place` ("at", say) the point `x`."""
+    for member in mat.reshape(-1, *mat.shape[-2:]):
+        scale = max(float(np.linalg.norm(member)), 1e-300)
+        asym = float(np.linalg.norm(member - member.T))
+        if asym > F2_SYMMETRY_RTOL * scale and asym > 1e-14:
+            raise ModelError(
+                f"restricted endomorphism square is asymmetric (residual {asym:.3e}) "
+                f"{place} {x.tolist()}; the decomposition or structure is invalid")
+
+
+def check_orthogonality(names: list[str], owner: np.ndarray, gram: np.ndarray,
+                        xi_part: np.ndarray | None, place: str, x: np.ndarray):
+    """InvariantError when an off-diagonal block of `gram`, the Gram
+    basis_d^T g basis_d (..., r, r) of one frame or a stack, exceeds
+    PAIRWISE_ORTHO_TOL, or when `xi_part` = xi^T g basis_d (..., r) does;
+    `owner` holds the component of each column of basis_d. Names the first
+    failing pair (i, j), i < j, or the first component not orthogonal to
+    xi, `place` ("at", say) the point `x`."""
+    cross = (np.abs(gram) > PAIRWISE_ORTHO_TOL) & (owner[:, None] < owner[None, :])
+    if cross.any():
+        *_, rows, cols = np.nonzero(cross)
+        i, j = min(zip(owner[rows], owner[cols]))
+        raise InvariantError(f"components {names[i]!r} and {names[j]!r} are not "
+                             f"orthogonal {place} {x.tolist()}")
+    if xi_part is not None:
+        off = np.nonzero(np.abs(xi_part) > PAIRWISE_ORTHO_TOL)[-1]
+        if off.size:
+            raise InvariantError(f"component {names[owner[off.min()]]!r} is not orthogonal "
+                                 f"to xi {place} {x.tolist()}")
 
 
 class DistributionFrame:
@@ -101,6 +130,15 @@ class DistributionFrame:
 
     def raw_at(self, point) -> np.ndarray:
         return np.column_stack([f.at(point) for f in self.fields])
+
+    def raw_jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
+        """Derivatives of `raw_at` along the coordinates `coords` (0-based):
+        (len(coords), n, rank), or None when every field is constant."""
+        jacs = [f.jacobian(x, coords, h) for f in self.fields]
+        if all(jac is None for jac in jacs):
+            return None
+        zero = np.zeros((len(coords), self.n))
+        return np.stack([zero if jac is None else jac for jac in jacs], axis=-1)
 
 
 class Decomposition:
@@ -168,8 +206,10 @@ class PointFrame:
     `basis_d` with each component's column range, and `proj_d`. Built on
     first use (`cached_property`) and kept: the component projectors behind
     `pr`, `basis_perp` (complement of D), `basis_g` (of G), `proj_g`, the
-    f^2 Gram (`f2_full`) and the dual slice (`dual`); the connection probe's
-    displaced frames build only the f^2 Gram. Immutable once built.
+    f^2 Gram (`f2_full`) and the dual slice (`dual`). The connection probe
+    differentiates a frame's data at its own point
+    (`tangents.frame_derivatives`) and builds no frame at a displaced point;
+    only its finite-difference oracles do. Immutable once built.
     """
 
     def __init__(self, dec: Decomposition, x: np.ndarray):
@@ -200,33 +240,11 @@ class PointFrame:
         self._offsets = (0, *accumulate(ranks))
         self.basis_d = (np.column_stack(self.bases)
                         if self.bases else np.zeros((s.n, 0)))
-        self._check_orthogonality(np.repeat(np.arange(len(ranks)), ranks))
-        self.proj_d = projector_matrix(self.g, self.basis_d)
-
-    # -- construction checks -------------------------------------------------
-
-    def _check_orthogonality(self, owner: np.ndarray):
-        """One Gram basis_d^T g basis_d, whose off-diagonal blocks must
-        vanish within PAIRWISE_ORTHO_TOL, and one basis_d^T g xi; `owner`
-        holds the component of each column of basis_d. Names the first
-        failing pair (i, j), i < j, or the first component not orthogonal
-        to xi."""
-        comps = self.dec.components
         g_basis = self.g @ self.basis_d
-        cross = ((np.abs(self.basis_d.T @ g_basis) > PAIRWISE_ORTHO_TOL)
-                 & (owner[:, None] < owner[None, :]))
-        if cross.any():
-            rows, cols = np.nonzero(cross)
-            i, j = min(zip(owner[rows], owner[cols]))
-            raise InvariantError(
-                f"components {comps[i].name!r} and {comps[j].name!r} are not "
-                f"orthogonal at {self.x.tolist()}")
-        if self.xi is not None:
-            off = np.flatnonzero(np.abs(self.xi @ g_basis) > PAIRWISE_ORTHO_TOL)
-            if off.size:
-                raise InvariantError(
-                    f"component {comps[owner[off[0]]].name!r} is not orthogonal to xi "
-                    f"at {self.x.tolist()}")
+        check_orthogonality(dec.component_names(), np.repeat(np.arange(len(ranks)), ranks),
+                            self.basis_d.T @ g_basis,
+                            None if self.xi is None else self.xi @ g_basis, "at", x)
+        self.proj_d = projector_matrix(self.g, self.basis_d)
 
     # -- basic maps ------------------------------------------------------------
 

@@ -19,6 +19,10 @@ generated straight-line Python function, compiled on its first use. The tree
 walker `_eval` stays the oracle: it serves `evaluate`, the differential tests
 compare the compiled fills against it, and a fill whose compiled code meets a
 domain fault re-walks its entries with it, so `_eval` alone raises EvalError.
+
+`LiteralFill.jacobian` differentiates the same entries in forward mode: the
+emitter below takes a tangent writer (module `tangents`) that adds a tangent
+statement to each value statement.
 """
 
 from __future__ import annotations
@@ -354,12 +358,15 @@ def _eval(e: Expr, x: np.ndarray) -> float:
 
 def require_finite(values: np.ndarray, entries, x: np.ndarray, label: str):
     """Raise EvalError naming the first non-finite entry of an assembled
-    array; `entries` holds its expressions, indexed like `values`."""
+    array; `entries` holds its expressions, indexed like `values` (a
+    Jacobian's trailing derivative axis indexes no expression)."""
     if np.isfinite(values).all():
         return
     idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
     entry = entries
     for i in idx:
+        if not isinstance(entry, (tuple, list)):
+            break
         entry = entry[i]
     where = "".join(f"[{i}]" for i in idx)
     raise EvalError(f"non-finite value {values[idx]} of {label}{where} at {x.tolist()}",
@@ -400,12 +407,20 @@ class _Emitter:
     local, because evaluation is pure; the entries of a fill repeat most of
     their subexpressions, so this cuts the statements to compile several-fold.
     The source holds only float literals (repr), coordinate indices and the
-    names of _BINARY and _CALLS."""
+    names of _GLOBALS.
 
-    def __init__(self):
+    A `tangents` writer, when given, sees each new value statement (its
+    `emitted`) and writes the generated function (its `function`)."""
+
+    def __init__(self, tangents):
         self.lines: list[str] = []
         self.locals: dict[str, str] = {}  # right-hand side -> its local
         self.uses_norm2 = False
+        self.tangents = tangents
+
+    def size(self) -> int:
+        """Statements written so far."""
+        return len(self.lines) + (0 if self.tangents is None else self.tangents.size())
 
     def operand(self, e: Expr) -> str:
         """Python source for the value of `e`: a literal, a coordinate, or
@@ -420,11 +435,14 @@ class _Emitter:
             self.uses_norm2 = True
             return "n2"
         if isinstance(e, Neg):
-            value = "-" + self.operand(e.operand)
+            args = ("neg", self.operand(e.operand))
+            value = "-" + args[1]
         elif isinstance(e, Bin) and e.op in _BINARY:
-            value = _BINARY[e.op].format(self.operand(e.left), self.operand(e.right))
+            args = (e.op, self.operand(e.left), self.operand(e.right))
+            value = _BINARY[e.op].format(*args[1:])
         elif isinstance(e, Call) and e.func in _CALLS:
-            value = f"{_CALLS[e.func]}({self.operand(e.arg)})"
+            args = (e.func, self.operand(e.arg))
+            value = f"{_CALLS[e.func]}({args[1]})"
         else:
             # not a node the parser builds: fault, so that _eval decides
             self.lines.append("raise ValueError")
@@ -432,6 +450,8 @@ class _Emitter:
         if value not in self.locals:
             self.locals[value] = name = f"t{len(self.locals)}"
             self.lines.append(f"{name} = {value}")
+            if self.tangents is not None:
+                self.tangents.emitted(name, args)
         return self.locals[value]
 
 
@@ -442,29 +462,40 @@ class _Emitter:
 _CHUNK_STATEMENTS = 1000
 
 
-def _compile(entries) -> list[Callable[[np.ndarray], list]]:
-    """Functions x -> [value of each entry at x], one per run of entries, in
-    order. Their code nests no expressions, so no entry can exceed CPython's
-    parser limits."""
-    parts, emitter, results = [], _Emitter(), []
+def _compile(entries, tangents: type | None) -> list[tuple[Callable | None, int]]:
+    """(function, number of entries) per run of entries, in order: functions
+    x -> [value of each entry at x], or a `tangents` writer's functions when
+    its type is given. Their code nests no expressions, so no entry can
+    exceed CPython's parser limits."""
+
+    def emitter():
+        return _Emitter(None if tangents is None else tangents())
+
+    parts, current, results = [], emitter(), []
     for e in entries:
-        results.append(emitter.operand(e))
-        if len(emitter.lines) >= _CHUNK_STATEMENTS:
-            parts.append(_function(emitter, results))
-            emitter, results = _Emitter(), []
+        results.append(current.operand(e))
+        if current.size() >= _CHUNK_STATEMENTS:
+            parts.append((_function(current, results), len(results)))
+            current, results = emitter(), []
     if results:
-        parts.append(_function(emitter, results))
+        parts.append((_function(current, results), len(results)))
     return parts
 
 
-def _function(emitter: _Emitter, results: list[str]) -> Callable[[np.ndarray], list]:
+def _function(emitter: _Emitter, results: list[str]) -> Callable | None:
+    if emitter.tangents is not None:
+        return emitter.tangents.function(emitter, results)
     body = ["c = x.tolist()"]
     if emitter.uses_norm2:
         body.append("n2 = float(x @ x)")
     body += emitter.lines
     body.append(f"return [{', '.join(results)}]")
-    source = "def fill(x):\n" + "".join(f"    {line}\n" for line in body)
-    scope = dict(_GLOBALS)
+    return _define("def fill(x):\n" + "".join(f"    {line}\n" for line in body), _GLOBALS)
+
+
+def _define(source: str, scope: dict) -> Callable:
+    """The function `fill` that `source` defines, with the names of `scope`."""
+    scope = dict(scope)
     exec(compile(source, "<slantkit.expr.LiteralFill>", "exec"), scope)
     return scope["fill"]
 
@@ -475,11 +506,12 @@ class LiteralFill:
     function, built on the first `at`; on a domain fault `at` discards its
     values and walks the same entries in the order given, so the error is
     `_eval`'s. Constant subexpressions are not folded, so `1/0` still raises
-    EvalError when it is evaluated.
+    EvalError when it is evaluated. `jacobian` compiles its tangent code on
+    its own first call.
 
     `items` yields (index into an array of `shape`, expression)."""
 
-    __slots__ = ("literals", "live", "_where", "_parts")
+    __slots__ = ("literals", "live", "_where", "_parts", "_tangent_parts")
 
     def __init__(self, shape: tuple[int, ...], items):
         self.literals = np.zeros(shape)
@@ -489,15 +521,18 @@ class LiteralFill:
                 self.literals[idx] = entry.value
             else:
                 self.live.append((idx, entry))
-        self._parts = None
+        self._parts = self._tangent_parts = None
+
+    def _build(self, tangents: type | None) -> list[tuple[Callable | None, int]]:
+        self._where = tuple(np.array(axis) for axis in zip(*(idx for idx, _ in self.live)))
+        return _compile([entry for _, entry in self.live], tangents)
 
     def at(self, x: np.ndarray) -> np.ndarray:
         out = self.literals.copy()
         if not self.live:
             return out
         if self._parts is None:
-            self._where = tuple(np.array(axis) for axis in zip(*(idx for idx, _ in self.live)))
-            self._parts = _compile([entry for _, entry in self.live])
+            self._parts = [part for part, _ in self._build(None)]
         try:
             values = []
             for part in self._parts:
@@ -506,6 +541,14 @@ class LiteralFill:
             values = [_eval(entry, x) for _, entry in self.live]
         out[self._where] = values
         return out
+
+    def jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
+        """Derivatives of the entries at x along the coordinate directions
+        `coords` (0-based): (len(coords), *shape), or None when no entry
+        depends on the point (`tangents.fill_jacobian`, h the step of its
+        central-difference fallback)."""
+        from .tangents import fill_jacobian
+        return fill_jacobian(self, x, coords, h)
 
 
 class VectorFieldExpr:
@@ -536,6 +579,14 @@ class VectorFieldExpr:
         values = self._fill.at(x)
         require_finite(values, self.components, x, "vector field")
         return values
+
+    def jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
+        """Derivatives (len(coords), n) along the coordinates `coords`
+        (0-based), or None where the field is constant (`LiteralFill.jacobian`)."""
+        jac = self._fill.jacobian(x, coords, h)
+        if jac is not None:
+            require_finite(jac.T, self.components, x, "derivative of vector field")
+        return jac
 
     def is_zero_component(self, index: int) -> bool:
         """True when component `index` (0-based) is the literal constant 0."""

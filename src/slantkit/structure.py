@@ -89,6 +89,16 @@ class StructureField:
         fe.require_finite(mat.T, self.phi_columns, x, "phi_columns")
         return mat
 
+    def phi_jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
+        """Derivatives of phi along the coordinates `coords` (0-based):
+        (len(coords), n, n), or None where phi is constant
+        (`expr.LiteralFill.jacobian`, with h the step of its fallback)."""
+        jac = self._phi_fill.jacobian(x, coords, h)
+        if jac is not None:
+            fe.require_finite(jac.transpose(2, 1, 0), self.phi_columns, x,
+                              "derivative of phi_columns")
+        return jac
+
     def metric_at(self, point) -> np.ndarray:
         if self.metric_exprs is None:
             return np.eye(self.n)

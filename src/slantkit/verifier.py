@@ -33,10 +33,10 @@ maps, the draw pair and the coefficient (table in docs/taxonomy.md):
     _summed_metric     g(mX, mY) = sum_i c_i g(X_i, Y_i)         on a Side
     _summed_angle      cos<(mX, mY) = cos<(sum c_i X_i, sum c_i Y_i)   on a Side
 
-The connection criteria probe the flat-ambient covariant derivative of the
-restricted endomorphism square by central differences within the submanifold
-mask, and cross-tabulate the derivative verdicts against the classifier's
-constancy verdicts.
+The connection criteria differentiate the restricted endomorphism square of
+the flat ambient space exactly, along the directions of the submanifold mask,
+from the tangents of the compiled fields, and cross-tabulate the derivative
+verdicts against the classifier's constancy verdicts.
 """
 
 from __future__ import annotations
@@ -775,15 +775,23 @@ def _check_in_mask(dec: Decomposition, direction: np.ndarray):
 
 def _displaced_frames(dec: Decomposition, x: np.ndarray, d: np.ndarray, h: float):
     """The frames at x + hX and x - hX of a central difference along X, built
-    outside the decomposition's frame cache (they are needed once)."""
+    outside the decomposition's frame cache (they are needed once). SpecError
+    when the step h leaves a coordinate that X moves unchanged."""
     _check_in_mask(dec, d)
-    return PointFrame(dec, x + h * d), PointFrame(dec, x - h * d)
+    plus, minus = x + h * d, x - h * d
+    moved = d != 0.0
+    if np.any((plus == x)[moved]) or np.any((minus == x)[moved]):
+        raise SpecError(f"fd_step {h!r} leaves a coordinate of {x.tolist()} unchanged "
+                        "along the probe direction; the central difference needs a larger step")
+    return PointFrame(dec, plus), PointFrame(dec, minus)
 
 
 def nabla_f2(dec: Decomposition, probe: CovariantProbe, point, direction, y) -> np.ndarray:
     """(nabla_X f^2) Y in flat ambient space by central differences of the
     ambient matrix field of f^2|D, with Y extended constantly along X (any
     smooth extension gives the same value, and the constant one is free).
+    The connection probe computes it exactly; this is its finite-difference
+    oracle.
 
     `y` is one vector (n,) or the columns of an (n, r) matrix; the displaced
     fields at x +- hX are computed once for all columns."""
@@ -810,8 +818,9 @@ def _lambdas(frame, indices, tolerances: Tolerances) -> dict[int, float]:
 def eigenvalue_directional_derivative(dec: Decomposition, point, comp_index: int, direction,
                                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
     """X(lambda_i): central difference of the component's single-cluster
-    eigenvalue, read at x +- hX as the trace mean of its f^2 block, with
-    h = `tolerances.fd_step`."""
+    eigenvalue (`classifier.single_cluster_lambda` on its block of the f^2
+    Gram) at x +- hX, with h = `tolerances.fd_step`; the finite-difference
+    oracle of the connection probe."""
     h = tolerances.fd_step
     x = np.asarray(getattr(point, "coords", point), dtype=float)
     d = np.asarray(getattr(direction, "comps", direction), dtype=float)
@@ -833,6 +842,29 @@ def _probe_directions(frame, tm_dirs) -> list[list]:
     return list(dirs.values())
 
 
+def _derivatives(frame: PointFrame, dirs: np.ndarray, checked: np.ndarray, coords: list[int],
+                 h: float, tolerances: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Per direction X (the rows of `dirs`) and component: the largest
+    column norm of (nabla_X f^2) B_i and |X(lambda_i)| = |tr(dM_i)| / r_i,
+    from `tangents.frame_derivatives`. The components `checked` (q, c) along
+    each direction must keep one eigenvalue cluster inside the lambda band
+    on the first-order models M_i +- h dM_i (`single_cluster_lambda`)."""
+    from .tangents import frame_derivatives
+    d_f2, norms = frame_derivatives(frame, dirs, coords, h)
+    ranks = np.array([b.shape[1] for b in frame.bases])
+    starts = np.cumsum(ranks) - ranks
+    for i, name in enumerate(frame.dec.component_names()):
+        cols = slice(starts[i], starts[i] + ranks[i])
+        block = d_f2[checked[:, i], cols, cols]
+        block = 0.5 * (block + block.transpose(0, 2, 1))
+        if block.size:
+            M = frame.f2_component(i)
+            single_cluster_lambda(frame, name, np.concatenate([M + h * block, M - h * block]),
+                                  tolerances)
+    traces = np.add.reduceat(np.einsum("qii->qi", d_f2), starts, axis=1)
+    return np.maximum.reduceat(norms, starts, axis=1), np.abs(traces) / ranks
+
+
 def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, points,
                                 tolerances: Tolerances = DEFAULT_TOLERANCES,
                                 seed: int = DEFAULT_SEED,
@@ -841,14 +873,14 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
     (b) max |X(lambda_i)| over X in D_i, (c) the same over all masked
     directions; cross-tabulated against the classifier's constancy verdicts.
 
-    Each displaced point x +- hX is visited once. Its ambient f^2 gives the
-    central difference (nabla_X f^2) for every component X lies in, and
-    lambda_i there for every component differentiated along X: the trace
-    mean of the component's f^2 block, which is the mean of its single
-    eigenvalue cluster. The displaced frame is built in full, outside the
-    frame cache, and the cluster count and lambda band are still checked there
-    (`classifier.single_cluster_lambda`), so a component whose cluster splits
-    at x +- hX raises ComponentError.
+    The derivatives are exact, from the tangents of the compiled fields at
+    each sample point (`_derivatives`); no frame is built at x +- hX. The
+    step h (`fd_step`) sets the first-order models x +- hX on which the
+    checks of such frames run (a component whose cluster splits there to
+    first order raises ComponentError). It is also the step of the central
+    difference that stands in for a field's derivative where its tangent
+    code faults. `nabla_f2` and `eigenvalue_directional_derivative` are the
+    finite-difference oracles.
 
     The hypotheses behind the underlying equivalences (covariant derivatives
     staying inside D) are sample-checked only, never certified; entries say
@@ -860,42 +892,31 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
         classification = classify(dec, points, tolerances, seed=seed)
     by_name = {e["name"]: e for e in classification.components}
     tm_dirs = dec.tm_directions()
+    coords = [i - 1 for i in dec.mask]
     comps = dec.components
-    every = range(len(comps))
-    h = probe.h
-    max_nabla = [0.0] * len(comps)
-    max_dlam_in = [0.0] * len(comps)
-    max_dlam_tm = [0.0] * len(comps)
+    max_nabla = max_dlam_in = max_dlam_tm = np.zeros(len(comps))
     for point in points:
         frame = dec.frame_at(point)
-        for d, within, along_tm in _probe_directions(frame, tm_dirs):
-            fp, fm = _displaced_frames(dec, frame.x, d, h)
-            checked = every if along_tm else sorted(within)
-            lam_p = _lambdas(fp, checked, tolerances)
-            lam_m = _lambdas(fm, checked, tolerances)
-            df2 = (fp.f2_ambient() - fm.f2_ambient()) / (2.0 * h)
-            for ci in within:
-                val = df2 @ frame.component_basis(ci)
-                max_nabla[ci] = max(max_nabla[ci],
-                                    float(np.max(np.linalg.norm(val, axis=0))))
-            for ci in checked:
-                dl = abs((lam_p[ci] - lam_m[ci]) / (2.0 * h))
-                if ci in within:
-                    max_dlam_in[ci] = max(max_dlam_in[ci], dl)
-                if along_tm:
-                    max_dlam_tm[ci] = max(max_dlam_tm[ci], dl)
+        dirs = _probe_directions(frame, tm_dirs)
+        within = np.array([[ci in w for ci in range(len(comps))] for _, w, _ in dirs])
+        along_tm = np.array([[tm] for _, _, tm in dirs])
+        nabla, dlam = _derivatives(frame, np.array([d for d, _, _ in dirs]), within | along_tm,
+                                   coords, probe.h, tolerances)
+        max_nabla = np.maximum(max_nabla, np.where(within, nabla, 0.0).max(axis=0))
+        max_dlam_in = np.maximum(max_dlam_in, np.where(within, dlam, 0.0).max(axis=0))
+        max_dlam_tm = np.maximum(max_dlam_tm, np.where(along_tm, dlam, 0.0).max(axis=0))
     rows = []
     consistent_all = True
     for ci, comp in enumerate(comps):
-        derivative_constant = max_dlam_tm[ci] <= probe.zero_threshold
+        derivative_constant = bool(max_dlam_tm[ci] <= probe.zero_threshold)
         classifier_constant = by_name[comp.name]["verdict"] in ("invariant", "slant")
         consistent = derivative_constant == classifier_constant
         consistent_all = consistent_all and consistent
         rows.append({
             "component": comp.name,
-            "max_nabla_f2": max_nabla[ci],
-            "max_dlambda_within": max_dlam_in[ci],
-            "max_dlambda_tm": max_dlam_tm[ci],
+            "max_nabla_f2": float(max_nabla[ci]),
+            "max_dlambda_within": float(max_dlam_in[ci]),
+            "max_dlambda_tm": float(max_dlam_tm[ci]),
             "derivative_constant": derivative_constant,
             "classifier_constant": classifier_constant,
             "consistent": consistent,

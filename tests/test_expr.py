@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slantkit import expr as fe
-from slantkit.errors import EvalError, ParseError
+from slantkit import tangents
+from slantkit.errors import EvalError, ParseError, SpecError
 from slantkit.structure import KIND_HERMITIAN, StructureField
 
 
@@ -309,3 +310,122 @@ def test_literal_fill_compiles_long_fills_in_parts():
     x = np.array([0.75, -1.5, 2.0])
     assert _same(fill.at(x), np.array(_walk(entries, x)))
     assert len(fill._parts) > 1
+
+
+# --- Jacobians: tangent code, literal-0 tangents, the central-difference fallback ---
+
+_POINT3 = np.array([0.7, 1.3, -0.4])
+# one entry per tangent rule, and entries sharing subtrees
+_SMOOTH = ("x1 + x2", "x1 - x2", "-x3", "x1*x2", "x1/x2", "2/x2", "x1^3", "x2^x1", "2^x3",
+           "(x1 + 1)^x2", "sin(x1*x2)", "cos(x3)", "abs(x1 - x2)", "sqrt(x1^2 + 1)",
+           "arccos(x1/4)", "norm2", "pi*x3", "(norm2 + 1)/sqrt(2*norm2^2 + 3)",
+           "sqrt(2*norm2^2 + 3) - norm2*x1", "3/5 + x1*(2 - 1)")
+
+
+def _central(fill, x, h=1e-6):
+    return np.array([(fill.at(x + h * e) - fill.at(x - h * e)) / (2 * h) for e in np.eye(len(x))])
+
+
+def test_jacobian_matches_central_differences(monkeypatch):
+    fallbacks = []
+    monkeypatch.setattr(tangents, "_central_difference",
+                        lambda fill, x, j, h: fallbacks.append(j))
+    entries = [fe.parse(src, 3) for src in _SMOOTH]
+    fill = fe.LiteralFill((len(entries),), (((i,), e) for i, e in enumerate(entries)))
+    jac = fill.jacobian(_POINT3, [0, 1, 2], 1e-5)
+    assert jac.shape == (3, len(entries))
+    np.testing.assert_allclose(jac, _central(fill, _POINT3), rtol=1e-8, atol=1e-8)
+    assert not fallbacks
+    # a subset of the coordinates, in any order
+    np.testing.assert_array_equal(fill.jacobian(_POINT3, [2, 0], 1e-5), jac[[2, 0]])
+
+
+def test_jacobian_compiled_on_first_call_only():
+    field = fe.VectorFieldExpr.parse(["x1*x2", "sin(x3)", "0"], 3)
+    field.at(_POINT3)
+    assert field._fill._tangent_parts is None
+    jac = field.jacobian(_POINT3, [0, 1, 2], 1e-5)
+    np.testing.assert_allclose(jac, [[1.3, 0, 0], [0.7, 0, 0], [0, math.cos(-0.4), 0]])
+
+
+def test_constant_fills_have_no_jacobian():
+    """Entries free of coordinates have literal-0 tangents: no tangent code
+    and no Jacobian."""
+    field = fe.VectorFieldExpr.parse(["3/5", "pi", "1", "sqrt(2)*cos(1)"], 4)
+    assert field.jacobian(np.zeros(4), [0, 1], 1e-5) is None
+    assert fe.VectorFieldExpr.parse(["0", "x2"], 2).jacobian(np.zeros(2), [0], 1e-5) is not None
+
+
+@pytest.mark.parametrize("src, x", [
+    ("abs(x1)", [0.0, 2.0]),                   # abs at 0
+    ("x1^x2", [0.0, 2.0]),                     # point-dependent exponent at base 0
+    ("(x1 - 1)^x2", [0.0, 2.0]),               # ... and at a negative base
+    ("arccos(x1)", [1 + 5e-13, 2.0]),          # an active clamp
+    ("sqrt(x1 - x2 + 2)", [0.0, 2.0 + 5e-13]),  # an active clamp
+])
+def test_faulting_tangents_fall_back_to_central_differences(src, x, monkeypatch):
+    """Where a derivative is undefined or a clamp is active, the tangent
+    code faults and the derivatives along that direction are the central
+    difference of `at`, which raises the walker's EvalError where a
+    displaced point leaves the domain."""
+    x = np.array(x)
+    field = fe.VectorFieldExpr.parse([src, "x2*x2"], 2)
+    calls = []
+    difference = tangents._central_difference
+
+    def counting(fill, x, j, h):
+        calls.append(j)
+        return difference(fill, x, j, h)
+
+    monkeypatch.setattr(tangents, "_central_difference", counting)
+    try:
+        want = _central(field._fill, x, h=1e-5)
+    except EvalError:
+        want = None
+    if want is None:
+        with pytest.raises(EvalError):
+            field.jacobian(x, [0, 1], 1e-5)
+    else:
+        np.testing.assert_allclose(field.jacobian(x, [0, 1], 1e-5), want, rtol=0, atol=1e-9)
+    assert calls
+
+
+def test_jacobian_of_what_the_fill_cannot_compile_is_the_walkers_error():
+    """A node the parser never builds faults the tangent code as it faults
+    the value code; the fallback's walk raises the walker's EvalError."""
+    field = fe.VectorFieldExpr([fe.Coord(1), fe.Call("tan", fe.Coord(1))])
+    with pytest.raises(EvalError, match="unknown function tan"):
+        field.jacobian(np.array([1.0, 2.0]), [0, 1], 1e-5)
+
+
+def test_sqrt_at_zero_falls_back_into_an_eval_error():
+    field = fe.VectorFieldExpr.parse(["sqrt(x1)"], 1)
+    assert field.at(np.zeros(1))[0] == 0.0
+    with pytest.raises(EvalError, match="sqrt of negative value -1e-05"):
+        field.jacobian(np.zeros(1), [0], 1e-5)
+
+
+def test_fallback_rejects_a_step_that_does_not_move_the_coordinate():
+    field = fe.VectorFieldExpr.parse(["abs(x1)", "x2"], 2)
+    with pytest.raises(SpecError, match=r"fd_step 1e-300 leaves x2 = 2.0 unchanged"):
+        field.jacobian(np.array([0.0, 2.0]), [0, 1], 1e-300)
+    # exact tangents need no step
+    np.testing.assert_array_equal(fe.VectorFieldExpr.parse(["x1*x2", "0"], 2).jacobian(
+        np.array([0.0, 2.0]), [0, 1], 1e-300), [[2.0, 0.0], [0.0, 0.0]])
+
+
+def test_non_finite_derivative_is_an_eval_error():
+    field = fe.VectorFieldExpr.parse(["1/x1", "x2"], 2)
+    with pytest.raises(EvalError, match=r"non-finite value -inf of derivative of vector field"):
+        field.jacobian(np.array([1e-200, 1.0]), [0, 1], 1e-5)
+
+
+def test_jacobian_of_long_fills_in_parts():
+    entries = [fe.parse("+".join(f"x{(i + t) % 3 + 1}*{t}.{i}" for t in range(400)), 3)
+               for i in range(3)]
+    fill = fe.LiteralFill((3,), (((i,), e) for i, e in enumerate(entries)))
+    jac = fill.jacobian(_POINT3, [0, 1, 2], 1e-5)
+    assert len(fill._tangent_parts) > 1
+    want = [[sum(float(f"{t}.{i}") for t in range(400) if (i + t) % 3 == j) for i in range(3)]
+            for j in range(3)]
+    np.testing.assert_allclose(jac, want, rtol=1e-12)

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from slantkit import tangents
 from slantkit.classifier import component_slant
 from slantkit.cli import main
 from slantkit.config import DEFAULT_TOLERANCES
-from slantkit.distribution import Decomposition, DistributionFrame
-from slantkit.errors import ComponentError, SpecError, UnsupportedError
+from slantkit.distribution import Decomposition, DistributionFrame, PointFrame
+from slantkit.errors import ComponentError, InvariantError, SpecError, UnsupportedError
 from slantkit.expr import VectorFieldExpr
 from slantkit.gallery import build_fixture, fixture_to_spec_dict
 from slantkit.specfile import load_manifold_spec
@@ -277,10 +278,58 @@ def _turned(fx, angle=0.3):
                          invariant=turn(dec.invariant), mask=fx.mask)
 
 
-def _split_spec() -> dict:
-    """Hermitian-kind spec, n = 10, D1 = span(e3, e4, e7, e8) merging two
-    slant blocks with angles 0.5 and 0.5 + x1: one eigenvalue cluster where
-    x1 = 0, two elsewhere."""
+def _rolling_spec() -> dict:
+    """Hermitian-kind spec, n = 6, phi the standard complex structure: D0 a
+    complex line and D1 a slant plane with angle 0.7 + 0.2 x2, both turned
+    by a rotation of angle 0.4 + 0.3 x1 + 0.2 x3 in the (z1, z3) plane
+    (z1 = x1 + i x2, z3 = x5 + i x6), which commutes with phi. Their
+    projectors move with the point."""
+    n = 6
+    cols = [["0"] * n for _ in range(n)]
+    for a in (1, 3, 5):
+        cols[a - 1][a] = "1"
+        cols[a][a - 1] = "-1"
+    b, t = "(0.4 + 0.3*x1 + 0.2*x3)", "(0.7 + 0.2*x2)"
+
+    def turn(v):
+        return [f"cos{b}*({v[0]}) - sin{b}*({v[4]})", f"cos{b}*({v[1]}) - sin{b}*({v[5]})",
+                v[2], v[3], f"sin{b}*({v[0]}) + cos{b}*({v[4]})",
+                f"sin{b}*({v[1]}) + cos{b}*({v[5]})"]
+
+    return {"ambient_dim": n, "epsilon": -1, "kind": "hermitian-like", "metric": "euclidean",
+            "phi_columns": cols, "submanifold_mask": [1, 2, 3, 4, 5, 6],
+            "distributions": {"D0": [turn(_unit(5, n)), turn(_unit(6, n))],
+                              "D1": [turn(_unit(1, n)),
+                                     turn(["0", f"cos{t}", f"sin{t}", "0", "0", "0"])]},
+            "decomposition": {"invariant": "D0", "proper": ["D1"]},
+            "sample_points": [[0.3, -0.2, 0.5, 0.1, 0.0, 0.2], [-0.4, 0.6, 0.1, -0.3, 0.2, 0.0]]}
+
+
+FD_ORACLE_PARAMS = {"ex1": dict(k=2, epsilon=-1), "ex3": dict(k=2, epsilon=1),
+                    "ex4": dict(k=2, epsilon=-1, gamma=0.5), "ex5": dict(k=2, epsilon=1, gamma=2.0),
+                    "ex8": dict(k=2, epsilon=1, gamma=0.0), "ex9": dict(k=2, epsilon=-1, gamma=1.5)}
+FD_ORACLE_CASES = [f"{fid}{turn}" for fid in FD_ORACLE_PARAMS for turn in ("", "-turned")]
+FD_ORACLE_CASES.append("rolling")
+
+
+def _fd_oracle_case(case: str):
+    """(decomposition, points) of a case of the finite-difference sweep."""
+    if case == "rolling":
+        spec = load_manifold_spec(_rolling_spec())
+        return spec.decomposition, spec.points
+    fid, _, turned = case.partition("-")
+    fx = build_fixture(fid, **FD_ORACLE_PARAMS[fid])
+    return (_turned(fx) if turned else fx.decomposition), fx.default_points()[:2]
+
+
+def _unit(i: int, n: int = 10) -> list[str]:
+    return ["1" if j == i else "0" for j in range(1, n + 1)]
+
+
+def _blocks_spec(angle_a: str, angle_b: str, proper: dict, points: list) -> dict:
+    """Hermitian-kind spec, n = 10: the invariant pair e1, e2 (D0) and the
+    hermitian slant blocks on e3..e6 and e7..e10 with angles `angle_a` and
+    `angle_b`; `proper` maps the proper components to their fields."""
     n = 10
     cols = [["0"] * n for _ in range(n)]
 
@@ -289,23 +338,36 @@ def _split_spec() -> dict:
 
     put(1, 2, "1")
     put(2, 1, "-1")
-    for a, angle in ((3, "0.5"), (7, "0.5 + x1")):   # the hermitian block on a .. a+3
+    for a, angle in ((3, angle_a), (7, angle_b)):   # the hermitian block on a .. a+3
         c1, c2 = f"cos({angle})", f"sin({angle})"
         b, c, d = a + 1, a + 2, a + 3
         for col, row, src in ((a, b, c1), (a, d, c2), (b, a, f"-({c1})"), (b, c, f"-({c2})"),
                               (c, b, c2), (c, d, f"-({c1})"), (d, a, f"-({c2})"), (d, c, c1)):
             put(col, row, src)
-
-    def unit(i):
-        return ["1" if j == i else "0" for j in range(1, n + 1)]
-
     return {"ambient_dim": n, "epsilon": -1, "kind": "hermitian-like", "metric": "euclidean",
             "phi_columns": cols, "submanifold_mask": [1, 2, 3, 4, 7, 8],
-            "distributions": {"D0": [unit(1), unit(2)],
-                              "D1": [unit(3), unit(4), unit(7), unit(8)]},
-            "decomposition": {"invariant": "D0", "proper": ["D1"]},
-            "sample_points": [[0, 0.3, 0.2, -0.1, 0, 0, 0.4, 0.1, 0, 0],
-                              [0, -0.5, 0.1, 0.3, 0, 0, -0.2, 0.6, 0, 0]]}
+            "distributions": {"D0": [_unit(1), _unit(2)], **proper},
+            "decomposition": {"invariant": "D0", "proper": list(proper)},
+            "sample_points": points}
+
+
+def _split_spec() -> dict:
+    """Hermitian-kind spec, n = 10, D1 = span(e3, e4, e7, e8) merging two
+    slant blocks with angles 0.5 and 0.5 + x1: one eigenvalue cluster where
+    x1 = 0, two elsewhere."""
+    return _blocks_spec("0.5", "0.5 + x1", {"D1": [_unit(3), _unit(4), _unit(7), _unit(8)]},
+                        [[0, 0.3, 0.2, -0.1, 0, 0, 0.4, 0.1, 0, 0],
+                         [0, -0.5, 0.1, 0.3, 0, 0, -0.2, 0.6, 0, 0]])
+
+
+def _pair_spec(angle_a: str, d2_first: list[str] | None = None) -> dict:
+    """Hermitian-kind spec, n = 10, D1 = span(e3, e4) with slant angle
+    `angle_a` and D2 = span(`d2_first` (default e7), e8) with angle 1.1; both
+    sample points have x1 = 0 and x2 = 2."""
+    return _blocks_spec(angle_a, "1.1", {"D1": [_unit(3), _unit(4)],
+                                         "D2": [d2_first or _unit(7), _unit(8)]},
+                        [[0, 2, 0.2, -0.1, 0, 0, 0.4, 0.1, 0, 0],
+                         [0, 2, 0.1, 0.3, 0, 0, -0.2, 0.6, 0, 0]])
 
 
 class TestConnectionReport:
@@ -331,6 +393,9 @@ class TestConnectionReport:
         assert not d1["classifier_constant"]
 
     def test_displaced_frames_dropped_and_report_unchanged(self):
+        """Only the sample points' frames stay resident, and the exact
+        derivatives agree with the central-difference oracle within 1e-8,
+        which bounds the oracle's own O(h^2) + O(eps/h) error at h = 1e-5."""
         probe = CovariantProbe()
         fx = build_fixture("ex8", k=2, epsilon=-1, gamma=0.5)
         points = fx.default_points()[:3]
@@ -340,8 +405,10 @@ class TestConnectionReport:
         assert rep["consistent"]
         oracle = _component_outer_rows(build_fixture("ex8", k=2, epsilon=-1, gamma=0.5)
                                        .decomposition, probe, points)
-        assert [(r["component"], r["max_nabla_f2"], r["max_dlambda_within"],
-                 r["max_dlambda_tm"]) for r in rep["components"]] == oracle
+        got = [(r["component"], r["max_nabla_f2"], r["max_dlambda_within"],
+                r["max_dlambda_tm"]) for r in rep["components"]]
+        assert [g[0] for g in got] == [o[0] for o in oracle]
+        assert np.allclose([g[1:] for g in got], [o[1:] for o in oracle], rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("case", ["ex5", "ex5-rotated", "ex3-rotated", "ex8-rotated"])
     def test_probe_matches_component_slant_oracle(self, case):
@@ -380,6 +447,140 @@ class TestConnectionReport:
         assert main(["identities", str(path)]) == 0
         assert main(["identities", str(path), "--connection"]) == 1
         assert capsys.readouterr().err.startswith("failure: component 'D1' carries 2")
+
+    @pytest.mark.parametrize("case", FD_ORACLE_CASES)
+    def test_probe_matches_finite_difference_oracle(self, case):
+        """Every gallery fixture, with coordinate and turned bases, and a
+        decomposition whose components turn with the point: the exact maxima
+        lie within 1e-8 of the central-difference oracle's, and the
+        derivative verdicts are the oracle's."""
+        decs, points = [], None
+        for _ in range(2):   # separate frame caches for the report and the oracle
+            dec, points = _fd_oracle_case(case)
+            decs.append(dec)
+        probe = CovariantProbe()
+        rep = connection_criterion_report(decs[0], probe, points)
+        want = _component_outer_rows(decs[1], probe, points)
+        got = rep["components"]
+        assert [r["component"] for r in got] == [w[0] for w in want]
+        assert np.allclose([[r["max_nabla_f2"], r["max_dlambda_within"], r["max_dlambda_tm"]]
+                            for r in got], [w[1:] for w in want], rtol=0, atol=1e-8)
+        assert ([r["derivative_constant"] for r in got]
+                == [w[3] <= probe.zero_threshold for w in want])
+        if case == "rolling":   # the components' projectors move with the point
+            assert min(r["max_nabla_f2"] for r in got) > 0.1
+
+    def test_connection_builds_frames_at_sample_points_only(self, tmp_path, monkeypatch):
+        built = []
+        build = PointFrame.__init__
+
+        def counting(frame, dec, x):
+            built.append(tuple(x.tolist()))
+            build(frame, dec, x)
+
+        monkeypatch.setattr(PointFrame, "__init__", counting)
+        fx = build_fixture("ex8", k=2, epsilon=-1, gamma=0.5)
+        points = fx.default_points()[:3]
+        path = tmp_path / "ex8.json"
+        path.write_text(json.dumps(fixture_to_spec_dict(fx, points=points)))
+        assert main(["identities", str(path), "--connection"]) == 0
+        assert sorted(built) == sorted(tuple(p.tolist()) for p in points)
+
+    def test_exact_probe_does_not_depend_on_the_step(self, tmp_path, capsys):
+        """A step too small to move the point changes no derivative: on ex8
+        the largest X(lambda_2) is 0.32 with fd_step 1e-300 as with 1e-5."""
+        path = tmp_path / "ex8.json"
+        assert main(["gallery", "emit", "ex8", "--k", "2", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        rows = []
+        for step in (1e-300, 1e-12, 1e-5):
+            path.write_text(json.dumps(dict(doc, tolerances={"fd_step": step})))
+            out = tmp_path / "report.json"
+            assert main(["identities", str(path), "--connection", "--json", str(out)]) == 0
+            rows.append([(r["component"], r["max_nabla_f2"], r["max_dlambda_tm"])
+                         for r in json.loads(out.read_text())["connection"]["components"]])
+        assert rows[0] == rows[1] == rows[2]
+        assert rows[0][2][2] == pytest.approx(0.32, abs=1e-12)
+
+    def test_oracle_rejects_a_step_that_does_not_move_the_point(self):
+        fx = build_fixture("ex5", k=2, epsilon=1, gamma=1.0)
+        p = np.zeros(10)
+        p[2] = 1.0
+        tiny = DEFAULT_TOLERANCES.override({"fd_step": 1e-300})
+        with pytest.raises(SpecError, match="fd_step 1e-300"):
+            eigenvalue_directional_derivative(fx.decomposition, p, 1, np.eye(10)[:, 2], tiny)
+        with pytest.raises(SpecError, match="fd_step 1e-300"):
+            nabla_f2(fx.decomposition, CovariantProbe(h=1e-300), p, np.eye(10)[:, 2],
+                     np.eye(10)[:, 3])
+
+    @pytest.mark.parametrize("angle", ["0.5 + 0.2*abs(x1)", "0.5 + 0.1*x1^x2"])
+    def test_faulting_tangents_take_the_fill_fallback(self, angle, tmp_path, monkeypatch,
+                                                      capsys):
+        """abs at 0 and a point-dependent exponent at base 0 have no tangent
+        there; their derivatives are central differences of the fill, and
+        every maximum reads 0 with every verdict consistent, as it did when
+        the probe differenced displaced frames. A step that leaves x2 = 2
+        unchanged is a SpecError naming fd_step."""
+        calls = []
+        difference = tangents._central_difference
+
+        def counting(fill, x, j, h):
+            calls.append(j)
+            return difference(fill, x, j, h)
+
+        monkeypatch.setattr(tangents, "_central_difference", counting)
+        doc = _pair_spec(angle)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert main(["identities", str(path), "--connection", "--json", str(out)]) == 0
+        assert calls
+        conn = json.loads(out.read_text())["connection"]
+        assert conn["consistent"]
+        for row in conn["components"]:
+            assert row["max_nabla_f2"] == row["max_dlambda_within"] == row["max_dlambda_tm"] == 0.0
+            assert row["derivative_constant"] and row["classifier_constant"]
+        path.write_text(json.dumps(dict(doc, tolerances={"fd_step": 1e-300})))
+        capsys.readouterr()
+        assert main(["identities", str(path), "--connection"]) == 2
+        assert "fd_step 1e-300 leaves x2 = 2.0 unchanged" in capsys.readouterr().err
+
+    def test_fallback_evaluates_the_displaced_point(self, tmp_path, capsys):
+        """sqrt(x1) has no tangent at x1 = 0, and its fallback evaluates
+        sqrt(-h): the command fails as before, with EvalError (exit 2)."""
+        path = tmp_path / "sqrt.json"
+        path.write_text(json.dumps(_pair_spec("0.5 + 0.1*sqrt(x1)")))
+        assert main(["identities", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["identities", str(path), "--connection"]) == 2
+        assert "sqrt of negative value -1e-05" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["pair", "xi"])
+    def test_orthogonality_lost_at_displaced_point_raises(self, case, tmp_path):
+        """Orthogonal where x1 = 0 (every sample point) and not at x +- h e1,
+        to first order: D2's first field e7 + x1 e3 against D1 = span(e3, e4),
+        or, on ex1, xi = e11 + x1 e3 against the same D1."""
+        if case == "pair":
+            tilted = _unit(7)
+            tilted[2] = "x1"
+            doc, message = _pair_spec("0.5", d2_first=tilted), "'D1' and 'D2' are not orthogonal"
+        else:
+            fx = build_fixture("ex1", k=2, epsilon=-1)
+            points = fx.default_points()[:2]
+            for p in points:
+                p[0] = 0.0
+            doc = fixture_to_spec_dict(fx, points=points)
+            doc["xi"][2] = "x1"
+            message = "'D1' is not orthogonal to xi"
+        path = tmp_path / "tilt.json"
+        path.write_text(json.dumps(doc))
+        spec = load_manifold_spec(path)
+        for point in spec.points:
+            spec.decomposition.frame_at(point)
+        with pytest.raises(InvariantError, match=f"{message} to first order"):
+            connection_criterion_report(spec.decomposition, CovariantProbe(), spec.points)
+        assert main(["identities", str(path)]) == 0
+        assert main(["identities", str(path), "--connection"]) == 1
 
     def test_requires_mask(self, ex1):
         dec = Decomposition(ex1.structure, list(ex1.decomposition.proper),
