@@ -139,30 +139,26 @@ def single_cluster_lambda(frame, name: str, mat: np.ndarray,
     the clusters, and more than one raises ComponentError naming `name`.
     ModelError when a cluster lies outside the lambda band.
 
-    `mat` may also be a stack (..., r, r), such as the connection probe's
+    `mat` may also be a stack (q, r, r), such as the connection probe's
     first-order models of the matrix near `frame`; the certificate and the
     band are checked on every member at once, eigvalsh runs only on members
     the certificate does not clear, and the result is the array of trace
-    means."""
+    means (a float for one matrix)."""
+    one = mat.ndim == 2
+    stack = mat[None] if one else mat
     r = mat.shape[-1]
     band = tolerances.lambda_band
-    if mat.ndim == 2:
-        lam = float(np.trace(mat)) / r
-        cert = math.sqrt(2.0) * float(np.linalg.norm(mat - lam * np.eye(r)))
-        if cert > 0.5 * tolerances.cluster:
-            _count_clusters(frame, name, mat, tolerances, "at")
-        _lambda_to_alpha_theta(lam, frame.epsilon, band)
-        return lam
-    lam = np.trace(mat, axis1=-2, axis2=-1) / r
-    dev = mat - lam[..., None, None] * np.eye(r)
-    cert = math.sqrt(2.0) * np.sqrt(np.sum(dev * dev, axis=(-2, -1)))
-    for idx in np.argwhere(cert > 0.5 * tolerances.cluster):
-        _count_clusters(frame, name, mat[tuple(idx)], tolerances, "to first order near")
+    lam = np.trace(stack, axis1=1, axis2=2) / r
+    dev = stack - lam[:, None, None] * np.eye(r)
+    cert = math.sqrt(2.0) * np.sqrt(np.sum(dev * dev, axis=(1, 2)))
+    where = "at" if one else "to first order near"
+    for i in np.flatnonzero(cert > 0.5 * tolerances.cluster):
+        _count_clusters(frame, name, stack[i], tolerances, where)
     s = frame.epsilon * lam
-    outside = lam[(s < -band) | (s > 1.0 + band)]
-    if outside.size:
-        _lambda_to_alpha_theta(float(outside[0]), frame.epsilon, band)   # raises ModelError
-    return lam
+    outside = (s < -band) | (s > 1.0 + band)
+    if outside.any():
+        _lambda_to_alpha_theta(float(lam[outside][0]), frame.epsilon, band)   # raises ModelError
+    return float(lam[0]) if one else lam
 
 
 def _count_clusters(frame, name: str, mat: np.ndarray, tolerances: Tolerances, where: str):

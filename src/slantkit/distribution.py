@@ -203,7 +203,9 @@ class PointFrame:
 
     Eager: `g`, `phi`, `xi` and its g-unit `xi_unit` (None for hermitian
     kinds), the g-orthonormal `bases` of the components, their stack
-    `basis_d` with each component's column range, and `proj_d`. Built on
+    `basis_d` with its column layout (`offsets`: component i holds columns
+    offsets[i]:offsets[i + 1]; `owner`: the component of each column), and
+    `proj_d`. Built on
     first use (`cached_property`) and kept: the component projectors behind
     `pr`, `basis_perp` (complement of D), `basis_g` (of G), `proj_g`, the
     f^2 Gram (`f2_full`) and the dual slice (`dual`). The connection probe
@@ -236,12 +238,12 @@ class PointFrame:
             except RankError as exc:
                 raise RankError(f"component {comp.name!r} at {x.tolist()}: {exc}") from None
         ranks = [b.shape[1] for b in self.bases]
-        # component i holds columns _offsets[i]:_offsets[i + 1] of basis_d
-        self._offsets = (0, *accumulate(ranks))
+        self.offsets = (0, *accumulate(ranks))
+        self.owner = np.repeat(np.arange(len(ranks)), ranks)
         self.basis_d = (np.column_stack(self.bases)
                         if self.bases else np.zeros((s.n, 0)))
         g_basis = self.g @ self.basis_d
-        check_orthogonality(dec.component_names(), np.repeat(np.arange(len(ranks)), ranks),
+        check_orthogonality(dec.component_names(), self.owner,
                             self.basis_d.T @ g_basis,
                             None if self.xi is None else self.xi @ g_basis, "at", x)
         self.proj_d = projector_matrix(self.g, self.basis_d)
@@ -320,7 +322,7 @@ class PointFrame:
     def f2_component(self, i: int) -> np.ndarray:
         """Matrix of f^2|D_i in the orthonormal basis of D_i: the i-th
         diagonal block of `f2_full`."""
-        lo, hi = self._offsets[i], self._offsets[i + 1]
+        lo, hi = self.offsets[i], self.offsets[i + 1]
         return self._f2[lo:hi, lo:hi]
 
     def f2_ambient(self) -> np.ndarray:

@@ -185,9 +185,7 @@ def frame_derivatives(frame: PointFrame, dirs: np.ndarray, coords: list[int],
             return None
         return (steps @ jac.reshape(len(coords), -1)).reshape((q,) + jac.shape[1:])
 
-    Q, phi = frame.basis_d, frame.phi
-    ranks = np.array([b.shape[1] for b in frame.bases])
-    starts = np.cumsum(ranks) - ranks
+    Q, phi, off = frame.basis_d, frame.phi, frame.offsets
     near = "to first order near"
     models = (h, -h)
     dxi = along(s.xi.jacobian(x, coords, h)) if s.is_contact else None
@@ -207,8 +205,8 @@ def frame_derivatives(frame: PointFrame, dirs: np.ndarray, coords: list[int],
                 raise RankError(f"component {comp.name!r} {near} {x.tolist()}: {exc}") from None
         if dQ is None:
             dQ = np.zeros((q, n, Q.shape[1]))
-        dQ[:, :, starts[i]:starts[i] + ranks[i]] = ((dA - basis @ (basis.T @ dA))
-                                                    @ np.linalg.inv(basis.T @ raw))
+        dQ[:, :, off[i]:off[i + 1]] = ((dA - basis @ (basis.T @ dA))
+                                       @ np.linalg.inv(basis.T @ raw))
     C = None if dQ is None else Q.T @ dQ
     if C is not None or dxi is not None:
         dgram = 0.0 if C is None else C + C.transpose(0, 2, 1)
@@ -217,8 +215,7 @@ def frame_derivatives(frame: PointFrame, dirs: np.ndarray, coords: list[int],
             xi_part = frame.xi @ Q
             dxi_part = (0.0 if dxi is None else dxi @ Q) + (0.0 if dQ is None else frame.xi @ dQ)
         for step in models:
-            check_orthogonality(dec.component_names(), np.repeat(np.arange(len(ranks)), ranks),
-                                Q.T @ Q + step * dgram,
+            check_orthogonality(dec.component_names(), frame.owner, Q.T @ Q + step * dgram,
                                 None if xi_part is None else xi_part + step * dxi_part, near, x)
     Phi = Q.T @ phi @ Q
     Phi2 = Phi @ Phi

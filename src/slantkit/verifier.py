@@ -766,10 +766,12 @@ def _require_flat_masked(dec: Decomposition, need_mask: bool = True):
 
 
 def _check_in_mask(dec: Decomposition, direction: np.ndarray):
+    """SpecError when a direction (n,), or a row of (q, n), has a part
+    outside the submanifold mask."""
     if dec.mask is None:
         return
     outside = [i for i in range(dec.structure.n) if (i + 1) not in dec.mask]
-    if outside and float(np.max(np.abs(direction[outside]), initial=0.0)) > 1e-12:
+    if outside and float(np.max(np.abs(direction[..., outside]), initial=0.0)) > 1e-12:
         raise SpecError("probe direction leaves the submanifold mask")
 
 
@@ -851,18 +853,18 @@ def _derivatives(frame: PointFrame, dirs: np.ndarray, checked: np.ndarray, coord
     on the first-order models M_i +- h dM_i (`single_cluster_lambda`)."""
     from .tangents import frame_derivatives
     d_f2, norms = frame_derivatives(frame, dirs, coords, h)
-    ranks = np.array([b.shape[1] for b in frame.bases])
-    starts = np.cumsum(ranks) - ranks
+    off = frame.offsets
     for i, name in enumerate(frame.dec.component_names()):
-        cols = slice(starts[i], starts[i] + ranks[i])
+        cols = slice(off[i], off[i + 1])
         block = d_f2[checked[:, i], cols, cols]
         block = 0.5 * (block + block.transpose(0, 2, 1))
         if block.size:
             M = frame.f2_component(i)
             single_cluster_lambda(frame, name, np.concatenate([M + h * block, M - h * block]),
                                   tolerances)
+    starts = off[:-1]
     traces = np.add.reduceat(np.einsum("qii->qi", d_f2), starts, axis=1)
-    return np.maximum.reduceat(norms, starts, axis=1), np.abs(traces) / ranks
+    return np.maximum.reduceat(norms, starts, axis=1), np.abs(traces) / np.diff(off)
 
 
 def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, points,
@@ -880,7 +882,8 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
     first order raises ComponentError). It is also the step of the central
     difference that stands in for a field's derivative where its tangent
     code faults. `nabla_f2` and `eigenvalue_directional_derivative` are the
-    finite-difference oracles.
+    finite-difference oracles. A basis column with a part outside the
+    submanifold mask is a SpecError, as in the oracles.
 
     The hypotheses behind the underlying equivalences (covariant derivatives
     staying inside D) are sample-checked only, never certified; entries say
@@ -900,8 +903,9 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
         dirs = _probe_directions(frame, tm_dirs)
         within = np.array([[ci in w for ci in range(len(comps))] for _, w, _ in dirs])
         along_tm = np.array([[tm] for _, _, tm in dirs])
-        nabla, dlam = _derivatives(frame, np.array([d for d, _, _ in dirs]), within | along_tm,
-                                   coords, probe.h, tolerances)
+        stacked = np.array([d for d, _, _ in dirs])
+        _check_in_mask(dec, stacked)
+        nabla, dlam = _derivatives(frame, stacked, within | along_tm, coords, probe.h, tolerances)
         max_nabla = np.maximum(max_nabla, np.where(within, nabla, 0.0).max(axis=0))
         max_dlam_in = np.maximum(max_dlam_in, np.where(within, dlam, 0.0).max(axis=0))
         max_dlam_tm = np.maximum(max_dlam_tm, np.where(along_tm, dlam, 0.0).max(axis=0))

@@ -592,6 +592,19 @@ class TestConnectionReport:
         with pytest.raises(UnsupportedError):
             connection_criterion_report(dec, CovariantProbe(), [np.zeros(11)] * 2)
 
+    def test_basis_leaving_mask_rejected(self, ex1):
+        """A decomposition given a mask over components that carry none may
+        hold a basis column outside the mask: here D0 = span(e3, e6), which
+        phi keeps invariant, with x6 outside ex1's mask. The probe rejects
+        that direction instead of differentiating its masked part only."""
+        unit = [VectorFieldExpr.parse(_unit(i, 11), 11) for i in (3, 6)]
+        dec = Decomposition(ex1.structure,
+                            [DistributionFrame("D1", list(ex1.decomposition.proper[1].fields))],
+                            invariant=DistributionFrame("D0", unit), mask=ex1.mask)
+        assert 6 not in dec.mask
+        with pytest.raises(SpecError, match="leaves the submanifold mask"):
+            connection_criterion_report(dec, CovariantProbe(), [np.zeros(11), np.full(11, 0.1)])
+
 
 # The 16 identities proved once on the proper components D_i and once on
 # their duals w(D_i); each pair shares one evaluator.
