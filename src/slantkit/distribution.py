@@ -266,7 +266,8 @@ class PointFrame:
         return self.proj_d @ (self.phi @ v)
 
     def w(self, v):
-        return self.phi @ v - self.f(v)
+        pv = self.phi @ v
+        return pv - self.proj_d @ pv
 
     @cached_property
     def _proj_comp(self) -> list[np.ndarray]:
@@ -339,6 +340,47 @@ class PointFrame:
 
     def dual(self):
         return self._dual
+
+
+def _stacked(what: str, arrays: list) -> np.ndarray:
+    """np.stack, or ModelError naming `what` when the shapes differ per point."""
+    if len({a.shape for a in arrays}) > 1:
+        raise ModelError(f"{what} changes shape across the sample points")
+    return np.stack(arrays)
+
+
+class FrameStack:
+    """The frame data of sample points stacked on a leading point axis P,
+    from their `PointFrame`s and dual slices: `g`, `phi`, `proj_d`
+    (P, n, n), `xi_unit` (P, n) or None, and the (P, n, r) bases `bases`
+    of the components (with their projectors, applied by `pr`), `basis_perp`,
+    `basis_g`, `duals` of the proper components and `h_basis`. The ranks,
+    dim w(D_i) = r_i and dim H = dim G - sum r_i are the same at every
+    point, so each stack is rectangular (ModelError otherwise). The maps and
+    metric are `PointFrame`'s, acting on every point at once through the
+    stacked `inner`; each point's slice is its frame's result bit for bit."""
+
+    def __init__(self, frames: list[PointFrame]):
+        duals = [fr.dual() for fr in frames]
+        first = frames[0]
+        self.g, self.phi, self.proj_d, self.basis_perp, self.basis_g = (
+            _stacked(a, [getattr(fr, a) for fr in frames])
+            for a in ("g", "phi", "proj_d", "basis_perp", "basis_g"))
+        self._inner_g = None if first._inner_g is None else self.g
+        self.xi_unit = None if first.xi is None else _stacked(
+            "xi_unit", [fr.xi_unit for fr in frames])
+        self.bases = [_stacked("bases", [fr.bases[i] for fr in frames])
+                      for i in range(len(first.bases))]
+        self._proj_comp = [projector_matrix(self.g, b) for b in self.bases]
+        self.duals = [_stacked("duals", [d.duals[slot] for d in duals])
+                      for slot in range(len(first.proper_indices))]
+        self.h_basis = _stacked("h_basis", [d.h_basis for d in duals])
+
+    apply_phi, f, w, pr = PointFrame.apply_phi, PointFrame.f, PointFrame.w, PointFrame.pr
+    norm, cos_angle = PointFrame.norm, PointFrame.cos_angle
+
+    def inner(self, u, v):
+        return g_inner(self._inner_g, u, v, stacked=True)
 
 
 class FWSplit:

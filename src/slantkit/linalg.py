@@ -161,14 +161,20 @@ class SubspaceBasis:
 # every other module calls it rather than writing its own contraction.
 # ---------------------------------------------------------------------------
 
-def g_inner(gmat: np.ndarray | None, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def g_inner(gmat: np.ndarray | None, u: np.ndarray, v: np.ndarray,
+            stacked: bool = False) -> np.ndarray:
     """g(u, v) contracted over the first axis, for vectors (n,) or batches
     (n, ...) that broadcast against each other, e.g. (n, t) against (n, 1).
+    `stacked` operands carry the sample points as a leading axis: u and v
+    are (P, n, ...), `gmat` a stack (P, n, n), and the contraction runs
+    over axis 1, giving (P, ...); each point's slice equals the unstacked
+    contraction bit for bit.
 
     One matmul `gmat @ v`, then a two-operand contraction; `gmat=None`
     stands for the euclidean metric and skips the matmul.
     """
-    return np.einsum("i...,i...->...", u, v if gmat is None else gmat @ v)
+    gv = v if gmat is None else gmat @ v
+    return np.einsum("pi...,pi...->p..." if stacked else "i...,i...->...", u, gv)
 
 
 def mgs_columns(gmat: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -192,10 +198,11 @@ def mgs_columns(gmat: np.ndarray, raw: np.ndarray) -> np.ndarray:
 
 
 def projector_matrix(gmat: np.ndarray, onb: np.ndarray) -> np.ndarray:
-    """g-orthogonal projector onto the span of the g-orthonormal columns."""
+    """g-orthogonal projector onto the span of the g-orthonormal columns;
+    for stacks (P, n, r) and (P, n, n), one projector per point."""
     if onb.size == 0:
-        return np.zeros((gmat.shape[0], gmat.shape[0]))
-    return onb @ onb.T @ gmat
+        return np.zeros(gmat.shape)
+    return onb @ np.swapaxes(onb, -1, -2) @ gmat
 
 
 def complement_columns(gmat: np.ndarray, onb: np.ndarray) -> np.ndarray:

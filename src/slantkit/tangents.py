@@ -30,9 +30,11 @@ _GLOBALS = dict(fe._GLOBALS, sqrt=math.sqrt, log=math.log, _FAULTS=fe._FAULTS)
 def _tangent(op: str, v: str, a: str, da: str | None, b: str, db: str | None):
     """Source of the tangent of `v = op(a[, b])` (b "" for a unary op) from
     the operand tangents `da`, `db`, or None when it is literal 0 (as `da`
-    or `db` may be). An undefined derivative faults: abs, sqrt or arccos
-    where it has none or a clamp is active, pow at base 0 with an exponent
-    below 1, or at a base <= 0 with a point-dependent exponent (log)."""
+    or `db` may be). An undefined derivative faults: abs at 0 along a
+    direction that moves its operand (along one that does not, |u| changes
+    to second order only, so its tangent is 0), sqrt or arccos where it has
+    none or a clamp is active, pow at base 0 with an exponent below 1, or at
+    a base <= 0 with a point-dependent exponent (log)."""
     if da is None and db is None:
         return None
     if op in ("+", "-"):
@@ -54,7 +56,8 @@ def _tangent(op: str, v: str, a: str, da: str | None, b: str, db: str | None):
             return f"{v} * {db} * log({a})"
         return f"{v} * ({db} * log({a}) + {b} * {da} / {a})"
     return {"neg": "-{da}", "sin": "cos({a}) * {da}", "cos": "-sin({a}) * {da}",
-            "abs": "{a} / abs({a}) * {da}", "sqrt": "{da} / (2.0 * {v})",
+            "abs": "(0.0 if {da} == 0.0 else {a} / abs({a}) * {da})",
+            "sqrt": "{da} / (2.0 * {v})",
             "arccos": "-{da} / sqrt(1.0 - {a} * {a})"}[op].format(a=a, da=da, v=v)
 
 

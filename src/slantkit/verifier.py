@@ -3,10 +3,15 @@
 Every identity carries a stable key in REGISTRY; the checked-in manifest
 (taxonomy module) mirrors the key list, so coverage changes are visible
 diffs. Each case evaluates both sides of its identity on seeded random
-vectors drawn in the relevant subspaces at each sample point and reports the
-worst relative residual. Keys whose setting does not match the structure
-kind report "skipped(setting)"; keys quantified over an empty domain at all
-sampled points (no invariant remainder H, no right-angle component) report
+vectors drawn in the relevant subspaces. The sample points are a batch axis:
+`PointContext` stacks the data of all P points, each case runs once over the
+stack and returns one residual per point, a (P,) vector: the worst relative
+residual over the trials and the components quantified there, NaN when one
+is NaN, -inf where none is. `run_identity_suite` folds it over the points:
+`max_residual` is its largest entry, a NaN exceeding every number, and
+`witness_point` the first point holding it. Keys whose setting does not
+match the structure kind report "skipped(setting)"; keys quantified at no
+sampled point (no invariant remainder H, no right-angle component) report
 "skipped(vacuous)".
 
 The paper proves most identities twice: once on the proper components D_i
@@ -48,8 +53,9 @@ import numpy as np
 
 from .classifier import classify, single_cluster_lambda
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .distribution import Decomposition, PointFrame
+from .distribution import Decomposition, FrameStack, PointFrame
 from .errors import SpecError, UnsupportedError
+from .linalg import projector_matrix
 from .sampling import DEFAULT_SEED, rng_for
 
 PI2_TOL = 1e-8
@@ -57,93 +63,107 @@ TINY = 1e-300
 
 
 class PointContext:
-    """Frame, dual slice, trig data, and seeded draws at one sample point."""
+    """The identity suite's data at all sample points, stacked on a leading
+    point axis P: the frame data (`FrameStack`), the slant tables `cos`,
+    `sin`, `cos2`, `sin2`, `sin4` (P, ncomp) and the draws (P, n, trials),
+    point p's from `rng_for(seed, 997, p)` in a fixed order."""
 
-    def __init__(self, dec: Decomposition, point, trials: int, seed: int, pidx: int,
-                 tolerances: Tolerances = DEFAULT_TOLERANCES):
-        self.frame = dec.frame_at(point)
-        self.dual = self.frame.dual()
-        f = self.frame
-        self.eps = f.epsilon
-        self.contact = f.xi is not None
-        ncomp = len(f.bases)
-        inv = f.invariant_index
-        self.cos2 = np.ones(ncomp)
-        for i, lam in _lambdas(f, f.proper_indices, tolerances).items():
-            self.cos2[i] = min(max(self.eps * lam, 0.0), 1.0)
+    def __init__(self, dec: Decomposition, points, trials: int, seed: int,
+                 tolerances: Tolerances):
+        frames = [dec.frame_at(p) for p in points]
+        stack = FrameStack(frames)
+        # the stack's maps, held as methods of the stack (as the sides hold
+        # them) so that no reference cycle keeps the context alive
+        self.apply_phi, self.f, self.w, self.pr = stack.apply_phi, stack.f, stack.w, stack.pr
+        self.inner, self.norm, self.cos_angle = stack.inner, stack.norm, stack.cos_angle
+        self.g, self.xi_unit, self.duals = stack.g, stack.xi_unit, stack.duals
+        f = frames[0]
+        npts, n, t = len(frames), f.g.shape[0], trials
+        self.points = [fr.x for fr in frames]
+        self.eps, self.contact, self.proper = f.epsilon, f.xi is not None, f.proper_indices
+        self.cos2 = np.ones((npts, len(stack.bases)))
+        for p, fr in enumerate(frames):
+            for i, lam in _lambdas(fr, self.proper, tolerances).items():
+                self.cos2[p, i] = min(max(self.eps * lam, 0.0), 1.0)
         self.sin2 = 1.0 - self.cos2
-        self.cos = np.sqrt(self.cos2)
-        self.sin = np.sqrt(self.sin2)
-        self.proper = f.proper_indices
-        rng = rng_for(seed, 997, pidx)
-        n = f.g.shape[0]
-        t = trials
-        norm = rng.standard_normal
-        self.amb = (norm((n, t)), norm((n, t)))
-        self.cx = [f.bases[i] @ norm((f.bases[i].shape[1], t)) for i in range(ncomp)]
-        self.cy = [f.bases[i] @ norm((f.bases[i].shape[1], t)) for i in range(ncomp)]
-        self.x_d = sum(self.cx) if ncomp else np.zeros((n, t))
-        self.y_d = sum(self.cy) if ncomp else np.zeros((n, t))
-        m = f.basis_perp.shape[1]
-        self.u_perp = f.basis_perp @ norm((m, t)) if m else np.zeros((n, t))
-        self.v_perp = f.basis_perp @ norm((m, t)) if m else np.zeros((n, t))
-        gdim = f.basis_g.shape[1]
-        self.u_g = f.basis_g @ norm((gdim, t)) if gdim else np.zeros((n, t))
-        self.v_g = f.basis_g @ norm((gdim, t)) if gdim else np.zeros((n, t))
-        self.wu = []
-        self.wv = []
-        for b in self.dual.duals:
-            self.wu.append(b @ norm((b.shape[1], t)))
-            self.wv.append(b @ norm((b.shape[1], t)))
-        self.u_w = sum(self.wu) if self.wu else np.zeros((n, t))
-        self.v_w = sum(self.wv) if self.wv else np.zeros((n, t))
-        h = self.dual.h_basis
-        self.u_h = h @ norm((h.shape[1], t)) if h.shape[1] else None
-        self.v_h = h @ norm((h.shape[1], t)) if h.shape[1] else None
-        self.x_dxi, self.y_dxi = self.x_d, self.y_d
-        if self.contact:
-            self.x_dxi = self.x_d + np.outer(f.xi_unit, norm(t))
-            self.y_dxi = self.y_d + np.outer(f.xi_unit, norm(t))
-        self.z_dg = self.x_d + self.u_g
-        self.w_dg = self.y_d + self.v_g
-        xs = [self.cx[i] for i in self.proper]
-        ys = [self.cy[i] for i in self.proper]
-        d0 = inv is not None
-        self.sides = {
-            "D": Side(f.f, f.w, xs, ys, sum(xs) if xs else np.zeros((n, t)),
-                      sum(ys) if ys else np.zeros((n, t)),
-                      self.cx[inv] if d0 else None, self.cy[inv] if d0 else None),
-            "w(D)": Side(f.w, f.f, self.wu, self.wv, self.u_w, self.v_w,
-                         self.u_h, self.v_h),
-        }
+        self.cos, self.sin = np.sqrt(self.cos2), np.sqrt(self.sin2)
+        # libm's pow, as a scalar sin^2 ** 2 rounds (numpy's square may differ by an ulp)
+        self.sin4 = np.array([[s ** 2 for s in row] for row in self.sin2.tolist()])
 
-    # residual helpers ------------------------------------------------------
+        zeros = np.zeros((npts, n, t))
+        draws = []
+
+        def drawn(basis):   # a stack of draws spanned by basis[p] (ambient for None)
+            if basis is not None and not basis.shape[2]:
+                return zeros
+            draws.append((np.empty((npts, n, t)), basis))
+            return draws[-1][0]
+
+        self.amb = (drawn(None), drawn(None))
+        self.cx, self.cy = [drawn(b) for b in stack.bases], [drawn(b) for b in stack.bases]
+        self.u_perp, self.v_perp = drawn(stack.basis_perp), drawn(stack.basis_perp)
+        self.u_g, self.v_g = drawn(stack.basis_g), drawn(stack.basis_g)
+        pairs = [(drawn(b), drawn(b)) for b in self.duals]
+        self.wu, self.wv = [u for u, _ in pairs], [v for _, v in pairs]
+        h = stack.h_basis
+        self.u_h, self.v_h = (drawn(h), drawn(h)) if h.shape[2] else (None, None)
+        xi = [drawn(self.xi_unit[:, :, None]) for _ in range(2 * self.contact)]
+        for p in range(npts):
+            rng = rng_for(seed, 997, p)
+            for out, basis in draws:
+                if basis is None:
+                    rng.standard_normal(out=out[p])
+                else:
+                    np.matmul(basis[p], rng.standard_normal((basis.shape[2], t)), out=out[p])
+
+        self.x_d, self.y_d = sum(self.cx), sum(self.cy)
+        self.u_w, self.v_w = (sum(self.wu), sum(self.wv)) if self.wu else (zeros, zeros)
+        d_xi = [d + c for d, c in zip((self.x_d, self.y_d), xi)]
+        self.x_dxi, self.y_dxi = d_xi or (self.x_d, self.y_d)
+        xs, ys = ([c[i] for i in self.proper] for c in (self.cx, self.cy))
+        inv = f.invariant_index
+        self.sides = {
+            "D": Side(self.f, self.w, xs, ys, sum(xs) if xs else zeros, sum(ys) if ys else zeros,
+                      None if inv is None else self.cx[inv], None if inv is None else self.cy[inv]),
+            "w(D)": Side(self.w, self.f, self.wu, self.wv, self.u_w, self.v_w, self.u_h, self.v_h),
+        }
+        self.everywhere = np.ones(npts, dtype=bool)
+        self.nowhere = np.full(npts, -np.inf)   # the residual of a key quantified nowhere
+
+    def eta(self, v):
+        return self.inner(v, self.xi_unit[:, :, None])
+
+    def along_xi(self, c):
+        """The vectors c_k xi_unit at each point, for coefficients c (P, t)."""
+        return self.xi_unit[:, :, None] * c[:, None, :]
+
+    # residual helpers: the worst over the trials at each point, (P,) ----------
 
     def rel(self, diff, a, b=None):
         """max |diff| / (|a| [,*|b|]) over the trial batch."""
-        f = self.frame
-        scale = f.norm(a)
+        scale = self.norm(a)
         if b is not None:
-            scale = scale * f.norm(b)
-        return float(np.max(np.abs(diff) / np.maximum(scale, TINY)))
+            scale = scale * self.norm(b)
+        return np.max(np.abs(diff) / np.maximum(scale, TINY), axis=-1)
 
-    def vec_rel(self, diff_vecs, a):
-        f = self.frame
-        return float(np.max(f.norm(diff_vecs) / np.maximum(f.norm(a), TINY)))
-
-    def eta(self, v):
-        return self.frame.inner(v, self.frame.xi_unit[:, None])
+    def cos_diff(self, a, b, c, d):
+        return np.max(np.abs(self.cos_angle(a, b) - self.cos_angle(c, d)), axis=-1)
 
     def components(self, side, pred=None):
-        """(i, X_i, Y_i) over the side's proper components, keeping those
-        whose (cos, sin)(theta_i) satisfy `pred` when one is given."""
-        return [(i, side.xs[slot], side.ys[slot]) for slot, i in enumerate(self.proper)
-                if pred is None or pred(self.cos[i], self.sin[i])]
+        """(i, X_i, Y_i, held) over the side's proper components, `held` the
+        (P,) mask of the points where (cos, sin)(theta_i) satisfy `pred`
+        (every point without one); a component held nowhere is left out."""
+        out = []
+        for slot, i in enumerate(self.proper):
+            held = self.everywhere if pred is None else pred(self.cos[:, i], self.sin[:, i])
+            if held.any():
+                out.append((i, side.xs[slot], side.ys[slot], held))
+        return out
 
 
 @dataclass(frozen=True)
 class Side:
-    """One side of the D_i <-> w(D_i) duality at a point.
+    """One side of the D_i <-> w(D_i) duality over the stacked points.
 
     `own` maps each of the side's components into itself (f on D_i, w on
     w(D_i)); `other` maps it onto its twin (w: D_i -> w(D_i), f: w(D_i) ->
@@ -195,9 +215,13 @@ def _case(key, settings, domain, statement, side=None, twin=None):
     return wrap
 
 
-def _worst(residuals):
-    """Largest per-component residual; None when no component was quantified."""
-    return max(residuals, default=None)
+def _worst(ctx, residuals):
+    """Per point, the largest residual of the (residual, held) pairs held
+    there: a NaN wins, and -inf marks a point where none is held."""
+    worst = ctx.nowhere
+    for r, held in residuals:
+        worst = np.maximum(worst, np.where(held, r, -np.inf))
+    return worst
 
 
 REGISTRY: list[IdentityCase] = []
@@ -208,176 +232,161 @@ REGISTRY: list[IdentityCase] = []
 @_case("struct.compat", "both", "X,Y ambient",
        "g(phi X, Y) = eps * g(X, phi Y)")
 def _compat(ctx):
-    f = ctx.frame
     a, b = ctx.amb
-    diff = f.inner(f.apply_phi(a), b) - ctx.eps * f.inner(a, f.apply_phi(b))
+    diff = ctx.inner(ctx.apply_phi(a), b) - ctx.eps * ctx.inner(a, ctx.apply_phi(b))
     return ctx.rel(diff, a, b)
 
 
 @_case("struct.contact-metric", "contact", "X,Y ambient",
        "g(phi X, phi Y) = g(X, Y) - eta(X) * eta(Y)")
 def _contact_metric(ctx):
-    f = ctx.frame
     a, b = ctx.amb
-    diff = f.inner(f.apply_phi(a), f.apply_phi(b)) - (
-        f.inner(a, b) - ctx.eta(a) * ctx.eta(b))
+    diff = ctx.inner(ctx.apply_phi(a), ctx.apply_phi(b)) - (
+        ctx.inner(a, b) - ctx.eta(a) * ctx.eta(b))
     return ctx.rel(diff, a, b)
 
 
 @_case("struct.contact-isometry", "contact", "X ambient, X perp xi",
        "|phi X| = |X| for X orthogonal to xi")
 def _contact_isometry(ctx):
-    f = ctx.frame
-    a = ctx.amb[0] - np.outer(ctx.frame.xi_unit, ctx.eta(ctx.amb[0]))
-    diff = f.norm(f.apply_phi(a)) - f.norm(a)
+    a = ctx.amb[0] - ctx.along_xi(ctx.eta(ctx.amb[0]))
+    diff = ctx.norm(ctx.apply_phi(a)) - ctx.norm(a)
     return ctx.rel(diff, a)
 
 
 @_case("struct.isometry", "hermitian", "X,Y ambient",
        "g(phi X, phi Y) = g(X, Y)")
 def _isometry(ctx):
-    f = ctx.frame
     a, b = ctx.amb
-    diff = f.inner(f.apply_phi(a), f.apply_phi(b)) - f.inner(a, b)
+    diff = ctx.inner(ctx.apply_phi(a), ctx.apply_phi(b)) - ctx.inner(a, b)
     return ctx.rel(diff, a, b)
 
 
 # -- identity families ------------------------------------------------------------------
 #
 # A family is one shape; each member is a `_case` row binding the shape's maps by
-# name (a PointFrame method "f", "w", "apply_phi", or a Side map "own", "other",
+# name (a PointContext map "f", "w", "apply_phi", or a Side map "own", "other",
 # "round_trip"), its draw pair (PointContext attributes) and its coefficient.
 
 def _weighted(ctx, coeff, i, v):
-    """c_i * v, c_i the coefficient `coeff` of component i: "cos2", "sin2",
-    "sin" or "sin4" of theta_i; v itself when `coeff` is None."""
+    """c_i * v, c_i the table `coeff` ("cos2", "sin2", "sin" or "sin4" of
+    theta_i) at component i and each point; v itself when `coeff` is None."""
     if coeff is None:
         return v
-    return (ctx.sin2[i] ** 2 if coeff == "sin4" else getattr(ctx, coeff)[i]) * v
-
-
-def _cos_diff(f, a, b, c, d):
-    return float(np.max(np.abs(f.cos_angle(a, b) - f.cos_angle(c, d))))
+    c = getattr(ctx, coeff)[:, i]
+    return c.reshape(c.shape + (1,) * (v.ndim - 1)) * v
 
 
 def _adjoint(ctx, a, b, draws):
     """g(X, aY) = eps * g(bX, Y) on the draw pair (X, Y)."""
-    f = ctx.frame
     x, y = (getattr(ctx, d) for d in draws)
-    diff = f.inner(x, getattr(f, a)(y)) - ctx.eps * f.inner(getattr(f, b)(x), y)
+    diff = ctx.inner(x, getattr(ctx, a)(y)) - ctx.eps * ctx.inner(getattr(ctx, b)(x), y)
     return ctx.rel(diff, x, y)
 
 
 def _double_adjoint(ctx, a, b, c, draws):
     """g(abX, Y) = eps * g(bX, bY) = g(X, cbY) on the draw pair (X, Y)."""
-    f = ctx.frame
     x, y = (getattr(ctx, d) for d in draws)
-    a, b, c = getattr(f, a), getattr(f, b), getattr(f, c)
-    lhs = f.inner(a(b(x)), y)
-    mid = ctx.eps * f.inner(b(x), b(y))
-    rhs = f.inner(x, c(b(y)))
-    return max(ctx.rel(lhs - mid, x, y), ctx.rel(mid - rhs, x, y))
+    a, b, c = getattr(ctx, a), getattr(ctx, b), getattr(ctx, c)
+    lhs = ctx.inner(a(b(x)), y)
+    mid = ctx.eps * ctx.inner(b(x), b(y))
+    rhs = ctx.inner(x, c(b(y)))
+    return np.maximum(ctx.rel(lhs - mid, x, y), ctx.rel(mid - rhs, x, y))
 
 
 def _projsum_metric(ctx, m, coeff, proper_only=False):
     """g(mX, mY) = sum_i c_i * g(pr_i X, pr_i Y) for X, Y in D, i over all
     components (or the proper ones)."""
-    f = ctx.frame
     x, y = ctx.x_d, ctx.y_d
-    comps = ctx.proper if proper_only else range(len(f.bases))
-    total = sum(_weighted(ctx, coeff, i, f.inner(f.pr(i, x), f.pr(i, y))) for i in comps)
-    m = getattr(f, m)
-    return ctx.rel(f.inner(m(x), m(y)) - total, x, y)
+    comps = ctx.proper if proper_only else range(len(ctx.cx))
+    total = sum(_weighted(ctx, coeff, i, ctx.inner(ctx.pr(i, x), ctx.pr(i, y))) for i in comps)
+    m = getattr(ctx, m)
+    return ctx.rel(ctx.inner(m(x), m(y)) - total, x, y)
 
 
 def _projsum_vector(ctx, b, coeff):
-    """fbX = eps * sum_i c_i * pr_i X for X in D; terms with c_i = 0 (such as
-    sin^2 on D_0) are left out."""
-    f = ctx.frame
+    """fbX = eps * sum_i c_i * pr_i X for X in D; terms with c_i = 0 at every
+    point (such as sin^2 on D_0) are left out."""
     x = ctx.x_d
     c = getattr(ctx, coeff)
     total = np.zeros_like(x)
-    for i in range(len(f.bases)):
-        if c[i] != 0.0:
-            total += c[i] * f.pr(i, x)
-    return ctx.vec_rel(f.f(getattr(f, b)(x)) - ctx.eps * total, x)
+    for i in range(c.shape[1]):
+        if np.any(c[:, i] != 0.0):
+            total += c[:, i, None, None] * ctx.pr(i, x)
+    return ctx.rel(ctx.norm(ctx.f(getattr(ctx, b)(x)) - ctx.eps * total), x)
 
 
 def _split(ctx, a, draw, rhs=None):
     """One line of the split systems: a(fX) + a(wX) = rhs(ctx, X), or 0."""
-    f = ctx.frame
     x = getattr(ctx, draw)
-    a = getattr(f, a)
-    diff = a(f.f(x)) + a(f.w(x))
+    a = getattr(ctx, a)
+    diff = a(ctx.f(x)) + a(ctx.w(x))
     if rhs is not None:
         diff = diff - rhs(ctx, x)
-    return ctx.vec_rel(diff, x)
+    return ctx.rel(ctx.norm(diff), x)
 
 
 def _eps_horizontal(ctx, x):
     """eps * (X - eta(X) xi), eps * X without xi."""
-    return ctx.eps * (x - (np.outer(ctx.frame.xi_unit, ctx.eta(x)) if ctx.contact else 0.0))
+    return ctx.eps * (x - (ctx.along_xi(ctx.eta(x)) if ctx.contact else 0.0))
 
 
 def _gside_vector(ctx, b, coeff):
     """wbU = eps * sum_i c_i * U_i for U in w(D)."""
     if not ctx.wu:
-        return None
-    f = ctx.frame
+        return ctx.nowhere
     target = ctx.eps * sum(_weighted(ctx, coeff, i, ctx.wu[slot])
                            for slot, i in enumerate(ctx.proper))
-    return ctx.vec_rel(f.w(getattr(f, b)(ctx.u_w)) - target, ctx.u_w)
+    return ctx.rel(ctx.norm(ctx.w(getattr(ctx, b)(ctx.u_w)) - target), ctx.u_w)
 
 
 def _gside_metric(ctx, m, coeff):
     """g(mU, mV) = sum_i c_i * g(U_i, V_i) for U, V in w(D)."""
     if not ctx.wu:
-        return None
-    f = ctx.frame
-    total = sum(_weighted(ctx, coeff, i, f.inner(ctx.wu[slot], ctx.wv[slot]))
+        return ctx.nowhere
+    total = sum(_weighted(ctx, coeff, i, ctx.inner(ctx.wu[slot], ctx.wv[slot]))
                 for slot, i in enumerate(ctx.proper))
-    m = getattr(f, m)
-    return ctx.rel(f.inner(m(ctx.u_w), m(ctx.v_w)) - total, ctx.u_w, ctx.v_w)
+    m = getattr(ctx, m)
+    return ctx.rel(ctx.inner(m(ctx.u_w), m(ctx.v_w)) - total, ctx.u_w, ctx.v_w)
 
 
 def _component_metric(ctx, side, m, coeff):
     """g(mX_i, mY_i) = c_i * g(X_i, Y_i) on each proper component of the side."""
-    f = ctx.frame
     m = getattr(side, m)
-    return _worst(ctx.rel(f.inner(m(x), m(y)) - _weighted(ctx, coeff, i, f.inner(x, y)),
-                          x, y)
-                  for i, x, y in ctx.components(side))
+    return _worst(ctx, ((ctx.rel(ctx.inner(m(x), m(y))
+                                 - _weighted(ctx, coeff, i, ctx.inner(x, y)), x, y), held)
+                        for i, x, y, held in ctx.components(side)))
 
 
 def _component_angle(ctx, side, m):
     """cos<(mX_i, mY_i) = cos<(X_i, Y_i) on each proper component with
     theta_i > 0."""
-    f = ctx.frame
     m = getattr(side, m)
-    return _worst(_cos_diff(f, m(x), m(y), x, y)
-                  for _, x, y in ctx.components(side, lambda c, s: s > PI2_TOL))
+    return _worst(ctx, ((ctx.cos_diff(m(x), m(y), x, y), held)
+                        for _, x, y, held in ctx.components(side, lambda c, s: s > PI2_TOL)))
 
 
 def _summed_metric(ctx, side, m, coeff):
     """g(mX, mY) = sum_i c_i * g(X_i, Y_i) for X, Y in the side's proper sum."""
     if not side.xs:
-        return None
-    f = ctx.frame
-    total = sum(_weighted(ctx, coeff, i, f.inner(x, y)) for i, x, y in ctx.components(side))
+        return ctx.nowhere
+    total = sum(_weighted(ctx, coeff, i, ctx.inner(x, y))
+                for i, x, y, _ in ctx.components(side))
     m = getattr(side, m)
-    return ctx.rel(f.inner(m(side.x), m(side.y)) - total, side.x, side.y)
+    return ctx.rel(ctx.inner(m(side.x), m(side.y)) - total, side.x, side.y)
 
 
 def _summed_angle(ctx, side, m, coeff):
     """cos<(mX, mY) = cos<(sum_i c_i X_i, sum_i c_i Y_i) for X, Y in the
     side's proper sum."""
     if not side.xs:
-        return None
-    comps = ctx.components(side)
-    sx = sum(_weighted(ctx, coeff, i, x) for i, x, _ in comps)
-    sy = sum(_weighted(ctx, coeff, i, y) for i, _, y in comps)
+        return ctx.nowhere
     m = getattr(side, m)
-    return _cos_diff(ctx.frame, m(side.x), m(side.y), sx, sy)
+    lhs = ctx.cos_angle(m(side.x), m(side.y))   # first: fewer (P, n, t) stacks held at once
+    comps = ctx.components(side)
+    sx = sum(_weighted(ctx, coeff, i, x) for i, x, _, _ in comps)
+    sy = sum(_weighted(ctx, coeff, i, y) for i, _, y, _ in comps)
+    return np.max(np.abs(lhs - ctx.cos_angle(sx, sy)), axis=-1)
 
 
 # -- skew/self-adjointness of f and w -------------------------------------------------------------
@@ -438,15 +447,13 @@ _case("split.g2", "both", "U in G", "wfU + w2U = eps * U")(
 @_case("w2.component", "both", "X_i in D_i",
        "w2(D_i) inside w(D_i); w2(D_i) = 0 when theta_i = pi/2")
 def _w2comp(ctx):
-    f = ctx.frame
-
     def residual(i, x, b):
-        w2 = f.w(f.w(x))
-        if abs(ctx.sin2[i] - 1.0) <= PI2_TOL:
-            return ctx.vec_rel(w2, x)
-        return ctx.vec_rel(w2 - (b @ b.T @ f.g) @ w2, x)
+        w2 = ctx.w(ctx.w(x))
+        right = np.abs(ctx.sin2[:, i] - 1.0) <= PI2_TOL
+        outside = ctx.rel(ctx.norm(w2 - projector_matrix(ctx.g, b) @ w2), x)
+        return np.where(right, ctx.rel(ctx.norm(w2), x), outside), ctx.everywhere
 
-    return _worst(residual(i, ctx.cx[i], b) for i, b in zip(ctx.proper, ctx.dual.duals))
+    return _worst(ctx, (residual(i, ctx.cx[i], b) for i, b in zip(ctx.proper, ctx.duals)))
 
 
 # -- norm relations ------------------------------------------------------------------
@@ -454,10 +461,9 @@ def _w2comp(ctx):
 @_case("norm.f-sum", "both", "X in D",
        "|fX|^2 = sum_i cos^2(theta_i) * |X_i|^2")
 def _nfsum(ctx):
-    f = ctx.frame
     x = ctx.x_d
-    total = sum(ctx.cos2[i] * f.inner(ctx.cx[i], ctx.cx[i]) for i in range(len(f.bases)))
-    diff = f.inner(f.f(x), f.f(x)) - total
+    total = sum(_weighted(ctx, "cos2", i, ctx.inner(cx, cx)) for i, cx in enumerate(ctx.cx))
+    diff = ctx.inner(ctx.f(x), ctx.f(x)) - total
     return ctx.rel(diff, x, x)
 
 
@@ -465,30 +471,27 @@ def _nfsum(ctx):
        "|wU|^2 = sum_i cos^2(theta_i) * |U_i|^2")
 def _nwdual(ctx):
     if not ctx.wu:
-        return None
-    f = ctx.frame
+        return ctx.nowhere
     u = ctx.u_w
-    total = sum(ctx.cos2[i] * f.inner(ctx.wu[slot], ctx.wu[slot])
+    total = sum(_weighted(ctx, "cos2", i, ctx.inner(ctx.wu[slot], ctx.wu[slot]))
                 for slot, i in enumerate(ctx.proper))
-    diff = f.inner(f.w(u), f.w(u)) - total
+    diff = ctx.inner(ctx.w(u), ctx.w(u)) - total
     return ctx.rel(diff, u, u)
 
 
 @_case("norm.f-invariant", "both", "X_0 in D_0", "|fX_0| = |X_0|", side="D")
 def _norm_invariant(ctx, side):
     if side.x0 is None:
-        return None
-    f = ctx.frame
-    diff = f.norm(side.own(side.x0)) - f.norm(side.x0)
+        return ctx.nowhere
+    diff = ctx.norm(side.own(side.x0)) - ctx.norm(side.x0)
     return ctx.rel(diff, side.x0)
 
 
 @_case("norm.wx-sin", "both", "X_i in D_i", "|wX_i| = sin(theta_i) * |X_i|", side="D",
        twin=("norm.fu-sin", "U_i in w(D_i)", "|fU_i| = sin(theta_i) * |U_i|"))
 def _norm_sin(ctx, side):
-    f = ctx.frame
-    return _worst(ctx.rel(f.norm(side.other(x)) - ctx.sin[i] * f.norm(x), x)
-                  for i, x, _ in ctx.components(side))
+    return _worst(ctx, ((ctx.rel(ctx.norm(side.other(x)) - _weighted(ctx, "sin", i, ctx.norm(x)),
+                                 x), held) for i, x, _, held in ctx.components(side)))
 
 
 @_case("norm.wx-sumsq", "both", "X in sum of proper D_i",
@@ -496,35 +499,34 @@ def _norm_sin(ctx, side):
        twin=("norm.fu-sumsq", "U in w(D)", "|fU|^2 = sum_i sin^2(theta_i) * |U_i|^2"))
 def _norm_sumsq(ctx, side):
     if not side.xs:
-        return None
-    f = ctx.frame
-    total = sum(ctx.sin2[i] * f.inner(x, x) for i, x, _ in ctx.components(side))
+        return ctx.nowhere
+    total = sum(_weighted(ctx, "sin2", i, ctx.inner(x, x))
+                for i, x, _, _ in ctx.components(side))
     ox = side.other(side.x)
-    return ctx.rel(f.inner(ox, ox) - total, side.x, side.x)
+    return ctx.rel(ctx.inner(ox, ox) - total, side.x, side.x)
 
 
 # -- angle (conformality) relations -----------------------------------------------
 
 def _own_and_phi_conformal(ctx, side, x, y):
     """Angle change of (x, y) under the side's own map and under phi."""
-    f = ctx.frame
-    return max(_cos_diff(f, side.own(x), side.own(y), x, y),
-               _cos_diff(f, f.apply_phi(x), f.apply_phi(y), x, y))
+    return np.maximum(ctx.cos_diff(side.own(x), side.own(y), x, y),
+                      ctx.cos_diff(ctx.apply_phi(x), ctx.apply_phi(y), x, y))
 
 
 @_case("angle.f-invariant", "both", "X_0, Y_0 in D_0",
        "cos<(fX_0, fY_0) = cos<(phi X_0, phi Y_0) = cos<(X_0, Y_0)", side="D")
 def _angle_invariant(ctx, side):
     if side.x0 is None:
-        return None
+        return ctx.nowhere
     return _own_and_phi_conformal(ctx, side, side.x0, side.y0)
 
 
 @_case("angle.f-slant", "both", "X_i, Y_i in D_i, theta_i < pi/2",
        "cos<(fX_i, fY_i) = cos<(phi X_i, phi Y_i) = cos<(X_i, Y_i)", side="D")
 def _angle_slant(ctx, side):
-    return _worst(_own_and_phi_conformal(ctx, side, x, y)
-                  for _, x, y in ctx.components(side, lambda c, s: c > PI2_TOL))
+    return _worst(ctx, ((_own_and_phi_conformal(ctx, side, x, y), held)
+                        for _, x, y, held in ctx.components(side, lambda c, s: c > PI2_TOL)))
 
 
 _case("dual.w-metric-cos2", "both", "U_i, V_i in w(D_i)",
@@ -541,8 +543,8 @@ _case("angle.w-dual", "both", "U_i, V_i in w(D_i), theta_i < pi/2",
 @_case("angle.phi-dg", "both", "Z, W in D + G",
        "cos<(phi Z, phi W) = cos<(Z, W)")
 def _aphidg(ctx):
-    f = ctx.frame
-    return _cos_diff(f, f.apply_phi(ctx.z_dg), f.apply_phi(ctx.w_dg), ctx.z_dg, ctx.w_dg)
+    z, w = ctx.x_d + ctx.u_g, ctx.y_d + ctx.v_g
+    return ctx.cos_diff(ctx.apply_phi(z), ctx.apply_phi(w), z, w)
 
 
 _case("dual.wx-metric-sin2", "both", "X_i, Y_i in D_i",
@@ -570,7 +572,8 @@ _case("sum.w-angle", "both", "X, Y in sum of proper D_i",
 
 
 def _all_positive_sin(ctx):
-    return all(ctx.sin[i] > PI2_TOL for i in ctx.proper)
+    """(P,) mask of the points where every proper theta_i > 0."""
+    return np.all(ctx.sin[:, ctx.proper] > PI2_TOL, axis=1)
 
 
 @_case("invsin.x-metric", "both", "X, Y in sum of proper D_i, theta_i > 0",
@@ -578,12 +581,12 @@ def _all_positive_sin(ctx):
        twin=("invsin.u-metric", "U, V in w(D), theta_i > 0",
              "g(U, V) = sum_i g(fU_i, fV_i) / sin^2(theta_i)"))
 def _invsin_metric(ctx, side):
-    if not side.xs or not _all_positive_sin(ctx):
-        return None
-    f = ctx.frame
-    total = sum(f.inner(side.other(x), side.other(y)) / ctx.sin2[i]
-                for i, x, y in ctx.components(side))
-    return ctx.rel(f.inner(side.x, side.y) - total, side.x, side.y)
+    held = _all_positive_sin(ctx)
+    if not side.xs or not held.any():
+        return ctx.nowhere
+    total = sum(ctx.inner(side.other(x), side.other(y)) / ctx.sin2[:, i, None]
+                for i, x, y, _ in ctx.components(side))
+    return _worst(ctx, [(ctx.rel(ctx.inner(side.x, side.y) - total, side.x, side.y), held)])
 
 
 @_case("invsin.x-angle", "both", "X, Y in sum of proper D_i, theta_i > 0",
@@ -591,12 +594,13 @@ def _invsin_metric(ctx, side):
        twin=("invsin.u-angle", "U, V in w(D), theta_i > 0",
              "cos<(U, V) = cos<(sum fU_i / sin(theta_i), sum fV_i / sin(theta_i))"))
 def _invsin_angle(ctx, side):
-    if not side.xs or not _all_positive_sin(ctx):
-        return None
+    held = _all_positive_sin(ctx)
+    if not side.xs or not held.any():
+        return ctx.nowhere
     comps = ctx.components(side)
-    sx = sum(side.other(x) / ctx.sin[i] for i, x, _ in comps)
-    sy = sum(side.other(y) / ctx.sin[i] for i, _, y in comps)
-    return _cos_diff(ctx.frame, side.x, side.y, sx, sy)
+    sx = sum(side.other(x) / ctx.sin[:, i, None, None] for i, x, _, _ in comps)
+    sy = sum(side.other(y) / ctx.sin[:, i, None, None] for i, _, y, _ in comps)
+    return _worst(ctx, [(ctx.cos_diff(side.x, side.y, sx, sy), held)])
 
 
 # -- sin^4 corollaries ------------------------------------------------------------
@@ -638,17 +642,15 @@ _case("gside.metric.phi", "both", "U, V in w(D)", "g(phi U, phi V) = sum_i g(U_i
 @_case("h.w2", "both", "U_0 in H", "w2U_0 = eps * U_0")
 def _hw2(ctx):
     if ctx.u_h is None:
-        return None
-    f = ctx.frame
-    return ctx.vec_rel(f.w(f.w(ctx.u_h)) - ctx.eps * ctx.u_h, ctx.u_h)
+        return ctx.nowhere
+    return ctx.rel(ctx.norm(ctx.w(ctx.w(ctx.u_h)) - ctx.eps * ctx.u_h), ctx.u_h)
 
 
 @_case("h.metric", "both", "U_0, V_0 in H", "g(wU_0, wV_0) = g(U_0, V_0)")
 def _hm(ctx):
     if ctx.u_h is None:
-        return None
-    f = ctx.frame
-    diff = f.inner(f.w(ctx.u_h), f.w(ctx.v_h)) - f.inner(ctx.u_h, ctx.v_h)
+        return ctx.nowhere
+    diff = ctx.inner(ctx.w(ctx.u_h), ctx.w(ctx.v_h)) - ctx.inner(ctx.u_h, ctx.v_h)
     return ctx.rel(diff, ctx.u_h, ctx.v_h)
 
 
@@ -660,8 +662,9 @@ _case("h.norm", "both", "U_0 in H", "|wU_0| = |U_0|", side="w(D)")(_norm_invaria
 @_case("pi2.fw", "both", "X_j in D_j with theta_j = pi/2", "fwX_j = eps * X_j", side="D",
        twin=("pi2.wf", "U_j in w(D_j) with theta_j = pi/2", "wfU_j = eps * U_j"))
 def _pi2(ctx, side):
-    return _worst(ctx.vec_rel(side.round_trip(x) - ctx.eps * x, x)
-                  for _, x, _ in ctx.components(side, lambda c, s: abs(s - 1.0) <= PI2_TOL))
+    return _worst(ctx, ((ctx.rel(ctx.norm(side.round_trip(x) - ctx.eps * x), x), held)
+                        for _, x, _, held in ctx.components(
+                            side, lambda c, s: abs(s - 1.0) <= PI2_TOL)))
 
 
 _DUAL_PREFIXES = ("gside.", "h.", "dual.", "invsin.u", "sum.f-", "sin4.wf",
@@ -704,19 +707,22 @@ class SuiteReport:
 def run_identity_suite(dec: Decomposition, points, trials: int = 50,
                        tolerances: Tolerances = DEFAULT_TOLERANCES,
                        seed: int = DEFAULT_SEED, keys=None) -> SuiteReport:
-    """Evaluate every applicable registry identity at each point and report
-    the worst residual per key. Report-only: never raises on a failing
-    identity."""
+    """Evaluate every applicable registry identity over the stacked sample
+    points and report the worst residual per key, with the first point
+    holding it as witness (a NaN residual is the worst). Report-only: never
+    raises on a failing identity; SpecError on a key not in REGISTRY."""
     points = list(points)
     if not points:
         raise SpecError("identity suite needs at least one point")
     if trials < 1:
         raise SpecError("trials must be >= 1")
+    wanted = None if keys is None else set(keys)
+    unknown = sorted((wanted or set()) - {case.key for case in REGISTRY})
+    if unknown:
+        raise SpecError(f"unknown identity keys: {', '.join(unknown)}")
     tol = tolerances.identity
     setting = "contact" if dec.structure.is_contact else "hermitian"
-    wanted = set(keys) if keys is not None else None
-    contexts = [PointContext(dec, p, trials, seed, i, tolerances)
-                for i, p in enumerate(points)]
+    ctx = PointContext(dec, points, trials, seed, tolerances)
     entries = []
     for case in REGISTRY:
         if wanted is not None and case.key not in wanted:
@@ -728,20 +734,14 @@ def run_identity_suite(dec: Decomposition, points, trials: int = 50,
             entry["verdict"] = "skipped(setting)"
             entries.append(entry)
             continue
-        worst = None
-        witness = None
-        for ctx in contexts:
-            r = case.evaluator(ctx)
-            if r is None:
-                continue
-            if worst is None or r > worst:
-                worst = r
-                witness = ctx.frame.x.tolist()
-        if worst is None:
+        residuals = case.evaluator(ctx)
+        p = int(np.argmax(residuals))   # the first nan, else the first largest
+        worst = float(residuals[p])
+        if worst == -np.inf:
             entry["verdict"] = "skipped(vacuous)"
         else:
             entry["max_residual"] = worst
-            entry["witness_point"] = witness
+            entry["witness_point"] = ctx.points[p].tolist()
             entry["verdict"] = "pass" if worst <= tol else "fail"
         entries.append(entry)
     return SuiteReport(entries, tol, trials, seed)

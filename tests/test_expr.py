@@ -390,6 +390,27 @@ def test_faulting_tangents_fall_back_to_central_differences(src, x, monkeypatch)
     assert calls
 
 
+def test_abs_at_zero_falls_back_only_along_directions_that_move_it(monkeypatch):
+    """At u = 0 the tangent of abs(u) is 0 along a direction that leaves u
+    unchanged (|u| moves to second order only); only the direction that
+    moves u faults and falls back to the central difference, and the
+    Jacobian is the one every direction's fallback gave."""
+    field = fe.VectorFieldExpr.parse(["abs(x1)", "x2*x3", "0"], 3)
+    x = np.array([0.0, 1.5, -0.5])
+    calls = []
+    difference = tangents._central_difference
+
+    def counting(fill, x, j, h):
+        calls.append(j)
+        return difference(fill, x, j, h)
+
+    monkeypatch.setattr(tangents, "_central_difference", counting)
+    jac = field.jacobian(x, [0, 1, 2], 1e-5)
+    assert calls == [0]
+    np.testing.assert_allclose(jac, _central(field._fill, x, h=1e-5), rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(jac[1:], [[0.0, -0.5, 0.0], [0.0, 1.5, 0.0]])
+
+
 def test_jacobian_of_what_the_fill_cannot_compile_is_the_walkers_error():
     """A node the parser never builds faults the tangent code as it faults
     the value code; the fallback's walk raises the walker's EvalError."""
@@ -406,7 +427,7 @@ def test_sqrt_at_zero_falls_back_into_an_eval_error():
 
 
 def test_fallback_rejects_a_step_that_does_not_move_the_coordinate():
-    field = fe.VectorFieldExpr.parse(["abs(x1)", "x2"], 2)
+    field = fe.VectorFieldExpr.parse(["abs(x2 - 2)", "x2"], 2)
     with pytest.raises(SpecError, match=r"fd_step 1e-300 leaves x2 = 2.0 unchanged"):
         field.jacobian(np.array([0.0, 2.0]), [0, 1], 1e-300)
     # exact tangents need no step

@@ -1,20 +1,23 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from slantkit import tangents
+from slantkit import tangents, verifier
 from slantkit.classifier import component_slant
 from slantkit.cli import main
 from slantkit.config import DEFAULT_TOLERANCES
 from slantkit.distribution import Decomposition, DistributionFrame, PointFrame
-from slantkit.errors import ComponentError, InvariantError, SpecError, UnsupportedError
+from slantkit.errors import ComponentError, InvariantError, ModelError, SpecError, UnsupportedError
 from slantkit.expr import VectorFieldExpr
 from slantkit.gallery import build_fixture, fixture_to_spec_dict
 from slantkit.specfile import load_manifold_spec
 from slantkit.verifier import (
     REGISTRY,
     CovariantProbe,
+    PointContext,
     connection_criterion_report,
     eigenvalue_directional_derivative,
     nabla_f2,
@@ -89,6 +92,125 @@ class TestSuite:
     def test_needs_trials(self, ex1, trials):
         with pytest.raises(SpecError, match="trials must be >= 1"):
             run_identity_suite(ex1.decomposition, ex1.default_points()[:2], trials=trials)
+
+
+def _with_residuals(monkeypatch, key, residuals):
+    """Replace `key`'s evaluator by one returning the per-point `residuals`."""
+    monkeypatch.setattr(verifier, "REGISTRY", [
+        dataclasses.replace(case, evaluator=lambda ctx: np.array(residuals))
+        if case.key == key else case for case in REGISTRY])
+
+
+class TestFold:
+    """How `run_identity_suite` folds a key's per-point residuals."""
+
+    @pytest.mark.parametrize("residuals, witness", [
+        ([1e-16, float("nan"), 1e-12], 1),    # a nan after a finite residual
+        ([float("nan"), 1e-16, 1e-12], 0),    # a nan before one
+        ([1e-16, float("nan"), float("nan")], 1),
+    ])
+    def test_nan_residual_is_the_witness(self, monkeypatch, ex3, residuals, witness):
+        """A nan residual compares false against every number; wherever it
+        falls among the points, the first nan must become the key's worst
+        residual, with its point as witness, and fail."""
+        _with_residuals(monkeypatch, "adj.f-on-d", residuals)
+        points = ex3.default_points()[:3]
+        rep = run_identity_suite(ex3.decomposition, points, trials=3, keys=["adj.f-on-d"])
+        entry = rep.entry("adj.f-on-d")
+        assert not rep.passed
+        assert entry["verdict"] == "fail"
+        assert math.isnan(entry["max_residual"])
+        assert entry["witness_point"] == points[witness].tolist()
+
+    def test_first_of_tied_points_is_the_witness(self, monkeypatch, ex3):
+        _with_residuals(monkeypatch, "adj.f-on-d", [1e-16, 3e-16, 3e-16])
+        points = ex3.default_points()[:3]
+        entry = run_identity_suite(ex3.decomposition, points, trials=3,
+                                   keys=["adj.f-on-d"]).entry("adj.f-on-d")
+        assert (entry["max_residual"], entry["verdict"]) == (3e-16, "pass")
+        assert entry["witness_point"] == points[1].tolist()
+
+    @pytest.mark.parametrize("first, second", [(1.0, float("nan")), (float("nan"), 1.0)])
+    def test_nan_component_is_the_points_residual(self, ex3, first, second):
+        """Inside a point, a nan residual of one component wins over the
+        other components, in either order; a component not held at a point
+        does not count there."""
+        ctx = PointContext(ex3.decomposition, ex3.default_points()[:2], 3, 0,
+                           DEFAULT_TOLERANCES)
+        held = np.array([True, True])
+        got = verifier._worst(ctx, [(np.array([first, 2.0]), held),
+                                    (np.array([second, 1.0]), held)])
+        assert math.isnan(got[0]) and got[1] == 2.0
+        got = verifier._worst(ctx, [(np.array([1.0, 2.0]), held),
+                                    (np.array([float("nan"), 5.0]), np.array([False, True]))])
+        assert got.tolist() == [1.0, 5.0]
+
+    def test_unknown_keys_are_a_spec_error(self, ex3):
+        with pytest.raises(SpecError, match=r"unknown identity keys: adj.f-on-D, no.such-key$"):
+            run_identity_suite(ex3.decomposition, ex3.default_points()[:2], trials=3,
+                               keys=["adj.f-on-D", "adj.f-on-d", "no.such-key"])
+
+    def test_ragged_frame_data_is_a_model_error(self, monkeypatch, ex3):
+        """Every stack is rectangular by construction; a frame whose data
+        changed shape from point to point must not stack silently."""
+        frame = ex3.decomposition.frame_at(ex3.default_points()[1])
+        monkeypatch.setattr(frame, "basis_perp", frame.basis_perp[:, :-1])
+        with pytest.raises(ModelError, match="basis_perp changes shape"):
+            run_identity_suite(ex3.decomposition, ex3.default_points()[:2], trials=3)
+
+
+class TestRightAnglePoints:
+    """ex5 with gamma = 1 has theta_i = pi/2 at the origin and below pi/2
+    elsewhere, for every proper component; the spec samples the origin
+    between two other points."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        fx = build_fixture("ex5", k=2, epsilon=1, gamma=1.0)
+        pts = fx.default_points()
+        spec = load_manifold_spec(fixture_to_spec_dict(fx, points=[pts[3], np.zeros(10), pts[5]]))
+        rep = run_identity_suite(spec.decomposition, spec.points, trials=20, seed=7)
+        ctx = PointContext(spec.decomposition, spec.points, 20, 7, DEFAULT_TOLERANCES)
+        return spec.decomposition, [np.asarray(p) for p in spec.points], rep, ctx
+
+    def test_right_angle_keys_take_their_witness_there(self, setup):
+        _, points, rep, ctx = setup
+        assert np.all(ctx.sin[1, 1:] == 1.0) and np.all(ctx.sin[[0, 2], 1:] < 1.0)
+        for key in ("pi2.fw", "pi2.wf"):
+            entry = rep.entry(key)
+            assert entry["verdict"] == "pass"
+            assert entry["witness_point"] == points[1].tolist()
+
+    def test_below_right_angle_keys_leave_those_points_out(self, setup):
+        _, points, rep, ctx = setup
+        for key in ("angle.f-slant", "angle.w-dual"):
+            residuals = next(c for c in REGISTRY if c.key == key).evaluator(ctx)
+            assert residuals[1] == -np.inf
+            assert np.all(np.isfinite(residuals[[0, 2]]))
+            assert rep.entry(key)["witness_point"] != points[1].tolist()
+
+    def test_keys_quantified_at_no_point_are_vacuous(self, setup):
+        dec, points, _, _ = setup
+        only_right = run_identity_suite(dec, [points[1]], trials=5)
+        none_right = run_identity_suite(dec, [points[0], points[2]], trials=5)
+        for key in ("angle.f-slant", "angle.w-dual"):
+            assert only_right.entry(key)["verdict"] == "skipped(vacuous)"
+        for key in ("pi2.fw", "pi2.wf"):
+            assert none_right.entry(key)["verdict"] == "skipped(vacuous)"
+            assert none_right.entry(key)["witness_point"] is None
+
+    def test_tied_points_give_the_first_as_witness(self, setup):
+        _, points, rep, ctx = setup
+        tied = 0
+        for case in REGISTRY:
+            entry = rep.entry(case.key)
+            if entry["verdict"] not in ("pass", "fail"):
+                continue
+            residuals = case.evaluator(ctx)
+            holders = np.flatnonzero(residuals == residuals.max())
+            tied += len(holders) > 1
+            assert entry["witness_point"] == points[holders[0]].tolist(), case.key
+        assert tied
 
 
 class TestNablaF2:
@@ -513,11 +635,12 @@ class TestConnectionReport:
             nabla_f2(fx.decomposition, CovariantProbe(h=1e-300), p, np.eye(10)[:, 2],
                      np.eye(10)[:, 3])
 
-    @pytest.mark.parametrize("angle", ["0.5 + 0.2*abs(x1)", "0.5 + 0.1*x1^x2"])
+    @pytest.mark.parametrize("angle", ["0.5 + 0.2*abs(x2 - 2)", "0.5 + 0.1*x1^x2"])
     def test_faulting_tangents_take_the_fill_fallback(self, angle, tmp_path, monkeypatch,
                                                       capsys):
-        """abs at 0 and a point-dependent exponent at base 0 have no tangent
-        there; their derivatives are central differences of the fill, and
+        """abs at 0 (along x2, the direction that moves its operand) and a
+        point-dependent exponent at base 0 have no tangent there; their
+        derivatives are central differences of the fill, and
         every maximum reads 0 with every verdict consistent, as it did when
         the probe differenced displaced frames. A step that leaves x2 = 2
         unchanged is a SpecError naming fd_step."""
