@@ -37,7 +37,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, check_f_invariance, f2_gram
 from .errors import ComponentError, InvariantError, ModelError, SpecError
-from .linalg import complement_columns, mgs_columns, pivoted_columns, sym_eigen
+from .linalg import complement_columns, mgs_columns, pivoted_columns, projector_matrix, sym_eigen
 from .sampling import DEFAULT_SEED
 from .structure import StructureField
 
@@ -571,8 +571,7 @@ def discover(structure: StructureField, points, mask: tuple[int, ...] | None = N
             basis_d = mgs_columns(g, pivoted_columns(g, cand, len(free) - 1))
         else:
             basis_d = mgs_columns(g, tm)
-        proj_d = basis_d @ basis_d.T @ g
-        mat = f2_gram(g, basis_d, proj_d @ phi, x)
+        mat = f2_gram(g, basis_d, projector_matrix(g, basis_d) @ phi, x)
         spectra.append(_spectrum_of_matrix(mat, basis_d, x, structure.epsilon,
                                            tolerances.cluster, tolerances.lambda_band))
 

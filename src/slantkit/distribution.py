@@ -37,6 +37,7 @@ from .linalg import (
     complement_columns,
     g_inner,
     mgs_columns,
+    mgs_each,
     projector_matrix,
 )
 from .sampling import DEFAULT_SEED, rng_for
@@ -230,13 +231,16 @@ class PointFrame:
             if nrm < 1e-12:
                 raise RankError("xi vanishes at the sample point")
             self.xi_unit = self.xi / nrm
-        self.bases = []
-        for comp in dec.components:
-            raw = comp.raw_at(x)
-            try:
-                self.bases.append(mgs_columns(self.g, raw))
-            except RankError as exc:
-                raise RankError(f"component {comp.name!r} at {x.tolist()}: {exc}") from None
+        raws = [comp.raw_at(x) for comp in dec.components]
+        try:
+            self.bases = mgs_each(self.g, raws)
+        except RankError:
+            for comp, raw in zip(dec.components, raws):      # name the first one that fails
+                try:
+                    mgs_columns(self.g, raw)
+                except RankError as exc:
+                    raise RankError(f"component {comp.name!r} at {x.tolist()}: {exc}") from None
+            raise
         ranks = [b.shape[1] for b in self.bases]
         self.offsets = (0, *accumulate(ranks))
         self.owner = np.repeat(np.arange(len(ranks)), ranks)

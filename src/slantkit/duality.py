@@ -22,6 +22,7 @@ from .errors import RankError, ModelError
 from .linalg import (
     g_inner,
     mgs_columns,
+    mgs_each,
     pivoted_columns,
     principal_angle_values,
     projector_matrix,
@@ -63,7 +64,7 @@ def build_dual(dec: Decomposition, point) -> DualDecomposition:
     frame = dec.frame_at(point)
     g = frame.g
     basis_g = frame.basis_g
-    duals = []
+    ws = []
     for i in frame.proper_indices:
         b = frame.component_basis(i)
         w = frame.proj_g @ (frame.phi @ b)       # w-part lands in G exactly
@@ -73,7 +74,8 @@ def build_dual(dec: Decomposition, point) -> DualDecomposition:
             raise RankError(
                 f"w collapses on component {name!r} at {frame.x.tolist()} "
                 "(slant value 0 there); the dual is undefined")
-        duals.append(mgs_columns(g, w))
+        ws.append(w)
+    duals = mgs_each(g, ws)
     used = sum(b.shape[1] for b in duals)
     h_dim = basis_g.shape[1] - used
     if h_dim > 0:
@@ -129,12 +131,11 @@ def dual_roundtrip_check(dec: Decomposition, point,
     dd = frame.dual()
     entries = []
     passed = True
+    fw_onbs = mgs_each(frame.g, [frame.f(wb) for wb in dd.duals])
     for slot, i in enumerate(frame.proper_indices):
         name = dec.components[i].name
         wb = dd.duals[slot]
-        fw = frame.f(wb)
-        fw_onb = mgs_columns(frame.g, fw)
-        angles = principal_angle_values(frame.g, fw_onb, frame.component_basis(i))
+        angles = principal_angle_values(frame.g, fw_onbs[slot], frame.component_basis(i))
         max_angle = float(angles[-1]) if angles.size else 0.0
         theta_src = component_slant(dec, point, i, tolerances).theta
         theta_dual = dual_slant_theta(dec, point, i, tolerances)
@@ -200,13 +201,12 @@ def expected_span_check(dec: Decomposition, point, expected_indices: list[set[in
     n = dec.structure.n
     results = []
     passed = True
+    targets = mgs_each(frame.g, [np.eye(n)[:, sorted(i - 1 for i in idx_set)]
+                                 for idx_set in expected_indices])
     for slot, idx_set in enumerate(expected_indices):
-        cols = sorted(i - 1 for i in idx_set)
-        target = np.eye(n)[:, cols]
-        target = mgs_columns(frame.g, target)
-        angles = principal_angle_values(frame.g, dd.duals[slot], target)
+        angles = principal_angle_values(frame.g, dd.duals[slot], targets[slot])
         worst = float(angles[-1]) if angles.size else 0.0
-        ok = worst < tol and dd.duals[slot].shape[1] == len(cols)
+        ok = worst < tol and dd.duals[slot].shape[1] == len(idx_set)
         passed = passed and ok
         results.append({"expected": sorted(idx_set), "max_angle": worst, "passed": ok})
     return {"point": frame.x.tolist(), "passed": passed, "spans": results}

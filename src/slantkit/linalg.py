@@ -19,6 +19,7 @@ from .errors import (
 )
 
 RANK_TOL = 1e-12         # relative to the largest input column norm
+CHOLQR2_COND_MAX = 1e6   # largest scale * ||L^-1||_F that mgs_columns factorises
 ORTHONORMAL_TOL = 1e-10
 SYMMETRY_RTOL = 1e-9
 
@@ -159,6 +160,8 @@ class SubspaceBasis:
 #
 # `g_inner` is the one place a g-contraction g(u, v) of batches is written;
 # every other module calls it rather than writing its own contraction.
+# `mgs_columns` is the one g-orthonormaliser: stacked CholeskyQR2, with the
+# Gram-Schmidt loop as its fallback past CHOLQR2_COND_MAX and its rank test.
 # ---------------------------------------------------------------------------
 
 def g_inner(gmat: np.ndarray | None, u: np.ndarray, v: np.ndarray,
@@ -177,10 +180,50 @@ def g_inner(gmat: np.ndarray | None, u: np.ndarray, v: np.ndarray,
     return np.einsum("pi...,pi...->p..." if stacked else "i...,i...->...", u, gv)
 
 
+def _inverse_cholesky(gram: np.ndarray) -> np.ndarray:
+    """L^-1 of each gram = L L^T of a stack (..., r, r); NaN where that fails."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(gram))
+    except np.linalg.LinAlgError:
+        return np.stack([_inverse_cholesky(a) for a in gram]) if gram.ndim > 2 else gram * np.nan
+
+
 def mgs_columns(gmat: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """g-orthonormalize the columns of `raw` by modified Gram-Schmidt with one
-    re-orthogonalization pass. Raises RankError when a pivot collapses."""
+    """g-orthonormalize the columns of `raw` (n, r), or of each member of a
+    stack (..., n, r), against `gmat` (n, n) or (..., n, n) by CholeskyQR2
+    (Fukaya et al., 2014): B <- B L^-T with L = chol(B^T g B), twice. A member
+    takes `_mgs_loop` when a factorisation fails or is not finite, or when
+    scale * ||L^-1||_F (scale: its largest column g-norm) exceeds
+    CHOLQR2_COND_MAX; below that the loop's pivots stay far above RANK_TOL *
+    scale, so only the loop decides rank and raises RankError."""
     raw = np.array(raw, dtype=float)
+    with np.errstate(all="ignore"):
+        gram = np.swapaxes(raw, -1, -2) @ gmat @ raw
+        linv = _inverse_cholesky(gram)
+        out = raw @ np.swapaxes(linv, -1, -2)
+        linv2 = _inverse_cholesky(np.swapaxes(out, -1, -2) @ gmat @ out)
+        out = out @ np.swapaxes(linv2, -1, -2)
+        bound_sq = (np.diagonal(gram, axis1=-2, axis2=-1).max(axis=-1, initial=0.0)
+                    * np.einsum("...ij,...ij->...", linv, linv))
+        ok = (bound_sq <= CHOLQR2_COND_MAX ** 2) & np.isfinite(np.einsum("...ij->...", linv2))
+    if not ok.all():
+        for idx in map(tuple, np.argwhere(~ok)):
+            out[idx] = _mgs_loop(np.broadcast_to(gmat, ok.shape + gmat.shape[-2:])[idx], raw[idx])
+    return out
+
+
+def mgs_each(gmat: np.ndarray, raws: list[np.ndarray]) -> list[np.ndarray]:
+    """`mgs_columns` of each matrix of `raws`, one stacked call per shape."""
+    out = [None] * len(raws)
+    for shape in dict.fromkeys(a.shape for a in raws):
+        idx = [i for i, a in enumerate(raws) if a.shape == shape]
+        for i, onb in zip(idx, mgs_columns(gmat, np.array([raws[i] for i in idx]))):
+            out[i] = onb
+    return out
+
+
+def _mgs_loop(gmat: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt with one re-orthogonalization pass."""
     n, r = raw.shape
     col_norms = np.sqrt(np.maximum(g_inner(gmat, raw, raw), 0.0))
     scale = max(float(col_norms.max(initial=0.0)), 1e-300)
@@ -211,13 +254,8 @@ def complement_columns(gmat: np.ndarray, onb: np.ndarray) -> np.ndarray:
     Deterministic: the candidates are the columns of I - P, picked by
     `pivoted_columns`.
     """
-    n = gmat.shape[0]
-    r = 0 if onb is None or onb.size == 0 else onb.shape[1]
-    m = n - r
-    if m <= 0:
-        return np.zeros((n, 0))
-    cand = np.eye(n) - projector_matrix(gmat, onb if r else np.zeros((n, 0)))
-    return mgs_columns(gmat, pivoted_columns(gmat, cand, m))
+    cand = np.eye(gmat.shape[0]) - projector_matrix(gmat, onb)
+    return mgs_columns(gmat, pivoted_columns(gmat, cand, onb.shape[0] - onb.shape[1]))
 
 
 def pivoted_columns(gmat: np.ndarray, cand: np.ndarray, rank: int) -> np.ndarray:

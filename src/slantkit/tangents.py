@@ -201,11 +201,10 @@ def frame_derivatives(frame: PointFrame, dirs: np.ndarray, coords: list[int],
         if dA is None:
             continue
         basis, raw = frame.bases[i], comp.raw_at(x)
-        for model in (raw + step * dA[a] for step in models for a in range(q)):
-            try:
-                mgs_columns(frame.g, model)
-            except RankError as exc:
-                raise RankError(f"component {comp.name!r} {near} {x.tolist()}: {exc}") from None
+        try:
+            mgs_columns(frame.g, raw + np.multiply.outer(models, dA))
+        except RankError as exc:
+            raise RankError(f"component {comp.name!r} {near} {x.tolist()}: {exc}") from None
         if dQ is None:
             dQ = np.zeros((q, n, Q.shape[1]))
         dQ[:, :, off[i]:off[i + 1]] = ((dA - basis @ (basis.T @ dA))

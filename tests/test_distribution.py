@@ -11,7 +11,7 @@ from slantkit.distribution import (
     f_squared_matrix,
     fw_split,
 )
-from slantkit.errors import InvariantError, ModelError
+from slantkit.errors import InvariantError, ModelError, RankError
 from slantkit.sampling import rng_for
 
 
@@ -216,6 +216,19 @@ def test_components_must_be_orthogonal(ex1):
         mask=ex1.mask)
     with pytest.raises(InvariantError, match=r"^components 'A' and 'B' are not orthogonal at "):
         three.frame_at(np.zeros(11))
+
+
+@pytest.mark.parametrize("components, message", [
+    # two rank-2 components share one stacked call; the second one fails
+    ({"A": [{3: 1}, {4: 1}], "B": [{7: 1}, {7: 2}]}, "'B' at .*: column 1"),
+    # A and C (rank 2) are stacked before B (rank 1); C fails, but B comes first
+    ({"A": [{3: 1}, {4: 1}], "B": [{7: 0}], "C": [{8: 1}, {8: -1}]}, "'B' at .*: column 0"),
+])
+def test_dependent_component_is_named(ex1, components, message):
+    dec = Decomposition(ex1.structure, [_field_frame(name, 11, *cols, mask=ex1.mask)
+                                        for name, cols in components.items()], mask=ex1.mask)
+    with pytest.raises(RankError, match=rf"^component {message} is dependent on the previous ones$"):
+        dec.frame_at(np.zeros(11))
 
 
 def test_components_must_be_orthogonal_to_xi(ex1):

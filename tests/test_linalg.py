@@ -15,6 +15,7 @@ from slantkit.errors import (
     SymmetryError,
 )
 from slantkit.linalg import (
+    CHOLQR2_COND_MAX,
     AmbientPoint,
     MetricAtPoint,
     SubspaceBasis,
@@ -22,8 +23,10 @@ from slantkit.linalg import (
     complement_columns,
     g_inner,
     gram_schmidt,
+    _mgs_loop,
     inner,
     mgs_columns,
+    mgs_each,
     pivoted_columns,
     principal_angles,
     projector,
@@ -202,6 +205,107 @@ def _deflation_oracle(g, cand, rank):
         out[:, j] = q
         cand -= np.outer(q, q @ g @ cand)
     return out
+
+
+def _spd(rng, n):
+    a = rng.standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+def _kahan(n, theta):
+    """Kahan's upper-triangular matrix: its R factor is itself, and its
+    condition grows exponentially with n."""
+    s, c = np.sin(theta), np.cos(theta)
+    return np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+
+
+def _near_dependent(n, eps):
+    """Three random columns, the last one `eps` (relative) off the span of the others."""
+    a = np.random.default_rng(1).standard_normal((n, 3))
+    a[:, 2] = a[:, 0] - 0.5 * a[:, 1] + eps * a[:, 2]
+    return a
+
+
+class TestMgsColumns:
+    """`mgs_columns` (CholeskyQR2) against `_mgs_loop`, the Gram-Schmidt loop
+    it replaced and still falls back to."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_loop_for_every_rank(self, seed):
+        n = 9
+        rng = np.random.default_rng(seed)
+        g = _spd(rng, n)
+        for r in range(1, n + 1):
+            raw = rng.standard_normal((n, r))
+            got = mgs_columns(g, raw)
+            assert np.max(np.abs(got - _mgs_loop(g, raw))) <= 1e-14
+            assert np.max(np.abs(got.T @ g @ got - np.eye(r))) <= 1e-13
+
+    def test_zero_columns(self):
+        g = _spd(np.random.default_rng(0), 5)
+        assert mgs_columns(g, np.zeros((5, 0))).shape == (5, 0)
+        assert mgs_columns(g, np.zeros((3, 5, 0))).shape == (3, 5, 0)
+
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_stack_equals_members(self, r):
+        n = 7
+        rng = np.random.default_rng(r)
+        g, gs = _spd(rng, n), np.stack([_spd(rng, n) for _ in range(4)])
+        raws = rng.standard_normal((2, 4, n, r))
+        got = mgs_columns(g, raws)
+        for a, b in np.ndindex(2, 4):
+            assert np.array_equal(got[a, b], mgs_columns(g, raws[a, b]))
+        got = mgs_columns(gs, raws[0])
+        for b in range(4):
+            assert np.array_equal(got[b], mgs_columns(gs[b], raws[0, b]))
+        # mixed shapes: one stacked call per shape, results in input order
+        mixed = [raws[0, 0], rng.standard_normal((n, r + 1)), raws[0, 1]]
+        for onb, raw in zip(mgs_each(g, mixed), mixed):
+            assert np.array_equal(onb, mgs_columns(g, raw))
+
+    @pytest.mark.parametrize("raw", [
+        _near_dependent(6, 1e-9),                              # relative pivot ~1e-9
+        _kahan(15, 0.5),                                       # condition ~4e8
+        _kahan(20, 0.6),                                       # first factorisation fails
+    ], ids=["near-dependent", "kahan", "kahan-not-pd"])
+    def test_fallback_is_the_loop_bit_for_bit(self, raw):
+        n = raw.shape[0]
+        g = np.eye(n)
+        gram = raw.T @ raw
+        try:
+            bound = (np.sqrt(np.max(np.diag(gram)))
+                     * np.linalg.norm(np.linalg.inv(np.linalg.cholesky(gram))))
+        except np.linalg.LinAlgError:
+            bound = np.inf
+        assert bound > CHOLQR2_COND_MAX
+        assert np.array_equal(mgs_columns(g, raw), _mgs_loop(g, raw))
+        # in a stack, the member on the fallback leaves its neighbour alone
+        good = np.random.default_rng(0).standard_normal(raw.shape)
+        got = mgs_columns(g, np.stack([good, raw]))
+        assert np.array_equal(got[0], mgs_columns(g, good))
+        assert np.array_equal(got[1], _mgs_loop(g, raw))
+
+    @pytest.mark.parametrize("raw, message", [
+        (np.zeros((3, 1)), "column 0 is dependent on the previous ones"),
+        (np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]),
+         "column 2 is dependent on the previous ones"),
+    ])
+    def test_rank_error_message(self, raw, message):
+        g = np.eye(3)
+        with pytest.raises(RankError, match=f"^{message}$"):
+            _mgs_loop(g, raw)
+        with pytest.raises(RankError, match=f"^{message}$"):
+            mgs_columns(g, raw)
+        with pytest.raises(RankError, match=f"^{message}$"):
+            mgs_columns(g, np.stack([np.eye(3)[:, :raw.shape[1]], raw]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_follows_the_loop(self, bad):
+        raw = np.random.default_rng(0).standard_normal((5, 3))
+        raw[1, 1] = bad
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(mgs_columns(np.eye(5), raw),
+                                          _mgs_loop(np.eye(5), raw))
 
 
 class TestPivotedColumns:

@@ -10,7 +10,8 @@ from slantkit.classifier import component_slant
 from slantkit.cli import main
 from slantkit.config import DEFAULT_TOLERANCES
 from slantkit.distribution import Decomposition, DistributionFrame, PointFrame
-from slantkit.errors import ComponentError, InvariantError, ModelError, SpecError, UnsupportedError
+from slantkit.errors import (ComponentError, InvariantError, ModelError, RankError, SpecError,
+                             UnsupportedError)
 from slantkit.expr import VectorFieldExpr
 from slantkit.gallery import build_fixture, fixture_to_spec_dict
 from slantkit.specfile import load_manifold_spec
@@ -704,6 +705,22 @@ class TestConnectionReport:
             connection_criterion_report(spec.decomposition, CovariantProbe(), spec.points)
         assert main(["identities", str(path)]) == 0
         assert main(["identities", str(path), "--connection"]) == 1
+
+    def test_rank_lost_at_displaced_point_raises(self, tmp_path):
+        """D2's second field (1 - x1/h) e8 is e8 at every sample point and
+        vanishes at x + h e1 (h = fd_step) to first order. D2 has the rank of
+        D1 and its first-order models are checked in one stacked call; the
+        error names D2."""
+        doc = _pair_spec("0.5")
+        assert DEFAULT_TOLERANCES.fd_step == 1e-5
+        doc["distributions"]["D2"][1][7] = "1 - 100000*x1"
+        path = tmp_path / "collapse.json"
+        path.write_text(json.dumps(doc))
+        spec = load_manifold_spec(path)
+        with pytest.raises(RankError, match=r"^component 'D2' to first order near \[0\.0, 2\.0, "
+                                            r".*\]: column 1 is dependent on the previous ones$"):
+            connection_criterion_report(spec.decomposition, CovariantProbe(), spec.points)
+        assert main(["identities", str(path)]) == 0
 
     def test_requires_mask(self, ex1):
         dec = Decomposition(ex1.structure, list(ex1.decomposition.proper),
