@@ -22,10 +22,14 @@ Verdict vocabulary (the implication lattice is in taxonomy.VERDICT_LATTICE):
 * ``generic``: the clustered spectrum has point-independent cluster count and
   multiplicities, clusters at 0 or eps stay there at every point, at least
   one interior cluster is strictly pointwise (non-constant), matched clusters
-  stay separated at every point, and (with a declared decomposition) the
-  pointwise-k-slant verdict holds, so the lattice cannot break.
+  stay separated at every point, and the pointwise-k-slant verdict holds, so
+  the lattice cannot break.
 * ``skew-CR``: constant eigenvalue functions with constant multiplicities and
   at least one interior cluster (not reducible to CR or anti-invariant).
+
+Declared and discovery mode reach these labels through one function,
+`_verdicts`; discovery's components are the eigenvalue clusters of f^2 on
+the one component "D" (`_TangentComponent`).
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .distribution import Decomposition, check_f_invariance, f2_gram
+from .distribution import Decomposition, check_f_invariance
 from .errors import ComponentError, InvariantError, ModelError, SpecError
-from .linalg import complement_columns, mgs_columns, pivoted_columns, projector_matrix, sym_eigen
+from .linalg import pivoted_columns
 from .sampling import DEFAULT_SEED
 from .structure import StructureField
 
@@ -67,14 +71,13 @@ def cluster_eigenvalues(evals: np.ndarray, cluster_tol: float) -> list[list[int]
 
 
 class SlantCluster:
-    __slots__ = ("lam", "alpha", "theta", "multiplicity", "eigenbasis")
+    __slots__ = ("lam", "alpha", "theta", "multiplicity")
 
-    def __init__(self, lam, alpha, theta, multiplicity, eigenbasis):
+    def __init__(self, lam, alpha, theta, multiplicity):
         self.lam = lam
         self.alpha = alpha
         self.theta = theta
         self.multiplicity = multiplicity
-        self.eigenbasis = eigenbasis  # ambient n x multiplicity, orthonormal
 
     def to_json_dict(self) -> dict:
         return {"lambda": self.lam, "alpha": self.alpha, "theta": self.theta,
@@ -93,37 +96,29 @@ class SlantSpectrum:
                 "clusters": [c.to_json_dict() for c in self.clusters]}
 
 
-def _spectrum_of_matrix(mat: np.ndarray, basis: np.ndarray, point: np.ndarray,
-                        epsilon: int, cluster_tol: float, band: float) -> SlantSpectrum:
-    evals, evecs = sym_eigen(mat)
-    clusters = []
-    for group in cluster_eigenvalues(evals, cluster_tol):
-        lam = float(np.mean(evals[group]))
-        alpha, theta = _lambda_to_alpha_theta(lam, epsilon, band)
-        clusters.append(SlantCluster(lam, alpha, theta, len(group), basis @ evecs[:, group]))
-    return SlantSpectrum(point, clusters)
-
-
 def slant_spectrum(dec: Decomposition, point,
                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> SlantSpectrum:
-    """Clustered spectrum of f^2 restricted to the whole of D at one point."""
+    """Clustered spectrum of f^2 restricted to the whole of D at one point,
+    from the eigenvalues of the frame's f^2 Gram."""
     frame = dec.frame_at(point)
-    return _spectrum_of_matrix(frame.f2_full(), frame.basis_d, frame.x, frame.epsilon,
-                               tolerances.cluster, tolerances.lambda_band)
+    evals = np.linalg.eigvalsh(frame.f2_full())
+    clusters = []
+    for group in cluster_eigenvalues(evals, tolerances.cluster):
+        lam = float(np.mean(evals[group]))
+        alpha, theta = _lambda_to_alpha_theta(lam, frame.epsilon, tolerances.lambda_band)
+        clusters.append(SlantCluster(lam, alpha, theta, len(group)))
+    return SlantSpectrum(frame.x, clusters)
 
 
 def component_slant(dec: Decomposition, point, index: int,
                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> SlantCluster:
     """Single slant cluster of component `index`, read from its block of
-    the frame's f^2 Gram by `single_cluster_lambda`; its eigenbasis is the
-    component's orthonormal basis, since every vector of a single cluster is
-    an eigenvector."""
+    the frame's f^2 Gram by `single_cluster_lambda`."""
     frame = dec.frame_at(point)
-    basis = frame.bases[index]
     lam = single_cluster_lambda(frame, dec.components[index].name,
                                 frame.f2_component(index), tolerances)
     alpha, theta = _lambda_to_alpha_theta(lam, frame.epsilon, tolerances.lambda_band)
-    return SlantCluster(lam, alpha, theta, basis.shape[1], basis)
+    return SlantCluster(lam, alpha, theta, frame.bases[index].shape[1])
 
 
 def single_cluster_lambda(frame, name: str, mat: np.ndarray,
@@ -301,11 +296,10 @@ def _analyze_tracks(spectra, epsilon, tolerances, points):
     info["all_constant"] = bool(np.all(theta_span <= tolerances.angle_const))
     info["strictly_pointwise"] = any(theta_span[t] > tolerances.angle_const for t in interior)
     p_sep = _first_coincidence(thetas, tolerances.angle_distinct)
-    sep_witness = None if p_sep is None else {
-        "reason": "matched clusters not separated", "point": _witness_point(points[p_sep])}
     info["separated_everywhere"] = p_sep is None
     if p_sep is not None and info["witness"] is None:
-        info["witness"] = sep_witness
+        info["witness"] = {"reason": "matched clusters not separated",
+                           "point": _witness_point(points[p_sep])}
     margin = tolerances.alpha_margin
     for t in interior:
         amin = float(alphas[:, t].min())
@@ -315,7 +309,6 @@ def _analyze_tracks(spectra, epsilon, tolerances, points):
                 {"track": t, "alpha_min": amin, "alpha_max": amax,
                  "note": f"alpha within {margin} of 0 or 1; the open-interval "
                          "requirement is decided up to this margin"})
-    info["sep_witness"] = sep_witness
     return info
 
 
@@ -368,101 +361,105 @@ def classify(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOLERA
         raise ModelError(f"f-invariance violated: {inv_report.witness}")
 
     comps = dec.components
-    ncomp = len(comps)
     inv_idx = 0 if dec.invariant is not None else None
-    theta = np.empty((len(points), ncomp))
-    lam = np.empty((len(points), ncomp))
+    theta = np.empty((len(points), len(comps)))
+    lam = np.empty((len(points), len(comps)))
     for pi, point in enumerate(points):
-        for ci in range(ncomp):
+        for ci in range(len(comps)):
             cl = component_slant(dec, point, ci, tolerances)
             theta[pi, ci] = cl.theta
             lam[pi, ci] = cl.lam
+    entries = [_component_entry(comp.name, comp.rank, ci == inv_idx, theta[:, ci],
+                                lam[:, ci], tolerances)
+               for ci, comp in enumerate(comps)]
+    spectra = [slant_spectrum(dec, p, tolerances=tolerances) for p in points]
+    tr = _analyze_tracks(spectra, dec.structure.epsilon, tolerances, points)
+    labels, evidence, named, k = _verdicts(theta, entries, inv_idx, tr, points, tolerances,
+                                           _DECLARED_WORDING)
+    return ClassificationReport(points, _display_order(entries), labels, evidence, named,
+                                spectra, tr["alpha_flags"], seed, tolerances, k)
 
-    comp_entries = [_component_entry(comp.name, comp.rank, ci == inv_idx, theta[:, ci],
-                                     lam[:, ci], tolerances)
-                    for ci, comp in enumerate(comps)]
-    measured_invariant = [e["verdict"] == "invariant" for e in comp_entries]
 
-    proper_idx = [ci for ci in range(ncomp) if ci != inv_idx]
+# How the constancy failures of k-slant and skew-CR are worded in each mode;
+# discovery reports keep their own wording (pinned by perfbench/reference).
+_DECLARED_WORDING = {"k-slant": "a slant function is not constant on the sampled points",
+                    "skew-CR": "eigenvalue functions not constant"}
+_DISCOVERY_WORDING = {
+    "k-slant": "cluster slant functions not constant and separated on sampled points",
+    "skew-CR": "eigenvalue functions not constant or no interior cluster"}
+
+
+def _verdicts(theta: np.ndarray, entries: list[dict], inv_idx: int | None, tr: dict,
+              points, tolerances: Tolerances, wording: dict):
+    """(labels, evidence, named cases, k) from the slant table `theta` (one
+    column per component, reported as `entries`), the cluster tracks `tr`
+    of `_analyze_tracks` and `inv_idx`, the column playing D0 (None without
+    one). Both modes decide here; `wording` words the constancy failures.
+
+    A pointwise-k-slant or k-pointwise-slant failure carries the rule that
+    decided it: no proper component, the invariant-component or
+    proper-positivity rule, or the first coinciding point or agreeing pair."""
+    names = [e["name"] for e in entries]
+    proper_idx = [ci for ci in range(len(entries)) if ci != inv_idx]
     k = len(proper_idx)
+    prop_theta = theta[:, proper_idx]
     evidence: dict[str, dict] = {}
 
-    invariant_ok = inv_idx is None or measured_invariant[inv_idx]
+    invariant_ok = inv_idx is None or entries[inv_idx]["verdict"] == "invariant"
     if not invariant_ok:
         evidence["invariant-component"] = {
-            "reason": f"declared invariant component {comps[inv_idx].name!r} measures "
+            "reason": f"declared invariant component {names[inv_idx]!r} measures "
                       "a nonzero slant value",
             "max_theta": float(theta[:, inv_idx].max())}
-
-    positivity_ok = True
     for ci in proper_idx:
         bad = np.flatnonzero(theta[:, ci] <= tolerances.angle_const)
         if bad.size:
-            positivity_ok = False
             evidence["proper-positivity"] = {
-                "reason": f"proper component {comps[ci].name!r} has slant value 0",
+                "reason": f"proper component {names[ci]!r} has slant value 0",
                 "point": _witness_point(points[bad[0]])}
             break
+    rule = ({"reason": "no proper component"} if k == 0
+            else evidence.get("invariant-component") or evidence.get("proper-positivity"))
 
-    prop_theta = theta[:, proper_idx]
-    all_constant = bool(np.all(_constancy_span(prop_theta) <= tolerances.angle_const))
-
-    # pointwise-k-slant: pairwise distinct at every sampled point
-    pks = invariant_ok and positivity_ok and k > 0
-    p_bad = _first_coincidence(prop_theta, tolerances.angle_distinct) if pks else None
-    if p_bad is not None:
-        pks = False
-        evidence["pointwise-k-slant"] = {
-            "reason": "slant values coincide at a sampled point",
-            "point": _witness_point(points[p_bad]),
-            "theta": [float(t) for t in prop_theta[p_bad]]}
-    if k == 0:
-        evidence["pointwise-k-slant"] = {"reason": "no proper component"}
-
+    # pointwise-k-slant: pairwise distinct at every sampled point;
     # k-pointwise-slant: distinct as functions (some sampled point separates)
-    kps = invariant_ok and positivity_ok and k > 0
-    pair = _first_agreeing_pair(prop_theta, tolerances.angle_distinct) if kps else None
-    if pair is not None:
-        kps = False
-        evidence["k-pointwise-slant"] = {
-            "reason": "two slant functions agree at every sampled point",
-            "components": [comps[proper_idx[j]].name for j in pair]}
-    if k == 0:
-        evidence["k-pointwise-slant"] = {"reason": "no proper component"}
+    if rule is not None:
+        evidence["pointwise-k-slant"] = evidence["k-pointwise-slant"] = rule
+    else:
+        p_bad = _first_coincidence(prop_theta, tolerances.angle_distinct)
+        if p_bad is not None:
+            evidence["pointwise-k-slant"] = {
+                "reason": "slant values coincide at a sampled point",
+                "point": _witness_point(points[p_bad]),
+                "theta": [float(t) for t in prop_theta[p_bad]]}
+        pair = _first_agreeing_pair(prop_theta, tolerances.angle_distinct)
+        if pair is not None:
+            evidence["k-pointwise-slant"] = {
+                "reason": "two slant functions agree at every sampled point",
+                "components": [names[proper_idx[j]] for j in pair]}
+    pks = "pointwise-k-slant" not in evidence
+    kps = "k-pointwise-slant" not in evidence
 
+    all_constant = bool(np.all(_constancy_span(prop_theta) <= tolerances.angle_const))
     kslant = all_constant and pks
     if not kslant:
-        evidence["k-slant"] = (
-            {"reason": "a slant function is not constant on the sampled points"}
-            if not all_constant else
-            evidence.get("pointwise-k-slant", {"reason": "not pointwise separated"}))
+        evidence["k-slant"] = ({"reason": wording["k-slant"]} if not all_constant
+                               else evidence["pointwise-k-slant"])
 
-    # clustered full-spectrum analysis
-    spectra = [slant_spectrum(dec, p, tolerances=tolerances) for p in points]
-    tr = _analyze_tracks(spectra, dec.structure.epsilon, tolerances, points)
-
-    generic = (tr["tracks_ok"] and tr["type_stable"] and tr["strictly_pointwise"]
-               and tr["separated_everywhere"] and pks)
+    stable = tr["tracks_ok"] and tr["type_stable"] and tr["separated_everywhere"]
+    generic = stable and tr["strictly_pointwise"] and pks
     if not generic:
-        if not tr["tracks_ok"] or not tr["type_stable"] or not tr["separated_everywhere"]:
-            evidence["generic"] = tr["witness"] or {"reason": "cluster structure unstable"}
-        elif not tr["strictly_pointwise"]:
-            evidence["generic"] = {"reason": "no strictly pointwise eigenvalue function "
-                                             "with alpha inside (0, 1)"}
-        else:
-            evidence["generic"] = evidence.get("pointwise-k-slant",
-                                               {"reason": "declared components not separated"})
+        evidence["generic"] = (
+            tr["witness"] if not stable
+            else {"reason": "no strictly pointwise eigenvalue function "
+                            "with alpha inside (0, 1)"} if not tr["strictly_pointwise"]
+            else evidence["pointwise-k-slant"])
 
     skew_cr = tr["tracks_ok"] and tr["all_constant"] and tr["interior_exists"]
     if not skew_cr:
         evidence["skew-CR"] = (tr["witness"] if not tr["tracks_ok"]
-                               else {"reason": "eigenvalue functions not constant"}
-                               if not tr["all_constant"]
+                               else {"reason": wording["skew-CR"]} if not tr["all_constant"]
                                else {"reason": "reducible to a CR or anti-invariant structure"})
-
-    cr = tr["tracks_ok"] and tr["all_special"]
-    anti = tr["tracks_ok"] and tr["all_zero"]
-    proper_label = inv_idx is None and not any(measured_invariant)
 
     labels = {
         "k-slant": kslant,
@@ -470,19 +467,14 @@ def classify(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOLERA
         "pointwise-k-slant": pks,
         "generic": generic,
         "skew-CR": skew_cr,
-        "CR": cr,
-        "anti-invariant": anti,
-        "proper": proper_label,
+        "CR": tr["tracks_ok"] and tr["all_special"],
+        "anti-invariant": tr["tracks_ok"] and tr["all_zero"],
+        "proper": inv_idx is None and not any(e["verdict"] == "invariant" for e in entries),
     }
-
-    named = _named_cases(labels, k, inv_idx is not None and invariant_ok,
-                         prop_theta, tolerances)
-
     _assert_lattice(labels)
-
-    display = _display_order(comp_entries)
-    return ClassificationReport(points, display, labels, evidence, named, spectra,
-                                tr["alpha_flags"], seed, tolerances, k)
+    named = _named_cases(labels, k, inv_idx is not None and invariant_ok, prop_theta,
+                         tolerances)
+    return labels, evidence, named, k
 
 
 def _named_cases(labels, k, has_invariant, prop_theta, tolerances) -> list[str]:
@@ -538,91 +530,61 @@ def _display_order(entries: list[dict]) -> list[dict]:
 # Discovery mode: no declared decomposition
 # ---------------------------------------------------------------------------
 
+class _TangentComponent:
+    """The one component "D" of discovery mode, shaped like a
+    `DistributionFrame`: the tangent space of the masked linear subspace (the
+    whole ambient space without a mask), minus the span of xi in the
+    contact-like case."""
+
+    name = "D"
+    mask = None
+
+    def __init__(self, structure: StructureField, mask: tuple[int, ...] | None):
+        self.structure = structure
+        self.n = structure.n
+        self.tm = np.eye(self.n)[:, [i - 1 for i in (mask or range(1, self.n + 1))]]
+        self.rank = self.tm.shape[1] - (1 if structure.is_contact else 0)
+        if self.rank < 1:
+            raise SpecError("the masked tangent space holds no direction besides xi")
+
+    def raw_at(self, x: np.ndarray) -> np.ndarray:
+        """The masked coordinate directions; for contact-like kinds, `rank`
+        pivoted columns of their g-orthogonal projection off xi."""
+        if not self.structure.is_contact:
+            return self.tm
+        g, xi, tm = self.structure.metric_at(x), self.structure.xi_at(x), self.tm
+        # xi must live inside TM for the decomposition to make sense
+        proj_tm = tm @ np.linalg.solve(tm.T @ g @ tm, tm.T @ g)
+        if float(np.linalg.norm(proj_tm @ xi - xi)) > 1e-9 * float(np.linalg.norm(xi)):
+            raise SpecError("xi does not lie inside the masked tangent space")
+        xi_u = xi / np.sqrt(xi @ g @ xi)
+        return pivoted_columns(g, tm - np.outer(xi_u, xi_u @ g @ tm), self.rank)
+
+
 def discover(structure: StructureField, points, mask: tuple[int, ...] | None = None,
              tolerances: Tolerances = DEFAULT_TOLERANCES,
              seed: int = DEFAULT_SEED) -> ClassificationReport:
     """Classify with candidate components given by the eigenvalue clusters of
-    the full restricted square, exactly the eigenspace decomposition the
-    skew-CR and generic descriptions build.
-
-    D is the tangent space of the masked linear subspace (the whole ambient
-    space without a mask), minus the span of xi in the contact-like case.
+    f^2 on D (`_TangentComponent`), exactly the eigenspace decomposition the
+    skew-CR and generic descriptions build. The clusters play D0..Dk for
+    `_verdicts`: an invariant cluster (the first, should tolerances admit
+    more than one) is D0, the others are proper.
     """
     points = list(points)
     if len(points) < 2:
         raise SpecError("classification needs at least two sample points")
-    n = structure.n
-    free = [i - 1 for i in (mask or range(1, n + 1))]
-    spectra = []
-    for point in points:
-        x = np.asarray(getattr(point, "coords", point), dtype=float)
-        g = structure.metric_at(x)
-        phi = structure.phi_at(x)
-        tm = np.eye(n)[:, free]
-        if structure.is_contact:
-            xi = structure.xi_at(x)
-            # xi must live inside TM for the decomposition to make sense
-            proj_tm = tm @ np.linalg.solve(tm.T @ g @ tm, tm.T @ g)
-            if float(np.linalg.norm(proj_tm @ xi - xi)) > 1e-9 * float(np.linalg.norm(xi)):
-                raise SpecError("xi does not lie inside the masked tangent space")
-            inside = complement_columns(g, mgs_columns(g, xi[:, None]))
-            # restrict the complement of <xi> back into TM before extracting D
-            cand = proj_tm @ inside
-            basis_d = mgs_columns(g, pivoted_columns(g, cand, len(free) - 1))
-        else:
-            basis_d = mgs_columns(g, tm)
-        mat = f2_gram(g, basis_d, projector_matrix(g, basis_d) @ phi, x)
-        spectra.append(_spectrum_of_matrix(mat, basis_d, x, structure.epsilon,
-                                           tolerances.cluster, tolerances.lambda_band))
-
+    dec = Decomposition(structure, [_TangentComponent(structure, mask)], mask=mask)
+    spectra = [slant_spectrum(dec, p, tolerances=tolerances) for p in points]
     tr = _analyze_tracks(spectra, structure.epsilon, tolerances, points)
     if not tr["tracks_ok"]:
         raise ComponentError(f"eigenstructure is not stable across points: {tr['witness']}")
 
-    thetas = np.array([[c.theta for c in s.clusters] for s in spectra])
-    comp_entries = [_component_entry(f"C{t + 1}", spectra[0].clusters[t].multiplicity, False,
-                                     thetas[:, t], [s.clusters[t].lam for s in spectra],
-                                     tolerances)
-                    for t in range(thetas.shape[1])]
-    inv_flags = [e["verdict"] == "invariant" for e in comp_entries]
-
-    proper_tracks = [t for t, inv in enumerate(inv_flags) if not inv]
-    k = len(proper_tracks)
-    prop_theta = thetas[:, proper_tracks]
-    evidence: dict[str, dict] = {}
-
-    pks = k > 0 and _first_coincidence(prop_theta, tolerances.angle_distinct) is None
-    if not pks:
-        evidence["pointwise-k-slant"] = tr["sep_witness"] or {"reason": "no proper cluster"}
-    kps = k > 0 and _first_agreeing_pair(prop_theta, tolerances.angle_distinct) is None
-    if not kps:
-        evidence["k-pointwise-slant"] = {"reason": "two cluster slant functions agree "
-                                                   "at every sampled point"}
-    all_constant = bool(np.all(_constancy_span(prop_theta) <= tolerances.angle_const))
-    kslant = all_constant and pks
-    if not kslant:
-        evidence["k-slant"] = {"reason": "cluster slant functions not constant "
-                                         "and separated on sampled points"}
-    generic = (tr["type_stable"] and tr["strictly_pointwise"]
-               and tr["separated_everywhere"])
-    if not generic:
-        evidence["generic"] = tr["witness"] or {
-            "reason": "no strictly pointwise eigenvalue function with alpha inside (0, 1)"}
-    skew_cr = tr["all_constant"] and tr["interior_exists"]
-    if not skew_cr:
-        evidence["skew-CR"] = {"reason": "eigenvalue functions not constant or no "
-                                         "interior cluster"}
-    labels = {
-        "k-slant": kslant,
-        "k-pointwise-slant": kps,
-        "pointwise-k-slant": pks,
-        "generic": generic,
-        "skew-CR": skew_cr,
-        "CR": tr["all_special"],
-        "anti-invariant": tr["all_zero"],
-        "proper": not any(inv_flags),
-    }
-    named = _named_cases(labels, k, any(inv_flags), prop_theta, tolerances)
-    _assert_lattice(labels)
-    return ClassificationReport(points, _display_order(comp_entries), labels, evidence,
-                                named, spectra, tr["alpha_flags"], seed, tolerances, k)
+    theta = np.array([[c.theta for c in s.clusters] for s in spectra])
+    entries = [_component_entry(f"C{t + 1}", spectra[0].clusters[t].multiplicity, False,
+                                theta[:, t], [s.clusters[t].lam for s in spectra], tolerances)
+               for t in range(theta.shape[1])]
+    inv_idx = next((t for t, e in enumerate(entries) if e["verdict"] == "invariant"), None)
+    labels, evidence, named, k = _verdicts(theta, entries, inv_idx, tr, points, tolerances,
+                                           _DISCOVERY_WORDING)
+    return ClassificationReport(points, _display_order(entries), labels, evidence, named,
+                                spectra, tr["alpha_flags"], seed, tolerances, k)

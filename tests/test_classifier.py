@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from slantkit import cli, gallery
+from slantkit import expr as fe
 from slantkit.classifier import (
     classify,
     component_slant,
@@ -11,11 +14,12 @@ from slantkit.classifier import (
     slant_spectrum,
 )
 from slantkit.config import DEFAULT_TOLERANCES
-from slantkit.distribution import Decomposition
+from slantkit.distribution import Decomposition, DistributionFrame
 from slantkit.duality import dual_slant_theta
 from slantkit.errors import ComponentError, ModelError, SpecError
-from slantkit.gallery import build_fixture
+from slantkit.gallery import build_fixture, fixture_to_spec_dict
 from slantkit.sampling import box_points, rng_for
+from slantkit.structure import KIND_CONTACT, KIND_HERMITIAN, StructureField
 from slantkit.taxonomy import VERDICT_LATTICE, lattice_closure
 
 
@@ -45,12 +49,6 @@ class TestSlantSpectrum:
         assert cl.lam == pytest.approx(0.2, abs=1e-12)
         assert cl.theta == pytest.approx(math.acos(1 / math.sqrt(5)), abs=1e-12)
         assert cl.theta == pytest.approx(fx.theta_closed_form(1, p), abs=1e-12)
-
-    def test_eigenbasis_orthonormal(self, ex3):
-        spec = slant_spectrum(ex3.decomposition, np.zeros(10))
-        for c in spec.clusters:
-            b = c.eigenbasis
-            assert np.max(np.abs(b.T @ b - np.eye(b.shape[1]))) < 1e-10
 
     def test_model_error_outside_band(self):
         # a rotation declared with eps = +1 has f^2 = -I, so eps*lambda = -1
@@ -270,22 +268,113 @@ class TestDiscovery:
             discover(ex4_zero.structure, ex4_zero.default_points()[:6],
                      mask=ex4_zero.mask)
 
+    def test_mask_of_xi_alone(self, ex1):
+        # D = TM minus xi would be {0}
+        with pytest.raises(SpecError, match="no direction besides xi"):
+            discover(ex1.structure, ex1.default_points()[:2], mask=(ex1.structure.n,))
+
+    def test_xi_off_the_coordinate_axes(self, ex1):
+        # ex1 turned in the (x1, x11) plane: xi' = R e11 is no coordinate
+        # direction, so D = TM minus xi is no coordinate span either
+        base = discover(ex1.structure, ex1.default_points()[:6], mask=ex1.mask)
+        structure, rot = _rotated_ex1(ex1, 1, 11, 0.7)
+        found = discover(structure, [rot @ p for p in ex1.default_points()[:6]],
+                         mask=ex1.mask)
+        assert found.labels == base.labels
+        assert found.named_cases == base.named_cases
+        assert [c["rank"] for c in found.components] == [c["rank"] for c in base.components]
+        for got, want in zip(found.components, base.components):
+            assert np.max(np.abs(np.subtract(got["theta"], want["theta"]))) <= \
+                DEFAULT_TOLERANCES.angle_const
+
+    def test_xi_outside_the_mask_exits_2(self, ex1, tmp_path, capsys):
+        # turned in the (x5, x11) plane, xi' leaves the masked coordinates
+        structure, _ = _rotated_ex1(ex1, 5, 11, 0.7)
+        doc = dict(fixture_to_spec_dict(ex1, points=ex1.default_points()[:4]),
+                   phi_columns=[[fe.to_source(e) for e in col]
+                                for col in structure.phi_columns],
+                   xi=structure.xi.to_sources(), decomposition=None)
+        path = tmp_path / "ex1-turned.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["classify", str(path)]) == 2
+        assert "xi does not lie inside the masked tangent space" in capsys.readouterr().err
+
+
+def _literal(value: float) -> str:
+    return np.format_float_positional(float(value), unique=True, trim="-")
+
+
+def _rotated_ex1(ex1, a: int, b: int, angle: float):
+    """ex1's constant structure turned by R, the rotation by `angle` in the
+    (x_a, x_b) plane: phi' = R phi R^T and xi' = R xi. Returns (structure, R)."""
+    n = ex1.structure.n
+    rot = np.eye(n)
+    i, j = a - 1, b - 1
+    rot[[i, i, j, j], [i, j, i, j]] = (math.cos(angle), -math.sin(angle),
+                                       math.sin(angle), math.cos(angle))
+    phi = rot @ ex1.structure.phi_at(np.zeros(n)) @ rot.T
+    xi = rot @ ex1.structure.xi_at(np.zeros(n))
+    structure = StructureField(
+        n, ex1.structure.epsilon, KIND_CONTACT,
+        [[fe.parse(_literal(v), n) for v in phi[:, c]] for c in range(n)],
+        xi=fe.VectorFieldExpr.parse([_literal(v) for v in xi], n))
+    return structure, rot
+
+
+def _golden_case(fid, k, epsilon, gamma):
+    fx = build_fixture(fid, k=k, epsilon=epsilon, gamma=gamma)
+    return fx.decomposition, box_points(fx.structure.n, fx.mask, 6, seed=11)
+
+
+def _cos_block_case():
+    """ex3 (k = 2, eps = +1) with block 1's coefficients cos(x3) / sin(x3),
+    no D0, mask (3, 4, 7, 8): D1's slant value is x3, so the
+    proper-positivity rule fires at x3 = 0."""
+    fx = build_fixture("ex3", k=2, epsilon=1)
+    n = fx.structure.n
+    cols = [[fe.to_source(e) for e in col] for col in fx.structure.phi_columns]
+    gallery._hermitian_block(cols, 1, 1, "cos(x3)", "sin(x3)")
+    structure = StructureField(n, 1, KIND_HERMITIAN,
+                               [[fe.parse(src, n) for src in col] for col in cols])
+    mask = (3, 4, 7, 8)
+    proper = [DistributionFrame(name, [fe.VectorFieldExpr.parse(gallery._unit_field(n, i), n)
+                                       for i in span], mask=mask)
+              for name, span in (("D1", (3, 4)), ("D2", (7, 8)))]
+    points = [np.eye(n)[2] * x3 for x3 in (0.0, 0.5, 1.0)]
+    return Decomposition(structure, proper, mask=mask), points
+
 
 # The golden-report cases (tests/test_golden.py).
 _GOLDEN_CASES = [
     ("ex1", 2, -1, None), ("ex3", 2, 1, None), ("ex4", 2, -1, 0.5), ("ex9", 3, 1, 2.0)]
 
 
-# Declared and discovery mode decide their labels through the same
-# slant-table statistics.
-@pytest.mark.parametrize("fid, k, epsilon, gamma", _GOLDEN_CASES)
-def test_classify_and_discover_agree_on_golden_cases(fid, k, epsilon, gamma):
-    fx = build_fixture(fid, k=k, epsilon=epsilon, gamma=gamma)
-    pts = box_points(fx.structure.n, fx.mask, 6, seed=11)
-    declared = classify(fx.decomposition, pts)
-    found = discover(fx.structure, pts, mask=fx.mask)
+# Declared and discovery mode decide their labels through the same function.
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda c=c: _golden_case(*c), id="-".join(map(str, c)))
+      for c in _GOLDEN_CASES),
+    pytest.param(_cos_block_case, id="ex3-cos-block")])
+def test_classify_and_discover_agree_on_golden_cases(build):
+    dec, pts = build()
+    declared = classify(dec, pts)
+    found = discover(dec.structure, pts, mask=dec.mask)
     assert found.labels == declared.labels
     assert found.named_cases == declared.named_cases
+
+
+def test_discovery_evidence_names_proper_positivity():
+    dec, pts = _cos_block_case()
+    declared = classify(dec, pts)
+    found = discover(dec.structure, pts, mask=dec.mask)
+    assert sorted(found.evidence) == sorted(declared.evidence)
+    for rep, name in ((declared, "D1"), (found, "C2")):
+        rule = rep.evidence["proper-positivity"]
+        assert rule == {"reason": f"proper component {name!r} has slant value 0",
+                        "point": pts[0].tolist()}
+        # the pointwise labels fail by this rule, k-slant by the varying slant value
+        assert rep.evidence["pointwise-k-slant"] == rule
+        assert rep.evidence["k-pointwise-slant"] == rule
+        assert "not constant" in rep.evidence["k-slant"]["reason"]
 
 
 def _eigh_lambda(frame, basis, proj):
