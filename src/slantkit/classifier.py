@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .distribution import Decomposition, check_f_invariance
+from .distribution import Decomposition, FrameStack, check_f_invariance, per_point
 from .errors import ComponentError, InvariantError, ModelError, SpecError
 from .linalg import pivoted_columns
 from .sampling import DEFAULT_SEED
@@ -98,27 +98,50 @@ class SlantSpectrum:
 
 def slant_spectrum(dec: Decomposition, point,
                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> SlantSpectrum:
-    """Clustered spectrum of f^2 restricted to the whole of D at one point,
-    from the eigenvalues of the frame's f^2 Gram."""
-    frame = dec.frame_at(point)
-    evals = np.linalg.eigvalsh(frame.f2_full())
-    clusters = []
-    for group in cluster_eigenvalues(evals, tolerances.cluster):
-        lam = float(np.mean(evals[group]))
-        alpha, theta = _lambda_to_alpha_theta(lam, frame.epsilon, tolerances.lambda_band)
-        clusters.append(SlantCluster(lam, alpha, theta, len(group)))
-    return SlantSpectrum(frame.x, clusters)
+    """Clustered spectrum of f^2|D at one point (`slant_spectra`)."""
+    return slant_spectra(dec.frame_stack([point]), tolerances)[0]
+
+
+@per_point
+def slant_spectra(stack: FrameStack, tolerances: Tolerances = DEFAULT_TOLERANCES
+                  ) -> list[SlantSpectrum]:
+    """The clustered spectrum of f^2|D at each point of the stack, from one
+    `eigvalsh` over its f^2 Grams."""
+    out = []
+    for x, evals in zip(stack.x, np.linalg.eigvalsh(stack.f2)):
+        clusters = []
+        for group in cluster_eigenvalues(evals, tolerances.cluster):
+            lam = float(np.mean(evals[group]))
+            clusters.append(SlantCluster(lam, *_lambda_to_alpha_theta(
+                lam, stack.epsilon, tolerances.lambda_band), len(group)))
+        out.append(SlantSpectrum(x, clusters))
+    return out
 
 
 def component_slant(dec: Decomposition, point, index: int,
                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> SlantCluster:
-    """Single slant cluster of component `index`, read from its block of
-    the frame's f^2 Gram by `single_cluster_lambda`."""
-    frame = dec.frame_at(point)
-    lam = single_cluster_lambda(frame, dec.components[index].name,
-                                frame.f2_component(index), tolerances)
-    alpha, theta = _lambda_to_alpha_theta(lam, frame.epsilon, tolerances.lambda_band)
-    return SlantCluster(lam, alpha, theta, frame.bases[index].shape[1])
+    """Slant cluster of component `index` at one point (`slant_lambdas`)."""
+    stack = dec.frame_stack([point])
+    lam = float(slant_lambdas(stack, [index], tolerances)[0][0])
+    return SlantCluster(lam, *_lambda_to_alpha_theta(lam, stack.epsilon, tolerances.lambda_band),
+                        stack.bases[index].shape[-1])
+
+
+def slant_thetas(stack: FrameStack, lam: np.ndarray, tolerances: Tolerances) -> list[float]:
+    """The slant values of the lambdas `lam` (P,)."""
+    return [_lambda_to_alpha_theta(v, stack.epsilon, tolerances.lambda_band)[1]
+            for v in lam.tolist()]
+
+
+@per_point
+def slant_lambdas(stack: FrameStack, indices, tolerances: Tolerances = DEFAULT_TOLERANCES
+                  ) -> list[np.ndarray]:
+    """lambda (P,) of each component of `indices` over the stack, read by
+    `single_cluster_lambda` from its blocks of the f^2 Gram."""
+    off = stack.offsets
+    return [single_cluster_lambda(stack, stack.dec.components[i].name,
+                                  stack.f2[:, off[i]:off[i + 1], off[i]:off[i + 1]], tolerances)
+            for i in indices]
 
 
 def single_cluster_lambda(frame, name: str, mat: np.ndarray,
@@ -134,11 +157,12 @@ def single_cluster_lambda(frame, name: str, mat: np.ndarray,
     the clusters, and more than one raises ComponentError naming `name`.
     ModelError when a cluster lies outside the lambda band.
 
-    `mat` may also be a stack (q, r, r), such as the connection probe's
-    first-order models of the matrix near `frame`; the certificate and the
-    band are checked on every member at once, eigvalsh runs only on members
-    the certificate does not clear, and the result is the array of trace
-    means (a float for one matrix)."""
+    `mat` may also be a stack (q, r, r): one matrix per point of a
+    `FrameStack` `frame` (errors name the member's point), or the connection
+    probe's first-order models near a `PointFrame` ("to first order near"
+    its point). The certificate and the band are checked on every member at
+    once, eigvalsh runs only on members the certificate does not clear, and
+    the result is the array of trace means (a float for one matrix)."""
     one = mat.ndim == 2
     stack = mat[None] if one else mat
     r = mat.shape[-1]
@@ -146,9 +170,10 @@ def single_cluster_lambda(frame, name: str, mat: np.ndarray,
     lam = np.trace(stack, axis1=1, axis2=2) / r
     dev = stack - lam[:, None, None] * np.eye(r)
     cert = math.sqrt(2.0) * np.sqrt(np.sum(dev * dev, axis=(1, 2)))
-    where = "at" if one else "to first order near"
+    where = "at" if one or frame.x.ndim == 2 else "to first order near"
+    points = np.broadcast_to(frame.x, (len(stack), frame.x.shape[-1]))
     for i in np.flatnonzero(cert > 0.5 * tolerances.cluster):
-        _count_clusters(frame, name, stack[i], tolerances, where)
+        _count_clusters(frame.epsilon, name, stack[i], tolerances, f"{where} {points[i].tolist()}")
     s = frame.epsilon * lam
     outside = (s < -band) | (s > 1.0 + band)
     if outside.any():
@@ -156,30 +181,32 @@ def single_cluster_lambda(frame, name: str, mat: np.ndarray,
     return float(lam[0]) if one else lam
 
 
-def _count_clusters(frame, name: str, mat: np.ndarray, tolerances: Tolerances, where: str):
+def _count_clusters(epsilon: int, name: str, mat: np.ndarray, tolerances: Tolerances,
+                    where: str):
     """eigvalsh and `cluster_eigenvalues` on a matrix the certificate did
     not clear: ModelError for a cluster outside the lambda band,
-    ComponentError for more than one cluster."""
+    ComponentError for more than one cluster (placed `where`)."""
     evals = np.linalg.eigvalsh(mat)
     lams = [float(np.mean(evals[group]))
             for group in cluster_eigenvalues(evals, tolerances.cluster)]
     for value in lams:
-        _lambda_to_alpha_theta(value, frame.epsilon, tolerances.lambda_band)
+        _lambda_to_alpha_theta(value, epsilon, tolerances.lambda_band)
     if len(lams) != 1:
         raise ComponentError(
             f"component {name!r} carries {len(lams)} eigenvalue clusters "
-            f"{lams} {where} {frame.x.tolist()}; the declared decomposition is coarser "
+            f"{lams} {where}; the declared decomposition is coarser "
             "than the eigenstructure")
 
 
 def slant_function_table(dec: Decomposition, index: int, points,
                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> list[tuple[np.ndarray, float]]:
     """Tabulate the slant value of one component over the sample points."""
-    out = []
-    for point in points:
-        cluster = component_slant(dec, point, index, tolerances)
-        out.append((dec.frame_at(point).x, cluster.theta))
-    return out
+    points = list(points)
+    if not points:
+        return []
+    stack = dec.frame_stack(points)
+    return list(zip(stack.x, slant_thetas(stack, slant_lambdas(stack, [index], tolerances)[0],
+                                          tolerances)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +389,14 @@ def classify(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOLERA
 
     comps = dec.components
     inv_idx = 0 if dec.invariant is not None else None
-    theta = np.empty((len(points), len(comps)))
-    lam = np.empty((len(points), len(comps)))
-    for pi, point in enumerate(points):
-        for ci in range(len(comps)):
-            cl = component_slant(dec, point, ci, tolerances)
-            theta[pi, ci] = cl.theta
-            lam[pi, ci] = cl.lam
+    stack = dec.frame_stack(points)
+    lams = slant_lambdas(stack, range(len(comps)), tolerances)
+    lam = np.stack(lams, axis=1)
+    theta = np.array([slant_thetas(stack, v, tolerances) for v in lams]).T
     entries = [_component_entry(comp.name, comp.rank, ci == inv_idx, theta[:, ci],
                                 lam[:, ci], tolerances)
                for ci, comp in enumerate(comps)]
-    spectra = [slant_spectrum(dec, p, tolerances=tolerances) for p in points]
+    spectra = slant_spectra(stack, tolerances)
     tr = _analyze_tracks(spectra, dec.structure.epsilon, tolerances, points)
     labels, evidence, named, k = _verdicts(theta, entries, inv_idx, tr, points, tolerances,
                                            _DECLARED_WORDING)
@@ -574,7 +598,7 @@ def discover(structure: StructureField, points, mask: tuple[int, ...] | None = N
     if len(points) < 2:
         raise SpecError("classification needs at least two sample points")
     dec = Decomposition(structure, [_TangentComponent(structure, mask)], mask=mask)
-    spectra = [slant_spectrum(dec, p, tolerances=tolerances) for p in points]
+    spectra = slant_spectra(dec.frame_stack(points), tolerances)
     tr = _analyze_tracks(spectra, structure.epsilon, tolerances, points)
     if not tr["tracks_ok"]:
         raise ComponentError(f"eigenstructure is not stable across points: {tr['witness']}")

@@ -2,12 +2,10 @@
 
 A `DistributionFrame` is a rank-r distribution given by r vector fields. A
 `Decomposition` fixes the ambient structure, an optional invariant component
-D0, and the proper components D1..Dk; at each sample point it materializes a
-`PointFrame`, the one place that computes the per-point data every downstream
-computation shares. phi, the metric, xi and its unit, the orthonormal bases of
-the components and of D, and the projector onto D are built with the frame;
-the per-component projectors, the complements of D and of G (with the
-projector onto G), the f^2 Gram and the dual slice are built on first use.
+D0, and the proper components D1..Dk. Its data at a command's sample points
+is one `FrameStack`, built once, every array with the points as a leading
+axis P: the fills (phi, the metric, xi, the component fields) point by
+point, all else stacked. `PointFrame` is one point's view of it.
 
 For a tangent Z, fZ is the component of phi(Z) inside D and wZ the remainder
 in the orthogonal complement. In the contact-like case D is required to be
@@ -18,7 +16,7 @@ eta annihilates the image of phi.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import accumulate
 
 import numpy as np
@@ -29,6 +27,7 @@ from .errors import (
     InvariantError,
     ModelError,
     RankError,
+    SlantKitError,
     SpecError,
 )
 from .linalg import (
@@ -38,6 +37,7 @@ from .linalg import (
     g_inner,
     mgs_columns,
     mgs_each,
+    pivoted_columns,
     projector_matrix,
 )
 from .sampling import DEFAULT_SEED, rng_for
@@ -45,31 +45,37 @@ from .structure import StructureField
 
 PAIRWISE_ORTHO_TOL = 1e-10
 F2_SYMMETRY_RTOL = 1e-9
+F_ON_H_TOL = 1e-9
+W_INJECTIVITY_TOL = 1e-8
 
 
 def f2_gram(g: np.ndarray | None, basis: np.ndarray, op: np.ndarray, x: np.ndarray) -> np.ndarray:
     """basis^T g op(op(basis)): the square of the operator `op` on the
     g-orthonormal columns of `basis` (`g` None for the euclidean metric),
-    symmetrized. For a compatible phi it is symmetric in exact arithmetic,
-    so `check_f2_symmetric` raises ModelError naming the point `x` on an
-    asymmetric one."""
+    symmetrized, for one point `x` or a stack. For a compatible phi it is
+    symmetric in exact arithmetic: `check_f2_symmetric`."""
     image = op @ (op @ basis)
-    mat = basis.T @ (image if g is None else g @ image)
+    mat = np.swapaxes(basis, -1, -2) @ (image if g is None else g @ image)
     check_f2_symmetric(mat, "at", x)
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
 
 def check_f2_symmetric(mat: np.ndarray, place: str, x: np.ndarray):
     """ModelError when an f^2 Gram `mat`, or a matrix of a stack of them
-    (..., r, r), has a relative asymmetry above F2_SYMMETRY_RTOL; the
-    message puts it `place` ("at", say) the point `x`."""
-    for member in mat.reshape(-1, *mat.shape[-2:]):
-        scale = max(float(np.linalg.norm(member)), 1e-300)
-        asym = float(np.linalg.norm(member - member.T))
+    (..., r, r), has a relative asymmetry above F2_SYMMETRY_RTOL, `place`
+    ("at", say) the point `x` (n,) or the member's own point (..., n). A
+    member the stacked screen flags is decided alone, as unstacked."""
+    mats = mat.reshape(-1, *mat.shape[-2:])
+    xs = np.broadcast_to(x, mat.shape[:-2] + x.shape[-1:]).reshape(len(mats), -1)
+    asym = np.linalg.norm(mats - np.swapaxes(mats, -1, -2), axis=(-2, -1))
+    scale = np.linalg.norm(mats, axis=(-2, -1))
+    for i in np.flatnonzero((asym > 0.5 * F2_SYMMETRY_RTOL * scale) & (asym > 0.5e-14)):
+        scale = max(float(np.linalg.norm(mats[i])), 1e-300)
+        asym = float(np.linalg.norm(mats[i] - mats[i].T))
         if asym > F2_SYMMETRY_RTOL * scale and asym > 1e-14:
             raise ModelError(
                 f"restricted endomorphism square is asymmetric (residual {asym:.3e}) "
-                f"{place} {x.tolist()}; the decomposition or structure is invalid")
+                f"{place} {xs[i].tolist()}; the decomposition or structure is invalid")
 
 
 def check_orthogonality(names: list[str], owner: np.ndarray, gram: np.ndarray,
@@ -168,6 +174,7 @@ class Decomposition:
         self.proper = tuple(proper)
         self.mask = mask
         self._frames: dict[tuple, PointFrame] = {}
+        self._stacks: dict[tuple, FrameStack] = {}
 
     @property
     def components(self) -> tuple[DistributionFrame, ...]:
@@ -175,21 +182,24 @@ class Decomposition:
             return (self.invariant,) + self.proper
         return self.proper
 
-    @property
-    def rank(self) -> int:
-        return sum(c.rank for c in self.components)
-
     def component_names(self) -> list[str]:
         return [c.name for c in self.components]
 
+    def frame_stack(self, points) -> "FrameStack":
+        """The frame stack of `points`, built once per sequence of points."""
+        xs = [np.asarray(getattr(p, "coords", p), dtype=float) for p in points]
+        key = tuple(tuple(x.tolist()) for x in xs)
+        stack = self._stacks.get(key)
+        if stack is None:
+            stack = self._stacks[key] = FrameStack(self, xs)
+            for x, frame in zip(key, stack.frames):
+                self._frames.setdefault(x, frame)
+        return stack
+
     def frame_at(self, point) -> "PointFrame":
+        """The frame at `point`, from a stack holding it or a one-point stack."""
         x = np.asarray(getattr(point, "coords", point), dtype=float)
-        key = tuple(x.tolist())
-        frame = self._frames.get(key)
-        if frame is None:
-            frame = PointFrame(self, x)
-            self._frames[key] = frame
-        return frame
+        return self._frames.get(tuple(x.tolist())) or self.frame_stack([x]).frames[0]
 
     def tm_directions(self) -> list[np.ndarray]:
         """Unit coordinate directions spanning TM (per the mask), or the full
@@ -199,63 +209,46 @@ class Decomposition:
         return [eye[:, i] for i in idx]
 
 
-class PointFrame:
-    """All pointwise data of a decomposition at one sample point.
-
-    Eager: `g`, `phi`, `xi` and its g-unit `xi_unit` (None for hermitian
-    kinds), the g-orthonormal `bases` of the components, their stack
-    `basis_d` with its column layout (`offsets`: component i holds columns
-    offsets[i]:offsets[i + 1]; `owner`: the component of each column), and
-    `proj_d`. Built on
-    first use (`cached_property`) and kept: the component projectors behind
-    `pr`, `basis_perp` (complement of D), `basis_g` (of G), `proj_g`, the
-    f^2 Gram (`f2_full`) and the dual slice (`dual`). The connection probe
-    differentiates a frame's data at its own point
-    (`tangents.frame_derivatives`) and builds no frame at a displaced point;
-    only its finite-difference oracles do. Immutable once built.
-    """
-
-    def __init__(self, dec: Decomposition, x: np.ndarray):
-        s = dec.structure
-        self.dec = dec
-        self.x = x
-        self.point = AmbientPoint(x)
-        self.g = s.metric_at(x)
-        self._inner_g = None if s.metric_is_euclidean else self.g
-        self.phi = s.phi_at(x)
-        self.epsilon = s.epsilon
-        self.xi = self.xi_unit = None
-        if s.is_contact:
-            self.xi = s.xi_at(x)
-            nrm = float(np.sqrt(max(self.xi @ self.g @ self.xi, 0.0)))
-            if nrm < 1e-12:
-                raise RankError("xi vanishes at the sample point")
-            self.xi_unit = self.xi / nrm
-        raws = [comp.raw_at(x) for comp in dec.components]
+def per_point(stage):
+    """Decorate `stage(stack, ...)`: on a SlantKitError over several points,
+    rerun it on each point's own stack in turn, so the first to fail raises."""
+    @wraps(stage)
+    def run(stack, *args, **kwargs):
         try:
-            self.bases = mgs_each(self.g, raws)
-        except RankError:
-            for comp, raw in zip(dec.components, raws):      # name the first one that fails
-                try:
-                    mgs_columns(self.g, raw)
-                except RankError as exc:
-                    raise RankError(f"component {comp.name!r} at {x.tolist()}: {exc}") from None
+            return stage(stack, *args, **kwargs)
+        except SlantKitError:
+            for x in stack.x if len(stack.x) > 1 else ():
+                stage(FrameStack(stack.dec, [x]), *args, **kwargs)
             raise
-        ranks = [b.shape[1] for b in self.bases]
-        self.offsets = (0, *accumulate(ranks))
-        self.owner = np.repeat(np.arange(len(ranks)), ranks)
-        self.basis_d = (np.column_stack(self.bases)
-                        if self.bases else np.zeros((s.n, 0)))
-        g_basis = self.g @ self.basis_d
-        check_orthogonality(dec.component_names(), self.owner,
-                            self.basis_d.T @ g_basis,
-                            None if self.xi is None else self.xi @ g_basis, "at", x)
-        self.proj_d = projector_matrix(self.g, self.basis_d)
+    return run
 
-    # -- basic maps ------------------------------------------------------------
+
+def _view(name: str) -> cached_property:
+    """One point's slice of the stack's array `name` (None stays None)."""
+    return cached_property(lambda self: None if (a := getattr(self.stack, name)) is None
+                           else a[self.p])
+
+
+class PointFrame:
+    """The data of a decomposition at one point: the p-th slices of a
+    `FrameStack`'s arrays, taken on first read; it computes none of them.
+    Component i has columns offsets[i]:offsets[i + 1] of `basis_d`."""
+
+    def __init__(self, stack: "FrameStack", p: int):
+        self.stack, self.p, self.dec = stack, p, stack.dec
+        self.epsilon, self.offsets, self.owner = stack.epsilon, stack.offsets, stack.owner
+        self.proper_indices, self.invariant_index = stack.proper_indices, stack.invariant_index
+
+    x, g, phi, xi, xi_unit, basis_d, proj_d, basis_perp, basis_g, proj_g, _inner_g = map(_view, (
+        "x", "g", "phi", "xi", "xi_unit", "basis_d", "proj_d", "basis_perp", "basis_g", "proj_g",
+        "_inner_g"))
+    bases = cached_property(lambda self: [b[self.p] for b in self.stack.bases])
+    _proj_comp = cached_property(lambda self: [m[self.p] for m in self.stack._proj_comp])
+
+    # -- maps and metric (FrameStack's too) -------------------------------------
 
     def inner(self, u, v):
-        return g_inner(self._inner_g, u, v)
+        return g_inner(self._inner_g, u, v, stacked=self.x.ndim == 2)
 
     def norm(self, u):
         return np.sqrt(np.maximum(self.inner(u, u), 0.0))
@@ -273,118 +266,175 @@ class PointFrame:
         pv = self.phi @ v
         return pv - self.proj_d @ pv
 
-    @cached_property
-    def _proj_comp(self) -> list[np.ndarray]:
-        return [projector_matrix(self.g, b) for b in self.bases]
-
     def pr(self, i: int, v):
         return self._proj_comp[i] @ v
 
     def component_basis(self, i: int) -> np.ndarray:
         return self.bases[i]
 
-    @property
-    def proper_indices(self) -> list[int]:
-        offset = 1 if self.dec.invariant is not None else 0
-        return list(range(offset, len(self.bases)))
+    # -- restricted endomorphism squares and the dual slice ----------------------
 
-    @property
-    def invariant_index(self) -> int | None:
-        return 0 if self.dec.invariant is not None else None
+    def f2_full(self) -> np.ndarray:
+        """Matrix of f^2|D in the orthonormal basis of D; read-only."""
+        return self.stack.f2[self.p]
 
-    # -- complements -----------------------------------------------------------
+    def f2_component(self, i: int) -> np.ndarray:
+        """Matrix of f^2|D_i: the i-th diagonal block of `f2_full`."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return self.f2_full()[lo:hi, lo:hi]
+
+    def f2_ambient(self) -> np.ndarray:
+        """f^2 as an ambient-operator matrix (P_D phi)^2 P_D."""
+        return self.stack.f2_ambient[self.p]
+
+    def dual(self) -> "DualDecomposition":
+        duals, h_basis, f_on_h = self.stack._dual
+        return DualDecomposition(self.x, self.basis_g, [d[self.p] for d in duals],
+                                 h_basis[self.p], float(f_on_h[self.p]))
+
+
+class FrameStack:
+    """The frame data of a decomposition at P points, the leading axis of
+    every array. Fills run point by point, the rest is stacked. Built on first
+    use: projectors, `basis_perp`, `basis_g`, `proj_g`, the f^2 Gram `f2` and
+    the dual slice (`duals`, `h_basis`). A point's slice equals its own stack's."""
+
+    def __init__(self, dec: Decomposition, xs):
+        self.dec, self.epsilon = dec, dec.structure.epsilon
+        self.x = np.array(xs, dtype=float).reshape(len(xs), dec.structure.n)
+        ncomp = len(dec.components)
+        self.invariant_index = 0 if dec.invariant is not None else None
+        self.proper_indices = list(range(ncomp - len(dec.proper), ncomp))
+        self._build()
+
+    @per_point
+    def _build(self):
+        dec, s = self.dec, self.dec.structure
+        gs, phis, xis, raws = [], [], [], []
+        for x in self.x:
+            gs.append(s.metric_at(x))
+            phis.append(s.phi_at(x))
+            if s.is_contact:
+                xi = s.xi_at(x)
+                nrm = float(np.sqrt(max(xi @ gs[-1] @ xi, 0.0)))
+                if nrm < 1e-12:
+                    raise RankError("xi vanishes at the sample point")
+                xis.append((xi, xi / nrm))
+            raws.append([comp.raw_at(x) for comp in dec.components])
+        self.g, self.phi = np.stack(gs), np.stack(phis)
+        self._inner_g = None if s.metric_is_euclidean else self.g
+        self.xi, self.xi_unit = map(np.stack, zip(*xis)) if xis else (None, None)
+        raws = [np.stack(raw) for raw in zip(*raws)]
+        try:
+            self.bases = mgs_each(self.g, raws)
+        except RankError:       # name the first component that fails (`per_point`: the point)
+            for comp, raw in zip(dec.components, raws):
+                try:
+                    mgs_columns(self.g, raw)
+                except RankError as exc:
+                    raise RankError(f"component {comp.name!r} at {self.x[0].tolist()}: "
+                                    f"{exc}") from None
+            raise
+        ranks = [b.shape[-1] for b in self.bases]
+        self.offsets = (0, *accumulate(ranks))
+        self.owner = np.repeat(np.arange(len(ranks)), ranks)
+        self.basis_d = np.concatenate(self.bases, axis=-1)
+        g_basis = self.g @ self.basis_d
+        check_orthogonality(dec.component_names(), self.owner,
+                            np.swapaxes(self.basis_d, -1, -2) @ g_basis,
+                            None if self.xi is None else (self.xi[:, None] @ g_basis)[:, 0],
+                            "at", self.x[0])
+        self.proj_d = projector_matrix(self.g, self.basis_d)
+        self.frames = [PointFrame(self, p) for p in range(len(self.x))]
+
+    apply_phi, f, w, pr = PointFrame.apply_phi, PointFrame.f, PointFrame.w, PointFrame.pr
+    inner, norm, cos_angle = PointFrame.inner, PointFrame.norm, PointFrame.cos_angle
 
     @cached_property
+    def _proj_comp(self) -> list[np.ndarray]:
+        return [projector_matrix(self.g, b) for b in self.bases]
+
+    @cached_property
+    @per_point
     def basis_perp(self) -> np.ndarray:
-        """Orthonormal basis of the complement of D."""
+        """Orthonormal bases of the complement of D."""
         return complement_columns(self.g, self.basis_d)
 
     @cached_property
+    @per_point
     def basis_g(self) -> np.ndarray:
-        """Orthonormal basis of G, the complement of D + <xi> for
-        contact-like structures; `basis_perp` otherwise."""
+        """Orthonormal bases of G (of D + <xi> for contact-like kinds)."""
         if self.xi is None:
             return self.basis_perp
-        return complement_columns(self.g, np.column_stack([self.basis_d, self.xi_unit[:, None]]))
+        return complement_columns(self.g, np.concatenate([self.basis_d, self.xi_unit[..., None]],
+                                                         axis=-1))
 
     @cached_property
     def proj_g(self) -> np.ndarray:
         return projector_matrix(self.g, self.basis_g)
 
-    # -- restricted endomorphism squares ----------------------------------------
-
     @cached_property
-    def _f2(self) -> np.ndarray:
+    @per_point
+    def f2(self) -> np.ndarray:
         f2 = f2_gram(self._inner_g, self.basis_d, self.proj_d @ self.phi, self.x)
         f2.setflags(write=False)
         return f2
 
-    def f2_full(self) -> np.ndarray:
-        """Matrix of f^2|D in the orthonormal basis of D (`f2_gram` with
-        op = P_D phi); read-only."""
-        return self._f2
-
-    def f2_component(self, i: int) -> np.ndarray:
-        """Matrix of f^2|D_i in the orthonormal basis of D_i: the i-th
-        diagonal block of `f2_full`."""
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return self._f2[lo:hi, lo:hi]
-
+    @cached_property
     def f2_ambient(self) -> np.ndarray:
-        """f^2 as an ambient-operator matrix: project, apply phi, twice over."""
         op = self.proj_d @ self.phi
         return op @ op @ self.proj_d
 
-    # -- dual decomposition (built by the duality module) ------------------------
-
     @cached_property
+    @per_point
     def _dual(self):
-        from .duality import build_dual
-        return build_dual(self.dec, self.x)
+        """(the bases of w(D_i) = P_G phi(D_i), the basis of H, the largest
+        |f| on H's basis), per point."""
+        g, proper = self.g, self.proper_indices
+        ws = [self.proj_g @ (self.phi @ self.bases[i]) for i in proper]
+        low = np.array([np.sqrt(np.maximum(g_inner(g, w, w, stacked=True), 0.0))
+                        .min(axis=-1, initial=1.0) for w in ws]) < W_INJECTIVITY_TOL
+        for p, slot in np.argwhere(low.T)[:1]:      # the first point, then component
+            raise RankError(
+                f"w collapses on component {self.dec.components[proper[slot]].name!r} at "
+                f"{self.x[p].tolist()} (slant value 0 there); the dual is undefined")
+        duals = mgs_each(g, ws)
+        h_dim = self.basis_g.shape[-1] - sum(b.shape[-1] for b in duals)
+        if h_dim <= 0:
+            return duals, np.zeros(self.x.shape + (0,)), np.zeros(len(self.x))
+        proj_h = self.proj_g
+        for b in duals:
+            proj_h = proj_h - projector_matrix(g, b)
+        h_basis = mgs_columns(g, pivoted_columns(g, proj_h @ self.basis_g, h_dim))
+        fh = self.f(h_basis)
+        f_on_h = np.sqrt(np.maximum(g_inner(g, fh, fh, stacked=True), 0.0)).max(axis=-1)
+        for x, residual in zip(self.x, f_on_h):
+            if residual > F_ON_H_TOL:
+                raise ModelError(
+                    f"f does not vanish on the computed H (residual {residual:.3e}) at "
+                    f"{x.tolist()}; the decomposition or structure is invalid")
+        return duals, h_basis, f_on_h
 
-    def dual(self):
-        return self._dual
+    duals = property(lambda self: self._dual[0])
+    h_basis = property(lambda self: self._dual[1])
 
 
-def _stacked(what: str, arrays: list) -> np.ndarray:
-    """np.stack, or ModelError naming `what` when the shapes differ per point."""
-    if len({a.shape for a in arrays}) > 1:
-        raise ModelError(f"{what} changes shape across the sample points")
-    return np.stack(arrays)
+class DualDecomposition:
+    """One point's slice of the dual decomposition: an n x r_i orthonormal
+    basis per proper component (`duals`) and one of H (`h_basis`)."""
 
+    def __init__(self, point: np.ndarray, basis_g: np.ndarray, duals: list[np.ndarray],
+                 h_basis: np.ndarray, f_on_h_residual: float):
+        self.point, self.basis_g, self.duals = point, basis_g, duals
+        self.h_basis, self.f_on_h_residual = h_basis, f_on_h_residual
 
-class FrameStack:
-    """The frame data of sample points stacked on a leading point axis P,
-    from their `PointFrame`s and dual slices: `g`, `phi`, `proj_d`
-    (P, n, n), `xi_unit` (P, n) or None, and the (P, n, r) bases `bases`
-    of the components (with their projectors, applied by `pr`), `basis_perp`,
-    `basis_g`, `duals` of the proper components and `h_basis`. The ranks,
-    dim w(D_i) = r_i and dim H = dim G - sum r_i are the same at every
-    point, so each stack is rectangular (ModelError otherwise). The maps and
-    metric are `PointFrame`'s, acting on every point at once through the
-    stacked `inner`; each point's slice is its frame's result bit for bit."""
+    @property
+    def h_dim(self) -> int:
+        return self.h_basis.shape[1]
 
-    def __init__(self, frames: list[PointFrame]):
-        duals = [fr.dual() for fr in frames]
-        first = frames[0]
-        self.g, self.phi, self.proj_d, self.basis_perp, self.basis_g = (
-            _stacked(a, [getattr(fr, a) for fr in frames])
-            for a in ("g", "phi", "proj_d", "basis_perp", "basis_g"))
-        self._inner_g = None if first._inner_g is None else self.g
-        self.xi_unit = None if first.xi is None else _stacked(
-            "xi_unit", [fr.xi_unit for fr in frames])
-        self.bases = [_stacked("bases", [fr.bases[i] for fr in frames])
-                      for i in range(len(first.bases))]
-        self._proj_comp = [projector_matrix(self.g, b) for b in self.bases]
-        self.duals = [_stacked("duals", [d.duals[slot] for d in duals])
-                      for slot in range(len(first.proper_indices))]
-        self.h_basis = _stacked("h_basis", [d.h_basis for d in duals])
-
-    apply_phi, f, w, pr = PointFrame.apply_phi, PointFrame.f, PointFrame.w, PointFrame.pr
-    norm, cos_angle = PointFrame.norm, PointFrame.cos_angle
-
-    def inner(self, u, v):
-        return g_inner(self._inner_g, u, v, stacked=True)
+    def to_json_dict(self) -> dict:
+        return {"point": self.point.tolist(), "dual_bases": [b.tolist() for b in self.duals],
+                "h_basis": self.h_basis.tolist(), "f_on_h_residual": self.f_on_h_residual}
 
 
 class FWSplit:
@@ -403,17 +453,13 @@ def fw_split(dec: Decomposition, point, v) -> FWSplit:
     comps = np.asarray(getattr(v, "comps", v), dtype=float)
     if comps.shape[0] != dec.structure.n:
         raise DimensionError("vector dimension differs from ambient dimension")
-    return FWSplit(TangentVector(frame.f(comps), frame.point),
-                   TangentVector(frame.w(comps), frame.point))
+    base = AmbientPoint(frame.x)
+    return FWSplit(TangentVector(frame.f(comps), base), TangentVector(frame.w(comps), base))
 
 
 def f_squared_matrix(dec: Decomposition, point) -> np.ndarray:
-    """Matrix of f o f restricted to D in a g-orthonormalized basis of D.
-
-    Assembling in an orthonormal frame makes the matrix symmetric in exact
-    arithmetic, so any asymmetry beyond rounding signals a modeling error and
-    raises ModelError.
-    """
+    """Matrix of f o f restricted to D in a g-orthonormal basis of D (symmetric;
+    ModelError beyond rounding)."""
     return dec.frame_at(point).f2_full()
 
 
@@ -442,37 +488,33 @@ def check_f_invariance(dec: Decomposition, points, trials: int = 25,
                        tol: float = DEFAULT_TOLERANCES.invariance,
                        seed: int = DEFAULT_SEED) -> InvarianceReport:
     """Measure, on random in-component vectors, how much f leaks out of each
-    component and how far phi(D_i) is from being orthogonal to D_j (i != j)."""
+    component and how far phi(D_i) is from being orthogonal to D_j (i != j).
+    Point p draws from `rng_for(seed, 211, p)`, component by component; the
+    witness is the last new maximum in (point, component, other) order."""
     points = list(points)
     if not points:
         raise SpecError("check_f_invariance needs at least one point")
-    max_leak = 0.0
-    max_cross = 0.0
-    witness = {}
-    for pidx, point in enumerate(points):
-        frame = dec.frame_at(point)
-        rng = rng_for(seed, 211, pidx)
-        for i, basis in enumerate(frame.bases):
-            coeff = rng.standard_normal((basis.shape[1], trials))
-            vecs = basis @ coeff
-            norms = np.maximum(frame.norm(vecs), 1e-300)
-            fv = frame.f(vecs)
-            leak = frame.norm(fv - frame.pr(i, fv)) / norms
-            worst = float(np.max(leak))
-            if worst > max_leak:
-                max_leak = worst
-                witness = {"kind": "f-leak", "component": dec.components[i].name,
-                           "point": frame.x.tolist(), "residual": worst}
-            phiv = frame.phi @ vecs
-            for j in range(len(frame.bases)):
-                if j == i or (i == frame.invariant_index) or (j == frame.invariant_index):
-                    continue
-                cross = np.abs(frame.bases[j].T @ frame.g @ phiv) / norms[None, :]
-                worst = float(np.max(cross)) if cross.size else 0.0
-                if worst > max_cross:
-                    max_cross = worst
-                    witness = {"kind": "phi-cross", "components":
-                               [dec.components[i].name, dec.components[j].name],
-                               "point": frame.x.tolist(), "residual": worst}
+    stack = dec.frame_stack(points)
+    rngs = [rng_for(seed, 211, p) for p in range(len(points))]
+    names, inv = dec.component_names(), stack.invariant_index
+    events = []     # (kind, components, worst per point) in the order each point meets them
+    for i, basis in enumerate(stack.bases):
+        vecs = basis @ np.stack([rng.standard_normal((basis.shape[-1], trials)) for rng in rngs])
+        norms = np.maximum(stack.norm(vecs), 1e-300)
+        fv = stack.f(vecs)
+        events.append(("f-leak", names[i], (stack.norm(fv - stack.pr(i, fv)) / norms).max(-1)))
+        phiv = stack.phi @ vecs
+        for j, other in enumerate(stack.bases):
+            if j != i and inv not in (i, j):
+                cross = np.abs(np.swapaxes(other, -1, -2) @ stack.g @ phiv) / norms[:, None]
+                events.append(("phi-cross", [names[i], names[j]], cross.max(axis=(1, 2))))
+    worst, witness = {"f-leak": 0.0, "phi-cross": 0.0}, {}
+    for p, x in enumerate(stack.x.tolist()):
+        for kind, comps, values in events:
+            if values[p] > worst[kind]:
+                worst[kind] = float(values[p])
+                witness = {"kind": kind, ("component" if kind == "f-leak" else "components"):
+                           comps, "point": x, "residual": worst[kind]}
+    max_leak, max_cross = worst["f-leak"], worst["phi-cross"]
     passed = max_leak <= tol and max_cross <= tol
     return InvarianceReport(passed, max_leak, max_cross, witness, tol, seed)

@@ -28,6 +28,7 @@ statement to each value statement.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -87,6 +88,8 @@ ScalarFieldExpr = Expr  # the domain-type name used by the other modules
 # MAX_DEPTH // 6 deep. Both bounds keep every recursion well under CPython's
 # default limit of 1000 frames.
 MAX_DEPTH = 600
+_DIGITS = frozenset("0123456789")    # str.isdigit would take any Unicode digit
+_LITERAL = re.compile(r"[0-9]+(\.[0-9]*)?|\.[0-9]+")
 
 
 class _Parser:
@@ -191,7 +194,7 @@ class _Parser:
             self.skip_ws()
             self.expect(")")
             return result
-        if ch.isdigit() or ch == ".":
+        if ch in _DIGITS or ch == ".":
             return self.number()
         if ch.isalpha() or ch == "_":
             return self.identifier()
@@ -199,11 +202,11 @@ class _Parser:
 
     def number(self) -> tuple[Expr, int]:
         start = self.pos
-        while self.peek().isdigit():
+        while self.peek() in _DIGITS:
             self.pos += 1
         if self.peek() == ".":
             self.pos += 1
-            while self.peek().isdigit():
+            while self.peek() in _DIGITS:
                 self.pos += 1
         text = self.src[start:self.pos]
         if text in ("", "."):
@@ -235,7 +238,7 @@ class _Parser:
             self.skip_ws()
             self.expect(")")
             return self.node(Call(name, arg), height)
-        if name.startswith("x") and name[1:].isdigit():
+        if name[:1] == "x" and name[1:] and set(name[1:]) <= _DIGITS:
             idx = int(name[1:])
             if not 1 <= idx <= self.n:
                 self.pos = start
@@ -251,6 +254,9 @@ def parse(src: str, n: int) -> Expr:
         raise ParseError("empty expression", 0)
     if n < 1:
         raise DimensionError("ambient dimension must be >= 1")
+    text = src.strip()    # a bare literal, read as `_Parser.number` does (overflow: its error)
+    if _LITERAL.fullmatch(text) and math.isfinite(value := float(text)):
+        return Num(value)
     return _Parser(src, n).parse()
 
 

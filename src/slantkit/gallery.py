@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as fe
-from .classifier import classify, component_slant
+from .classifier import classify
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, DistributionFrame
-from .duality import dual_roundtrip_check, expected_span_check
+from .duality import dual_roundtrips, expected_span_check
 from .errors import ParamError
 from .sampling import DEFAULT_SEED, default_sample_points
 from .structure import KIND_CONTACT, KIND_HERMITIAN, StructureField, validate_structure
@@ -275,18 +275,13 @@ def fixture_oracle_check(fx: GalleryFixture, points=None, tol: float = 1e-8,
                                  tol=tolerances.structure, seed=seed)
     report["structure_passed"] = verdict.passed
 
-    worst_theta = 0.0
-    ncomp_offset = 1  # D0 sits in slot 0
-    for pi, point in enumerate(points):
-        for j in range(1, fx.k + 1):
-            measured = component_slant(fx.decomposition, point, ncomp_offset + j - 1,
-                                       tolerances).theta
-            expected = fx.theta_closed_form(j, point)
-            worst_theta = max(worst_theta, abs(measured - expected))
-    report["max_theta_error"] = worst_theta
+    classification = classify(fx.decomposition, points, tolerances, seed=seed)
+    thetas = {c["name"]: c["theta"] for c in classification.components}
+    report["max_theta_error"] = worst_theta = max(
+        abs(thetas[f"D{j}"][pi] - fx.theta_closed_form(j, point))
+        for pi, point in enumerate(points) for j in range(1, fx.k + 1))
     report["theta_passed"] = worst_theta <= tol
 
-    classification = classify(fx.decomposition, points, tolerances, seed=seed)
     expected = fx.expected_labels()
     label_results = {}
     for label, want in expected.items():
@@ -296,14 +291,10 @@ def fixture_oracle_check(fx: GalleryFixture, points=None, tol: float = 1e-8,
     report["labels_passed"] = all(v["passed"] for v in label_results.values())
     report["classification"] = classification
 
-    span_ok = True
-    roundtrip_ok = True
-    for point in points:
-        span = expected_span_check(fx.decomposition, point, fx.expected_duals,
-                                   tol=tolerances.principal)
-        span_ok = span_ok and span["passed"]
-        rt = dual_roundtrip_check(fx.decomposition, point, tolerances=tolerances)
-        roundtrip_ok = roundtrip_ok and rt.passed
+    span_ok = all(expected_span_check(fx.decomposition, point, fx.expected_duals,
+                                      tol=tolerances.principal)["passed"] for point in points)
+    roundtrip_ok = all(rt.passed for rt in dual_roundtrips(fx.decomposition.frame_stack(points),
+                                                           tolerances))
     report["dual_spans_passed"] = span_ok
     report["dual_roundtrip_passed"] = roundtrip_ok
 

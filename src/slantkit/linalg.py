@@ -249,51 +249,58 @@ def projector_matrix(gmat: np.ndarray, onb: np.ndarray) -> np.ndarray:
 
 
 def complement_columns(gmat: np.ndarray, onb: np.ndarray) -> np.ndarray:
-    """g-orthonormal basis of the g-orthogonal complement of span(onb).
+    """g-orthonormal basis of the g-orthogonal complement of span(onb) (n, r)
+    or of each member of a stack (..., n, r).
 
     Deterministic: the candidates are the columns of I - P, picked by
     `pivoted_columns`.
     """
-    cand = np.eye(gmat.shape[0]) - projector_matrix(gmat, onb)
-    return mgs_columns(gmat, pivoted_columns(gmat, cand, onb.shape[0] - onb.shape[1]))
+    cand = np.eye(gmat.shape[-1]) - projector_matrix(gmat, onb)
+    return mgs_columns(gmat, pivoted_columns(gmat, cand, onb.shape[-2] - onb.shape[-1]))
 
 
 def pivoted_columns(gmat: np.ndarray, cand: np.ndarray, rank: int) -> np.ndarray:
-    """`rank` g-unit columns taken from `cand` by pivoted g-norm deflation.
+    """`rank` g-unit columns taken from `cand` (n, m), or from each member of
+    a stack (..., n, m), by pivoted g-norm deflation.
 
     Each step takes the candidate column of largest remaining g-norm (first
     index wins ties) and deflates every candidate against it. Raises
     RankError when the largest remaining g-norm falls below 1e-10 (absolute),
-    i.e. the candidates span fewer than `rank` dimensions.
+    i.e. the candidates span fewer than `rank` dimensions (in a stack, the
+    first such member). Each member's result is its unstacked one, bit for bit.
     """
     cand = np.array(cand, dtype=float)
-    out = np.empty((cand.shape[0], rank))
-    for j in range(rank):
-        norms = np.sqrt(np.maximum(g_inner(gmat, cand, cand), 0.0))
-        idx = int(np.argmax(norms))
-        if norms[idx] < 1e-10:
-            raise RankError(f"pivoted deflation collapsed after {j} of {rank} columns")
-        q = cand[:, idx] / norms[idx]
-        out[:, j] = q
-        cand -= np.outer(q, q @ gmat @ cand)
+    out = np.empty(cand.shape[:-1] + (rank,))
+    collapsed = np.full(cand.shape[:-2], rank)
+    with np.errstate(all="ignore"):
+        for j in range(rank):
+            norms = np.sqrt(np.maximum(np.einsum("...ij,...ij->...j", cand, gmat @ cand), 0.0))
+            idx = np.argmax(norms, axis=-1)[..., None]
+            top = np.take_along_axis(norms, idx, -1)
+            collapsed[(top[..., 0] < 1e-10) & (collapsed == rank)] = j
+            q = np.take_along_axis(cand, idx[..., None], -1)[..., 0] / top
+            out[..., j] = q
+            cand -= q[..., :, None] * (q[..., None, :] @ gmat @ cand)
+    for j in collapsed[collapsed < rank][:1]:       # the first member that collapsed
+        raise RankError(f"pivoted deflation collapsed after {j} of {rank} columns")
     return out
 
 
 def principal_angle_values(gmat: np.ndarray, a_onb: np.ndarray, b_onb: np.ndarray) -> np.ndarray:
     """Principal angles (ascending, in [0, pi/2]) between two g-orthonormal
-    column spans.
+    column spans, or per member of two stacks (..., n, r).
 
     Small angles come from the sine-based residual formula: arccos alone
     floors near sqrt(machine eps), which would make "equal spans" undecidable
     at the 1e-10 scale the rest of the package works to.
     """
-    upper = np.linalg.cholesky(gmat).T
+    upper = np.swapaxes(np.linalg.cholesky(gmat), -1, -2)
     a = upper @ a_onb
     b = upper @ b_onb
-    m = min(a.shape[1], b.shape[1])
-    cos = np.clip(np.linalg.svd(a.T @ b, compute_uv=False), 0.0, 1.0)[:m]
-    resid = b - a @ (a.T @ b)
-    sin = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0))[:m]
+    m = min(a.shape[-1], b.shape[-1])
+    atb = np.swapaxes(a, -1, -2) @ b
+    cos = np.clip(np.linalg.svd(atb, compute_uv=False), 0.0, 1.0)[..., :m]
+    sin = np.sort(np.clip(np.linalg.svd(b - a @ atb, compute_uv=False), 0.0, 1.0))[..., :m]
     angles = np.where(cos ** 2 < 0.5, np.arccos(cos), np.arcsin(sin))
     return np.sort(angles)
 

@@ -51,7 +51,7 @@ from functools import partial
 
 import numpy as np
 
-from .classifier import classify, single_cluster_lambda
+from .classifier import classify, single_cluster_lambda, slant_lambdas
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, FrameStack, PointFrame
 from .errors import SpecError, UnsupportedError
@@ -70,21 +70,19 @@ class PointContext:
 
     def __init__(self, dec: Decomposition, points, trials: int, seed: int,
                  tolerances: Tolerances):
-        frames = [dec.frame_at(p) for p in points]
-        stack = FrameStack(frames)
+        stack = dec.frame_stack(points)
+        self.duals, h, basis_perp = stack.duals, stack.h_basis, stack.basis_perp
         # the stack's maps, held as methods of the stack (as the sides hold
         # them) so that no reference cycle keeps the context alive
         self.apply_phi, self.f, self.w, self.pr = stack.apply_phi, stack.f, stack.w, stack.pr
         self.inner, self.norm, self.cos_angle = stack.inner, stack.norm, stack.cos_angle
-        self.g, self.xi_unit, self.duals = stack.g, stack.xi_unit, stack.duals
-        f = frames[0]
-        npts, n, t = len(frames), f.g.shape[0], trials
-        self.points = [fr.x for fr in frames]
-        self.eps, self.contact, self.proper = f.epsilon, f.xi is not None, f.proper_indices
+        self.g, self.xi_unit = stack.g, stack.xi_unit
+        npts, n, t = len(stack.x), dec.structure.n, trials
+        self.points, self.eps, self.proper = list(stack.x), stack.epsilon, stack.proper_indices
+        self.contact = stack.xi is not None
         self.cos2 = np.ones((npts, len(stack.bases)))
-        for p, fr in enumerate(frames):
-            for i, lam in _lambdas(fr, self.proper, tolerances).items():
-                self.cos2[p, i] = min(max(self.eps * lam, 0.0), 1.0)
+        for i, lam in zip(self.proper, slant_lambdas(stack, self.proper, tolerances)):
+            self.cos2[:, i] = np.minimum(np.maximum(self.eps * lam, 0.0), 1.0)
         self.sin2 = 1.0 - self.cos2
         self.cos, self.sin = np.sqrt(self.cos2), np.sqrt(self.sin2)
         # libm's pow, as a scalar sin^2 ** 2 rounds (numpy's square may differ by an ulp)
@@ -101,11 +99,10 @@ class PointContext:
 
         self.amb = (drawn(None), drawn(None))
         self.cx, self.cy = [drawn(b) for b in stack.bases], [drawn(b) for b in stack.bases]
-        self.u_perp, self.v_perp = drawn(stack.basis_perp), drawn(stack.basis_perp)
+        self.u_perp, self.v_perp = drawn(basis_perp), drawn(basis_perp)
         self.u_g, self.v_g = drawn(stack.basis_g), drawn(stack.basis_g)
         pairs = [(drawn(b), drawn(b)) for b in self.duals]
         self.wu, self.wv = [u for u, _ in pairs], [v for _, v in pairs]
-        h = stack.h_basis
         self.u_h, self.v_h = (drawn(h), drawn(h)) if h.shape[2] else (None, None)
         xi = [drawn(self.xi_unit[:, :, None]) for _ in range(2 * self.contact)]
         for p in range(npts):
@@ -121,7 +118,7 @@ class PointContext:
         d_xi = [d + c for d, c in zip((self.x_d, self.y_d), xi)]
         self.x_dxi, self.y_dxi = d_xi or (self.x_d, self.y_d)
         xs, ys = ([c[i] for i in self.proper] for c in (self.cx, self.cy))
-        inv = f.invariant_index
+        inv = stack.invariant_index
         self.sides = {
             "D": Side(self.f, self.w, xs, ys, sum(xs) if xs else zeros, sum(ys) if ys else zeros,
                       None if inv is None else self.cx[inv], None if inv is None else self.cy[inv]),
@@ -775,9 +772,9 @@ def _check_in_mask(dec: Decomposition, direction: np.ndarray):
         raise SpecError("probe direction leaves the submanifold mask")
 
 
-def _displaced_frames(dec: Decomposition, x: np.ndarray, d: np.ndarray, h: float):
-    """The frames at x + hX and x - hX of a central difference along X, built
-    outside the decomposition's frame cache (they are needed once). SpecError
+def _displaced_frames(dec: Decomposition, x: np.ndarray, d: np.ndarray, h: float) -> FrameStack:
+    """The frame stack of x + hX and x - hX for a central difference along X,
+    outside the decomposition's frame cache (it is needed once). SpecError
     when the step h leaves a coordinate that X moves unchanged."""
     _check_in_mask(dec, d)
     plus, minus = x + h * d, x - h * d
@@ -785,7 +782,7 @@ def _displaced_frames(dec: Decomposition, x: np.ndarray, d: np.ndarray, h: float
     if np.any((plus == x)[moved]) or np.any((minus == x)[moved]):
         raise SpecError(f"fd_step {h!r} leaves a coordinate of {x.tolist()} unchanged "
                         "along the probe direction; the central difference needs a larger step")
-    return PointFrame(dec, plus), PointFrame(dec, minus)
+    return FrameStack(dec, [plus, minus])
 
 
 def nabla_f2(dec: Decomposition, probe: CovariantProbe, point, direction, y) -> np.ndarray:
@@ -804,17 +801,8 @@ def nabla_f2(dec: Decomposition, probe: CovariantProbe, point, direction, y) -> 
     if float(np.max(np.abs(d))) == 0.0:
         return np.zeros_like(yv)
     h = probe.h
-    fp, fm = _displaced_frames(dec, x, d, h)
+    fp, fm = _displaced_frames(dec, x, d, h).frames
     return ((fp.f2_ambient() - fm.f2_ambient()) / (2.0 * h)) @ yv
-
-
-def _lambdas(frame, indices, tolerances: Tolerances) -> dict[int, float]:
-    """lambda_i at a frame for each component index in `indices`
-    (`classifier.single_cluster_lambda` on its block of the frame's f^2
-    Gram)."""
-    return {i: single_cluster_lambda(frame, frame.dec.components[i].name,
-                                     frame.f2_component(i), tolerances)
-            for i in indices}
 
 
 def eigenvalue_directional_derivative(dec: Decomposition, point, comp_index: int, direction,
@@ -826,9 +814,8 @@ def eigenvalue_directional_derivative(dec: Decomposition, point, comp_index: int
     h = tolerances.fd_step
     x = np.asarray(getattr(point, "coords", point), dtype=float)
     d = np.asarray(getattr(direction, "comps", direction), dtype=float)
-    lam_p, lam_m = (_lambdas(frame, [comp_index], tolerances)[comp_index]
-                    for frame in _displaced_frames(dec, x, d, h))
-    return (lam_p - lam_m) / (2.0 * h)
+    lam_p, lam_m = slant_lambdas(_displaced_frames(dec, x, d, h), [comp_index], tolerances)[0]
+    return float(lam_p - lam_m) / (2.0 * h)
 
 
 def _probe_directions(frame, tm_dirs) -> list[list]:

@@ -74,3 +74,50 @@ def test_connection_probe_survives_a_fresh_import(tmp_path):
             del sys.modules[key]
         sys.modules.update(saved)
     assert fresh == connection("held.json")
+
+
+def test_dual_and_classify_survive_a_fresh_import(tmp_path):
+    """As above for `dual` and `classify` (declared and discovery): their
+    frames, complements and dual slices are built while slantkit is
+    imported afresh, and the reports must not change."""
+    import contextlib
+    import io
+    import json
+    import sys
+
+    from slantkit import cli
+    from slantkit.gallery import build_fixture, fixture_to_spec_dict
+
+    specs = {}
+    for fid, params in (("ex8", dict(k=2, epsilon=-1, gamma=0.5)),
+                        ("ex5", dict(k=2, epsilon=1, gamma=2.0))):
+        fx = build_fixture(fid, **params)
+        doc = fixture_to_spec_dict(fx, points=fx.default_points()[:4])
+        for variant, dec in (("declared", doc["decomposition"]), ("discovery", None)):
+            specs[fid, variant] = tmp_path / f"{fid}-{variant}.json"
+            specs[fid, variant].write_text(json.dumps(dict(doc, decomposition=dec)))
+
+    def reports(tag):
+        out = {}
+        for (fid, variant), spec in specs.items():
+            for command in (("classify",) if variant == "discovery" else ("classify", "dual")):
+                path = tmp_path / f"{tag}-{fid}-{variant}-{command}.json"
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main([command, str(spec), "--json", str(path)]) == 0
+                out[fid, variant, command] = path.read_bytes()
+        return out
+
+    def ours():
+        return {k: m for k, m in sys.modules.items() if k == "slantkit" or k.startswith("slantkit.")}
+
+    saved = ours()
+    for key in saved:
+        del sys.modules[key]
+    try:
+        importlib.import_module("slantkit")
+        fresh = reports("fresh")
+    finally:
+        for key in ours():
+            del sys.modules[key]
+        sys.modules.update(saved)
+    assert fresh == reports("held")

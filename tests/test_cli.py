@@ -406,3 +406,65 @@ class TestAsymmetricMetric:
         code, _, err = run(capsys, argv[0], str(path), *argv[1:])
         assert code == 2
         assert err.startswith(f"error: metric is not symmetric at {doc['sample_points'][0]}")
+
+
+def _ex3_faulty_at_point_2(fault):
+    """ex3 (k = 2, eps = -1) at four sample points, with one fault that shows
+    at point 2 only, and that point's coordinates."""
+    from slantkit.gallery import _hermitian_block
+    doc = fixture_to_spec_dict(build_fixture("ex3", k=2, epsilon=-1))
+    points = []
+    for p in range(4):
+        x = [0.0] * doc["ambient_dim"]
+        for i, c in zip((1, 2, 3, 4, 7, 8), (0.3, -0.2, 0.5, 0.1, -0.4, 0.2)):
+            x[i - 1] = c * (p + 1)
+        points.append(x)
+    if fault == "rank":          # D1's second field is x1 e4: gone where x1 = 0
+        doc["distributions"]["D1"][1] = ["0", "0", "0", "x1"] + ["0"] * 6
+        points[2][0] = 0.0
+    elif fault == "w-collapse":  # block 1 at angle x1: slant value 0 where x1 = 0
+        _hermitian_block(doc["phi_columns"], 1, -1, "cos(x1)", "sin(x1)")
+        points[2][0] = 0.0
+    else:                        # phi e1 gains x2 e1: f^2 on D0 asymmetric where x2 != 0
+        doc["phi_columns"][0][0] = "x2"
+        for p, x in enumerate(points):
+            x[1] = 0.7 if p == 2 else 0.0
+    doc["sample_points"] = points
+    return doc, points[2]
+
+
+_STACK_FAULTS = {
+    "rank": "component 'D1' at {x}: column 1 is dependent on the previous ones",
+    "w-collapse": "w collapses on component 'D1' at {x} (slant value 0 there); "
+                  "the dual is undefined",
+    "asymmetric": "restricted endomorphism square is asymmetric (residual 1.980e+00) at {x}; "
+                  "the decomposition or structure is invalid",
+}
+
+
+@pytest.mark.parametrize("argv", [("classify", "--force"), ("dual",), ("identities",),
+                                  ("identities", "--connection")], ids=" ".join)
+@pytest.mark.parametrize("fault", list(_STACK_FAULTS))
+def test_fault_at_a_later_point_is_named(capsys, tmp_path, fault, argv):
+    """A fault at the third of four sample points only: every command that
+    meets it exits 1 naming that point, whether the frames are built one
+    point at a time or all at once."""
+    doc, x = _ex3_faulty_at_point_2(fault)
+    path = tmp_path / f"{fault}.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+    if fault == "w-collapse" and argv[0] == "classify":   # classify needs no dual
+        assert code == 0
+        return
+    assert code == 1
+    assert err == f"failure: {_STACK_FAULTS[fault].format(x=x)}\n"
+
+
+def test_asymmetric_fault_at_a_later_point_in_discovery(capsys, tmp_path):
+    doc, x = _ex3_faulty_at_point_2("asymmetric")
+    path = tmp_path / "discover.json"
+    path.write_text(json.dumps(dict(doc, decomposition=None)))
+    code, _, err = run(capsys, "classify", str(path), "--force")
+    assert code == 1
+    assert err.startswith("failure: restricted endomorphism square is asymmetric (residual ")
+    assert err.endswith(f") at {x}; the decomposition or structure is invalid\n")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from slantkit import expr as fe
 from slantkit import tangents
 from slantkit.errors import EvalError, ParseError, SpecError
+from slantkit.gallery import build_fixture, fixture_to_spec_dict
+from slantkit.specfile import load_manifold_spec
 from slantkit.structure import KIND_HERMITIAN, StructureField
 
 
@@ -58,6 +61,43 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             fe.parse("x1 + $", 2)
         assert err.value.offset == 5
+
+    @pytest.mark.parametrize("src, offset", [
+        ("\u00b2", 0), ("x1\u00b2", 0), ("x\u00b2", 0), ("1 + \u0663", 4), ("x\u0661", 0),
+        ("2\u00b2", 1), ("\uff11", 0)])
+    def test_only_ascii_digits(self, src, offset):
+        """Unicode digits (superscripts, Arabic-Indic, fullwidth) are not
+        digits of the grammar: a ParseError at their position, never a
+        number or a coordinate."""
+        with pytest.raises(ParseError) as err:
+            fe.parse(src, 3)
+        assert err.value.offset == offset
+
+    def test_unicode_digit_in_a_spec_entry_is_a_parse_error(self, tmp_path):
+        doc = fixture_to_spec_dict(build_fixture("ex3", k=2))
+        doc["phi_columns"][0][1] = "\u00b2"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=r"^phi_columns\[0\]\[1\]: unexpected character"):
+            load_manifold_spec(path)
+
+    @pytest.mark.parametrize("src", [
+        ".", "1.", ".5", " 0 ", "0", "007", "12.50", "\t3.25\n", "1e3", "0x1", "-0", "1_0",
+        "1" * 400, "  " + "9" * 400 + ".5", "0." + "1" * 400, "\u00b2", "\u0663", "1 .5", "+1",
+        "1..2", "\u20031\u2003"])
+    def test_literal_fast_path_agrees_with_the_grammar(self, src):
+        """`parse` reads a bare literal without the parser; the result, or
+        the error with its message and offset, is the grammar's."""
+        def outcome(read):
+            try:
+                return read()
+            except ParseError as exc:
+                return str(exc)
+        want = outcome(lambda: fe._Parser(src, 2).parse())
+        got = outcome(lambda: fe.parse(src, 2))
+        assert got == want and type(got) is type(want)
+        if isinstance(want, fe.Num):
+            assert math.copysign(1.0, got.value) == math.copysign(1.0, want.value)
 
 
 class TestEval:

@@ -28,6 +28,7 @@ from slantkit.linalg import (
     mgs_columns,
     mgs_each,
     pivoted_columns,
+    principal_angle_values,
     principal_angles,
     projector,
     projector_matrix,
@@ -338,6 +339,63 @@ class TestPivotedColumns:
     def test_rank_deficient_raises(self, cand, rank):
         with pytest.raises(RankError):
             pivoted_columns(np.eye(3), cand, rank)
+
+
+class TestStackedKernels:
+    """`pivoted_columns`, `complement_columns` and `principal_angle_values`
+    over a stack (P, n, m) equal the unstacked call on each member bit for
+    bit, as `TestMgsColumns` checks for `mgs_columns`."""
+
+    @staticmethod
+    def _stack(seed, count=5, n=8, r=3):
+        rng = np.random.default_rng(seed)
+        gs = np.stack([np.eye(n)] + [_spd(rng, n) for _ in range(count - 1)])
+        onb = mgs_columns(gs, rng.standard_normal((count, n, r)))
+        return rng, gs, onb
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_complement_columns(self, seed):
+        _, gs, onb = self._stack(seed)
+        got = complement_columns(gs, onb)
+        for g, b, member in zip(gs, onb, got):
+            assert np.array_equal(member, complement_columns(g, b))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_principal_angle_values(self, seed):
+        rng, gs, onb = self._stack(seed)
+        other = mgs_columns(gs, onb + 1e-3 * rng.standard_normal(onb.shape))
+        wide = mgs_columns(gs, rng.standard_normal(onb.shape[:-1] + (5,)))
+        for b in (onb, other, wide):
+            got = principal_angle_values(gs, onb, b)
+            for g, a, member, angles in zip(gs, onb, b, got):
+                assert np.array_equal(angles, principal_angle_values(g, a, member))
+
+    def test_pivoted_columns_with_tied_pivots(self):
+        """Members whose candidate norms tie (the first index wins in each)
+        beside a random one, against one shared metric and against a stack."""
+        rng, gs, _ = self._stack(0, count=3, n=4)
+        cand = np.stack([np.diag([1.0, 2.0, 2.0, 1.0]), np.eye(4),
+                         rng.standard_normal((4, 4))])
+        for g in (np.eye(4), gs):
+            got = pivoted_columns(g, cand, 4)
+            for p in range(3):
+                gp = g if g.ndim == 2 else g[p]
+                assert np.array_equal(got[p], pivoted_columns(gp, cand[p], 4))
+                assert np.array_equal(got[p], _deflation_oracle(gp, cand[p], 4))
+        assert np.array_equal(pivoted_columns(np.eye(4), cand, 4)[0], np.eye(4)[:, [1, 2, 0, 3]])
+
+    def test_collapsing_member_raises_its_own_error(self):
+        """The first member whose deflation collapses raises the message of
+        its unstacked call, even when a later member collapses sooner."""
+        full = np.eye(3)
+        after_two = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        after_one = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(RankError) as alone:
+            pivoted_columns(np.eye(3), after_two, 3)
+        assert str(alone.value) == "pivoted deflation collapsed after 2 of 3 columns"
+        with pytest.raises(RankError) as stacked:
+            pivoted_columns(np.eye(3), np.stack([full, after_two, after_one]), 3)
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestSymEigen:
