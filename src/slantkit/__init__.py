@@ -8,16 +8,14 @@ The usual entry points:
 
 __version__ = "0.1.0"
 
-from .classifier import classify, discover, slant_function_table, slant_spectrum  # noqa: E402
+from .classifier import classify, discover  # noqa: E402
 from .config import DEFAULT_TOLERANCES, Tolerances  # noqa: E402
 from .distribution import (  # noqa: E402
     Decomposition,
     DistributionFrame,
     check_f_invariance,
-    f_squared_matrix,
-    fw_split,
 )
-from .duality import build_dual, dual_identity_suite, dual_roundtrip_check  # noqa: E402
+from .duality import build_dual, dual_roundtrip_check  # noqa: E402
 from .gallery import build_fixture, fixture_oracle_check  # noqa: E402
 from .specfile import load_manifold_spec  # noqa: E402
 from .structure import StructureField, validate_structure  # noqa: E402
@@ -41,14 +39,9 @@ __all__ = [
     "classify",
     "connection_criterion_report",
     "discover",
-    "dual_identity_suite",
     "dual_roundtrip_check",
-    "f_squared_matrix",
     "fixture_oracle_check",
-    "fw_split",
     "load_manifold_spec",
     "run_identity_suite",
-    "slant_function_table",
-    "slant_spectrum",
     "validate_structure",
 ]

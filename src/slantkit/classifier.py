@@ -50,7 +50,7 @@ HALF_PI = math.pi / 2.0
 
 def _lambda_to_alpha_theta(lam: float, epsilon: int, band: float) -> tuple[float, float]:
     s = epsilon * lam
-    if s < -band or s > 1.0 + band:
+    if not -band <= s <= 1.0 + band:      # a NaN is outside too
         raise ModelError(
             f"eps*lambda = {s} outside [0, 1] beyond the tolerance band; "
             "structure or decomposition is invalid")
@@ -96,12 +96,6 @@ class SlantSpectrum:
                 "clusters": [c.to_json_dict() for c in self.clusters]}
 
 
-def slant_spectrum(dec: Decomposition, point,
-                   tolerances: Tolerances = DEFAULT_TOLERANCES) -> SlantSpectrum:
-    """Clustered spectrum of f^2|D at one point (`slant_spectra`)."""
-    return slant_spectra(dec.frame_stack([point]), tolerances)[0]
-
-
 @per_point
 def slant_spectra(stack: FrameStack, tolerances: Tolerances = DEFAULT_TOLERANCES
                   ) -> list[SlantSpectrum]:
@@ -120,11 +114,15 @@ def slant_spectra(stack: FrameStack, tolerances: Tolerances = DEFAULT_TOLERANCES
 
 def component_slant(dec: Decomposition, point, index: int,
                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> SlantCluster:
-    """Slant cluster of component `index` at one point (`slant_lambdas`)."""
-    stack = dec.frame_stack([point])
-    lam = float(slant_lambdas(stack, [index], tolerances)[0][0])
-    return SlantCluster(lam, *_lambda_to_alpha_theta(lam, stack.epsilon, tolerances.lambda_band),
-                        stack.bases[index].shape[-1])
+    """Slant cluster of component `index` at one point, read from its frame
+    (`Decomposition.frame_at`) by `single_cluster_lambda`."""
+    if not 0 <= index < len(dec.components):
+        raise SpecError(f"component index {index} outside 0..{len(dec.components) - 1}")
+    frame = dec.frame_at(point)
+    lam = single_cluster_lambda(frame, dec.components[index].name, frame.f2_component(index),
+                                tolerances)
+    return SlantCluster(lam, *_lambda_to_alpha_theta(lam, frame.epsilon, tolerances.lambda_band),
+                        frame.bases[index].shape[-1])
 
 
 def slant_thetas(stack: FrameStack, lam: np.ndarray, tolerances: Tolerances) -> list[float]:
@@ -175,7 +173,7 @@ def single_cluster_lambda(frame, name: str, mat: np.ndarray,
     for i in np.flatnonzero(cert > 0.5 * tolerances.cluster):
         _count_clusters(frame.epsilon, name, stack[i], tolerances, f"{where} {points[i].tolist()}")
     s = frame.epsilon * lam
-    outside = (s < -band) | (s > 1.0 + band)
+    outside = ~((s >= -band) & (s <= 1.0 + band))     # a NaN is outside too
     if outside.any():
         _lambda_to_alpha_theta(float(lam[outside][0]), frame.epsilon, band)   # raises ModelError
     return float(lam[0]) if one else lam
@@ -196,17 +194,6 @@ def _count_clusters(epsilon: int, name: str, mat: np.ndarray, tolerances: Tolera
             f"component {name!r} carries {len(lams)} eigenvalue clusters "
             f"{lams} {where}; the declared decomposition is coarser "
             "than the eigenstructure")
-
-
-def slant_function_table(dec: Decomposition, index: int, points,
-                         tolerances: Tolerances = DEFAULT_TOLERANCES) -> list[tuple[np.ndarray, float]]:
-    """Tabulate the slant value of one component over the sample points."""
-    points = list(points)
-    if not points:
-        return []
-    stack = dec.frame_stack(points)
-    return list(zip(stack.x, slant_thetas(stack, slant_lambdas(stack, [index], tolerances)[0],
-                                          tolerances)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,6 @@ from .errors import (
     SpecError,
 )
 from .linalg import (
-    AmbientPoint,
-    TangentVector,
     complement_columns,
     g_inner,
     mgs_columns,
@@ -269,9 +267,6 @@ class PointFrame:
     def pr(self, i: int, v):
         return self._proj_comp[i] @ v
 
-    def component_basis(self, i: int) -> np.ndarray:
-        return self.bases[i]
-
     # -- restricted endomorphism squares and the dual slice ----------------------
 
     def f2_full(self) -> np.ndarray:
@@ -435,32 +430,6 @@ class DualDecomposition:
     def to_json_dict(self) -> dict:
         return {"point": self.point.tolist(), "dual_bases": [b.tolist() for b in self.duals],
                 "h_basis": self.h_basis.tolist(), "f_on_h_residual": self.f_on_h_residual}
-
-
-class FWSplit:
-    """phi(v) split into the component inside D and the remainder."""
-
-    __slots__ = ("f_part", "w_part")
-
-    def __init__(self, f_part: TangentVector, w_part: TangentVector):
-        self.f_part = f_part
-        self.w_part = w_part
-
-
-def fw_split(dec: Decomposition, point, v) -> FWSplit:
-    """Split phi(v) into f and w parts relative to the decomposition."""
-    frame = dec.frame_at(point)
-    comps = np.asarray(getattr(v, "comps", v), dtype=float)
-    if comps.shape[0] != dec.structure.n:
-        raise DimensionError("vector dimension differs from ambient dimension")
-    base = AmbientPoint(frame.x)
-    return FWSplit(TangentVector(frame.f(comps), base), TangentVector(frame.w(comps), base))
-
-
-def f_squared_matrix(dec: Decomposition, point) -> np.ndarray:
-    """Matrix of f o f restricted to D in a g-orthonormal basis of D (symmetric;
-    ModelError beyond rounding)."""
-    return dec.frame_at(point).f2_full()
 
 
 class InvarianceReport:

@@ -20,7 +20,6 @@ from .classifier import single_cluster_lambda, slant_lambdas, slant_thetas
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, DualDecomposition, FrameStack, f2_gram, per_point
 from .linalg import mgs_each, principal_angle_values
-from .sampling import DEFAULT_SEED
 
 
 def build_dual(dec: Decomposition, point) -> DualDecomposition:
@@ -35,15 +34,6 @@ def _dual_lambda(stack: FrameStack, slot: int, tolerances: Tolerances) -> np.nda
     mat = f2_gram(stack.g, stack.duals[slot], stack.proj_g @ stack.phi, stack.x)
     name = stack.dec.components[stack.proper_indices[slot]].name
     return single_cluster_lambda(stack, f"w({name})", mat, tolerances)
-
-
-def dual_slant_theta(dec: Decomposition, point, index: int,
-                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Slant value of the dual w(D_index) of proper component `index` at one
-    point (`_dual_lambda` of its one-point stack)."""
-    stack = dec.frame_stack([point])
-    lam = _dual_lambda(stack, stack.proper_indices.index(index), tolerances)
-    return slant_thetas(stack, lam, tolerances)[0]
 
 
 class DualRoundtripReport:
@@ -62,8 +52,9 @@ def dual_roundtrip_check(dec: Decomposition, point,
                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> DualRoundtripReport:
     """Verify f(w(D_i)) = D_i (principal angles), dim w(D_i) = dim D_i, and
     that each dual component carries the same slant value as its source, at
-    one point (`dual_roundtrips` of its one-point stack)."""
-    return dual_roundtrips(dec.frame_stack([point]), tolerances)[0]
+    one point (`dual_roundtrips` of a one-point stack built for this call)."""
+    x = np.asarray(getattr(point, "coords", point), dtype=float)
+    return dual_roundtrips(FrameStack(dec, [x]), tolerances)[0]
 
 
 @per_point
@@ -95,17 +86,6 @@ def dual_roundtrips(stack: FrameStack, tolerances: Tolerances = DEFAULT_TOLERANC
                             "passed": ok})
         reports.append(DualRoundtripReport(x, entries, passed, stack.h_basis.shape[-1]))
     return reports
-
-
-def dual_identity_suite(dec: Decomposition, points, trials: int = 50,
-                        tolerances: Tolerances = DEFAULT_TOLERANCES,
-                        seed: int = DEFAULT_SEED):
-    """The G-side identities (projector sums, metric relations, H relations,
-    sin^4 corollaries) evaluated on seeded random vectors; a filtered view of
-    the full identity registry so both reports agree key for key."""
-    from .verifier import DUAL_KEYS, run_identity_suite
-    return run_identity_suite(dec, points, trials=trials, tolerances=tolerances,
-                              seed=seed, keys=DUAL_KEYS)
 
 
 def dual_report(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOLERANCES) -> dict:

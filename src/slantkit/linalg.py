@@ -50,9 +50,6 @@ class AmbientPoint:
     def same_as(self, other: "AmbientPoint") -> bool:
         return self.n == other.n and bool(np.array_equal(self.coords, other.coords))
 
-    def key(self) -> tuple:
-        return tuple(self.coords.tolist())
-
     def __repr__(self) -> str:
         return f"AmbientPoint({self.coords.tolist()})"
 

@@ -885,8 +885,7 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
     coords = [i - 1 for i in dec.mask]
     comps = dec.components
     max_nabla = max_dlam_in = max_dlam_tm = np.zeros(len(comps))
-    for point in points:
-        frame = dec.frame_at(point)
+    for frame in dec.frame_stack(points).frames if points else ():
         dirs = _probe_directions(frame, tm_dirs)
         within = np.array([[ci in w for ci in range(len(comps))] for _, w, _ in dirs])
         along_tm = np.array([[tm] for _, _, tm in dirs])

@@ -4,18 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from slantkit import cli, gallery
+from slantkit import cli, duality, gallery
 from slantkit import expr as fe
 from slantkit.classifier import (
     classify,
     component_slant,
     discover,
-    slant_function_table,
-    slant_spectrum,
+    single_cluster_lambda,
+    slant_lambdas,
+    slant_spectra,
+    slant_thetas,
 )
 from slantkit.config import DEFAULT_TOLERANCES
 from slantkit.distribution import Decomposition, DistributionFrame
-from slantkit.duality import dual_slant_theta
 from slantkit.errors import ComponentError, ModelError, SpecError
 from slantkit.gallery import build_fixture, fixture_to_spec_dict
 from slantkit.sampling import box_points, rng_for
@@ -26,7 +27,7 @@ from slantkit.taxonomy import VERDICT_LATTICE, lattice_closure
 class TestSlantSpectrum:
     def test_ex1_clusters(self, ex1):
         # k = 2: invariant cluster at eps, then lambda = -(3/5)^2 and 0
-        spec = slant_spectrum(ex1.decomposition, np.zeros(11))
+        spec = slant_spectra(ex1.decomposition.frame_stack([np.zeros(11)]))[0]
         lams = sorted(c.lam for c in spec.clusters)
         assert lams == pytest.approx([-1.0, -0.36, 0.0])
         thetas = {round(c.theta, 6) for c in spec.clusters}
@@ -64,7 +65,7 @@ class TestSlantSpectrum:
             fe.VectorFieldExpr.parse(["0", "1"], 2)])
         dec = Decomposition(s, [frame])
         with pytest.raises(ModelError):
-            slant_spectrum(dec, np.zeros(2))
+            slant_spectra(dec.frame_stack([np.zeros(2)]))
 
 
 class TestComponentSlant:
@@ -83,22 +84,43 @@ class TestComponentSlant:
             component_slant(merged, np.zeros(n), 0)
 
 
+class TestComponentIndexAndNaN:
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_outside_components_is_a_spec_error(self, ex1, index):
+        # ex1 k = 2 has the components D0, D1, D2
+        with pytest.raises(SpecError, match=rf"^component index {index} outside 0\.\.2$"):
+            component_slant(ex1.decomposition, np.zeros(11), index)
+
+    def test_nan_matrix_is_a_model_error(self, ex1):
+        frame = ex1.decomposition.frame_at(np.zeros(11))
+        with pytest.raises(ModelError, match=r"^eps\*lambda = nan outside"):
+            single_cluster_lambda(frame, "D1", np.full((2, 2), np.nan))
+
+    def test_nan_member_of_a_stack_is_a_model_error(self, ex1):
+        stack = ex1.decomposition.frame_stack(ex1.default_points()[:2])
+        mats = np.stack([np.zeros((2, 2)), np.full((2, 2), np.nan)])
+        with pytest.raises(ModelError, match=r"^eps\*lambda = nan outside"):
+            single_cluster_lambda(stack, "D1", mats)
+
+
 class TestSlantFunctionTable:
     def test_constant_component(self, ex1):
-        table = slant_function_table(ex1.decomposition, 2, ex1.default_points()[:6])
-        values = [t for _, t in table]
+        stack = ex1.decomposition.frame_stack(ex1.default_points()[:6])
+        values = slant_thetas(stack, slant_lambdas(stack, [2])[0], DEFAULT_TOLERANCES)
         assert max(values) - min(values) < 1e-12
         assert values[0] == pytest.approx(math.acos(0.6))
 
     def test_invariant_component(self, ex1):
-        table = slant_function_table(ex1.decomposition, 0, ex1.default_points()[:4])
-        assert all(t == pytest.approx(0.0) for _, t in table)
+        stack = ex1.decomposition.frame_stack(ex1.default_points()[:4])
+        values = slant_thetas(stack, slant_lambdas(stack, [0])[0], DEFAULT_TOLERANCES)
+        assert all(t == pytest.approx(0.0) for t in values)
 
     def test_pointwise_boundary_value(self):
         # ex5 at gamma = 1: theta_1(0) = pi/2 since the numerator vanishes
         fx = build_fixture("ex5", k=2, epsilon=1, gamma=1.0)
-        table = slant_function_table(fx.decomposition, 1, [np.zeros(10)])
-        assert table[0][1] == pytest.approx(math.pi / 2)
+        stack = fx.decomposition.frame_stack([np.zeros(10)])
+        values = slant_thetas(stack, slant_lambdas(stack, [1])[0], DEFAULT_TOLERANCES)
+        assert values[0] == pytest.approx(math.pi / 2)
 
 
 class TestClassify:
@@ -202,7 +224,7 @@ class TestConformality:
             fr = dec.frame_at(pt)
             for ci in fr.proper_indices:
                 cl = component_slant(dec, pt, ci)
-                b = fr.component_basis(ci)
+                b = fr.bases[ci]
                 for _ in range(6):
                     x = b @ rng.standard_normal(b.shape[1])
                     nx = np.linalg.norm(x)
@@ -221,7 +243,7 @@ class TestConformality:
                 cl = component_slant(dec, pt, ci)
                 if cl.theta > math.pi / 2 - 1e-8:
                     continue
-                b = fr.component_basis(ci)
+                b = fr.bases[ci]
                 for _ in range(4):
                     x = b @ rng.standard_normal(b.shape[1])
                     y = b @ rng.standard_normal(b.shape[1])
@@ -388,8 +410,8 @@ def _eigh_lambda(frame, basis, proj):
 
 @pytest.mark.parametrize("fid, k, epsilon, gamma", _GOLDEN_CASES)
 def test_trace_mean_lambda_matches_eigh_mean(fid, k, epsilon, gamma):
-    """component_slant and dual_slant_theta read lambda as a trace mean; it
-    equals the eigvalsh mean of the same block within 1e-12."""
+    """component_slant and the dual's lambda (`duality._dual_lambda`) are
+    trace means; each equals the eigvalsh mean of the same block within 1e-12."""
     fx = build_fixture(fid, k=k, epsilon=epsilon, gamma=gamma)
     dec = fx.decomposition
     for pt in box_points(fx.structure.n, fx.mask, 3, seed=11):
@@ -399,5 +421,8 @@ def test_trace_mean_lambda_matches_eigh_mean(fid, k, epsilon, gamma):
             assert component_slant(dec, pt, i).lam == pytest.approx(want, abs=1e-12)
         for slot, i in enumerate(frame.proper_indices):
             want = _eigh_lambda(frame, frame.dual().duals[slot], frame.proj_g)
-            cos2 = math.cos(dual_slant_theta(dec, pt, i)) ** 2
+            stack = dec.frame_stack([pt])
+            theta = slant_thetas(stack, duality._dual_lambda(stack, slot, DEFAULT_TOLERANCES),
+                                 DEFAULT_TOLERANCES)[0]
+            cos2 = math.cos(theta) ** 2
             assert cos2 == pytest.approx(min(max(epsilon * want, 0.0), 1.0), abs=1e-12)

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from slantkit import expr as fe
+from slantkit.classifier import classify, component_slant
 from slantkit.distribution import (
     Decomposition,
     DistributionFrame,
     check_f_invariance,
-    f_squared_matrix,
-    fw_split,
 )
+from slantkit.duality import build_dual, dual_roundtrip_check
 from slantkit.errors import InvariantError, ModelError, RankError
+from slantkit.gallery import build_fixture
 from slantkit.sampling import rng_for
+from slantkit.verifier import CovariantProbe, connection_criterion_report
 
 
 def unit_frame(name, n, indices, mask=None):
@@ -27,28 +29,29 @@ class TestFWSplit:
     def test_ex1_anti_invariant_block(self, ex1):
         # j = 1 coefficients are 0 and 1: phi e3 = eps * e6 lands fully in w
         p = np.zeros(11)
-        split = fw_split(ex1.decomposition, p, np.eye(11)[:, 2])
-        assert np.allclose(split.f_part.comps, 0.0, atol=1e-14)
+        frame = ex1.decomposition.frame_at(p)
+        v = np.eye(11)[:, 2]
+        assert np.allclose(frame.f(v), 0.0, atol=1e-14)
         expected = np.zeros(11)
         expected[5] = -1.0
-        assert np.allclose(split.w_part.comps, expected, atol=1e-14)
+        assert np.allclose(frame.w(v), expected, atol=1e-14)
 
     def test_invariant_component_has_no_w(self, ex1):
         rng = rng_for(3, 1)
         for pt in ex1.default_points()[:4]:
             v = np.zeros(11)
             v[:2] = rng.standard_normal(2)
-            split = fw_split(ex1.decomposition, pt, v)
-            assert np.linalg.norm(split.w_part.comps) < 1e-14
+            assert np.linalg.norm(ex1.decomposition.frame_at(pt).w(v)) < 1e-14
 
     def test_ex3_j2_weights(self, ex3):
         # j = 2 coefficients: 1/sqrt(10) on the f side, 3/sqrt(10) on the w side
         p = np.zeros(10)
-        split = fw_split(ex3.decomposition, p, np.eye(10)[:, 6])
+        frame = ex3.decomposition.frame_at(p)
+        v = np.eye(10)[:, 6]
         expected_f = np.zeros(10)
         expected_f[7] = 1 / math.sqrt(10)
-        assert np.allclose(split.f_part.comps, expected_f, atol=1e-14)
-        assert np.linalg.norm(split.w_part.comps) == pytest.approx(3 / math.sqrt(10))
+        assert np.allclose(frame.f(v), expected_f, atol=1e-14)
+        assert np.linalg.norm(frame.w(v)) == pytest.approx(3 / math.sqrt(10))
 
     def test_reconstruction_everywhere(self, ex4_zero):
         rng = rng_for(11, 2)
@@ -56,8 +59,7 @@ class TestFWSplit:
             frame = ex4_zero.decomposition.frame_at(pt)
             for _ in range(5):
                 v = rng.standard_normal(11)
-                split = fw_split(ex4_zero.decomposition, pt, v)
-                recon = split.f_part.comps + split.w_part.comps
+                recon = frame.f(v) + frame.w(v)
                 assert np.linalg.norm(recon - frame.phi @ v) <= 1e-10 * np.linalg.norm(v)
 
     def test_contact_w_lands_in_g(self, ex1):
@@ -67,8 +69,8 @@ class TestFWSplit:
             v = np.zeros(11)
             idx = [0, 1, 2, 3, 6, 7, 10]
             v[idx] = rng.standard_normal(len(idx))
-            split = fw_split(ex1.decomposition, pt, v)
-            assert abs(ex1.structure.eta(pt, split.w_part.comps)) < 1e-12
+            w_part = ex1.decomposition.frame_at(pt).w(v)
+            assert abs(ex1.structure.eta(pt, w_part)) < 1e-12
 
 
 class TestFSquared:
@@ -89,7 +91,7 @@ class TestFSquared:
 
     def test_full_matrix_symmetric_and_ranged(self, ex5_one):
         for pt in ex5_one.default_points()[:6]:
-            mat = f_squared_matrix(ex5_one.decomposition, pt)
+            mat = ex5_one.decomposition.frame_at(pt).f2_full()
             assert np.allclose(mat, mat.T)
             evals = np.linalg.eigvalsh(mat)
             eps = ex5_one.structure.epsilon
@@ -246,6 +248,23 @@ def test_components_must_be_orthogonal_to_xi(ex1):
 def test_eigenvalue_range_negative_eps(ex1):
     # restricted squares have spectrum inside [-1, 0] when eps = -1
     for pt in ex1.default_points()[:5]:
-        evals = np.linalg.eigvalsh(f_squared_matrix(ex1.decomposition, pt))
+        evals = np.linalg.eigvalsh(ex1.decomposition.frame_at(pt).f2_full())
         assert np.all(evals <= 1e-12)
         assert np.all(evals >= -1 - 1e-12)
+
+
+def test_per_point_calls_keep_no_stack_of_their_own():
+    # after a command's stack exists, the per-point functions read its frames
+    # or build a one-point stack they do not keep
+    fx = build_fixture("ex9", k=3, epsilon=-1, gamma=1.5)
+    dec = fx.decomposition
+    points = fx.default_points()[:10]
+    report = classify(dec, points)
+    for pt in points:
+        for i in range(len(dec.components)):
+            component_slant(dec, pt, i)
+        build_dual(dec, pt)
+        dual_roundtrip_check(dec, pt)
+    connection_criterion_report(dec, CovariantProbe(), points, classification=report)
+    assert len(dec._stacks) == 1
+    assert len(dec._frames) == 10

@@ -5,21 +5,21 @@ import numpy as np
 import pytest
 
 from slantkit import expr as fe
-from slantkit.classifier import component_slant
+from slantkit.classifier import component_slant, slant_thetas
+from slantkit.config import DEFAULT_TOLERANCES
 from slantkit.distribution import Decomposition, DistributionFrame
 from slantkit.duality import (
+    _dual_lambda,
     build_dual,
-    dual_identity_suite,
     dual_report,
     dual_roundtrip_check,
-    dual_slant_theta,
     expected_span_check,
 )
 from slantkit.errors import ComponentError
 from slantkit.gallery import build_fixture
 from slantkit.linalg import principal_angle_values
 from slantkit.sampling import rng_for
-from slantkit.verifier import DUAL_KEYS
+from slantkit.verifier import DUAL_KEYS, run_identity_suite
 
 
 def sub_decomposition_with_h(ex1):
@@ -50,7 +50,7 @@ class TestBuildDual:
             dd = build_dual(ex4_zero.decomposition, pt)
             frame = ex4_zero.decomposition.frame_at(pt)
             for slot, i in enumerate(frame.proper_indices):
-                assert dd.duals[slot].shape[1] == frame.component_basis(i).shape[1]
+                assert dd.duals[slot].shape[1] == frame.bases[i].shape[1]
 
     def test_duals_pairwise_orthogonal(self, ex5_one):
         for pt in ex5_one.default_points()[:4]:
@@ -109,14 +109,14 @@ class TestRoundtrip:
         slot = 0  # D1 (j = 1) is the pi/2 component
         i = frame.proper_indices[slot]
         assert component_slant(ex1.decomposition, pt, i).theta == pytest.approx(math.pi / 2)
-        b = frame.component_basis(i)
+        b = frame.bases[i]
         fw = frame.proj_d @ (frame.phi @ dd.duals[slot])
         # fwX = eps X on the right-angle block
         for col in range(b.shape[1]):
             x = b[:, col]
             val = frame.proj_d @ (frame.phi @ (frame.phi @ x - frame.proj_d @ (frame.phi @ x)))
             assert np.allclose(val, -x, atol=1e-12)
-        angles = principal_angle_values(frame.g, frame.component_basis(i),
+        angles = principal_angle_values(frame.g, frame.bases[i],
                                         np.linalg.qr(fw)[0])
         assert angles[-1] < 1e-8
 
@@ -126,7 +126,9 @@ class TestRoundtrip:
             dd = build_dual(ex5_one.decomposition, pt)
             for slot, i in enumerate(frame.proper_indices):
                 src = component_slant(ex5_one.decomposition, pt, i).theta
-                dual = dual_slant_theta(ex5_one.decomposition, pt, i)
+                stack = ex5_one.decomposition.frame_stack([pt])
+                dual = slant_thetas(stack, _dual_lambda(stack, slot, DEFAULT_TOLERANCES),
+                                    DEFAULT_TOLERANCES)[0]
                 assert abs(src - dual) < 1e-8
 
     def test_dual_slant_two_clusters_names_the_dual(self, ex1):
@@ -139,20 +141,21 @@ class TestRoundtrip:
             invariant=dec.invariant, mask=ex1.mask)
         with pytest.raises(ComponentError,
                            match=re.escape("component 'w(D12)' carries 2 eigenvalue clusters")):
-            dual_slant_theta(merged, np.zeros(11), 1)
+            stack = merged.frame_stack([np.zeros(11)])
+            slant_thetas(stack, _dual_lambda(stack, 0, DEFAULT_TOLERANCES), DEFAULT_TOLERANCES)
 
 
 class TestDualIdentitySuite:
     def test_gallery_all_pass(self, ex1):
-        rep = dual_identity_suite(ex1.decomposition, ex1.default_points()[:3],
-                                  trials=30)
+        rep = run_identity_suite(ex1.decomposition, ex1.default_points()[:3],
+                                 trials=30, keys=DUAL_KEYS)
         assert rep.passed
         keys = {e["key"] for e in rep.entries}
         assert keys == set(DUAL_KEYS)
 
     def test_h_identities_exercised(self, ex1):
         dec = sub_decomposition_with_h(ex1)
-        rep = dual_identity_suite(dec, ex1.default_points()[:3], trials=30)
+        rep = run_identity_suite(dec, ex1.default_points()[:3], trials=30, keys=DUAL_KEYS)
         assert rep.passed
         for key in ("h.w2", "h.metric", "h.norm", "angle.w-h"):
             entry = rep.entry(key)
@@ -169,9 +172,9 @@ class TestDualIdentitySuite:
                 cl = component_slant(dec, pt, i)
                 sin2[i] = math.sin(cl.theta) ** 2
             for _ in range(5):
-                parts_x = {i: fr.component_basis(i) @ rng.standard_normal(2)
+                parts_x = {i: fr.bases[i] @ rng.standard_normal(2)
                            for i in fr.proper_indices}
-                parts_y = {i: fr.component_basis(i) @ rng.standard_normal(2)
+                parts_y = {i: fr.bases[i] @ rng.standard_normal(2)
                            for i in fr.proper_indices}
                 x = sum(parts_x.values())
                 y = sum(parts_y.values())

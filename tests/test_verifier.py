@@ -210,8 +210,8 @@ class TestNablaF2:
     def test_constant_phi_zero_derivative(self, ex3):
         probe = CovariantProbe()
         frame = ex3.decomposition.frame_at(np.zeros(10))
-        y = frame.component_basis(1)[:, 0]
-        x_dir = frame.component_basis(1)[:, 1]
+        y = frame.bases[1][:, 0]
+        x_dir = frame.bases[1][:, 1]
         val = nabla_f2(ex3.decomposition, probe, np.zeros(10), x_dir, y)
         assert np.linalg.norm(val) <= 1e-6
 
@@ -302,7 +302,7 @@ def test_derivative_calls_leave_frame_cache_unchanged():
     resident = len(dec._frames)
     probe = CovariantProbe()
     for p in points:
-        basis = dec.frame_at(p).component_basis(1)
+        basis = dec.frame_at(p).bases[1]
         nabla_f2(dec, probe, p, basis[:, 0], basis[:, 1])
         eigenvalue_directional_derivative(dec, p, 1, basis[:, 0])
         assert len(dec._frames) == resident == len(points)
@@ -334,7 +334,7 @@ def _component_outer_rows(dec, probe, points):
         max_nabla = max_in = max_tm = 0.0
         for point in points:
             frame = dec.frame_at(point)
-            basis = frame.component_basis(ci)
+            basis = frame.bases[ci]
             for col in range(basis.shape[1]):
                 for ycol in range(basis.shape[1]):
                     val = nabla_f2(dec, probe, frame.x, basis[:, col], basis[:, ycol])
@@ -357,7 +357,7 @@ def _component_slant_rows(dec, probe, points):
         max_nabla = max_in = max_tm = 0.0
         for point in points:
             x = dec.frame_at(point).x
-            basis = dec.frame_at(point).component_basis(ci)
+            basis = dec.frame_at(point).bases[ci]
 
             def dlam(d):
                 lam_p = component_slant(dec, x + h * d, ci).lam
@@ -538,7 +538,7 @@ class TestConnectionReport:
             decs.append(_turned(fx) if rotated else fx.decomposition)
         points = fx.default_points()[:3]
         if rotated:
-            basis = decs[0].frame_at(points[0]).component_basis(1)
+            basis = decs[0].frame_at(points[0]).bases[1]
             assert np.count_nonzero(np.abs(basis) > 1e-3) == 4   # not coordinate-aligned
         probe = CovariantProbe()
         rep = connection_criterion_report(decs[0], probe, points)
