@@ -12,6 +12,14 @@ in the orthogonal complement. In the contact-like case D is required to be
 orthogonal to xi, and the complement used for the dual theory is
 G = (D + <xi>)-perp; the w-component of phi(Z) automatically lies in G since
 eta annihilates the image of phi.
+
+The split is read in frame coordinates: in the g-orthonormal adapted frame
+E = [basis_d | xi_unit (contact-like kinds) | basis_g], v = E c has the
+coordinates c = E^T g v, g is the dot product and phi the matrix
+T = E^T g phi E (`FrameStack.phi_adapted`), whose D rows are f and other rows
+w. The f^2 Gram is the square of its D block T_DD (`phi_dd`), built from
+basis_d alone, so commands that read only slant values build no complement.
+w(D_i) is spanned by the block T[G, D_i], and H is their complement in G.
 """
 
 from __future__ import annotations
@@ -30,14 +38,7 @@ from .errors import (
     SlantKitError,
     SpecError,
 )
-from .linalg import (
-    complement_columns,
-    g_inner,
-    mgs_columns,
-    mgs_each,
-    pivoted_columns,
-    projector_matrix,
-)
+from .linalg import complement_columns, g_inner, mgs_columns, mgs_each
 from .sampling import DEFAULT_SEED, rng_for
 from .structure import StructureField
 
@@ -47,13 +48,10 @@ F_ON_H_TOL = 1e-9
 W_INJECTIVITY_TOL = 1e-8
 
 
-def f2_gram(g: np.ndarray | None, basis: np.ndarray, op: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """basis^T g op(op(basis)): the square of the operator `op` on the
-    g-orthonormal columns of `basis` (`g` None for the euclidean metric),
-    symmetrized, for one point `x` or a stack. For a compatible phi it is
-    symmetric in exact arithmetic: `check_f2_symmetric`."""
-    image = op @ (op @ basis)
-    mat = np.swapaxes(basis, -1, -2) @ (image if g is None else g @ image)
+def f2_gram(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The f^2 Gram `mat`, the square of an operator on orthonormal frame
+    coordinates, symmetrized, for one point `x` or a stack. For a compatible
+    phi it is symmetric in exact arithmetic: `check_f2_symmetric`."""
     check_f2_symmetric(mat, "at", x)
     return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
@@ -195,9 +193,9 @@ class Decomposition:
         return stack
 
     def frame_at(self, point) -> "PointFrame":
-        """The frame at `point`, from a stack holding it or a one-point stack."""
+        """The frame at `point`, from a stack holding it or an unkept one-point stack."""
         x = np.asarray(getattr(point, "coords", point), dtype=float)
-        return self._frames.get(tuple(x.tolist())) or self.frame_stack([x]).frames[0]
+        return self._frames.get(tuple(x.tolist())) or FrameStack(self, [x]).frames[0]
 
     def tm_directions(self) -> list[np.ndarray]:
         """Unit coordinate directions spanning TM (per the mask), or the full
@@ -237,35 +235,20 @@ class PointFrame:
         self.epsilon, self.offsets, self.owner = stack.epsilon, stack.offsets, stack.owner
         self.proper_indices, self.invariant_index = stack.proper_indices, stack.invariant_index
 
-    x, g, phi, xi, xi_unit, basis_d, proj_d, basis_perp, basis_g, proj_g, _inner_g = map(_view, (
-        "x", "g", "phi", "xi", "xi_unit", "basis_d", "proj_d", "basis_perp", "basis_g", "proj_g",
-        "_inner_g"))
+    x, g, phi, xi, xi_unit, basis_d, basis_g = map(_view, (
+        "x", "g", "phi", "xi", "xi_unit", "basis_d", "basis_g"))
     bases = cached_property(lambda self: [b[self.p] for b in self.stack.bases])
-    _proj_comp = cached_property(lambda self: [m[self.p] for m in self.stack._proj_comp])
 
-    # -- maps and metric (FrameStack's too) -------------------------------------
+    # -- the metric on ambient vectors (n,) or batches (n, ...) -----------------
 
     def inner(self, u, v):
-        return g_inner(self._inner_g, u, v, stacked=self.x.ndim == 2)
+        return g_inner(self.g, u, v)
 
     def norm(self, u):
         return np.sqrt(np.maximum(self.inner(u, u), 0.0))
 
     def cos_angle(self, u, v):
         return self.inner(u, v) / np.maximum(self.norm(u) * self.norm(v), 1e-300)
-
-    def apply_phi(self, v):
-        return self.phi @ v
-
-    def f(self, v):
-        return self.proj_d @ (self.phi @ v)
-
-    def w(self, v):
-        pv = self.phi @ v
-        return pv - self.proj_d @ pv
-
-    def pr(self, i: int, v):
-        return self._proj_comp[i] @ v
 
     # -- restricted endomorphism squares and the dual slice ----------------------
 
@@ -279,20 +262,22 @@ class PointFrame:
         return self.f2_full()[lo:hi, lo:hi]
 
     def f2_ambient(self) -> np.ndarray:
-        """f^2 as an ambient-operator matrix (P_D phi)^2 P_D."""
-        return self.stack.f2_ambient[self.p]
+        """f^2 as an ambient-operator matrix (P_D phi)^2 P_D = basis_d f2 basis_d^T g."""
+        return self.basis_d @ self.f2_full() @ self.basis_d.T @ self.g
 
     def dual(self) -> "DualDecomposition":
         duals, h_basis, f_on_h = self.stack._dual
-        return DualDecomposition(self.x, self.basis_g, [d[self.p] for d in duals],
-                                 h_basis[self.p], float(f_on_h[self.p]))
+        bg = self.basis_g
+        return DualDecomposition(self.x, bg, [bg @ d[self.p] for d in duals],
+                                 bg @ h_basis[self.p], float(f_on_h[self.p]))
 
 
 class FrameStack:
     """The frame data of a decomposition at P points, the leading axis of
     every array. Fills run point by point, the rest is stacked. Built on first
-    use: projectors, `basis_perp`, `basis_g`, `proj_g`, the f^2 Gram `f2` and
-    the dual slice (`duals`, `h_basis`). A point's slice equals its own stack's."""
+    use: `phi_dd` and `f2` from basis_d alone, the adapted frame `adapted` with
+    `basis_g` and `phi_adapted`, and the dual slice (`duals`, `h_basis`) in the
+    coordinates `g_rows` of G. A point's slice equals its own stack's."""
 
     def __init__(self, dec: Decomposition, xs):
         self.dec, self.epsilon = dec, dec.structure.epsilon
@@ -317,7 +302,6 @@ class FrameStack:
                 xis.append((xi, xi / nrm))
             raws.append([comp.raw_at(x) for comp in dec.components])
         self.g, self.phi = np.stack(gs), np.stack(phis)
-        self._inner_g = None if s.metric_is_euclidean else self.g
         self.xi, self.xi_unit = map(np.stack, zip(*xis)) if xis else (None, None)
         raws = [np.stack(raw) for raw in zip(*raws)]
         try:
@@ -333,76 +317,61 @@ class FrameStack:
         ranks = [b.shape[-1] for b in self.bases]
         self.offsets = (0, *accumulate(ranks))
         self.owner = np.repeat(np.arange(len(ranks)), ranks)
+        self.g_rows = slice(self.offsets[-1] + (self.xi is not None), s.n)
         self.basis_d = np.concatenate(self.bases, axis=-1)
         g_basis = self.g @ self.basis_d
         check_orthogonality(dec.component_names(), self.owner,
                             np.swapaxes(self.basis_d, -1, -2) @ g_basis,
                             None if self.xi is None else (self.xi[:, None] @ g_basis)[:, 0],
                             "at", self.x[0])
-        self.proj_d = projector_matrix(self.g, self.basis_d)
         self.frames = [PointFrame(self, p) for p in range(len(self.x))]
 
-    apply_phi, f, w, pr = PointFrame.apply_phi, PointFrame.f, PointFrame.w, PointFrame.pr
-    inner, norm, cos_angle = PointFrame.inner, PointFrame.norm, PointFrame.cos_angle
-
     @cached_property
-    def _proj_comp(self) -> list[np.ndarray]:
-        return [projector_matrix(self.g, b) for b in self.bases]
-
-    @cached_property
-    @per_point
-    def basis_perp(self) -> np.ndarray:
-        """Orthonormal bases of the complement of D."""
-        return complement_columns(self.g, self.basis_d)
-
-    @cached_property
-    @per_point
-    def basis_g(self) -> np.ndarray:
-        """Orthonormal bases of G (of D + <xi> for contact-like kinds)."""
-        if self.xi is None:
-            return self.basis_perp
-        return complement_columns(self.g, np.concatenate([self.basis_d, self.xi_unit[..., None]],
-                                                         axis=-1))
-
-    @cached_property
-    def proj_g(self) -> np.ndarray:
-        return projector_matrix(self.g, self.basis_g)
+    def phi_dd(self) -> np.ndarray:
+        """T_DD = basis_d^T g phi basis_d, the D block of phi in frame coordinates."""
+        return np.swapaxes(self.basis_d, -1, -2) @ self.g @ self.phi @ self.basis_d
 
     @cached_property
     @per_point
     def f2(self) -> np.ndarray:
-        f2 = f2_gram(self._inner_g, self.basis_d, self.proj_d @ self.phi, self.x)
+        f2 = f2_gram(self.phi_dd @ self.phi_dd, self.x)
         f2.setflags(write=False)
         return f2
 
     @cached_property
-    def f2_ambient(self) -> np.ndarray:
-        op = self.proj_d @ self.phi
-        return op @ op @ self.proj_d
+    def adapted(self) -> np.ndarray:
+        """E = [basis_d | xi_unit | basis_g] (P, n, n), g-orthonormal; basis_g
+        is the complement of the columns before it (`complement_columns`)."""
+        lead = self.basis_d if self.xi is None else np.concatenate(
+            [self.basis_d, self.xi_unit[..., None]], axis=-1)
+        return np.concatenate([lead, complement_columns(self.g, lead)], axis=-1)
+
+    basis_g = property(lambda self: self.adapted[..., self.g_rows])
+
+    @cached_property
+    def phi_adapted(self) -> np.ndarray:
+        """T = E^T g phi E: phi in frame coordinates."""
+        return np.swapaxes(self.adapted, -1, -2) @ self.g @ self.phi @ self.adapted
 
     @cached_property
     @per_point
     def _dual(self):
-        """(the bases of w(D_i) = P_G phi(D_i), the basis of H, the largest
+        """In G coordinates: (orthonormal bases of w(D_i), spanned by the
+        blocks T[G, D_i], one of H, their complement in G, and the largest
         |f| on H's basis), per point."""
-        g, proper = self.g, self.proper_indices
-        ws = [self.proj_g @ (self.phi @ self.bases[i]) for i in proper]
-        low = np.array([np.sqrt(np.maximum(g_inner(g, w, w, stacked=True), 0.0))
-                        .min(axis=-1, initial=1.0) for w in ws]) < W_INJECTIVITY_TOL
+        t, rows, off, proper = self.phi_adapted, self.g_rows, self.offsets, self.proper_indices
+        ws = [t[:, rows, off[i]:off[i + 1]] for i in proper]
+        low = np.array([np.linalg.norm(w, axis=-2).min(axis=-1, initial=1.0)
+                        for w in ws]) < W_INJECTIVITY_TOL
         for p, slot in np.argwhere(low.T)[:1]:      # the first point, then component
             raise RankError(
                 f"w collapses on component {self.dec.components[proper[slot]].name!r} at "
                 f"{self.x[p].tolist()} (slant value 0 there); the dual is undefined")
-        duals = mgs_each(g, ws)
-        h_dim = self.basis_g.shape[-1] - sum(b.shape[-1] for b in duals)
-        if h_dim <= 0:
-            return duals, np.zeros(self.x.shape + (0,)), np.zeros(len(self.x))
-        proj_h = self.proj_g
-        for b in duals:
-            proj_h = proj_h - projector_matrix(g, b)
-        h_basis = mgs_columns(g, pivoted_columns(g, proj_h @ self.basis_g, h_dim))
-        fh = self.f(h_basis)
-        f_on_h = np.sqrt(np.maximum(g_inner(g, fh, fh, stacked=True), 0.0)).max(axis=-1)
+        eye = np.eye(self.basis_g.shape[-1])
+        duals = mgs_each(eye, ws)
+        h_basis = complement_columns(eye, np.concatenate(
+            [np.zeros((len(self.x), len(eye), 0)), *duals], axis=-1))
+        f_on_h = np.linalg.norm(t[:, :off[-1], rows] @ h_basis, axis=-2).max(axis=-1, initial=0.0)
         for x, residual in zip(self.x, f_on_h):
             if residual > F_ON_H_TOL:
                 raise ModelError(
@@ -457,25 +426,27 @@ def check_f_invariance(dec: Decomposition, points, trials: int = 25,
                        tol: float = DEFAULT_TOLERANCES.invariance,
                        seed: int = DEFAULT_SEED) -> InvarianceReport:
     """Measure, on random in-component vectors, how much f leaks out of each
-    component and how far phi(D_i) is from being orthogonal to D_j (i != j).
-    Point p draws from `rng_for(seed, 211, p)`, component by component; the
-    witness is the last new maximum in (point, component, other) order."""
+    component and how far phi(D_i) is from being orthogonal to D_j (i != j):
+    the off-diagonal blocks of T_DD (`FrameStack.phi_dd`) on the vectors'
+    coordinates. Point p draws from `rng_for(seed, 211, p)`, component by
+    component; the witness is the last new maximum in (point, component,
+    other) order."""
     points = list(points)
     if not points:
         raise SpecError("check_f_invariance needs at least one point")
     stack = dec.frame_stack(points)
     rngs = [rng_for(seed, 211, p) for p in range(len(points))]
-    names, inv = dec.component_names(), stack.invariant_index
+    names, inv, off = dec.component_names(), stack.invariant_index, stack.offsets
     events = []     # (kind, components, worst per point) in the order each point meets them
-    for i, basis in enumerate(stack.bases):
-        vecs = basis @ np.stack([rng.standard_normal((basis.shape[-1], trials)) for rng in rngs])
-        norms = np.maximum(stack.norm(vecs), 1e-300)
-        fv = stack.f(vecs)
-        events.append(("f-leak", names[i], (stack.norm(fv - stack.pr(i, fv)) / norms).max(-1)))
-        phiv = stack.phi @ vecs
-        for j, other in enumerate(stack.bases):
+    for i, (lo, hi) in enumerate(zip(off, off[1:])):
+        coef = np.stack([rng.standard_normal((hi - lo, trials)) for rng in rngs])
+        norms = np.maximum(np.linalg.norm(coef, axis=1), 1e-300)
+        fv = stack.phi_dd[:, :, lo:hi] @ coef
+        leak = np.linalg.norm(np.concatenate([fv[:, :lo], fv[:, hi:]], axis=1), axis=1)
+        events.append(("f-leak", names[i], (leak / norms).max(-1)))
+        for j in range(len(names)):
             if j != i and inv not in (i, j):
-                cross = np.abs(np.swapaxes(other, -1, -2) @ stack.g @ phiv) / norms[:, None]
+                cross = np.abs(fv[:, off[j]:off[j + 1]]) / norms[:, None]
                 events.append(("phi-cross", [names[i], names[j]], cross.max(axis=(1, 2))))
     worst, witness = {"f-leak": 0.0, "phi-cross": 0.0}, {}
     for p, x in enumerate(stack.x.tolist()):

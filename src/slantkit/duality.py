@@ -9,7 +9,8 @@ broken inputs surface as ModelError instead of silent nonsense.
 
 The dual has no closed-form frame in general. Its bases are part of a
 command's frame stack (`distribution.FrameStack`), built once over all sample
-points, and the round-trip checks run over that stack.
+points in the G coordinates of the adapted frame, where w(D_i) is spanned by
+the block T[G, D_i]; the round-trip checks run over that stack.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ def build_dual(dec: Decomposition, point) -> DualDecomposition:
 
 def _dual_lambda(stack: FrameStack, slot: int, tolerances: Tolerances) -> np.ndarray:
     """lambda (P,) of the dual w(D_i) of the proper component in `slot`:
-    `single_cluster_lambda` on the square of P_G phi restricted to it, whose
-    ComponentError names w(D_i)."""
-    mat = f2_gram(stack.g, stack.duals[slot], stack.proj_g @ stack.phi, stack.x)
+    `single_cluster_lambda` on the square of P_G phi restricted to it, W^T
+    T_GG^2 W in G coordinates, whose ComponentError names w(D_i)."""
+    t_gg, wb = stack.phi_adapted[:, stack.g_rows, stack.g_rows], stack.duals[slot]
+    mat = f2_gram(np.swapaxes(wb, -1, -2) @ (t_gg @ (t_gg @ wb)), stack.x)
     name = stack.dec.components[stack.proper_indices[slot]].name
     return single_cluster_lambda(stack, f"w({name})", mat, tolerances)
 
@@ -61,12 +63,13 @@ def dual_roundtrip_check(dec: Decomposition, point,
 def dual_roundtrips(stack: FrameStack, tolerances: Tolerances = DEFAULT_TOLERANCES
                     ) -> list[DualRoundtripReport]:
     """`dual_roundtrip_check` at every point of the stack, each kernel one
-    stacked call per component."""
-    duals = stack.duals
-    fw_onbs = mgs_each(stack.g, [stack.f(wb) for wb in duals])
+    stacked call per component, in frame coordinates: f(w(D_i)) = T[D, G] W_i."""
+    duals, off = stack.duals, stack.offsets
+    f_on_g, eye = stack.phi_adapted[:, :off[-1], stack.g_rows], np.eye(off[-1])
+    fw_onbs = mgs_each(eye, [f_on_g @ wb for wb in duals])
     columns = []
     for slot, i in enumerate(stack.proper_indices):
-        angles = principal_angle_values(stack.g, fw_onbs[slot], stack.bases[i])
+        angles = principal_angle_values(eye, fw_onbs[slot], eye[:, off[i]:off[i + 1]])
         theta_src = slant_thetas(stack, slant_lambdas(stack, [i], tolerances)[0], tolerances)
         theta_dual = slant_thetas(stack, _dual_lambda(stack, slot, tolerances), tolerances)
         columns.append((angles, theta_src, theta_dual))

@@ -17,7 +17,6 @@ dual components.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -247,13 +247,12 @@ def projector_matrix(gmat: np.ndarray, onb: np.ndarray) -> np.ndarray:
 
 def complement_columns(gmat: np.ndarray, onb: np.ndarray) -> np.ndarray:
     """g-orthonormal basis of the g-orthogonal complement of span(onb) (n, r)
-    or of each member of a stack (..., n, r).
-
-    Deterministic: the candidates are the columns of I - P, picked by
-    `pivoted_columns`.
-    """
-    cand = np.eye(gmat.shape[-1]) - projector_matrix(gmat, onb)
-    return mgs_columns(gmat, pivoted_columns(gmat, cand, onb.shape[-2] - onb.shape[-1]))
+    or of each member of a stack (..., n, r): with g = L L^T and the complete
+    QR L^T onb = Q R, it is L^-T Q[:, r:]. Each member's result is its
+    unstacked one, bit for bit."""
+    upper = np.swapaxes(np.linalg.cholesky(gmat), -1, -2)
+    q = np.linalg.qr(upper @ onb, mode="complete")[0]
+    return np.linalg.solve(upper, q[..., onb.shape[-1]:])
 
 
 def pivoted_columns(gmat: np.ndarray, cand: np.ndarray, rank: int) -> np.ndarray:

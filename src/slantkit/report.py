@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from . import __version__
 from .specfile import _sanitize
 

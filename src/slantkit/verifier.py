@@ -14,6 +14,15 @@ match the structure kind report "skipped(setting)"; keys quantified at no
 sampled point (no invariant remainder H, no right-angle component) report
 "skipped(vacuous)".
 
+The suite works in frame coordinates: a vector is its coefficients in the
+g-orthonormal adapted frame E = [basis_d | xi_unit | basis_g] of the
+command's `FrameStack`, so g(u, v) is a dot product and every map is a
+block-masked copy of the one matrix T = E^T g phi E (`FrameStack.phi_adapted`):
+f keeps the D rows of T, w the others, pr_i is a coordinate slice and eta
+one coordinate. A draw in D_i, G or D-perp is normal in those coordinates,
+one in w(D_i) or H is spanned by the stack's G-coordinate bases, and an
+ambient draw x enters as E^T g x.
+
 The paper proves most identities twice: once on the proper components D_i
 with f and w, and once on their duals w(D_i) with the roles of f and w
 swapped and the invariant part D_0 replaced by H. Each such twin pair is one
@@ -55,7 +64,7 @@ from .classifier import classify, single_cluster_lambda, slant_lambdas
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, FrameStack, PointFrame
 from .errors import SpecError, UnsupportedError
-from .linalg import projector_matrix
+from .linalg import g_inner
 from .sampling import DEFAULT_SEED, rng_for
 
 PI2_TOL = 1e-8
@@ -63,21 +72,25 @@ TINY = 1e-300
 
 
 class PointContext:
-    """The identity suite's data at all sample points, stacked on a leading
-    point axis P: the frame data (`FrameStack`), the slant tables `cos`,
+    """The identity suite's data at all sample points in frame coordinates,
+    stacked on a leading point axis P: the maps, the slant tables `cos`,
     `sin`, `cos2`, `sin2`, `sin4` (P, ncomp) and the draws (P, n, trials),
     point p's from `rng_for(seed, 997, p)` in a fixed order."""
 
     def __init__(self, dec: Decomposition, points, trials: int, seed: int,
                  tolerances: Tolerances):
         stack = dec.frame_stack(points)
-        self.duals, h, basis_perp = stack.duals, stack.h_basis, stack.basis_perp
-        # the stack's maps, held as methods of the stack (as the sides hold
-        # them) so that no reference cycle keeps the context alive
-        self.apply_phi, self.f, self.w, self.pr = stack.apply_phi, stack.f, stack.w, stack.pr
-        self.inner, self.norm, self.cos_angle = stack.inner, stack.norm, stack.cos_angle
-        self.g, self.xi_unit = stack.g, stack.xi_unit
         npts, n, t = len(stack.x), dec.structure.n, trials
+        t_phi, off, eye = stack.phi_adapted, stack.offsets, np.eye(n)
+        rows = np.arange(n)[:, None]
+        in_d = rows < off[-1]
+        # the maps hold arrays only (as the sides hold the maps), so that no
+        # reference cycle keeps the context alive
+        self.apply_phi = partial(np.matmul, t_phi)
+        self.f = partial(np.matmul, np.where(in_d, t_phi, 0.0))
+        self.w = partial(np.matmul, np.where(in_d, 0.0, t_phi))
+        self.in_comp = [(lo <= rows) & (rows < hi) for lo, hi in zip(off, off[1:])]
+        self.xi_row, self.e_xi = off[-1], eye[:, off[-1]:off[-1] + 1]
         self.points, self.eps, self.proper = list(stack.x), stack.epsilon, stack.proper_indices
         self.contact = stack.xi is not None
         self.cos2 = np.ones((npts, len(stack.bases)))
@@ -91,27 +104,33 @@ class PointContext:
         zeros = np.zeros((npts, n, t))
         draws = []
 
-        def drawn(basis):   # a stack of draws spanned by basis[p] (ambient for None)
-            if basis is not None and not basis.shape[2]:
+        def drawn(basis):   # draws spanned by basis[p] or by basis (n, r); ambient for None
+            if basis is not None and not basis.shape[-1]:
                 return zeros
             draws.append((np.empty((npts, n, t)), basis))
             return draws[-1][0]
 
-        self.amb = (drawn(None), drawn(None))
-        self.cx, self.cy = [drawn(b) for b in stack.bases], [drawn(b) for b in stack.bases]
-        self.u_perp, self.v_perp = drawn(basis_perp), drawn(basis_perp)
-        self.u_g, self.v_g = drawn(stack.basis_g), drawn(stack.basis_g)
+        in_g = eye[:, stack.g_rows]
+        self.duals = [in_g @ b for b in stack.duals]
+        h = in_g @ stack.h_basis
+        amb = (drawn(None), drawn(None))
+        comps = [eye[:, lo:hi] for lo, hi in zip(off, off[1:])]
+        self.cx, self.cy = [drawn(c) for c in comps], [drawn(c) for c in comps]
+        self.u_perp, self.v_perp = drawn(eye[:, off[-1]:]), drawn(eye[:, off[-1]:])
+        self.u_g, self.v_g = drawn(in_g), drawn(in_g)
         pairs = [(drawn(b), drawn(b)) for b in self.duals]
         self.wu, self.wv = [u for u, _ in pairs], [v for _, v in pairs]
         self.u_h, self.v_h = (drawn(h), drawn(h)) if h.shape[2] else (None, None)
-        xi = [drawn(self.xi_unit[:, :, None]) for _ in range(2 * self.contact)]
+        xi = [drawn(self.e_xi) for _ in range(2 * self.contact)]
         for p in range(npts):
             rng = rng_for(seed, 997, p)
             for out, basis in draws:
                 if basis is None:
                     rng.standard_normal(out=out[p])
                 else:
-                    np.matmul(basis[p], rng.standard_normal((basis.shape[2], t)), out=out[p])
+                    basis = basis if basis.ndim == 2 else basis[p]
+                    np.matmul(basis, rng.standard_normal((basis.shape[1], t)), out=out[p])
+        self.amb = tuple(np.swapaxes(stack.adapted, -1, -2) @ (stack.g @ a) for a in amb)
 
         self.x_d, self.y_d = sum(self.cx), sum(self.cy)
         self.u_w, self.v_w = (sum(self.wu), sum(self.wv)) if self.wu else (zeros, zeros)
@@ -127,12 +146,20 @@ class PointContext:
         self.everywhere = np.ones(npts, dtype=bool)
         self.nowhere = np.full(npts, -np.inf)   # the residual of a key quantified nowhere
 
+    # g(u, v) of frame coordinates is their dot product at each point
+    inner = staticmethod(partial(g_inner, None, stacked=True))
+    norm, cos_angle = PointFrame.norm, PointFrame.cos_angle
+
+    def pr(self, i, v):
+        """pr_i v: the rows of D_i of the coordinates v."""
+        return np.where(self.in_comp[i], v, 0.0)
+
     def eta(self, v):
-        return self.inner(v, self.xi_unit[:, :, None])
+        return v[:, self.xi_row]
 
     def along_xi(self, c):
         """The vectors c_k xi_unit at each point, for coefficients c (P, t)."""
-        return self.xi_unit[:, :, None] * c[:, None, :]
+        return self.e_xi * c[:, None, :]
 
     # residual helpers: the worst over the trials at each point, (P,) ----------
 
@@ -447,7 +474,7 @@ def _w2comp(ctx):
     def residual(i, x, b):
         w2 = ctx.w(ctx.w(x))
         right = np.abs(ctx.sin2[:, i] - 1.0) <= PI2_TOL
-        outside = ctx.rel(ctx.norm(w2 - projector_matrix(ctx.g, b) @ w2), x)
+        outside = ctx.rel(ctx.norm(w2 - b @ (np.swapaxes(b, -1, -2) @ w2)), x)
         return np.where(right, ctx.rel(ctx.norm(w2), x), outside), ctx.everywhere
 
     return _worst(ctx, (residual(i, ctx.cx[i], b) for i, b in zip(ctx.proper, ctx.duals)))

@@ -23,6 +23,8 @@ from slantkit.sampling import box_points, rng_for
 from slantkit.structure import KIND_CONTACT, KIND_HERMITIAN, StructureField
 from slantkit.taxonomy import VERDICT_LATTICE, lattice_closure
 
+from frame_maps import FrameMaps
+
 
 class TestSlantSpectrum:
     def test_ex1_clusters(self, ex1):
@@ -221,7 +223,7 @@ class TestConformality:
         dec = ex5_one.decomposition
         rng = rng_for(71, 1)
         for pt in ex5_one.default_points()[:5]:
-            fr = dec.frame_at(pt)
+            fr = FrameMaps(dec, pt)
             for ci in fr.proper_indices:
                 cl = component_slant(dec, pt, ci)
                 b = fr.bases[ci]
@@ -238,7 +240,7 @@ class TestConformality:
         dec = ex5_one.decomposition
         rng = rng_for(72, 1)
         for pt in ex5_one.default_points()[1:5]:
-            fr = dec.frame_at(pt)
+            fr = FrameMaps(dec, pt)
             for ci in fr.proper_indices:
                 cl = component_slant(dec, pt, ci)
                 if cl.theta > math.pi / 2 - 1e-8:
@@ -258,7 +260,7 @@ class TestConformality:
         eps = dec.structure.epsilon
         rng = rng_for(73, 1)
         for pt in ex5_one.default_points()[:5]:
-            fr = dec.frame_at(pt)
+            fr = FrameMaps(dec, pt)
             cos2 = []
             for ci in range(len(fr.bases)):
                 cl = component_slant(dec, pt, ci)
@@ -415,12 +417,12 @@ def test_trace_mean_lambda_matches_eigh_mean(fid, k, epsilon, gamma):
     fx = build_fixture(fid, k=k, epsilon=epsilon, gamma=gamma)
     dec = fx.decomposition
     for pt in box_points(fx.structure.n, fx.mask, 3, seed=11):
-        frame = dec.frame_at(pt)
+        frame, maps = dec.frame_at(pt), FrameMaps(dec, pt)
         for i, basis in enumerate(frame.bases):
-            want = _eigh_lambda(frame, basis, frame.proj_d)
+            want = _eigh_lambda(frame, basis, maps.proj_d)
             assert component_slant(dec, pt, i).lam == pytest.approx(want, abs=1e-12)
         for slot, i in enumerate(frame.proper_indices):
-            want = _eigh_lambda(frame, frame.dual().duals[slot], frame.proj_g)
+            want = _eigh_lambda(frame, frame.dual().duals[slot], maps.proj_g)
             stack = dec.frame_stack([pt])
             theta = slant_thetas(stack, duality._dual_lambda(stack, slot, DEFAULT_TOLERANCES),
                                  DEFAULT_TOLERANCES)[0]

@@ -13,8 +13,13 @@ from slantkit.distribution import (
 from slantkit.duality import build_dual, dual_roundtrip_check
 from slantkit.errors import InvariantError, ModelError, RankError
 from slantkit.gallery import build_fixture
+from slantkit.linalg import mgs_columns, pivoted_columns, principal_angle_values
 from slantkit.sampling import rng_for
+from slantkit.specfile import load_manifold_spec
 from slantkit.verifier import CovariantProbe, connection_criterion_report
+
+from frame_maps import FrameMaps
+from test_verifier import _rolling_spec, _turned
 
 
 def unit_frame(name, n, indices, mask=None):
@@ -29,7 +34,7 @@ class TestFWSplit:
     def test_ex1_anti_invariant_block(self, ex1):
         # j = 1 coefficients are 0 and 1: phi e3 = eps * e6 lands fully in w
         p = np.zeros(11)
-        frame = ex1.decomposition.frame_at(p)
+        frame = FrameMaps(ex1.decomposition, p)
         v = np.eye(11)[:, 2]
         assert np.allclose(frame.f(v), 0.0, atol=1e-14)
         expected = np.zeros(11)
@@ -41,12 +46,12 @@ class TestFWSplit:
         for pt in ex1.default_points()[:4]:
             v = np.zeros(11)
             v[:2] = rng.standard_normal(2)
-            assert np.linalg.norm(ex1.decomposition.frame_at(pt).w(v)) < 1e-14
+            assert np.linalg.norm(FrameMaps(ex1.decomposition, pt).w(v)) < 1e-14
 
     def test_ex3_j2_weights(self, ex3):
         # j = 2 coefficients: 1/sqrt(10) on the f side, 3/sqrt(10) on the w side
         p = np.zeros(10)
-        frame = ex3.decomposition.frame_at(p)
+        frame = FrameMaps(ex3.decomposition, p)
         v = np.eye(10)[:, 6]
         expected_f = np.zeros(10)
         expected_f[7] = 1 / math.sqrt(10)
@@ -56,7 +61,7 @@ class TestFWSplit:
     def test_reconstruction_everywhere(self, ex4_zero):
         rng = rng_for(11, 2)
         for pt in ex4_zero.default_points()[:6]:
-            frame = ex4_zero.decomposition.frame_at(pt)
+            frame = FrameMaps(ex4_zero.decomposition, pt)
             for _ in range(5):
                 v = rng.standard_normal(11)
                 recon = frame.f(v) + frame.w(v)
@@ -69,7 +74,7 @@ class TestFWSplit:
             v = np.zeros(11)
             idx = [0, 1, 2, 3, 6, 7, 10]
             v[idx] = rng.standard_normal(len(idx))
-            w_part = ex1.decomposition.frame_at(pt).w(v)
+            w_part = FrameMaps(ex1.decomposition, pt).w(v)
             assert abs(ex1.structure.eta(pt, w_part)) < 1e-12
 
 
@@ -151,7 +156,7 @@ class TestAdjointness:
         rng = rng_for(41, 1)
         eps = dec.structure.epsilon
         for pt in pts:
-            fr = dec.frame_at(pt)
+            fr = FrameMaps(dec, pt)
             perp = np.eye(10) - fr.proj_d
             for _ in range(10):
                 x = fr.proj_d @ rng.standard_normal(10)
@@ -168,7 +173,7 @@ class TestAdjointness:
         rng = rng_for(42, 1)
         eps = dec.structure.epsilon
         for pt in pts:
-            fr = dec.frame_at(pt)
+            fr = FrameMaps(dec, pt)
             perp = np.eye(10) - fr.proj_d
             for _ in range(6):
                 x = fr.proj_d @ rng.standard_normal(10)
@@ -268,3 +273,86 @@ def test_per_point_calls_keep_no_stack_of_their_own():
     connection_criterion_report(dec, CovariantProbe(), points, classification=report)
     assert len(dec._stacks) == 1
     assert len(dec._frames) == 10
+
+
+def test_frame_at_keeps_no_one_point_stack():
+    # before any command, a per-point call builds its point's frame and keeps nothing
+    fx = build_fixture("ex9", k=3, epsilon=-1, gamma=1.5)
+    dec = fx.decomposition
+    for pt in fx.default_points()[:10]:
+        component_slant(dec, pt, 1)
+    assert len(dec._stacks) == 0
+    assert len(dec._frames) == 0
+
+
+def _differential_cases():
+    """(name, decomposition, points) with bases that are not coordinate-aligned,
+    a moving frame, a contact-like kind, a nonzero H and a conformal metric."""
+    ex1 = build_fixture("ex1", k=2, epsilon=-1)
+    ex8 = build_fixture("ex8", k=2, epsilon=1, gamma=0.5)
+    ex9 = build_fixture("ex9", k=2, epsilon=-1, gamma=1.5)
+    ex9_turned = _turned(ex9)
+    rolling = _rolling_spec()
+    conformal = dict(rolling, metric=[["1 + x3^2/4" if i == j else "0" for j in range(6)]
+                                      for i in range(6)])
+    cases = [("ex1-turned", _turned(ex1), ex1.default_points()[:3]),
+             ("ex8-turned", _turned(ex8), ex8.default_points()[:3]),
+             ("ex9-turned", ex9_turned, ex9.default_points()[:3]),
+             ("ex9-turned-with-h", Decomposition(ex9.structure, ex9_turned.proper[:1],
+                                                 invariant=ex9_turned.invariant, mask=ex9.mask),
+              ex9.default_points()[:3])]
+    for name, doc in (("rolling", rolling), ("rolling-conformal", conformal)):
+        spec = load_manifold_spec(doc)
+        cases.append((name, spec.decomposition, spec.points))
+    return cases
+
+
+_DIFFERENTIAL_CASES = _differential_cases()
+
+
+@pytest.mark.parametrize("name, dec, points", _DIFFERENTIAL_CASES,
+                         ids=[case[0] for case in _DIFFERENTIAL_CASES])
+def test_adapted_frame_against_ambient_formulas(name, dec, points):
+    """The frame-coordinate algebra of `FrameStack` against the ambient
+    formulas written out here: P_D = B B^T g, f = P_D phi, w = phi - f,
+    P_G = I - P_D - xi xi^T g, w(D_i) = span P_G phi(D_i), and H the
+    complement of the w(D_i) in G by pivoted deflation, all to 1e-12."""
+    stack = dec.frame_stack(points)
+    rd = stack.offsets[-1]
+    rng = rng_for(17, 1)
+    if name.endswith("-with-h"):
+        assert stack.h_basis.shape[-1] == 4
+    for p in range(len(stack.x)):
+        e, t, g, phi = stack.adapted[p], stack.phi_adapted[p], stack.g[p], stack.phi[p]
+        n = len(g)
+        basis_d = stack.basis_d[p]
+        proj_d = basis_d @ basis_d.T @ g
+        f_ref = proj_d @ phi
+        w_ref = phi - f_ref
+        assert np.max(np.abs(e.T @ g @ e - np.eye(n))) <= 1e-12
+        v = rng.standard_normal((n, 5))
+        c = e.T @ g @ v
+        image = t @ c
+        scale = np.max(np.abs(v))
+        assert np.max(np.abs(e[:, :rd] @ image[:rd] - f_ref @ v)) <= 1e-12 * scale
+        assert np.max(np.abs(e[:, rd:] @ image[rd:] - w_ref @ v)) <= 1e-12 * scale
+        gram = basis_d.T @ g @ f_ref @ f_ref @ basis_d
+        assert np.max(np.abs(stack.f2[p] - 0.5 * (gram + gram.T))) <= 1e-12
+        proj_g = np.eye(n) - proj_d
+        if stack.xi is not None:
+            xi = stack.xi_unit[p]
+            proj_g -= np.outer(xi, xi @ g)
+        basis_g = stack.basis_g[p]
+        proj_h = proj_g
+        for slot, i in enumerate(stack.proper_indices):
+            want = mgs_columns(g, proj_g @ phi @ stack.bases[i][p])
+            got = basis_g @ stack.duals[slot][p]
+            assert got.shape == want.shape
+            assert np.max(principal_angle_values(g, got, want)) <= 1e-12
+            proj_h = proj_h - want @ want.T @ g
+        h_dim = n - rd - (stack.xi is not None) - sum(b.shape[-1] for b in stack.duals)
+        got = basis_g @ stack.h_basis[p]
+        assert got.shape == (n, h_dim)
+        if h_dim:
+            want = mgs_columns(g, pivoted_columns(g, proj_h, h_dim))
+            assert np.max(principal_angle_values(g, got, want)) <= 1e-12

@@ -21,6 +21,8 @@ from slantkit.linalg import principal_angle_values
 from slantkit.sampling import rng_for
 from slantkit.verifier import DUAL_KEYS, run_identity_suite
 
+from frame_maps import FrameMaps
+
 
 def sub_decomposition_with_h(ex1):
     """ex1 restricted to D0 + D1 only: the complement then carries a nonzero
@@ -80,7 +82,7 @@ class TestBuildDual:
             dd = build_dual(dec, pt)
             assert dd.h_dim == 4
             assert dd.f_on_h_residual <= 1e-9
-            frame = dec.frame_at(pt)
+            frame = FrameMaps(dec, pt)
             fh = frame.proj_d @ (frame.phi @ dd.h_basis)
             assert np.max(np.abs(fh)) < 1e-9
 
@@ -104,7 +106,7 @@ class TestRoundtrip:
     def test_right_angle_component_roundtrip(self, ex1):
         # theta = pi/2: f o w acts as -identity (eps = -1), span comes back
         pt = np.zeros(11)
-        frame = ex1.decomposition.frame_at(pt)
+        frame = FrameMaps(ex1.decomposition, pt)
         dd = build_dual(ex1.decomposition, pt)
         slot = 0  # D1 (j = 1) is the pi/2 component
         i = frame.proper_indices[slot]
@@ -166,7 +168,7 @@ class TestDualIdentitySuite:
         dec = ex5_one.decomposition
         rng = rng_for(5, 5)
         for pt in ex5_one.default_points()[:4]:
-            fr = dec.frame_at(pt)
+            fr = FrameMaps(dec, pt)
             sin2 = {}
             for i in fr.proper_indices:
                 cl = component_slant(dec, pt, i)

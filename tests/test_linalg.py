@@ -318,14 +318,12 @@ class TestPivotedColumns:
         a = rng.standard_normal((n, n))
         g = np.eye(n) if metric == "eye" else a @ a.T + n * np.eye(n)
         onb = mgs_columns(g, rng.standard_normal((n, r)))
-        complement_cand = np.eye(n) - projector_matrix(g, onb)   # complement_columns
+        complement_cand = np.eye(n) - projector_matrix(g, onb)
         dense_cand = rng.standard_normal((n, n + 2))
         for cand, rank in ((complement_cand, n - r), (dense_cand, n)):
             got = pivoted_columns(g, cand, rank)
             assert np.array_equal(got, _deflation_oracle(g, cand, rank))
             np.testing.assert_allclose(got.T @ g @ got, np.eye(rank), atol=1e-9)
-        assert np.array_equal(complement_columns(g, onb),
-                              mgs_columns(g, _deflation_oracle(g, complement_cand, n - r)))
 
     def test_first_index_wins_ties(self):
         cand = np.diag([1.0, 2.0, 2.0])
@@ -339,6 +337,29 @@ class TestPivotedColumns:
     def test_rank_deficient_raises(self, cand, rank):
         with pytest.raises(RankError):
             pivoted_columns(np.eye(3), cand, rank)
+
+
+class TestComplementColumns:
+    """`complement_columns`, one complete QR in the Cholesky geometry, by its
+    properties: g-orthonormal, g-orthogonal to `onb`, and the span of the
+    pivoted deflation over the columns of I - P that it replaced."""
+
+    @pytest.mark.parametrize("metric", ["eye", "spd"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_properties(self, metric, seed):
+        n = 9
+        rng = np.random.default_rng(seed)
+        g = np.eye(n) if metric == "eye" else _spd(rng, n)
+        for r in (0, 1, 3, n - 1, n):
+            onb = mgs_columns(g, rng.standard_normal((n, r)))
+            got = complement_columns(g, onb)
+            assert got.shape == (n, n - r)
+            assert np.max(np.abs(got.T @ g @ got - np.eye(n - r)), initial=0.0) <= 1e-12
+            assert np.max(np.abs(onb.T @ g @ got), initial=0.0) <= 1e-12
+            if 0 < r < n:
+                cand = np.eye(n) - projector_matrix(g, onb)
+                pivoted = mgs_columns(g, _deflation_oracle(g, cand, n - r))
+                assert np.max(principal_angle_values(g, got, pivoted)) <= 1e-12
 
 
 class TestStackedKernels:
@@ -359,6 +380,9 @@ class TestStackedKernels:
         got = complement_columns(gs, onb)
         for g, b, member in zip(gs, onb, got):
             assert np.array_equal(member, complement_columns(g, b))
+        shared = complement_columns(gs[0], onb)     # one metric for the whole stack
+        for b, member in zip(onb, shared):
+            assert np.array_equal(member, complement_columns(gs[0], b))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_principal_angle_values(self, seed):

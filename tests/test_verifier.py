@@ -297,8 +297,7 @@ def test_derivative_calls_leave_frame_cache_unchanged():
     fx = build_fixture("ex5", k=2, epsilon=1, gamma=1.0)
     dec = fx.decomposition
     points = fx.default_points()[:5]
-    for p in points:
-        dec.frame_at(p)
+    dec.frame_stack(points)
     resident = len(dec._frames)
     probe = CovariantProbe()
     for p in points:
