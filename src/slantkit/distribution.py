@@ -411,16 +411,6 @@ class InvarianceReport:
         self.tol = tol
         self.seed = seed
 
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tolerance": self.tol,
-            "seed": self.seed,
-            "max_f_leak": self.max_leak,
-            "max_phi_cross": self.max_cross,
-            "witness": self.witness,
-        }
-
 
 def check_f_invariance(dec: Decomposition, points, trials: int = 25,
                        tol: float = DEFAULT_TOLERANCES.invariance,

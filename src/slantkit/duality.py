@@ -45,10 +45,6 @@ class DualRoundtripReport:
         self.passed = passed
         self.h_dim = h_dim
 
-    def to_json_dict(self) -> dict:
-        return {"point": self.point.tolist(), "passed": self.passed,
-                "h_dim": self.h_dim, "components": self.entries}
-
 
 def dual_roundtrip_check(dec: Decomposition, point,
                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> DualRoundtripReport:

@@ -83,181 +83,140 @@ ScalarFieldExpr = Expr  # the domain-type name used by the other modules
 
 # Deepest expression tree the parser accepts, in nodes from root to leaf; a
 # sum x1+x1+... of MAX_DEPTH terms is that deep. _eval, to_source and the fill
-# emitter recurse once per tree level, the parser up to six times per level of
-# parentheses, function argument or exponent; so those nest at most
+# emitter recurse once per tree level, the parser three times per level of
+# parentheses, function argument or exponent; those nest at most
 # MAX_DEPTH // 6 deep. Both bounds keep every recursion well under CPython's
 # default limit of 1000 frames.
 MAX_DEPTH = 600
-_DIGITS = frozenset("0123456789")    # str.isdigit would take any Unicode digit
-_LITERAL = re.compile(r"[0-9]+(\.[0-9]*)?|\.[0-9]+")
+# One token per match: a number, a word (an identifier, or a run of Unicode
+# digits and letters that no identifier starts with) or any other non-space
+# character. No match starts at a space, so findall skips spaces. \S and \w
+# test each character as `not str.isspace` and `str.isalnum or "_"` do; only
+# the ASCII 0-9 are digits of a number or a coordinate.
+_TOKEN = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]*|\w+|\S")
+_COORD = re.compile(r"x[0-9]+")
 
 
 class _Parser:
-    """Recursive descent; each method returns (node, height), the height
-    counting nodes from the returned one down to its deepest leaf."""
+    """Recursive descent over the tokens of `_TOKEN`; each method returns
+    (node, height), the height counting nodes from the returned one down to
+    its deepest leaf. Token offsets are found only for an error."""
 
-    def __init__(self, src: str, n: int):
+    def __init__(self, src: str, tokens: list[str], n: int):
         self.src = src
+        self.tokens = tokens + [""]  # "": the end of input
         self.n = n
-        self.pos = 0
+        self.i = 0  # the next token
         self.nesting = 0  # factor() calls under way
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.pos)
+    def error(self, message: str, i: int, end: bool = False) -> ParseError:
+        """ParseError at the start of token i, or at its end; at the end of
+        the input past the last token."""
+        if i >= len(self.tokens) - 1:
+            return ParseError(message, len(self.src))
+        start = [m.start() for m in _TOKEN.finditer(self.src)][i]
+        return ParseError(message, start + len(self.tokens[i]) if end else start)
 
-    def node(self, e: Expr, *child_heights: int) -> tuple[Expr, int]:
-        """An operation node with its height; leaves have height 1."""
+    def node(self, e: Expr, *child_heights: int, closed: bool = False) -> tuple[Expr, int]:
+        """An operation node with its height; leaves have height 1. Too deep,
+        the error stands at the next token, or after a `closed` call's ')'."""
         height = 1 + max(child_heights)
         if height > MAX_DEPTH:
-            raise self.error("expression nested too deeply")
+            raise self.error("expression nested too deeply", self.i - closed, closed)
         return e, height
 
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
+    def expect(self, tok: str):
+        if self.tokens[self.i] != tok:
+            raise self.error(f"expected {tok!r}", self.i)
+        self.i += 1
 
     def parse(self) -> Expr:
-        self.skip_ws()
-        if self.pos >= len(self.src):
-            raise self.error("empty expression")
         e, _ = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.src):
-            raise self.error("trailing input")
+        if self.tokens[self.i]:
+            raise self.error("trailing input", self.i)
         return e
 
     def expr(self) -> tuple[Expr, int]:
         left, height = self.term()
-        while True:
-            self.skip_ws()
-            op = self.peek()
-            if op in ("+", "-"):
-                self.pos += 1
-                right, right_height = self.term()
-                left, height = self.node(Bin(op, left, right), height, right_height)
-            else:
-                return left, height
+        while (op := self.tokens[self.i]) in ("+", "-"):
+            self.i += 1
+            right, right_height = self.term()
+            left, height = self.node(Bin(op, left, right), height, right_height)
+        return left, height
 
     def term(self) -> tuple[Expr, int]:
         left, height = self.factor()
-        while True:
-            self.skip_ws()
-            op = self.peek()
-            if op in ("*", "/"):
-                self.pos += 1
-                right, right_height = self.factor()
-                left, height = self.node(Bin(op, left, right), height, right_height)
-            else:
-                return left, height
+        while (op := self.tokens[self.i]) in ("*", "/"):
+            self.i += 1
+            right, right_height = self.factor()
+            left, height = self.node(Bin(op, left, right), height, right_height)
+        return left, height
 
     def factor(self) -> tuple[Expr, int]:
-        # every recursion of the grammar passes through here: a parenthesis
-        # or function argument by way of expr and term, an exponent directly
+        """factor := '-'? atom ('^' factor)?, the atom read in place. Every
+        recursion of the grammar passes through here: a parenthesis or
+        function argument by way of expr and term, an exponent directly; a
+        nesting error stands right after the '(' or operator just read."""
         if self.nesting > MAX_DEPTH // 6:
-            raise self.error("expression nested too deeply")
+            raise self.error("expression nested too deeply", self.i - 1, end=True)
         self.nesting += 1
-        self.skip_ws()
-        if self.peek() == "-":
-            self.pos += 1
-            operand, height = self.power()
-            result = self.node(Neg(operand), height)
-        else:
-            result = self.power()
-        self.nesting -= 1
-        return result
-
-    def power(self) -> tuple[Expr, int]:
-        base, height = self.atom()
-        self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            exponent, exponent_height = self.factor()
-            return self.node(Bin("^", base, exponent), height, exponent_height)
-        return base, height
-
-    def atom(self) -> tuple[Expr, int]:
-        self.skip_ws()
-        ch = self.peek()
-        if not ch:
-            raise self.error("unexpected end of input")
-        if ch == "(":
-            self.pos += 1
-            result = self.expr()
-            self.skip_ws()
+        tokens = self.tokens
+        negate = tokens[self.i] == "-"
+        self.i += negate
+        tok, at = tokens[self.i], self.i
+        self.i += 1
+        if not tok:
+            raise self.error("unexpected end of input", at)
+        if tok == "(":
+            base, height = self.expr()
             self.expect(")")
-            return result
-        if ch in _DIGITS or ch == ".":
-            return self.number()
-        if ch.isalpha() or ch == "_":
-            return self.identifier()
-        raise self.error(f"unexpected character {ch!r}")
-
-    def number(self) -> tuple[Expr, int]:
-        start = self.pos
-        while self.peek() in _DIGITS:
-            self.pos += 1
-        if self.peek() == ".":
-            self.pos += 1
-            while self.peek() in _DIGITS:
-                self.pos += 1
-        text = self.src[start:self.pos]
-        if text in ("", "."):
-            self.pos = start
-            raise self.error("malformed number")
-        value = float(text)
-        if not math.isfinite(value):
-            # Num(inf) would render as "inf", which is outside the grammar
-            self.pos = start
-            raise self.error("number literal overflows a double")
-        return Num(value), 1
-
-    def identifier(self) -> tuple[Expr, int]:
-        start = self.pos
-        while self.peek().isalnum() or self.peek() == "_":
-            self.pos += 1
-        name = self.src[start:self.pos]
-        if name == "pi":
-            return Pi(), 1
-        if name == "norm2":
-            return Norm2(), 1
-        if name in FUNCTIONS:
-            self.skip_ws()
-            if self.peek() != "(":
-                self.pos = start
-                raise self.error(f"function {name!r} needs an argument list")
-            self.pos += 1
+        elif tok[0] in "0123456789.":
+            if tok == ".":
+                raise self.error("malformed number", at)
+            if not math.isfinite(value := float(tok)):
+                # Num(inf) would render as "inf", which is outside the grammar
+                raise self.error("number literal overflows a double", at)
+            base, height = Num(value), 1
+        elif tok == "pi":
+            base, height = Pi(), 1
+        elif tok == "norm2":
+            base, height = Norm2(), 1
+        elif tok in FUNCTIONS:
+            if tokens[self.i] != "(":
+                raise self.error(f"function {tok!r} needs an argument list", at)
+            self.i += 1
             arg, height = self.expr()
-            self.skip_ws()
             self.expect(")")
-            return self.node(Call(name, arg), height)
-        if name[:1] == "x" and name[1:] and set(name[1:]) <= _DIGITS:
-            idx = int(name[1:])
-            if not 1 <= idx <= self.n:
-                self.pos = start
-                raise self.error(f"coordinate {name} out of range 1..{self.n}")
-            return Coord(idx), 1
-        self.pos = start
-        raise self.error(f"unknown identifier {name!r}")
+            base, height = self.node(Call(tok, arg), height, closed=True)
+        elif _COORD.fullmatch(tok):
+            if not 1 <= (idx := int(tok[1:])) <= self.n:
+                raise self.error(f"coordinate {tok} out of range 1..{self.n}", at)
+            base, height = Coord(idx), 1
+        elif tok[0].isalpha() or tok[0] == "_":
+            raise self.error(f"unknown identifier {tok!r}", at)
+        else:
+            raise self.error(f"unexpected character {tok[0]!r}", at)
+        if tokens[self.i] == "^":
+            self.i += 1
+            exponent, exponent_height = self.factor()
+            base, height = self.node(Bin("^", base, exponent), height, exponent_height)
+        if negate:
+            base, height = self.node(Neg(base), height)
+        self.nesting -= 1
+        return base, height
 
 
 def parse(src: str, n: int) -> Expr:
     """Parse `src` as a scalar field over x1..xn."""
-    if not isinstance(src, str) or not src.strip():
+    tokens = _TOKEN.findall(src) if isinstance(src, str) else []
+    if not tokens:
         raise ParseError("empty expression", 0)
     if n < 1:
         raise DimensionError("ambient dimension must be >= 1")
-    text = src.strip()    # a bare literal, read as `_Parser.number` does (overflow: its error)
-    if _LITERAL.fullmatch(text) and math.isfinite(value := float(text)):
-        return Num(value)
-    return _Parser(src, n).parse()
+    # a bare literal is read here; its errors (overflow) are the parser's
+    if len(tokens) == 1 and tokens[0][0] in "0123456789" and math.isfinite(v := float(tokens[0])):
+        return Num(v)
+    return _Parser(src, tokens, n).parse()
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

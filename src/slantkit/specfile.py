@@ -59,11 +59,23 @@ class ManifoldSpec:
         return spec_digest(self.raw)
 
 
+_CANONICAL = {"sort_keys": True, "separators": (",", ":"), "allow_nan": False}
+
+
 def canonical_dumps(obj) -> str:
     """Canonical JSON: sorted keys, compact separators, LF, shortest
-    round-trip floats."""
-    return json.dumps(_sanitize(obj), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    round-trip floats. The C encoder writes it in one call where `obj` reads
+    back from its output unchanged. Else `_sanitize` rewrites `obj` first:
+    the encoder refuses numpy values, nan and inf, and it would write other
+    bytes for non-str keys (it sorts them unconverted, and writes True as
+    "true"); a tuple, which reads back as a list, takes that path as well."""
+    try:
+        text = json.dumps(obj, **_CANONICAL)
+        if json.loads(text) == obj:
+            return text
+    except (TypeError, ValueError):
+        pass
+    return json.dumps(_sanitize(obj), **_CANONICAL)
 
 
 def _sanitize(obj):
@@ -109,24 +121,26 @@ def _is_finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _parse_all(sources, n: int, key: str) -> list:
-    """Parse a row of expression strings; `key` names the row in errors."""
+def _parse_all(sources, n: int, key: str, parsed: dict) -> list:
+    """Parse a row of expression strings; `key` names the row in errors.
+    `parsed` maps each text already parsed in this spec to its tree: a text
+    is parsed once, and the entries that repeat it share its frozen tree."""
     for j, src in enumerate(sources):
         if not isinstance(src, str):
             raise SpecError(f"{key}[{j}] must be an expression string, not {src!r}")
-    parsed = []
     for j, src in enumerate(sources):
-        try:
-            parsed.append(fe.parse(src, n))
-        except ParseError as exc:
-            raise ParseError(f"{key}[{j}]: {exc.reason}", exc.offset) from None
-    return parsed
+        if src not in parsed:
+            try:
+                parsed[src] = fe.parse(src, n)
+            except ParseError as exc:
+                raise ParseError(f"{key}[{j}]: {exc.reason}", exc.offset) from None
+    return [parsed[src] for src in sources]
 
 
-def _vector_field(sources, n: int, key: str) -> fe.VectorFieldExpr:
+def _vector_field(sources, n: int, key: str, parsed: dict) -> fe.VectorFieldExpr:
     if not isinstance(sources, list) or len(sources) != n:
         raise SpecError(f"{key} must be an array of {n} expression strings")
-    return fe.VectorFieldExpr(_parse_all(sources, n, key))
+    return fe.VectorFieldExpr(_parse_all(sources, n, key, parsed))
 
 
 def load_manifold_spec(source, seed_for_points: int | None = None) -> ManifoldSpec:
@@ -160,26 +174,27 @@ def load_manifold_spec(source, seed_for_points: int | None = None) -> ManifoldSp
     if kind not in KINDS:
         raise SpecError(f"kind must be one of {KINDS}")
 
+    parsed: dict[str, fe.Expr] = {}  # this load's parses, by text (n is fixed)
     metric_raw = raw.get("metric", "euclidean")
     metric = None
     if metric_raw != "euclidean":
         if (not isinstance(metric_raw, list) or len(metric_raw) != n
                 or any(not isinstance(row, list) or len(row) != n for row in metric_raw)):
             raise SpecError('metric must be "euclidean" or an n x n matrix of expressions')
-        metric = [_parse_all(row, n, f"metric[{i}]") for i, row in enumerate(metric_raw)]
+        metric = [_parse_all(row, n, f"metric[{i}]", parsed) for i, row in enumerate(metric_raw)]
 
     phi_raw = _need(raw, "phi_columns")
     if (not isinstance(phi_raw, list) or len(phi_raw) != n
             or any(not isinstance(col, list) or len(col) != n for col in phi_raw)):
         raise SpecError("phi_columns must be n arrays of n expression strings")
-    phi = [_parse_all(col, n, f"phi_columns[{i}]") for i, col in enumerate(phi_raw)]
+    phi = [_parse_all(col, n, f"phi_columns[{i}]", parsed) for i, col in enumerate(phi_raw)]
 
     xi = None
     if kind == "contact-like":
         xi_raw = raw.get("xi")
         if xi_raw is None:
             raise SpecError("contact-like specs need xi")
-        xi = _vector_field(xi_raw, n, "xi")
+        xi = _vector_field(xi_raw, n, "xi", parsed)
     elif raw.get("xi") is not None:
         raise SpecError("hermitian-like specs carry no xi")
 
@@ -202,7 +217,7 @@ def load_manifold_spec(source, seed_for_points: int | None = None) -> ManifoldSp
     for name, fields_raw in dists_raw.items():
         if not isinstance(fields_raw, list) or not fields_raw:
             raise SpecError(f"distribution {name!r} must list at least one vector field")
-        fields = [_vector_field(src, n, f"distributions.{name}[{j}]")
+        fields = [_vector_field(src, n, f"distributions.{name}[{j}]", parsed)
                   for j, src in enumerate(fields_raw)]
         frames[name] = DistributionFrame(name, fields, mask=mask)
 

@@ -13,6 +13,8 @@ from slantkit.gallery import build_fixture, fixture_to_spec_dict
 from slantkit.specfile import load_manifold_spec
 from slantkit.structure import KIND_HERMITIAN, StructureField
 
+import expr_oracle
+
 
 def ev(src, point, n=None):
     n = n if n is not None else len(point)
@@ -86,14 +88,16 @@ class TestParse:
         "1" * 400, "  " + "9" * 400 + ".5", "0." + "1" * 400, "\u00b2", "\u0663", "1 .5", "+1",
         "1..2", "\u20031\u2003"])
     def test_literal_fast_path_agrees_with_the_grammar(self, src):
-        """`parse` reads a bare literal without the parser; the result, or
-        the error with its message and offset, is the grammar's."""
+        """`parse` reads a bare literal from its one token, without the
+        grammar; the result, or the error with its message and offset, is
+        the grammar's, as the character-by-character parser of
+        `expr_oracle` reads it."""
         def outcome(read):
             try:
                 return read()
             except ParseError as exc:
                 return str(exc)
-        want = outcome(lambda: fe._Parser(src, 2).parse())
+        want = outcome(lambda: expr_oracle._Parser(src, 2).parse())
         got = outcome(lambda: fe.parse(src, 2))
         assert got == want and type(got) is type(want)
         if isinstance(want, fe.Num):
