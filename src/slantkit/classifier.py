@@ -41,7 +41,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, FrameStack, check_f_invariance, per_point
 from .errors import ComponentError, InvariantError, ModelError, SpecError
-from .linalg import pivoted_columns
+from .linalg import complement_columns
 from .sampling import DEFAULT_SEED
 from .structure import StructureField
 
@@ -203,8 +203,8 @@ def _count_clusters(epsilon: int, name: str, mat: np.ndarray, tolerances: Tolera
 # ---------------------------------------------------------------------------
 
 def _witness_point(point) -> list:
-    """Coordinates of a sample point (array or AmbientPoint) for a report."""
-    return np.asarray(getattr(point, "coords", point)).tolist()
+    """Coordinates of a sample point (an (n,) array) as a list for a report."""
+    return np.asarray(point).tolist()
 
 
 def _constancy_span(table: np.ndarray) -> np.ndarray:
@@ -559,17 +559,18 @@ class _TangentComponent:
             raise SpecError("the masked tangent space holds no direction besides xi")
 
     def raw_at(self, x: np.ndarray) -> np.ndarray:
-        """The masked coordinate directions; for contact-like kinds, `rank`
-        pivoted columns of their g-orthogonal projection off xi."""
+        """The masked coordinate directions; for contact-like kinds, a
+        g-orthonormal basis of TM ∩ xi⊥: in TM coordinates, with the metric
+        gram = tm^T g tm and xi = tm a, the gram-complement of a."""
         if not self.structure.is_contact:
             return self.tm
         g, xi, tm = self.structure.metric_at(x), self.structure.xi_at(x), self.tm
+        gram = tm.T @ g @ tm
+        a = np.linalg.solve(gram, tm.T @ g @ xi)
         # xi must live inside TM for the decomposition to make sense
-        proj_tm = tm @ np.linalg.solve(tm.T @ g @ tm, tm.T @ g)
-        if float(np.linalg.norm(proj_tm @ xi - xi)) > 1e-9 * float(np.linalg.norm(xi)):
+        if float(np.linalg.norm(tm @ a - xi)) > 1e-9 * float(np.linalg.norm(xi)):
             raise SpecError("xi does not lie inside the masked tangent space")
-        xi_u = xi / np.sqrt(xi @ g @ xi)
-        return pivoted_columns(g, tm - np.outer(xi_u, xi_u @ g @ tm), self.rank)
+        return tm @ complement_columns(gram, (a / np.sqrt(a @ gram @ a))[:, None])
 
 
 def discover(structure: StructureField, points, mask: tuple[int, ...] | None = None,

@@ -183,7 +183,7 @@ class Decomposition:
 
     def frame_stack(self, points) -> "FrameStack":
         """The frame stack of `points`, built once per sequence of points."""
-        xs = [np.asarray(getattr(p, "coords", p), dtype=float) for p in points]
+        xs = [np.asarray(p, dtype=float) for p in points]
         key = tuple(tuple(x.tolist()) for x in xs)
         stack = self._stacks.get(key)
         if stack is None:
@@ -194,7 +194,7 @@ class Decomposition:
 
     def frame_at(self, point) -> "PointFrame":
         """The frame at `point`, from a stack holding it or an unkept one-point stack."""
-        x = np.asarray(getattr(point, "coords", point), dtype=float)
+        x = np.asarray(point, dtype=float)
         return self._frames.get(tuple(x.tolist())) or FrameStack(self, [x]).frames[0]
 
     def tm_directions(self) -> list[np.ndarray]:

@@ -51,7 +51,7 @@ def dual_roundtrip_check(dec: Decomposition, point,
     """Verify f(w(D_i)) = D_i (principal angles), dim w(D_i) = dim D_i, and
     that each dual component carries the same slant value as its source, at
     one point (`dual_roundtrips` of a one-point stack built for this call)."""
-    x = np.asarray(getattr(point, "coords", point), dtype=float)
+    x = np.asarray(point, dtype=float)
     return dual_roundtrips(FrameStack(dec, [x]), tolerances)[0]
 
 

@@ -9,16 +9,12 @@ class DimensionError(SlantKitError):
     """Vector/matrix shapes are incompatible."""
 
 
-class BasePointError(SlantKitError):
-    """Tangent objects anchored at different base points were mixed."""
-
-
 class RankError(SlantKitError):
     """A frame or basis is numerically rank deficient."""
 
 
 class InvariantError(SlantKitError):
-    """A stated invariant of a value object does not hold."""
+    """A stated invariant of a decomposition or a verdict does not hold."""
 
 
 class SymmetryError(SlantKitError):

@@ -189,7 +189,8 @@ class _Parser:
             self.expect(")")
             base, height = self.node(Call(tok, arg), height, closed=True)
         elif _COORD.fullmatch(tok):
-            if not 1 <= (idx := int(tok[1:])) <= self.n:
+            digits = tok[1:].lstrip("0")    # int() refuses a string of over 4300 digits
+            if len(digits) > len(str(self.n)) or not 1 <= (idx := int(digits or "0")) <= self.n:
                 raise self.error(f"coordinate {tok} out of range 1..{self.n}", at)
             base, height = Coord(idx), 1
         elif tok[0].isalpha() or tok[0] == "_":
@@ -262,8 +263,8 @@ SQRT_CLAMP = 1e-12
 
 
 def evaluate(e: Expr, point) -> float:
-    """Evaluate at an AmbientPoint or a plain coordinate array."""
-    coords = np.asarray(getattr(point, "coords", point), dtype=float)
+    """Evaluate at a point given by its coordinate array (n,)."""
+    coords = np.asarray(point, dtype=float)
     return _eval(e, coords)
 
 
@@ -540,7 +541,7 @@ class VectorFieldExpr:
         return len(self.components)
 
     def at(self, point) -> np.ndarray:
-        x = np.asarray(getattr(point, "coords", point), dtype=float)
+        x = np.asarray(point, dtype=float)
         values = self._fill.at(x)
         require_finite(values, self.components, x, "vector field")
         return values

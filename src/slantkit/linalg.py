@@ -1,165 +1,32 @@
-"""Metric-aware dense linear algebra used by every other module.
+"""Metric-aware dense linear algebra kernels over plain float64 arrays.
 
-All operations are pure functions of immutable value objects; underneath,
-vectors and matrices are float64 numpy arrays. The wrapper types carry the
-invariants the geometric layers rely on: shared base points, orthonormality
-with respect to the metric, symmetric positive definite metrics.
+Vectors are (n,) arrays, bases are (n, r) column matrices and metrics are
+(n, n) matrices; every kernel but `sym_eigen` also takes stacks of them with
+the sample points as leading axes. The geometric layers call these kernels
+on the stacked frames (`distribution.FrameStack`) and keep their own
+invariants.
+
+`g_inner` is the one place a g-contraction g(u, v) of batches is written;
+every other module calls it rather than writing its own contraction.
+`mgs_columns` is the one g-orthonormaliser: stacked CholeskyQR2, with the
+Gram-Schmidt loop as its fallback past CHOLQR2_COND_MAX and its rank test.
+`complement_columns` is the one complement algorithm.
+
+`sym_eigen` and `projector_matrix` have no caller in the package. They stay
+because the benchmark's tracer (`perfbench/tracing.py`) wraps them by name
+and reports their counters, and the tests use them as oracles.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    BasePointError,
-    DimensionError,
-    InvariantError,
-    RankError,
-    SymmetryError,
-)
+from .errors import DimensionError, RankError, SymmetryError
 
 RANK_TOL = 1e-12         # relative to the largest input column norm
 CHOLQR2_COND_MAX = 1e6   # largest scale * ||L^-1||_F that mgs_columns factorises
-ORTHONORMAL_TOL = 1e-10
 SYMMETRY_RTOL = 1e-9
 
-
-def _to_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InvariantError(f"{name} must have finite entries")
-    return arr
-
-
-class AmbientPoint:
-    """A point of the ambient space, given by its n coordinates."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        arr = _to_array(coords, "point coordinates")
-        if arr.ndim != 1 or arr.size == 0:
-            raise DimensionError("point coordinates must form a nonempty vector")
-        arr.setflags(write=False)
-        self.coords = arr
-
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0]
-
-    def same_as(self, other: "AmbientPoint") -> bool:
-        return self.n == other.n and bool(np.array_equal(self.coords, other.coords))
-
-    def __repr__(self) -> str:
-        return f"AmbientPoint({self.coords.tolist()})"
-
-
-class TangentVector:
-    """A tangent vector of the ambient space anchored at a base point."""
-
-    __slots__ = ("comps", "base")
-
-    def __init__(self, comps, base: AmbientPoint):
-        arr = _to_array(comps, "tangent components")
-        if arr.ndim != 1:
-            raise DimensionError("tangent components must form a vector")
-        if arr.shape[0] != base.n:
-            raise DimensionError(
-                f"tangent vector has {arr.shape[0]} components at a point of dimension {base.n}"
-            )
-        arr.setflags(write=False)
-        self.comps = arr
-        self.base = base
-
-    @property
-    def n(self) -> int:
-        return self.comps.shape[0]
-
-    def __repr__(self) -> str:
-        return f"TangentVector({self.comps.tolist()} @ {self.base.coords.tolist()})"
-
-
-class MetricAtPoint:
-    """A symmetric positive definite bilinear form at one point."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        arr = _to_array(matrix, "metric matrix")
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError("metric must be a square matrix")
-        scale = max(float(np.linalg.norm(arr)), 1e-300)
-        if float(np.linalg.norm(arr - arr.T)) > SYMMETRY_RTOL * scale:
-            raise InvariantError("metric matrix is not symmetric")
-        arr = 0.5 * (arr + arr.T)
-        try:
-            np.linalg.cholesky(arr)      # positive-definiteness check only
-        except np.linalg.LinAlgError:
-            raise InvariantError("metric matrix is not positive definite") from None
-        arr.setflags(write=False)
-        self.matrix = arr
-
-    @classmethod
-    def identity(cls, n: int) -> "MetricAtPoint":
-        return cls(np.eye(n))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-class SubspaceBasis:
-    """An ordered list of tangent vectors at a common base point spanning a
-    subspace; `orthonormal` records whether the Gram matrix (w.r.t. the metric
-    in use) is the identity."""
-
-    __slots__ = ("vectors", "orthonormal")
-
-    def __init__(self, vectors, orthonormal: bool = False):
-        vectors = list(vectors)
-        if not vectors:
-            raise DimensionError("a subspace basis needs at least one vector")
-        base = vectors[0].base
-        for v in vectors[1:]:
-            if not v.base.same_as(base):
-                raise BasePointError("basis vectors anchored at different points")
-        mat = np.column_stack([v.comps for v in vectors])
-        smin = np.linalg.svd(mat, compute_uv=False)[-1]
-        scale = max(float(np.max(np.linalg.norm(mat, axis=0))), 1e-300)
-        if smin <= RANK_TOL * scale:
-            raise RankError("basis vectors are linearly dependent")
-        self.vectors = tuple(vectors)
-        self.orthonormal = bool(orthonormal)
-
-    @property
-    def base(self) -> AmbientPoint:
-        return self.vectors[0].base
-
-    @property
-    def rank(self) -> int:
-        return len(self.vectors)
-
-    @property
-    def n(self) -> int:
-        return self.vectors[0].n
-
-    def matrix(self) -> np.ndarray:
-        """Stacked n x r column matrix."""
-        return np.column_stack([v.comps for v in self.vectors])
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray, base: AmbientPoint, orthonormal: bool = False):
-        return cls([TangentVector(mat[:, j], base) for j in range(mat.shape[1])], orthonormal)
-
-
-# ---------------------------------------------------------------------------
-# Array-level primitives (shared by the typed operations and the inner loops)
-#
-# `g_inner` is the one place a g-contraction g(u, v) of batches is written;
-# every other module calls it rather than writing its own contraction.
-# `mgs_columns` is the one g-orthonormaliser: stacked CholeskyQR2, with the
-# Gram-Schmidt loop as its fallback past CHOLQR2_COND_MAX and its rank test.
-# ---------------------------------------------------------------------------
 
 def g_inner(gmat: np.ndarray | None, u: np.ndarray, v: np.ndarray,
             stacked: bool = False) -> np.ndarray:
@@ -255,33 +122,6 @@ def complement_columns(gmat: np.ndarray, onb: np.ndarray) -> np.ndarray:
     return np.linalg.solve(upper, q[..., onb.shape[-1]:])
 
 
-def pivoted_columns(gmat: np.ndarray, cand: np.ndarray, rank: int) -> np.ndarray:
-    """`rank` g-unit columns taken from `cand` (n, m), or from each member of
-    a stack (..., n, m), by pivoted g-norm deflation.
-
-    Each step takes the candidate column of largest remaining g-norm (first
-    index wins ties) and deflates every candidate against it. Raises
-    RankError when the largest remaining g-norm falls below 1e-10 (absolute),
-    i.e. the candidates span fewer than `rank` dimensions (in a stack, the
-    first such member). Each member's result is its unstacked one, bit for bit.
-    """
-    cand = np.array(cand, dtype=float)
-    out = np.empty(cand.shape[:-1] + (rank,))
-    collapsed = np.full(cand.shape[:-2], rank)
-    with np.errstate(all="ignore"):
-        for j in range(rank):
-            norms = np.sqrt(np.maximum(np.einsum("...ij,...ij->...j", cand, gmat @ cand), 0.0))
-            idx = np.argmax(norms, axis=-1)[..., None]
-            top = np.take_along_axis(norms, idx, -1)
-            collapsed[(top[..., 0] < 1e-10) & (collapsed == rank)] = j
-            q = np.take_along_axis(cand, idx[..., None], -1)[..., 0] / top
-            out[..., j] = q
-            cand -= q[..., :, None] * (q[..., None, :] @ gmat @ cand)
-    for j in collapsed[collapsed < rank][:1]:       # the first member that collapsed
-        raise RankError(f"pivoted deflation collapsed after {j} of {rank} columns")
-    return out
-
-
 def principal_angle_values(gmat: np.ndarray, a_onb: np.ndarray, b_onb: np.ndarray) -> np.ndarray:
     """Principal angles (ascending, in [0, pi/2]) between two g-orthonormal
     column spans, or per member of two stacks (..., n, r).
@@ -299,46 +139,6 @@ def principal_angle_values(gmat: np.ndarray, a_onb: np.ndarray, b_onb: np.ndarra
     sin = np.sort(np.clip(np.linalg.svd(b - a @ atb, compute_uv=False), 0.0, 1.0))[..., :m]
     angles = np.where(cos ** 2 < 0.5, np.arccos(cos), np.arcsin(sin))
     return np.sort(angles)
-
-
-# ---------------------------------------------------------------------------
-# Typed operations
-# ---------------------------------------------------------------------------
-
-def inner(g: MetricAtPoint, u: TangentVector, v: TangentVector) -> float:
-    """g(u, v) at a common base point."""
-    if u.n != g.n or v.n != g.n:
-        raise DimensionError("vector and metric dimensions differ")
-    if not u.base.same_as(v.base):
-        raise BasePointError("inner product of vectors at different base points")
-    return float(u.comps @ g.matrix @ v.comps)
-
-
-def gram_schmidt(g: MetricAtPoint, raw: SubspaceBasis) -> SubspaceBasis:
-    """g-orthonormal basis of span(raw); span is preserved."""
-    if raw.n != g.n:
-        raise DimensionError("basis and metric dimensions differ")
-    onb = mgs_columns(g.matrix, raw.matrix())
-    return SubspaceBasis.from_matrix(onb, raw.base, orthonormal=True)
-
-
-def _require_orthonormal(g: MetricAtPoint, basis: SubspaceBasis) -> np.ndarray:
-    mat = basis.matrix()
-    gram = mat.T @ g.matrix @ mat
-    if float(np.max(np.abs(gram - np.eye(basis.rank)))) > ORTHONORMAL_TOL:
-        raise InvariantError("basis is not g-orthonormal")
-    return mat
-
-
-def projector(g: MetricAtPoint, basis: SubspaceBasis) -> np.ndarray:
-    """Matrix of the g-orthogonal projection onto span(basis).
-
-    Satisfies P @ P = P and g P = P.T g, with image span(basis).
-    """
-    if basis.n != g.n:
-        raise DimensionError("basis and metric dimensions differ")
-    mat = _require_orthonormal(g, basis)
-    return projector_matrix(g.matrix, mat)
 
 
 def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,14 +161,3 @@ def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if nz.size and col[nz[0]] < 0:
             evecs[:, j] = -col
     return evals, evecs
-
-
-def principal_angles(g: MetricAtPoint, a: SubspaceBasis, b: SubspaceBasis) -> np.ndarray:
-    """Principal angles between span(a) and span(b), ascending in [0, pi/2]."""
-    if a.n != g.n or b.n != g.n:
-        raise DimensionError("bases and metric dimensions differ")
-    if not a.base.same_as(b.base):
-        raise BasePointError("principal angles need a common base point")
-    amat = _require_orthonormal(g, a)
-    bmat = _require_orthonormal(g, b)
-    return principal_angle_values(g.matrix, amat, bmat)

@@ -20,15 +20,19 @@ def rng_for(seed: int, *streams: int) -> np.random.Generator:
     return np.random.default_rng(key)
 
 
-def box_points(n: int, mask: tuple[int, ...] | None, count: int, box=(-2.0, 2.0),
-               seed: int = DEFAULT_SEED, stream: int = 7) -> list[np.ndarray]:
+BOX_STREAM = 7             # the rng_for stream of box points
+DEFAULT_BOX = (-2.0, 2.0)  # the box of gallery points and of spec generators without one
+
+
+def box_points(n: int, mask: tuple[int, ...] | None, count: int, box=DEFAULT_BOX,
+               seed: int = DEFAULT_SEED) -> list[np.ndarray]:
     """Seeded uniform points in the box, embedded through the mask.
 
     `mask` lists the 1-based ambient coordinates that belong to the
     submanifold; coordinates outside it stay zero. Without a mask the points
     fill the whole ambient space.
     """
-    rng = rng_for(seed, stream)
+    rng = rng_for(seed, BOX_STREAM)
     free = [i - 1 for i in mask] if mask else list(range(n))
     lo, hi = box
     out = []
@@ -40,7 +44,7 @@ def box_points(n: int, mask: tuple[int, ...] | None, count: int, box=(-2.0, 2.0)
 
 
 def default_sample_points(n: int, mask: tuple[int, ...] | None, count: int = 16,
-                          box=(-2.0, 2.0), seed: int = DEFAULT_SEED) -> list[np.ndarray]:
+                          seed: int = DEFAULT_SEED) -> list[np.ndarray]:
     """Origin, unit points along each in-mask axis, then seeded box points."""
     free = [i - 1 for i in mask] if mask else list(range(n))
     pts = [np.zeros(n)]
@@ -48,5 +52,5 @@ def default_sample_points(n: int, mask: tuple[int, ...] | None, count: int = 16,
         p = np.zeros(n)
         p[i] = 1.0
         pts.append(p)
-    pts.extend(box_points(n, mask, count, box=box, seed=seed))
+    pts.extend(box_points(n, mask, count, seed=seed))
     return pts

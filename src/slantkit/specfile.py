@@ -35,7 +35,7 @@ from . import expr as fe
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, DistributionFrame
 from .errors import ParseError, SpecError
-from .sampling import box_points
+from .sampling import DEFAULT_BOX, box_points
 from .structure import KINDS, StructureField
 
 
@@ -143,7 +143,7 @@ def _vector_field(sources, n: int, key: str, parsed: dict) -> fe.VectorFieldExpr
     return fe.VectorFieldExpr(_parse_all(sources, n, key, parsed))
 
 
-def load_manifold_spec(source, seed_for_points: int | None = None) -> ManifoldSpec:
+def load_manifold_spec(source) -> ManifoldSpec:
     """Load and schema-check a spec from a path, JSON text, or dict."""
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         try:
@@ -242,12 +242,12 @@ def load_manifold_spec(source, seed_for_points: int | None = None) -> ManifoldSp
             structure, [frames[nm] for nm in proper_names],
             invariant=frames[inv_name] if inv_name else None, mask=mask)
 
-    points = _load_points(_need(raw, "sample_points"), n, mask, seed_for_points)
+    points = _load_points(_need(raw, "sample_points"), n, mask)
     tolerances = DEFAULT_TOLERANCES.override(raw.get("tolerances"))
     return ManifoldSpec(raw, structure, decomposition, mask, points, tolerances)
 
 
-def _load_points(points_raw, n, mask, seed_for_points) -> list[np.ndarray]:
+def _load_points(points_raw, n, mask) -> list[np.ndarray]:
     if isinstance(points_raw, dict):
         for key in ("seed", "count"):
             if key not in points_raw:
@@ -255,15 +255,15 @@ def _load_points(points_raw, n, mask, seed_for_points) -> list[np.ndarray]:
             if not _is_int(points_raw[key]):
                 raise SpecError(f"sample_points.{key} must be an integer, "
                                 f"not {points_raw[key]!r}")
-        box = points_raw.get("box", [-2.0, 2.0])
+        box = points_raw.get("box", list(DEFAULT_BOX))
         if (not isinstance(box, list) or len(box) != 2
                 or not all(_is_finite_number(b) for b in box) or not box[0] < box[1]):
             raise SpecError("sample_points.box must be [lo, hi] with finite numbers lo < hi")
-        seed = points_raw["seed"] if seed_for_points is None else seed_for_points
         count = points_raw["count"]
         if count < 1:
             raise SpecError("sample_points.count must be >= 1")
-        return box_points(n, mask, count, box=(float(box[0]), float(box[1])), seed=seed)
+        return box_points(n, mask, count, box=(float(box[0]), float(box[1])),
+                          seed=points_raw["seed"])
     if not isinstance(points_raw, list) or not points_raw:
         raise SpecError("sample_points must be a nonempty array or a generator object")
     points = []

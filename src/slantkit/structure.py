@@ -84,7 +84,7 @@ class StructureField:
 
     def phi_at(self, point) -> np.ndarray:
         """Matrix of phi at the point; column c is the image of e_{c+1}."""
-        x = np.asarray(getattr(point, "coords", point), dtype=float)
+        x = np.asarray(point, dtype=float)
         mat = self._phi_fill.at(x)
         fe.require_finite(mat.T, self.phi_columns, x, "phi_columns")
         return mat
@@ -102,7 +102,7 @@ class StructureField:
     def metric_at(self, point) -> np.ndarray:
         if self.metric_exprs is None:
             return np.eye(self.n)
-        x = np.asarray(getattr(point, "coords", point), dtype=float)
+        x = np.asarray(point, dtype=float)
         mat = self._metric_fill.at(x)
         fe.require_finite(mat, self.metric_exprs, x, "metric")
         if not self.metric_is_euclidean:
@@ -128,7 +128,7 @@ class StructureField:
         """eta(v) = g(v, xi) at the point."""
         if not self.is_contact:
             raise KindError("eta is only defined for contact-like structures")
-        comps = np.asarray(getattr(v, "comps", v), dtype=float)
+        comps = np.asarray(v, dtype=float)
         return float(comps @ self.metric_at(point) @ self.xi_at(point))
 
 
@@ -217,7 +217,7 @@ def validate_structure(s: StructureField, points, trials: int = 25,
     witness = {"axiom": None, "point": None, "residual": 0.0}
     failures = []
     for idx, point in enumerate(points):
-        x = np.asarray(getattr(point, "coords", point), dtype=float)
+        x = np.asarray(point, dtype=float)
         pairs = rng_for(seed, 101, idx).standard_normal((s.n, trials, 2))
         try:
             residuals = _axiom_residuals(s, x, pairs)

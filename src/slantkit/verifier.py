@@ -822,9 +822,9 @@ def nabla_f2(dec: Decomposition, probe: CovariantProbe, point, direction, y) -> 
     `y` is one vector (n,) or the columns of an (n, r) matrix; the displaced
     fields at x +- hX are computed once for all columns."""
     _require_flat_masked(dec, need_mask=False)
-    x = np.asarray(getattr(point, "coords", point), dtype=float)
-    d = np.asarray(getattr(direction, "comps", direction), dtype=float)
-    yv = np.asarray(getattr(y, "comps", y), dtype=float)
+    x = np.asarray(point, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    yv = np.asarray(y, dtype=float)
     if float(np.max(np.abs(d))) == 0.0:
         return np.zeros_like(yv)
     h = probe.h
@@ -839,8 +839,8 @@ def eigenvalue_directional_derivative(dec: Decomposition, point, comp_index: int
     Gram) at x +- hX, with h = `tolerances.fd_step`; the finite-difference
     oracle of the connection probe."""
     h = tolerances.fd_step
-    x = np.asarray(getattr(point, "coords", point), dtype=float)
-    d = np.asarray(getattr(direction, "comps", direction), dtype=float)
+    x = np.asarray(point, dtype=float)
+    d = np.asarray(direction, dtype=float)
     lam_p, lam_m = slant_lambdas(_displaced_frames(dec, x, d, h), [comp_index], tolerances)[0]
     return float(lam_p - lam_m) / (2.0 * h)
 

@@ -14,6 +14,7 @@ from slantkit.classifier import (
     slant_lambdas,
     slant_spectra,
     slant_thetas,
+    _TangentComponent,
 )
 from slantkit.config import DEFAULT_TOLERANCES
 from slantkit.distribution import Decomposition, DistributionFrame
@@ -311,6 +312,28 @@ class TestDiscovery:
             assert np.max(np.abs(np.subtract(got["theta"], want["theta"]))) <= \
                 DEFAULT_TOLERANCES.angle_const
 
+    def test_xi_off_the_axes_under_a_non_diagonal_metric(self, ex1):
+        # ex1 carried by a linear map A of the masked coordinates that turns
+        # xi off the axes and shears them: phi' = A phi A^-1, xi' = A xi and
+        # the constant metric g' = A^-T A^-1 make A an isometry
+        structure, a = _sheared_ex1(ex1)
+        g = structure.metric_at(np.zeros(structure.n))
+        assert np.count_nonzero(g - np.diag(np.diag(g))) > 0
+        outside = [i for i in range(structure.n) if i + 1 not in ex1.mask]
+        comp = _TangentComponent(structure, ex1.mask)
+        points = [a @ p for p in ex1.default_points()[:6]]
+        for x in points:
+            cols, xi = comp.raw_at(x), structure.xi_at(x)
+            assert cols.shape == (structure.n, comp.rank)
+            assert np.max(np.abs(cols.T @ g @ cols - np.eye(comp.rank))) <= 1e-12
+            assert np.max(np.abs(cols.T @ g @ xi)) <= 1e-12
+            assert not np.any(cols[outside])
+        base = discover(ex1.structure, ex1.default_points()[:6], mask=ex1.mask)
+        found = discover(structure, points, mask=ex1.mask)
+        assert found.labels == base.labels
+        assert found.named_cases == base.named_cases
+        assert [c["rank"] for c in found.components] == [c["rank"] for c in base.components]
+
     def test_xi_outside_the_mask_exits_2(self, ex1, tmp_path, capsys):
         # turned in the (x5, x11) plane, xi' leaves the masked coordinates
         structure, _ = _rotated_ex1(ex1, 5, 11, 0.7)
@@ -326,6 +349,29 @@ class TestDiscovery:
 
 def _literal(value: float) -> str:
     return np.format_float_positional(float(value), unique=True, trim="-")
+
+
+def _sheared_ex1(ex1):
+    """ex1's constant structure carried by A = R S, with R the rotation by
+    0.7 in the (x1, x11) plane and S a shear and scaling inside the masked
+    coordinates: phi' = A phi A^-1, xi' = A xi, metric A^-T A^-1. Returns
+    (structure, A)."""
+    n = ex1.structure.n
+    _, rot = _rotated_ex1(ex1, 1, 11, 0.7)
+    shear = np.eye(n)
+    shear[0, 1], shear[6, 2], shear[7, 7] = 0.5, -0.3, 1.5
+    a = rot @ shear
+    a_inv = np.linalg.inv(a)
+    phi = a @ ex1.structure.phi_at(np.zeros(n)) @ a_inv
+    xi = a @ ex1.structure.xi_at(np.zeros(n))
+    metric = a_inv.T @ a_inv
+    metric = 0.5 * (metric + metric.T)
+    structure = StructureField(
+        n, ex1.structure.epsilon, KIND_CONTACT,
+        [[fe.parse(_literal(v), n) for v in phi[:, c]] for c in range(n)],
+        metric=[[fe.parse(_literal(v), n) for v in row] for row in metric],
+        xi=fe.VectorFieldExpr.parse([_literal(v) for v in xi], n))
+    return structure, a
 
 
 def _rotated_ex1(ex1, a: int, b: int, angle: float):

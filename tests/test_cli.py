@@ -308,6 +308,19 @@ def test_error_family_exit_code_and_prefix(capsys, tmp_path, ex1_spec, mutate, a
     assert word in err
 
 
+def test_coordinate_beyond_int_digit_limit_exit_2(capsys, tmp_path, ex1_spec):
+    """A coordinate of 5000 digits is a parse error naming the entry and
+    offset 0, not a traceback from int()."""
+    doc = json.loads(json.dumps(ex1_spec[1]))
+    _set_phi("x" + "1" * 5000)(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert err.startswith("error: phi_columns[0][0]: coordinate x1")
+    assert err.rstrip().endswith(f"out of range 1..{len(doc['phi_columns'])} (offset 0)")
+
+
 class TestNonFiniteField:
     """The product of two 201-digit literals overflows to inf, so 0*inf is
     nan: evaluation errors with the entry's source and the point, not nan

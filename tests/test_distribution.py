@@ -13,12 +13,12 @@ from slantkit.distribution import (
 from slantkit.duality import build_dual, dual_roundtrip_check
 from slantkit.errors import InvariantError, ModelError, RankError
 from slantkit.gallery import build_fixture
-from slantkit.linalg import mgs_columns, pivoted_columns, principal_angle_values
+from slantkit.linalg import mgs_columns, principal_angle_values
 from slantkit.sampling import rng_for
 from slantkit.specfile import load_manifold_spec
 from slantkit.verifier import CovariantProbe, connection_criterion_report
 
-from frame_maps import FrameMaps
+from frame_maps import FrameMaps, pivoted_columns
 from test_verifier import _rolling_spec, _turned
 
 

@@ -35,6 +35,16 @@ class TestParse:
         with pytest.raises(ParseError):
             fe.parse("x9", 4)
 
+    def test_coordinate_beyond_int_digit_limit(self):
+        """int() refuses a string of over 4300 digits: such a coordinate is
+        out of range like any other, at the offset of its token, and leading
+        zeros still count for nothing."""
+        for src, offset in (("x" + "1" * 5000, 0), ("1 + x" + "9" * 5000, 4)):
+            with pytest.raises(ParseError, match=r"out of range 1\.\.3 \(offset") as err:
+                fe.parse(src, 3)
+            assert err.value.offset == offset
+        assert fe.parse("x" + "0" * 5000 + "2", 3) == fe.Coord(2)
+
     def test_precedence(self):
         assert ev("2 + 3*4", [0.0]) == 14.0
         assert ev("2*3^2", [0.0]) == 18.0
