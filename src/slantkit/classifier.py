@@ -345,9 +345,6 @@ class ClassificationReport:
         self.k = k
         self.scope_note = "constancy/distinctness verdicts hold on sampled points only"
 
-    def passed_labels(self) -> list[str]:
-        return sorted([l for l, ok in self.labels.items() if ok])
-
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,

@@ -238,6 +238,7 @@ class PointFrame:
     x, g, phi, xi, xi_unit, basis_d, basis_g = map(_view, (
         "x", "g", "phi", "xi", "xi_unit", "basis_d", "basis_g"))
     bases = cached_property(lambda self: [b[self.p] for b in self.stack.bases])
+    raws = cached_property(lambda self: [a[self.p] for a in self.stack.raws])
 
     # -- the metric on ambient vectors (n,) or batches (n, ...) -----------------
 
@@ -274,9 +275,10 @@ class PointFrame:
 
 class FrameStack:
     """The frame data of a decomposition at P points, the leading axis of
-    every array. Fills run point by point, the rest is stacked. Built on first
-    use: `phi_dd` and `f2` from basis_d alone, the adapted frame `adapted` with
-    `basis_g` and `phi_adapted`, and the dual slice (`duals`, `h_basis`) in the
+    every array. Fills run point by point, the rest is stacked; the
+    components' fields stay as `raws`. Built on first use: `phi_dd` and `f2`
+    from basis_d alone, the adapted frame `adapted` with `basis_g` and
+    `phi_adapted`, and the dual slice (`duals`, `h_basis`) in the
     coordinates `g_rows` of G. A point's slice equals its own stack's."""
 
     def __init__(self, dec: Decomposition, xs):
@@ -303,11 +305,11 @@ class FrameStack:
             raws.append([comp.raw_at(x) for comp in dec.components])
         self.g, self.phi = np.stack(gs), np.stack(phis)
         self.xi, self.xi_unit = map(np.stack, zip(*xis)) if xis else (None, None)
-        raws = [np.stack(raw) for raw in zip(*raws)]
+        self.raws = [np.stack(raw) for raw in zip(*raws)]
         try:
-            self.bases = mgs_each(self.g, raws)
+            self.bases = mgs_each(self.g, self.raws)
         except RankError:       # name the first component that fails (`per_point`: the point)
-            for comp, raw in zip(dec.components, raws):
+            for comp, raw in zip(dec.components, self.raws):
                 try:
                     mgs_columns(self.g, raw)
                 except RankError as exc:

@@ -3,10 +3,8 @@ summary with the slant-value tables."""
 
 from __future__ import annotations
 
-import json
-
 from . import __version__
-from .specfile import _sanitize
+from .specfile import canonical_dumps
 
 
 def make_run_report(spec_digest: str, seed: int, *, structure=None, classification=None,
@@ -28,7 +26,7 @@ def make_run_report(spec_digest: str, seed: int, *, structure=None, classificati
 def report_json(report: dict) -> str:
     """Byte-stable rendering: sorted keys, two-space indent, LF newlines,
     shortest round-trip floats, non-finite values as strings."""
-    return json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n"
+    return canonical_dumps(report, indent=2) + "\n"
 
 
 def _fmt(x, digits=12) -> str:

@@ -59,23 +59,23 @@ class ManifoldSpec:
         return spec_digest(self.raw)
 
 
-_CANONICAL = {"sort_keys": True, "separators": (",", ":"), "allow_nan": False}
-
-
-def canonical_dumps(obj) -> str:
-    """Canonical JSON: sorted keys, compact separators, LF, shortest
-    round-trip floats. The C encoder writes it in one call where `obj` reads
-    back from its output unchanged. Else `_sanitize` rewrites `obj` first:
-    the encoder refuses numpy values, nan and inf, and it would write other
-    bytes for non-str keys (it sorts them unconverted, and writes True as
-    "true"); a tuple, which reads back as a list, takes that path as well."""
+def canonical_dumps(obj, indent: int | None = None) -> str:
+    """Canonical JSON: sorted keys, LF, shortest round-trip floats, and
+    compact separators, or `indent` spaces per level (reports). The C encoder
+    writes it in one call where `obj` reads back from its output unchanged.
+    Else `_sanitize` rewrites `obj` first: the encoder refuses numpy values,
+    nan and inf, and it would write other bytes for non-str keys (it sorts
+    them unconverted, and writes True as "true"); a tuple, which reads back
+    as a list, takes that path as well."""
+    layout = {"sort_keys": True, "allow_nan": False, "indent": indent,
+              "separators": (",", ":") if indent is None else (",", ": ")}
     try:
-        text = json.dumps(obj, **_CANONICAL)
+        text = json.dumps(obj, **layout)
         if json.loads(text) == obj:
             return text
     except (TypeError, ValueError):
         pass
-    return json.dumps(_sanitize(obj), **_CANONICAL)
+    return json.dumps(_sanitize(obj), **layout)
 
 
 def _sanitize(obj):

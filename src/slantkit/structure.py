@@ -11,12 +11,13 @@ Two kinds are modeled in one type:
 Both satisfy g(phi X, Y) = eps * g(X, phi Y). Axioms are validated
 statistically on seeded random vectors at user-supplied points: bilinear
 identities hold for all vectors iff they hold on a spanning set, so this is
-sufficient coverage and fully reproducible.
+sufficient coverage and fully reproducible. The fields are evaluated point by
+point; the residuals of every point and axiom come from one stacked pass.
 """
 
 from __future__ import annotations
 
-import math
+from functools import partial
 
 import numpy as np
 
@@ -153,83 +154,78 @@ class StructureVerdict:
         }
 
 
-def _axiom_residuals(s: StructureField, x: np.ndarray, pairs: np.ndarray) -> dict:
-    """Worst relative residual per axiom at one point over a batch of vector
-    pairs (n x t x 2)."""
-    g = s.metric_at(x)
-    gk = None if s.metric_is_euclidean else g
-    phi = s.phi_at(x)
-    X = pairs[:, :, 0]
-    Y = pairs[:, :, 1]
-    phiX = phi @ X
-    phiY = phi @ Y
-    nX = np.sqrt(g_inner(gk, X, X))
-    nY = np.sqrt(g_inner(gk, Y, Y))
+def _axiom_residuals(s: StructureField, g: np.ndarray, phi: np.ndarray,
+                     xi: np.ndarray | None, pairs: np.ndarray) -> dict:
+    """Worst relative residual per axiom at each of P points over its batch of
+    vector pairs: metric and phi (P, n, n), xi (P, n) (None for the
+    hermitian kind), pairs (P, n, t, 2); one (P,) array per axiom."""
+    inner = partial(g_inner, None if s.metric_is_euclidean else g, stacked=True)
+    X, Y = pairs[..., 0], pairs[..., 1]
+    phiX, phiY = phi @ X, phi @ Y
+    nX, nY = np.sqrt(inner(X, X)), np.sqrt(inner(Y, Y))
     scale = np.maximum(nX * nY, 1e-300)
 
-    out = {}
-    compat = g_inner(gk, phiX, Y) - s.epsilon * g_inner(gk, X, phiY)
-    out["compatibility"] = float(np.max(np.abs(compat) / scale))
-
-    phi2X = phi @ phiX
+    compat = inner(phiX, Y) - s.epsilon * inner(X, phiY)
+    out = {"compatibility": np.max(np.abs(compat) / scale, axis=-1)}
     if s.is_contact:
-        xi = s.xi_at(x)
-        etaX = g_inner(gk, X, xi[:, None])
-        etaY = g_inner(gk, Y, xi[:, None])
-        target = s.epsilon * (X - xi[:, None] * etaX[None, :])
-        law = g_inner(gk, phiX, phiY) - (g_inner(gk, X, Y) - etaX * etaY)
-        out["metric-law"] = float(np.max(np.abs(law) / scale))
-        out["xi-unit"] = abs(float(xi @ g @ xi) - 1.0)
-        phixi = phi @ xi
-        out["phi-xi"] = float(np.sqrt(max(phixi @ g @ phixi, 0.0)))
-        out["eta-phi"] = float(np.max(np.abs(g_inner(gk, phiX, xi[:, None]))
-                                      / np.maximum(nX, 1e-300)))
+        xic = xi[:, :, None]
+        etaX, etaY = inner(X, xic), inner(Y, xic)
+        target = s.epsilon * (X - xic * etaX[:, None, :])
+        law = inner(phiX, phiY) - (inner(X, Y) - etaX * etaY)
+        out["metric-law"] = np.max(np.abs(law) / scale, axis=-1)
+        out["xi-unit"] = np.abs(g_inner(g, xic, xic, stacked=True)[:, 0] - 1.0)
+        phixi = phi @ xic
+        out["phi-xi"] = np.sqrt(np.maximum(g_inner(g, phixi, phixi, stacked=True)[:, 0], 0.0))
+        out["eta-phi"] = np.max(np.abs(inner(phiX, xic)) / np.maximum(nX, 1e-300), axis=-1)
     else:
         target = s.epsilon * X
-        law = g_inner(gk, phiX, phiY) - g_inner(gk, X, Y)
-        out["metric-law"] = float(np.max(np.abs(law) / scale))
-    diff = phi2X - target
-    out["squared-endomorphism"] = float(
-        np.max(np.sqrt(g_inner(gk, diff, diff)) / np.maximum(nX, 1e-300)))
+        law = inner(phiX, phiY) - inner(X, Y)
+        out["metric-law"] = np.max(np.abs(law) / scale, axis=-1)
+    diff = phi @ phiX - target
+    out["squared-endomorphism"] = np.max(
+        np.sqrt(inner(diff, diff)) / np.maximum(nX, 1e-300), axis=-1)
     return out
-
-
-def _exceeds(value: float, current: float) -> bool:
-    """value > current, where nan exceeds every number (the first nan wins)."""
-    return value > current or (math.isnan(value) and not math.isnan(current))
 
 
 def validate_structure(s: StructureField, points, trials: int = 25,
                        tol: float = DEFAULT_TOLERANCES.structure,
                        seed: int = DEFAULT_SEED) -> StructureVerdict:
     """Check every structure axiom on seeded random vector pairs at each
-    point; an evaluation failure at a point becomes a failed verdict with the
-    point as witness rather than an exception: axiom `metric-symmetric` or
+    point. The fields are evaluated point by point (point idx draws its pairs
+    from `rng_for(seed, 101, idx)`), then the residuals of the points that
+    evaluated in one stacked pass. A point whose evaluation fails makes the
+    verdict fail rather than raise, with axiom `metric-symmetric` or
     `metric-positive` for a metric that is not symmetric or not positive
-    definite there, `evaluation` otherwise."""
+    definite there, `evaluation` otherwise; the first such point is the
+    witness. Else the witness is the first nan of the (points, axioms) table
+    in point-major order, or its first maximum, and none if that is 0."""
     points = list(points)
     if not points:
         raise SpecError("validate_structure needs at least one point")
     if trials < 1:
         raise SpecError("trials must be >= 1")
 
-    worst: dict[str, float] = {}
-    witness = {"axiom": None, "point": None, "residual": 0.0}
-    failures = []
+    xs, fields, failures = [], [], []
     for idx, point in enumerate(points):
         x = np.asarray(point, dtype=float)
-        pairs = rng_for(seed, 101, idx).standard_normal((s.n, trials, 2))
         try:
-            residuals = _axiom_residuals(s, x, pairs)
+            fields.append((s.metric_at(x), s.phi_at(x), s.xi_at(x) if s.is_contact else None,
+                           rng_for(seed, 101, idx).standard_normal((s.n, trials, 2))))
+            xs.append(x)
         except EvalError as exc:
             axiom = exc.axiom if isinstance(exc, MetricError) else "evaluation"
             failures.append({"axiom": axiom, "point": x.tolist(), "error": str(exc)})
-            continue
-        for name, value in residuals.items():
-            if name not in worst or _exceeds(value, worst[name]):
-                worst[name] = value
-            if _exceeds(value, witness["residual"]):
-                witness = {"axiom": name, "point": x.tolist(), "residual": value}
+
+    worst, witness = {}, {"axiom": None, "point": None, "residual": 0.0}
+    if fields:
+        stacks = (None if col[0] is None else np.stack(col) for col in zip(*fields))
+        residuals = _axiom_residuals(s, *stacks)        # metric, phi, xi, pairs
+        table = np.stack(list(residuals.values()), axis=1)      # (points, axioms)
+        worst = dict(zip(residuals, table.max(axis=0).tolist()))
+        p, a = np.unravel_index(np.argmax(table), table.shape)
+        if table[p, a] != 0.0:      # nan or a positive maximum
+            witness = {"axiom": list(residuals)[a], "point": xs[p].tolist(),
+                       "residual": float(table[p, a])}
     passed = not failures and bool(worst) and all(v <= tol for v in worst.values())
     if failures:
         witness = dict(failures[0], residual=float("inf"))

@@ -200,7 +200,7 @@ def frame_derivatives(frame: PointFrame, dirs: np.ndarray, coords: list[int],
         dA = along(comp.raw_jacobian(x, coords, h))
         if dA is None:
             continue
-        basis, raw = frame.bases[i], comp.raw_at(x)
+        basis, raw = frame.bases[i], frame.raws[i]
         try:
             mgs_columns(frame.g, raw + np.multiply.outer(models, dA))
         except RankError as exc:

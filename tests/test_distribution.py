@@ -285,6 +285,17 @@ def test_frame_at_keeps_no_one_point_stack():
     assert len(dec._frames) == 0
 
 
+def test_frames_keep_the_fields_their_bases_came_from():
+    # the connection probe reads a frame's raw fields instead of evaluating them again
+    fx = build_fixture("ex9", k=2, epsilon=-1, gamma=1.5)
+    dec, points = _turned(fx), fx.default_points()[:4]
+    stack = dec.frame_stack(points)
+    for frame, pt in zip(stack.frames, points):
+        for comp, raw, basis in zip(dec.components, frame.raws, frame.bases):
+            assert np.array_equal(raw, comp.raw_at(pt))
+            assert np.allclose(mgs_columns(frame.g, raw), basis, rtol=0, atol=1e-12)
+
+
 def _differential_cases():
     """(name, decomposition, points) with bases that are not coordinate-aligned,
     a moving frame, a contact-like kind, a nonzero H and a conformal metric."""

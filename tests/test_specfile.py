@@ -1,5 +1,5 @@
-"""Spec loading: the per-load parse of each distinct entry text, and the
-canonical digest."""
+"""Spec loading: the per-load parse of each distinct entry text, the
+canonical digest, and the canonical writer shared with the run reports."""
 
 import json
 
@@ -9,6 +9,7 @@ import pytest
 from slantkit import expr as fe
 from slantkit.errors import ParseError
 from slantkit.gallery import build_fixture, fixture_to_spec_dict
+from slantkit.report import make_run_report, report_json
 from slantkit.specfile import _sanitize, canonical_dumps, load_manifold_spec, spec_digest
 
 
@@ -97,3 +98,15 @@ def test_json_specs_are_digested_without_the_rewrite(monkeypatch):
     want = _sanitized(doc)
     monkeypatch.setattr("slantkit.specfile._sanitize", None)
     assert canonical_dumps(doc) == want
+
+
+@pytest.mark.parametrize("structure", [
+    {"passed": False, "residuals": {"compatibility": float("nan"), "xi-unit": float("inf")},
+     "witness": {"axiom": "evaluation", "point": (0.0, -0.0), "residual": float("inf")}},
+    {"passed": np.bool_(True), "residuals": {"metric-law": np.float64(1.5e-17)},
+     "seed": np.int64(7), "tolerance": -float("inf"), "points": [(1, 2.5), np.arange(2.0)]},
+    {"passed": True, "residuals": {"compatibility": 0.1}, "witness": {"point": [0.5]}},
+])
+def test_report_json_matches_the_sanitizing_path(structure):
+    report = make_run_report("0" * 64, 3, structure=structure, dual={"h_dim": np.int64(2)})
+    assert report_json(report) == json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n"

@@ -114,9 +114,8 @@ class TestValidate:
     def test_nan_residual_is_the_witness(self, monkeypatch, ex3):
         """A nan residual compares false against every number; it must still
         become the axiom's worst residual and the witness, and fail."""
-        residuals = iter([{"compatibility": 0.0}, {"compatibility": float("nan")},
-                          {"compatibility": 1e-12}])
-        monkeypatch.setattr(structure, "_axiom_residuals", lambda *_: next(residuals))
+        monkeypatch.setattr(structure, "_axiom_residuals", lambda *_: {
+            "compatibility": np.array([0.0, float("nan"), 1e-12])})
         points = [np.full(10, float(i)) for i in range(3)]
         verdict = validate_structure(ex3.structure, points, trials=3)
         assert not verdict.passed
@@ -125,6 +124,61 @@ class TestValidate:
         assert verdict.witness["point"] == points[1].tolist()
         assert math.isnan(verdict.witness["residual"])
 
+
+    def test_later_nan_beats_an_earlier_larger_residual(self, monkeypatch, ex3):
+        monkeypatch.setattr(structure, "_axiom_residuals", lambda *_: {
+            "compatibility": np.array([5.0, 1e-3]),
+            "metric-law": np.array([1e-12, float("nan")])})
+        points = [np.full(10, float(i)) for i in range(2)]
+        verdict = validate_structure(ex3.structure, points, trials=3)
+        assert not verdict.passed
+        assert verdict.residuals["compatibility"] == 5.0
+        assert math.isnan(verdict.residuals["metric-law"])
+        assert verdict.witness["axiom"] == "metric-law"
+        assert verdict.witness["point"] == points[1].tolist()
+
+    def test_ties_go_to_the_first_point_then_the_first_axiom(self, monkeypatch, ex3):
+        monkeypatch.setattr(structure, "_axiom_residuals", lambda *_: {
+            "compatibility": np.array([1.0, 2.0, 2.0]),
+            "metric-law": np.array([2.0, 2.0, 0.5])})
+        points = [np.full(10, float(i)) for i in range(3)]
+        verdict = validate_structure(ex3.structure, points, trials=3)
+        assert verdict.residuals == {"compatibility": 2.0, "metric-law": 2.0}
+        assert verdict.witness == {"axiom": "metric-law", "point": points[0].tolist(),
+                                   "residual": 2.0}
+
+    def test_zero_table_has_no_witness(self, monkeypatch, ex3):
+        monkeypatch.setattr(structure, "_axiom_residuals", lambda *_: {
+            "compatibility": np.zeros(2), "metric-law": np.zeros(2)})
+        verdict = validate_structure(ex3.structure, [np.zeros(10)] * 2, trials=3)
+        assert verdict.passed
+        assert verdict.witness == {"axiom": None, "point": None, "residual": 0.0}
+
+    def test_failing_points_between_good_ones_keep_their_places(self, monkeypatch):
+        """Points 1 and 3 fail evaluation (x1 = 0, then x2 = 0); the first of
+        them is the witness, and the good points keep the pair streams of
+        their indices."""
+        cols = [["1/x1", "0"], ["0", "1/x2"]]
+        s = StructureField(2, 1, KIND_HERMITIAN, parse_columns(cols, 2))
+        points = [np.array([1.0, 2.0]), np.array([0.0, 1.0]), np.array([-3.0, 0.5]),
+                  np.array([1.0, 0.0])]
+        seen = {}
+
+        def spy(s, g, phi, xi, pairs):
+            seen.update(phi=phi, xi=xi, pairs=pairs)
+            return {"compatibility": np.zeros(len(pairs))}
+
+        monkeypatch.setattr(structure, "_axiom_residuals", spy)
+        verdict = validate_structure(s, points, trials=4, seed=11)
+        assert not verdict.passed
+        assert verdict.witness["axiom"] == "evaluation"
+        assert verdict.witness["point"] == [0.0, 1.0]
+        assert "'1/x1'" in verdict.witness["error"]
+        assert verdict.residuals == {"compatibility": 0.0, "evaluation": float("inf")}
+        assert seen["xi"] is None
+        assert np.array_equal(seen["phi"], np.stack([s.phi_at(points[0]), s.phi_at(points[2])]))
+        want = [rng_for(11, 101, idx).standard_normal((2, 4, 2)) for idx in (0, 2)]
+        assert np.array_equal(seen["pairs"], np.stack(want))
 
 def indefinite_ex3():
     """ex3 k=2 with the explicit metric diag(-1, 1, ..., 1)."""
