@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .distribution import Decomposition, FrameStack, check_f_invariance, per_point
+from .distribution import Decomposition, FrameStack, check_f_invariance
 from .errors import ComponentError, InvariantError, ModelError, SpecError
 from .linalg import complement_columns
 from .sampling import DEFAULT_SEED
@@ -96,7 +96,6 @@ class SlantSpectrum:
                 "clusters": [c.to_json_dict() for c in self.clusters]}
 
 
-@per_point
 def slant_spectra(stack: FrameStack, tolerances: Tolerances = DEFAULT_TOLERANCES
                   ) -> list[SlantSpectrum]:
     """The clustered spectrum of f^2|D at each point of the stack, from one
@@ -119,8 +118,8 @@ def component_slant(dec: Decomposition, point, index: int,
     if not 0 <= index < len(dec.components):
         raise SpecError(f"component index {index} outside 0..{len(dec.components) - 1}")
     frame = dec.frame_at(point)
-    lam = single_cluster_lambda(frame, dec.components[index].name, frame.f2_component(index),
-                                tolerances)
+    lam = single_cluster_lambda(dec.components[index].name, frame.f2_component(index), "at",
+                                frame.x, frame.epsilon, tolerances)
     return SlantCluster(lam, *_lambda_to_alpha_theta(lam, frame.epsilon, tolerances.lambda_band),
                         frame.bases[index].shape[-1])
 
@@ -131,52 +130,51 @@ def slant_thetas(stack: FrameStack, lam: np.ndarray, tolerances: Tolerances) -> 
             for v in lam.tolist()]
 
 
-@per_point
 def slant_lambdas(stack: FrameStack, indices, tolerances: Tolerances = DEFAULT_TOLERANCES
                   ) -> list[np.ndarray]:
     """lambda (P,) of each component of `indices` over the stack, read by
     `single_cluster_lambda` from its blocks of the f^2 Gram."""
     off = stack.offsets
-    return [single_cluster_lambda(stack, stack.dec.components[i].name,
-                                  stack.f2[:, off[i]:off[i + 1], off[i]:off[i + 1]], tolerances)
+    return [single_cluster_lambda(stack.dec.components[i].name,
+                                  stack.f2[:, off[i]:off[i + 1], off[i]:off[i + 1]], "at",
+                                  stack.x, stack.epsilon, tolerances)
             for i in indices]
 
 
-def single_cluster_lambda(frame, name: str, mat: np.ndarray,
+def single_cluster_lambda(name: str, mat: np.ndarray, place: str, x: np.ndarray, epsilon: int,
                           tolerances: Tolerances = DEFAULT_TOLERANCES):
-    """lambda of the component `name` at `frame` from its f^2 matrix `mat`
-    (r x r, symmetric, in an orthonormal basis of the component): the trace
-    mean tr(mat) / r, the mean of its single eigenvalue cluster. This is the
-    one reader of slant values.
+    """lambda of the component `name` from its f^2 matrix `mat` (r x r,
+    symmetric, in an orthonormal basis of the component): the trace mean
+    tr(mat) / r, the mean of its single eigenvalue cluster. This is the one
+    reader of slant values.
 
     The cluster count is checked. The eigenvalue spread of `mat` is at most
     sqrt(2) * ||mat - lambda I||_F, so a certificate at or below cluster/2
     proves one cluster; otherwise eigvalsh and `cluster_eigenvalues` count
-    the clusters, and more than one raises ComponentError naming `name`.
-    ModelError when a cluster lies outside the lambda band.
+    the clusters, and more than one raises ComponentError naming `name`,
+    `place` ("at", or "to first order near" for the connection probe's
+    first-order models) and the point `x`. ModelError when a cluster lies
+    outside the lambda band.
 
-    `mat` may also be a stack (q, r, r): one matrix per point of a
-    `FrameStack` `frame` (errors name the member's point), or the connection
-    probe's first-order models near a `PointFrame` ("to first order near"
-    its point). The certificate and the band are checked on every member at
-    once, eigvalsh runs only on members the certificate does not clear, and
-    the result is the array of trace means (a float for one matrix)."""
-    one = mat.ndim == 2
-    stack = mat[None] if one else mat
+    `mat` may also be a stack (..., r, r), `x` one point (n,) or one per
+    member (..., n): the certificate and the band are checked on every
+    member at once, eigvalsh runs only on members the certificate does not
+    clear, errors name the first failing member's point, and the result is
+    the array (...) of trace means (a float for one matrix)."""
     r = mat.shape[-1]
+    stack = mat.reshape(-1, r, r)
     band = tolerances.lambda_band
     lam = np.trace(stack, axis1=1, axis2=2) / r
     dev = stack - lam[:, None, None] * np.eye(r)
     cert = math.sqrt(2.0) * np.sqrt(np.sum(dev * dev, axis=(1, 2)))
-    where = "at" if one or frame.x.ndim == 2 else "to first order near"
-    points = np.broadcast_to(frame.x, (len(stack), frame.x.shape[-1]))
     for i in np.flatnonzero(cert > 0.5 * tolerances.cluster):
-        _count_clusters(frame.epsilon, name, stack[i], tolerances, f"{where} {points[i].tolist()}")
-    s = frame.epsilon * lam
+        point = np.broadcast_to(x, mat.shape[:-2] + x.shape[-1:]).reshape(len(stack), -1)[i]
+        _count_clusters(epsilon, name, stack[i], tolerances, f"{place} {point.tolist()}")
+    s = epsilon * lam
     outside = ~((s >= -band) & (s <= 1.0 + band))     # a NaN is outside too
     if outside.any():
-        _lambda_to_alpha_theta(float(lam[outside][0]), frame.epsilon, band)   # raises ModelError
-    return float(lam[0]) if one else lam
+        _lambda_to_alpha_theta(float(lam[outside][0]), epsilon, band)   # raises ModelError
+    return float(lam[0]) if mat.ndim == 2 else lam.reshape(mat.shape[:-2])
 
 
 def _count_clusters(epsilon: int, name: str, mat: np.ndarray, tolerances: Tolerances,

@@ -5,7 +5,8 @@ A `DistributionFrame` is a rank-r distribution given by r vector fields. A
 D0, and the proper components D1..Dk. Its data at a command's sample points
 is one `FrameStack`, built once, every array with the points as a leading
 axis P: the fills (phi, the metric, xi, the component fields) point by
-point, all else stacked. `PointFrame` is one point's view of it.
+point, all else stacked, each check naming its own first failing point.
+`PointFrame` is one point's view of it.
 
 For a tangent Z, fZ is the component of phi(Z) inside D and wZ the remainder
 in the orthogonal complement. In the contact-like case D is required to be
@@ -24,20 +25,13 @@ w(D_i) is spanned by the block T[G, D_i], and H is their complement in G.
 
 from __future__ import annotations
 
-from functools import cached_property, wraps
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .errors import (
-    DimensionError,
-    InvariantError,
-    ModelError,
-    RankError,
-    SlantKitError,
-    SpecError,
-)
+from .errors import DimensionError, InvariantError, ModelError, RankError, SpecError
 from .linalg import complement_columns, g_inner, mgs_columns, mgs_each
 from .sampling import DEFAULT_SEED, rng_for
 from .structure import StructureField
@@ -77,22 +71,43 @@ def check_f2_symmetric(mat: np.ndarray, place: str, x: np.ndarray):
 def check_orthogonality(names: list[str], owner: np.ndarray, gram: np.ndarray,
                         xi_part: np.ndarray | None, place: str, x: np.ndarray):
     """InvariantError when an off-diagonal block of `gram`, the Gram
-    basis_d^T g basis_d (..., r, r) of one frame or a stack, exceeds
+    basis_d^T g basis_d of each member of a stack (..., r, r), exceeds
     PAIRWISE_ORTHO_TOL, or when `xi_part` = xi^T g basis_d (..., r) does;
     `owner` holds the component of each column of basis_d. Names the first
-    failing pair (i, j), i < j, or the first component not orthogonal to
-    xi, `place` ("at", say) the point `x`."""
-    cross = (np.abs(gram) > PAIRWISE_ORTHO_TOL) & (owner[:, None] < owner[None, :])
-    if cross.any():
-        *_, rows, cols = np.nonzero(cross)
-        i, j = min(zip(owner[rows], owner[cols]))
-        raise InvariantError(f"components {names[i]!r} and {names[j]!r} are not "
-                             f"orthogonal {place} {x.tolist()}")
-    if xi_part is not None:
-        off = np.nonzero(np.abs(xi_part) > PAIRWISE_ORTHO_TOL)[-1]
-        if off.size:
-            raise InvariantError(f"component {names[owner[off.min()]]!r} is not orthogonal "
-                                 f"to xi {place} {x.tolist()}")
+    failing member (C order: point-major), then its first failing pair
+    (i, j), i < j, or else its first component not orthogonal to xi,
+    `place` ("at", say) its point: `x` (n,) or one per member (..., n)."""
+    xi_part = np.zeros(gram.shape[:-1]) if xi_part is None else xi_part
+    lead = np.broadcast_shapes(gram.shape[:-2], xi_part.shape[:-1])
+    pairs = np.broadcast_to((np.abs(gram) > PAIRWISE_ORTHO_TOL)
+                            & (owner[:, None] < owner[None, :]), lead + gram.shape[-2:])
+    off_xi = np.broadcast_to(np.abs(xi_part) > PAIRWISE_ORTHO_TOL, lead + xi_part.shape[-1:])
+    for idx in map(tuple, np.argwhere(pairs.any(axis=(-2, -1)) | off_xi.any(axis=-1))[:1]):
+        point = np.broadcast_to(x, lead + x.shape[-1:])[idx].tolist()
+        rows, cols = np.nonzero(pairs[idx])
+        if rows.size:
+            i, j = min(zip(owner[rows], owner[cols]))
+            raise InvariantError(f"components {names[i]!r} and {names[j]!r} are not "
+                                 f"orthogonal {place} {point}")
+        raise InvariantError(f"component {names[owner[np.argmax(off_xi[idx])]]!r} is not "
+                             f"orthogonal to xi {place} {point}")
+
+
+def orthonormal_bases(names: list[str], g: np.ndarray, raws: list[np.ndarray], place: str,
+                      x: np.ndarray) -> list[np.ndarray]:
+    """`mgs_each(g, raws)` of the components' fields `raws`, (P, ..., n, r_i)
+    each with the points as the leading axis. RankError names the first
+    failing point, then component: `place` ("at", say) its point x[p]."""
+    try:
+        return mgs_each(g, raws)
+    except RankError:
+        for gp, xp, *raw in zip(g, x, *raws):
+            for name, a in zip(names, raw):
+                try:
+                    mgs_columns(gp, a)
+                except RankError as exc:
+                    raise RankError(f"component {name!r} {place} {xp.tolist()}: {exc}") from None
+        raise
 
 
 class DistributionFrame:
@@ -205,20 +220,6 @@ class Decomposition:
         return [eye[:, i] for i in idx]
 
 
-def per_point(stage):
-    """Decorate `stage(stack, ...)`: on a SlantKitError over several points,
-    rerun it on each point's own stack in turn, so the first to fail raises."""
-    @wraps(stage)
-    def run(stack, *args, **kwargs):
-        try:
-            return stage(stack, *args, **kwargs)
-        except SlantKitError:
-            for x in stack.x if len(stack.x) > 1 else ():
-                stage(FrameStack(stack.dec, [x]), *args, **kwargs)
-            raise
-    return run
-
-
 def _view(name: str) -> cached_property:
     """One point's slice of the stack's array `name` (None stays None)."""
     return cached_property(lambda self: None if (a := getattr(self.stack, name)) is None
@@ -232,13 +233,12 @@ class PointFrame:
 
     def __init__(self, stack: "FrameStack", p: int):
         self.stack, self.p, self.dec = stack, p, stack.dec
-        self.epsilon, self.offsets, self.owner = stack.epsilon, stack.offsets, stack.owner
+        self.epsilon, self.offsets = stack.epsilon, stack.offsets
         self.proper_indices, self.invariant_index = stack.proper_indices, stack.invariant_index
 
     x, g, phi, xi, xi_unit, basis_d, basis_g = map(_view, (
         "x", "g", "phi", "xi", "xi_unit", "basis_d", "basis_g"))
     bases = cached_property(lambda self: [b[self.p] for b in self.stack.bases])
-    raws = cached_property(lambda self: [a[self.p] for a in self.stack.raws])
 
     # -- the metric on ambient vectors (n,) or batches (n, ...) -----------------
 
@@ -279,7 +279,12 @@ class FrameStack:
     components' fields stay as `raws`. Built on first use: `phi_dd` and `f2`
     from basis_d alone, the adapted frame `adapted` with `basis_g` and
     `phi_adapted`, and the dual slice (`duals`, `h_basis`) in the
-    coordinates `g_rows` of G. A point's slice equals its own stack's."""
+    coordinates `g_rows` of G. A point's slice equals its own stack's.
+
+    Each stage (the build, `f2`, `_dual`) runs its checks in a fixed order,
+    each once over all points: the first check that fails raises, naming
+    that check's first failing point, so a fault at one point only gives
+    the message of that point's own stack."""
 
     def __init__(self, dec: Decomposition, xs):
         self.dec, self.epsilon = dec, dec.structure.epsilon
@@ -287,11 +292,7 @@ class FrameStack:
         ncomp = len(dec.components)
         self.invariant_index = 0 if dec.invariant is not None else None
         self.proper_indices = list(range(ncomp - len(dec.proper), ncomp))
-        self._build()
-
-    @per_point
-    def _build(self):
-        dec, s = self.dec, self.dec.structure
+        s = dec.structure
         gs, phis, xis, raws = [], [], [], []
         for x in self.x:
             gs.append(s.metric_at(x))
@@ -306,16 +307,7 @@ class FrameStack:
         self.g, self.phi = np.stack(gs), np.stack(phis)
         self.xi, self.xi_unit = map(np.stack, zip(*xis)) if xis else (None, None)
         self.raws = [np.stack(raw) for raw in zip(*raws)]
-        try:
-            self.bases = mgs_each(self.g, self.raws)
-        except RankError:       # name the first component that fails (`per_point`: the point)
-            for comp, raw in zip(dec.components, self.raws):
-                try:
-                    mgs_columns(self.g, raw)
-                except RankError as exc:
-                    raise RankError(f"component {comp.name!r} at {self.x[0].tolist()}: "
-                                    f"{exc}") from None
-            raise
+        self.bases = orthonormal_bases(dec.component_names(), self.g, self.raws, "at", self.x)
         ranks = [b.shape[-1] for b in self.bases]
         self.offsets = (0, *accumulate(ranks))
         self.owner = np.repeat(np.arange(len(ranks)), ranks)
@@ -325,7 +317,7 @@ class FrameStack:
         check_orthogonality(dec.component_names(), self.owner,
                             np.swapaxes(self.basis_d, -1, -2) @ g_basis,
                             None if self.xi is None else (self.xi[:, None] @ g_basis)[:, 0],
-                            "at", self.x[0])
+                            "at", self.x)
         self.frames = [PointFrame(self, p) for p in range(len(self.x))]
 
     @cached_property
@@ -334,7 +326,6 @@ class FrameStack:
         return np.swapaxes(self.basis_d, -1, -2) @ self.g @ self.phi @ self.basis_d
 
     @cached_property
-    @per_point
     def f2(self) -> np.ndarray:
         f2 = f2_gram(self.phi_dd @ self.phi_dd, self.x)
         f2.setflags(write=False)
@@ -356,7 +347,6 @@ class FrameStack:
         return np.swapaxes(self.adapted, -1, -2) @ self.g @ self.phi @ self.adapted
 
     @cached_property
-    @per_point
     def _dual(self):
         """In G coordinates: (orthonormal bases of w(D_i), spanned by the
         blocks T[G, D_i], one of H, their complement in G, and the largest

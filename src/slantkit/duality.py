@@ -19,7 +19,7 @@ import numpy as np
 
 from .classifier import single_cluster_lambda, slant_lambdas, slant_thetas
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .distribution import Decomposition, DualDecomposition, FrameStack, f2_gram, per_point
+from .distribution import Decomposition, DualDecomposition, FrameStack, f2_gram
 from .linalg import mgs_each, principal_angle_values
 
 
@@ -35,7 +35,7 @@ def _dual_lambda(stack: FrameStack, slot: int, tolerances: Tolerances) -> np.nda
     t_gg, wb = stack.phi_adapted[:, stack.g_rows, stack.g_rows], stack.duals[slot]
     mat = f2_gram(np.swapaxes(wb, -1, -2) @ (t_gg @ (t_gg @ wb)), stack.x)
     name = stack.dec.components[stack.proper_indices[slot]].name
-    return single_cluster_lambda(stack, f"w({name})", mat, tolerances)
+    return single_cluster_lambda(f"w({name})", mat, "at", stack.x, stack.epsilon, tolerances)
 
 
 class DualRoundtripReport:
@@ -55,7 +55,6 @@ def dual_roundtrip_check(dec: Decomposition, point,
     return dual_roundtrips(FrameStack(dec, [x]), tolerances)[0]
 
 
-@per_point
 def dual_roundtrips(stack: FrameStack, tolerances: Tolerances = DEFAULT_TOLERANCES
                     ) -> list[DualRoundtripReport]:
     """`dual_roundtrip_check` at every point of the stack, each kernel one

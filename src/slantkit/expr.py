@@ -191,7 +191,8 @@ class _Parser:
         elif _COORD.fullmatch(tok):
             digits = tok[1:].lstrip("0")    # int() refuses a string of over 4300 digits
             if len(digits) > len(str(self.n)) or not 1 <= (idx := int(digits or "0")) <= self.n:
-                raise self.error(f"coordinate {tok} out of range 1..{self.n}", at)
+                shown = tok if len(tok) <= 32 else f"{tok[:32]}... ({len(tok)} characters)"
+                raise self.error(f"coordinate {shown} out of range 1..{self.n}", at)
             base, height = Coord(idx), 1
         elif tok[0].isalpha() or tok[0] == "_":
             raise self.error(f"unknown identifier {tok!r}", at)

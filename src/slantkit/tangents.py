@@ -3,9 +3,10 @@
 `fill_jacobian` differentiates an `expr.LiteralFill` in forward mode: a
 second generated function carries, next to each value statement of the
 fill's emitter, its tangent along a seed direction (`_TangentWriter`).
-`frame_derivatives` differentiates a frame's projectors and f^2 Gram in
-closed form from the tangents of phi, xi and the component fields, at the
-frame's own point.
+`frame_derivatives` differentiates the projectors and f^2 Grams of a
+`FrameStack` in closed form from the tangents of phi, xi and the component
+fields, along directions of each point, over a chunk of the stack's points
+at once.
 
 Only `identities --connection` needs them, so `LiteralFill.jacobian` and the
 connection probe import this module on first use, and no other command
@@ -20,9 +21,8 @@ from collections.abc import Callable
 import numpy as np
 
 from . import expr as fe
-from .distribution import PointFrame, check_f2_symmetric, check_orthogonality
+from .distribution import FrameStack, check_f2_symmetric, check_orthogonality, orthonormal_bases
 from .errors import RankError, SpecError, UnsupportedError
-from .linalg import mgs_columns
 
 _GLOBALS = dict(fe._GLOBALS, sqrt=math.sqrt, log=math.log, _FAULTS=fe._FAULTS)
 
@@ -155,13 +155,15 @@ def _central_difference(fill: fe.LiteralFill, x: np.ndarray, j: int, h: float) -
     return (fill.at(plus) - fill.at(minus)) / (2.0 * h)
 
 
-def frame_derivatives(frame: PointFrame, dirs: np.ndarray, coords: list[int],
+def frame_derivatives(stack: FrameStack, part: slice, dirs: np.ndarray, coords: list[int],
                       h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact derivatives of `frame`'s data along the rows X of `dirs` (q, n),
-    which lie in the masked coordinates `coords`: the derivative of the
-    unsymmetrized f^2 Gram in the frame's basis (q, r, r), and the column
-    norms (q, r) of (nabla_X f^2) basis_d. h is the step of the first-order
-    checks and of the fills' fallback.
+    """Exact derivatives of the frame data at the points `part` of `stack`
+    along each point's rows X of `dirs` (P, q, n), which lie in the masked
+    coordinates `coords`: the derivative of the unsymmetrized f^2 Gram in
+    the frame's basis (P, q, r, r), and the column norms (P, q, r) of
+    (nabla_X f^2) basis_d. h is the step of the first-order checks and of
+    the fills' fallback. The fills' Jacobians run point by point, all else
+    over the stack.
 
     Euclidean metric, Q = basis_d, Phi = Q^T phi Q, S = Q^T dphi Q. Per
     component dQ_i = (I - P_i) dA_i R_i^-1 with R_i = Q_i^T A_i, so that
@@ -171,69 +173,76 @@ def frame_derivatives(frame: PointFrame, dirs: np.ndarray, coords: list[int],
         d(Q^T F Q) = Q^T dF Q + C^T Phi^2 + Phi^2 C.
 
     The construction checks of frames at x +- hX run on the first-order
-    models value +- h * derivative, with their tolerances and errors: xi
-    does not vanish, the components' fields keep their rank, the components
-    stay orthogonal to each other and to xi, and the f^2 Gram stays
-    symmetric."""
-    dec, x = frame.dec, frame.x
+    models value +- h * derivative, with their tolerances and errors, in
+    this order, each over all points: xi does not vanish, the components'
+    fields keep their rank, the components stay orthogonal to each other
+    and to xi, and the f^2 Gram stays symmetric. The first check that fails
+    raises, naming its first failing point."""
+    dec, x = stack.dec, stack.x[part]
     s = dec.structure
     if not s.metric_is_euclidean:
         raise UnsupportedError("frame derivatives support the euclidean metric only")
-    q, n = dirs.shape
-    steps = dirs[:, coords]
+    npts, q, n = dirs.shape
+    steps = dirs[..., coords]
+    near, x_models = "to first order near", x[:, None, None]   # the point of each model
 
-    def along(jac):
-        """A Jacobian (m, ...) contracted with each direction: (q, ...)."""
-        if jac is None:
-            return None
-        return (steps @ jac.reshape(len(coords), -1)).reshape((q,) + jac.shape[1:])
+    def along(fill_jacobian, contract=lambda p, jac: jac):
+        """A fill's Jacobian (m, ...) at each point, `contract(p, jac)` as it
+        is made, along the point's directions: (P, q, ...); None if constant."""
+        jacs = []
+        for p, xp in enumerate(x):
+            if (jac := fill_jacobian(xp, coords, h)) is None:
+                return None
+            jacs.append(contract(p, jac))
+        jac = np.stack(jacs)
+        return (steps @ jac.reshape(npts, len(coords), -1)).reshape((npts, q) + jac.shape[2:])
 
-    Q, phi, off = frame.basis_d, frame.phi, frame.offsets
-    near = "to first order near"
-    models = (h, -h)
-    dxi = along(s.xi.jacobian(x, coords, h)) if s.is_contact else None
-    if dxi is not None and np.any(np.linalg.norm(
-            frame.xi + np.multiply.outer(models, dxi), axis=-1) < 1e-12):
-        raise RankError(f"xi vanishes {near} {x.tolist()}")
+    def models(value, deriv):
+        """value +- h * deriv, the first-order models at x +- hX: (P, 2, q, ...)
+        from value (P, ...) and deriv (P, q, ...)."""
+        return np.stack([value[:, None] + step * deriv for step in (h, -h)], axis=1)
+
+    Q, phi, g, off = stack.basis_d[part], stack.phi[part], stack.g[part], stack.offsets
+    Qt = np.swapaxes(Q, -1, -2)
+    xi = None if stack.xi is None else stack.xi[part]
+    dxi = along(s.xi.jacobian) if s.is_contact else None
+    if dxi is not None:
+        vanish = (np.linalg.norm(models(xi, dxi), axis=-1) < 1e-12).any(axis=(1, 2))
+        for p in np.flatnonzero(vanish)[:1]:
+            raise RankError(f"xi vanishes {near} {x[p].tolist()}")
     dQ = None
     for i, comp in enumerate(dec.components):
-        dA = along(comp.raw_jacobian(x, coords, h))
+        dA = along(comp.raw_jacobian)
         if dA is None:
             continue
-        basis, raw = frame.bases[i], frame.raws[i]
-        try:
-            mgs_columns(frame.g, raw + np.multiply.outer(models, dA))
-        except RankError as exc:
-            raise RankError(f"component {comp.name!r} {near} {x.tolist()}: {exc}") from None
+        basis, raw = stack.bases[i][part], stack.raws[i][part]
+        orthonormal_bases([comp.name], g[:, None, None], [models(raw, dA)], near, x)
         if dQ is None:
-            dQ = np.zeros((q, n, Q.shape[1]))
-        dQ[:, :, off[i]:off[i + 1]] = ((dA - basis @ (basis.T @ dA))
-                                       @ np.linalg.inv(basis.T @ raw))
-    C = None if dQ is None else Q.T @ dQ
+            dQ = np.zeros((npts, q, n, Q.shape[-1]))
+        bt = np.swapaxes(basis, -1, -2)
+        dQ[..., off[i]:off[i + 1]] = ((dA - basis[:, None] @ (bt[:, None] @ dA))
+                                      @ np.linalg.inv(bt @ raw)[:, None])
+    C = None if dQ is None else Qt[:, None] @ dQ
     if C is not None or dxi is not None:
-        dgram = 0.0 if C is None else C + C.transpose(0, 2, 1)
-        xi_part = dxi_part = None
-        if frame.xi is not None:
-            xi_part = frame.xi @ Q
-            dxi_part = (0.0 if dxi is None else dxi @ Q) + (0.0 if dQ is None else frame.xi @ dQ)
-        for step in models:
-            check_orthogonality(dec.component_names(), frame.owner, Q.T @ Q + step * dgram,
-                                None if xi_part is None else xi_part + step * dxi_part, near, x)
-    Phi = Q.T @ phi @ Q
+        dgram = 0.0 if C is None else C + np.swapaxes(C, -1, -2)
+        xi_models = None if xi is None else models(
+            (xi[:, None] @ Q)[:, 0], (0.0 if dxi is None else dxi @ Q)
+            + (0.0 if dQ is None else (xi[:, None, None] @ dQ)[:, :, 0]))
+        check_orthogonality(dec.component_names(), stack.owner, models(Qt @ Q, dgram),
+                            xi_models, near, x_models)
+    Phi = Qt @ phi @ Q
     Phi2 = Phi @ Phi
-    jac = s.phi_jacobian(x, coords, h)
-    K = np.zeros((q,) + Phi.shape)
-    if jac is not None:
-        S = along(Q.T @ jac @ Q)
-        K = S @ Phi + Phi @ S
+    S = along(s.phi_jacobian, lambda p, jac: Qt[p] @ jac @ Q[p])
+    Q, Qt, phi, Phi, Phi2 = (a[:, None] for a in (Q, Qt, phi, Phi, Phi2))   # over the q axis
+    K = np.zeros((npts, q) + Phi.shape[2:]) if S is None else S @ Phi + Phi @ S
     if dQ is None:
-        d_f2, norms = K, np.linalg.norm(K, axis=1)
+        d_f2, norms = K, np.linalg.norm(K, axis=-2)
     else:
-        E = dQ @ Phi + Q @ (dQ.transpose(0, 2, 1) @ (phi @ Q))
-        V = dQ + Q @ C.transpose(0, 2, 1)
-        K = K + Q.T @ (phi @ E) + Phi @ (Q.T @ (phi @ V))
-        d_f2 = K + Q.T @ (E @ Phi) + C.transpose(0, 2, 1) @ Phi2 + Phi2 @ C
-        norms = np.linalg.norm(Q @ K + E @ Phi, axis=1)
-    for step in models:
-        check_f2_symmetric(Phi2 + step * d_f2, near, x)
+        Ct = np.swapaxes(C, -1, -2)
+        E = dQ @ Phi + Q @ (np.swapaxes(dQ, -1, -2) @ (phi @ Q))
+        V = dQ + Q @ Ct
+        K = K + Qt @ (phi @ E) + Phi @ (Qt @ (phi @ V))
+        d_f2 = K + Qt @ (E @ Phi) + Ct @ Phi2 + Phi2 @ C
+        norms = np.linalg.norm(Q @ K + E @ Phi, axis=-2)
+    check_f2_symmetric(models(Phi2[:, 0], d_f2), near, x_models)
     return d_f2, norms

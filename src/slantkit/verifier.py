@@ -62,13 +62,14 @@ import numpy as np
 
 from .classifier import classify, single_cluster_lambda, slant_lambdas
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .distribution import Decomposition, FrameStack, PointFrame
+from .distribution import Decomposition, FrameStack
 from .errors import SpecError, UnsupportedError
 from .linalg import g_inner
 from .sampling import DEFAULT_SEED, rng_for
 
 PI2_TOL = 1e-8
 TINY = 1e-300
+PROBE_ELEMENTS = 1 << 18    # bounds P * q * n * r of one `frame_derivatives` point chunk
 
 
 class PointContext:
@@ -148,7 +149,12 @@ class PointContext:
 
     # g(u, v) of frame coordinates is their dot product at each point
     inner = staticmethod(partial(g_inner, None, stacked=True))
-    norm, cos_angle = PointFrame.norm, PointFrame.cos_angle
+
+    def norm(self, u):
+        return np.sqrt(np.maximum(self.inner(u, u), 0.0))
+
+    def cos_angle(self, u, v):
+        return self.inner(u, v) / np.maximum(self.norm(u) * self.norm(v), TINY)
 
     def pr(self, i, v):
         """pr_i v: the rows of D_i of the coordinates v."""
@@ -790,8 +796,8 @@ def _require_flat_masked(dec: Decomposition, need_mask: bool = True):
 
 
 def _check_in_mask(dec: Decomposition, direction: np.ndarray):
-    """SpecError when a direction (n,), or a row of (q, n), has a part
-    outside the submanifold mask."""
+    """SpecError when a direction (n,), or one of a stack (..., n), has a
+    part outside the submanifold mask."""
     if dec.mask is None:
         return
     outside = [i for i in range(dec.structure.n) if (i + 1) not in dec.mask]
@@ -845,40 +851,23 @@ def eigenvalue_directional_derivative(dec: Decomposition, point, comp_index: int
     return float(lam_p - lam_m) / (2.0 * h)
 
 
-def _probe_directions(frame, tm_dirs) -> list[list]:
-    """The directions X of the probe at one sample point, each once, as
-    [X, the components whose basis column X is, whether X is a masked
-    coordinate direction]. Basis columns come first, in component order."""
-    dirs: dict[tuple, list] = {}
-    for ci, basis in enumerate(frame.bases):
-        for col in basis.T:
-            dirs.setdefault(tuple(col.tolist()), [col, set(), False])[1].add(ci)
-    for d in tm_dirs:
-        dirs.setdefault(tuple(d.tolist()), [d, set(), False])[2] = True
-    return list(dirs.values())
-
-
-def _derivatives(frame: PointFrame, dirs: np.ndarray, checked: np.ndarray, coords: list[int],
-                 h: float, tolerances: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Per direction X (the rows of `dirs`) and component: the largest
-    column norm of (nabla_X f^2) B_i and |X(lambda_i)| = |tr(dM_i)| / r_i,
-    from `tangents.frame_derivatives`. The components `checked` (q, c) along
-    each direction must keep one eigenvalue cluster inside the lambda band
-    on the first-order models M_i +- h dM_i (`single_cluster_lambda`)."""
-    from .tangents import frame_derivatives
-    d_f2, norms = frame_derivatives(frame, dirs, coords, h)
-    off = frame.offsets
-    for i, name in enumerate(frame.dec.component_names()):
-        cols = slice(off[i], off[i + 1])
-        block = d_f2[checked[:, i], cols, cols]
-        block = 0.5 * (block + block.transpose(0, 2, 1))
-        if block.size:
-            M = frame.f2_component(i)
-            single_cluster_lambda(frame, name, np.concatenate([M + h * block, M - h * block]),
-                                  tolerances)
-    starts = off[:-1]
-    traces = np.add.reduceat(np.einsum("qii->qi", d_f2), starts, axis=1)
-    return np.maximum.reduceat(norms, starts, axis=1), np.abs(traces) / np.diff(off)
+def _stacked_directions(stack: FrameStack):
+    """The probe's directions X at every point (P, q, n), the component
+    whose basis column each row is (q, c), and whether it is a masked
+    coordinate direction (q, 1). A basis column that is the same masked
+    coordinate direction at every point shares that direction's row; every
+    other column has its own, so q is the same at every point. Basis columns
+    come first, in order, then the other coordinate directions."""
+    units = {tuple(d.tolist()): d for d in stack.dec.tm_directions()}
+    rows: dict = {}   # key -> [X (P, n), the component of the column, along a coordinate]
+    for col, ci in zip(np.moveaxis(stack.basis_d, -1, 0), stack.owner):
+        key = tuple(col[0].tolist())
+        rows[key if key in units and (col == col[0]).all() else len(rows)] = [col, ci, False]
+    for key, unit in units.items():
+        rows.setdefault(key, [np.broadcast_to(unit, stack.x.shape), -1, False])[2] = True
+    dirs, owner, along_tm = zip(*rows.values())
+    return (np.stack(dirs, axis=1), np.array(owner)[:, None] == np.arange(len(stack.bases)),
+            np.array(along_tm)[:, None])
 
 
 def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, points,
@@ -890,14 +879,15 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
     directions; cross-tabulated against the classifier's constancy verdicts.
 
     The derivatives are exact, from the tangents of the compiled fields at
-    each sample point (`_derivatives`); no frame is built at x +- hX. The
-    step h (`fd_step`) sets the first-order models x +- hX on which the
-    checks of such frames run (a component whose cluster splits there to
-    first order raises ComponentError). It is also the step of the central
-    difference that stands in for a field's derivative where its tangent
-    code faults. `nabla_f2` and `eigenvalue_directional_derivative` are the
-    finite-difference oracles. A basis column with a part outside the
-    submanifold mask is a SpecError, as in the oracles.
+    the sample points (`tangents.frame_derivatives` on point chunks of at
+    most PROBE_ELEMENTS = P * q * n * r elements); no frame is built at
+    x +- hX. The step h (`fd_step`) sets the first-order models on which
+    the checks of such frames run (a component whose cluster splits there
+    to first order raises ComponentError). It is also the step of the
+    central difference that stands in for a field's derivative where its
+    tangent code faults. `nabla_f2` and `eigenvalue_directional_derivative`
+    are the finite-difference oracles. A basis column with a part outside
+    the submanifold mask is a SpecError, as in the oracles.
 
     The hypotheses behind the underlying equivalences (covariant derivatives
     staying inside D) are sample-checked only, never certified; entries say
@@ -908,20 +898,32 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
     if classification is None:
         classification = classify(dec, points, tolerances, seed=seed)
     by_name = {e["name"]: e for e in classification.components}
-    tm_dirs = dec.tm_directions()
-    coords = [i - 1 for i in dec.mask]
     comps = dec.components
     max_nabla = max_dlam_in = max_dlam_tm = np.zeros(len(comps))
-    for frame in dec.frame_stack(points).frames if points else ():
-        dirs = _probe_directions(frame, tm_dirs)
-        within = np.array([[ci in w for ci in range(len(comps))] for _, w, _ in dirs])
-        along_tm = np.array([[tm] for _, _, tm in dirs])
-        stacked = np.array([d for d, _, _ in dirs])
-        _check_in_mask(dec, stacked)
-        nabla, dlam = _derivatives(frame, stacked, within | along_tm, coords, probe.h, tolerances)
-        max_nabla = np.maximum(max_nabla, np.where(within, nabla, 0.0).max(axis=0))
-        max_dlam_in = np.maximum(max_dlam_in, np.where(within, dlam, 0.0).max(axis=0))
-        max_dlam_tm = np.maximum(max_dlam_tm, np.where(along_tm, dlam, 0.0).max(axis=0))
+    if points:
+        from .tangents import frame_derivatives
+        stack, coords, h = dec.frame_stack(points), [i - 1 for i in dec.mask], probe.h
+        dirs, within, along_tm = _stacked_directions(stack)
+        _check_in_mask(dec, dirs)
+        checked, off = within | along_tm, stack.offsets
+        chunk = max(1, PROBE_ELEMENTS // (dirs.shape[1] * dirs.shape[2] * off[-1]))
+        for lo in range(0, len(points), chunk):
+            part = slice(lo, lo + chunk)
+            d_f2, norms = frame_derivatives(stack, part, dirs[part], coords, h)
+            for i, comp in enumerate(comps):   # one cluster in the band on M_i +- h dM_i
+                cols = slice(off[i], off[i + 1])
+                block = d_f2[:, checked[:, i], cols, cols]
+                block = 0.5 * (block + np.swapaxes(block, -1, -2))
+                M = stack.f2[part, None, cols, cols]
+                single_cluster_lambda(comp.name, np.stack([M + h * block, M - h * block], 1),
+                                      "to first order near", stack.x[part, None, None],
+                                      stack.epsilon, tolerances)
+            nabla = np.maximum.reduceat(norms, off[:-1], axis=-1)
+            traces = np.add.reduceat(np.einsum("pqii->pqi", d_f2), off[:-1], axis=-1)
+            dlam = np.abs(traces) / np.diff(off)
+            max_nabla = np.maximum(max_nabla, np.where(within, nabla, 0.0).max(axis=(0, 1)))
+            max_dlam_in = np.maximum(max_dlam_in, np.where(within, dlam, 0.0).max(axis=(0, 1)))
+            max_dlam_tm = np.maximum(max_dlam_tm, np.where(along_tm, dlam, 0.0).max(axis=(0, 1)))
     rows = []
     consistent_all = True
     for ci, comp in enumerate(comps):

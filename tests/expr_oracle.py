@@ -164,7 +164,8 @@ class _Parser:
             idx = int(name[1:])
             if not 1 <= idx <= self.n:
                 self.pos = start
-                raise self.error(f"coordinate {name} out of range 1..{self.n}")
+                shown = name if len(name) <= 32 else f"{name[:32]}... ({len(name)} characters)"
+                raise self.error(f"coordinate {shown} out of range 1..{self.n}")
             return Coord(idx), 1
         self.pos = start
         raise self.error(f"unknown identifier {name!r}")

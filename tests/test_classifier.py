@@ -97,13 +97,13 @@ class TestComponentIndexAndNaN:
     def test_nan_matrix_is_a_model_error(self, ex1):
         frame = ex1.decomposition.frame_at(np.zeros(11))
         with pytest.raises(ModelError, match=r"^eps\*lambda = nan outside"):
-            single_cluster_lambda(frame, "D1", np.full((2, 2), np.nan))
+            single_cluster_lambda("D1", np.full((2, 2), np.nan), "at", frame.x, frame.epsilon)
 
     def test_nan_member_of_a_stack_is_a_model_error(self, ex1):
         stack = ex1.decomposition.frame_stack(ex1.default_points()[:2])
         mats = np.stack([np.zeros((2, 2)), np.full((2, 2), np.nan)])
         with pytest.raises(ModelError, match=r"^eps\*lambda = nan outside"):
-            single_cluster_lambda(stack, "D1", mats)
+            single_cluster_lambda("D1", mats, "at", stack.x, stack.epsilon)
 
 
 class TestSlantFunctionTable:

@@ -438,8 +438,11 @@ def _ex3_faulty_at_point_2(fault):
     elif fault == "w-collapse":  # block 1 at angle x1: slant value 0 where x1 = 0
         _hermitian_block(doc["phi_columns"], 1, -1, "cos(x1)", "sin(x1)")
         points[2][0] = 0.0
-    else:                        # phi e1 gains x2 e1: f^2 on D0 asymmetric where x2 != 0
-        doc["phi_columns"][0][0] = "x2"
+    else:                        # x2 = 0.7 at point 2, 0 elsewhere
+        if fault == "asymmetric":    # phi e1 gains x2 e1: f^2 on D0 asymmetric where x2 != 0
+            doc["phi_columns"][0][0] = "x2"
+        else:                        # D2's first field gains x2 e3: not orthogonal to D1 there
+            doc["distributions"]["D2"][0][2] = "x2"
         for p, x in enumerate(points):
             x[1] = 0.7 if p == 2 else 0.0
     doc["sample_points"] = points
@@ -452,6 +455,7 @@ _STACK_FAULTS = {
                   "the dual is undefined",
     "asymmetric": "restricted endomorphism square is asymmetric (residual 1.980e+00) at {x}; "
                   "the decomposition or structure is invalid",
+    "orthogonality": "components 'D1' and 'D2' are not orthogonal at {x}",
 }
 
 
@@ -471,6 +475,22 @@ def test_fault_at_a_later_point_is_named(capsys, tmp_path, fault, argv):
         return
     assert code == 1
     assert err == f"failure: {_STACK_FAULTS[fault].format(x=x)}\n"
+
+
+def test_first_failing_check_names_its_own_first_point(capsys, tmp_path):
+    """Two faults in one frame build: D1 loses rank at the third point and
+    D2 leaves D1's orthogonal complement at the first (x2 = 0.7 there, 0
+    elsewhere). The rank check runs first, so its first failing point is
+    named, not the first point at which some check fails."""
+    doc, x = _ex3_faulty_at_point_2("rank")
+    doc["distributions"]["D2"][0][2] = "x2"
+    for p, point in enumerate(doc["sample_points"]):
+        point[1] = 0.7 if p == 0 else 0.0
+    path = tmp_path / "two-faults.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "classify", str(path), "--force")
+    assert code == 1
+    assert err == f"failure: {_STACK_FAULTS['rank'].format(x=x)}\n"
 
 
 def test_asymmetric_fault_at_a_later_point_in_discovery(capsys, tmp_path):

@@ -290,10 +290,10 @@ def test_frames_keep_the_fields_their_bases_came_from():
     fx = build_fixture("ex9", k=2, epsilon=-1, gamma=1.5)
     dec, points = _turned(fx), fx.default_points()[:4]
     stack = dec.frame_stack(points)
-    for frame, pt in zip(stack.frames, points):
-        for comp, raw, basis in zip(dec.components, frame.raws, frame.bases):
-            assert np.array_equal(raw, comp.raw_at(pt))
-            assert np.allclose(mgs_columns(frame.g, raw), basis, rtol=0, atol=1e-12)
+    for p, pt in enumerate(points):
+        for comp, raw, basis in zip(dec.components, stack.raws, stack.bases):
+            assert np.array_equal(raw[p], comp.raw_at(pt))
+            assert np.allclose(mgs_columns(stack.g[p], raw[p]), basis[p], rtol=0, atol=1e-12)
 
 
 def _differential_cases():

@@ -38,11 +38,14 @@ class TestParse:
     def test_coordinate_beyond_int_digit_limit(self):
         """int() refuses a string of over 4300 digits: such a coordinate is
         out of range like any other, at the offset of its token, and leading
-        zeros still count for nothing."""
+        zeros still count for nothing. A token of over 32 characters is
+        echoed by its first 32 and its length."""
         for src, offset in (("x" + "1" * 5000, 0), ("1 + x" + "9" * 5000, 4)):
             with pytest.raises(ParseError, match=r"out of range 1\.\.3 \(offset") as err:
                 fe.parse(src, 3)
             assert err.value.offset == offset
+            assert str(err.value) == (f"coordinate {src[offset:offset + 32]}... (5001 characters) "
+                                      f"out of range 1..3 (offset {offset})")
         assert fe.parse("x" + "0" * 5000 + "2", 3) == fe.Coord(2)
 
     def test_precedence(self):

@@ -45,6 +45,7 @@ _EXPR_CASES = [
     ("arccos(x1)", 1), ("cos(pi)", 1), ("x2", 3), ("-(x1)", 3), ("0", 3), ("1/0", 2),
     ("1" + "0" * 400, 1), ("x1 + " + "1" + "0" * 400, 1), ("x1 + " + "9" * 309 + ".5", 1),
     ("x1 + 1" + "0" * 308, 1), ("x1*1" + "0" * 200 + "*1" + "0" * 200, 1),
+    ("x" + "1" * 31, 3), ("1 + x" + "9" * 32, 3), ("x" + "0" * 40 + "7", 3),
     *[(src, 3) for src in ("\u00b2", "x1\u00b2", "x\u00b2", "1 + \u0663", "x\u0661",
                            "2\u00b2", "\uff11")],
     *[(src, 2) for src in (".", "1.", ".5", " 0 ", "0", "007", "12.50", "\t3.25\n", "1e3",

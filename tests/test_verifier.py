@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -392,18 +393,29 @@ def _turned(fx, angle=0.3):
                          invariant=turn(dec.invariant), mask=fx.mask)
 
 
-def _rolling_spec() -> dict:
+def _rolling_spec(at_rest: bool = False) -> dict:
     """Hermitian-kind spec, n = 6, phi the standard complex structure: D0 a
     complex line and D1 a slant plane with angle 0.7 + 0.2 x2, both turned
     by a rotation of angle 0.4 + 0.3 x1 + 0.2 x3 in the (z1, z3) plane
     (z1 = x1 + i x2, z3 = x5 + i x6), which commutes with phi. Their
-    projectors move with the point."""
+    projectors move with the point.
+
+    `at_rest` drops the 0.4, so the first sample point (x1 = x3 = 0) has
+    D0's basis e5, e6 and D1's first column e1, coordinate directions there
+    and not at the second point; and it adds 0.3 x1 to D1's angle, so the
+    largest |X(lambda_1)| over the coordinate directions is along e1 at the
+    second point, where D1's first column is turned by 0.48 off e1."""
     n = 6
     cols = [["0"] * n for _ in range(n)]
     for a in (1, 3, 5):
         cols[a - 1][a] = "1"
         cols[a][a - 1] = "-1"
-    b, t = "(0.4 + 0.3*x1 + 0.2*x3)", "(0.7 + 0.2*x2)"
+    if at_rest:
+        b, t = "(0.3*x1 + 0.2*x3)", "(0.7 + 0.2*x2 + 0.3*x1)"
+        points = [[0.0, 2.0, 0.0, 0.1, 0.0, 0.2], [1.2, -0.4, 0.6, -0.3, 0.2, 0.0]]
+    else:
+        b, t = "(0.4 + 0.3*x1 + 0.2*x3)", "(0.7 + 0.2*x2)"
+        points = [[0.3, -0.2, 0.5, 0.1, 0.0, 0.2], [-0.4, 0.6, 0.1, -0.3, 0.2, 0.0]]
 
     def turn(v):
         return [f"cos{b}*({v[0]}) - sin{b}*({v[4]})", f"cos{b}*({v[1]}) - sin{b}*({v[5]})",
@@ -416,20 +428,20 @@ def _rolling_spec() -> dict:
                               "D1": [turn(_unit(1, n)),
                                      turn(["0", f"cos{t}", f"sin{t}", "0", "0", "0"])]},
             "decomposition": {"invariant": "D0", "proper": ["D1"]},
-            "sample_points": [[0.3, -0.2, 0.5, 0.1, 0.0, 0.2], [-0.4, 0.6, 0.1, -0.3, 0.2, 0.0]]}
+            "sample_points": points}
 
 
 FD_ORACLE_PARAMS = {"ex1": dict(k=2, epsilon=-1), "ex3": dict(k=2, epsilon=1),
                     "ex4": dict(k=2, epsilon=-1, gamma=0.5), "ex5": dict(k=2, epsilon=1, gamma=2.0),
                     "ex8": dict(k=2, epsilon=1, gamma=0.0), "ex9": dict(k=2, epsilon=-1, gamma=1.5)}
 FD_ORACLE_CASES = [f"{fid}{turn}" for fid in FD_ORACLE_PARAMS for turn in ("", "-turned")]
-FD_ORACLE_CASES.append("rolling")
+FD_ORACLE_CASES += ["rolling", "rolling-at-rest"]
 
 
 def _fd_oracle_case(case: str):
     """(decomposition, points) of a case of the finite-difference sweep."""
-    if case == "rolling":
-        spec = load_manifold_spec(_rolling_spec())
+    if case.startswith("rolling"):
+        spec = load_manifold_spec(_rolling_spec(at_rest=case.endswith("at-rest")))
         return spec.decomposition, spec.points
     fid, _, turned = case.partition("-")
     fx = build_fixture(fid, **FD_ORACLE_PARAMS[fid])
@@ -583,6 +595,11 @@ class TestConnectionReport:
                 == [w[3] <= probe.zero_threshold for w in want])
         if case == "rolling":   # the components' projectors move with the point
             assert min(r["max_nabla_f2"] for r in got) > 0.1
+        if case == "rolling-at-rest":   # basis columns on the coordinate axes at point 0 only
+            units = [sum(np.count_nonzero(col) == 1 and np.max(np.abs(col)) == 1.0
+                         for basis in decs[0].frame_at(p).bases for col in basis.T)
+                     for p in points]
+            assert units == [3, 0]
 
     def test_connection_builds_frames_at_sample_points_only(self, tmp_path, monkeypatch):
         built = []
@@ -712,6 +729,39 @@ class TestConnectionReport:
                                             r".*\]: column 1 is dependent on the previous ones$"):
             connection_criterion_report(spec.decomposition, CovariantProbe(), spec.points)
         assert main(["identities", str(path)]) == 0
+
+    @pytest.mark.parametrize("fault", ["rank", "orthogonality", "split"])
+    def test_probe_fault_at_a_later_point_is_named(self, fault, tmp_path, capsys):
+        """x1 = 0 at four sample points, and x2 = 2 at the third, 0 at the
+        others. The fields move with x1 * x2, so a first-order model at
+        x +- h e1 fails at the third point only, and the error names it:
+        D2's second field (1 - 50000 x1 x2) e8 vanishes at x + h e1, D2's
+        first field e7 + x1 x2 e3 tilts into D1, or D1's two blocks (angles
+        0.5 and 0.5 + x1 x2) split into two clusters."""
+        points = [[0.0, 2.0 if p == 2 else 0.0, 0.1 * p + 0.2, -0.1, 0.0, 0.0, 0.4, 0.1 * p,
+                   0.0, 0.0] for p in range(4)]
+        if fault == "split":
+            doc = _blocks_spec("0.5", "0.5 + x1*x2",
+                               {"D1": [_unit(3), _unit(4), _unit(7), _unit(8)]}, points)
+            error, message = ComponentError, "component 'D1' carries 2 eigenvalue clusters"
+        else:
+            doc = dict(_pair_spec("0.5"), sample_points=points)
+            if fault == "rank":
+                doc["distributions"]["D2"][1][7] = "1 - 50000*x1*x2"
+                error, message = RankError, "component 'D2'"
+            else:
+                doc["distributions"]["D2"][0][2] = "x1*x2"
+                error, message = InvariantError, "components 'D1' and 'D2' are not orthogonal"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        spec = load_manifold_spec(path)
+        with pytest.raises(error, match=re.escape(message)) as err:
+            connection_criterion_report(spec.decomposition, CovariantProbe(), spec.points)
+        assert f"to first order near {points[2]}" in str(err.value)
+        assert main(["identities", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["identities", str(path), "--connection"]) == 1
+        assert f"to first order near {points[2]}" in capsys.readouterr().err
 
     def test_requires_mask(self, ex1):
         dec = Decomposition(ex1.structure, list(ex1.decomposition.proper),
