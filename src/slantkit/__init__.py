@@ -20,14 +20,12 @@ from .gallery import build_fixture, fixture_oracle_check  # noqa: E402
 from .specfile import load_manifold_spec  # noqa: E402
 from .structure import StructureField, validate_structure  # noqa: E402
 from .verifier import (  # noqa: E402
-    CovariantProbe,
     connection_criterion_report,
     run_identity_suite,
 )
 
 __all__ = [
     "__version__",
-    "CovariantProbe",
     "DEFAULT_TOLERANCES",
     "Decomposition",
     "DistributionFrame",

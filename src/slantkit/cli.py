@@ -37,7 +37,7 @@ from .report import make_run_report, render_markdown, report_json
 from .sampling import DEFAULT_SEED
 from .specfile import load_manifold_spec, spec_digest
 from .structure import validate_structure
-from .verifier import CovariantProbe, connection_criterion_report, run_identity_suite
+from .verifier import connection_criterion_report, run_identity_suite
 
 USAGE_ERROR = 2
 MATH_FAILURE = 1
@@ -167,8 +167,7 @@ def cmd_identities(args) -> int:
                                tolerances=tol, seed=args.seed)
     connection = None
     if args.connection:
-        probe = CovariantProbe(h=tol.fd_step, zero_threshold=tol.zero_threshold)
-        connection = connection_criterion_report(spec.decomposition, probe, spec.points,
+        connection = connection_criterion_report(spec.decomposition, spec.points,
                                                  tolerances=tol, seed=args.seed)
     report = make_run_report(spec.digest(), args.seed, structure=verdict.to_json_dict(),
                              identities=suite.to_json_dict(), connection=connection)

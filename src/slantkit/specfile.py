@@ -257,8 +257,10 @@ def _load_points(points_raw, n, mask) -> list[np.ndarray]:
                                 f"not {points_raw[key]!r}")
         box = points_raw.get("box", list(DEFAULT_BOX))
         if (not isinstance(box, list) or len(box) != 2
-                or not all(_is_finite_number(b) for b in box) or not box[0] < box[1]):
-            raise SpecError("sample_points.box must be [lo, hi] with finite numbers lo < hi")
+                or not all(_is_finite_number(b) for b in box) or not box[0] < box[1]
+                or not np.isfinite(float(box[1]) - float(box[0]))):
+            raise SpecError("sample_points.box must be [lo, hi] with finite numbers lo < hi "
+                            "and a finite width hi - lo")
         count = points_raw["count"]
         if count < 1:
             raise SpecError("sample_points.count must be >= 1")

@@ -3,9 +3,10 @@
 Every identity carries a stable key in REGISTRY; the checked-in manifest
 (taxonomy module) mirrors the key list, so coverage changes are visible
 diffs. Each case evaluates both sides of its identity on seeded random
-vectors drawn in the relevant subspaces. The sample points are a batch axis:
-`PointContext` stacks the data of all P points, each case runs once over the
-stack and returns one residual per point, a (P,) vector: the worst relative
+vectors drawn in the relevant subspaces. The sample points and the
+components are array axes: `PointContext` stacks the draws of all P points
+and K components as (P, K, n, trials), each case runs once over the stack
+and returns one residual per point, a (P,) vector: the worst relative
 residual over the trials and the components quantified there, NaN when one
 is NaN, -inf where none is. `run_identity_suite` folds it over the points:
 `max_residual` is its largest entry, a NaN exceeding every number, and
@@ -18,34 +19,34 @@ The suite works in frame coordinates: a vector is its coefficients in the
 g-orthonormal adapted frame E = [basis_d | xi_unit | basis_g] of the
 command's `FrameStack`, so g(u, v) is a dot product and every map is a
 block-masked copy of the one matrix T = E^T g phi E (`FrameStack.phi_adapted`):
-f keeps the D rows of T, w the others, pr_i is a coordinate slice and eta
-one coordinate. A draw in D_i, G or D-perp is normal in those coordinates,
-one in w(D_i) or H is spanned by the stack's G-coordinate bases, and an
-ambient draw x enters as E^T g x.
+f keeps the D rows of T, w the others, and eta is one coordinate. A draw in
+D_i, G or D-perp is normal in those coordinates, one in w(D_i) or H is
+spanned by the stack's G-coordinate bases, and an ambient draw x enters as
+E^T g x.
 
 The paper proves most identities twice: once on the proper components D_i
 with f and w, and once on their duals w(D_i) with the roles of f and w
 swapped and the invariant part D_0 replaced by H. Each such twin pair is one
 evaluator fn(ctx, side) registered under both keys; `PointContext.sides`
-holds the two `Side`s ("D" and "w(D)") it runs on. Identities whose D side
-sums over D_0 through projectors are not twins and keep their own evaluators.
+holds the two `Side`s ("D" and "w(D)") it runs on, and a third, "D0+D", for
+the relations on D that sum over all components D_0..D_k (sin^2 is 0 on D_0,
+so a sum over the proper components may run over all of them).
 
 The paper also proves its relations in families (the adjointness formulae,
 the split systems, the cos^2/sin^2/sin^4 metric and angle relations). Each
 family is one shape function; its members are `_case` rows that bind the
-maps, the draw pair and the coefficient (table in docs/taxonomy.md):
+maps, the draws and the coefficient (table in docs/taxonomy.md):
 
     _adjoint           g(X, aY) = eps g(bX, Y)                   adj.*
     _double_adjoint    g(abX, Y) = eps g(bX, bY) = g(X, cbY)     adj2.*
-    _projsum_metric    g(mX, mY) = sum_i c_i g(pr_i X, pr_i Y)    dsum.metric.*
-    _projsum_vector    fbX = eps sum_i c_i pr_i X                f2.projsum, fw.projsum
     _split             a(fX) + a(wX) = rhs                       split.*
-    _gside_vector      wbU = eps sum_i c_i U_i                   gside.*-projsum
-    _gside_metric      g(mU, mV) = sum_i c_i g(U_i, V_i)         gside.metric.*
-    _component_metric  g(mX_i, mY_i) = c_i g(X_i, Y_i)           on a Side
-    _component_angle   cos<(mX_i, mY_i) = cos<(X_i, Y_i)         on a Side
     _summed_metric     g(mX, mY) = sum_i c_i g(X_i, Y_i)         on a Side
+    _summed_vector     mX = eps sum_i c_i X_i                    on a Side
     _summed_angle      cos<(mX, mY) = cos<(sum c_i X_i, sum c_i Y_i)   on a Side
+    _component_metric  g(mX_i, mY_i) = c_i g(X_i, Y_i)           on a Side
+    _component_norm    |mX_i| = c_i |X_i|                        on a Side
+    _component_angle   cos<(mX_i, mY_i) = cos<(X_i, Y_i)         on a Side
+    _eps_fixed         mX_i = eps X_i                            on a Side
 
 The connection criteria differentiate the restricted endomorphism square of
 the flat ambient space exactly, along the directions of the submanifold mask,
@@ -64,7 +65,6 @@ from .classifier import classify, single_cluster_lambda, slant_lambdas
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, FrameStack
 from .errors import SpecError, UnsupportedError
-from .linalg import g_inner
 from .sampling import DEFAULT_SEED, rng_for
 
 PI2_TOL = 1e-8
@@ -75,54 +75,57 @@ PROBE_ELEMENTS = 1 << 18    # bounds P * q * n * r of one `frame_derivatives` po
 class PointContext:
     """The identity suite's data at all sample points in frame coordinates,
     stacked on a leading point axis P: the maps, the slant tables `cos`,
-    `sin`, `cos2`, `sin2`, `sin4` (P, ncomp) and the draws (P, n, trials),
-    point p's from `rng_for(seed, 997, p)` in a fixed order."""
+    `sin`, `cos2`, `sin2`, `sin4` (P, ncomp, 1) and the draws (P, K, n,
+    trials) over a component axis K: X/Y over D_0..D_k, U/V over
+    w(D_1)..w(D_k), and K = 1 for a draw in no component. Point p's draws
+    come from `rng_for(seed, 997, p)` in a fixed order."""
 
     def __init__(self, dec: Decomposition, points, trials: int, seed: int,
                  tolerances: Tolerances):
         stack = dec.frame_stack(points)
         npts, n, t = len(stack.x), dec.structure.n, trials
-        t_phi, off, eye = stack.phi_adapted, stack.offsets, np.eye(n)
-        rows = np.arange(n)[:, None]
-        in_d = rows < off[-1]
+        t_phi, off, eye = stack.phi_adapted[:, None], stack.offsets, np.eye(n)
+        in_d = np.arange(n)[:, None] < off[-1]
         # the maps hold arrays only (as the sides hold the maps), so that no
         # reference cycle keeps the context alive
         self.apply_phi = partial(np.matmul, t_phi)
         self.f = partial(np.matmul, np.where(in_d, t_phi, 0.0))
         self.w = partial(np.matmul, np.where(in_d, 0.0, t_phi))
-        self.in_comp = [(lo <= rows) & (rows < hi) for lo, hi in zip(off, off[1:])]
         self.xi_row, self.e_xi = off[-1], eye[:, off[-1]:off[-1] + 1]
         self.points, self.eps, self.proper = list(stack.x), stack.epsilon, stack.proper_indices
         self.contact = stack.xi is not None
-        self.cos2 = np.ones((npts, len(stack.bases)))
+        ncomp = len(stack.bases)
+        self.cos2 = np.ones((npts, ncomp, 1))
         for i, lam in zip(self.proper, slant_lambdas(stack, self.proper, tolerances)):
-            self.cos2[:, i] = np.minimum(np.maximum(self.eps * lam, 0.0), 1.0)
+            self.cos2[:, i, 0] = np.minimum(np.maximum(self.eps * lam, 0.0), 1.0)
         self.sin2 = 1.0 - self.cos2
         self.cos, self.sin = np.sqrt(self.cos2), np.sqrt(self.sin2)
         # libm's pow, as a scalar sin^2 ** 2 rounds (numpy's square may differ by an ulp)
-        self.sin4 = np.array([[s ** 2 for s in row] for row in self.sin2.tolist()])
+        self.sin4 = np.array([[[s ** 2] for s in row] for row in self.sin2[..., 0].tolist()])
 
-        zeros = np.zeros((npts, n, t))
         draws = []
 
-        def drawn(basis):   # draws spanned by basis[p] or by basis (n, r); ambient for None
-            if basis is not None and not basis.shape[-1]:
-                return zeros
-            draws.append((np.empty((npts, n, t)), basis))
-            return draws[-1][0]
+        def pair(bases, interleaved=False):
+            """Two draw stacks (P, len(bases), n, t), slot k spanned by bases[k]
+            (bases[k][p] at point p; ambient for None); drawn slot by slot,
+            both stacks' slot k together when interleaved. A rank-0 slot is 0."""
+            a, b = np.zeros((2, npts, len(bases), n, t))
+            slots = [(out[:, k], basis) for k, basis in enumerate(bases) for out in (a, b)]
+            if not interleaved:
+                slots = slots[0::2] + slots[1::2]
+            draws.extend(s for s in slots if s[1] is None or s[1].shape[-1])
+            return a, b
 
         in_g = eye[:, stack.g_rows]
         self.duals = [in_g @ b for b in stack.duals]
         h = in_g @ stack.h_basis
-        amb = (drawn(None), drawn(None))
-        comps = [eye[:, lo:hi] for lo, hi in zip(off, off[1:])]
-        self.cx, self.cy = [drawn(c) for c in comps], [drawn(c) for c in comps]
-        self.u_perp, self.v_perp = drawn(eye[:, off[-1]:]), drawn(eye[:, off[-1]:])
-        self.u_g, self.v_g = drawn(in_g), drawn(in_g)
-        pairs = [(drawn(b), drawn(b)) for b in self.duals]
-        self.wu, self.wv = [u for u, _ in pairs], [v for _, v in pairs]
-        self.u_h, self.v_h = (drawn(h), drawn(h)) if h.shape[2] else (None, None)
-        xi = [drawn(self.e_xi) for _ in range(2 * self.contact)]
+        amb = pair([None])
+        self.X, self.Y = pair([eye[:, lo:hi] for lo, hi in zip(off, off[1:])])
+        self.u_perp, self.v_perp = pair([eye[:, off[-1]:]])
+        self.u_g, self.v_g = pair([in_g])
+        self.U, self.V = pair(self.duals, interleaved=True)
+        u_h, v_h = pair([h] if h.shape[2] else [])
+        xi = pair([self.e_xi]) if self.contact else None
         for p in range(npts):
             rng = rng_for(seed, 997, p)
             for out, basis in draws:
@@ -131,24 +134,29 @@ class PointContext:
                 else:
                     basis = basis if basis.ndim == 2 else basis[p]
                     np.matmul(basis, rng.standard_normal((basis.shape[1], t)), out=out[p])
-        self.amb = tuple(np.swapaxes(stack.adapted, -1, -2) @ (stack.g @ a) for a in amb)
+        self.amb = tuple(np.swapaxes(stack.adapted, -1, -2)[:, None] @ (stack.g[:, None] @ a)
+                         for a in amb)
 
-        self.x_d, self.y_d = sum(self.cx), sum(self.cy)
-        self.u_w, self.v_w = (sum(self.wu), sum(self.wv)) if self.wu else (zeros, zeros)
-        d_xi = [d + c for d, c in zip((self.x_d, self.y_d), xi)]
-        self.x_dxi, self.y_dxi = d_xi or (self.x_d, self.y_d)
-        xs, ys = ([c[i] for i in self.proper] for c in (self.cx, self.cy))
-        inv = stack.invariant_index
+        self.x_d, self.y_d = _component_sum(self.X), _component_sum(self.Y)
+        self.x_dxi, self.y_dxi = self.x_d, self.y_d
+        if xi:
+            self.x_dxi, self.y_dxi = self.x_d + xi[0], self.y_d + xi[1]
+        prop, inv = slice(ncomp - len(self.proper), ncomp), slice(0, ncomp - len(self.proper))
+        xs, ys = self.X[:, prop], self.Y[:, prop]
         self.sides = {
-            "D": Side(self.f, self.w, xs, ys, sum(xs) if xs else zeros, sum(ys) if ys else zeros,
-                      None if inv is None else self.cx[inv], None if inv is None else self.cy[inv]),
-            "w(D)": Side(self.w, self.f, self.wu, self.wv, self.u_w, self.v_w, self.u_h, self.v_h),
+            "D": Side(self.f, self.w, self.apply_phi, prop, xs, ys, _component_sum(xs),
+                      _component_sum(ys), self.X[:, inv], self.Y[:, inv]),
+            "w(D)": Side(self.w, self.f, self.apply_phi, prop, self.U, self.V,
+                         _component_sum(self.U), _component_sum(self.V), u_h, v_h),
+            "D0+D": Side(self.f, self.w, self.apply_phi, slice(0, ncomp), self.X, self.Y,
+                         self.x_d, self.y_d, self.X[:, inv], self.Y[:, inv]),
         }
-        self.everywhere = np.ones(npts, dtype=bool)
         self.nowhere = np.full(npts, -np.inf)   # the residual of a key quantified nowhere
 
-    # g(u, v) of frame coordinates is their dot product at each point
-    inner = staticmethod(partial(g_inner, None, stacked=True))
+    @staticmethod
+    def inner(u, v):
+        """g(u, v) of frame coordinates (..., n, t): their dot product over n."""
+        return np.einsum("...it,...it->...t", u, v)
 
     def norm(self, u):
         return np.sqrt(np.maximum(self.inner(u, u), 0.0))
@@ -156,59 +164,58 @@ class PointContext:
     def cos_angle(self, u, v):
         return self.inner(u, v) / np.maximum(self.norm(u) * self.norm(v), TINY)
 
-    def pr(self, i, v):
-        """pr_i v: the rows of D_i of the coordinates v."""
-        return np.where(self.in_comp[i], v, 0.0)
-
     def eta(self, v):
-        return v[:, self.xi_row]
+        return v[..., self.xi_row, :]
 
     def along_xi(self, c):
-        """The vectors c_k xi_unit at each point, for coefficients c (P, t)."""
-        return self.e_xi * c[:, None, :]
+        """The vectors c_k xi_unit for coefficients c (..., t)."""
+        return self.e_xi * c[..., None, :]
 
-    # residual helpers: the worst over the trials at each point, (P,) ----------
+    def held(self, side, pred):
+        """(P, K) mask of the side's components where (cos, sin)(theta_i)
+        satisfy `pred`, every one without a `pred`."""
+        if pred is None:
+            return True
+        return pred(self.cos[:, side.comps, 0], self.sin[:, side.comps, 0])
 
-    def rel(self, diff, a, b=None):
-        """max |diff| / (|a| [,*|b|]) over the trial batch."""
+    # residuals: the worst over the trials and the held components at each point, (P,) --
+
+    def rel(self, diff, a, b=None, held=True):
+        """max |diff| / (|a| [,*|b|])."""
         scale = self.norm(a)
         if b is not None:
             scale = scale * self.norm(b)
-        return np.max(np.abs(diff) / np.maximum(scale, TINY), axis=-1)
+        return _worst(np.max(np.abs(diff) / np.maximum(scale, TINY), axis=-1), held)
 
-    def cos_diff(self, a, b, c, d):
-        return np.max(np.abs(self.cos_angle(a, b) - self.cos_angle(c, d)), axis=-1)
-
-    def components(self, side, pred=None):
-        """(i, X_i, Y_i, held) over the side's proper components, `held` the
-        (P,) mask of the points where (cos, sin)(theta_i) satisfy `pred`
-        (every point without one); a component held nowhere is left out."""
-        out = []
-        for slot, i in enumerate(self.proper):
-            held = self.everywhere if pred is None else pred(self.cos[:, i], self.sin[:, i])
-            if held.any():
-                out.append((i, side.xs[slot], side.ys[slot], held))
-        return out
+    def cos_diff(self, a, b, c, d, held=True):
+        return _worst(np.max(np.abs(self.cos_angle(a, b) - self.cos_angle(c, d)), axis=-1), held)
 
 
 @dataclass(frozen=True)
 class Side:
-    """One side of the D_i <-> w(D_i) duality over the stacked points.
+    """One side of the D_i <-> w(D_i) duality over the stacked points, or
+    the whole of D.
 
     `own` maps each of the side's components into itself (f on D_i, w on
     w(D_i)); `other` maps it onto its twin (w: D_i -> w(D_i), f: w(D_i) ->
-    D_i). `xs`/`ys` are the draws in the proper components, slot-aligned
-    with `PointContext.proper`, and `x`/`y` their sums. `x0`/`y0` are the
-    draws in the invariant part (D_0, or H on the dual side), None when it
-    is zero."""
+    D_i); `phi` is phi. `xs`/`ys` are the draws (P, K, n, t) in the side's
+    components, `comps` their slice of the slant tables, and `x`/`y` their
+    sums (P, 1, n, t). `x0`/`y0` are the draws in the invariant part (D_0,
+    or H on the dual side), (P, 0, n, t) when it is zero."""
     own: object
     other: object
-    xs: list
-    ys: list
+    phi: object
+    comps: slice
+    xs: np.ndarray
+    ys: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    x0: np.ndarray | None
-    y0: np.ndarray | None
+    x0: np.ndarray
+    y0: np.ndarray
+
+    def square(self, v):
+        """f2X on the D side, w2U on the w(D) side."""
+        return self.own(self.own(v))
 
     def round_trip(self, v):
         """fwX on the D side, wfU on the w(D) side."""
@@ -228,9 +235,9 @@ def _case(key, settings, domain, statement, side=None, twin=None):
     """Register an evaluator under `key`.
 
     `_case(...)(fn)` registers fn(ctx); `_case(...)(shape, **params)` registers
-    a family's shape with this member's parameters bound. A twin evaluator
-    fn(ctx, side) is registered once per side of the duality, `side` naming
-    the `PointContext.sides` entry it sees. `twin`, a (key, domain,
+    a family's shape with this member's parameters bound. A side evaluator
+    fn(ctx, side) sees the `PointContext.sides` entry `side`; a twin is
+    registered once per side of the duality. `twin`, a (key, domain,
     statement) triple, registers the w(D) side right after the D side; a twin
     whose keys are not adjacent registers its w(D) side with a later
     `_case(..., side="w(D)")(fn)`."""
@@ -245,13 +252,21 @@ def _case(key, settings, domain, statement, side=None, twin=None):
     return wrap
 
 
-def _worst(ctx, residuals):
-    """Per point, the largest residual of the (residual, held) pairs held
-    there: a NaN wins, and -inf marks a point where none is held."""
-    worst = ctx.nowhere
-    for r, held in residuals:
-        worst = np.maximum(worst, np.where(held, r, -np.inf))
-    return worst
+def _worst(residuals, held=True):
+    """Per point, the largest of the residuals (P, K) over the components
+    held there (a (P, K) mask): a NaN wins, and -inf marks a point where
+    none is held."""
+    return np.max(np.where(held, residuals, -np.inf), axis=1, initial=-np.inf)
+
+
+def _component_sum(a):
+    """The sum of a (P, K, ...) over the component axis, kept with length 1,
+    term by term in component order. Over vectors (P, K, n, t) np.sum does
+    that, as its inner loop runs over n * t; over scalars (P, K, t) it would
+    pair the terms up at t = 1, so those take a running sum."""
+    if a.ndim == 4:
+        return a.sum(axis=1, keepdims=True)
+    return np.add.accumulate(a, axis=1)[:, -1:]
 
 
 REGISTRY: list[IdentityCase] = []
@@ -296,15 +311,17 @@ def _isometry(ctx):
 #
 # A family is one shape; each member is a `_case` row binding the shape's maps by
 # name (a PointContext map "f", "w", "apply_phi", or a Side map "own", "other",
-# "round_trip"), its draw pair (PointContext attributes) and its coefficient.
+# "phi", "square", "round_trip"), its draws (PointContext or Side attributes)
+# and its coefficient.
 
-def _weighted(ctx, coeff, i, v):
-    """c_i * v, c_i the table `coeff` ("cos2", "sin2", "sin" or "sin4" of
-    theta_i) at component i and each point; v itself when `coeff` is None."""
+def _weighted(ctx, side, coeff, v):
+    """c_i * v_i over the side's components (v (P, K, ...)), c_i the table
+    `coeff` ("cos2", "sin2", "sin" or "sin4" of theta_i) at each point; v
+    itself when `coeff` is None."""
     if coeff is None:
         return v
-    c = getattr(ctx, coeff)[:, i]
-    return c.reshape(c.shape + (1,) * (v.ndim - 1)) * v
+    c = getattr(ctx, coeff)[:, side.comps]
+    return c.reshape(c.shape + (1,) * (v.ndim - 3)) * v
 
 
 def _adjoint(ctx, a, b, draws):
@@ -324,28 +341,6 @@ def _double_adjoint(ctx, a, b, c, draws):
     return np.maximum(ctx.rel(lhs - mid, x, y), ctx.rel(mid - rhs, x, y))
 
 
-def _projsum_metric(ctx, m, coeff, proper_only=False):
-    """g(mX, mY) = sum_i c_i * g(pr_i X, pr_i Y) for X, Y in D, i over all
-    components (or the proper ones)."""
-    x, y = ctx.x_d, ctx.y_d
-    comps = ctx.proper if proper_only else range(len(ctx.cx))
-    total = sum(_weighted(ctx, coeff, i, ctx.inner(ctx.pr(i, x), ctx.pr(i, y))) for i in comps)
-    m = getattr(ctx, m)
-    return ctx.rel(ctx.inner(m(x), m(y)) - total, x, y)
-
-
-def _projsum_vector(ctx, b, coeff):
-    """fbX = eps * sum_i c_i * pr_i X for X in D; terms with c_i = 0 at every
-    point (such as sin^2 on D_0) are left out."""
-    x = ctx.x_d
-    c = getattr(ctx, coeff)
-    total = np.zeros_like(x)
-    for i in range(c.shape[1]):
-        if np.any(c[:, i] != 0.0):
-            total += c[:, i, None, None] * ctx.pr(i, x)
-    return ctx.rel(ctx.norm(ctx.f(getattr(ctx, b)(x)) - ctx.eps * total), x)
-
-
 def _split(ctx, a, draw, rhs=None):
     """One line of the split systems: a(fX) + a(wX) = rhs(ctx, X), or 0."""
     x = getattr(ctx, draw)
@@ -361,62 +356,81 @@ def _eps_horizontal(ctx, x):
     return ctx.eps * (x - (ctx.along_xi(ctx.eta(x)) if ctx.contact else 0.0))
 
 
-def _gside_vector(ctx, b, coeff):
-    """wbU = eps * sum_i c_i * U_i for U in w(D)."""
-    if not ctx.wu:
+def _summed_metric(ctx, side, m, coeff, norm=False):
+    """g(mX, mY) = sum_i c_i * g(X_i, Y_i) for X, Y in the sum of the
+    side's components; with `norm`, Y = X."""
+    if not side.xs.shape[1]:
         return ctx.nowhere
-    target = ctx.eps * sum(_weighted(ctx, coeff, i, ctx.wu[slot])
-                           for slot, i in enumerate(ctx.proper))
-    return ctx.rel(ctx.norm(ctx.w(getattr(ctx, b)(ctx.u_w)) - target), ctx.u_w)
+    ys, y = (side.xs, side.x) if norm else (side.ys, side.y)
+    total = _component_sum(_weighted(ctx, side, coeff, ctx.inner(side.xs, ys)))
+    m = getattr(side, m)
+    return ctx.rel(ctx.inner(m(side.x), m(y)) - total, side.x, y)
 
 
-def _gside_metric(ctx, m, coeff):
-    """g(mU, mV) = sum_i c_i * g(U_i, V_i) for U, V in w(D)."""
-    if not ctx.wu:
+def _summed_vector(ctx, side, m, coeff):
+    """mX = eps * sum_i c_i * X_i for X in the sum of the side's components."""
+    if not side.xs.shape[1]:
         return ctx.nowhere
-    total = sum(_weighted(ctx, coeff, i, ctx.inner(ctx.wu[slot], ctx.wv[slot]))
-                for slot, i in enumerate(ctx.proper))
-    m = getattr(ctx, m)
-    return ctx.rel(ctx.inner(m(ctx.u_w), m(ctx.v_w)) - total, ctx.u_w, ctx.v_w)
-
-
-def _component_metric(ctx, side, m, coeff):
-    """g(mX_i, mY_i) = c_i * g(X_i, Y_i) on each proper component of the side."""
-    m = getattr(side, m)
-    return _worst(ctx, ((ctx.rel(ctx.inner(m(x), m(y))
-                                 - _weighted(ctx, coeff, i, ctx.inner(x, y)), x, y), held)
-                        for i, x, y, held in ctx.components(side)))
-
-
-def _component_angle(ctx, side, m):
-    """cos<(mX_i, mY_i) = cos<(X_i, Y_i) on each proper component with
-    theta_i > 0."""
-    m = getattr(side, m)
-    return _worst(ctx, ((ctx.cos_diff(m(x), m(y), x, y), held)
-                        for _, x, y, held in ctx.components(side, lambda c, s: s > PI2_TOL)))
-
-
-def _summed_metric(ctx, side, m, coeff):
-    """g(mX, mY) = sum_i c_i * g(X_i, Y_i) for X, Y in the side's proper sum."""
-    if not side.xs:
-        return ctx.nowhere
-    total = sum(_weighted(ctx, coeff, i, ctx.inner(x, y))
-                for i, x, y, _ in ctx.components(side))
-    m = getattr(side, m)
-    return ctx.rel(ctx.inner(m(side.x), m(side.y)) - total, side.x, side.y)
+    target = ctx.eps * _component_sum(_weighted(ctx, side, coeff, side.xs))
+    return ctx.rel(ctx.norm(getattr(side, m)(side.x) - target), side.x)
 
 
 def _summed_angle(ctx, side, m, coeff):
-    """cos<(mX, mY) = cos<(sum_i c_i X_i, sum_i c_i Y_i) for X, Y in the
-    side's proper sum."""
-    if not side.xs:
+    """cos<(mX, mY) = cos<(sum_i c_i X_i, sum_i c_i Y_i) for X, Y in the sum
+    of the side's components."""
+    if not side.xs.shape[1]:
         return ctx.nowhere
     m = getattr(side, m)
-    lhs = ctx.cos_angle(m(side.x), m(side.y))   # first: fewer (P, n, t) stacks held at once
-    comps = ctx.components(side)
-    sx = sum(_weighted(ctx, coeff, i, x) for i, x, _, _ in comps)
-    sy = sum(_weighted(ctx, coeff, i, y) for i, _, y, _ in comps)
-    return np.max(np.abs(lhs - ctx.cos_angle(sx, sy)), axis=-1)
+    lhs = ctx.cos_angle(m(side.x), m(side.y))   # first: fewer stacks held at once
+    sx, sy = (_component_sum(_weighted(ctx, side, coeff, v)) for v in (side.xs, side.ys))
+    return _worst(np.max(np.abs(lhs - ctx.cos_angle(sx, sy)), axis=-1))
+
+
+def _component_metric(ctx, side, m, coeff, draws=("xs", "ys")):
+    """g(mX_i, mY_i) = c_i * g(X_i, Y_i) on each of the side's components
+    (or on its invariant part, draws ("x0", "y0"))."""
+    x, y = (getattr(side, d) for d in draws)
+    m = getattr(side, m)
+    return ctx.rel(ctx.inner(m(x), m(y)) - _weighted(ctx, side, coeff, ctx.inner(x, y)), x, y)
+
+
+def _component_norm(ctx, side, m, coeff, draw="xs"):
+    """|mX_i| = c_i * |X_i| on each of the side's components (or on its
+    invariant part, draw "x0")."""
+    x = getattr(side, draw)
+    return ctx.rel(ctx.norm(getattr(side, m)(x)) - _weighted(ctx, side, coeff, ctx.norm(x)), x)
+
+
+def _component_angle(ctx, side, maps, draws=("xs", "ys"), pred=None):
+    """cos<(mX_i, mY_i) = cos<(X_i, Y_i) for each map m of `maps` on each
+    of the side's components where (cos, sin)(theta_i) satisfy `pred` (or
+    on its invariant part, draws ("x0", "y0"))."""
+    x, y = (getattr(side, d) for d in draws)
+    held = ctx.held(side, pred)
+    worst = ctx.nowhere
+    for m in maps:
+        m = getattr(side, m)
+        worst = np.maximum(worst, ctx.cos_diff(m(x), m(y), x, y, held))
+    return worst
+
+
+def _eps_fixed(ctx, side, m, draw, pred=None):
+    """mX_i = eps * X_i on each of the side's components where (cos,
+    sin)(theta_i) satisfy `pred` (or on its invariant part, draw "x0")."""
+    x = getattr(side, draw)
+    return ctx.rel(ctx.norm(getattr(side, m)(x) - ctx.eps * x), x, held=ctx.held(side, pred))
+
+
+def _below_right_angle(c, s):
+    return c > PI2_TOL
+
+
+def _above_zero(c, s):
+    return s > PI2_TOL
+
+
+def _right_angle(c, s):
+    return np.abs(s - 1.0) <= PI2_TOL
 
 
 # -- skew/self-adjointness of f and w -------------------------------------------------------------
@@ -447,20 +461,20 @@ _case("adj2.w-square-cross", "both", "X in D, U in D-perp",
       "g(w2X, U) = eps * g(wX, wU) = g(X, fwU)")(
     _double_adjoint, a="w", b="w", c="f", draws=_XU)
 
-# -- projector-sum identities on D ----------------------------------------------
+# -- projector-sum identities on D: pr_i X = X_i ------------------------------------
 
-_case("dsum.metric.phi", "both", "X,Y in D", "g(phi X, phi Y) = sum_i g(pr_i X, pr_i Y)")(
-    _projsum_metric, m="apply_phi", coeff=None)
+_case("dsum.metric.phi", "both", "X,Y in D", "g(phi X, phi Y) = sum_i g(pr_i X, pr_i Y)",
+      side="D0+D")(_summed_metric, m="phi", coeff=None)
 _case("dsum.metric.f", "both", "X,Y in D",
-      "g(fX, fY) = sum_i cos^2(theta_i) * g(pr_i X, pr_i Y)")(
-    _projsum_metric, m="f", coeff="cos2")
+      "g(fX, fY) = sum_i cos^2(theta_i) * g(pr_i X, pr_i Y)", side="D0+D")(
+    _summed_metric, m="own", coeff="cos2")
 _case("dsum.metric.w", "both", "X,Y in D",
-      "g(wX, wY) = sum_{i>=1} sin^2(theta_i) * g(pr_i X, pr_i Y)")(
-    _projsum_metric, m="w", coeff="sin2", proper_only=True)
-_case("f2.projsum", "both", "X in D", "f2X = eps * sum_i cos^2(theta_i) * pr_i X")(
-    _projsum_vector, b="f", coeff="cos2")
-_case("fw.projsum", "both", "X in D", "fwX = eps * sum_{i>=1} sin^2(theta_i) * pr_i X")(
-    _projsum_vector, b="w", coeff="sin2")
+      "g(wX, wY) = sum_{i>=1} sin^2(theta_i) * g(pr_i X, pr_i Y)", side="D0+D")(
+    _summed_metric, m="other", coeff="sin2")
+_case("f2.projsum", "both", "X in D", "f2X = eps * sum_i cos^2(theta_i) * pr_i X",
+      side="D0+D")(_summed_vector, m="square", coeff="cos2")
+_case("fw.projsum", "both", "X in D", "fwX = eps * sum_{i>=1} sin^2(theta_i) * pr_i X",
+      side="D0+D")(_summed_vector, m="round_trip", coeff="sin2")
 
 # -- the four-line split systems --------------------------------------------------
 
@@ -477,97 +491,51 @@ _case("split.g2", "both", "U in G", "wfU + w2U = eps * U")(
 @_case("w2.component", "both", "X_i in D_i",
        "w2(D_i) inside w(D_i); w2(D_i) = 0 when theta_i = pi/2")
 def _w2comp(ctx):
-    def residual(i, x, b):
+    worst = ctx.nowhere
+    for i, b in zip(ctx.proper, ctx.duals):   # one component at a time: the duals' ranks differ
+        x, b = ctx.X[:, i:i + 1], b[:, None]
         w2 = ctx.w(ctx.w(x))
-        right = np.abs(ctx.sin2[:, i] - 1.0) <= PI2_TOL
+        right = np.abs(ctx.sin2[:, i, 0] - 1.0) <= PI2_TOL
         outside = ctx.rel(ctx.norm(w2 - b @ (np.swapaxes(b, -1, -2) @ w2)), x)
-        return np.where(right, ctx.rel(ctx.norm(w2), x), outside), ctx.everywhere
-
-    return _worst(ctx, (residual(i, ctx.cx[i], b) for i, b in zip(ctx.proper, ctx.duals)))
+        worst = np.maximum(worst, np.where(right, ctx.rel(ctx.norm(w2), x), outside))
+    return worst
 
 
 # -- norm relations ------------------------------------------------------------------
 
-@_case("norm.f-sum", "both", "X in D",
-       "|fX|^2 = sum_i cos^2(theta_i) * |X_i|^2")
-def _nfsum(ctx):
-    x = ctx.x_d
-    total = sum(_weighted(ctx, "cos2", i, ctx.inner(cx, cx)) for i, cx in enumerate(ctx.cx))
-    diff = ctx.inner(ctx.f(x), ctx.f(x)) - total
-    return ctx.rel(diff, x, x)
-
-
-@_case("norm.w-dualsum", "both", "U in w(D)",
-       "|wU|^2 = sum_i cos^2(theta_i) * |U_i|^2")
-def _nwdual(ctx):
-    if not ctx.wu:
-        return ctx.nowhere
-    u = ctx.u_w
-    total = sum(_weighted(ctx, "cos2", i, ctx.inner(ctx.wu[slot], ctx.wu[slot]))
-                for slot, i in enumerate(ctx.proper))
-    diff = ctx.inner(ctx.w(u), ctx.w(u)) - total
-    return ctx.rel(diff, u, u)
-
-
-@_case("norm.f-invariant", "both", "X_0 in D_0", "|fX_0| = |X_0|", side="D")
-def _norm_invariant(ctx, side):
-    if side.x0 is None:
-        return ctx.nowhere
-    diff = ctx.norm(side.own(side.x0)) - ctx.norm(side.x0)
-    return ctx.rel(diff, side.x0)
-
-
-@_case("norm.wx-sin", "both", "X_i in D_i", "|wX_i| = sin(theta_i) * |X_i|", side="D",
-       twin=("norm.fu-sin", "U_i in w(D_i)", "|fU_i| = sin(theta_i) * |U_i|"))
-def _norm_sin(ctx, side):
-    return _worst(ctx, ((ctx.rel(ctx.norm(side.other(x)) - _weighted(ctx, "sin", i, ctx.norm(x)),
-                                 x), held) for i, x, _, held in ctx.components(side)))
-
-
-@_case("norm.wx-sumsq", "both", "X in sum of proper D_i",
-       "|wX|^2 = sum_i sin^2(theta_i) * |X_i|^2", side="D",
-       twin=("norm.fu-sumsq", "U in w(D)", "|fU|^2 = sum_i sin^2(theta_i) * |U_i|^2"))
-def _norm_sumsq(ctx, side):
-    if not side.xs:
-        return ctx.nowhere
-    total = sum(_weighted(ctx, "sin2", i, ctx.inner(x, x))
-                for i, x, _, _ in ctx.components(side))
-    ox = side.other(side.x)
-    return ctx.rel(ctx.inner(ox, ox) - total, side.x, side.x)
-
+_case("norm.f-sum", "both", "X in D", "|fX|^2 = sum_i cos^2(theta_i) * |X_i|^2",
+      side="D0+D")(_summed_metric, m="own", coeff="cos2", norm=True)
+_case("norm.w-dualsum", "both", "U in w(D)", "|wU|^2 = sum_i cos^2(theta_i) * |U_i|^2",
+      side="w(D)")(_summed_metric, m="own", coeff="cos2", norm=True)
+_case("norm.f-invariant", "both", "X_0 in D_0", "|fX_0| = |X_0|", side="D")(
+    _component_norm, m="own", coeff=None, draw="x0")
+_case("norm.wx-sin", "both", "X_i in D_i", "|wX_i| = sin(theta_i) * |X_i|", side="D",
+      twin=("norm.fu-sin", "U_i in w(D_i)", "|fU_i| = sin(theta_i) * |U_i|"))(
+    _component_norm, m="other", coeff="sin")
+_case("norm.wx-sumsq", "both", "X in sum of proper D_i",
+      "|wX|^2 = sum_i sin^2(theta_i) * |X_i|^2", side="D",
+      twin=("norm.fu-sumsq", "U in w(D)", "|fU|^2 = sum_i sin^2(theta_i) * |U_i|^2"))(
+    _summed_metric, m="other", coeff="sin2", norm=True)
 
 # -- angle (conformality) relations -----------------------------------------------
 
-def _own_and_phi_conformal(ctx, side, x, y):
-    """Angle change of (x, y) under the side's own map and under phi."""
-    return np.maximum(ctx.cos_diff(side.own(x), side.own(y), x, y),
-                      ctx.cos_diff(ctx.apply_phi(x), ctx.apply_phi(y), x, y))
+_OWN_AND_PHI = ("own", "phi")
 
-
-@_case("angle.f-invariant", "both", "X_0, Y_0 in D_0",
-       "cos<(fX_0, fY_0) = cos<(phi X_0, phi Y_0) = cos<(X_0, Y_0)", side="D")
-def _angle_invariant(ctx, side):
-    if side.x0 is None:
-        return ctx.nowhere
-    return _own_and_phi_conformal(ctx, side, side.x0, side.y0)
-
-
-@_case("angle.f-slant", "both", "X_i, Y_i in D_i, theta_i < pi/2",
-       "cos<(fX_i, fY_i) = cos<(phi X_i, phi Y_i) = cos<(X_i, Y_i)", side="D")
-def _angle_slant(ctx, side):
-    return _worst(ctx, ((_own_and_phi_conformal(ctx, side, x, y), held)
-                        for _, x, y, held in ctx.components(side, lambda c, s: c > PI2_TOL)))
-
-
+_case("angle.f-invariant", "both", "X_0, Y_0 in D_0",
+      "cos<(fX_0, fY_0) = cos<(phi X_0, phi Y_0) = cos<(X_0, Y_0)", side="D")(
+    _component_angle, maps=_OWN_AND_PHI, draws=("x0", "y0"))
+_case("angle.f-slant", "both", "X_i, Y_i in D_i, theta_i < pi/2",
+      "cos<(fX_i, fY_i) = cos<(phi X_i, phi Y_i) = cos<(X_i, Y_i)", side="D")(
+    _component_angle, maps=_OWN_AND_PHI, pred=_below_right_angle)
 _case("dual.w-metric-cos2", "both", "U_i, V_i in w(D_i)",
       "g(wU_i, wV_i) = cos^2(theta_i) * g(U_i, V_i)", side="w(D)")(
     _component_metric, m="own", coeff="cos2")
 _case("angle.w-h", "both", "U_0, V_0 in H",
-      "cos<(wU_0, wV_0) = cos<(U_0, V_0) = cos<(phi U_0, phi V_0)",
-      side="w(D)")(_angle_invariant)
+      "cos<(wU_0, wV_0) = cos<(U_0, V_0) = cos<(phi U_0, phi V_0)", side="w(D)")(
+    _component_angle, maps=_OWN_AND_PHI, draws=("x0", "y0"))
 _case("angle.w-dual", "both", "U_i, V_i in w(D_i), theta_i < pi/2",
-      "cos<(wU_i, wV_i) = cos<(U_i, V_i) = cos<(phi U_i, phi V_i)",
-      side="w(D)")(_angle_slant)
+      "cos<(wU_i, wV_i) = cos<(U_i, V_i) = cos<(phi U_i, phi V_i)", side="w(D)")(
+    _component_angle, maps=_OWN_AND_PHI, pred=_below_right_angle)
 
 
 @_case("angle.phi-dg", "both", "Z, W in D + G",
@@ -585,7 +553,8 @@ _case("dual.wx-metric-sin2", "both", "X_i, Y_i in D_i",
 _case("angle.wx-conformal", "both", "X_i, Y_i in D_i, theta_i > 0",
       "cos<(wX_i, wY_i) = cos<(X_i, Y_i)", side="D",
       twin=("angle.fu-conformal", "U_i, V_i in w(D_i), theta_i > 0",
-            "cos<(fU_i, fV_i) = cos<(U_i, V_i)"))(_component_angle, m="other")
+            "cos<(fU_i, fV_i) = cos<(U_i, V_i)"))(
+    _component_angle, maps=("other",), pred=_above_zero)
 
 # -- summed relations across components ----------------------------------------------
 
@@ -603,7 +572,7 @@ _case("sum.w-angle", "both", "X, Y in sum of proper D_i",
 
 def _all_positive_sin(ctx):
     """(P,) mask of the points where every proper theta_i > 0."""
-    return np.all(ctx.sin[:, ctx.proper] > PI2_TOL, axis=1)
+    return np.all(ctx.sin[:, ctx.proper, 0] > PI2_TOL, axis=1)
 
 
 @_case("invsin.x-metric", "both", "X, Y in sum of proper D_i, theta_i > 0",
@@ -612,11 +581,11 @@ def _all_positive_sin(ctx):
              "g(U, V) = sum_i g(fU_i, fV_i) / sin^2(theta_i)"))
 def _invsin_metric(ctx, side):
     held = _all_positive_sin(ctx)
-    if not side.xs or not held.any():
+    if not side.xs.shape[1] or not held.any():
         return ctx.nowhere
-    total = sum(ctx.inner(side.other(x), side.other(y)) / ctx.sin2[:, i, None]
-                for i, x, y, _ in ctx.components(side))
-    return _worst(ctx, [(ctx.rel(ctx.inner(side.x, side.y) - total, side.x, side.y), held)])
+    total = _component_sum(ctx.inner(side.other(side.xs), side.other(side.ys))
+                           / ctx.sin2[:, side.comps])
+    return ctx.rel(ctx.inner(side.x, side.y) - total, side.x, side.y, held[:, None])
 
 
 @_case("invsin.x-angle", "both", "X, Y in sum of proper D_i, theta_i > 0",
@@ -625,12 +594,11 @@ def _invsin_metric(ctx, side):
              "cos<(U, V) = cos<(sum fU_i / sin(theta_i), sum fV_i / sin(theta_i))"))
 def _invsin_angle(ctx, side):
     held = _all_positive_sin(ctx)
-    if not side.xs or not held.any():
+    if not side.xs.shape[1] or not held.any():
         return ctx.nowhere
-    comps = ctx.components(side)
-    sx = sum(side.other(x) / ctx.sin[:, i, None, None] for i, x, _, _ in comps)
-    sy = sum(side.other(y) / ctx.sin[:, i, None, None] for i, _, y, _ in comps)
-    return _worst(ctx, [(ctx.cos_diff(side.x, side.y, sx, sy), held)])
+    sx, sy = (_component_sum(side.other(v) / ctx.sin[:, side.comps, None])
+              for v in (side.xs, side.ys))
+    return ctx.cos_diff(side.x, side.y, sx, sy, held[:, None])
 
 
 # -- sin^4 corollaries ------------------------------------------------------------
@@ -643,7 +611,8 @@ _case("sin4.fw-metric", "both", "X_i, Y_i in D_i",
 _case("sin4.fw-angle", "both", "X_i, Y_i in D_i, theta_i > 0",
       "cos<(fwX_i, fwY_i) = cos<(X_i, Y_i)", side="D",
       twin=("sin4.wf-angle", "U_i, V_i in w(D_i), theta_i > 0",
-            "cos<(wfU_i, wfV_i) = cos<(U_i, V_i)"))(_component_angle, m="round_trip")
+            "cos<(wfU_i, wfV_i) = cos<(U_i, V_i)"))(
+    _component_angle, maps=("round_trip",), pred=_above_zero)
 _case("sin4sum.fw-metric", "both", "X, Y in sum of proper D_i",
       "g(fwX, fwY) = sum_i sin^4(theta_i) * g(X_i, Y_i)", side="D",
       twin=("sin4sum.wf-metric", "U, V in w(D)",
@@ -657,44 +626,30 @@ _case("sin4sum.fw-angle", "both", "X, Y in sum of proper D_i",
 
 # -- G-side component sums ---------------------------------------------------------
 
-_case("gside.wf-projsum", "both", "U in w(D)", "wfU = eps * sum_i sin^2(theta_i) * U_i")(
-    _gside_vector, b="f", coeff="sin2")
-_case("gside.w2-projsum", "both", "U in w(D)", "w2U = eps * sum_i cos^2(theta_i) * U_i")(
-    _gside_vector, b="w", coeff="cos2")
+_case("gside.wf-projsum", "both", "U in w(D)", "wfU = eps * sum_i sin^2(theta_i) * U_i",
+      side="w(D)")(_summed_vector, m="round_trip", coeff="sin2")
+_case("gside.w2-projsum", "both", "U in w(D)", "w2U = eps * sum_i cos^2(theta_i) * U_i",
+      side="w(D)")(_summed_vector, m="square", coeff="cos2")
 _case("gside.metric.w", "both", "U, V in w(D)",
-      "g(wU, wV) = sum_i cos^2(theta_i) * g(U_i, V_i)")(_gside_metric, m="w", coeff="cos2")
-_case("gside.metric.phi", "both", "U, V in w(D)", "g(phi U, phi V) = sum_i g(U_i, V_i)")(
-    _gside_metric, m="apply_phi", coeff=None)
-
+      "g(wU, wV) = sum_i cos^2(theta_i) * g(U_i, V_i)", side="w(D)")(
+    _summed_metric, m="own", coeff="cos2")
+_case("gside.metric.phi", "both", "U, V in w(D)", "g(phi U, phi V) = sum_i g(U_i, V_i)",
+      side="w(D)")(_summed_metric, m="phi", coeff=None)
 
 # -- H relations ----------------------------------------------------------------------
 
-@_case("h.w2", "both", "U_0 in H", "w2U_0 = eps * U_0")
-def _hw2(ctx):
-    if ctx.u_h is None:
-        return ctx.nowhere
-    return ctx.rel(ctx.norm(ctx.w(ctx.w(ctx.u_h)) - ctx.eps * ctx.u_h), ctx.u_h)
-
-
-@_case("h.metric", "both", "U_0, V_0 in H", "g(wU_0, wV_0) = g(U_0, V_0)")
-def _hm(ctx):
-    if ctx.u_h is None:
-        return ctx.nowhere
-    diff = ctx.inner(ctx.w(ctx.u_h), ctx.w(ctx.v_h)) - ctx.inner(ctx.u_h, ctx.v_h)
-    return ctx.rel(diff, ctx.u_h, ctx.v_h)
-
-
-_case("h.norm", "both", "U_0 in H", "|wU_0| = |U_0|", side="w(D)")(_norm_invariant)
-
+_case("h.w2", "both", "U_0 in H", "w2U_0 = eps * U_0", side="w(D)")(
+    _eps_fixed, m="square", draw="x0")
+_case("h.metric", "both", "U_0, V_0 in H", "g(wU_0, wV_0) = g(U_0, V_0)", side="w(D)")(
+    _component_metric, m="own", coeff=None, draws=("x0", "y0"))
+_case("h.norm", "both", "U_0 in H", "|wU_0| = |U_0|", side="w(D)")(
+    _component_norm, m="own", coeff=None, draw="x0")
 
 # -- the right-angle special case -------------------------------------------------------------
 
-@_case("pi2.fw", "both", "X_j in D_j with theta_j = pi/2", "fwX_j = eps * X_j", side="D",
-       twin=("pi2.wf", "U_j in w(D_j) with theta_j = pi/2", "wfU_j = eps * U_j"))
-def _pi2(ctx, side):
-    return _worst(ctx, ((ctx.rel(ctx.norm(side.round_trip(x) - ctx.eps * x), x), held)
-                        for _, x, _, held in ctx.components(
-                            side, lambda c, s: abs(s - 1.0) <= PI2_TOL)))
+_case("pi2.fw", "both", "X_j in D_j with theta_j = pi/2", "fwX_j = eps * X_j", side="D",
+      twin=("pi2.wf", "U_j in w(D_j) with theta_j = pi/2", "wfU_j = eps * U_j"))(
+    _eps_fixed, m="round_trip", draw="xs", pred=_right_angle)
 
 
 _DUAL_PREFIXES = ("gside.", "h.", "dual.", "invsin.u", "sum.f-", "sin4.wf",
@@ -781,13 +736,6 @@ def run_identity_suite(dec: Decomposition, points, trials: int = 50,
 # Connection criteria (flat ambient space only)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CovariantProbe:
-    """Central-difference step and zero threshold of the connection probes."""
-    h: float = DEFAULT_TOLERANCES.fd_step
-    zero_threshold: float = DEFAULT_TOLERANCES.zero_threshold
-
-
 def _require_flat_masked(dec: Decomposition, need_mask: bool = True):
     if not dec.structure.metric_is_euclidean:
         raise UnsupportedError("connection probes support the euclidean metric only")
@@ -818,12 +766,13 @@ def _displaced_frames(dec: Decomposition, x: np.ndarray, d: np.ndarray, h: float
     return FrameStack(dec, [plus, minus])
 
 
-def nabla_f2(dec: Decomposition, probe: CovariantProbe, point, direction, y) -> np.ndarray:
+def nabla_f2(dec: Decomposition, point, direction, y,
+             tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """(nabla_X f^2) Y in flat ambient space by central differences of the
-    ambient matrix field of f^2|D, with Y extended constantly along X (any
-    smooth extension gives the same value, and the constant one is free).
-    The connection probe computes it exactly; this is its finite-difference
-    oracle.
+    ambient matrix field of f^2|D at x +- hX, h = `tolerances.fd_step`, with
+    Y extended constantly along X (any smooth extension gives the same
+    value, and the constant one is free). The connection probe computes it
+    exactly; this is its finite-difference oracle.
 
     `y` is one vector (n,) or the columns of an (n, r) matrix; the displaced
     fields at x +- hX are computed once for all columns."""
@@ -833,7 +782,7 @@ def nabla_f2(dec: Decomposition, probe: CovariantProbe, point, direction, y) -> 
     yv = np.asarray(y, dtype=float)
     if float(np.max(np.abs(d))) == 0.0:
         return np.zeros_like(yv)
-    h = probe.h
+    h = tolerances.fd_step
     fp, fm = _displaced_frames(dec, x, d, h).frames
     return ((fp.f2_ambient() - fm.f2_ambient()) / (2.0 * h)) @ yv
 
@@ -870,7 +819,7 @@ def _stacked_directions(stack: FrameStack):
             np.array(along_tm)[:, None])
 
 
-def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, points,
+def connection_criterion_report(dec: Decomposition, points,
                                 tolerances: Tolerances = DEFAULT_TOLERANCES,
                                 seed: int = DEFAULT_SEED,
                                 classification=None) -> dict:
@@ -881,8 +830,8 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
     The derivatives are exact, from the tangents of the compiled fields at
     the sample points (`tangents.frame_derivatives` on point chunks of at
     most PROBE_ELEMENTS = P * q * n * r elements); no frame is built at
-    x +- hX. The step h (`fd_step`) sets the first-order models on which
-    the checks of such frames run (a component whose cluster splits there
+    x +- hX. The step h (`tolerances.fd_step`) sets the first-order models
+    on which the checks of such frames run (a component whose cluster splits there
     to first order raises ComponentError). It is also the step of the
     central difference that stands in for a field's derivative where its
     tangent code faults. `nabla_f2` and `eigenvalue_directional_derivative`
@@ -902,7 +851,8 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
     max_nabla = max_dlam_in = max_dlam_tm = np.zeros(len(comps))
     if points:
         from .tangents import frame_derivatives
-        stack, coords, h = dec.frame_stack(points), [i - 1 for i in dec.mask], probe.h
+        stack, coords = dec.frame_stack(points), [i - 1 for i in dec.mask]
+        h = tolerances.fd_step
         dirs, within, along_tm = _stacked_directions(stack)
         _check_in_mask(dec, dirs)
         checked, off = within | along_tm, stack.offsets
@@ -927,7 +877,7 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
     rows = []
     consistent_all = True
     for ci, comp in enumerate(comps):
-        derivative_constant = bool(max_dlam_tm[ci] <= probe.zero_threshold)
+        derivative_constant = bool(max_dlam_tm[ci] <= tolerances.zero_threshold)
         classifier_constant = by_name[comp.name]["verdict"] in ("invariant", "slant")
         consistent = derivative_constant == classifier_constant
         consistent_all = consistent_all and consistent
@@ -942,8 +892,8 @@ def connection_criterion_report(dec: Decomposition, probe: CovariantProbe, point
             "hypothesis_scope": "sampled",
         })
     return {
-        "zero_threshold": probe.zero_threshold,
-        "step": probe.h,
+        "zero_threshold": tolerances.zero_threshold,
+        "step": tolerances.fd_step,
         "components": rows,
         "consistent": consistent_all,
     }

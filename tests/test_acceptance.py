@@ -29,7 +29,6 @@ from slantkit.specfile import load_manifold_spec
 from slantkit.taxonomy import VERDICT_LATTICE
 from slantkit.verifier import (
     REGISTRY,
-    CovariantProbe,
     connection_criterion_report,
     run_identity_suite,
 )
@@ -281,10 +280,9 @@ def test_c5_sensitivity_to_phi_perturbation(ex1):
 # --------------------------------------------------------------------------
 
 def test_c6_constant_fixtures_flat():
-    probe = CovariantProbe()
     for fid in ("ex1", "ex3"):
         fx = build_fixture(fid, k=2, epsilon=-1)
-        rep = connection_criterion_report(fx.decomposition, probe,
+        rep = connection_criterion_report(fx.decomposition,
                                           fx.default_points(seed=SEED)[:5])
         assert rep["consistent"]
         for row in rep["components"]:
@@ -294,7 +292,6 @@ def test_c6_constant_fixtures_flat():
 
 
 def test_c6_pointwise_fixtures_vary():
-    probe = CovariantProbe()
     for fid in ("ex5", "ex9"):
         fx = build_fixture(fid, k=2, epsilon=-1, gamma=1.0)
         dec = fx.decomposition
@@ -307,12 +304,11 @@ def test_c6_pointwise_fixtures_vary():
             for ci in range(1, 3):
                 best = max(best, abs(eigenvalue_directional_derivative(dec, p, ci, d)))
         assert best >= 1e-2, fid
-        rep = connection_criterion_report(dec, probe, fx.default_points(seed=SEED)[:5])
+        rep = connection_criterion_report(dec, fx.default_points(seed=SEED)[:5])
         assert rep["consistent"], fid
 
 
 def test_c6_agreement_on_every_fixture():
-    probe = CovariantProbe()
     configs = [("ex1", None, None), ("ex3", None, None), ("ex4", 0.5, 1.0),
                ("ex5", 1.0, None), ("ex8", 0.0, 1.0), ("ex9", 1.0, None)]
     for fid, gamma, delta in configs:
@@ -322,7 +318,7 @@ def test_c6_agreement_on_every_fixture():
         if delta is not None:
             kwargs["delta"] = delta
         fx = build_fixture(fid, k=2, epsilon=-1, **kwargs)
-        rep = connection_criterion_report(fx.decomposition, probe,
+        rep = connection_criterion_report(fx.decomposition,
                                           fx.default_points(seed=SEED)[:5])
         assert rep["consistent"], fid
 

@@ -280,6 +280,9 @@ _ERROR_FAMILIES = {
     "SpecError-box-infinite": (_put({"seed": 1, "count": 3, "box": [-1, float("inf")]},
                                     "sample_points"), ("validate",), 2, "error:",
                                "sample_points.box"),
+    "SpecError-box-overflowing": (_put({"seed": 1, "count": 3, "box": [-1e308, 1e308]},
+                                       "sample_points"), ("validate",), 2, "error:",
+                                  "sample_points.box"),
     "SpecError-point-string": (_put("a", "sample_points", 0, 0), ("validate",), 2, "error:",
                                "sample point"),
     "SpecError-invariant-list": (_put(["D0"], "decomposition", "invariant"), ("classify",), 2,

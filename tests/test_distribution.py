@@ -16,7 +16,7 @@ from slantkit.gallery import build_fixture
 from slantkit.linalg import mgs_columns, principal_angle_values
 from slantkit.sampling import rng_for
 from slantkit.specfile import load_manifold_spec
-from slantkit.verifier import CovariantProbe, connection_criterion_report
+from slantkit.verifier import connection_criterion_report
 
 from frame_maps import FrameMaps, pivoted_columns
 from test_verifier import _rolling_spec, _turned
@@ -270,7 +270,7 @@ def test_per_point_calls_keep_no_stack_of_their_own():
             component_slant(dec, pt, i)
         build_dual(dec, pt)
         dual_roundtrip_check(dec, pt)
-    connection_criterion_report(dec, CovariantProbe(), points, classification=report)
+    connection_criterion_report(dec, points, classification=report)
     assert len(dec._stacks) == 1
     assert len(dec._frames) == 10
 

@@ -18,7 +18,6 @@ from slantkit.gallery import build_fixture, fixture_to_spec_dict
 from slantkit.specfile import load_manifold_spec
 from slantkit.verifier import (
     REGISTRY,
-    CovariantProbe,
     PointContext,
     connection_criterion_report,
     eigenvalue_directional_derivative,
@@ -133,24 +132,65 @@ class TestFold:
         assert entry["witness_point"] == points[1].tolist()
 
     @pytest.mark.parametrize("first, second", [(1.0, float("nan")), (float("nan"), 1.0)])
-    def test_nan_component_is_the_points_residual(self, ex3, first, second):
+    def test_nan_component_is_the_points_residual(self, first, second):
         """Inside a point, a nan residual of one component wins over the
         other components, in either order; a component not held at a point
-        does not count there."""
-        ctx = PointContext(ex3.decomposition, ex3.default_points()[:2], 3, 0,
-                           DEFAULT_TOLERANCES)
-        held = np.array([True, True])
-        got = verifier._worst(ctx, [(np.array([first, 2.0]), held),
-                                    (np.array([second, 1.0]), held)])
+        does not count there. Rows are points, columns components."""
+        got = verifier._worst(np.array([[first, second], [2.0, 1.0]]))
         assert math.isnan(got[0]) and got[1] == 2.0
-        got = verifier._worst(ctx, [(np.array([1.0, 2.0]), held),
-                                    (np.array([float("nan"), 5.0]), np.array([False, True]))])
+        got = verifier._worst(np.array([[1.0, float("nan")], [2.0, 5.0]]),
+                              np.array([[True, False], [True, True]]))
         assert got.tolist() == [1.0, 5.0]
+        assert verifier._worst(np.zeros((2, 0))).tolist() == [-np.inf] * 2
 
     def test_unknown_keys_are_a_spec_error(self, ex3):
         with pytest.raises(SpecError, match=r"unknown identity keys: adj.f-on-D, no.such-key$"):
             run_identity_suite(ex3.decomposition, ex3.default_points()[:2], trials=3,
                                keys=["adj.f-on-D", "adj.f-on-d", "no.such-key"])
+
+
+def unequal_rank_spec(fid, epsilon, merged_first=False):
+    """ex1 or ex3 at k = 3 with block 3's coefficients set to block 2's, D1
+    (theta = pi/2) split into D1a = <e3> and D1b = <e4>, and D2 + D3 merged
+    into D23 = <e7, e8, e11, e12>: components of ranks 2 (D0), 1, 1 and 4,
+    D23 first among the proper ones when `merged_first`."""
+    fx = build_fixture(fid, k=3, epsilon=epsilon)
+    doc = fixture_to_spec_dict(fx, points=fx.default_points()[:5])
+    cols = doc["phi_columns"]
+    for c in range(6, 10):      # block j sits on the coordinates 4j-1 .. 4j+2
+        for r in range(6, 10):
+            cols[c + 4][r + 4] = cols[c][r]
+    n = doc["ambient_dim"]
+    doc["distributions"] = {"D0": doc["distributions"]["D0"], "D1a": [_unit(3, n)],
+                            "D1b": [_unit(4, n)],
+                            "D23": [_unit(i, n) for i in (7, 8, 11, 12)]}
+    proper = ["D1a", "D1b", "D23"]
+    doc["decomposition"] = {"invariant": "D0",
+                            "proper": proper[2:] + proper[:2] if merged_first else proper}
+    return doc
+
+
+@pytest.mark.parametrize("merged_first", [False, True], ids=["split-first", "merged-first"])
+@pytest.mark.parametrize("epsilon", [-1, 1])
+@pytest.mark.parametrize("fid", ["ex1", "ex3"])
+def test_unequal_ranks(fid, epsilon, merged_first, tmp_path, capsys):
+    """Components of ranks 1, 1 and 4 (duals too) stack on one component
+    axis: every key passes or is skipped, the right-angle keys hold on D1a
+    and D1b, and classify and dual exit 0."""
+    doc = unequal_rank_spec(fid, epsilon, merged_first)
+    spec = load_manifold_spec(doc)
+    stack = spec.decomposition.frame_stack(spec.points)
+    assert sorted(b.shape[-1] for b in stack.bases) == [1, 1, 2, 4]
+    assert sorted(d.shape[-1] for d in stack.duals) == [1, 1, 4]
+    rep = run_identity_suite(spec.decomposition, spec.points, trials=20)
+    verdicts = {e["key"]: e["verdict"] for e in rep.entries}
+    assert set(verdicts.values()) == {"pass", "skipped(setting)", "skipped(vacuous)"}
+    assert verdicts["pi2.fw"] == verdicts["pi2.wf"] == "pass"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", str(path)]) == 0
+    assert main(["dual", str(path)]) == 0
+    capsys.readouterr()
 
 
 class TestRightAnglePoints:
@@ -209,70 +249,63 @@ class TestRightAnglePoints:
 
 class TestNablaF2:
     def test_constant_phi_zero_derivative(self, ex3):
-        probe = CovariantProbe()
         frame = ex3.decomposition.frame_at(np.zeros(10))
         y = frame.bases[1][:, 0]
         x_dir = frame.bases[1][:, 1]
-        val = nabla_f2(ex3.decomposition, probe, np.zeros(10), x_dir, y)
+        val = nabla_f2(ex3.decomposition, np.zeros(10), x_dir, y)
         assert np.linalg.norm(val) <= 1e-6
 
     def test_pointwise_phi_nonzero_derivative(self):
         fx = build_fixture("ex5", k=2, epsilon=1, gamma=1.0)
-        probe = CovariantProbe()
         p = np.zeros(10)
         p[2] = 1.0  # on M with nonzero norm
         e3 = np.eye(10)[:, 2]
-        val = nabla_f2(fx.decomposition, probe, p, e3, np.eye(10)[:, 3])
-        assert np.linalg.norm(val) > probe.zero_threshold
+        val = nabla_f2(fx.decomposition, p, e3, np.eye(10)[:, 3])
+        assert np.linalg.norm(val) > DEFAULT_TOLERANCES.zero_threshold
 
     def test_zero_direction_exact_zero(self, ex1):
-        probe = CovariantProbe()
-        val = nabla_f2(ex1.decomposition, probe, np.zeros(11), np.zeros(11),
+        val = nabla_f2(ex1.decomposition, np.zeros(11), np.zeros(11),
                        np.eye(11)[:, 2])
         assert np.all(val == 0.0)
 
     def test_linearity_in_y(self, ex5_one):
-        probe = CovariantProbe()
         p = np.zeros(10)
         p[2] = 0.5
         x_dir = np.eye(10)[:, 2]
         y1 = np.eye(10)[:, 3]
         y2 = np.eye(10)[:, 6]
-        v1 = nabla_f2(ex5_one.decomposition, probe, p, x_dir, y1)
-        v2 = nabla_f2(ex5_one.decomposition, probe, p, x_dir, y2)
-        v12 = nabla_f2(ex5_one.decomposition, probe, p, x_dir, y1 + 2 * y2)
+        v1 = nabla_f2(ex5_one.decomposition, p, x_dir, y1)
+        v2 = nabla_f2(ex5_one.decomposition, p, x_dir, y2)
+        v12 = nabla_f2(ex5_one.decomposition, p, x_dir, y1 + 2 * y2)
         assert np.linalg.norm(v12 - v1 - 2 * v2) <= 1e-6 * (1 + np.linalg.norm(v12))
 
     def test_matrix_y_matches_columns(self, ex5_one):
-        probe = CovariantProbe()
         p = np.zeros(10)
         p[2] = 0.5
         x_dir = np.eye(10)[:, 2]
         ys = np.eye(10)[:, [3, 6, 7]]
-        batched = nabla_f2(ex5_one.decomposition, probe, p, x_dir, ys)
+        batched = nabla_f2(ex5_one.decomposition, p, x_dir, ys)
         assert batched.shape == ys.shape
         for col in range(ys.shape[1]):
-            one = nabla_f2(ex5_one.decomposition, probe, p, x_dir, ys[:, col])
+            one = nabla_f2(ex5_one.decomposition, p, x_dir, ys[:, col])
             np.testing.assert_allclose(batched[:, col], one, rtol=1e-12, atol=1e-12)
 
     def test_additivity_in_x_to_first_order(self, ex5_one):
-        probe = CovariantProbe()
         p = np.zeros(10)
         p[2] = 0.5
         p[3] = 0.5
         y = np.eye(10)[:, 3]
         xa = np.eye(10)[:, 2]
         xb = np.eye(10)[:, 3]
-        va = nabla_f2(ex5_one.decomposition, probe, p, xa, y)
-        vb = nabla_f2(ex5_one.decomposition, probe, p, xb, y)
-        vab = nabla_f2(ex5_one.decomposition, probe, p, xa + xb, y)
+        va = nabla_f2(ex5_one.decomposition, p, xa, y)
+        vb = nabla_f2(ex5_one.decomposition, p, xb, y)
+        vab = nabla_f2(ex5_one.decomposition, p, xa + xb, y)
         scale = 1 + np.linalg.norm(va) + np.linalg.norm(vb)
         assert np.linalg.norm(vab - va - vb) <= 1e-6 * scale
 
     def test_direction_outside_mask_rejected(self, ex1):
-        probe = CovariantProbe()
         with pytest.raises(SpecError):
-            nabla_f2(ex1.decomposition, probe, np.zeros(11), np.eye(11)[:, 4],
+            nabla_f2(ex1.decomposition, np.zeros(11), np.eye(11)[:, 4],
                      np.eye(11)[:, 2])
 
     def test_non_euclidean_unsupported(self):
@@ -289,7 +322,7 @@ class TestNablaF2:
             fe.VectorFieldExpr.parse(["1", "0"], n),
             fe.VectorFieldExpr.parse(["0", "1"], n)])])
         with pytest.raises(UnsupportedError):
-            nabla_f2(dec, CovariantProbe(), np.zeros(n), np.eye(n)[:, 0], np.eye(n)[:, 1])
+            nabla_f2(dec, np.zeros(n), np.eye(n)[:, 0], np.eye(n)[:, 1])
 
 
 def test_derivative_calls_leave_frame_cache_unchanged():
@@ -300,10 +333,9 @@ def test_derivative_calls_leave_frame_cache_unchanged():
     points = fx.default_points()[:5]
     dec.frame_stack(points)
     resident = len(dec._frames)
-    probe = CovariantProbe()
     for p in points:
         basis = dec.frame_at(p).bases[1]
-        nabla_f2(dec, probe, p, basis[:, 0], basis[:, 1])
+        nabla_f2(dec, p, basis[:, 0], basis[:, 1])
         eigenvalue_directional_derivative(dec, p, 1, basis[:, 0])
         assert len(dec._frames) == resident == len(points)
 
@@ -325,10 +357,9 @@ class TestEigenDerivative:
         assert d == pytest.approx(0.32, abs=1e-6)
 
 
-def _component_outer_rows(dec, probe, points):
+def _component_outer_rows(dec, points, tol=DEFAULT_TOLERANCES):
     """Reference for the probe maxima: components outer, one
     nabla_f2 call per (X, Y) column pair, displaced frames rebuilt per call."""
-    tol = DEFAULT_TOLERANCES.override({"fd_step": probe.h})
     rows = []
     for ci, comp in enumerate(dec.components):
         max_nabla = max_in = max_tm = 0.0
@@ -337,7 +368,7 @@ def _component_outer_rows(dec, probe, points):
             basis = frame.bases[ci]
             for col in range(basis.shape[1]):
                 for ycol in range(basis.shape[1]):
-                    val = nabla_f2(dec, probe, frame.x, basis[:, col], basis[:, ycol])
+                    val = nabla_f2(dec, frame.x, basis[:, col], basis[:, ycol], tol)
                     max_nabla = max(max_nabla, float(np.linalg.norm(val)))
                 max_in = max(max_in, abs(eigenvalue_directional_derivative(
                     dec, frame.x, ci, basis[:, col], tol)))
@@ -348,10 +379,10 @@ def _component_outer_rows(dec, probe, points):
     return rows
 
 
-def _component_slant_rows(dec, probe, points):
+def _component_slant_rows(dec, points, tol=DEFAULT_TOLERANCES):
     """Reference for the probe maxima with lambda_i(x +- hX) from
     `component_slant`: eigh and clustering at every displaced point."""
-    h = probe.h
+    h = tol.fd_step
     rows = []
     for ci, comp in enumerate(dec.components):
         max_nabla = max_in = max_tm = 0.0
@@ -365,7 +396,7 @@ def _component_slant_rows(dec, probe, points):
                 return abs((lam_p - lam_m) / (2.0 * h))
 
             for col in basis.T:
-                val = nabla_f2(dec, probe, x, col, basis)
+                val = nabla_f2(dec, x, col, basis, tol)
                 max_nabla = max(max_nabla, float(np.max(np.linalg.norm(val, axis=0))))
                 max_in = max(max_in, dlam(col))
             for d in dec.tm_directions():
@@ -498,9 +529,8 @@ def _pair_spec(angle_a: str, d2_first: list[str] | None = None) -> dict:
 
 class TestConnectionReport:
     def test_constant_fixtures_consistent(self, ex1, ex3):
-        probe = CovariantProbe()
         for fx in (ex1, ex3):
-            rep = connection_criterion_report(fx.decomposition, probe,
+            rep = connection_criterion_report(fx.decomposition,
                                               fx.default_points()[:4])
             assert rep["consistent"]
             for row in rep["components"]:
@@ -509,8 +539,7 @@ class TestConnectionReport:
                 assert row["derivative_constant"]
 
     def test_pointwise_fixture_flags_variation(self, ex5_one):
-        probe = CovariantProbe()
-        rep = connection_criterion_report(ex5_one.decomposition, probe,
+        rep = connection_criterion_report(ex5_one.decomposition,
                                           ex5_one.default_points()[:5])
         assert rep["consistent"]
         d1 = next(r for r in rep["components"] if r["component"] == "D1")
@@ -522,15 +551,14 @@ class TestConnectionReport:
         """Only the sample points' frames stay resident, and the exact
         derivatives agree with the central-difference oracle within 1e-8,
         which bounds the oracle's own O(h^2) + O(eps/h) error at h = 1e-5."""
-        probe = CovariantProbe()
         fx = build_fixture("ex8", k=2, epsilon=-1, gamma=0.5)
         points = fx.default_points()[:3]
         dec = fx.decomposition
-        rep = connection_criterion_report(dec, probe, points)
+        rep = connection_criterion_report(dec, points)
         assert len(dec._frames) == len(points)
         assert rep["consistent"]
         oracle = _component_outer_rows(build_fixture("ex8", k=2, epsilon=-1, gamma=0.5)
-                                       .decomposition, probe, points)
+                                       .decomposition, points)
         got = [(r["component"], r["max_nabla_f2"], r["max_dlambda_within"],
                 r["max_dlambda_tm"]) for r in rep["components"]]
         assert [g[0] for g in got] == [o[0] for o in oracle]
@@ -551,11 +579,10 @@ class TestConnectionReport:
         if rotated:
             basis = decs[0].frame_at(points[0]).bases[1]
             assert np.count_nonzero(np.abs(basis) > 1e-3) == 4   # not coordinate-aligned
-        probe = CovariantProbe()
-        rep = connection_criterion_report(decs[0], probe, points)
+        rep = connection_criterion_report(decs[0], points)
         got = [(r["component"], r["max_nabla_f2"], r["max_dlambda_within"],
                 r["max_dlambda_tm"]) for r in rep["components"]]
-        want = _component_slant_rows(decs[1], probe, points)
+        want = _component_slant_rows(decs[1], points)
         assert [g[0] for g in got] == [w[0] for w in want]
         assert np.allclose([g[1:] for g in got], [w[1:] for w in want], rtol=0, atol=1e-9)
 
@@ -569,7 +596,7 @@ class TestConnectionReport:
         for point in spec.points:   # one cluster at the sample points
             assert component_slant(dec, point, 1).multiplicity == 4
         with pytest.raises(ComponentError, match=r"'D1' carries 2 eigenvalue clusters"):
-            connection_criterion_report(dec, CovariantProbe(), spec.points)
+            connection_criterion_report(dec, spec.points)
         assert main(["identities", str(path)]) == 0
         assert main(["identities", str(path), "--connection"]) == 1
         assert capsys.readouterr().err.startswith("failure: component 'D1' carries 2")
@@ -584,15 +611,14 @@ class TestConnectionReport:
         for _ in range(2):   # separate frame caches for the report and the oracle
             dec, points = _fd_oracle_case(case)
             decs.append(dec)
-        probe = CovariantProbe()
-        rep = connection_criterion_report(decs[0], probe, points)
-        want = _component_outer_rows(decs[1], probe, points)
+        rep = connection_criterion_report(decs[0], points)
+        want = _component_outer_rows(decs[1], points)
         got = rep["components"]
         assert [r["component"] for r in got] == [w[0] for w in want]
         assert np.allclose([[r["max_nabla_f2"], r["max_dlambda_within"], r["max_dlambda_tm"]]
                             for r in got], [w[1:] for w in want], rtol=0, atol=1e-8)
         assert ([r["derivative_constant"] for r in got]
-                == [w[3] <= probe.zero_threshold for w in want])
+                == [w[3] <= DEFAULT_TOLERANCES.zero_threshold for w in want])
         if case == "rolling":   # the components' projectors move with the point
             assert min(r["max_nabla_f2"] for r in got) > 0.1
         if case == "rolling-at-rest":   # basis columns on the coordinate axes at point 0 only
@@ -641,8 +667,7 @@ class TestConnectionReport:
         with pytest.raises(SpecError, match="fd_step 1e-300"):
             eigenvalue_directional_derivative(fx.decomposition, p, 1, np.eye(10)[:, 2], tiny)
         with pytest.raises(SpecError, match="fd_step 1e-300"):
-            nabla_f2(fx.decomposition, CovariantProbe(h=1e-300), p, np.eye(10)[:, 2],
-                     np.eye(10)[:, 3])
+            nabla_f2(fx.decomposition, p, np.eye(10)[:, 2], np.eye(10)[:, 3], tiny)
 
     @pytest.mark.parametrize("angle", ["0.5 + 0.2*abs(x2 - 2)", "0.5 + 0.1*x1^x2"])
     def test_faulting_tangents_take_the_fill_fallback(self, angle, tmp_path, monkeypatch,
@@ -710,7 +735,7 @@ class TestConnectionReport:
         for point in spec.points:
             spec.decomposition.frame_at(point)
         with pytest.raises(InvariantError, match=f"{message} to first order"):
-            connection_criterion_report(spec.decomposition, CovariantProbe(), spec.points)
+            connection_criterion_report(spec.decomposition, spec.points)
         assert main(["identities", str(path)]) == 0
         assert main(["identities", str(path), "--connection"]) == 1
 
@@ -727,7 +752,7 @@ class TestConnectionReport:
         spec = load_manifold_spec(path)
         with pytest.raises(RankError, match=r"^component 'D2' to first order near \[0\.0, 2\.0, "
                                             r".*\]: column 1 is dependent on the previous ones$"):
-            connection_criterion_report(spec.decomposition, CovariantProbe(), spec.points)
+            connection_criterion_report(spec.decomposition, spec.points)
         assert main(["identities", str(path)]) == 0
 
     @pytest.mark.parametrize("fault", ["rank", "orthogonality", "split"])
@@ -756,7 +781,7 @@ class TestConnectionReport:
         path.write_text(json.dumps(doc))
         spec = load_manifold_spec(path)
         with pytest.raises(error, match=re.escape(message)) as err:
-            connection_criterion_report(spec.decomposition, CovariantProbe(), spec.points)
+            connection_criterion_report(spec.decomposition, spec.points)
         assert f"to first order near {points[2]}" in str(err.value)
         assert main(["identities", str(path)]) == 0
         capsys.readouterr()
@@ -771,7 +796,7 @@ class TestConnectionReport:
             comp.mask = None
         dec.mask = None
         with pytest.raises(UnsupportedError):
-            connection_criterion_report(dec, CovariantProbe(), [np.zeros(11)] * 2)
+            connection_criterion_report(dec, [np.zeros(11)] * 2)
 
     def test_basis_leaving_mask_rejected(self, ex1):
         """A decomposition given a mask over components that carry none may
@@ -784,7 +809,7 @@ class TestConnectionReport:
                             invariant=DistributionFrame("D0", unit), mask=ex1.mask)
         assert 6 not in dec.mask
         with pytest.raises(SpecError, match="leaves the submanifold mask"):
-            connection_criterion_report(dec, CovariantProbe(), [np.zeros(11), np.full(11, 0.1)])
+            connection_criterion_report(dec, [np.zeros(11), np.full(11, 0.1)])
 
 
 # The 16 identities proved once on the proper components D_i and once on
