@@ -5,7 +5,7 @@ Every identity carries a stable key in REGISTRY; the checked-in manifest
 diffs. Each case evaluates both sides of its identity on seeded random
 vectors drawn in the relevant subspaces. The sample points and the
 components are array axes: `PointContext` stacks the draws of all P points
-and K components as (P, K, n, trials), each case runs once over the stack
+and K components as (P, K, r, trials), each case runs once over the stack
 and returns one residual per point, a (P,) vector: the worst relative
 residual over the trials and the components quantified there, NaN when one
 is NaN, -inf where none is. `run_identity_suite` folds it over the points:
@@ -20,17 +20,25 @@ g-orthonormal adapted frame E = [basis_d | xi_unit | basis_g] of the
 command's `FrameStack`, so g(u, v) is a dot product and every map is a
 block-masked copy of the one matrix T = E^T g phi E (`FrameStack.phi_adapted`):
 f keeps the D rows of T, w the others, and eta is one coordinate. A draw in
-D_i, G or D-perp is normal in those coordinates, one in w(D_i) or H is
-spanned by the stack's G-coordinate bases, and an ambient draw x enters as
-E^T g x.
+G or D-perp is normal in those coordinates; an ambient draw x enters as E^T g x.
+
+A draw in components (D_i, w(D_i) or H) is a coefficient block (P, K, r,
+trials): normal coefficients in the components' orthonormal bases (the r_i
+coordinate columns of D_i, the stack's G-coordinate bases of w(D_i) and H),
+zero-padded to the largest rank r. A map m on them is the image of the bases
+(P, K, n, r): a column gather of T's copy on the D_i, one matmul elsewhere,
+T_a @ image_b for a composite. A relation on one component at a time reads
+the image's (r, r) Gram blocks G_i alone, g(mX_i, mY_i) = X_i^T G_i Y_i, so
+no n-row vector is formed per component; a sum over components is one,
+scattered into the D rows (a matmul on w(D)).
 
 The paper proves most identities twice: once on the proper components D_i
 with f and w, and once on their duals w(D_i) with the roles of f and w
 swapped and the invariant part D_0 replaced by H. Each such twin pair is one
-evaluator fn(ctx, side) registered under both keys; `PointContext.sides`
-holds the two `Side`s ("D" and "w(D)") it runs on, and a third, "D0+D", for
-the relations on D that sum over all components D_0..D_k (sin^2 is 0 on D_0,
-so a sum over the proper components may run over all of them).
+evaluator fn(ctx, side) registered under both keys, run on the `Side`s "D"
+and "w(D)" of `PointContext.sides`. "D0+D" spans all components D_0..D_k
+(sin^2 is 0 on D_0, so a sum over the proper components may run over all
+of them); "D_0" and "H" are the invariant parts.
 
 The paper also proves its relations in families (the adjointness formulae,
 the split systems, the cos^2/sin^2/sin^4 metric and angle relations). Each
@@ -57,7 +65,7 @@ verdicts against the classifier's constancy verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -75,23 +83,22 @@ PROBE_ELEMENTS = 1 << 18    # bounds P * q * n * r of one `frame_derivatives` po
 class PointContext:
     """The identity suite's data at all sample points in frame coordinates,
     stacked on a leading point axis P: the maps, the slant tables `cos`,
-    `sin`, `cos2`, `sin2`, `sin4` (P, ncomp, 1) and the draws (P, K, n,
-    trials) over a component axis K: X/Y over D_0..D_k, U/V over
-    w(D_1)..w(D_k), and K = 1 for a draw in no component. Point p's draws
-    come from `rng_for(seed, 997, p)` in a fixed order."""
+    `sin`, `cos2`, `sin2`, `sin4` (P, ncomp, 1), the full draws (P, 1, n,
+    trials) (ambient, D-perp, G, and the sums over D) and the `sides`, which
+    hold the component draws as coefficient blocks. Point p's draws come
+    from `rng_for(seed, 997, p)` in a fixed order."""
 
     def __init__(self, dec: Decomposition, points, trials: int, seed: int,
                  tolerances: Tolerances):
         stack = dec.frame_stack(points)
         npts, n, t = len(stack.x), dec.structure.n, trials
-        t_phi, off, eye = stack.phi_adapted[:, None], stack.offsets, np.eye(n)
+        t_phi, off = stack.phi_adapted, stack.offsets
         in_d = np.arange(n)[:, None] < off[-1]
-        # the maps hold arrays only (as the sides hold the maps), so that no
-        # reference cycle keeps the context alive
-        self.apply_phi = partial(np.matmul, t_phi)
-        self.f = partial(np.matmul, np.where(in_d, t_phi, 0.0))
-        self.w = partial(np.matmul, np.where(in_d, 0.0, t_phi))
-        self.xi_row, self.e_xi = off[-1], eye[:, off[-1]:off[-1] + 1]
+        t_f, t_w = np.where(in_d, t_phi, 0.0), np.where(in_d, 0.0, t_phi)
+        # the maps hold arrays only (as the sides do), so that no reference
+        # cycle keeps the context alive
+        self.apply_phi, self.f, self.w = (partial(np.matmul, m[:, None]) for m in (t_phi, t_f, t_w))
+        self.xi_row, self.e_xi = off[-1], np.eye(n)[:, off[-1]:off[-1] + 1]
         self.points, self.eps, self.proper = list(stack.x), stack.epsilon, stack.proper_indices
         self.contact = stack.xi is not None
         ncomp = len(stack.bases)
@@ -103,66 +110,76 @@ class PointContext:
         # libm's pow, as a scalar sin^2 ** 2 rounds (numpy's square may differ by an ulp)
         self.sin4 = np.array([[[s ** 2] for s in row] for row in self.sin2[..., 0].tolist()])
 
-        draws = []
+        targets = []    # (P, r, t) views, each point's filled in this order
 
-        def pair(bases, interleaved=False):
-            """Two draw stacks (P, len(bases), n, t), slot k spanned by bases[k]
-            (bases[k][p] at point p; ambient for None); drawn slot by slot,
-            both stacks' slot k together when interleaved. A rank-0 slot is 0."""
-            a, b = np.zeros((2, npts, len(bases), n, t))
-            slots = [(out[:, k], basis) for k, basis in enumerate(bases) for out in (a, b)]
-            if not interleaved:
-                slots = slots[0::2] + slots[1::2]
-            draws.extend(s for s in slots if s[1] is None or s[1].shape[-1])
+        def full(rows):
+            """A full draw (P, 1, n, t), normal in the coordinates `rows`."""
+            a = np.zeros((npts, 1, n, t))
+            if rows.stop > rows.start:
+                targets.append(a[:, 0, rows])
+            return a
+
+        def coefficients(bases, interleaved=False):
+            """Two coefficient blocks (P, K, r, t) in the K `bases` (P, ., r_k),
+            drawn slot by slot, both blocks' slot k together when interleaved."""
+            ranks = [b.shape[-1] for b in bases]
+            a, b = np.zeros((2, npts, len(ranks), max(ranks, default=0), t))
+            slots = [out[:, k, :r] for k, r in enumerate(ranks) for out in (a, b)]
+            targets.extend(slots if interleaved else slots[0::2] + slots[1::2])
             return a, b
 
-        in_g = eye[:, stack.g_rows]
-        self.duals = [in_g @ b for b in stack.duals]
-        h = in_g @ stack.h_basis
-        amb = pair([None])
-        self.X, self.Y = pair([eye[:, lo:hi] for lo, hi in zip(off, off[1:])])
-        self.u_perp, self.v_perp = pair([eye[:, off[-1]:]])
-        self.u_g, self.v_g = pair([in_g])
-        self.U, self.V = pair(self.duals, interleaved=True)
-        u_h, v_h = pair([h] if h.shape[2] else [])
-        xi = pair([self.e_xi]) if self.contact else None
+        def in_g(bases, block):
+            """The `bases` (P, |G|, r_k) of a coefficient block as (P, K, n, r)."""
+            out = np.zeros(block.shape[:2] + (n,) + block.shape[2:3])
+            for k, basis in enumerate(bases):
+                out[:, k, stack.g_rows, :basis.shape[-1]] = basis
+            return out
+
+        amb = full(slice(0, n)), full(slice(0, n))
+        X, Y = coefficients(stack.bases)
+        self.u_perp, self.v_perp = full(slice(off[-1], n)), full(slice(off[-1], n))
+        self.u_g, self.v_g = full(stack.g_rows), full(stack.g_rows)
+        U, V = coefficients(stack.duals, interleaved=True)
+        hs = [stack.h_basis] if stack.h_basis.shape[-1] else []
+        u_h, v_h = coefficients(hs)
+        xi = [full(slice(off[-1], off[-1] + 1)) for _ in range(2 * self.contact)]
         for p in range(npts):
             rng = rng_for(seed, 997, p)
-            for out, basis in draws:
-                if basis is None:
-                    rng.standard_normal(out=out[p])
-                else:
-                    basis = basis if basis.ndim == 2 else basis[p]
-                    np.matmul(basis, rng.standard_normal((basis.shape[1], t)), out=out[p])
+            for v in targets:
+                rng.standard_normal(out=v[p])
         self.amb = tuple(np.swapaxes(stack.adapted, -1, -2)[:, None] @ (stack.g[:, None] @ a)
                          for a in amb)
 
-        self.x_d, self.y_d = _component_sum(self.X), _component_sum(self.Y)
+        slot = np.arange(X.shape[2])
+        cols = np.where(slot < np.diff(off)[:, None], np.array(off[:-1])[:, None] + slot, -1)
+        x_basis = np.where(cols >= 0, np.eye(n)[:, cols], 0.0).transpose(1, 0, 2)[None]
+        on_d, on_w = (t_f, t_w, t_phi), (t_w, t_f, t_phi)
+
+        def d_side(sl):
+            return Side(on_d, X[:, sl], Y[:, sl], x_basis[:, sl], sl, cols[sl])
+
+        prop, inv = slice(ncomp - len(self.proper), ncomp), slice(0, ncomp - len(self.proper))
+        self.sides = {"D": d_side(prop), "D0+D": d_side(slice(0, ncomp)), "D_0": d_side(inv),
+                      "w(D)": Side(on_w, U, V, in_g(stack.duals, U), prop),
+                      "H": Side(on_w, u_h, v_h, in_g(hs, u_h), None)}
+        self.x_d, self.y_d = self.sides["D0+D"].x, self.sides["D0+D"].y
         self.x_dxi, self.y_dxi = self.x_d, self.y_d
         if xi:
             self.x_dxi, self.y_dxi = self.x_d + xi[0], self.y_d + xi[1]
-        prop, inv = slice(ncomp - len(self.proper), ncomp), slice(0, ncomp - len(self.proper))
-        xs, ys = self.X[:, prop], self.Y[:, prop]
-        self.sides = {
-            "D": Side(self.f, self.w, self.apply_phi, prop, xs, ys, _component_sum(xs),
-                      _component_sum(ys), self.X[:, inv], self.Y[:, inv]),
-            "w(D)": Side(self.w, self.f, self.apply_phi, prop, self.U, self.V,
-                         _component_sum(self.U), _component_sum(self.V), u_h, v_h),
-            "D0+D": Side(self.f, self.w, self.apply_phi, slice(0, ncomp), self.X, self.Y,
-                         self.x_d, self.y_d, self.X[:, inv], self.Y[:, inv]),
-        }
         self.nowhere = np.full(npts, -np.inf)   # the residual of a key quantified nowhere
 
     @staticmethod
-    def inner(u, v):
-        """g(u, v) of frame coordinates (..., n, t): their dot product over n."""
-        return np.einsum("...it,...it->...t", u, v)
+    def inner(u, v, gram=None):
+        """g(u, v) of frame coordinates (..., n, t), or of coefficient blocks
+        (..., r, t): their dot product over n (or r). With the Gram G (..., r,
+        r) of a map m's image, g(mu, mv) = u^T G v."""
+        return np.einsum("...it,...it->...t", u, v if gram is None else gram @ v)
 
-    def norm(self, u):
-        return np.sqrt(np.maximum(self.inner(u, u), 0.0))
+    def norm(self, u, gram=None):
+        return np.sqrt(np.maximum(self.inner(u, u, gram), 0.0))
 
-    def cos_angle(self, u, v):
-        return self.inner(u, v) / np.maximum(self.norm(u) * self.norm(v), TINY)
+    def cos_angle(self, u, v, gram=None):
+        return self.inner(u, v, gram) / np.maximum(self.norm(u, gram) * self.norm(v, gram), TINY)
 
     def eta(self, v):
         return v[..., self.xi_row, :]
@@ -187,39 +204,89 @@ class PointContext:
             scale = scale * self.norm(b)
         return _worst(np.max(np.abs(diff) / np.maximum(scale, TINY), axis=-1), held)
 
-    def cos_diff(self, a, b, c, d, held=True):
-        return _worst(np.max(np.abs(self.cos_angle(a, b) - self.cos_angle(c, d)), axis=-1), held)
+    def cos_diff(self, cos_a, cos_b, held=True):
+        """max |cos_a - cos_b| of two cosine tables (P, K, t)."""
+        return _worst(np.max(np.abs(cos_a - cos_b), axis=-1), held)
 
 
-@dataclass(frozen=True)
 class Side:
-    """One side of the D_i <-> w(D_i) duality over the stacked points, or
-    the whole of D.
+    """The draws in K components and the maps on them, over the stacked
+    points: one side of the D_i <-> w(D_i) duality ("D", "w(D)"), the whole
+    of D ("D0+D"), or the invariant part of a side ("D_0", "H"; K = 0 when
+    it is zero).
 
-    `own` maps each of the side's components into itself (f on D_i, w on
-    w(D_i)); `other` maps it onto its twin (w: D_i -> w(D_i), f: w(D_i) ->
-    D_i); `phi` is phi. `xs`/`ys` are the draws (P, K, n, t) in the side's
-    components, `comps` their slice of the slant tables, and `x`/`y` their
-    sums (P, 1, n, t). `x0`/`y0` are the draws in the invariant part (D_0,
-    or H on the dual side), (P, 0, n, t) when it is zero."""
-    own: object
-    other: object
-    phi: object
-    comps: slice
-    xs: np.ndarray
-    ys: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    x0: np.ndarray
-    y0: np.ndarray
+    `own` (P, n, n) maps each component into itself (f on D_i, w on w(D_i));
+    `other` maps it onto its twin (w: D_i -> w(D_i), f: w(D_i) -> D_i); `phi`
+    is phi. `xs`/`ys` (P, K, r, t) are two draws' coefficients in the
+    components' g-orthonormal bases `basis` (P or 1, K, n, r), zero-padded to
+    the largest rank r, and `x`/`y` (P, 1, n, t) their sums over the
+    components. On the D_i the bases are the coordinate columns `cols` (K,
+    r), -1 for padding: a map's image is a column gather, a sum a scatter.
+    `comps` is the components' slice of the slant tables (None for H)."""
 
-    def square(self, v):
-        """f2X on the D side, w2U on the w(D) side."""
-        return self.own(self.own(v))
+    def __init__(self, maps, xs, ys, basis, comps, cols=None):
+        self.own, self.other, self.phi = maps
+        self.xs, self.ys, self.basis, self.comps, self.cols = xs, ys, basis, comps, cols
+        self._grams = {}
 
-    def round_trip(self, v):
-        """fwX on the D side, wfU on the w(D) side."""
-        return self.own(self.other(v))
+    x = cached_property(lambda self: self.vector(self.xs))
+    y = cached_property(lambda self: self.vector(self.ys))
+
+    def chain(self, m):
+        """The matrices of the map `m`, applied last to first: "own",
+        "other", "phi", "square" (f2 on D, w2 on w(D)) or "round_trip" (fw
+        on D, wf on w(D))."""
+        return {"own": (self.own,), "other": (self.other,), "phi": (self.phi,),
+                "square": (self.own, self.own), "round_trip": (self.own, self.other)}[m]
+
+    def apply(self, m, v):
+        """m v for full vectors v (P, 1, n, t)."""
+        for mat in reversed(self.chain(m)):
+            v = mat[:, None] @ v
+        return v
+
+    def image(self, chain):
+        """(P, K, n, r): the bases under chain[0] @ ... @ chain[-1], each
+        matrix (P, n, n) applied to all K * r columns at once."""
+        *outer, last = chain
+        (npts, n, _), (k, r) = last.shape, self.xs.shape[1:3]
+        if self.cols is None:
+            img = last @ _flat(self.basis)
+        else:
+            img = np.where(self.cols >= 0, last[:, :, self.cols], 0.0).reshape(npts, n, k * r)
+        for mat in reversed(outer):
+            img = mat @ img
+        return np.moveaxis(img.reshape(npts, n, k, r), 2, 1)
+
+    def gram(self, m, shift=0.0):
+        """The Gram blocks (P, K, r, r) of the image of m - shift * id,
+        built on first use: g(mX_i, mY_i) = X_i^T G_i Y_i."""
+        if (m, shift) not in self._grams:
+            img = self.image(self.chain(m))
+            self._grams[m, shift] = _gram(img - shift * self.basis if shift else img)
+        return self._grams[m, shift]
+
+    def vector(self, coef):
+        """The full vector (P, 1, n, t) sum_k basis_k coef_k of coefficients
+        coef (P, K, r, t); (P, 0, n, t), held nowhere, when K = 0."""
+        npts, k, r, t = coef.shape
+        if self.cols is None:
+            out = _flat(self.basis) @ coef.reshape(npts, k * r, t)
+        else:
+            out = np.zeros((npts, self.basis.shape[2], t))
+            out[:, self.cols[self.cols >= 0]] = coef[:, self.cols >= 0]
+        return out[:, None][:, :k]
+
+
+def _flat(a):
+    """A block (P, K, n, r) as (P, n, K * r)."""
+    npts, k, n, r = a.shape
+    return np.moveaxis(a, 1, 2).reshape(npts, n, k * r)
+
+
+def _gram(img):
+    """The Gram blocks (P, K, r, r) of the columns of an image (P, K, n, r)."""
+    return np.swapaxes(img, -1, -2) @ img
 
 
 @dataclass(frozen=True)
@@ -260,12 +327,9 @@ def _worst(residuals, held=True):
 
 
 def _component_sum(a):
-    """The sum of a (P, K, ...) over the component axis, kept with length 1,
-    term by term in component order. Over vectors (P, K, n, t) np.sum does
-    that, as its inner loop runs over n * t; over scalars (P, K, t) it would
-    pair the terms up at t = 1, so those take a running sum."""
-    if a.ndim == 4:
-        return a.sum(axis=1, keepdims=True)
+    """The sum of scalars a (P, K, t) over the component axis, kept with
+    length 1, term by term in component order (np.sum would pair the terms
+    up at t = 1)."""
     return np.add.accumulate(a, axis=1)[:, -1:]
 
 
@@ -310,9 +374,9 @@ def _isometry(ctx):
 # -- identity families ------------------------------------------------------------------
 #
 # A family is one shape; each member is a `_case` row binding the shape's maps by
-# name (a PointContext map "f", "w", "apply_phi", or a Side map "own", "other",
-# "phi", "square", "round_trip"), its draws (PointContext or Side attributes)
-# and its coefficient.
+# name (a PointContext map "f", "w", "apply_phi", or a `Side.chain` name "own",
+# "other", "phi", "square", "round_trip"), its draws (PointContext attributes, or
+# the Side's) and its coefficient.
 
 def _weighted(ctx, side, coeff, v):
     """c_i * v_i over the side's components (v (P, K, ...)), c_i the table
@@ -359,66 +423,53 @@ def _eps_horizontal(ctx, x):
 def _summed_metric(ctx, side, m, coeff, norm=False):
     """g(mX, mY) = sum_i c_i * g(X_i, Y_i) for X, Y in the sum of the
     side's components; with `norm`, Y = X."""
-    if not side.xs.shape[1]:
-        return ctx.nowhere
     ys, y = (side.xs, side.x) if norm else (side.ys, side.y)
     total = _component_sum(_weighted(ctx, side, coeff, ctx.inner(side.xs, ys)))
-    m = getattr(side, m)
-    return ctx.rel(ctx.inner(m(side.x), m(y)) - total, side.x, y)
+    return ctx.rel(ctx.inner(side.apply(m, side.x), side.apply(m, y)) - total, side.x, y)
 
 
 def _summed_vector(ctx, side, m, coeff):
     """mX = eps * sum_i c_i * X_i for X in the sum of the side's components."""
-    if not side.xs.shape[1]:
-        return ctx.nowhere
-    target = ctx.eps * _component_sum(_weighted(ctx, side, coeff, side.xs))
-    return ctx.rel(ctx.norm(getattr(side, m)(side.x) - target), side.x)
+    target = ctx.eps * side.vector(_weighted(ctx, side, coeff, side.xs))
+    return ctx.rel(ctx.norm(side.apply(m, side.x) - target), side.x)
 
 
 def _summed_angle(ctx, side, m, coeff):
     """cos<(mX, mY) = cos<(sum_i c_i X_i, sum_i c_i Y_i) for X, Y in the sum
     of the side's components."""
-    if not side.xs.shape[1]:
-        return ctx.nowhere
-    m = getattr(side, m)
-    lhs = ctx.cos_angle(m(side.x), m(side.y))   # first: fewer stacks held at once
-    sx, sy = (_component_sum(_weighted(ctx, side, coeff, v)) for v in (side.xs, side.ys))
-    return _worst(np.max(np.abs(lhs - ctx.cos_angle(sx, sy)), axis=-1))
+    lhs = ctx.cos_angle(side.apply(m, side.x), side.apply(m, side.y))
+    sx, sy = (side.vector(_weighted(ctx, side, coeff, v)) for v in (side.xs, side.ys))
+    return ctx.cos_diff(lhs, ctx.cos_angle(sx, sy))
 
 
-def _component_metric(ctx, side, m, coeff, draws=("xs", "ys")):
-    """g(mX_i, mY_i) = c_i * g(X_i, Y_i) on each of the side's components
-    (or on its invariant part, draws ("x0", "y0"))."""
-    x, y = (getattr(side, d) for d in draws)
-    m = getattr(side, m)
-    return ctx.rel(ctx.inner(m(x), m(y)) - _weighted(ctx, side, coeff, ctx.inner(x, y)), x, y)
+def _component_metric(ctx, side, m, coeff):
+    """g(mX_i, mY_i) = c_i * g(X_i, Y_i) on each of the side's components."""
+    lhs = ctx.inner(side.xs, side.ys, side.gram(m))
+    return ctx.rel(lhs - _weighted(ctx, side, coeff, ctx.inner(side.xs, side.ys)),
+                   side.xs, side.ys)
 
 
-def _component_norm(ctx, side, m, coeff, draw="xs"):
-    """|mX_i| = c_i * |X_i| on each of the side's components (or on its
-    invariant part, draw "x0")."""
-    x = getattr(side, draw)
-    return ctx.rel(ctx.norm(getattr(side, m)(x)) - _weighted(ctx, side, coeff, ctx.norm(x)), x)
+def _component_norm(ctx, side, m, coeff):
+    """|mX_i| = c_i * |X_i| on each of the side's components."""
+    lhs = ctx.norm(side.xs, side.gram(m))
+    return ctx.rel(lhs - _weighted(ctx, side, coeff, ctx.norm(side.xs)), side.xs)
 
 
-def _component_angle(ctx, side, maps, draws=("xs", "ys"), pred=None):
+def _component_angle(ctx, side, maps, pred=None):
     """cos<(mX_i, mY_i) = cos<(X_i, Y_i) for each map m of `maps` on each
-    of the side's components where (cos, sin)(theta_i) satisfy `pred` (or
-    on its invariant part, draws ("x0", "y0"))."""
-    x, y = (getattr(side, d) for d in draws)
-    held = ctx.held(side, pred)
+    of the side's components where (cos, sin)(theta_i) satisfy `pred`."""
+    held, cos = ctx.held(side, pred), ctx.cos_angle(side.xs, side.ys)
     worst = ctx.nowhere
     for m in maps:
-        m = getattr(side, m)
-        worst = np.maximum(worst, ctx.cos_diff(m(x), m(y), x, y, held))
+        worst = np.maximum(worst, ctx.cos_diff(ctx.cos_angle(side.xs, side.ys, side.gram(m)),
+                                               cos, held))
     return worst
 
 
-def _eps_fixed(ctx, side, m, draw, pred=None):
-    """mX_i = eps * X_i on each of the side's components where (cos,
-    sin)(theta_i) satisfy `pred` (or on its invariant part, draw "x0")."""
-    x = getattr(side, draw)
-    return ctx.rel(ctx.norm(getattr(side, m)(x) - ctx.eps * x), x, held=ctx.held(side, pred))
+def _eps_fixed(ctx, side, m, pred=None):
+    """mX_i = eps * X_i, |(m - eps) X_i| = 0, on each of the side's
+    components where (cos, sin)(theta_i) satisfy `pred`."""
+    return ctx.rel(ctx.norm(side.xs, side.gram(m, ctx.eps)), side.xs, held=ctx.held(side, pred))
 
 
 def _below_right_angle(c, s):
@@ -491,14 +542,12 @@ _case("split.g2", "both", "U in G", "wfU + w2U = eps * U")(
 @_case("w2.component", "both", "X_i in D_i",
        "w2(D_i) inside w(D_i); w2(D_i) = 0 when theta_i = pi/2")
 def _w2comp(ctx):
-    worst = ctx.nowhere
-    for i, b in zip(ctx.proper, ctx.duals):   # one component at a time: the duals' ranks differ
-        x, b = ctx.X[:, i:i + 1], b[:, None]
-        w2 = ctx.w(ctx.w(x))
-        right = np.abs(ctx.sin2[:, i, 0] - 1.0) <= PI2_TOL
-        outside = ctx.rel(ctx.norm(w2 - b @ (np.swapaxes(b, -1, -2) @ w2)), x)
-        worst = np.maximum(worst, np.where(right, ctx.rel(ctx.norm(w2), x), outside))
-    return worst
+    d, duals = ctx.sides["D"], ctx.sides["w(D)"].basis    # zero-padded bases of w(D_i)
+    w2 = d.image((d.other, d.other))
+    outside = w2 - duals @ (np.swapaxes(duals, -1, -2) @ w2)
+    right = np.abs(ctx.sin2[:, d.comps, 0] - 1.0) <= PI2_TOL
+    return np.maximum(ctx.rel(ctx.norm(d.xs, _gram(w2)), d.xs, held=right),
+                      ctx.rel(ctx.norm(d.xs, _gram(outside)), d.xs, held=~right))
 
 
 # -- norm relations ------------------------------------------------------------------
@@ -507,8 +556,8 @@ _case("norm.f-sum", "both", "X in D", "|fX|^2 = sum_i cos^2(theta_i) * |X_i|^2",
       side="D0+D")(_summed_metric, m="own", coeff="cos2", norm=True)
 _case("norm.w-dualsum", "both", "U in w(D)", "|wU|^2 = sum_i cos^2(theta_i) * |U_i|^2",
       side="w(D)")(_summed_metric, m="own", coeff="cos2", norm=True)
-_case("norm.f-invariant", "both", "X_0 in D_0", "|fX_0| = |X_0|", side="D")(
-    _component_norm, m="own", coeff=None, draw="x0")
+_case("norm.f-invariant", "both", "X_0 in D_0", "|fX_0| = |X_0|", side="D_0")(
+    _component_norm, m="own", coeff=None)
 _case("norm.wx-sin", "both", "X_i in D_i", "|wX_i| = sin(theta_i) * |X_i|", side="D",
       twin=("norm.fu-sin", "U_i in w(D_i)", "|fU_i| = sin(theta_i) * |U_i|"))(
     _component_norm, m="other", coeff="sin")
@@ -522,8 +571,8 @@ _case("norm.wx-sumsq", "both", "X in sum of proper D_i",
 _OWN_AND_PHI = ("own", "phi")
 
 _case("angle.f-invariant", "both", "X_0, Y_0 in D_0",
-      "cos<(fX_0, fY_0) = cos<(phi X_0, phi Y_0) = cos<(X_0, Y_0)", side="D")(
-    _component_angle, maps=_OWN_AND_PHI, draws=("x0", "y0"))
+      "cos<(fX_0, fY_0) = cos<(phi X_0, phi Y_0) = cos<(X_0, Y_0)", side="D_0")(
+    _component_angle, maps=_OWN_AND_PHI)
 _case("angle.f-slant", "both", "X_i, Y_i in D_i, theta_i < pi/2",
       "cos<(fX_i, fY_i) = cos<(phi X_i, phi Y_i) = cos<(X_i, Y_i)", side="D")(
     _component_angle, maps=_OWN_AND_PHI, pred=_below_right_angle)
@@ -531,8 +580,8 @@ _case("dual.w-metric-cos2", "both", "U_i, V_i in w(D_i)",
       "g(wU_i, wV_i) = cos^2(theta_i) * g(U_i, V_i)", side="w(D)")(
     _component_metric, m="own", coeff="cos2")
 _case("angle.w-h", "both", "U_0, V_0 in H",
-      "cos<(wU_0, wV_0) = cos<(U_0, V_0) = cos<(phi U_0, phi V_0)", side="w(D)")(
-    _component_angle, maps=_OWN_AND_PHI, draws=("x0", "y0"))
+      "cos<(wU_0, wV_0) = cos<(U_0, V_0) = cos<(phi U_0, phi V_0)", side="H")(
+    _component_angle, maps=_OWN_AND_PHI)
 _case("angle.w-dual", "both", "U_i, V_i in w(D_i), theta_i < pi/2",
       "cos<(wU_i, wV_i) = cos<(U_i, V_i) = cos<(phi U_i, phi V_i)", side="w(D)")(
     _component_angle, maps=_OWN_AND_PHI, pred=_below_right_angle)
@@ -542,7 +591,7 @@ _case("angle.w-dual", "both", "U_i, V_i in w(D_i), theta_i < pi/2",
        "cos<(phi Z, phi W) = cos<(Z, W)")
 def _aphidg(ctx):
     z, w = ctx.x_d + ctx.u_g, ctx.y_d + ctx.v_g
-    return ctx.cos_diff(ctx.apply_phi(z), ctx.apply_phi(w), z, w)
+    return ctx.cos_diff(ctx.cos_angle(ctx.apply_phi(z), ctx.apply_phi(w)), ctx.cos_angle(z, w))
 
 
 _case("dual.wx-metric-sin2", "both", "X_i, Y_i in D_i",
@@ -581,9 +630,9 @@ def _all_positive_sin(ctx):
              "g(U, V) = sum_i g(fU_i, fV_i) / sin^2(theta_i)"))
 def _invsin_metric(ctx, side):
     held = _all_positive_sin(ctx)
-    if not side.xs.shape[1] or not held.any():
+    if not held.any():
         return ctx.nowhere
-    total = _component_sum(ctx.inner(side.other(side.xs), side.other(side.ys))
+    total = _component_sum(ctx.inner(side.xs, side.ys, side.gram("other"))
                            / ctx.sin2[:, side.comps])
     return ctx.rel(ctx.inner(side.x, side.y) - total, side.x, side.y, held[:, None])
 
@@ -594,11 +643,11 @@ def _invsin_metric(ctx, side):
              "cos<(U, V) = cos<(sum fU_i / sin(theta_i), sum fV_i / sin(theta_i))"))
 def _invsin_angle(ctx, side):
     held = _all_positive_sin(ctx)
-    if not side.xs.shape[1] or not held.any():
+    if not held.any():
         return ctx.nowhere
-    sx, sy = (_component_sum(side.other(v) / ctx.sin[:, side.comps, None])
+    sx, sy = (side.apply("other", side.vector(v / ctx.sin[:, side.comps, None]))
               for v in (side.xs, side.ys))
-    return ctx.cos_diff(side.x, side.y, sx, sy, held[:, None])
+    return ctx.cos_diff(ctx.cos_angle(side.x, side.y), ctx.cos_angle(sx, sy), held[:, None])
 
 
 # -- sin^4 corollaries ------------------------------------------------------------
@@ -638,18 +687,17 @@ _case("gside.metric.phi", "both", "U, V in w(D)", "g(phi U, phi V) = sum_i g(U_i
 
 # -- H relations ----------------------------------------------------------------------
 
-_case("h.w2", "both", "U_0 in H", "w2U_0 = eps * U_0", side="w(D)")(
-    _eps_fixed, m="square", draw="x0")
-_case("h.metric", "both", "U_0, V_0 in H", "g(wU_0, wV_0) = g(U_0, V_0)", side="w(D)")(
-    _component_metric, m="own", coeff=None, draws=("x0", "y0"))
-_case("h.norm", "both", "U_0 in H", "|wU_0| = |U_0|", side="w(D)")(
-    _component_norm, m="own", coeff=None, draw="x0")
+_case("h.w2", "both", "U_0 in H", "w2U_0 = eps * U_0", side="H")(_eps_fixed, m="square")
+_case("h.metric", "both", "U_0, V_0 in H", "g(wU_0, wV_0) = g(U_0, V_0)", side="H")(
+    _component_metric, m="own", coeff=None)
+_case("h.norm", "both", "U_0 in H", "|wU_0| = |U_0|", side="H")(
+    _component_norm, m="own", coeff=None)
 
 # -- the right-angle special case -------------------------------------------------------------
 
 _case("pi2.fw", "both", "X_j in D_j with theta_j = pi/2", "fwX_j = eps * X_j", side="D",
       twin=("pi2.wf", "U_j in w(D_j) with theta_j = pi/2", "wfU_j = eps * U_j"))(
-    _eps_fixed, m="round_trip", draw="xs", pred=_right_angle)
+    _eps_fixed, m="round_trip", pred=_right_angle)
 
 
 _DUAL_PREFIXES = ("gside.", "h.", "dual.", "invsin.u", "sum.f-", "sin4.wf",

@@ -5,7 +5,8 @@ differential suite tests.
 Here the draws of each component are a separate (P, n, t) stack, and every
 shape loops over the components in Python. Its REGISTRY holds the same keys
 in the same order as the package's; each evaluator returns one residual per
-point, and the package's must give the same residuals bit for bit.
+point, and the package's must match them (`tests/test_suite_oracle.py` says
+how closely).
 """
 
 from __future__ import annotations

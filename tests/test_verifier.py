@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,28 @@ def test_unequal_ranks(fid, epsilon, merged_first, tmp_path, capsys):
     assert main(["classify", str(path)]) == 0
     assert main(["dual", str(path)]) == 0
     capsys.readouterr()
+
+
+SUITE_PEAK_BOUND_MB = 10.0
+
+
+def test_suite_memory_is_bounded():
+    """The suite's tracemalloc peak on ex9 at k = 16 (n = 66, 17 components),
+    8 points and 50 trials, the frame stack built beforehand, is about 5 MB:
+    component draws are coefficient blocks (P, K, r, t) and maps act on them
+    through (r, r) Gram blocks. A full-width (P, K, n, t) stack per draw
+    family puts it near 27 MB."""
+    fx = build_fixture("ex9", k=16, epsilon=-1, gamma=1.5)
+    points = fx.default_points()[:8]
+    fx.decomposition.frame_stack(points).h_basis    # the stack and its dual slice, outside the peak
+    tracemalloc.start()
+    try:
+        rep = run_identity_suite(fx.decomposition, points, trials=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= SUITE_PEAK_BOUND_MB * 1e6, peak
 
 
 class TestRightAnglePoints:
