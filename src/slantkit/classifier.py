@@ -41,7 +41,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, FrameStack, check_f_invariance
 from .errors import ComponentError, InvariantError, ModelError, SpecError
-from .linalg import complement_columns
+from .linalg import column_norms, complement_columns
 from .sampling import DEFAULT_SEED
 from .structure import StructureField
 
@@ -554,18 +554,18 @@ class _TangentComponent:
             raise SpecError("the masked tangent space holds no direction besides xi")
 
     def raw_at(self, x: np.ndarray) -> np.ndarray:
-        """The masked coordinate directions; for contact-like kinds, a
-        g-orthonormal basis of TM ∩ xi⊥: in TM coordinates, with the metric
-        gram = tm^T g tm and xi = tm a, the gram-complement of a."""
+        """The masked coordinate directions at x (..., n); for contact-like
+        kinds, a g-orthonormal basis of TM ∩ xi⊥: in TM coordinates, with the
+        metric gram = tm^T g tm and xi = tm a, the gram-complement of a."""
         if not self.structure.is_contact:
-            return self.tm
-        g, xi, tm = self.structure.metric_at(x), self.structure.xi_at(x), self.tm
+            return np.broadcast_to(self.tm, x.shape[:-1] + self.tm.shape).copy()
+        g, xi, tm = self.structure.metric_at(x), self.structure.xi_at(x)[..., None], self.tm
         gram = tm.T @ g @ tm
         a = np.linalg.solve(gram, tm.T @ g @ xi)
         # xi must live inside TM for the decomposition to make sense
-        if float(np.linalg.norm(tm @ a - xi)) > 1e-9 * float(np.linalg.norm(xi)):
+        if (column_norms(tm @ a - xi) > 1e-9 * column_norms(xi)).any():
             raise SpecError("xi does not lie inside the masked tangent space")
-        return tm @ complement_columns(gram, (a / np.sqrt(a @ gram @ a))[:, None])
+        return tm @ complement_columns(gram, a / np.sqrt(np.swapaxes(a, -1, -2) @ gram @ a))
 
 
 def discover(structure: StructureField, points, mask: tuple[int, ...] | None = None,

@@ -4,8 +4,8 @@ A `DistributionFrame` is a rank-r distribution given by r vector fields. A
 `Decomposition` fixes the ambient structure, an optional invariant component
 D0, and the proper components D1..Dk. Its data at a command's sample points
 is one `FrameStack`, built once, every array with the points as a leading
-axis P: the fills (phi, the metric, xi, the component fields) point by
-point, all else stacked, each check naming its own first failing point.
+axis P: every field and check is evaluated over the points at once, each
+check naming its own first failing point.
 `PointFrame` is one point's view of it.
 
 For a tangent Z, fZ is the component of phi(Z) inside D and wZ the remainder
@@ -31,7 +31,7 @@ from itertools import accumulate
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .errors import DimensionError, InvariantError, ModelError, RankError, SpecError
+from .errors import DimensionError, EvalError, InvariantError, ModelError, RankError, SpecError
 from .linalg import complement_columns, g_inner, mgs_columns, mgs_each
 from .sampling import DEFAULT_SEED, rng_for
 from .structure import StructureField
@@ -147,7 +147,8 @@ class DistributionFrame:
         return len(self.fields)
 
     def raw_at(self, point) -> np.ndarray:
-        return np.column_stack([f.at(point) for f in self.fields])
+        """The fields as columns (..., n, rank) at a point (n,) or a stack (..., n)."""
+        return np.stack([f.at(point) for f in self.fields], axis=-1)
 
     def raw_jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
         """Derivatives of `raw_at` along the coordinates `coords` (0-based):
@@ -275,8 +276,9 @@ class PointFrame:
 
 class FrameStack:
     """The frame data of a decomposition at P points, the leading axis of
-    every array. Fills run point by point, the rest is stacked; the
-    components' fields stay as `raws`. Built on first use: `phi_dd` and `f2`
+    every array. The fields (the components' kept as `raws`) are evaluated
+    over the stack, or where that faults, point by point as stacks of one,
+    so the first point to fault raises. Built on first use: `phi_dd` and `f2`
     from basis_d alone, the adapted frame `adapted` with `basis_g` and
     `phi_adapted`, and the dual slice (`duals`, `h_basis`) in the
     coordinates `g_rows` of G. A point's slice equals its own stack's.
@@ -293,20 +295,12 @@ class FrameStack:
         self.invariant_index = 0 if dec.invariant is not None else None
         self.proper_indices = list(range(ncomp - len(dec.proper), ncomp))
         s = dec.structure
-        gs, phis, xis, raws = [], [], [], []
-        for x in self.x:
-            gs.append(s.metric_at(x))
-            phis.append(s.phi_at(x))
-            if s.is_contact:
-                xi = s.xi_at(x)
-                nrm = float(np.sqrt(max(xi @ gs[-1] @ xi, 0.0)))
-                if nrm < 1e-12:
-                    raise RankError("xi vanishes at the sample point")
-                xis.append((xi, xi / nrm))
-            raws.append([comp.raw_at(x) for comp in dec.components])
-        self.g, self.phi = np.stack(gs), np.stack(phis)
-        self.xi, self.xi_unit = map(np.stack, zip(*xis)) if xis else (None, None)
-        self.raws = [np.stack(raw) for raw in zip(*raws)]
+        try:
+            self.g, self.phi, self.xi, self.xi_unit, self.raws = self._fields(self.x)
+        except (EvalError, RankError):      # the first point to fault raises, as in its own stack
+            for x in self.x:
+                self._fields(x[None])
+            raise
         self.bases = orthonormal_bases(dec.component_names(), self.g, self.raws, "at", self.x)
         ranks = [b.shape[-1] for b in self.bases]
         self.offsets = (0, *accumulate(ranks))
@@ -319,6 +313,18 @@ class FrameStack:
                             None if self.xi is None else (self.xi[:, None] @ g_basis)[:, 0],
                             "at", self.x)
         self.frames = [PointFrame(self, p) for p in range(len(self.x))]
+
+    def _fields(self, x: np.ndarray) -> tuple:
+        """g, phi, xi, xi_unit (None, None if hermitian) and the raws at x (P, n)."""
+        dec = self.dec
+        g, phi, xi = dec.structure.fields_at(x)
+        xi_unit = None
+        if xi is not None:
+            nrm = np.sqrt(np.maximum((xi[:, None] @ g @ xi[..., None])[:, 0, 0], 0.0))
+            if (nrm < 1e-12).any():
+                raise RankError("xi vanishes at the sample point")
+            xi_unit = xi / nrm[:, None]
+        return g, phi, xi, xi_unit, [comp.raw_at(x) for comp in dec.components]
 
     @cached_property
     def phi_dd(self) -> np.ndarray:

@@ -14,11 +14,12 @@ Grammar (whitespace insensitive):
 evaluation point. Parsed expressions are immutable and safe to share across
 threads; evaluation is pure.
 
-`LiteralFill` evaluates an array of expressions at a point through one
-generated straight-line Python function, compiled on its first use. The tree
-walker `_eval` stays the oracle: it serves `evaluate`, the differential tests
-compare the compiled fills against it, and a fill whose compiled code meets a
-domain fault re-walks its entries with it, so `_eval` alone raises EvalError.
+`LiteralFill` evaluates an array of expressions over a stack of points
+through one generated straight-line Python function, compiled on its first
+use. The tree walker `_eval` stays the oracle: it serves `evaluate`, the
+differential tests compare the compiled fills against it, and a fill whose
+compiled code meets a domain fault re-walks its entries with it, so `_eval`
+alone raises EvalError.
 
 `LiteralFill.jacobian` differentiates the same entries in forward mode: the
 emitter below takes a tangent writer (module `tangents`) that adds a tangent
@@ -325,19 +326,20 @@ def _eval(e: Expr, x: np.ndarray) -> float:
 
 def require_finite(values: np.ndarray, entries, x: np.ndarray, label: str):
     """Raise EvalError naming the first non-finite entry of an assembled
-    array; `entries` holds its expressions, indexed like `values` (a
-    Jacobian's trailing derivative axis indexes no expression)."""
+    array at x (n,), or over a stack x (..., n) that leads `values`, point by
+    point; `entries` holds its expressions, indexed like the rest of `values`
+    (a Jacobian's trailing derivative axis indexes no expression)."""
     if np.isfinite(values).all():
         return
     idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
-    entry = entries
-    for i in idx:
+    lead, entry = x.ndim - 1, entries
+    for i in idx[lead:]:
         if not isinstance(entry, (tuple, list)):
             break
         entry = entry[i]
-    where = "".join(f"[{i}]" for i in idx)
-    raise EvalError(f"non-finite value {values[idx]} of {label}{where} at {x.tolist()}",
-                    to_source(entry))
+    where = "".join(f"[{i}]" for i in idx[lead:])
+    raise EvalError(f"non-finite value {values[idx]} of {label}{where} at "
+                    f"{x[idx[:lead]].tolist()}", to_source(entry))
 
 
 def _sqrt(v: float) -> float:
@@ -468,13 +470,15 @@ def _define(source: str, scope: dict) -> Callable:
 
 
 class LiteralFill:
-    """Evaluates an array of expressions at points. Bare `Num` entries are
-    copied from an array built once. The other entries run as one compiled
-    function, built on the first `at`; on a domain fault `at` discards its
-    values and walks the same entries in the order given, so the error is
-    `_eval`'s. Constant subexpressions are not folded, so `1/0` still raises
-    EvalError when it is evaluated. `jacobian` compiles its tangent code on
-    its own first call.
+    """Evaluates an array of expressions of `shape` at each point of a stack
+    x (..., n) as (..., *shape); a point (n,) is a stack of one. Bare `Num`
+    entries are copied from an array built once. The other entries run as
+    one compiled function, built on the first `at` and called once per point,
+    their values scattered into the stack at once; on a domain fault at a
+    point `at` discards its values there and walks the same entries in the
+    order given, so the error is `_eval`'s. Constant subexpressions are not
+    folded, so `1/0` still raises EvalError when it is evaluated. `jacobian`
+    compiles its tangent code on its own first call.
 
     `items` yields (index into an array of `shape`, expression)."""
 
@@ -495,19 +499,22 @@ class LiteralFill:
         return _compile([entry for _, entry in self.live], tangents)
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        out = self.literals.copy()
-        if not self.live:
-            return out
-        if self._parts is None:
-            self._parts = [part for part, _ in self._build(None)]
-        try:
+        xs = x.reshape(-1, x.shape[-1])
+        out = np.repeat(self.literals[None], len(xs), axis=0)
+        if self.live and len(xs):
+            if self._parts is None:
+                self._parts = [part for part, _ in self._build(None)]
             values = []
-            for part in self._parts:
-                values += part(x)
-        except _FAULTS:
-            values = [_eval(entry, x) for _, entry in self.live]
-        out[self._where] = values
-        return out
+            for xp in xs:
+                try:
+                    row = []
+                    for part in self._parts:
+                        row += part(xp)
+                except _FAULTS:
+                    row = [_eval(entry, xp) for _, entry in self.live]
+                values.append(row)
+            out[(slice(None),) + self._where] = values
+        return out.reshape(x.shape[:-1] + self.literals.shape)
 
     def jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
         """Derivatives of the entries at x along the coordinate directions
@@ -542,6 +549,7 @@ class VectorFieldExpr:
         return len(self.components)
 
     def at(self, point) -> np.ndarray:
+        """The field at a point (n,), or at each point of a stack (..., n)."""
         x = np.asarray(point, dtype=float)
         values = self._fill.at(x)
         require_finite(values, self.components, x, "vector field")

@@ -44,6 +44,12 @@ def g_inner(gmat: np.ndarray | None, u: np.ndarray, v: np.ndarray,
     return np.einsum("pi...,pi...->p..." if stacked else "i...,i...->...", u, gv)
 
 
+def column_norms(v: np.ndarray) -> np.ndarray:
+    """2-norms of the columns v (..., m, 1), each equal bit for bit to
+    np.linalg.norm of v[..., 0]: both take one BLAS dot product."""
+    return np.sqrt(np.swapaxes(v, -1, -2) @ v)[..., 0, 0]
+
+
 def _inverse_cholesky(gram: np.ndarray) -> np.ndarray:
     """L^-1 of each gram = L L^T of a stack (..., r, r); NaN where that fails."""
     try:

@@ -32,15 +32,11 @@ def box_points(n: int, mask: tuple[int, ...] | None, count: int, box=DEFAULT_BOX
     submanifold; coordinates outside it stay zero. Without a mask the points
     fill the whole ambient space.
     """
-    rng = rng_for(seed, BOX_STREAM)
     free = [i - 1 for i in mask] if mask else list(range(n))
-    lo, hi = box
-    out = []
-    for _ in range(count):
-        p = np.zeros(n)
-        p[free] = rng.uniform(lo, hi, size=len(free))
-        out.append(p)
-    return out
+    out = np.zeros((count, n))
+    # one draw of all the points, row by row: the values of one draw per point
+    out[:, free] = rng_for(seed, BOX_STREAM).uniform(*box, size=(count, len(free)))
+    return list(out)
 
 
 def default_sample_points(n: int, mask: tuple[int, ...] | None, count: int = 16,

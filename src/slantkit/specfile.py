@@ -27,6 +27,7 @@ import hashlib
 import json
 import numbers
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
@@ -62,20 +63,45 @@ class ManifoldSpec:
 def canonical_dumps(obj, indent: int | None = None) -> str:
     """Canonical JSON: sorted keys, LF, shortest round-trip floats, and
     compact separators, or `indent` spaces per level (reports). The C encoder
-    writes it in one call where `obj` reads back from its output unchanged.
-    Else `_sanitize` rewrites `obj` first: the encoder refuses numpy values,
-    nan and inf, and it would write other bytes for non-str keys (it sorts
-    them unconverted, and writes True as "true"); a tuple, which reads back
-    as a list, takes that path as well."""
+    writes it compact where `obj` reads back from its output unchanged, and
+    `_indented` indented where `obj` holds JSON types alone. Else `_sanitize`
+    rewrites `obj` first: the encoder refuses numpy values, nan and inf, and
+    it would write other bytes for non-str keys (it sorts them unconverted,
+    and writes True as "true"); a tuple, which reads back as a list, takes
+    that path as well."""
     layout = {"sort_keys": True, "allow_nan": False, "indent": indent,
               "separators": (",", ":") if indent is None else (",", ": ")}
     try:
+        if indent is not None:
+            return _indented(obj, "\n", " " * indent)
         text = json.dumps(obj, **layout)
         if json.loads(text) == obj:
             return text
     except (TypeError, ValueError):
         pass
     return json.dumps(_sanitize(obj), **layout)
+
+
+def _indented(obj, newline: str, step: str) -> str:
+    """json.dumps(obj, sort_keys=True, indent=len(step)) of a tree of exact
+    dicts with str keys, lists, str, int, finite float, bool and None, the
+    lines of obj's level starting at `newline`; it raises on anything else."""
+    kind = type(obj)
+    if kind is float and obj - obj == 0.0 or kind is int:   # finite: nan, inf - inf are nan
+        return repr(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = newline + step
+    if kind is list:
+        body = [_indented(v, inner, step) for v in obj]
+    elif kind is dict:      # _encode_str refuses a key that is not a str
+        body = [f"{_encode_str(k)}: {_indented(obj[k], inner, step)}" for k in sorted(obj)]
+    else:
+        raise TypeError(kind)
+    ends = "[]" if kind is list else "{}"
+    return f"{ends[0]}{inner}{(',' + inner).join(body)}{newline}{ends[1]}" if body else ends
 
 
 def _sanitize(obj):

@@ -11,8 +11,9 @@ Two kinds are modeled in one type:
 Both satisfy g(phi X, Y) = eps * g(X, phi Y). Axioms are validated
 statistically on seeded random vectors at user-supplied points: bilinear
 identities hold for all vectors iff they hold on a spanning set, so this is
-sufficient coverage and fully reproducible. The fields are evaluated point by
-point; the residuals of every point and axiom come from one stacked pass.
+sufficient coverage and fully reproducible. The fields are evaluated over
+the stack of points, and the residuals of every point and axiom come from
+one stacked pass.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import expr as fe
 from .config import DEFAULT_TOLERANCES
 from .errors import DimensionError, EvalError, KindError, MetricError, SpecError
-from .linalg import SYMMETRY_RTOL, g_inner
+from .linalg import SYMMETRY_RTOL, column_norms, g_inner
 from .sampling import DEFAULT_SEED, rng_for
 
 KIND_HERMITIAN = "hermitian-like"
@@ -72,7 +73,8 @@ class StructureField:
         # column by column, metric entries row by row
         self._phi_fill = fe.LiteralFill((n, n), (
             ((r, c), e) for c, col in enumerate(phi_columns) for r, e in enumerate(col)))
-        self._metric_fill = None if metric is None else fe.LiteralFill((n, n), (
+        self._metric_fill = fe.LiteralFill((n, n), (
+            ((i, i), fe.Num(1.0)) for i in range(n)) if metric is None else (
             ((i, j), e) for i, row in enumerate(metric) for j, e in enumerate(row)))
         # True when the metric is absent or the literal identity matrix.
         self.metric_is_euclidean = metric is None or all(
@@ -84,10 +86,11 @@ class StructureField:
         return self.kind == KIND_CONTACT
 
     def phi_at(self, point) -> np.ndarray:
-        """Matrix of phi at the point; column c is the image of e_{c+1}."""
+        """Matrix of phi at a point (n, n), or at each point of a stack
+        (..., n, n); column c is the image of e_{c+1}."""
         x = np.asarray(point, dtype=float)
         mat = self._phi_fill.at(x)
-        fe.require_finite(mat.T, self.phi_columns, x, "phi_columns")
+        fe.require_finite(np.swapaxes(mat, -1, -2), self.phi_columns, x, "phi_columns")
         return mat
 
     def phi_jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
@@ -101,29 +104,38 @@ class StructureField:
         return jac
 
     def metric_at(self, point) -> np.ndarray:
-        if self.metric_exprs is None:
-            return np.eye(self.n)
+        """The metric at a point (n, n), or at each point of a stack (..., n,
+        n). Its checks (finite, symmetric, positive definite) run in that
+        order, each over all points, and raise for their first failing point."""
         x = np.asarray(point, dtype=float)
         mat = self._metric_fill.at(x)
+        if self.metric_is_euclidean:
+            return mat
         fe.require_finite(mat, self.metric_exprs, x, "metric")
-        if not self.metric_is_euclidean:
-            asym = float(np.linalg.norm(mat - mat.T))
-            if asym > SYMMETRY_RTOL * max(float(np.linalg.norm(mat)), 1e-300):
-                raise MetricError(
-                    f"metric is not symmetric at {x.tolist()} (residual {asym:.3e})",
-                    "metric-symmetric")
-            mat = 0.5 * (mat + mat.T)
-            try:
-                np.linalg.cholesky(mat)      # positive-definiteness check only
-            except np.linalg.LinAlgError:
-                raise MetricError(f"metric is not positive definite at {x.tolist()}",
-                                  "metric-positive") from None
+        xs, flat = x.reshape(-1, x.shape[-1]), (-1, self.n * self.n, 1)
+        asym = column_norms((mat - np.swapaxes(mat, -1, -2)).reshape(flat))
+        for p in np.flatnonzero(asym > SYMMETRY_RTOL * np.maximum(
+                column_norms(mat.reshape(flat)), 1e-300))[:1]:
+            raise MetricError(f"metric is not symmetric at {xs[p].tolist()} "
+                              f"(residual {asym[p]:.3e})", "metric-symmetric")
+        mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
+        try:
+            np.linalg.cholesky(mat)      # positive-definiteness check only
+        except np.linalg.LinAlgError:
+            for xp in xs[:-1]:          # the first point that fails raises, alone
+                self.metric_at(xp)
+            raise MetricError(f"metric is not positive definite at {xs[-1].tolist()}",
+                              "metric-positive") from None
         return mat
 
     def xi_at(self, point) -> np.ndarray:
         if not self.is_contact:
             raise KindError("xi is only defined for contact-like structures")
         return self.xi.at(point)
+
+    def fields_at(self, x: np.ndarray) -> tuple:
+        """(metric, phi, xi or None) at each point of a stack x (P, n)."""
+        return self.metric_at(x), self.phi_at(x), self.xi_at(x) if self.is_contact else None
 
     def eta(self, point, v) -> float:
         """eta(v) = g(v, xi) at the point."""
@@ -191,40 +203,45 @@ def validate_structure(s: StructureField, points, trials: int = 25,
                        tol: float = DEFAULT_TOLERANCES.structure,
                        seed: int = DEFAULT_SEED) -> StructureVerdict:
     """Check every structure axiom on seeded random vector pairs at each
-    point. The fields are evaluated point by point (point idx draws its pairs
-    from `rng_for(seed, 101, idx)`), then the residuals of the points that
-    evaluated in one stacked pass. A point whose evaluation fails makes the
+    point. The fields are evaluated over the stack of points, or where that
+    faults, point by point as stacks of one; then the residuals of the
+    points that evaluated in one stacked pass (point idx draws its pairs
+    from `rng_for(seed, 101, idx)`). A point whose evaluation fails makes the
     verdict fail rather than raise, with axiom `metric-symmetric` or
     `metric-positive` for a metric that is not symmetric or not positive
     definite there, `evaluation` otherwise; the first such point is the
     witness. Else the witness is the first nan of the (points, axioms) table
     in point-major order, or its first maximum, and none if that is 0."""
-    points = list(points)
-    if not points:
+    xs = np.array(list(points), dtype=float)
+    if not len(xs):
         raise SpecError("validate_structure needs at least one point")
     if trials < 1:
         raise SpecError("trials must be >= 1")
 
-    xs, fields, failures = [], [], []
-    for idx, point in enumerate(points):
-        x = np.asarray(point, dtype=float)
-        try:
-            fields.append((s.metric_at(x), s.phi_at(x), s.xi_at(x) if s.is_contact else None,
-                           rng_for(seed, 101, idx).standard_normal((s.n, trials, 2))))
-            xs.append(x)
-        except EvalError as exc:
-            axiom = exc.axiom if isinstance(exc, MetricError) else "evaluation"
-            failures.append({"axiom": axiom, "point": x.tolist(), "error": str(exc)})
+    failures = []
+    try:
+        fields, good = [s.fields_at(xs)], range(len(xs))
+    except EvalError:
+        fields, good = [], []
+        for idx, x in enumerate(xs):
+            try:
+                fields.append(s.fields_at(x[None]))
+                good.append(idx)
+            except EvalError as exc:
+                axiom = exc.axiom if isinstance(exc, MetricError) else "evaluation"
+                failures.append({"axiom": axiom, "point": x.tolist(), "error": str(exc)})
 
     worst, witness = {}, {"axiom": None, "point": None, "residual": 0.0}
-    if fields:
-        stacks = (None if col[0] is None else np.stack(col) for col in zip(*fields))
-        residuals = _axiom_residuals(s, *stacks)        # metric, phi, xi, pairs
+    if good:
+        stacks = (None if col[0] is None else np.concatenate(col) for col in zip(*fields))
+        pairs = np.stack([rng_for(seed, 101, idx).standard_normal((s.n, trials, 2))
+                          for idx in good])
+        residuals = _axiom_residuals(s, *stacks, pairs)         # metric, phi, xi, pairs
         table = np.stack(list(residuals.values()), axis=1)      # (points, axioms)
         worst = dict(zip(residuals, table.max(axis=0).tolist()))
         p, a = np.unravel_index(np.argmax(table), table.shape)
         if table[p, a] != 0.0:      # nan or a positive maximum
-            witness = {"axiom": list(residuals)[a], "point": xs[p].tolist(),
+            witness = {"axiom": list(residuals)[a], "point": xs[good[p]].tolist(),
                        "residual": float(table[p, a])}
     passed = not failures and bool(worst) and all(v <= tol for v in worst.values())
     if failures:

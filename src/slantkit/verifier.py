@@ -143,10 +143,17 @@ class PointContext:
         hs = [stack.h_basis] if stack.h_basis.shape[-1] else []
         u_h, v_h = coefficients(hs)
         xi = [full(slice(off[-1], off[-1] + 1)) for _ in range(2 * self.contact)]
-        for p in range(npts):
-            rng = rng_for(seed, 997, p)
-            for v in targets:
-                rng.standard_normal(out=v[p])
+        # one draw per point stream, split into the targets in their order;
+        # the buffer holds as many points as fit in 2^14 values (128 kB), one
+        # at least, so the temporary stays small whatever the point count
+        ends = np.cumsum([0] + [v.shape[1] * v.shape[2] for v in targets])
+        step = max(1, 2 ** 14 // int(ends[-1]))
+        for p0 in range(0, npts, step):
+            rows = np.empty((min(step, npts - p0), ends[-1]))
+            for i, row in enumerate(rows):
+                rng_for(seed, 997, p0 + i).standard_normal(out=row)
+            for v, lo, hi in zip(targets, ends, ends[1:]):
+                v[p0:p0 + len(rows)] = rows[:, lo:hi].reshape((len(rows),) + v.shape[1:])
         self.amb = tuple(np.swapaxes(stack.adapted, -1, -2)[:, None] @ (stack.g[:, None] @ a)
                          for a in amb)
 

@@ -1,15 +1,20 @@
 """Spec loading: the per-load parse of each distinct entry text, the
-canonical digest, and the canonical writer shared with the run reports."""
+canonical digest, the canonical writer shared with the run reports, and the
+seeded box points of a spec's sample-point generator."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slantkit import expr as fe
 from slantkit.errors import ParseError
 from slantkit.gallery import build_fixture, fixture_to_spec_dict
 from slantkit.report import make_run_report, report_json
+from slantkit.sampling import BOX_STREAM, box_points, rng_for
 from slantkit.specfile import _sanitize, canonical_dumps, load_manifold_spec, spec_digest
 
 
@@ -110,3 +115,64 @@ def test_json_specs_are_digested_without_the_rewrite(monkeypatch):
 def test_report_json_matches_the_sanitizing_path(structure):
     report = make_run_report("0" * 64, 3, structure=structure, dual={"h_dim": np.int64(2)})
     assert report_json(report) == json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n"
+
+
+def _indented(obj) -> str:
+    """report_json's layout as first defined: every input rewritten by _sanitize."""
+    return json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False)
+
+
+_GOLDEN = sorted((Path(__file__).resolve().parent / "golden").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", _GOLDEN, ids=[p.stem for p in _GOLDEN])
+def test_indented_writer_matches_json_on_golden_reports(path):
+    doc = json.loads(path.read_text())
+    for obj in [doc, *doc["commands"].values()]:
+        assert canonical_dumps(obj, indent=2) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+_LEAVES = (st.floats() | st.floats().map(np.float64) | st.integers() | st.text()
+           | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+           | st.sampled_from([None, True, False, {}, [], ()]))
+_TREES = st.recursive(_LEAVES, lambda kids: (
+    st.lists(kids, min_size=1, max_size=4) | st.lists(kids, min_size=1, max_size=4).map(tuple)
+    | st.dictionaries(st.text() | st.integers() | st.booleans(), kids, min_size=1, max_size=4)),
+    max_leaves=24)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(), lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids,
+                                                                         max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES | _JSON)
+@example(float("nan"))
+@example({"a": [1.5, float("inf")], "b": -float("inf")})
+def test_indented_writer_matches_the_sanitizing_path(obj):
+    assert canonical_dumps(obj, indent=2) == _indented(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], "", {"a": {}, "b": [], "c": [[]]}, {"\u00e9\u2603": ["\U0001f600", "\x00\n\""]},
+    {"z": 1, "a": -0.0, "m": [True, False, None, 1e-310, 5e300]},
+])
+def test_indented_writer_matches_json(obj):
+    assert canonical_dumps(obj, indent=2) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("n, mask, count, box, seed", [
+    (5, None, 7, (-2.0, 2.0), 0), (11, (1, 2, 3, 4, 7, 8, 11), 9, (-1.5, 0.5), 53081),
+    (3, (2,), 4, (0.0, 1e-3), 2 ** 40), (4, None, 1, (-2.0, 2.0), 7),
+])
+def test_box_points_equal_row_by_row_draws(n, mask, count, box, seed):
+    rng = rng_for(seed, BOX_STREAM)
+    free = [i - 1 for i in mask] if mask else list(range(n))
+    want = []
+    for _ in range(count):
+        p = np.zeros(n)
+        p[free] = rng.uniform(*box, size=len(free))
+        want.append(p)
+    got = box_points(n, mask, count, box=box, seed=seed)
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
