@@ -151,12 +151,13 @@ class DistributionFrame:
         return np.stack([f.at(point) for f in self.fields], axis=-1)
 
     def raw_jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
-        """Derivatives of `raw_at` along the coordinates `coords` (0-based):
-        (len(coords), n, rank), or None when every field is constant."""
+        """Derivatives of `raw_at` along the coordinates `coords` (0-based) at
+        a point x (n,) or a stack (..., n): (..., len(coords), n, rank), or
+        None when every field is constant."""
         jacs = [f.jacobian(x, coords, h) for f in self.fields]
         if all(jac is None for jac in jacs):
             return None
-        zero = np.zeros((len(coords), self.n))
+        zero = np.zeros(x.shape[:-1] + (len(coords), self.n))
         return np.stack([zero if jac is None else jac for jac in jacs], axis=-1)
 
 

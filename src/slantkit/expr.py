@@ -15,15 +15,14 @@ evaluation point. Parsed expressions are immutable and safe to share across
 threads; evaluation is pure.
 
 `LiteralFill` evaluates an array of expressions over a stack of points
-through one generated straight-line Python function, compiled on its first
-use. The tree walker `_eval` stays the oracle: it serves `evaluate`, the
-differential tests compare the compiled fills against it, and a fill whose
-compiled code meets a domain fault re-walks its entries with it, so `_eval`
-alone raises EvalError.
+through one straight-line program, a table of operations built on its first
+use and run over the whole stack, one array operation per row. No spec text
+becomes Python code. The tree walker `_eval` stays the oracle: it serves
+`evaluate`, and a point at which the program faults is walked instead, so
+`_eval` alone raises EvalError.
 
-`LiteralFill.jacobian` differentiates the same entries in forward mode: the
-emitter below takes a tangent writer (module `tangents`) that adds a tangent
-statement to each value statement.
+`LiteralFill.jacobian` runs the same table forward over points and
+directions, with the tangent rules of module `tangents`.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ ScalarFieldExpr = Expr  # the domain-type name used by the other modules
 
 # Deepest expression tree the parser accepts, in nodes from root to leaf; a
 # sum x1+x1+... of MAX_DEPTH terms is that deep. _eval, to_source and the fill
-# emitter recurse once per tree level, the parser three times per level of
+# program's builder recurse once per tree level, the parser three times per level of
 # parentheses, function argument or exponent; those nest at most
 # MAX_DEPTH // 6 deep. Both bounds keep every recursion well under CPython's
 # default limit of 1000 frames.
@@ -342,13 +341,6 @@ def require_finite(values: np.ndarray, entries, x: np.ndarray, label: str):
                     f"{x[idx[:lead]].tolist()}", to_source(entry))
 
 
-def _sqrt(v: float) -> float:
-    """_eval's clamped sqrt; ValueError where _eval raises EvalError."""
-    if v < -SQRT_CLAMP:
-        raise ValueError(v)
-    return math.sqrt(max(v, 0.0))
-
-
 def _acos(v: float) -> float:
     """_eval's clamped arccos; ValueError where _eval raises EvalError."""
     if abs(v) > 1.0 + ARCCOS_CLAMP:
@@ -356,133 +348,181 @@ def _acos(v: float) -> float:
     return math.acos(min(1.0, max(-1.0, v)))
 
 
-# The compiled fill's whole vocabulary: each walker operation as Python source
-# over operands that are locals, literals or coordinates. math.sin and math.cos
-# raise ValueError on inf and math.pow raises ValueError or OverflowError
-# exactly where _eval raises EvalError; Python's float '/' raises
-# ZeroDivisionError exactly where _eval's divisor check does.
-_BINARY = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "^": "pow({}, {})"}
-_CALLS = {"sqrt": "_sqrt", "abs": "abs", "sin": "sin", "cos": "cos", "arccos": "_acos"}
-_GLOBALS = {"pow": math.pow, "sin": math.sin, "cos": math.cos, "_sqrt": _sqrt, "_acos": _acos}
-# What a compiled fill raises on a domain fault, including an IndexError for
-# a point shorter than its highest coordinate.
-_FAULTS = (ArithmeticError, ValueError, IndexError)
+def each(fn: Callable, *args) -> tuple[np.ndarray, np.ndarray]:
+    """`fn` on the Python floats of the broadcast arrays or floats `args`,
+    element by element: (values, fault), fault True where fn raised
+    ValueError or OverflowError, the value there nan."""
+    shape = np.broadcast_shapes(*map(np.shape, args))
+    values, fault = [], []
+    for v in zip(*(np.broadcast_to(a, shape).ravel().tolist() for a in args)):
+        try:
+            values.append(fn(*v))
+            fault.append(False)
+        except (ValueError, OverflowError):
+            values.append(math.nan)
+            fault.append(True)
+    return np.array(values).reshape(shape), np.array(fault).reshape(shape)
 
 
-class _Emitter:
-    """Writes straight-line Python for a list of expressions: one statement
-    per distinct operation, each operand evaluated before it as in _eval, so
-    every float operation matches the walker's. Identical subtrees share one
-    local, because evaluation is pure; the entries of a fill repeat most of
-    their subexpressions, so this cuts the statements to compile several-fold.
-    The source holds only float literals (repr), coordinate indices and the
-    names of _GLOBALS.
-
-    A `tangents` writer, when given, sees each new value statement (its
-    `emitted`) and writes the generated function (its `function`)."""
-
-    def __init__(self, tangents):
-        self.lines: list[str] = []
-        self.locals: dict[str, str] = {}  # right-hand side -> its local
-        self.uses_norm2 = False
-        self.tangents = tangents
-
-    def size(self) -> int:
-        """Statements written so far."""
-        return len(self.lines) + (0 if self.tangents is None else self.tangents.size())
-
-    def operand(self, e: Expr) -> str:
-        """Python source for the value of `e`: a literal, a coordinate, or
-        the local holding it, whose statement is appended when new."""
-        if isinstance(e, Num) and type(e.value) is float and math.isfinite(e.value):
-            return repr(e.value)
-        if isinstance(e, Coord) and type(e.index) is int:
-            return f"c[{e.index - 1}]"
-        if isinstance(e, Pi):
-            return repr(math.pi)
-        if isinstance(e, Norm2):
-            self.uses_norm2 = True
-            return "n2"
-        if isinstance(e, Neg):
-            args = ("neg", self.operand(e.operand))
-            value = "-" + args[1]
-        elif isinstance(e, Bin) and e.op in _BINARY:
-            args = (e.op, self.operand(e.left), self.operand(e.right))
-            value = _BINARY[e.op].format(*args[1:])
-        elif isinstance(e, Call) and e.func in _CALLS:
-            args = (e.func, self.operand(e.arg))
-            value = f"{_CALLS[e.func]}({args[1]})"
-        else:
-            # not a node the parser builds: fault, so that _eval decides
-            self.lines.append("raise ValueError")
-            return "None"
-        if value not in self.locals:
-            self.locals[value] = name = f"t{len(self.locals)}"
-            self.lines.append(f"{name} = {value}")
-            if self.tangents is not None:
-                self.tangents.emitted(name, args)
-        return self.locals[value]
+# The walker's operations over arrays of points. + - * /, negation and abs are
+# exact IEEE operations, so numpy gives them the bits that Python floats give;
+# pow, sin, cos and arccos run per element through `math` (`each`), whose
+# results numpy's own functions do not match bit for bit. math.sin and
+# math.cos raise ValueError on inf, and math.pow ValueError or OverflowError,
+# exactly where _eval raises EvalError.
+_BINARY = ("+", "-", "*", "/", "^")
+_ARRAY_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+              "neg": np.negative, "abs": np.abs}
+_MATH_OPS = {"^": math.pow, "sin": math.sin, "cos": math.cos, "arccos": _acos}
+_LEAVES = ("num", "x", "norm2")
 
 
-# Statements per generated function, about. CPython's compiler holds a whole
-# source in memory at once (about 3.5 kB per statement on CPython 3.11), so a
-# fill of many long entries is compiled as several functions, each ending at
-# an entry boundary.
-_CHUNK_STATEMENTS = 1000
+class _Program:
+    """The straight-line program of a fill's live entries: one row per
+    distinct operation, each after its operands, in _eval's order. Identical
+    subtrees share one row, because evaluation is pure; the entries of a fill
+    repeat most of their subexpressions. A row is a literal ("num", value),
+    ("num", 0.0, sign) for a zero, a coordinate ("x", 0-based index),
+    ("norm2",), or an operation of the walker and the rows of its operands,
+    such as ("/", 3, 7)."""
 
+    __slots__ = ("rows", "results", "literals", "steps", "coords", "broken", "constant",
+                 "where")
 
-def _compile(entries, tangents: type | None) -> list[tuple[Callable | None, int]]:
-    """(function, number of entries) per run of entries, in order: functions
-    x -> [value of each entry at x], or a `tangents` writer's functions when
-    its type is given. Their code nests no expressions, so no entry can
-    exceed CPython's parser limits."""
+    def __init__(self, live):
+        rows: list[tuple] = []
+        index: dict[tuple, int] = {}   # row -> its position
+        seen: dict[int, int] = {}      # id of a node met before -> its row (the
+        # entries of one spec text share one tree)
+        moves: list[bool] = []         # per row, whether it depends on the point
+        self.broken = False
 
-    def emitter():
-        return _Emitter(None if tangents is None else tangents())
+        def row(e: Expr) -> int:
+            if (r := seen.get(id(e))) is not None:
+                return r
+            t, moving = type(e), False
+            if t is Bin and e.op in _BINARY:
+                a, b = row(e.left), row(e.right)
+                key, moving = (e.op, a, b), moves[a] or moves[b]
+            elif t is Num and type(e.value) is float and math.isfinite(e.value):
+                key = ("num", e.value) if e.value else ("num", e.value, math.copysign(1, e.value))
+            elif t is Norm2:
+                key, moving = ("norm2",), True
+            elif t is Coord and type(e.index) is int:
+                key, moving = ("x", e.index - 1), True
+            elif t is Call and e.func in FUNCTIONS:
+                a = row(e.arg)
+                key, moving = (e.func, a), moves[a]
+            elif t is Neg:
+                a = row(e.operand)
+                key, moving = ("neg", a), moves[a]
+            elif t is Pi:
+                key = ("num", math.pi)
+            else:   # a node the parser never builds: every point faults
+                self.broken, key = True, ("num", 1.0)
+            if (r := index.get(key)) is None:
+                r = index[key] = len(rows)
+                rows.append(key)
+                moves.append(moving)
+            seen[id(e)] = r
+            return r
 
-    parts, current, results = [], emitter(), []
-    for e in entries:
-        results.append(current.operand(e))
-        if current.size() >= _CHUNK_STATEMENTS:
-            parts.append((_function(current, results), len(results)))
-            current, results = emitter(), []
-    if results:
-        parts.append((_function(current, results), len(results)))
-    return parts
+        self.results = [row(entry) for _, entry in live]
+        self.rows = rows
+        self.constant = not self.broken and not any(moves[r] for r in self.results)
+        self.coords = [key[1] for key in rows if key[0] == "x"]
+        # per row, the rows whose last use it is; results live to the end
+        last = {j: i for i, key in enumerate(rows) if key[0] not in _LEAVES for j in key[1:]}
+        for r in self.results:
+            last.pop(r, None)
+        dying = [[] for _ in rows]
+        for j, i in last.items():
+            dying[i].append(j)
+        self.literals = [key[1] if key[0] == "num" else None for key in rows]
+        # (row, op, its array op or None, operands a and b or None, rows dying
+        # there) per row but the literals; a is the coordinate of an "x" row
+        self.steps = [(i, key[0], _ARRAY_OPS.get(key[0]), *(key[1:] + (None, None))[:2], dying[i])
+                      for i, key in enumerate(rows) if key[0] != "num"]
+        self.where = tuple(np.array(axis) for axis in zip(*(idx for idx, _ in live)))
 
-
-def _function(emitter: _Emitter, results: list[str]) -> Callable | None:
-    if emitter.tangents is not None:
-        return emitter.tangents.function(emitter, results)
-    body = ["c = x.tolist()"]
-    if emitter.uses_norm2:
-        body.append("n2 = float(x @ x)")
-    body += emitter.lines
-    body.append(f"return [{', '.join(results)}]")
-    return _define("def fill(x):\n" + "".join(f"    {line}\n" for line in body), _GLOBALS)
-
-
-def _define(source: str, scope: dict) -> Callable:
-    """The function `fill` that `source` defines, with the names of `scope`."""
-    scope = dict(scope)
-    exec(compile(source, "<slantkit.expr.LiteralFill>", "exec"), scope)
-    return scope["fill"]
+    def run(self, x: np.ndarray, seeds: np.ndarray | None = None, rule: Callable | None = None):
+        """The entries over the points x (P, n): their values (P, L) and the
+        points (P,) at which the program faults. With directions `seeds`
+        (M, n), their tangents (P, M, L) instead, and the (point, direction)
+        pairs (P, M) at which a value or a tangent faults: `rule(op, v, a,
+        da, b, db)` gives a row's tangent and its faults from the row's value
+        v, its operands a, b (None for a unary op) and their tangents (None
+        for a literal 0, not both). Values are (P, 1) or floats, tangents
+        (P or 1, M). Each row's arrays are dropped after their last use, so
+        the memory held is the live set's."""
+        P, n = x.shape
+        L, M = len(self.results), 0 if seeds is None else len(seeds)
+        if self.broken or not all(-n <= k < n for k in self.coords):
+            # _eval decides at every point: an unknown node, or a coordinate beyond the point
+            return (np.zeros((P, L)), np.ones(P, bool)) if seeds is None else (
+                np.zeros((P, M, L)), np.ones((P, M), bool))
+        fault, dfault = np.zeros((P, 1), bool), np.zeros((P, M), bool)
+        vals, tans = list(self.literals), [None] * len(self.rows)
+        with np.errstate(all="ignore"):
+            for i, op, fn, a, b, dying in self.steps:
+                if op == "x":
+                    v = x[:, a, None]
+                    tans[i] = seeds[None, :, a] if M else None
+                elif op == "norm2":
+                    v = np.array([float(xp @ xp) for xp in x]).reshape(P, 1)
+                    tans[i] = 2.0 * (x @ seeds.T) if M else None
+                else:
+                    ops = (vals[a],) if b is None else (vals[a], vals[b])
+                    if fn is not None:
+                        v = fn(*ops)
+                        if op == "/":
+                            fault |= ops[1] == 0.0
+                    elif op == "sqrt":
+                        fault |= ops[0] < -SQRT_CLAMP
+                        # Python's max(v, 0.0) keeps v = -0.0 (np.maximum does not), and NaN
+                        v = np.sqrt(np.where(0.0 > ops[0], 0.0, ops[0]))
+                    else:
+                        v, faulted = each(_MATH_OPS[op], *ops)
+                        fault |= faulted
+                    if M and (tans[a] is not None or b is not None and tans[b] is not None):
+                        tans[i], faulted = rule(op, v, ops[0], tans[a], *(
+                            (None, None) if b is None else (ops[1], tans[b])))
+                        dfault |= faulted
+                vals[i] = v
+                for j in dying:
+                    vals[j] = tans[j] = None
+        if seeds is None:
+            return np.concatenate([v if isinstance(v, np.ndarray) and v.ndim == 2 else
+                                   np.full((P, 1), v) for v in map(vals.__getitem__, self.results)],
+                                  axis=1), fault[:, 0]
+        out = np.zeros((P, M, L))
+        for col, r in enumerate(self.results):
+            if tans[r] is not None:
+                out[..., col] = tans[r]
+        return out, dfault | fault
 
 
 class LiteralFill:
     """Evaluates an array of expressions of `shape` at each point of a stack
     x (..., n) as (..., *shape); a point (n,) is a stack of one. Bare `Num`
     entries are copied from an array built once. The other entries run as
-    one compiled function, built on the first `at` and called once per point,
-    their values scattered into the stack at once; on a domain fault at a
-    point `at` discards its values there and walks the same entries in the
-    order given, so the error is `_eval`'s. Constant subexpressions are not
-    folded, so `1/0` still raises EvalError when it is evaluated. `jacobian`
-    compiles its tangent code on its own first call.
+    one straight-line program (`_Program`, built on first use) over the
+    whole stack, one array operation per row. A point at which the program
+    faults (a division by exact 0, a clamp violated, a `math` domain or range
+    error, a coordinate beyond the point's length) is walked instead, its
+    entries in the order given, so that its error is `_eval`'s. Constant
+    subexpressions are not folded, so `1/0` still raises EvalError when it
+    is evaluated.
+
+    `jacobian` runs the same program forward over the stack and m coordinate
+    directions, (..., m, *shape). A point at which a value faults sends all
+    its directions, a (point, direction) at which only a tangent faults (abs
+    at 0 along a direction that moves it, say) that direction alone, to a
+    central difference of `at`.
 
     `items` yields (index into an array of `shape`, expression)."""
 
-    __slots__ = ("literals", "live", "_where", "_parts", "_tangent_parts")
+    __slots__ = ("literals", "live", "_program")
 
     def __init__(self, shape: tuple[int, ...], items):
         self.literals = np.zeros(shape)
@@ -492,35 +532,30 @@ class LiteralFill:
                 self.literals[idx] = entry.value
             else:
                 self.live.append((idx, entry))
-        self._parts = self._tangent_parts = None
+        self._program = None
 
-    def _build(self, tangents: type | None) -> list[tuple[Callable | None, int]]:
-        self._where = tuple(np.array(axis) for axis in zip(*(idx for idx, _ in self.live)))
-        return _compile([entry for _, entry in self.live], tangents)
+    def program(self) -> _Program:
+        if self._program is None:
+            self._program = _Program(self.live)
+        return self._program
 
     def at(self, x: np.ndarray) -> np.ndarray:
         xs = x.reshape(-1, x.shape[-1])
         out = np.repeat(self.literals[None], len(xs), axis=0)
         if self.live and len(xs):
-            if self._parts is None:
-                self._parts = [part for part, _ in self._build(None)]
-            values = []
-            for xp in xs:
-                try:
-                    row = []
-                    for part in self._parts:
-                        row += part(xp)
-                except _FAULTS:
-                    row = [_eval(entry, xp) for _, entry in self.live]
-                values.append(row)
-            out[(slice(None),) + self._where] = values
+            program = self.program()
+            values, fault = program.run(xs)
+            for p in np.flatnonzero(fault):
+                values[p] = [_eval(entry, xs[p]) for _, entry in self.live]
+            out[(slice(None),) + program.where] = values
         return out.reshape(x.shape[:-1] + self.literals.shape)
 
     def jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
-        """Derivatives of the entries at x along the coordinate directions
-        `coords` (0-based): (len(coords), *shape), or None when no entry
-        depends on the point (`tangents.fill_jacobian`, h the step of its
-        central-difference fallback)."""
+        """Derivatives of the entries along the coordinate directions `coords`
+        (0-based) at a point x (n,) or at each point of a stack (..., n):
+        (..., len(coords), *shape), or None when no entry depends on the
+        point (`tangents.fill_jacobian`, h the step of its central-difference
+        fallback)."""
         from .tangents import fill_jacobian
         return fill_jacobian(self, x, coords, h)
 
@@ -556,11 +591,13 @@ class VectorFieldExpr:
         return values
 
     def jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
-        """Derivatives (len(coords), n) along the coordinates `coords`
-        (0-based), or None where the field is constant (`LiteralFill.jacobian`)."""
+        """Derivatives (..., len(coords), n) along the coordinates `coords`
+        (0-based) at a point x (n,) or a stack (..., n), or None where the
+        field is constant (`LiteralFill.jacobian`)."""
         jac = self._fill.jacobian(x, coords, h)
         if jac is not None:
-            require_finite(jac.T, self.components, x, "derivative of vector field")
+            require_finite(np.swapaxes(jac, -1, -2), self.components, x,
+                           "derivative of vector field")
         return jac
 
     def is_zero_component(self, index: int) -> bool:

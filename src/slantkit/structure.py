@@ -94,12 +94,13 @@ class StructureField:
         return mat
 
     def phi_jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
-        """Derivatives of phi along the coordinates `coords` (0-based):
-        (len(coords), n, n), or None where phi is constant
-        (`expr.LiteralFill.jacobian`, with h the step of its fallback)."""
+        """Derivatives of phi along the coordinates `coords` (0-based) at a
+        point x (n,) or a stack (..., n): (..., len(coords), n, n), or None
+        where phi is constant (`expr.LiteralFill.jacobian`, with h the step
+        of its fallback)."""
         jac = self._phi_fill.jacobian(x, coords, h)
         if jac is not None:
-            fe.require_finite(jac.transpose(2, 1, 0), self.phi_columns, x,
+            fe.require_finite(np.moveaxis(jac, (-3, -1), (-1, -3)), self.phi_columns, x,
                               "derivative of phi_columns")
         return jac
 

@@ -1,146 +1,88 @@
 """Exact first derivatives for the connection probe.
 
-`fill_jacobian` differentiates an `expr.LiteralFill` in forward mode: a
-second generated function carries, next to each value statement of the
-fill's emitter, its tangent along a seed direction (`_TangentWriter`).
-`frame_derivatives` differentiates the projectors and f^2 Grams of a
-`FrameStack` in closed form from the tangents of phi, xi and the component
-fields, along directions of each point, over a chunk of the stack's points
-at once.
+`fill_jacobian` differentiates an `expr.LiteralFill` in forward mode: the
+fill's program runs over a stack of points and directions, each row's
+tangent next to its value, by the rules of `_tangent`. `frame_derivatives`
+differentiates the projectors and f^2 Grams of a `FrameStack` in closed form
+from the tangents of phi, xi and the component fields, along directions of
+each point, over a chunk of the stack's points at once.
 
 Only `identities --connection` needs them, so `LiteralFill.jacobian` and the
-connection probe import this module on first use, and no other command
-compiles it.
+connection probe import this module on first use.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
 import numpy as np
 
 from . import expr as fe
 from .distribution import FrameStack, check_f2_symmetric, check_orthogonality, orthonormal_bases
-from .errors import RankError, SpecError, UnsupportedError
-
-_GLOBALS = dict(fe._GLOBALS, sqrt=math.sqrt, log=math.log, _FAULTS=fe._FAULTS)
+from .errors import RankError, SlantKitError, SpecError, UnsupportedError
 
 
-def _tangent(op: str, v: str, a: str, da: str | None, b: str, db: str | None):
-    """Source of the tangent of `v = op(a[, b])` (b "" for a unary op) from
-    the operand tangents `da`, `db`, or None when it is literal 0 (as `da`
-    or `db` may be). An undefined derivative faults: abs at 0 along a
-    direction that moves its operand (along one that does not, |u| changes
-    to second order only, so its tangent is 0), sqrt or arccos where it has
-    none or a clamp is active, pow at base 0 with an exponent below 1, or at
-    a base <= 0 with a point-dependent exponent (log)."""
-    if da is None and db is None:
-        return None
+def _tangent(op: str, v, a, da, b, db):
+    """The tangent of the row `v = op(a[, b])` (b None for a unary op) from
+    the operand tangents `da`, `db` (None for a literal 0, not both), as
+    arrays over points (P, 1) and directions (P or 1, M), and where it faults:
+    False or a mask that broadcasts to (P, M). Each rule is the one Python
+    float expression of the chain rule, evaluated in the same order, so its
+    bits are those of the scalar rule. An undefined derivative faults: abs at
+    0 along a direction that moves its operand (along one that does not, |u|
+    changes to second order only, so its tangent is 0), sqrt or arccos where
+    it has none or a clamp is active, pow at base 0 with an exponent below 1,
+    or at a base <= 0 with a point-dependent exponent (log)."""
     if op in ("+", "-"):
         if da is None:
-            return db if op == "+" else f"-{db}"
-        return da if db is None else f"{da} {op} {db}"
+            return (db if op == "+" else -db), False
+        return (da if db is None else da + db if op == "+" else da - db), False
     if op == "*":
-        terms = [f"{da} * {b}"] if da is not None else []
-        terms += [f"{a} * {db}"] if db is not None else []
-        return " + ".join(terms)
-    if op == "/":
         if db is None:
-            return f"{da} / {b}"
-        return f"-{v} * {db} / {b}" if da is None else f"({da} - {v} * {db}) / {b}"
+            return da * b, False
+        return (a * db if da is None else da * b + a * db), False
+    if op == "/":   # b == 0 faults the value already
+        if db is None:
+            return da / b, False
+        return (-v * db / b if da is None else (da - v * db) / b), False
     if op == "^":
         if db is None:
-            return f"{b} * pow({a}, {b} - 1.0) * {da}"
-        if da is None:
-            return f"{v} * {db} * log({a})"
-        return f"{v} * ({db} * log({a}) + {b} * {da} / {a})"
-    return {"neg": "-{da}", "sin": "cos({a}) * {da}", "cos": "-sin({a}) * {da}",
-            "abs": "(0.0 if {da} == 0.0 else {a} / abs({a}) * {da})",
-            "sqrt": "{da} / (2.0 * {v})",
-            "arccos": "-{da} / sqrt(1.0 - {a} * {a})"}[op].format(a=a, da=da, v=v)
-
-
-class _TangentWriter:
-    """The tangent writer of an `expr._Emitter`: for each value statement
-    `tK = ...` that depends on the point, a tangent statement `dtK = ...`
-    along the seed `dc`; a subtree free of coordinates has a literal-0
-    tangent and no statement. The emitter dispatches on the expression nodes
-    and hands over only source text, so a writer works with any instance of
-    the expr module."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-        self.tangents: dict[str, str] = {}  # operand -> its nonzero tangent
-
-    def size(self) -> int:
-        return len(self.lines)
-
-    def tangent(self, operand: str) -> str | None:
-        if operand.startswith("c[") or operand == "n2":
-            return "d" + operand
-        if operand == "None":   # a node the parser never builds: its value code raises
-            return operand
-        return self.tangents.get(operand)
-
-    def emitted(self, name: str, args: tuple):
-        op, a, b = (*args, "")[:3]
-        source = _tangent(op, name, a, self.tangent(a), b, self.tangent(b))
-        if source is not None:
-            self.tangents[name] = "d" + name
-            self.lines.append(f"d{name} = {source}")
-
-    def function(self, emitter, results: list[str]) -> Callable | None:
-        """(x, seeds) -> per seed, [derivative of each of `results` along it]
-        or None where the tangent code faulted; None when every derivative
-        is literal 0."""
-        tangents = [self.tangent(r) or "0.0" for r in results]
-        if all(t == "0.0" for t in tangents):
-            return None
-        norm2 = emitter.uses_norm2
-        body = ["c = x.tolist()"] + (["n2 = float(x @ x)"] if norm2 else []) + emitter.lines
-        seed = ["dc = dx.tolist()"] + (["dn2 = 2.0 * float(x @ dx)"] if norm2 else [])
-        seed += self.lines + [f"out.append([{', '.join(tangents)}])"]
-        return fe._define("def fill(x, seeds):\n"
-                          + "".join(f"    {line}\n" for line in body)
-                          + "    out = []\n    for dx in seeds:\n        try:\n"
-                          + "".join(f"            {line}\n" for line in seed)
-                          + "        except _FAULTS:\n            out.append(None)\n"
-                          + "    return out\n", _GLOBALS)
+            power, fault = fe.each(math.pow, a, b - 1.0)
+            return b * power * da, fault
+        log, fault = fe.each(math.log, a)   # a <= 0 faults, a == 0 among them
+        return (v * db * log if da is None else v * (db * log + b * da / a)), fault
+    if op == "neg":
+        return -da, False
+    if op in ("sin", "cos"):
+        slope, fault = fe.each(math.cos if op == "sin" else math.sin, a)
+        return (slope * da if op == "sin" else -slope * da), fault
+    if op == "abs":
+        return np.where(da == 0.0, 0.0, a / np.abs(a) * da), (da != 0.0) & (a == 0.0)
+    if op == "sqrt":
+        return da / (2.0 * v), v == 0.0
+    root = 1.0 - a * a   # arccos; math.sqrt faults below 0, the division at 0
+    return -da / np.sqrt(root), root <= 0.0
 
 
 def fill_jacobian(fill: fe.LiteralFill, x: np.ndarray, coords, h: float) -> np.ndarray | None:
-    """Derivatives of the entries of `fill` at x along the coordinate
-    directions `coords` (0-based): (len(coords), *shape), or None when no
-    entry depends on the point. The tangent code is compiled on the first
-    call and runs once per direction. Where it faults, that direction's
-    derivatives are the central difference of `fill.at` with step h
-    (`_central_difference`)."""
-    if fill._tangent_parts is None:
-        fill._tangent_parts = fill._build(_TangentWriter)
-    if all(part is None for part, _ in fill._tangent_parts):
+    """Derivatives of the entries of `fill` along the coordinate directions
+    `coords` (0-based) at a point x (n,) or at each point of a stack
+    (..., n): (..., len(coords), *shape), or None when no entry depends on
+    the point. The fill's program runs once over all points and directions.
+    A point at which a value faults sends every direction, a tangent fault
+    its own direction, to the central difference of `fill.at` with step h
+    (`_central_difference`), in point order."""
+    program = fill.program()
+    if program.constant:
         return None
     coords = list(coords)
-    seeds = np.eye(x.shape[0])[coords]
-    values = np.zeros((len(coords), len(fill.live)))
-    faulted = set()
-    start = 0
-    for part, count in fill._tangent_parts:
-        try:
-            rows = [] if part is None else part(x, seeds)
-        except fe._FAULTS:   # in the value code: every direction falls back
-            rows = [None] * len(coords)
-        for m, row in enumerate(rows):
-            if row is None:
-                faulted.add(m)
-            else:
-                values[m, start:start + count] = row
-        start += count
-    out = np.zeros((len(coords),) + fill.literals.shape)
-    out[(slice(None),) + fill._where] = values
-    for m in sorted(faulted):
-        out[m] = _central_difference(fill, x, coords[m], h)
-    return out
+    xs = x.reshape(-1, x.shape[-1])
+    tangents, fault = program.run(xs, np.eye(x.shape[-1])[coords], _tangent)
+    out = np.zeros((len(xs), len(coords)) + fill.literals.shape)
+    out[(slice(None), slice(None)) + program.where] = tangents
+    for p, m in zip(*np.nonzero(fault)):
+        out[p, m] = _central_difference(fill, xs[p], coords[m], h)
+    return out.reshape(x.shape[:-1] + out.shape[1:])
 
 
 def _central_difference(fill: fe.LiteralFill, x: np.ndarray, j: int, h: float) -> np.ndarray:
@@ -162,8 +104,7 @@ def frame_derivatives(stack: FrameStack, part: slice, dirs: np.ndarray, coords: 
     coordinates `coords`: the derivative of the unsymmetrized f^2 Gram in
     the frame's basis (P, q, r, r), and the column norms (P, q, r) of
     (nabla_X f^2) basis_d. h is the step of the first-order checks and of
-    the fills' fallback. The fills' Jacobians run point by point, all else
-    over the stack.
+    the fills' fallback. Everything runs over the chunk's points at once.
 
     Euclidean metric, Q = basis_d, Phi = Q^T phi Q, S = Q^T dphi Q. Per
     component dQ_i = (I - P_i) dA_i R_i^-1 with R_i = Q_i^T A_i, so that
@@ -186,15 +127,20 @@ def frame_derivatives(stack: FrameStack, part: slice, dirs: np.ndarray, coords: 
     steps = dirs[..., coords]
     near, x_models = "to first order near", x[:, None, None]   # the point of each model
 
-    def along(fill_jacobian, contract=lambda p, jac: jac):
-        """A fill's Jacobian (m, ...) at each point, `contract(p, jac)` as it
-        is made, along the point's directions: (P, q, ...); None if constant."""
-        jacs = []
-        for p, xp in enumerate(x):
-            if (jac := fill_jacobian(xp, coords, h)) is None:
-                return None
-            jacs.append(contract(p, jac))
-        jac = np.stack(jacs)
+    def along(fill_jacobian, contract=lambda jac: jac):
+        """A fill's Jacobian (P, m, ...) over the points, `contract`ed, along
+        each point's directions: (P, q, ...); None if constant. Where it
+        raises, the points are taken one at a time, so that the first failing
+        point raises alone."""
+        try:
+            jac = fill_jacobian(x, coords, h)
+        except SlantKitError:
+            for xp in x:
+                fill_jacobian(xp, coords, h)
+            raise
+        if jac is None:
+            return None
+        jac = contract(jac)
         return (steps @ jac.reshape(npts, len(coords), -1)).reshape((npts, q) + jac.shape[2:])
 
     def models(value, deriv):
@@ -232,7 +178,7 @@ def frame_derivatives(stack: FrameStack, part: slice, dirs: np.ndarray, coords: 
                             xi_models, near, x_models)
     Phi = Qt @ phi @ Q
     Phi2 = Phi @ Phi
-    S = along(s.phi_jacobian, lambda p, jac: Qt[p] @ jac @ Q[p])
+    S = along(s.phi_jacobian, lambda jac: Qt[:, None] @ jac @ Q[:, None])
     Q, Qt, phi, Phi, Phi2 = (a[:, None] for a in (Q, Qt, phi, Phi, Phi2))   # over the q axis
     K = np.zeros((npts, q) + Phi.shape[2:]) if S is None else S @ Phi + Phi @ S
     if dQ is None:

@@ -58,7 +58,7 @@ maps, the draws and the coefficient (table in docs/taxonomy.md):
 
 The connection criteria differentiate the restricted endomorphism square of
 the flat ambient space exactly, along the directions of the submanifold mask,
-from the tangents of the compiled fields, and cross-tabulate the derivative
+from the tangents of the fields' fill programs, and cross-tabulate the derivative
 verdicts against the classifier's constancy verdicts.
 """
 
@@ -77,7 +77,7 @@ from .sampling import DEFAULT_SEED, rng_for
 
 PI2_TOL = 1e-8
 TINY = 1e-300
-PROBE_ELEMENTS = 1 << 18    # bounds P * q * n * r of one `frame_derivatives` point chunk
+PROBE_ELEMENTS = 1 << 18    # bounds P * (q * n * r + m * n * n) of one `frame_derivatives` chunk
 
 
 class PointContext:
@@ -882,14 +882,15 @@ def connection_criterion_report(dec: Decomposition, points,
     (b) max |X(lambda_i)| over X in D_i, (c) the same over all masked
     directions; cross-tabulated against the classifier's constancy verdicts.
 
-    The derivatives are exact, from the tangents of the compiled fields at
-    the sample points (`tangents.frame_derivatives` on point chunks of at
-    most PROBE_ELEMENTS = P * q * n * r elements); no frame is built at
-    x +- hX. The step h (`tolerances.fd_step`) sets the first-order models
+    The derivatives are exact, from the tangents of the fields' fill
+    programs at the sample points (`tangents.frame_derivatives` on point
+    chunks of at most PROBE_ELEMENTS = P * (q * n * r + m * n * n) elements,
+    the second term phi's dense Jacobian along the m masked coordinates); no
+    frame is built at x +- hX. The step h (`tolerances.fd_step`) sets the first-order models
     on which the checks of such frames run (a component whose cluster splits there
     to first order raises ComponentError). It is also the step of the
     central difference that stands in for a field's derivative where its
-    tangent code faults. `nabla_f2` and `eigenvalue_directional_derivative`
+    tangent faults. `nabla_f2` and `eigenvalue_directional_derivative`
     are the finite-difference oracles. A basis column with a part outside
     the submanifold mask is a SpecError, as in the oracles.
 
@@ -911,7 +912,8 @@ def connection_criterion_report(dec: Decomposition, points,
         dirs, within, along_tm = _stacked_directions(stack)
         _check_in_mask(dec, dirs)
         checked, off = within | along_tm, stack.offsets
-        chunk = max(1, PROBE_ELEMENTS // (dirs.shape[1] * dirs.shape[2] * off[-1]))
+        q, n = dirs.shape[1:]
+        chunk = max(1, PROBE_ELEMENTS // (n * (q * off[-1] + len(coords) * n)))
         for lo in range(0, len(points), chunk):
             part = slice(lo, lo + chunk)
             d_f2, norms = frame_derivatives(stack, part, dirs[part], coords, h)

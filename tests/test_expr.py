@@ -249,9 +249,8 @@ def _outcome(fn, x):
 _MIXED = st.one_of(st.floats(-5.0, 5.0).map(fe.Num), _expr_strategy(n=3))
 _POINT = st.lists(st.floats(-3, 3), min_size=3, max_size=3).map(np.asarray)
 
-# Entries on which a compiled fill faults and re-walks, so each must raise the
-# walker's EvalError; and a long sum, which must come out bit-identical (an
-# emitter that nested it would hit CPython's parenthesis limit).
+# Entries on which a fill's program faults and re-walks, so each must raise
+# the walker's EvalError; and a long sum, which must come out bit-identical.
 _FAULTING = ("1/(x1-x1)", "sqrt(-1-x1^2)", "arccos(2+x1^2)", "(-1-x1^2)^0.5", "10^400")
 _LONG_SUM = "+".join(f"x{i % 3 + 1}*{i}.25" for i in range(400))
 
@@ -348,8 +347,8 @@ def test_literal_fill_does_not_fold_constants():
 
 def test_literal_fill_rewalks_what_it_cannot_compile():
     """A point shorter than the highest coordinate used, and a node the parser
-    never builds, fault the compiled fill; the re-walk raises the walker's
-    error."""
+    never builds, fault the fill's program at every point; the re-walk raises
+    the walker's error."""
     field = fe.VectorFieldExpr(fe.parse(src, 3) for src in ["x1", "x3+1"])
     with pytest.raises(EvalError, match="coordinate x3 beyond point dimension 2"):
         field.at(np.array([1.0, 2.0]))
@@ -358,18 +357,18 @@ def test_literal_fill_rewalks_what_it_cannot_compile():
         field.at(np.array([1.0, 2.0]))
 
 
-def test_literal_fill_compiles_long_fills_in_parts():
-    """A fill of more than _CHUNK_STATEMENTS operations compiles as several
-    functions; together they give the walker's values, in order."""
+def test_literal_fill_of_long_entries_matches_the_walker():
+    """Three sums of 400 terms: one program of about 2400 rows, whose
+    values are the walker's, in order."""
     entries = [fe.parse("+".join(f"x{(i + t) % 3 + 1}*{t}.{i}" for t in range(400)), 3)
                for i in range(3)]
     fill = fe.LiteralFill((3,), (((i,), e) for i, e in enumerate(entries)))
     x = np.array([0.75, -1.5, 2.0])
     assert _same(fill.at(x), np.array(_walk(entries, x)))
-    assert len(fill._parts) > 1
+    assert len(fill.program().rows) > 2400
 
 
-# --- Jacobians: tangent code, literal-0 tangents, the central-difference fallback ---
+# --- Jacobians: tangent rules, literal-0 tangents, the central-difference fallback ---
 
 _POINT3 = np.array([0.7, 1.3, -0.4])
 # one entry per tangent rule, and entries sharing subtrees
@@ -398,16 +397,20 @@ def test_jacobian_matches_central_differences(monkeypatch):
 
 
 def test_jacobian_compiled_on_first_call_only():
+    """The fill's program is built on its first use (here `at`); the
+    Jacobian runs the same program, with no second build."""
     field = fe.VectorFieldExpr.parse(["x1*x2", "sin(x3)", "0"], 3)
+    assert field._fill._program is None
     field.at(_POINT3)
-    assert field._fill._tangent_parts is None
+    program = field._fill._program
+    assert program is not None
     jac = field.jacobian(_POINT3, [0, 1, 2], 1e-5)
+    assert field._fill._program is program
     np.testing.assert_allclose(jac, [[1.3, 0, 0], [0.7, 0, 0], [0, math.cos(-0.4), 0]])
 
 
 def test_constant_fills_have_no_jacobian():
-    """Entries free of coordinates have literal-0 tangents: no tangent code
-    and no Jacobian."""
+    """Entries free of coordinates have literal-0 tangents: no Jacobian."""
     field = fe.VectorFieldExpr.parse(["3/5", "pi", "1", "sqrt(2)*cos(1)"], 4)
     assert field.jacobian(np.zeros(4), [0, 1], 1e-5) is None
     assert fe.VectorFieldExpr.parse(["0", "x2"], 2).jacobian(np.zeros(2), [0], 1e-5) is not None
@@ -422,7 +425,7 @@ def test_constant_fills_have_no_jacobian():
 ])
 def test_faulting_tangents_fall_back_to_central_differences(src, x, monkeypatch):
     """Where a derivative is undefined or a clamp is active, the tangent
-    code faults and the derivatives along that direction are the central
+    faults and the derivatives along that direction are the central
     difference of `at`, which raises the walker's EvalError where a
     displaced point leaves the domain."""
     x = np.array(x)
@@ -469,8 +472,9 @@ def test_abs_at_zero_falls_back_only_along_directions_that_move_it(monkeypatch):
 
 
 def test_jacobian_of_what_the_fill_cannot_compile_is_the_walkers_error():
-    """A node the parser never builds faults the tangent code as it faults
-    the value code; the fallback's walk raises the walker's EvalError."""
+    """A node the parser never builds faults the fill's program at every
+    point, so every direction falls back; the fallback's walk raises the
+    walker's EvalError."""
     field = fe.VectorFieldExpr([fe.Coord(1), fe.Call("tan", fe.Coord(1))])
     with pytest.raises(EvalError, match="unknown function tan"):
         field.jacobian(np.array([1.0, 2.0]), [0, 1], 1e-5)
@@ -496,14 +500,3 @@ def test_non_finite_derivative_is_an_eval_error():
     field = fe.VectorFieldExpr.parse(["1/x1", "x2"], 2)
     with pytest.raises(EvalError, match=r"non-finite value -inf of derivative of vector field"):
         field.jacobian(np.array([1e-200, 1.0]), [0, 1], 1e-5)
-
-
-def test_jacobian_of_long_fills_in_parts():
-    entries = [fe.parse("+".join(f"x{(i + t) % 3 + 1}*{t}.{i}" for t in range(400)), 3)
-               for i in range(3)]
-    fill = fe.LiteralFill((3,), (((i,), e) for i, e in enumerate(entries)))
-    jac = fill.jacobian(_POINT3, [0, 1, 2], 1e-5)
-    assert len(fill._tangent_parts) > 1
-    want = [[sum(float(f"{t}.{i}") for t in range(400) if (i + t) % 3 == j) for i in range(3)]
-            for j in range(3)]
-    np.testing.assert_allclose(jac, want, rtol=1e-12)

@@ -39,3 +39,31 @@ def test_no_module_imports_a_name_it_never_reads():
     unread = [entry for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
               for entry in _unread_imports(path)]
     assert unread == []
+
+
+# Builtins that turn text into running code. Spec text is read by the parser and
+# evaluated through `expr`'s operation table; no module may hand it to these.
+CODE_BUILTINS = ("exec", "eval", "compile")
+
+
+def _code_builtins_used(path: Path) -> list[str]:
+    """Each read of exec, eval or compile in `path`, as a bare name or an
+    attribute of `builtins`; `re.compile` and other methods are not builtins."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "builtins"):
+            name = node.attr
+        else:
+            continue
+        if name in CODE_BUILTINS:
+            found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_no_module_turns_text_into_code():
+    package = Path(slantkit.__file__).parent
+    used = [entry for path in sorted(package.glob("*.py")) for entry in _code_builtins_used(path)]
+    assert used == []

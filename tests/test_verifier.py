@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from slantkit import tangents, verifier
-from slantkit.classifier import component_slant
+from slantkit.classifier import classify, component_slant
 from slantkit.cli import main
 from slantkit.config import DEFAULT_TOLERANCES
 from slantkit.distribution import Decomposition, DistributionFrame, PointFrame
@@ -214,6 +214,37 @@ def test_suite_memory_is_bounded():
         tracemalloc.stop()
     assert rep.passed
     assert peak <= SUITE_PEAK_BOUND_MB * 1e6, peak
+
+
+# The probe's tracemalloc peak before the fills' Jacobians ran over the point
+# stack, plus 10%: 3.25 MB on identities-k8 (ex9 at k = 8, 8 seeded points)
+# and 8.96 MB on ex9 at k = 16 (8 default points).
+PROBE_PEAK_BOUND_MB = {8: 3.25 * 1.1, 16: 8.96 * 1.1}
+
+
+@pytest.mark.parametrize("k", [8, 16])
+def test_probe_memory_is_bounded(k):
+    """The connection probe's tracemalloc peak, with the classification and
+    the frame stack built beforehand. Each point chunk's dense phi Jacobian
+    counts against PROBE_ELEMENTS beside the frame derivatives, so stacking
+    the fills' Jacobians over a chunk keeps the peak within 10% of the
+    per-point Jacobians'."""
+    fx = build_fixture("ex9", k=k, epsilon=-1, gamma=1.5)
+    doc = fixture_to_spec_dict(fx, points=fx.default_points()[:1])
+    doc["sample_points"] = {"seed": 0, "count": 8} if k == 8 else [
+        p.tolist() for p in fx.default_points()[:8]]
+    spec = load_manifold_spec(doc)
+    classification = classify(spec.decomposition, spec.points)
+    spec.decomposition.frame_stack(spec.points).f2
+    tracemalloc.start()
+    try:
+        rep = connection_criterion_report(spec.decomposition, spec.points,
+                                          classification=classification)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["consistent"]
+    assert peak <= PROBE_PEAK_BOUND_MB[k] * 1e6, peak
 
 
 class TestRightAnglePoints:
@@ -810,6 +841,32 @@ class TestConnectionReport:
         capsys.readouterr()
         assert main(["identities", str(path), "--connection"]) == 1
         assert f"to first order near {points[2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["phi", "fields"])
+    def test_derivative_error_names_the_first_failing_point(self, where, tmp_path, capsys):
+        """ex3 with two entries that stay 0 or 1 but fail to differentiate:
+        sqrt(x3 - 0.25) has no tangent at the third point (x3 = 0.25), and
+        its fallback evaluates sqrt(-h); 1/x1 has a derivative of -1e400 at
+        the second (x1 = 1e-200), so 0*(1/x1) has a NaN one. Whether both sit
+        in phi or in two fields of D1, the probe fails at the second point,
+        as it did when it took the points one at a time."""
+        doc = fixture_to_spec_dict(build_fixture("ex3", k=2))
+        points = doc["sample_points"][:3]
+        for point, (x1, x3) in zip(points, [(0.7, 0.5), (1e-200, 0.5), (0.7, 0.25)]):
+            point[0], point[2] = x1, x3
+        if where == "phi":
+            doc["phi_columns"][0][0], doc["phi_columns"][1][1] = "0*sqrt(x3 - 0.25)", "0*(1/x1)"
+        else:
+            doc["distributions"]["D1"][0][2] = "1 + 0*sqrt(x3 - 0.25)"
+            doc["distributions"]["D1"][1][3] = "1 + 0*(1/x1)"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(doc, sample_points=points)))
+        assert main(["identities", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["identities", str(path), "--connection"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite value nan of derivative of ")
+        assert f"at {points[1]} in " in err
 
     def test_requires_mask(self, ex1):
         dec = Decomposition(ex1.structure, list(ex1.decomposition.proper),
