@@ -7,6 +7,12 @@ component's block of the frame's f^2 Gram (`single_cluster_lambda`), and
 eps * lambda = cos(theta)^2. The full spectrum of f^2|D clustered per point
 drives the generic / skew-CR / CR style verdicts.
 
+Every statistic is an array pass over the point stack: one `eigvalsh` and one
+gap mask cluster all spectra (`_spectrum_table`); slant values, cluster tracks
+and pair gaps are (points x components) tables. theta is `math.acos` per
+value: numpy's float64 arccos may run SIMD code whose last bit depends on the
+CPU, and report bytes must not.
+
 Constancy and distinctness are decided over the finite sample set only and
 every report says so; the underlying definitions quantify over the whole
 manifold, which a numerical tool cannot certify.
@@ -35,6 +41,7 @@ the one component "D" (`_TangentComponent`).
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,67 +55,70 @@ from .structure import StructureField
 HALF_PI = math.pi / 2.0
 
 
-def _lambda_to_alpha_theta(lam: float, epsilon: int, band: float) -> tuple[float, float]:
-    s = epsilon * lam
-    if not -band <= s <= 1.0 + band:      # a NaN is outside too
-        raise ModelError(
-            f"eps*lambda = {s} outside [0, 1] beyond the tolerance band; "
-            "structure or decomposition is invalid")
-    alpha = math.sqrt(min(max(s, 0.0), 1.0))
-    return alpha, math.acos(min(1.0, max(0.0, alpha)))
-
-
-def cluster_eigenvalues(evals: np.ndarray, cluster_tol: float) -> list[list[int]]:
-    """Greedy ascending clustering: a new cluster starts at a gap > tol."""
-    order = np.argsort(evals)
-    groups: list[list[int]] = []
-    for idx in order:
-        if groups and evals[idx] - evals[groups[-1][-1]] <= cluster_tol:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-    return groups
-
-
-class SlantCluster:
-    __slots__ = ("lam", "alpha", "theta", "multiplicity")
-
-    def __init__(self, lam, alpha, theta, multiplicity):
-        self.lam = lam
-        self.alpha = alpha
-        self.theta = theta
-        self.multiplicity = multiplicity
+class SlantCluster(NamedTuple):
+    lam: float
+    alpha: float
+    theta: float
+    multiplicity: int
 
     def to_json_dict(self) -> dict:
-        return {"lambda": self.lam, "alpha": self.alpha, "theta": self.theta,
-                "multiplicity": self.multiplicity}
+        return dict(zip(("lambda", "alpha", "theta", "multiplicity"), self))
 
 
-class SlantSpectrum:
+class SlantSpectrum(NamedTuple):
     """Clustered eigen-data of f^2|D at one point, lambda ascending."""
-
-    def __init__(self, point: np.ndarray, clusters: list[SlantCluster]):
-        self.point = point
-        self.clusters = clusters
+    point: np.ndarray
+    clusters: list[SlantCluster]
 
     def to_json_dict(self) -> dict:
-        return {"point": self.point.tolist(),
-                "clusters": [c.to_json_dict() for c in self.clusters]}
+        return {"point": self.point.tolist(), "clusters": [c.to_json_dict() for c in self.clusters]}
+
+
+def _alpha_theta(lam, epsilon: int, band: float) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, theta) of each lambda of an array, eps * lambda = alpha^2 =
+    cos(theta)^2, theta by `math.acos` per value. ModelError for the first
+    lambda (C order) with eps * lambda outside [0, 1] beyond the band."""
+    s = epsilon * np.asarray(lam, dtype=float)
+    outside = ~((s >= -band) & (s <= 1.0 + band))      # a NaN is outside too
+    if outside.any():
+        raise ModelError(f"eps*lambda = {float(s[outside][0])} outside [0, 1] beyond the "
+                         "tolerance band; structure or decomposition is invalid")
+    clipped = np.where(0.0 > s, 0.0, s)                 # max(s, 0.0) keeps -0.0, as in Python
+    alpha = np.sqrt(np.where(1.0 < clipped, 1.0, clipped))
+    return alpha, np.array([math.acos(a) for a in alpha.ravel().tolist()]).reshape(alpha.shape)
+
+
+def _spectrum_table(f2: np.ndarray, epsilon: int, tolerances: Tolerances) -> tuple:
+    """The clustered spectra of the f^2 Grams f2 (P, r, r): (P, c) tables of
+    lambda, alpha, theta and multiplicity, 0 past a point's last cluster.
+    Each point's eigenvalues, ascending (NaN last), are cut at every gap
+    above `tolerances.cluster`; the points cut alike take each cluster's
+    mean at once. ModelError for the first (point, cluster) off the band."""
+    evals = np.sort(np.linalg.eigvalsh(f2), axis=1)
+    starts = np.concatenate([np.ones((len(evals), 1), bool),
+                             ~(np.diff(evals, axis=1) <= tolerances.cluster)], axis=1)
+    lam, mult, todo = np.zeros(evals.shape), np.zeros(evals.shape, int), np.ones(len(evals), bool)
+    while todo.any():       # once per distinct cut, most often once
+        cut = starts[np.argmax(todo)]
+        rows = todo & (starts == cut).all(axis=1)
+        edges = [*np.flatnonzero(cut), evals.shape[1]]
+        for c, (a, b) in enumerate(zip(edges, edges[1:])):
+            lam[rows, c], mult[rows, c] = evals[rows, a:b].mean(axis=1), b - a
+        todo &= ~rows
+    lam, mult = lam[:, mult.any(axis=0)], mult[:, mult.any(axis=0)]
+    return lam, *_alpha_theta(lam, epsilon, tolerances.lambda_band), mult
+
+
+def _spectra(x: np.ndarray, table) -> list[SlantSpectrum]:
+    """The `SlantSpectrum` of each point of x (P, n) from `_spectrum_table`'s tables."""
+    return [SlantSpectrum(p, [SlantCluster(*c) for c in zip(*row) if c[3]])
+            for p, *row in zip(x, *(a.tolist() for a in table))]
 
 
 def slant_spectra(stack: FrameStack, tolerances: Tolerances = DEFAULT_TOLERANCES
                   ) -> list[SlantSpectrum]:
-    """The clustered spectrum of f^2|D at each point of the stack, from one
-    `eigvalsh` over its f^2 Grams."""
-    out = []
-    for x, evals in zip(stack.x, np.linalg.eigvalsh(stack.f2)):
-        clusters = []
-        for group in cluster_eigenvalues(evals, tolerances.cluster):
-            lam = float(np.mean(evals[group]))
-            clusters.append(SlantCluster(lam, *_lambda_to_alpha_theta(
-                lam, stack.epsilon, tolerances.lambda_band), len(group)))
-        out.append(SlantSpectrum(x, clusters))
-    return out
+    """The clustered spectrum of f^2|D at each point of the stack."""
+    return _spectra(stack.x, _spectrum_table(stack.f2, stack.epsilon, tolerances))
 
 
 def component_slant(dec: Decomposition, point, index: int,
@@ -120,14 +130,13 @@ def component_slant(dec: Decomposition, point, index: int,
     frame = dec.frame_at(point)
     lam = single_cluster_lambda(dec.components[index].name, frame.f2_component(index), "at",
                                 frame.x, frame.epsilon, tolerances)
-    return SlantCluster(lam, *_lambda_to_alpha_theta(lam, frame.epsilon, tolerances.lambda_band),
-                        frame.bases[index].shape[-1])
+    alpha, theta = _alpha_theta(lam, frame.epsilon, tolerances.lambda_band)
+    return SlantCluster(lam, float(alpha), float(theta), frame.bases[index].shape[-1])
 
 
 def slant_thetas(stack: FrameStack, lam: np.ndarray, tolerances: Tolerances) -> list[float]:
     """The slant values of the lambdas `lam` (P,)."""
-    return [_lambda_to_alpha_theta(v, stack.epsilon, tolerances.lambda_band)[1]
-            for v in lam.tolist()]
+    return _alpha_theta(lam, stack.epsilon, tolerances.lambda_band)[1].tolist()
 
 
 def slant_lambdas(stack: FrameStack, indices, tolerances: Tolerances = DEFAULT_TOLERANCES
@@ -150,11 +159,10 @@ def single_cluster_lambda(name: str, mat: np.ndarray, place: str, x: np.ndarray,
 
     The cluster count is checked. The eigenvalue spread of `mat` is at most
     sqrt(2) * ||mat - lambda I||_F, so a certificate at or below cluster/2
-    proves one cluster; otherwise eigvalsh and `cluster_eigenvalues` count
-    the clusters, and more than one raises ComponentError naming `name`,
-    `place` ("at", or "to first order near" for the connection probe's
-    first-order models) and the point `x`. ModelError when a cluster lies
-    outside the lambda band.
+    proves one cluster; otherwise `_spectrum_table` counts the clusters,
+    and more than one raises ComponentError naming `name`, `place` ("at",
+    or "to first order near" for the connection probe's first-order models)
+    and the point `x`. ModelError when a cluster lies outside the lambda band.
 
     `mat` may also be a stack (..., r, r), `x` one point (n,) or one per
     member (..., n): the certificate and the band are checked on every
@@ -173,20 +181,16 @@ def single_cluster_lambda(name: str, mat: np.ndarray, place: str, x: np.ndarray,
     s = epsilon * lam
     outside = ~((s >= -band) & (s <= 1.0 + band))     # a NaN is outside too
     if outside.any():
-        _lambda_to_alpha_theta(float(lam[outside][0]), epsilon, band)   # raises ModelError
+        _alpha_theta(lam[outside], epsilon, band)     # raises ModelError
     return float(lam[0]) if mat.ndim == 2 else lam.reshape(mat.shape[:-2])
 
 
 def _count_clusters(epsilon: int, name: str, mat: np.ndarray, tolerances: Tolerances,
                     where: str):
-    """eigvalsh and `cluster_eigenvalues` on a matrix the certificate did
-    not clear: ModelError for a cluster outside the lambda band,
+    """The clusters of a matrix the certificate did not clear
+    (`_spectrum_table`): ModelError for a cluster outside the lambda band,
     ComponentError for more than one cluster (placed `where`)."""
-    evals = np.linalg.eigvalsh(mat)
-    lams = [float(np.mean(evals[group]))
-            for group in cluster_eigenvalues(evals, tolerances.cluster)]
-    for value in lams:
-        _lambda_to_alpha_theta(value, epsilon, tolerances.lambda_band)
+    lams = _spectrum_table(mat[None], epsilon, tolerances)[0][0].tolist()
     if len(lams) != 1:
         raise ComponentError(
             f"component {name!r} carries {len(lams)} eigenvalue clusters "
@@ -212,22 +216,17 @@ def _constancy_span(table: np.ndarray) -> np.ndarray:
 
 def _first_coincidence(table: np.ndarray, tol: float) -> int | None:
     """First row at which two slant values lie within `tol`, or None."""
-    k = table.shape[1]
-    for p, row in enumerate(table):
-        if any(abs(row[a] - row[b]) <= tol for a in range(k) for b in range(a + 1, k)):
-            return p
-    return None
+    a, b = np.triu_indices(table.shape[1], 1)
+    hit = (np.abs(table[:, a] - table[:, b]) <= tol).any(axis=1)
+    return int(np.argmax(hit)) if hit.any() else None
 
 
 def _first_agreeing_pair(table: np.ndarray, tol: float) -> tuple[int, int] | None:
-    """First column pair (a, b), a < b, whose slant values lie within `tol`
-    at every row, or None."""
-    k = table.shape[1]
-    for a in range(k):
-        for b in range(a + 1, k):
-            if float(np.abs(table[:, a] - table[:, b]).max()) <= tol:
-                return a, b
-    return None
+    """First column pair (a, b), a < b (`np.triu_indices` order), whose slant
+    values lie within `tol` at every row, or None; a NaN agrees nowhere."""
+    a, b = np.triu_indices(table.shape[1], 1)
+    agree = np.flatnonzero(np.abs(table[:, a] - table[:, b]).max(axis=0) <= tol)
+    return (int(a[agree[0]]), int(b[agree[0]])) if agree.size else None
 
 
 def _component_entry(name: str, rank: int, declared_invariant: bool, theta: np.ndarray,
@@ -250,77 +249,59 @@ def _component_entry(name: str, rank: int, declared_invariant: bool, theta: np.n
 # Cluster tracks across points (for generic / skew-CR / CR verdicts)
 # ---------------------------------------------------------------------------
 
-def _analyze_tracks(spectra, epsilon, tolerances, points):
+def _analyze_tracks(table, x, epsilon, tolerances, points):
     """Generic / skew-CR / CR / anti-invariant ingredients from the clustered
-    full spectra. Clusters are matched across points by ascending-lambda
-    order, which is valid only when the cluster count and multiplicity
-    vectors agree at every point (`tracks_ok`)."""
-    info = {
-        "tracks_ok": False,
-        "witness": None,
-        "type_stable": False,
-        "strictly_pointwise": False,
-        "all_constant": False,
-        "separated_everywhere": False,
-        "interior_exists": False,
-        "all_special": False,
-        "all_zero": False,
-        "alpha_flags": [],
-    }
-    counts = [len(s.clusters) for s in spectra]
-    if len(set(counts)) != 1:
-        bad = counts.index(min(counts)) if min(counts) != counts[0] else counts.index(max(counts))
+    full spectra (`_spectrum_table` at the points x). Clusters are matched
+    across points by ascending-lambda order, which is valid only when the
+    cluster count and multiplicity vectors agree at every point (`tracks_ok`)."""
+    info = dict.fromkeys(("tracks_ok", "type_stable", "strictly_pointwise", "all_constant",
+                          "separated_everywhere", "interior_exists", "all_special", "all_zero"),
+                         False) | {"witness": None, "alpha_flags": []}
+    lam, alphas, thetas, mult = table
+    counts = (mult > 0).sum(axis=1)
+    if (counts != counts[0]).any():
+        bad = np.argmax(counts == (counts.min() if counts.min() != counts[0] else counts.max()))
         info["witness"] = {"reason": "cluster count varies with the point",
-                           "counts": counts, "point": spectra[bad].point.tolist()}
+                           "counts": counts.tolist(), "point": x[bad].tolist()}
         return info
-    mults = [tuple(c.multiplicity for c in s.clusters) for s in spectra]
-    if len(set(mults)) != 1:
-        bad = next(i for i, m in enumerate(mults) if m != mults[0])
+    if (mult != mult[0]).any():
+        bad = np.argmax((mult != mult[0]).any(axis=1))
         info["witness"] = {"reason": "cluster multiplicities vary with the point",
-                           "multiplicities": [list(m) for m in mults],
-                           "point": spectra[bad].point.tolist()}
+                           "multiplicities": mult.tolist(), "point": x[bad].tolist()}
         return info
     info["tracks_ok"] = True
     ztol = tolerances.cluster
-    thetas = np.array([[c.theta for c in s.clusters] for s in spectra])
-    alphas = np.array([[c.alpha for c in s.clusters] for s in spectra])
-    # per (point, track) type: zero / one / interior
-    types = [["zero" if abs(c.lam) <= ztol
-              else "one" if abs(c.lam - epsilon) <= ztol
-              else "interior" for c in s.clusters] for s in spectra]
-    npts, ntracks = thetas.shape
-    types_by_track = [set(types[p][t] for p in range(npts)) for t in range(ntracks)]
-    info["type_stable"] = all(len(ts) == 1 for ts in types_by_track)
+    # per (point, track) type: 0 zero, 1 one (eps), 2 interior
+    types = np.where(np.abs(lam) <= ztol, 0, np.where(np.abs(lam - epsilon) <= ztol, 1, 2))
+    mixed = (types != types[0]).any(axis=0)
+    info["type_stable"] = not mixed.any()
     if not info["type_stable"]:
-        t_bad = next(t for t in range(ntracks) if len(types_by_track[t]) > 1)
+        t_bad = int(np.argmax(mixed))
         # witness: where the special value is attained (that point breaks the
         # point-independence of the 0 / eps eigenvalues)
-        special = [p for p in range(npts) if types[p][t_bad] in ("zero", "one")]
-        p_bad = special[0] if special else next(
-            p for p in range(npts) if types[p][t_bad] != types[0][t_bad])
+        special = np.flatnonzero(types[:, t_bad] < 2)
+        p_bad = special[0] if special.size else np.argmax(types[:, t_bad] != types[0, t_bad])
         info["witness"] = {"reason": "a cluster attains 0 or eps at some points only",
                            "track": t_bad, "point": _witness_point(points[p_bad])}
-    interior = [t for t in range(ntracks) if types_by_track[t] == {"interior"}]
-    info["interior_exists"] = bool(interior)
-    info["all_special"] = info["type_stable"] and not interior
-    info["all_zero"] = all(ts == {"zero"} for ts in types_by_track)
+    interior = (types == 2).all(axis=0)
+    info["interior_exists"] = bool(interior.any())
+    info["all_special"] = info["type_stable"] and not info["interior_exists"]
+    info["all_zero"] = bool((types == 0).all())
     theta_span = _constancy_span(thetas)
     info["all_constant"] = bool(np.all(theta_span <= tolerances.angle_const))
-    info["strictly_pointwise"] = any(theta_span[t] > tolerances.angle_const for t in interior)
+    info["strictly_pointwise"] = bool((theta_span[interior] > tolerances.angle_const).any())
     p_sep = _first_coincidence(thetas, tolerances.angle_distinct)
     info["separated_everywhere"] = p_sep is None
     if p_sep is not None and info["witness"] is None:
         info["witness"] = {"reason": "matched clusters not separated",
                            "point": _witness_point(points[p_sep])}
     margin = tolerances.alpha_margin
-    for t in interior:
-        amin = float(alphas[:, t].min())
-        amax = float(alphas[:, t].max())
-        if amin < margin or amax > 1.0 - margin:
-            info["alpha_flags"].append(
-                {"track": t, "alpha_min": amin, "alpha_max": amax,
-                 "note": f"alpha within {margin} of 0 or 1; the open-interval "
-                         "requirement is decided up to this margin"})
+    amin, amax = alphas.min(axis=0).tolist(), alphas.max(axis=0).tolist()
+    info["alpha_flags"] = [
+        {"track": t, "alpha_min": amin[t], "alpha_max": amax[t],
+         "note": f"alpha within {margin} of 0 or 1; the open-interval "
+                 "requirement is decided up to this margin"}
+        for t in np.flatnonzero(interior).tolist() if amin[t] < margin or amax[t] > 1.0 - margin]
     return info
 
 
@@ -328,20 +309,18 @@ def _analyze_tracks(spectra, epsilon, tolerances, points):
 # Classification of a declared decomposition
 # ---------------------------------------------------------------------------
 
-class ClassificationReport:
-    def __init__(self, points, components, labels, evidence, named_cases,
-                 spectra, alpha_flags, seed, tolerances: Tolerances, k: int):
-        self.points = points
-        self.components = components      # display-ordered list of dicts
-        self.labels = labels              # label -> bool
-        self.evidence = evidence          # label -> witness dict (failures)
-        self.named_cases = named_cases
-        self.spectra = spectra            # list of SlantSpectrum
-        self.alpha_flags = alpha_flags
-        self.seed = seed
-        self.tolerances = tolerances
-        self.k = k
-        self.scope_note = "constancy/distinctness verdicts hold on sampled points only"
+class ClassificationReport(NamedTuple):
+    points: list
+    components: list[dict]      # display-ordered
+    labels: dict                # label -> bool
+    evidence: dict              # label -> witness dict (failures)
+    named_cases: list[str]
+    spectra: list[SlantSpectrum]
+    alpha_flags: list[dict]
+    seed: int
+    tolerances: Tolerances
+    k: int
+    scope_note = "constancy/distinctness verdicts hold on sampled points only"
 
     def to_json_dict(self) -> dict:
         return {
@@ -374,16 +353,14 @@ def classify(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOLERA
     stack = dec.frame_stack(points)
     lams = slant_lambdas(stack, range(len(comps)), tolerances)
     lam = np.stack(lams, axis=1)
-    theta = np.array([slant_thetas(stack, v, tolerances) for v in lams]).T
+    theta = _alpha_theta(lam.T, stack.epsilon, tolerances.lambda_band)[1].T
     entries = [_component_entry(comp.name, comp.rank, ci == inv_idx, theta[:, ci],
                                 lam[:, ci], tolerances)
                for ci, comp in enumerate(comps)]
-    spectra = slant_spectra(stack, tolerances)
-    tr = _analyze_tracks(spectra, dec.structure.epsilon, tolerances, points)
-    labels, evidence, named, k = _verdicts(theta, entries, inv_idx, tr, points, tolerances,
-                                           _DECLARED_WORDING)
-    return ClassificationReport(points, _display_order(entries), labels, evidence, named,
-                                spectra, tr["alpha_flags"], seed, tolerances, k)
+    table = _spectrum_table(stack.f2, stack.epsilon, tolerances)
+    tr = _analyze_tracks(table, stack.x, stack.epsilon, tolerances, points)
+    return _verdicts(theta, entries, inv_idx, tr, points, tolerances, _DECLARED_WORDING,
+                     _spectra(stack.x, table), seed)
 
 
 # How the constancy failures of k-slant and skew-CR are worded in each mode;
@@ -396,11 +373,13 @@ _DISCOVERY_WORDING = {
 
 
 def _verdicts(theta: np.ndarray, entries: list[dict], inv_idx: int | None, tr: dict,
-              points, tolerances: Tolerances, wording: dict):
-    """(labels, evidence, named cases, k) from the slant table `theta` (one
-    column per component, reported as `entries`), the cluster tracks `tr`
-    of `_analyze_tracks` and `inv_idx`, the column playing D0 (None without
-    one). Both modes decide here; `wording` words the constancy failures.
+              points, tolerances: Tolerances, wording: dict, spectra: list[SlantSpectrum],
+              seed: int) -> ClassificationReport:
+    """The report, its labels, evidence and named cases decided from the
+    slant table `theta` (one column per component, reported as `entries`),
+    the cluster tracks `tr` of `_analyze_tracks` and `inv_idx`, the column
+    playing D0 (None without one). Both modes decide here; `wording` words
+    the constancy failures.
 
     A pointwise-k-slant or k-pointwise-slant failure carries the rule that
     decided it: no proper component, the invariant-component or
@@ -480,7 +459,8 @@ def _verdicts(theta: np.ndarray, entries: list[dict], inv_idx: int | None, tr: d
     _assert_lattice(labels)
     named = _named_cases(labels, k, inv_idx is not None and invariant_ok, prop_theta,
                          tolerances)
-    return labels, evidence, named, k
+    return ClassificationReport(points, _display_order(entries), labels, evidence, named,
+                                spectra, tr["alpha_flags"], seed, tolerances, k)
 
 
 def _named_cases(labels, k, has_invariant, prop_theta, tolerances) -> list[str]:
@@ -581,17 +561,15 @@ def discover(structure: StructureField, points, mask: tuple[int, ...] | None = N
     if len(points) < 2:
         raise SpecError("classification needs at least two sample points")
     dec = Decomposition(structure, [_TangentComponent(structure, mask)], mask=mask)
-    spectra = slant_spectra(dec.frame_stack(points), tolerances)
-    tr = _analyze_tracks(spectra, structure.epsilon, tolerances, points)
+    stack = dec.frame_stack(points)
+    table = _spectrum_table(stack.f2, stack.epsilon, tolerances)
+    tr = _analyze_tracks(table, stack.x, structure.epsilon, tolerances, points)
     if not tr["tracks_ok"]:
         raise ComponentError(f"eigenstructure is not stable across points: {tr['witness']}")
 
-    theta = np.array([[c.theta for c in s.clusters] for s in spectra])
-    entries = [_component_entry(f"C{t + 1}", spectra[0].clusters[t].multiplicity, False,
-                                theta[:, t], [s.clusters[t].lam for s in spectra], tolerances)
-               for t in range(theta.shape[1])]
+    lam, _, theta, mult = table
+    entries = [_component_entry(f"C{t + 1}", m, False, theta[:, t], lam[:, t], tolerances)
+               for t, m in enumerate(mult[0].tolist())]
     inv_idx = next((t for t, e in enumerate(entries) if e["verdict"] == "invariant"), None)
-    labels, evidence, named, k = _verdicts(theta, entries, inv_idx, tr, points, tolerances,
-                                           _DISCOVERY_WORDING)
-    return ClassificationReport(points, _display_order(entries), labels, evidence, named,
-                                spectra, tr["alpha_flags"], seed, tolerances, k)
+    return _verdicts(theta, entries, inv_idx, tr, points, tolerances, _DISCOVERY_WORDING,
+                     _spectra(stack.x, table), seed)

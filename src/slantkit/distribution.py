@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -400,15 +401,13 @@ class DualDecomposition:
                 "h_basis": self.h_basis.tolist(), "f_on_h_residual": self.f_on_h_residual}
 
 
-class InvarianceReport:
-    def __init__(self, passed: bool, max_leak: float, max_cross: float, witness: dict,
-                 tol: float, seed: int):
-        self.passed = passed
-        self.max_leak = max_leak
-        self.max_cross = max_cross
-        self.witness = witness
-        self.tol = tol
-        self.seed = seed
+class InvarianceReport(NamedTuple):
+    passed: bool
+    max_leak: float
+    max_cross: float
+    witness: dict
+    tol: float
+    seed: int
 
 
 def check_f_invariance(dec: Decomposition, points, trials: int = 25,
@@ -417,33 +416,48 @@ def check_f_invariance(dec: Decomposition, points, trials: int = 25,
     """Measure, on random in-component vectors, how much f leaks out of each
     component and how far phi(D_i) is from being orthogonal to D_j (i != j):
     the off-diagonal blocks of T_DD (`FrameStack.phi_dd`) on the vectors'
-    coordinates. Point p draws from `rng_for(seed, 211, p)`, component by
-    component; the witness is the last new maximum in (point, component,
-    other) order."""
+    coordinates. Point p draws the coordinates of every component, one
+    after another, from `rng_for(seed, 211, p)`; each (point, component)'s
+    worst leak and crosses are reduced by `invariance_maxima`."""
     points = list(points)
     if not points:
         raise SpecError("check_f_invariance needs at least one point")
     stack = dec.frame_stack(points)
-    rngs = [rng_for(seed, 211, p) for p in range(len(points))]
-    names, inv, off = dec.component_names(), stack.invariant_index, stack.offsets
-    events = []     # (kind, components, worst per point) in the order each point meets them
+    off, inv, k = stack.offsets, stack.invariant_index, len(stack.offsets) - 1
+    coef = np.stack([rng_for(seed, 211, p).standard_normal((off[-1], trials))
+                     for p in range(len(points))])
+    events = np.zeros((len(points), k, k + 1))
     for i, (lo, hi) in enumerate(zip(off, off[1:])):
-        coef = np.stack([rng.standard_normal((hi - lo, trials)) for rng in rngs])
-        norms = np.maximum(np.linalg.norm(coef, axis=1), 1e-300)
-        fv = stack.phi_dd[:, :, lo:hi] @ coef
+        norms = np.maximum(np.linalg.norm(coef[:, lo:hi], axis=1), 1e-300)
+        fv = stack.phi_dd[:, :, lo:hi] @ coef[:, lo:hi]
         leak = np.linalg.norm(np.concatenate([fv[:, :lo], fv[:, hi:]], axis=1), axis=1)
-        events.append(("f-leak", names[i], (leak / norms).max(-1)))
-        for j in range(len(names)):
-            if j != i and inv not in (i, j):
-                cross = np.abs(fv[:, off[j]:off[j + 1]]) / norms[:, None]
-                events.append(("phi-cross", [names[i], names[j]], cross.max(axis=(1, 2))))
-    worst, witness = {"f-leak": 0.0, "phi-cross": 0.0}, {}
-    for p, x in enumerate(stack.x.tolist()):
-        for kind, comps, values in events:
-            if values[p] > worst[kind]:
-                worst[kind] = float(values[p])
-                witness = {"kind": kind, ("component" if kind == "f-leak" else "components"):
-                           comps, "point": x, "residual": worst[kind]}
-    max_leak, max_cross = worst["f-leak"], worst["phi-cross"]
-    passed = max_leak <= tol and max_cross <= tol
-    return InvarianceReport(passed, max_leak, max_cross, witness, tol, seed)
+        events[:, i, 0] = (leak / norms).max(-1)
+        events[:, i, 1:] = np.maximum.reduceat((np.abs(fv) / norms[:, None]).max(-1), off[:-1], 1)
+    due = np.concatenate([np.ones((k, 1), bool), ~np.eye(k, dtype=bool)], axis=1)
+    if inv is not None:
+        due[inv, 1:] = due[:, 1 + inv] = False
+    worst, witness = invariance_maxima(np.where(due, events, 0.0), dec.component_names(), stack.x)
+    return InvarianceReport(worst["f-leak"] <= tol and worst["phi-cross"] <= tol,
+                            worst["f-leak"], worst["phi-cross"], witness, tol, seed)
+
+
+def invariance_maxima(events: np.ndarray, names: list[str], x: np.ndarray):
+    """({kind: its maximum}, witness) of the events (P, K, 1 + K) at the
+    points x: at (p, i), slot 0 is component i's leak and slot 1 + j its
+    cross to D_j (0 where none is due). As a walk over them in C order that
+    keeps each kind's worst value so far (0.0 at first) and makes each new
+    strict maximum the witness: the later of the two kinds' first maxima;
+    a NaN is never one."""
+    flat = np.where(events > 0.0, events, 0.0).reshape(-1)
+    slot = np.arange(flat.size) % events.shape[-1]
+    worst, witness, last = {}, {}, -1
+    for kind, values in (("f-leak", np.where(slot == 0, flat, 0.0)),
+                         ("phi-cross", np.where(slot > 0, flat, 0.0))):
+        at = int(np.argmax(values))
+        worst[kind] = float(values[at])
+        if worst[kind] > 0.0 and at > last:
+            p, i, j = np.unravel_index(at, events.shape)
+            last, witness = at, {"kind": kind, **(
+                {"component": names[i]} if j == 0 else {"components": [names[i], names[j - 1]]}),
+                "point": x[p].tolist(), "residual": worst[kind]}
+    return worst, witness

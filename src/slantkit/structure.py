@@ -69,6 +69,7 @@ class StructureField:
         self.phi_columns = tuple(phi_columns)
         self.metric_exprs = tuple(metric) if metric is not None else None
         self.xi = xi
+        self._fields = None, None      # (key, fields) of the last `fields_at` stack
         # column c of phi holds the image of e_{c+1}; entries are walked
         # column by column, metric entries row by row
         self._phi_fill = fe.LiteralFill((n, n), (
@@ -135,8 +136,15 @@ class StructureField:
         return self.xi.at(point)
 
     def fields_at(self, x: np.ndarray) -> tuple:
-        """(metric, phi, xi or None) at each point of a stack x (P, n)."""
-        return self.metric_at(x), self.phi_at(x), self.xi_at(x) if self.is_contact else None
+        """(metric, phi, xi or None) at each point of a stack x (P, n),
+        read-only. The last stack's are kept: a command validates the
+        structure and builds its frames at the same points."""
+        if self._fields[0] != (key := (x.shape, x.tobytes())):
+            fields = self.metric_at(x), self.phi_at(x), self.xi_at(x) if self.is_contact else None
+            for a in fields[:2 + self.is_contact]:
+                a.setflags(write=False)
+            self._fields = key, fields
+        return self._fields[1]
 
     def eta(self, point, v) -> float:
         """eta(v) = g(v, xi) at the point."""

@@ -337,7 +337,7 @@ def _component_sum(a):
     """The sum of scalars a (P, K, t) over the component axis, kept with
     length 1, term by term in component order (np.sum would pair the terms
     up at t = 1)."""
-    return np.add.accumulate(a, axis=1)[:, -1:]
+    return sum((a[:, k:k + 1] for k in range(1, a.shape[1])), a[:, :1])
 
 
 REGISTRY: list[IdentityCase] = []

@@ -77,6 +77,40 @@ def test_fill_shapes():
     assert fill.at(xs)[:, 1, 2].tolist() == [4.0] * 3
 
 
+def test_bare_literals_keep_their_bits():
+    """Bare literals keep their bits in the fill and its values: -0.0,
+    subnormals and +-1e308 included."""
+    values = [-0.0, 5e-324, 1e308, 0.0, -2.5e-310, -1e308]
+    items = [((i // 3, i % 3), fe.Num(v)) for i, v in enumerate(values[:5])]
+    fill = fe.LiteralFill((2, 3), items + [((1, 2), fe.parse("x1", 1))])
+    want = np.zeros((2, 3))
+    for idx, entry in items:
+        want[idx] = entry.value
+    assert _bits(fill.literals) == _bits(want)
+    assert _bits(fill.at(np.array([[-1e308]]))[0]) == _bits(
+        np.array([[-0.0, 5e-324, 1e308], [0.0, -2.5e-310, -1e308]]))
+    vector = fe.VectorFieldExpr([fe.Num(v) for v in values])
+    assert _bits(vector._fill.literals) == _bits(np.array(values))
+
+
+@pytest.mark.parametrize("command", [["classify"], ["dual"], ["identities", "--connection"]])
+@pytest.mark.parametrize("fid", ["ex3", "ex8"])
+def test_a_command_evaluates_each_fill_once(fid, command, tmp_path, monkeypatch):
+    """validate_structure and the frame stack share one evaluation of the
+    metric, phi and xi on the sample points, handed out read-only."""
+    calls = []
+    at = fe.LiteralFill.at
+    monkeypatch.setattr(fe.LiteralFill, "at", lambda fill, x: calls.append(id(fill)) or at(fill, x))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(fixture_to_spec_dict(build_fixture(fid, k=2))))
+    assert cli.main(command + [str(path)]) == 0
+    assert len(calls) == len(set(calls)) >= 8
+    s = load_manifold_spec(str(path)).structure
+    fields = s.fields_at(np.zeros((2, s.n)))
+    assert s.fields_at(np.zeros((2, s.n))) is fields
+    assert not any(a.flags.writeable for a in fields if a is not None)
+
+
 # -- faults inside a stack ------------------------------------------------------
 
 def _faulty(fid, zero, phi=None, metric=None, xi=None, field=None):

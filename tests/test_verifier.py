@@ -30,6 +30,17 @@ CONTACT_ONLY = {"struct.contact-metric", "struct.contact-isometry"}
 HERMITIAN_ONLY = {"struct.isometry"}
 
 
+@pytest.mark.parametrize("shape", [(60, 3, 50), (60, 2, 50), (8, 9, 50), (8, 8, 50),
+                                   (8, 9, 1), (4, 1, 3), (4, 0, 3)])
+def test_component_sum_adds_in_component_order(shape):
+    """The component sum is the running sum in component order, the bits of
+    `np.add.accumulate` along the axis (np.sum would pair the terms up)."""
+    a = np.random.default_rng(sum(shape)).standard_normal(shape) * 10.0 ** np.arange(shape[2])
+    want = np.add.accumulate(a, axis=1)[:, -1:]
+    assert np.array_equal(verifier._component_sum(a), want)
+    assert verifier._component_sum(a).tobytes() == want.tobytes()
+
+
 def test_registry_keys_unique():
     keys = [c.key for c in REGISTRY]
     assert len(keys) == len(set(keys))
