@@ -4,42 +4,43 @@ manifolds carrying a compatible structural endomorphism.
 The usual entry points:
 
     from slantkit import build_fixture, classify, run_identity_suite
+
+The exported names load their module on first use (PEP 562), so `import
+slantkit` imports no submodule, and `load_manifold_spec` imports only config,
+distribution, errors, expr, linalg, sampling, specfile and structure.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .classifier import classify, discover  # noqa: E402
-from .config import DEFAULT_TOLERANCES, Tolerances  # noqa: E402
-from .distribution import (  # noqa: E402
-    Decomposition,
-    DistributionFrame,
-    check_f_invariance,
-)
-from .duality import build_dual, dual_roundtrip_check  # noqa: E402
-from .gallery import build_fixture, fixture_oracle_check  # noqa: E402
-from .specfile import load_manifold_spec  # noqa: E402
-from .structure import StructureField, validate_structure  # noqa: E402
-from .verifier import (  # noqa: E402
-    connection_criterion_report,
-    run_identity_suite,
-)
+_EXPORTS = {
+    "classifier": ("classify", "discover"),
+    "config": ("DEFAULT_TOLERANCES", "Tolerances"),
+    "distribution": ("Decomposition", "DistributionFrame", "check_f_invariance"),
+    "duality": ("build_dual", "dual_roundtrip_check"),
+    "gallery": ("build_fixture", "fixture_oracle_check"),
+    "specfile": ("load_manifold_spec",),
+    "structure": ("StructureField", "validate_structure"),
+    "verifier": ("connection_criterion_report", "run_identity_suite"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "DEFAULT_TOLERANCES",
-    "Decomposition",
-    "DistributionFrame",
-    "StructureField",
-    "Tolerances",
-    "build_dual",
-    "build_fixture",
-    "check_f_invariance",
-    "classify",
-    "connection_criterion_report",
-    "discover",
-    "dual_roundtrip_check",
-    "fixture_oracle_check",
-    "load_manifold_spec",
-    "run_identity_suite",
-    "validate_structure",
-]
+__all__ = ["__version__", *sorted(_HOME)]
+
+
+def __getattr__(name):
+    """An exported name, or a submodule, imported on first use. Any other
+    name raises AttributeError, which `from . import mod` relies on."""
+    module = f"{__name__}.{_HOME.get(name, name)}"
+    try:
+        value = importlib.import_module(module)
+    except ModuleNotFoundError as exc:
+        if exc.name != module and name.isidentifier():
+            raise
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(value, name) if name in _HOME else value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -53,14 +53,18 @@ def f2_gram(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def check_f2_symmetric(mat: np.ndarray, place: str, x: np.ndarray):
     """ModelError when an f^2 Gram `mat`, or a matrix of a stack of them
-    (..., r, r), has a relative asymmetry above F2_SYMMETRY_RTOL, `place`
-    ("at", say) the point `x` (n,) or the member's own point (..., n). A
-    member the stacked screen flags is decided alone, as unstacked."""
+    (..., r, r), is not finite or has a relative asymmetry above
+    F2_SYMMETRY_RTOL, `place` ("at", say) the point `x` (n,) or the member's
+    own point (..., n). A flagged member is decided alone, as unstacked."""
     mats = mat.reshape(-1, *mat.shape[-2:])
     xs = np.broadcast_to(x, mat.shape[:-2] + x.shape[-1:]).reshape(len(mats), -1)
     asym = np.linalg.norm(mats - np.swapaxes(mats, -1, -2), axis=(-2, -1))
     scale = np.linalg.norm(mats, axis=(-2, -1))
-    for i in np.flatnonzero((asym > 0.5 * F2_SYMMETRY_RTOL * scale) & (asym > 0.5e-14)):
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    for i in np.flatnonzero(~finite | (asym > 0.5 * F2_SYMMETRY_RTOL * scale) & (asym > 0.5e-14)):
+        if not finite[i]:
+            raise ModelError(f"restricted endomorphism square is not finite {place} "
+                             f"{xs[i].tolist()}; the decomposition or structure is invalid")
         scale = max(float(np.linalg.norm(mats[i])), 1e-300)
         asym = float(np.linalg.norm(mats[i] - mats[i].T))
         if asym > F2_SYMMETRY_RTOL * scale and asym > 1e-14:

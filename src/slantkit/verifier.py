@@ -174,6 +174,10 @@ class PointContext:
         if xi:
             self.x_dxi, self.y_dxi = self.x_d + xi[0], self.y_d + xi[1]
         self.nowhere = np.full(npts, -np.inf)   # the residual of a key quantified nowhere
+        self._scales = {}
+
+    # the first ambient draw less its xi part
+    amb_perp = cached_property(lambda self: self.amb[0] - self.along_xi(self.eta(self.amb[0])))
 
     @staticmethod
     def inner(u, v, gram=None):
@@ -204,11 +208,17 @@ class PointContext:
 
     # residuals: the worst over the trials and the held components at each point, (P,) --
 
+    def scale(self, a):
+        """|a| of a draw the context holds, taken once (the entry keeps `a`, so keeps its id)."""
+        if id(a) not in self._scales:
+            self._scales[id(a)] = a, self.norm(a)
+        return self._scales[id(a)][1]
+
     def rel(self, diff, a, b=None, held=True):
-        """max |diff| / (|a| [,*|b|])."""
-        scale = self.norm(a)
+        """max |diff| / (|a| [,*|b|]) for draws a, b the context holds."""
+        scale = self.scale(a)
         if b is not None:
-            scale = scale * self.norm(b)
+            scale = scale * self.scale(b)
         return _worst(np.max(np.abs(diff) / np.maximum(scale, TINY), axis=-1), held)
 
     def cos_diff(self, cos_a, cos_b, held=True):
@@ -365,9 +375,8 @@ def _contact_metric(ctx):
 @_case("struct.contact-isometry", "contact", "X ambient, X perp xi",
        "|phi X| = |X| for X orthogonal to xi")
 def _contact_isometry(ctx):
-    a = ctx.amb[0] - ctx.along_xi(ctx.eta(ctx.amb[0]))
-    diff = ctx.norm(ctx.apply_phi(a)) - ctx.norm(a)
-    return ctx.rel(diff, a)
+    a = ctx.amb_perp
+    return ctx.rel(ctx.norm(ctx.apply_phi(a)) - ctx.scale(a), a)
 
 
 @_case("struct.isometry", "hermitian", "X,Y ambient",
@@ -459,7 +468,7 @@ def _component_metric(ctx, side, m, coeff):
 def _component_norm(ctx, side, m, coeff):
     """|mX_i| = c_i * |X_i| on each of the side's components."""
     lhs = ctx.norm(side.xs, side.gram(m))
-    return ctx.rel(lhs - _weighted(ctx, side, coeff, ctx.norm(side.xs)), side.xs)
+    return ctx.rel(lhs - _weighted(ctx, side, coeff, ctx.scale(side.xs)), side.xs)
 
 
 def _component_angle(ctx, side, maps, pred=None):

@@ -1,24 +1,33 @@
-"""The benchmark's trace (`perfbench/tracing.py`, run by `--trace 1`) wraps
-slantkit functions and methods it looks up by name. Every name it lists must
-resolve, so that renaming or deleting one fails here rather than in a
-traced benchmark run."""
+"""The benchmark (`perfbench/`) relies on slantkit in two ways checked here.
+Its trace (`perfbench/tracing.py`, run by `--trace 1`) wraps slantkit
+functions and methods it looks up by name: every name it lists must resolve,
+so that renaming or deleting one fails here rather than in a traced benchmark
+run. And its set-up timing imports slantkit afresh between commands that run
+through the `cli` imported first: the reports must not change."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracing():
+def _load(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    module = importlib.util.module_from_spec(spec)
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
+workloads = _load("workloads")
 
 
 def test_traced_functions_resolve():
@@ -36,88 +45,60 @@ def test_traced_methods_resolve():
     assert not missing
 
 
-def test_connection_probe_survives_a_fresh_import(tmp_path):
-    """The benchmark's set-up passes import slantkit afresh (purging
-    `sys.modules`) while its runner keeps calling the `cli` it imported
-    first. Code the probe imports on first use then comes from the fresh
-    package and meets objects of the first one; the report must not
-    change."""
-    import contextlib
-    import io
-    import json
-    import sys
+def _slantkit_modules():
+    return {k: m for k, m in sys.modules.items() if k == "slantkit" or k.startswith("slantkit.")}
 
-    from slantkit import cli
-    from slantkit.gallery import build_fixture, fixture_to_spec_dict
 
-    fx = build_fixture("ex8", k=2, epsilon=-1, gamma=0.5)
-    spec = tmp_path / "ex8.json"
-    spec.write_text(json.dumps(fixture_to_spec_dict(fx, points=fx.default_points()[:3])))
-
-    def connection(name):
-        out = tmp_path / name
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["identities", str(spec), "--connection", "--json", str(out)]) == 0
-        return json.loads(out.read_text())["connection"]
-
-    def ours():
-        return {k: m for k, m in sys.modules.items() if k == "slantkit" or k.startswith("slantkit.")}
-
-    saved = ours()
+@contextlib.contextmanager
+def _fresh_set_up(spec):
+    """One sample of perfbench's `measure_setup`: slantkit leaves
+    `sys.modules`, then `import slantkit` and `load_manifold_spec(spec)`
+    import it afresh, while callers keep the modules they imported first.
+    The first modules are put back afterwards."""
+    saved = _slantkit_modules()
     for key in saved:
         del sys.modules[key]
     try:
-        importlib.import_module("slantkit")
-        fresh = connection("fresh.json")
+        import slantkit  # noqa: F401
+        from slantkit.specfile import load_manifold_spec
+        load_manifold_spec(str(spec))
+        yield
     finally:
-        for key in ours():
+        for key in _slantkit_modules():
             del sys.modules[key]
         sys.modules.update(saved)
-    assert fresh == connection("held.json")
 
 
-def test_dual_and_classify_survive_a_fresh_import(tmp_path):
-    """As above for `dual` and `classify` (declared and discovery): their
-    frames, complements and dual slices are built while slantkit is
-    imported afresh, and the reports must not change."""
-    import contextlib
-    import io
-    import json
-    import sys
-
+@pytest.mark.parametrize("fid, params", [("ex8", dict(k=2, epsilon=-1, gamma=0.5)),
+                                         ("ex5", dict(k=2, epsilon=1, gamma=2.0))],
+                         ids=["ex8", "ex5"])
+def test_benchmark_commands_survive_a_fresh_set_up(tmp_path, fid, params):
+    """The six benchmark commands, run through the held `cli` after a fresh
+    set-up, write the reports of the held package byte for byte. Code they
+    import on first use (the probe's tangents, the verdict lattice) then
+    comes from the fresh package and meets objects of the held one, and the
+    fresh package holds only what the spec loader imported."""
     from slantkit import cli
     from slantkit.gallery import build_fixture, fixture_to_spec_dict
 
-    specs = {}
-    for fid, params in (("ex8", dict(k=2, epsilon=-1, gamma=0.5)),
-                        ("ex5", dict(k=2, epsilon=1, gamma=2.0))):
-        fx = build_fixture(fid, **params)
-        doc = fixture_to_spec_dict(fx, points=fx.default_points()[:4])
-        for variant, dec in (("declared", doc["decomposition"]), ("discovery", None)):
-            specs[fid, variant] = tmp_path / f"{fid}-{variant}.json"
-            specs[fid, variant].write_text(json.dumps(dict(doc, decomposition=dec)))
+    fx = build_fixture(fid, **params)
+    doc = fixture_to_spec_dict(fx, points=fx.default_points()[:4])
+    specs = {"declared": tmp_path / "declared.json", "discovery": tmp_path / "discovery.json"}
+    specs["declared"].write_text(json.dumps(doc))
+    specs["discovery"].write_text(json.dumps(dict(doc, decomposition=None)))
 
     def reports(tag):
         out = {}
-        for (fid, variant), spec in specs.items():
-            for command in (("classify",) if variant == "discovery" else ("classify", "dual")):
-                path = tmp_path / f"{tag}-{fid}-{variant}-{command}.json"
-                with contextlib.redirect_stdout(io.StringIO()):
-                    assert cli.main([command, str(spec), "--json", str(path)]) == 0
-                out[fid, variant, command] = path.read_bytes()
+        for metric, args, variant in workloads.COMMANDS:
+            path = tmp_path / f"{tag}-{metric}.json"
+            argv = [args[0], str(specs[variant]), "--json", str(path), "--seed", "3",
+                    "--trials", str(workloads.TRIALS), *args[1:]]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, metric
+            out[metric] = path.read_bytes()
         return out
 
-    def ours():
-        return {k: m for k, m in sys.modules.items() if k == "slantkit" or k.startswith("slantkit.")}
-
-    saved = ours()
-    for key in saved:
-        del sys.modules[key]
-    try:
-        importlib.import_module("slantkit")
+    held = reports("held")
+    with _fresh_set_up(specs["declared"]):
         fresh = reports("fresh")
-    finally:
-        for key in ours():
-            del sys.modules[key]
-        sys.modules.update(saved)
-    assert fresh == reports("held")
+    assert fresh == held

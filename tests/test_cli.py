@@ -238,6 +238,12 @@ def _double_phi(doc):
     doc["phi_columns"] = [[f"2*({e})" for e in col] for col in doc["phi_columns"]]
 
 
+def _huge_phi_discovery(doc):
+    # finite phi entries whose f^2 Gram overflows
+    doc["phi_columns"] = [[f"({e})*10^200" for e in col] for col in doc["phi_columns"]]
+    doc["decomposition"] = None
+
+
 def _put(value, *path):
     """Set the entry at `path` (keys and indices) to `value`."""
     def mutate(doc):
@@ -267,6 +273,8 @@ _ERROR_FAMILIES = {
     "ModelError": (_double_phi, ("classify", "--force"), 1, "failure:", "outside [0, 1]"),
     "ModelError-discover": (_asymmetric_phi_discovery, ("classify", "--force"), 1, "failure:",
                             "asymmetric"),
+    "ModelError-not-finite": (_huge_phi_discovery, ("classify", "--force"), 1, "failure:",
+                              "restricted endomorphism square is not finite at"),
     "SpecError-seed-string": (_put({"seed": "one", "count": 3}, "sample_points"), ("validate",),
                               2, "error:", "sample_points.seed"),
     "SpecError-count-string": (_put({"seed": 1, "count": "3"}, "sample_points"), ("validate",),

@@ -115,6 +115,20 @@ class TestFSquared:
         with pytest.raises(ModelError):
             dec.frame_at(np.zeros(n)).f2_full()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gram_raises_model_error(self, bad):
+        # eigvalsh returns finite eigenvalues for a Gram with a NaN entry, and
+        # the symmetry screen's comparisons are False on NaN
+        from slantkit.distribution import check_f2_symmetric
+        mats = np.stack([np.diag([0.3, 0.5, 0.9])] * 3)
+        mats[1, 2, 2] = mats[2, 0, 1] = bad
+        xs = np.arange(9.0).reshape(3, 3)
+        with pytest.raises(ModelError, match=r"not finite at \[3\.0, 4\.0, 5\.0\];"):
+            check_f2_symmetric(mats, "at", xs)
+        with pytest.raises(ModelError, match=r"not finite at \[6\.0, 7\.0, 8\.0\];"):
+            check_f2_symmetric(mats[2], "at", xs[2])
+        check_f2_symmetric(mats[0], "at", xs[0])
+
 
 class TestCheckFInvariance:
     def test_gallery_passes(self, ex1):

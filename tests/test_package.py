@@ -1,5 +1,12 @@
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import slantkit
 
@@ -10,6 +17,50 @@ REMOVED = ("slant_spectrum", "slant_function_table", "dual_slant_theta", "dual_i
 def test_every_export_resolves():
     missing = [name for name in slantkit.__all__ if not hasattr(slantkit, name)]
     assert missing == []
+    assert set(slantkit.__all__) <= set(dir(slantkit))
+    bound = {}
+    exec("from slantkit import *", bound)
+    assert {name: bound[name] for name in slantkit.__all__} == {
+        name: getattr(slantkit, name) for name in slantkit.__all__}
+    assert bound["classify"] is importlib.import_module("slantkit.classifier").classify
+
+
+def test_submodules_are_attributes_and_other_names_are_not():
+    assert slantkit.verifier is importlib.import_module("slantkit.verifier")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        slantkit.no_such_name
+    assert not hasattr(slantkit, "no.such.module")
+
+
+# What `import slantkit` and then a spec load import, in a fresh interpreter.
+_IMPORT_PROBE = """
+import json, sys
+def ours():
+    return sorted(k for k in sys.modules if k.startswith("slantkit."))
+import slantkit
+bare = ours()
+from slantkit.specfile import load_manifold_spec
+load_manifold_spec(sys.argv[1])
+print(json.dumps([bare, ours()]))
+"""
+
+SPEC_LOADER_MODULES = ["config", "distribution", "errors", "expr", "linalg", "sampling",
+                       "specfile", "structure"]
+
+
+def test_import_and_spec_load_import_only_what_they_use(tmp_path):
+    """`import slantkit` imports no submodule (its exports load on first
+    use), and loading a spec imports only the spec loader's modules."""
+    from slantkit.gallery import build_fixture, fixture_to_spec_dict
+    fx = build_fixture("ex8", k=2, epsilon=-1, gamma=0.5)
+    spec = tmp_path / "ex8.json"
+    spec.write_text(json.dumps(fixture_to_spec_dict(fx, points=fx.default_points()[:2])))
+    env = dict(os.environ, PYTHONPATH=str(Path(slantkit.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(spec)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    bare, loaded = json.loads(out)
+    assert bare == []
+    assert loaded == [f"slantkit.{name}" for name in SPEC_LOADER_MODULES]
 
 
 def test_removed_per_point_functions_are_not_exported():
@@ -34,10 +85,8 @@ def _unread_imports(path: Path) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    # __init__ imports its names to re-export them
     package = Path(slantkit.__file__).parent
-    unread = [entry for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
-              for entry in _unread_imports(path)]
+    unread = [entry for path in sorted(package.glob("*.py")) for entry in _unread_imports(path)]
     assert unread == []
 
 
