@@ -35,12 +35,13 @@ Verdict vocabulary (the implication lattice is in taxonomy.VERDICT_LATTICE):
 
 Declared and discovery mode reach these labels through one function,
 `_verdicts`; discovery's components are the eigenvalue clusters of f^2 on
-the one component "D" (`_TangentComponent`).
+the one component "D" (`_TangentSpace`).
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -516,21 +517,18 @@ def _display_order(entries: list[dict]) -> list[dict]:
 # Discovery mode: no declared decomposition
 # ---------------------------------------------------------------------------
 
-class _TangentComponent:
-    """The one component "D" of discovery mode, shaped like a
-    `DistributionFrame`: the tangent space of the masked linear subspace (the
-    whole ambient space without a mask), minus the span of xi in the
-    contact-like case."""
-
-    name = "D"
-    mask = None
+class _TangentSpace(Decomposition):
+    """Discovery's decomposition: the one component "D", the tangent space of
+    the masked linear subspace (the whole ambient space without a mask),
+    minus the span of xi in the contact-like case. It has no fields: its
+    columns come from `raw_at`."""
 
     def __init__(self, structure: StructureField, mask: tuple[int, ...] | None):
-        self.structure = structure
-        self.n = structure.n
-        self.tm = np.eye(self.n)[:, [i - 1 for i in (mask or range(1, self.n + 1))]]
-        self.rank = self.tm.shape[1] - (1 if structure.is_contact else 0)
-        if self.rank < 1:
+        slot = SimpleNamespace(name="D", n=structure.n, mask=None)
+        super().__init__(structure, [slot], mask=mask)
+        self.tm = np.stack(self.tm_directions(), axis=1)
+        slot.rank = self.tm.shape[1] - structure.is_contact
+        if slot.rank < 1:
             raise SpecError("the masked tangent space holds no direction besides xi")
 
     def raw_at(self, x: np.ndarray) -> np.ndarray:
@@ -539,8 +537,8 @@ class _TangentComponent:
         metric gram = tm^T g tm and xi = tm a, the gram-complement of a."""
         if not self.structure.is_contact:
             return np.broadcast_to(self.tm, x.shape[:-1] + self.tm.shape).copy()
-        g, xi, tm = self.structure.metric_at(x), self.structure.xi_at(x)[..., None], self.tm
-        gram = tm.T @ g @ tm
+        (g, _, xi), tm = self.structure.fields_at(x), self.tm
+        gram, xi = tm.T @ g @ tm, xi[..., None]
         a = np.linalg.solve(gram, tm.T @ g @ xi)
         # xi must live inside TM for the decomposition to make sense
         if (column_norms(tm @ a - xi) > 1e-9 * column_norms(xi)).any():
@@ -552,7 +550,7 @@ def discover(structure: StructureField, points, mask: tuple[int, ...] | None = N
              tolerances: Tolerances = DEFAULT_TOLERANCES,
              seed: int = DEFAULT_SEED) -> ClassificationReport:
     """Classify with candidate components given by the eigenvalue clusters of
-    f^2 on D (`_TangentComponent`), exactly the eigenspace decomposition the
+    f^2 on D (`_TangentSpace`), exactly the eigenspace decomposition the
     skew-CR and generic descriptions build. The clusters play D0..Dk for
     `_verdicts`: an invariant cluster (the first, should tolerances admit
     more than one) is D0, the others are proper.
@@ -560,7 +558,7 @@ def discover(structure: StructureField, points, mask: tuple[int, ...] | None = N
     points = list(points)
     if len(points) < 2:
         raise SpecError("classification needs at least two sample points")
-    dec = Decomposition(structure, [_TangentComponent(structure, mask)], mask=mask)
+    dec = _TangentSpace(structure, mask)
     stack = dec.frame_stack(points)
     table = _spectrum_table(stack.f2, stack.epsilon, tolerances)
     tr = _analyze_tracks(table, stack.x, structure.epsilon, tolerances, points)

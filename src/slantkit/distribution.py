@@ -2,10 +2,11 @@
 
 A `DistributionFrame` is a rank-r distribution given by r vector fields. A
 `Decomposition` fixes the ambient structure, an optional invariant component
-D0, and the proper components D1..Dk. Its data at a command's sample points
-is one `FrameStack`, built once, every array with the points as a leading
-axis P: every field and check is evaluated over the points at once, each
-check naming its own first failing point.
+D0, and the proper components D1..Dk, whose fields are the columns of one
+fill (`Decomposition.fill`). Its data at a command's sample points is one
+`FrameStack`, built once, every array with the points as a leading axis P:
+every field and check is evaluated over the points at once, each check
+naming its own first failing point.
 `PointFrame` is one point's view of it.
 
 For a tangent Z, fZ is the component of phi(Z) inside D and wZ the remainder
@@ -33,6 +34,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import DimensionError, EvalError, InvariantError, ModelError, RankError, SpecError
+from .expr import LiteralFill, require_finite
 from .linalg import complement_columns, g_inner, mgs_columns, mgs_each
 from .sampling import DEFAULT_SEED, rng_for
 from .structure import StructureField
@@ -142,28 +144,8 @@ class DistributionFrame:
                         raise InvariantError(
                             f"distribution {name!r}: field component x{i} is not the "
                             "literal 0 outside the submanifold mask")
-        self.name = name
-        self.fields = tuple(fields)
-        self.mask = mask
-        self.n = n
-
-    @property
-    def rank(self) -> int:
-        return len(self.fields)
-
-    def raw_at(self, point) -> np.ndarray:
-        """The fields as columns (..., n, rank) at a point (n,) or a stack (..., n)."""
-        return np.stack([f.at(point) for f in self.fields], axis=-1)
-
-    def raw_jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
-        """Derivatives of `raw_at` along the coordinates `coords` (0-based) at
-        a point x (n,) or a stack (..., n): (..., len(coords), n, rank), or
-        None when every field is constant."""
-        jacs = [f.jacobian(x, coords, h) for f in self.fields]
-        if all(jac is None for jac in jacs):
-            return None
-        zero = np.zeros(x.shape[:-1] + (len(coords), self.n))
-        return np.stack([zero if jac is None else jac for jac in jacs], axis=-1)
+        self.name, self.mask, self.n = name, mask, n
+        self.fields, self.rank = tuple(fields), len(fields)
 
 
 class Decomposition:
@@ -187,21 +169,37 @@ class Decomposition:
             if len(masks) > 1 or (mask is not None and mask not in masks):
                 raise SpecError("components carry inconsistent submanifold masks")
             mask = next(iter(masks))
-        self.structure = structure
-        self.invariant = invariant
-        self.proper = tuple(proper)
-        self.mask = mask
+        self.structure, self.invariant, self.proper = structure, invariant, tuple(proper)
+        self.mask, self.components = mask, tuple(comps)
         self._frames: dict[tuple, PointFrame] = {}
         self._stacks: dict[tuple, FrameStack] = {}
 
-    @property
-    def components(self) -> tuple[DistributionFrame, ...]:
-        if self.invariant is not None:
-            return (self.invariant,) + self.proper
-        return self.proper
-
     def component_names(self) -> list[str]:
         return [c.name for c in self.components]
+
+    entries = cached_property(lambda d: [f.components for c in d.components for f in c.fields])
+
+    @cached_property
+    def fill(self) -> LiteralFill:
+        """The components' R = sum r_i fields, in order, as the columns of one
+        fill (n, R), walked field by field as phi's is column by column."""
+        return LiteralFill((self.structure.n, len(self.entries)), (
+            ((i, j), e) for j, field in enumerate(self.entries) for i, e in enumerate(field)))
+
+    def raw_at(self, x: np.ndarray) -> np.ndarray:
+        """The fields as the columns (..., n, R) of one matrix at x (..., n)."""
+        values = self.fill.at(x)
+        require_finite(np.swapaxes(values, -1, -2), self.entries, x, "vector field")
+        return values
+
+    def raw_jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
+        """Derivatives (..., len(coords), n, R) of `raw_at` along the coordinates
+        `coords` (0-based), or None for constant fields; h is the fallback's step."""
+        jac = self.fill.jacobian(x, coords, h)
+        if jac is not None:
+            require_finite(np.moveaxis(jac, (-3, -1), (-1, -3)), self.entries, x,
+                           "derivative of vector field")
+        return jac
 
     def frame_stack(self, points) -> "FrameStack":
         """The frame stack of `points`, built once per sequence of points."""
@@ -300,16 +298,16 @@ class FrameStack:
         ncomp = len(dec.components)
         self.invariant_index = 0 if dec.invariant is not None else None
         self.proper_indices = list(range(ncomp - len(dec.proper), ncomp))
-        s = dec.structure
+        s, ranks = dec.structure, [c.rank for c in dec.components]
+        self.offsets = (0, *accumulate(ranks))
         try:
-            self.g, self.phi, self.xi, self.xi_unit, self.raws = self._fields(self.x)
+            self.g, self.phi, self.xi, self.xi_unit, raw = self._fields(self.x)
         except (EvalError, RankError):      # the first point to fault raises, as in its own stack
             for x in self.x:
                 self._fields(x[None])
             raise
+        self.raws = [raw[..., lo:hi] for lo, hi in zip(self.offsets, self.offsets[1:])]
         self.bases = orthonormal_bases(dec.component_names(), self.g, self.raws, "at", self.x)
-        ranks = [b.shape[-1] for b in self.bases]
-        self.offsets = (0, *accumulate(ranks))
         self.owner = np.repeat(np.arange(len(ranks)), ranks)
         self.g_rows = slice(self.offsets[-1] + (self.xi is not None), s.n)
         self.basis_d = np.concatenate(self.bases, axis=-1)
@@ -330,7 +328,7 @@ class FrameStack:
             if (nrm < 1e-12).any():
                 raise RankError("xi vanishes at the sample point")
             xi_unit = xi / nrm[:, None]
-        return g, phi, xi, xi_unit, [comp.raw_at(x) for comp in dec.components]
+        return g, phi, xi, xi_unit, dec.raw_at(x)
 
     @cached_property
     def phi_dd(self) -> np.ndarray:

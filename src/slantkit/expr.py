@@ -14,12 +14,13 @@ Grammar (whitespace insensitive):
 evaluation point. Parsed expressions are immutable and safe to share across
 threads; evaluation is pure.
 
-`LiteralFill` evaluates an array of expressions over a stack of points
-through one straight-line program, a table of operations built on its first
-use and run over the whole stack, one array operation per row. No spec text
-becomes Python code. The tree walker `_eval` stays the oracle: it serves
-`evaluate`, and a point at which the program faults is walked instead, so
-`_eval` alone raises EvalError.
+`LiteralFill` evaluates an array of expressions (phi, the metric, xi, or all
+of a decomposition's fields: one fill each) over a stack of points through
+one straight-line program, a table of operations built on first use and run
+over the whole stack, one array operation per row. No spec text becomes
+Python code. The tree walker `_eval` stays the oracle: it serves `evaluate`,
+and a point at which the program faults is walked instead, so `_eval` alone
+raises EvalError.
 
 `LiteralFill.jacobian` runs the same table forward over points and
 directions, with the tangent rules of module `tangents`.
@@ -31,6 +32,7 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -563,14 +565,14 @@ class LiteralFill:
 class VectorFieldExpr:
     """A vector field with one scalar expression per ambient coordinate."""
 
-    __slots__ = ("components", "_fill")
-
     def __init__(self, components):
         comps = tuple(components)
         if not comps:
             raise DimensionError("a vector field needs at least one component")
         self.components = comps
-        self._fill = LiteralFill((len(comps),), (((i,), c) for i, c in enumerate(comps)))
+
+    fill = cached_property(lambda self: LiteralFill((self.n,), (
+        ((i,), c) for i, c in enumerate(self.components))))
 
     @classmethod
     def parse(cls, sources, n: int) -> "VectorFieldExpr":
@@ -586,7 +588,7 @@ class VectorFieldExpr:
     def at(self, point) -> np.ndarray:
         """The field at a point (n,), or at each point of a stack (..., n)."""
         x = np.asarray(point, dtype=float)
-        values = self._fill.at(x)
+        values = self.fill.at(x)
         require_finite(values, self.components, x, "vector field")
         return values
 
@@ -594,7 +596,7 @@ class VectorFieldExpr:
         """Derivatives (..., len(coords), n) along the coordinates `coords`
         (0-based) at a point x (n,) or a stack (..., n), or None where the
         field is constant (`LiteralFill.jacobian`)."""
-        jac = self._fill.jacobian(x, coords, h)
+        jac = self.fill.jacobian(x, coords, h)
         if jac is not None:
             require_finite(np.swapaxes(jac, -1, -2), self.components, x,
                            "derivative of vector field")

@@ -4,8 +4,8 @@
 fill's program runs over a stack of points and directions, each row's
 tangent next to its value, by the rules of `_tangent`. `frame_derivatives`
 differentiates the projectors and f^2 Grams of a `FrameStack` in closed form
-from the tangents of phi, xi and the component fields, along directions of
-each point, over a chunk of the stack's points at once.
+from the tangents of phi, xi and the components' fields (one fill), along
+the directions of each point, over a chunk of the stack's points at once.
 
 Only `identities --connection` needs them, so `LiteralFill.jacobian` and the
 connection probe import this module on first use.
@@ -123,7 +123,7 @@ def frame_derivatives(stack: FrameStack, part: slice, dirs: np.ndarray, coords: 
     s = dec.structure
     if not s.metric_is_euclidean:
         raise UnsupportedError("frame derivatives support the euclidean metric only")
-    npts, q, n = dirs.shape
+    npts, q = dirs.shape[:2]
     steps = dirs[..., coords]
     near, x_models = "to first order near", x[:, None, None]   # the point of each model
 
@@ -156,18 +156,16 @@ def frame_derivatives(stack: FrameStack, part: slice, dirs: np.ndarray, coords: 
         vanish = (np.linalg.norm(models(xi, dxi), axis=-1) < 1e-12).any(axis=(1, 2))
         for p in np.flatnonzero(vanish)[:1]:
             raise RankError(f"xi vanishes {near} {x[p].tolist()}")
-    dQ = None
-    for i, comp in enumerate(dec.components):
-        dA = along(comp.raw_jacobian)
-        if dA is None:
-            continue
-        basis, raw = stack.bases[i][part], stack.raws[i][part]
-        orthonormal_bases([comp.name], g[:, None, None], [models(raw, dA)], near, x)
-        if dQ is None:
-            dQ = np.zeros((npts, q, n, Q.shape[-1]))
-        bt = np.swapaxes(basis, -1, -2)
-        dQ[..., off[i]:off[i + 1]] = ((dA - basis[:, None] @ (bt[:, None] @ dA))
-                                      @ np.linalg.inv(bt @ raw)[:, None])
+    dQ = along(dec.raw_jacobian)    # dA of every component's fields (P, q, n, R), then dQ in place
+    if dQ is not None:
+        cols = [slice(lo, hi) for lo, hi in zip(off, off[1:])]
+        orthonormal_bases(dec.component_names(), g[:, None, None],
+                          [models(raw[part], dQ[..., c]) for raw, c in zip(stack.raws, cols)],
+                          near, x)
+        for basis, raw, c in zip(stack.bases, stack.raws, cols):
+            basis, raw, bt = basis[part], raw[part], np.swapaxes(basis[part], -1, -2)
+            dQ[..., c] = ((dQ[..., c] - basis[:, None] @ (bt[:, None] @ dQ[..., c]))
+                          @ np.linalg.inv(bt @ raw)[:, None])
     C = None if dQ is None else Qt[:, None] @ dQ
     if C is not None or dxi is not None:
         dgram = 0.0 if C is None else C + np.swapaxes(C, -1, -2)

@@ -77,7 +77,7 @@ from .sampling import DEFAULT_SEED, rng_for
 
 PI2_TOL = 1e-8
 TINY = 1e-300
-PROBE_ELEMENTS = 1 << 18    # bounds P * (q * n * r + m * n * n) of one `frame_derivatives` chunk
+PROBE_ELEMENTS = 1 << 18    # bounds P * (q * n * r + m * n * (n + r)), a `frame_derivatives` chunk
 
 
 class PointContext:
@@ -189,8 +189,10 @@ class PointContext:
     def norm(self, u, gram=None):
         return np.sqrt(np.maximum(self.inner(u, u, gram), 0.0))
 
-    def cos_angle(self, u, v, gram=None):
-        return self.inner(u, v, gram) / np.maximum(self.norm(u, gram) * self.norm(v, gram), TINY)
+    def cos_angle(self, u, v, gram=None, drawn=False):
+        """cos<(u, v); with `drawn`, u and v are draws the context holds (`scale`)."""
+        nu, nv = (self.scale(a) if drawn else self.norm(a, gram) for a in (u, v))
+        return self.inner(u, v, gram) / np.maximum(nu * nv, TINY)
 
     def eta(self, v):
         return v[..., self.xi_row, :]
@@ -474,7 +476,7 @@ def _component_norm(ctx, side, m, coeff):
 def _component_angle(ctx, side, maps, pred=None):
     """cos<(mX_i, mY_i) = cos<(X_i, Y_i) for each map m of `maps` on each
     of the side's components where (cos, sin)(theta_i) satisfy `pred`."""
-    held, cos = ctx.held(side, pred), ctx.cos_angle(side.xs, side.ys)
+    held, cos = ctx.held(side, pred), ctx.cos_angle(side.xs, side.ys, drawn=True)
     worst = ctx.nowhere
     for m in maps:
         worst = np.maximum(worst, ctx.cos_diff(ctx.cos_angle(side.xs, side.ys, side.gram(m)),
@@ -663,7 +665,8 @@ def _invsin_angle(ctx, side):
         return ctx.nowhere
     sx, sy = (side.apply("other", side.vector(v / ctx.sin[:, side.comps, None]))
               for v in (side.xs, side.ys))
-    return ctx.cos_diff(ctx.cos_angle(side.x, side.y), ctx.cos_angle(sx, sy), held[:, None])
+    return ctx.cos_diff(ctx.cos_angle(side.x, side.y, drawn=True), ctx.cos_angle(sx, sy),
+                        held[:, None])
 
 
 # -- sin^4 corollaries ------------------------------------------------------------
@@ -893,15 +896,15 @@ def connection_criterion_report(dec: Decomposition, points,
 
     The derivatives are exact, from the tangents of the fields' fill
     programs at the sample points (`tangents.frame_derivatives` on point
-    chunks of at most PROBE_ELEMENTS = P * (q * n * r + m * n * n) elements,
-    the second term phi's dense Jacobian along the m masked coordinates); no
-    frame is built at x +- hX. The step h (`tolerances.fd_step`) sets the first-order models
-    on which the checks of such frames run (a component whose cluster splits there
-    to first order raises ComponentError). It is also the step of the
-    central difference that stands in for a field's derivative where its
-    tangent faults. `nabla_f2` and `eigenvalue_directional_derivative`
-    are the finite-difference oracles. A basis column with a part outside
-    the submanifold mask is a SpecError, as in the oracles.
+    chunks of at most PROBE_ELEMENTS = P * (q * n * r + m * n * (n + r))
+    elements, m * n * (n + r) the dense Jacobians of phi and, unless constant,
+    of the fields' fill); no frame is built at x +- hX. The step h
+    (`tolerances.fd_step`) sets the first-order models on which the checks of
+    such frames run (a component whose cluster splits there to first order
+    raises ComponentError), and the central difference that stands in for a
+    fill's derivatives where one of its tangents faults. `nabla_f2` and
+    `eigenvalue_directional_derivative` are the finite-difference oracles. A
+    basis column with a part outside the submanifold mask is a SpecError.
 
     The hypotheses behind the underlying equivalences (covariant derivatives
     staying inside D) are sample-checked only, never certified; entries say
@@ -922,7 +925,8 @@ def connection_criterion_report(dec: Decomposition, points,
         _check_in_mask(dec, dirs)
         checked, off = within | along_tm, stack.offsets
         q, n = dirs.shape[1:]
-        chunk = max(1, PROBE_ELEMENTS // (n * (q * off[-1] + len(coords) * n)))
+        r = 0 if dec.fill.program().constant else off[-1]    # the fields' Jacobian's width
+        chunk = max(1, PROBE_ELEMENTS // (n * (q * off[-1] + len(coords) * (n + r))))
         for lo in range(0, len(points), chunk):
             part = slice(lo, lo + chunk)
             d_f2, norms = frame_derivatives(stack, part, dirs[part], coords, h)

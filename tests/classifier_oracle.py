@@ -24,12 +24,12 @@ from slantkit.classifier import (
     SlantSpectrum,
     _component_entry,
     _constancy_span,
-    _TangentComponent,
+    _TangentSpace,
     _witness_point,
     slant_lambdas,
 )
 from slantkit.config import DEFAULT_TOLERANCES
-from slantkit.distribution import Decomposition, InvarianceReport
+from slantkit.distribution import InvarianceReport
 from slantkit.errors import ComponentError, ModelError, SpecError
 from slantkit.sampling import DEFAULT_SEED, rng_for
 
@@ -247,7 +247,7 @@ def discover(structure, points, mask=None, tolerances=DEFAULT_TOLERANCES, seed=D
     points = list(points)
     if len(points) < 2:
         raise SpecError("classification needs at least two sample points")
-    dec = Decomposition(structure, [_TangentComponent(structure, mask)], mask=mask)
+    dec = _TangentSpace(structure, mask)
     spectra = slant_spectra(dec.frame_stack(points), tolerances)
     tr = _analyze_tracks(spectra, structure.epsilon, tolerances, points)
     if not tr["tracks_ok"]:

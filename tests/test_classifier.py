@@ -14,7 +14,7 @@ from slantkit.classifier import (
     slant_lambdas,
     slant_spectra,
     slant_thetas,
-    _TangentComponent,
+    _TangentSpace,
 )
 from slantkit.config import DEFAULT_TOLERANCES
 from slantkit.distribution import Decomposition, DistributionFrame
@@ -320,10 +320,11 @@ class TestDiscovery:
         g = structure.metric_at(np.zeros(structure.n))
         assert np.count_nonzero(g - np.diag(np.diag(g))) > 0
         outside = [i for i in range(structure.n) if i + 1 not in ex1.mask]
-        comp = _TangentComponent(structure, ex1.mask)
+        dec = _TangentSpace(structure, ex1.mask)
+        comp = dec.components[0]
         points = [a @ p for p in ex1.default_points()[:6]]
         for x in points:
-            cols, xi = comp.raw_at(x), structure.xi_at(x)
+            cols, xi = dec.raw_at(x), structure.xi_at(x)
             assert cols.shape == (structure.n, comp.rank)
             assert np.max(np.abs(cols.T @ g @ cols - np.eye(comp.rank))) <= 1e-12
             assert np.max(np.abs(cols.T @ g @ xi)) <= 1e-12

@@ -340,7 +340,7 @@ def test_literal_fill_does_not_fold_constants():
     """Only bare Num entries are filled once; a constant subexpression such
     as 1/0 is evaluated, and raises, at every point."""
     field = fe.VectorFieldExpr.parse(["1/0", "2"], 2)
-    assert [idx for idx, _ in field._fill.live] == [(0,)]
+    assert [idx for idx, _ in field.fill.live] == [(0,)]
     with pytest.raises(EvalError, match="division by zero"):
         field.at(np.zeros(2))
 
@@ -397,15 +397,15 @@ def test_jacobian_matches_central_differences(monkeypatch):
 
 
 def test_jacobian_compiled_on_first_call_only():
-    """The fill's program is built on its first use (here `at`); the
-    Jacobian runs the same program, with no second build."""
+    """The field's fill and its program are built on their first use (here
+    `at`); the Jacobian runs the same program, with no second build."""
     field = fe.VectorFieldExpr.parse(["x1*x2", "sin(x3)", "0"], 3)
-    assert field._fill._program is None
+    assert "fill" not in vars(field)
     field.at(_POINT3)
-    program = field._fill._program
+    program = field.fill._program
     assert program is not None
     jac = field.jacobian(_POINT3, [0, 1, 2], 1e-5)
-    assert field._fill._program is program
+    assert field.fill._program is program
     np.testing.assert_allclose(jac, [[1.3, 0, 0], [0.7, 0, 0], [0, math.cos(-0.4), 0]])
 
 
@@ -439,7 +439,7 @@ def test_faulting_tangents_fall_back_to_central_differences(src, x, monkeypatch)
 
     monkeypatch.setattr(tangents, "_central_difference", counting)
     try:
-        want = _central(field._fill, x, h=1e-5)
+        want = _central(field.fill, x, h=1e-5)
     except EvalError:
         want = None
     if want is None:
@@ -467,7 +467,7 @@ def test_abs_at_zero_falls_back_only_along_directions_that_move_it(monkeypatch):
     monkeypatch.setattr(tangents, "_central_difference", counting)
     jac = field.jacobian(x, [0, 1, 2], 1e-5)
     assert calls == [0]
-    np.testing.assert_allclose(jac, _central(field._fill, x, h=1e-5), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(jac, _central(field.fill, x, h=1e-5), rtol=0, atol=1e-9)
     np.testing.assert_array_equal(jac[1:], [[0.0, -0.5, 0.0], [0.0, 1.5, 0.0]])
 
 

@@ -68,8 +68,7 @@ def _assert_same(fill, xs, coords, monkeypatch):
 
 def _fills(dec):
     s = dec.structure
-    fills = [s._phi_fill, s._metric_fill] + ([s.xi._fill] if s.is_contact else [])
-    return fills + [f._fill for comp in dec.components for f in comp.fields]
+    return [s._phi_fill, s._metric_fill] + ([s.xi.fill] if s.is_contact else []) + [dec.fill]
 
 
 @pytest.mark.parametrize("metric", ["own", "conformal"])

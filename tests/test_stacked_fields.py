@@ -1,5 +1,5 @@
 """Fields over a point stack: `expr.LiteralFill.at` and everything built on
-it (`phi_at`, `metric_at`, `xi_at`, `VectorFieldExpr.at`, the components'
+it (`phi_at`, `metric_at`, `xi_at`, `VectorFieldExpr.at`, the decomposition's
 `raw_at`) take a point (n,) or a stack (P, n), and each point's slice of a
 stack is its own evaluation bit for bit. Where a stack faults, `FrameStack`
 and `validate_structure` evaluate the points again in order, each as a stack
@@ -14,15 +14,17 @@ import numpy as np
 import pytest
 
 import structure_oracle
-from slantkit import cli
+from slantkit import cli, verifier
 from slantkit import expr as fe
-from slantkit.classifier import _TangentComponent
+from slantkit.classifier import _TangentSpace
 from slantkit.distribution import FrameStack
 from slantkit.errors import EvalError, RankError
 from slantkit.gallery import FIXTURE_IDS, build_fixture, fixture_to_spec_dict
 from slantkit.sampling import box_points, rng_for
 from slantkit.specfile import load_manifold_spec
 from slantkit.structure import validate_structure
+
+from test_verifier import _rolling_spec
 
 
 def _bits(a) -> tuple:
@@ -47,7 +49,7 @@ def test_stacked_fields_equal_their_points_bit_for_bit(fid, epsilon, metric):
     s = dec.structure
     xs = np.array(box_points(s.n, fx.mask, 16, seed=5))
     fields = [s.metric_at, s.phi_at] + ([s.xi_at] if s.is_contact else [])
-    fields += [c.raw_at for c in dec.components] + [_TangentComponent(s, fx.mask).raw_at]
+    fields += [dec.raw_at, _TangentSpace(s, fx.mask).raw_at]
     for field in fields:
         stacked = field(xs)
         for p, x in enumerate(xs):
@@ -90,22 +92,36 @@ def test_bare_literals_keep_their_bits():
     assert _bits(fill.at(np.array([[-1e308]]))[0]) == _bits(
         np.array([[-0.0, 5e-324, 1e308], [0.0, -2.5e-310, -1e308]]))
     vector = fe.VectorFieldExpr([fe.Num(v) for v in values])
-    assert _bits(vector._fill.literals) == _bits(np.array(values))
+    assert _bits(vector.fill.literals) == _bits(np.array(values))
 
 
-@pytest.mark.parametrize("command", [["classify"], ["dual"], ["identities", "--connection"]])
+@pytest.mark.parametrize("command", [["classify"], ["dual"], ["identities", "--connection"],
+                                     ["discover"]])
 @pytest.mark.parametrize("fid", ["ex3", "ex8"])
 def test_a_command_evaluates_each_fill_once(fid, command, tmp_path, monkeypatch):
     """validate_structure and the frame stack share one evaluation of the
-    metric, phi and xi on the sample points, handed out read-only."""
-    calls = []
+    metric, phi and xi on the sample points, handed out read-only; the
+    components' fields are evaluated once, as the decomposition's one fill,
+    and no fill is built for a component field. Discovery (classify without
+    a decomposition) evaluates the metric, phi and xi alone."""
+    calls, specs = [], []
     at = fe.LiteralFill.at
     monkeypatch.setattr(fe.LiteralFill, "at", lambda fill, x: calls.append(id(fill)) or at(fill, x))
+    monkeypatch.setattr(cli, "load_manifold_spec",
+                        lambda source: specs.append(load_manifold_spec(source)) or specs[-1])
+    doc = fixture_to_spec_dict(build_fixture(fid, k=2))
+    if command == ["discover"]:
+        command, doc["decomposition"] = ["classify"], None
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(fixture_to_spec_dict(build_fixture(fid, k=2))))
+    path.write_text(json.dumps(doc))
     assert cli.main(command + [str(path)]) == 0
-    assert len(calls) == len(set(calls)) >= 8
-    s = load_manifold_spec(str(path)).structure
+    (spec,) = specs
+    s, dec = spec.structure, spec.decomposition
+    want = [s._metric_fill, s._phi_fill] + ([s.xi.fill] if s.is_contact else [])
+    if dec is not None:
+        want.append(dec.fill)
+        assert not any("fill" in vars(f) for comp in dec.components for f in comp.fields)
+    assert sorted(calls) == sorted(map(id, want))
     fields = s.fields_at(np.zeros((2, s.n)))
     assert s.fields_at(np.zeros((2, s.n))) is fields
     assert not any(a.flags.writeable for a in fields if a is not None)
@@ -219,3 +235,129 @@ def test_metric_checks_name_the_first_failing_point():
     sym["metric"][0][0] = "1"
     with pytest.raises(EvalError, match=r"^metric is not symmetric at "):
         FrameStack(load_manifold_spec(sym).decomposition, xs)
+
+
+# -- one fill for the decomposition's fields ------------------------------------
+
+H = 1e-5
+
+
+def _field_by_field(dec, xs, coords):
+    """The components' fields evaluated one `VectorFieldExpr` at a time, as
+    the columns of the values (P, n, R) and of the Jacobians (P, m, n, R),
+    zeros for a constant field (None when every field is constant)."""
+    fields = [f for comp in dec.components for f in comp.fields]
+    values = np.stack([f.at(xs) for f in fields], axis=-1)
+    jacs = [f.jacobian(xs, coords, H) for f in fields]
+    if all(jac is None for jac in jacs):
+        return values, None
+    zero = np.zeros(xs.shape[:-1] + (len(coords), xs.shape[-1]))
+    return values, np.stack([zero if jac is None else jac for jac in jacs], axis=-1)
+
+
+def _fill_cases():
+    for fid in FIXTURE_IDS:
+        for metric in ("own", "conformal"):
+            yield pytest.param(fid, metric, id=f"{fid}-{metric}")
+    for case in ("rolling", "rolling-at-rest"):
+        yield pytest.param(case, "own", id=case)
+
+
+@pytest.mark.parametrize("case,metric", _fill_cases())
+def test_the_decomposition_fill_equals_its_fields_bit_for_bit(case, metric):
+    """`Decomposition.raw_at` and `raw_jacobian`, one fill over every
+    component's fields, against each field's own fill, column by column."""
+    if case.startswith("rolling"):
+        spec = load_manifold_spec(_rolling_spec(at_rest=case.endswith("at-rest")))
+        dec, mask = spec.decomposition, spec.decomposition.mask
+        xs = np.concatenate([spec.points, box_points(6, mask, 8, seed=2)])
+    else:
+        fx = build_fixture(case, k=2)
+        dec = fx.decomposition if metric == "own" else _conformal(fx).decomposition
+        mask, xs = fx.mask, np.array(fx.default_points()[:16])
+    coords = [j - 1 for j in mask]
+    values, jac = _field_by_field(dec, xs, coords)
+    assert _bits(dec.raw_at(xs)) == _bits(values)
+    got = dec.raw_jacobian(xs, coords, H)
+    assert (got is None) == (jac is None) == (not case.startswith("rolling"))
+    if jac is not None:
+        assert _bits(got) == _bits(jac)
+
+
+def test_a_walkers_error_wins_over_a_non_finite_value_in_an_earlier_field(tmp_path, capsys):
+    """At a point where the fill's program faults, every field is walked in
+    order and the walker's error is raised, although an earlier field is not
+    finite there: D1 overflows to inf and D2 divides by zero at x1 = 0."""
+    doc = _faulty("ex3", [(0, 2)])
+    for name, entry in (("D1", "1 + 0^abs(x1)*10^300*10^300"), ("D2", "1 + 0/x1")):
+        row = doc["distributions"][name][0]
+        row[row.index("1")] = entry
+    spec = load_manifold_spec(doc)
+    with pytest.raises(EvalError, match=r"^non-finite value inf of vector field\["):
+        spec.decomposition.proper[0].fields[0].at(spec.points[2])   # D1's field alone
+    with pytest.raises(EvalError, match=r"^division by zero in '0/x1'$"):
+        FrameStack(spec.decomposition, spec.points)
+    assert _cli(tmp_path, "dual", doc) == 2
+    assert capsys.readouterr().err == "error: division by zero in '0/x1'\n"
+
+
+def test_a_faulting_tangent_sends_the_whole_fill_to_the_central_difference(tmp_path, capsys):
+    """abs(x1) has no tangent along x1 at x1 = 0, a sample point of ex3: at
+    that (point, direction) every field takes the central difference, the
+    live field of D2 beside it too, within 1e-8 of its exact tangent; every
+    other derivative is the field's own, bit for bit. Verdicts and exit
+    codes are those of the literal 1 the abs entry stands for."""
+    doc = fixture_to_spec_dict(build_fixture("ex3", k=2))
+    live = copy.deepcopy(doc)
+    for name, entry in (("D1", "1 + 0*abs(x1)"), ("D2", "1 + 0.001*sin(x1)*x2")):
+        row = live["distributions"][name][0]
+        row[row.index("1")] = entry
+    dec = load_manifold_spec(live).decomposition
+    xs, coords = np.array(live["sample_points"]), [j - 1 for j in dec.mask]
+    faults = (xs[:, :1] == 0.0) & (np.array(coords) == 0)   # (P, m): along x1 at x1 = 0
+    assert faults.sum() >= 1
+    _, want = _field_by_field(dec, xs, coords)
+    got = dec.raw_jacobian(xs, coords, H)
+    assert _bits(got[~faults]) == _bits(want[~faults])
+    assert not np.array_equal(got[faults], want[faults])
+    np.testing.assert_allclose(got[faults], want[faults], rtol=0, atol=1e-8)
+    plain = copy.deepcopy(live)
+    plain["distributions"]["D1"] = doc["distributions"]["D1"]
+    reports = []
+    for spec in (plain, live):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        codes = [cli.main([*command, str(path), "--json", str(tmp_path / "out.json")])
+                 for command in (["classify"], ["identities", "--connection"])]
+        report = json.loads((tmp_path / "out.json").read_text())
+        reports.append((codes, report["connection"]["consistent"],
+                        [c["derivative_constant"] for c in report["connection"]["components"]]))
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    assert reports[0][0] == [0, 0]
+
+
+def test_the_probe_evaluates_two_fills_per_point_chunk(tmp_path, monkeypatch):
+    """`identities --connection` evaluates the metric, phi and the
+    decomposition's fill once each, and takes two Jacobians per point chunk,
+    phi's and the decomposition's; with one point per chunk, as the default
+    ex9 spec at k = 32 has, that is two per point."""
+    counts = {"at": 0, "jacobian": 0}
+
+    def counted(name):
+        method = getattr(fe.LiteralFill, name)
+
+        def call(fill, *args):
+            counts[name] += 1
+            return method(fill, *args)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(fe.LiteralFill, name, counted(name))
+    monkeypatch.setattr(verifier, "PROBE_ELEMENTS", 1)
+    path = tmp_path / "spec.json"
+    assert cli.main(["gallery", "emit", "ex9", "--k", "4", "--out", str(path)]) == 0
+    points = len(json.loads(path.read_text())["sample_points"])
+    assert cli.main(["identities", str(path), "--connection",
+                     "--json", str(tmp_path / "out.json")]) == 0
+    assert counts == {"at": 3, "jacobian": 2 * points}

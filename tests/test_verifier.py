@@ -229,21 +229,29 @@ def test_suite_memory_is_bounded():
 
 # The probe's tracemalloc peak before the fills' Jacobians ran over the point
 # stack, plus 10%: 3.25 MB on identities-k8 (ex9 at k = 8, 8 seeded points)
-# and 8.96 MB on ex9 at k = 16 (8 default points).
-PROBE_PEAK_BOUND_MB = {8: 3.25 * 1.1, 16: 8.96 * 1.1}
+# and 8.96 MB on ex9 at k = 16 (8 default points). With live fields (every
+# field entry 1 as 1 + 0*x1*x2), the peak while each field had its own fill,
+# plus 10%: 6.54 MB at k = 8 and 5.89 MB at k = 16.
+PROBE_PEAK_BOUND_MB = {(8, False): 3.25 * 1.1, (16, False): 8.96 * 1.1,
+                       (8, True): 6.54 * 1.1, (16, True): 5.89 * 1.1}
 
 
-@pytest.mark.parametrize("k", [8, 16])
-def test_probe_memory_is_bounded(k):
+@pytest.mark.parametrize("k,live", [pytest.param(k, live, id=f"{k}-live-fields" if live else str(k))
+                                    for live in (False, True) for k in (8, 16)])
+def test_probe_memory_is_bounded(k, live):
     """The connection probe's tracemalloc peak, with the classification and
-    the frame stack built beforehand. Each point chunk's dense phi Jacobian
-    counts against PROBE_ELEMENTS beside the frame derivatives, so stacking
-    the fills' Jacobians over a chunk keeps the peak within 10% of the
-    per-point Jacobians'."""
+    the frame stack built beforehand. Each point chunk's dense Jacobians, of
+    phi and of the decomposition's fill where a field is live, count against
+    PROBE_ELEMENTS beside the frame derivatives, so stacking the fills'
+    Jacobians over a chunk keeps the peak within 10% of the per-point and
+    per-field Jacobians'."""
     fx = build_fixture("ex9", k=k, epsilon=-1, gamma=1.5)
     doc = fixture_to_spec_dict(fx, points=fx.default_points()[:1])
     doc["sample_points"] = {"seed": 0, "count": 8} if k == 8 else [
         p.tolist() for p in fx.default_points()[:8]]
+    if live:
+        for field in (f for fields in doc["distributions"].values() for f in fields):
+            field[:] = ["1 + 0*x1*x2" if e == "1" else e for e in field]
     spec = load_manifold_spec(doc)
     classification = classify(spec.decomposition, spec.points)
     spec.decomposition.frame_stack(spec.points).f2
@@ -255,7 +263,7 @@ def test_probe_memory_is_bounded(k):
     finally:
         tracemalloc.stop()
     assert rep["consistent"]
-    assert peak <= PROBE_PEAK_BOUND_MB[k] * 1e6, peak
+    assert peak <= PROBE_PEAK_BOUND_MB[k, live] * 1e6, peak
 
 
 class TestRightAnglePoints:
