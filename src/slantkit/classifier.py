@@ -52,6 +52,7 @@ from .errors import ComponentError, InvariantError, ModelError, SpecError
 from .linalg import column_norms, complement_columns
 from .sampling import DEFAULT_SEED
 from .structure import StructureField
+from .taxonomy import VERDICT_LATTICE
 
 HALF_PI = math.pi / 2.0
 
@@ -496,7 +497,6 @@ def _named_cases(labels, k, has_invariant, prop_theta, tolerances) -> list[str]:
 
 
 def _assert_lattice(labels: dict):
-    from .taxonomy import VERDICT_LATTICE
     for src, targets in VERDICT_LATTICE.items():
         if labels.get(src):
             for dst in targets:

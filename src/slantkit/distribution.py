@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import DimensionError, EvalError, InvariantError, ModelError, RankError, SpecError
-from .expr import LiteralFill, require_finite
+from .expr import LiteralFill
 from .linalg import complement_columns, g_inner, mgs_columns, mgs_each
 from .sampling import DEFAULT_SEED, rng_for
 from .structure import StructureField
@@ -182,24 +182,15 @@ class Decomposition:
     @cached_property
     def fill(self) -> LiteralFill:
         """The components' R = sum r_i fields, in order, as the columns of one
-        fill (n, R), walked field by field as phi's is column by column."""
+        fill (n, R), walked field by field as phi's is column by column. An
+        entry is named `vector field[j][i]`: component i of field j."""
         return LiteralFill((self.structure.n, len(self.entries)), (
-            ((i, j), e) for j, field in enumerate(self.entries) for i, e in enumerate(field)))
+            ((i, j), (j, i), e) for j, field in enumerate(self.entries)
+            for i, e in enumerate(field)), "vector field")
 
     def raw_at(self, x: np.ndarray) -> np.ndarray:
         """The fields as the columns (..., n, R) of one matrix at x (..., n)."""
-        values = self.fill.at(x)
-        require_finite(np.swapaxes(values, -1, -2), self.entries, x, "vector field")
-        return values
-
-    def raw_jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
-        """Derivatives (..., len(coords), n, R) of `raw_at` along the coordinates
-        `coords` (0-based), or None for constant fields; h is the fallback's step."""
-        jac = self.fill.jacobian(x, coords, h)
-        if jac is not None:
-            require_finite(np.moveaxis(jac, (-3, -1), (-1, -3)), self.entries, x,
-                           "derivative of vector field")
-        return jac
+        return self.fill.at(x)
 
     def frame_stack(self, points) -> "FrameStack":
         """The frame stack of `points`, built once per sequence of points."""
@@ -325,8 +316,8 @@ class FrameStack:
         xi_unit = None
         if xi is not None:
             nrm = np.sqrt(np.maximum((xi[:, None] @ g @ xi[..., None])[:, 0, 0], 0.0))
-            if (nrm < 1e-12).any():
-                raise RankError("xi vanishes at the sample point")
+            for p in np.flatnonzero(nrm < 1e-12)[:1]:
+                raise RankError(f"xi vanishes at {x[p].tolist()}")
             xi_unit = xi / nrm[:, None]
         return g, phi, xi, xi_unit, dec.raw_at(x)
 

@@ -20,10 +20,10 @@ one straight-line program, a table of operations built on first use and run
 over the whole stack, one array operation per row. No spec text becomes
 Python code. The tree walker `_eval` stays the oracle: it serves `evaluate`,
 and a point at which the program faults is walked instead, so `_eval` alone
-raises EvalError.
-
-`LiteralFill.jacobian` runs the same table forward over points and
-directions, with the tangent rules of module `tangents`.
+raises a domain error. Each fill knows the spec name of its entries, and
+it alone raises for a non-finite value or derivative, naming the entry and
+the point. `tangents.fill_jacobian` runs the same table forward over points
+and directions.
 """
 
 from __future__ import annotations
@@ -325,24 +325,6 @@ def _eval(e: Expr, x: np.ndarray) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def require_finite(values: np.ndarray, entries, x: np.ndarray, label: str):
-    """Raise EvalError naming the first non-finite entry of an assembled
-    array at x (n,), or over a stack x (..., n) that leads `values`, point by
-    point; `entries` holds its expressions, indexed like the rest of `values`
-    (a Jacobian's trailing derivative axis indexes no expression)."""
-    if np.isfinite(values).all():
-        return
-    idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
-    lead, entry = x.ndim - 1, entries
-    for i in idx[lead:]:
-        if not isinstance(entry, (tuple, list)):
-            break
-        entry = entry[i]
-    where = "".join(f"[{i}]" for i in idx[lead:])
-    raise EvalError(f"non-finite value {values[idx]} of {label}{where} at "
-                    f"{x[idx[:lead]].tolist()}", to_source(entry))
-
-
 def _acos(v: float) -> float:
     """_eval's clamped arccos; ValueError where _eval raises EvalError."""
     if abs(v) > 1.0 + ARCCOS_CLAMP:
@@ -516,24 +498,29 @@ class LiteralFill:
     subexpressions are not folded, so `1/0` still raises EvalError when it
     is evaluated.
 
-    `jacobian` runs the same program forward over the stack and m coordinate
-    directions, (..., m, *shape). A point at which a value faults sends all
-    its directions, a (point, direction) at which only a tangent faults (abs
-    at 0 along a direction that moves it, say) that direction alone, to a
-    central difference of `at`.
+    `items` yields (index into an array of `shape`, name, expression) in
+    walk order. The name is the entry's index in the spec's nesting (phi's
+    column c, row r as (c, r) for the array's (r, c)) and `label` names the
+    spec entry, so the fill alone reports a non-finite value: `values`
+    evaluates, `at` also runs `require_finite`. Its Jacobian is
+    `tangents.fill_jacobian`, checked by the same method. Only the items
+    that can be non-finite, the live entries and any non-finite literal,
+    are kept (`named`)."""
 
-    `items` yields (index into an array of `shape`, expression)."""
+    __slots__ = ("literals", "live", "named", "label", "_program")
 
-    __slots__ = ("literals", "live", "_program")
-
-    def __init__(self, shape: tuple[int, ...], items):
+    def __init__(self, shape: tuple[int, ...], items, label: str):
         self.literals = np.zeros(shape)
-        self.live = []
-        for idx, entry in items:
+        self.live, self.named, self.label = [], [], label
+        for item in items:
+            idx, _, entry = item
             if isinstance(entry, Num):
                 self.literals[idx] = entry.value
+                if math.isfinite(entry.value):
+                    continue
             else:
                 self.live.append((idx, entry))
+            self.named.append(item)     # an entry that can be non-finite
         self._program = None
 
     def program(self) -> _Program:
@@ -541,7 +528,9 @@ class LiteralFill:
             self._program = _Program(self.live)
         return self._program
 
-    def at(self, x: np.ndarray) -> np.ndarray:
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """The entries at a point x (n,) or at each point of a stack (..., n),
+        unchecked."""
         xs = x.reshape(-1, x.shape[-1])
         out = np.repeat(self.literals[None], len(xs), axis=0)
         if self.live and len(xs):
@@ -552,14 +541,31 @@ class LiteralFill:
             out[(slice(None),) + program.where] = values
         return out.reshape(x.shape[:-1] + self.literals.shape)
 
-    def jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
-        """Derivatives of the entries along the coordinate directions `coords`
-        (0-based) at a point x (n,) or at each point of a stack (..., n):
-        (..., len(coords), *shape), or None when no entry depends on the
-        point (`tangents.fill_jacobian`, h the step of its central-difference
-        fallback)."""
-        from .tangents import fill_jacobian
-        return fill_jacobian(self, x, coords, h)
+    def at(self, point) -> np.ndarray:
+        """`values` at a point or a stack, all finite."""
+        x = np.asarray(point, dtype=float)
+        values = self.values(x)
+        self.require_finite(values, x)
+        return values
+
+    def require_finite(self, values: np.ndarray, x: np.ndarray, derivative: bool = False):
+        """EvalError naming the first non-finite entry of `values`, this
+        fill's values (..., *shape) at the points x (..., n), or with
+        `derivative` its Jacobian (..., m, *shape): at the first point that
+        has one, its first entry in walk order, then that entry's first
+        direction."""
+        bad = ~np.isfinite(values)
+        if not bad.any():
+            return
+        xs = x.reshape(-1, x.shape[-1])
+        bad = bad.reshape(len(xs), -1, *self.literals.shape)    # (P, m or 1, *shape)
+        p = int(np.argmax(bad.reshape(len(xs), -1).any(axis=1)))
+        idx, name, entry = next(e for e in self.named if bad[(p, slice(None)) + e[0]].any())
+        m = int(np.argmax(bad[(p, slice(None)) + idx]))
+        what = f"derivative of {self.label}" if derivative else self.label
+        where = "".join(f"[{i}]" for i in name + (m,) * derivative)
+        raise EvalError(f"non-finite value {values.reshape(bad.shape)[(p, m) + idx]} of {what}"
+                        f"{where} at {xs[p].tolist()}", to_source(entry))
 
 
 class VectorFieldExpr:
@@ -572,7 +578,7 @@ class VectorFieldExpr:
         self.components = comps
 
     fill = cached_property(lambda self: LiteralFill((self.n,), (
-        ((i,), c) for i, c in enumerate(self.components))))
+        ((i,), (i,), c) for i, c in enumerate(self.components)), "vector field"))
 
     @classmethod
     def parse(cls, sources, n: int) -> "VectorFieldExpr":
@@ -587,20 +593,7 @@ class VectorFieldExpr:
 
     def at(self, point) -> np.ndarray:
         """The field at a point (n,), or at each point of a stack (..., n)."""
-        x = np.asarray(point, dtype=float)
-        values = self.fill.at(x)
-        require_finite(values, self.components, x, "vector field")
-        return values
-
-    def jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
-        """Derivatives (..., len(coords), n) along the coordinates `coords`
-        (0-based) at a point x (n,) or a stack (..., n), or None where the
-        field is constant (`LiteralFill.jacobian`)."""
-        jac = self.fill.jacobian(x, coords, h)
-        if jac is not None:
-            require_finite(np.swapaxes(jac, -1, -2), self.components, x,
-                           "derivative of vector field")
-        return jac
+        return self.fill.at(point)
 
     def is_zero_component(self, index: int) -> bool:
         """True when component `index` (0-based) is the literal constant 0."""

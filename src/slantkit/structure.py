@@ -72,11 +72,13 @@ class StructureField:
         self._fields = None, None      # (key, fields) of the last `fields_at` stack
         # column c of phi holds the image of e_{c+1}; entries are walked
         # column by column, metric entries row by row
-        self._phi_fill = fe.LiteralFill((n, n), (
-            ((r, c), e) for c, col in enumerate(phi_columns) for r, e in enumerate(col)))
-        self._metric_fill = fe.LiteralFill((n, n), (
-            ((i, i), fe.Num(1.0)) for i in range(n)) if metric is None else (
-            ((i, j), e) for i, row in enumerate(metric) for j, e in enumerate(row)))
+        self.phi_fill = fe.LiteralFill((n, n), (
+            ((r, c), (c, r), e) for c, col in enumerate(phi_columns) for r, e in enumerate(col)),
+            "phi_columns")
+        self.metric_fill = fe.LiteralFill((n, n), (
+            ((i, i), (i, i), fe.Num(1.0)) for i in range(n)) if metric is None else (
+            ((i, j), (i, j), e) for i, row in enumerate(metric) for j, e in enumerate(row)),
+            "metric")
         # True when the metric is absent or the literal identity matrix.
         self.metric_is_euclidean = metric is None or all(
             isinstance(entry, fe.Num) and entry.value == (1.0 if i == j else 0.0)
@@ -89,31 +91,17 @@ class StructureField:
     def phi_at(self, point) -> np.ndarray:
         """Matrix of phi at a point (n, n), or at each point of a stack
         (..., n, n); column c is the image of e_{c+1}."""
-        x = np.asarray(point, dtype=float)
-        mat = self._phi_fill.at(x)
-        fe.require_finite(np.swapaxes(mat, -1, -2), self.phi_columns, x, "phi_columns")
-        return mat
-
-    def phi_jacobian(self, x: np.ndarray, coords, h: float) -> np.ndarray | None:
-        """Derivatives of phi along the coordinates `coords` (0-based) at a
-        point x (n,) or a stack (..., n): (..., len(coords), n, n), or None
-        where phi is constant (`expr.LiteralFill.jacobian`, with h the step
-        of its fallback)."""
-        jac = self._phi_fill.jacobian(x, coords, h)
-        if jac is not None:
-            fe.require_finite(np.moveaxis(jac, (-3, -1), (-1, -3)), self.phi_columns, x,
-                              "derivative of phi_columns")
-        return jac
+        return self.phi_fill.at(point)
 
     def metric_at(self, point) -> np.ndarray:
         """The metric at a point (n, n), or at each point of a stack (..., n,
         n). Its checks (finite, symmetric, positive definite) run in that
-        order, each over all points, and raise for their first failing point."""
+        order, each over all points, and raise for their first failing point;
+        the euclidean metric, a literal identity, needs none."""
         x = np.asarray(point, dtype=float)
-        mat = self._metric_fill.at(x)
         if self.metric_is_euclidean:
-            return mat
-        fe.require_finite(mat, self.metric_exprs, x, "metric")
+            return self.metric_fill.values(x)
+        mat = self.metric_fill.at(x)
         xs, flat = x.reshape(-1, x.shape[-1]), (-1, self.n * self.n, 1)
         asym = column_norms((mat - np.swapaxes(mat, -1, -2)).reshape(flat))
         for p in np.flatnonzero(asym > SYMMETRY_RTOL * np.maximum(

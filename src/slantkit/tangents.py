@@ -5,10 +5,8 @@ fill's program runs over a stack of points and directions, each row's
 tangent next to its value, by the rules of `_tangent`. `frame_derivatives`
 differentiates the projectors and f^2 Grams of a `FrameStack` in closed form
 from the tangents of phi, xi and the components' fields (one fill), along
-the directions of each point, over a chunk of the stack's points at once.
-
-Only `identities --connection` needs them, so `LiteralFill.jacobian` and the
-connection probe import this module on first use.
+the directions of each point, over a chunk of the stack's points at once;
+each fill checks its own Jacobian (`LiteralFill.require_finite`).
 """
 
 from __future__ import annotations
@@ -68,10 +66,10 @@ def fill_jacobian(fill: fe.LiteralFill, x: np.ndarray, coords, h: float) -> np.n
     """Derivatives of the entries of `fill` along the coordinate directions
     `coords` (0-based) at a point x (n,) or at each point of a stack
     (..., n): (..., len(coords), *shape), or None when no entry depends on
-    the point. The fill's program runs once over all points and directions.
-    A point at which a value faults sends every direction, a tangent fault
-    its own direction, to the central difference of `fill.at` with step h
-    (`_central_difference`), in point order."""
+    the point; unchecked. The fill's program runs once over all points and
+    directions. A point at which a value faults sends every direction, a
+    tangent fault its own direction, to the central difference of
+    `fill.values` with step h (`_central_difference`), in point order."""
     program = fill.program()
     if program.constant:
         return None
@@ -86,15 +84,15 @@ def fill_jacobian(fill: fe.LiteralFill, x: np.ndarray, coords, h: float) -> np.n
 
 
 def _central_difference(fill: fe.LiteralFill, x: np.ndarray, j: int, h: float) -> np.ndarray:
-    """(fill.at(x + h e_j) - fill.at(x - h e_j)) / 2h; SpecError naming
-    fd_step when h leaves x_j unchanged."""
+    """(fill.values(x + h e_j) - fill.values(x - h e_j)) / 2h; SpecError
+    naming fd_step when h leaves x_j unchanged."""
     step = np.zeros_like(x)
     step[j] = h
     plus, minus = x + step, x - step
     if plus[j] == x[j] or minus[j] == x[j]:
         raise SpecError(f"fd_step {h!r} leaves x{j + 1} = {float(x[j])!r} unchanged; the "
                         "central-difference fallback of a derivative needs a larger step")
-    return (fill.at(plus) - fill.at(minus)) / (2.0 * h)
+    return (fill.values(plus) - fill.values(minus)) / (2.0 * h)
 
 
 def frame_derivatives(stack: FrameStack, part: slice, dirs: np.ndarray, coords: list[int],
@@ -127,16 +125,23 @@ def frame_derivatives(stack: FrameStack, part: slice, dirs: np.ndarray, coords: 
     steps = dirs[..., coords]
     near, x_models = "to first order near", x[:, None, None]   # the point of each model
 
-    def along(fill_jacobian, contract=lambda jac: jac):
-        """A fill's Jacobian (P, m, ...) over the points, `contract`ed, along
-        each point's directions: (P, q, ...); None if constant. Where it
-        raises, the points are taken one at a time, so that the first failing
-        point raises alone."""
+    def jacobian(fill, x):
+        """`fill_jacobian` of `fill` at x, checked finite by the fill."""
+        jac = fill_jacobian(fill, x, coords, h)
+        if jac is not None:
+            fill.require_finite(jac, x, derivative=True)
+        return jac
+
+    def along(fill, contract=lambda jac: jac):
+        """The Jacobian (P, m, ...) of `fill` over the points, finite and
+        `contract`ed, along each point's directions: (P, q, ...); None if
+        constant. Where it raises, the points are taken one at a time, so
+        that the first failing point raises alone."""
         try:
-            jac = fill_jacobian(x, coords, h)
+            jac = jacobian(fill, x)
         except SlantKitError:
             for xp in x:
-                fill_jacobian(xp, coords, h)
+                jacobian(fill, xp)
             raise
         if jac is None:
             return None
@@ -151,12 +156,12 @@ def frame_derivatives(stack: FrameStack, part: slice, dirs: np.ndarray, coords: 
     Q, phi, g, off = stack.basis_d[part], stack.phi[part], stack.g[part], stack.offsets
     Qt = np.swapaxes(Q, -1, -2)
     xi = None if stack.xi is None else stack.xi[part]
-    dxi = along(s.xi.jacobian) if s.is_contact else None
+    dxi = along(s.xi.fill) if s.is_contact else None
     if dxi is not None:
         vanish = (np.linalg.norm(models(xi, dxi), axis=-1) < 1e-12).any(axis=(1, 2))
         for p in np.flatnonzero(vanish)[:1]:
             raise RankError(f"xi vanishes {near} {x[p].tolist()}")
-    dQ = along(dec.raw_jacobian)    # dA of every component's fields (P, q, n, R), then dQ in place
+    dQ = along(dec.fill)    # dA of every component's fields (P, q, n, R), then dQ in place
     if dQ is not None:
         cols = [slice(lo, hi) for lo, hi in zip(off, off[1:])]
         orthonormal_bases(dec.component_names(), g[:, None, None],
@@ -176,7 +181,7 @@ def frame_derivatives(stack: FrameStack, part: slice, dirs: np.ndarray, coords: 
                             xi_models, near, x_models)
     Phi = Qt @ phi @ Q
     Phi2 = Phi @ Phi
-    S = along(s.phi_jacobian, lambda jac: Qt[:, None] @ jac @ Q[:, None])
+    S = along(s.phi_fill, lambda jac: Qt[:, None] @ jac @ Q[:, None])
     Q, Qt, phi, Phi, Phi2 = (a[:, None] for a in (Q, Qt, phi, Phi, Phi2))   # over the q axis
     K = np.zeros((npts, q) + Phi.shape[2:]) if S is None else S @ Phi + Phi @ S
     if dQ is None:

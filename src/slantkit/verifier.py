@@ -74,6 +74,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, FrameStack
 from .errors import SpecError, UnsupportedError
 from .sampling import DEFAULT_SEED, rng_for
+from .tangents import frame_derivatives
 
 PI2_TOL = 1e-8
 TINY = 1e-300
@@ -918,7 +919,6 @@ def connection_criterion_report(dec: Decomposition, points,
     comps = dec.components
     max_nabla = max_dlam_in = max_dlam_tm = np.zeros(len(comps))
     if points:
-        from .tangents import frame_derivatives
         stack, coords = dec.frame_stack(points), [i - 1 for i in dec.mask]
         h = tolerances.fd_step
         dirs, within, along_tm = _stacked_directions(stack)

@@ -1,15 +1,21 @@
 """The recursive-descent parser that `slantkit.expr.parse` replaced, kept as
-the oracle of the differential parser tests.
+the oracle of the differential parser tests, and the finiteness check that
+`LiteralFill.require_finite` replaced, kept as the oracle of its names.
 
-It reads the grammar of `slantkit.expr` one character at a time, through
-`peek` and `skip_ws`, and builds the same frozen nodes. `parse` here is the
-grammar alone: no bare-literal shortcut.
+The parser reads the grammar of `slantkit.expr` one character at a time,
+through `peek` and `skip_ws`, and builds the same frozen nodes. `parse` here
+is the grammar alone: no bare-literal shortcut. `require_finite` walks the
+spec's own nesting of entries (phi's columns, the metric's rows, a field's
+components), given the values in that nesting.
 """
 
 import math
 
-from slantkit.errors import DimensionError, ParseError
-from slantkit.expr import FUNCTIONS, MAX_DEPTH, Bin, Call, Coord, Expr, Neg, Norm2, Num, Pi
+import numpy as np
+
+from slantkit.errors import DimensionError, EvalError, ParseError
+from slantkit.expr import (FUNCTIONS, MAX_DEPTH, Bin, Call, Coord, Expr, Neg, Norm2, Num, Pi,
+                           to_source)
 
 _DIGITS = frozenset("0123456789")    # str.isdigit would take any Unicode digit
 
@@ -178,3 +184,21 @@ def parse(src: str, n: int) -> Expr:
     if n < 1:
         raise DimensionError("ambient dimension must be >= 1")
     return _Parser(src, n).parse()
+
+
+def require_finite(values: np.ndarray, entries, x: np.ndarray, label: str):
+    """Raise EvalError naming the first non-finite entry of an assembled
+    array at x (n,), or over a stack x (..., n) that leads `values`, point by
+    point; `entries` holds its expressions, indexed like the rest of `values`
+    (a Jacobian's trailing derivative axis indexes no expression)."""
+    if np.isfinite(values).all():
+        return
+    idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+    lead, entry = x.ndim - 1, entries
+    for i in idx[lead:]:
+        if not isinstance(entry, (tuple, list)):
+            break
+        entry = entry[i]
+    where = "".join(f"[{i}]" for i in idx[lead:])
+    raise EvalError(f"non-finite value {values[idx]} of {label}{where} at "
+                    f"{x[idx[:lead]].tolist()}", to_source(entry))

@@ -74,10 +74,9 @@ def _fresh_set_up(spec):
                          ids=["ex8", "ex5"])
 def test_benchmark_commands_survive_a_fresh_set_up(tmp_path, fid, params):
     """The six benchmark commands, run through the held `cli` after a fresh
-    set-up, write the reports of the held package byte for byte. Code they
-    import on first use (the probe's tangents, the verdict lattice) then
-    comes from the fresh package and meets objects of the held one, and the
-    fresh package holds only what the spec loader imported."""
+    set-up, write the reports of the held package byte for byte, and import
+    nothing: the fresh package holds only what the spec loader imported, so
+    no command compiles a module while it is timed."""
     from slantkit import cli
     from slantkit.gallery import build_fixture, fixture_to_spec_dict
 
@@ -100,5 +99,7 @@ def test_benchmark_commands_survive_a_fresh_set_up(tmp_path, fid, params):
 
     held = reports("held")
     with _fresh_set_up(specs["declared"]):
+        loaded = set(_slantkit_modules())
         fresh = reports("fresh")
+        assert sorted(set(_slantkit_modules()) - loaded) == []
     assert fresh == held

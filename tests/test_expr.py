@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ class TestParse:
             text = fe.to_source(e)
             assert fe.to_source(fe.parse(text, 1)) == text
             value = fe.evaluate(e, [0.5])
-            assert fe.LiteralFill((1,), [((0,), e)]).at(np.array([0.5]))[0] == value
+            assert fe.LiteralFill((1,), [((0,), (0,), e)], "entry").at(np.array([0.5]))[0] == value
             with pytest.raises(ParseError, match="nested too deeply"):
                 fe.parse(form(k + 1), 1)
 
@@ -274,7 +275,7 @@ def test_literal_fill_phi_matches_tree_walker(cols, x):
 
     def walked(x):
         mat = np.array(_walk(cols, x), dtype=float).T
-        fe.require_finite(mat.T, s.phi_columns, x, "phi_columns")
+        expr_oracle.require_finite(mat.T, s.phi_columns, x, "phi_columns")
         return mat
 
     got, got_err = _outcome(s.phi_at, x)
@@ -310,7 +311,7 @@ def test_literal_fill_metric_matches_tree_walker(upper, x):
 
     def walked(x):
         mat = np.array(_walk(metric, x), dtype=float)
-        fe.require_finite(mat, s.metric_exprs, x, "metric")
+        expr_oracle.require_finite(mat, s.metric_exprs, x, "metric")
         return 0.5 * (mat + mat.T)
 
     got, got_err = _outcome(s.metric_at, x)
@@ -327,7 +328,7 @@ def test_literal_fill_vector_field_matches_tree_walker(comps, x):
 
     def walked(x):
         values = np.array(_walk(comps, x), dtype=float)
-        fe.require_finite(values, field.components, x, "vector field")
+        expr_oracle.require_finite(values, field.components, x, "vector field")
         return values
 
     got, got_err = _outcome(field.at, x)
@@ -343,6 +344,20 @@ def test_literal_fill_does_not_fold_constants():
     assert [idx for idx, _ in field.fill.live] == [(0,)]
     with pytest.raises(EvalError, match="division by zero"):
         field.at(np.zeros(2))
+
+
+@pytest.mark.parametrize("literal_first", [True, False])
+def test_a_non_finite_literal_is_named_in_walk_order(literal_first):
+    """A non-finite literal, which the parser never builds, is named like a
+    live entry: the first non-finite entry in walk order raises."""
+    items = [((1,), fe.Num(math.inf)), ((0,), fe.parse("x1/x2", 2))]
+    if not literal_first:
+        items.reverse()
+    fill = fe.LiteralFill((2,), [(idx, (k,), e) for k, (idx, e) in enumerate(items)], "entry")
+    source = "inf" if literal_first else "x1/x2"
+    with pytest.raises(EvalError, match=re.escape(
+            f"non-finite value inf of entry[0] at [1e+300, 1e-300] in '{source}'")):
+        fill.at(np.array([1e300, 1e-300]))
 
 
 def test_literal_fill_rewalks_what_it_cannot_compile():
@@ -362,7 +377,7 @@ def test_literal_fill_of_long_entries_matches_the_walker():
     values are the walker's, in order."""
     entries = [fe.parse("+".join(f"x{(i + t) % 3 + 1}*{t}.{i}" for t in range(400)), 3)
                for i in range(3)]
-    fill = fe.LiteralFill((3,), (((i,), e) for i, e in enumerate(entries)))
+    fill = fe.LiteralFill((3,), (((i,), (i,), e) for i, e in enumerate(entries)), "vector field")
     x = np.array([0.75, -1.5, 2.0])
     assert _same(fill.at(x), np.array(_walk(entries, x)))
     assert len(fill.program().rows) > 2400
@@ -382,18 +397,28 @@ def _central(fill, x, h=1e-6):
     return np.array([(fill.at(x + h * e) - fill.at(x - h * e)) / (2 * h) for e in np.eye(len(x))])
 
 
+def _jacobian(field, x, coords, h):
+    """A field's Jacobian, checked finite as the connection probe takes it."""
+    jac = tangents.fill_jacobian(field.fill, x, coords, h)
+    if jac is not None:
+        field.fill.require_finite(jac, x, derivative=True)
+    return jac
+
+
 def test_jacobian_matches_central_differences(monkeypatch):
     fallbacks = []
     monkeypatch.setattr(tangents, "_central_difference",
                         lambda fill, x, j, h: fallbacks.append(j))
     entries = [fe.parse(src, 3) for src in _SMOOTH]
-    fill = fe.LiteralFill((len(entries),), (((i,), e) for i, e in enumerate(entries)))
-    jac = fill.jacobian(_POINT3, [0, 1, 2], 1e-5)
+    fill = fe.LiteralFill((len(entries),), (((i,), (i,), e) for i, e in enumerate(entries)),
+                          "vector field")
+    jac = tangents.fill_jacobian(fill, _POINT3, [0, 1, 2], 1e-5)
     assert jac.shape == (3, len(entries))
     np.testing.assert_allclose(jac, _central(fill, _POINT3), rtol=1e-8, atol=1e-8)
     assert not fallbacks
     # a subset of the coordinates, in any order
-    np.testing.assert_array_equal(fill.jacobian(_POINT3, [2, 0], 1e-5), jac[[2, 0]])
+    np.testing.assert_array_equal(tangents.fill_jacobian(fill, _POINT3, [2, 0], 1e-5),
+                                  jac[[2, 0]])
 
 
 def test_jacobian_compiled_on_first_call_only():
@@ -404,7 +429,7 @@ def test_jacobian_compiled_on_first_call_only():
     field.at(_POINT3)
     program = field.fill._program
     assert program is not None
-    jac = field.jacobian(_POINT3, [0, 1, 2], 1e-5)
+    jac = _jacobian(field, _POINT3, [0, 1, 2], 1e-5)
     assert field.fill._program is program
     np.testing.assert_allclose(jac, [[1.3, 0, 0], [0.7, 0, 0], [0, math.cos(-0.4), 0]])
 
@@ -412,8 +437,8 @@ def test_jacobian_compiled_on_first_call_only():
 def test_constant_fills_have_no_jacobian():
     """Entries free of coordinates have literal-0 tangents: no Jacobian."""
     field = fe.VectorFieldExpr.parse(["3/5", "pi", "1", "sqrt(2)*cos(1)"], 4)
-    assert field.jacobian(np.zeros(4), [0, 1], 1e-5) is None
-    assert fe.VectorFieldExpr.parse(["0", "x2"], 2).jacobian(np.zeros(2), [0], 1e-5) is not None
+    assert _jacobian(field, np.zeros(4), [0, 1], 1e-5) is None
+    assert _jacobian(fe.VectorFieldExpr.parse(["0", "x2"], 2), np.zeros(2), [0], 1e-5) is not None
 
 
 @pytest.mark.parametrize("src, x", [
@@ -444,9 +469,9 @@ def test_faulting_tangents_fall_back_to_central_differences(src, x, monkeypatch)
         want = None
     if want is None:
         with pytest.raises(EvalError):
-            field.jacobian(x, [0, 1], 1e-5)
+            _jacobian(field, x, [0, 1], 1e-5)
     else:
-        np.testing.assert_allclose(field.jacobian(x, [0, 1], 1e-5), want, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(_jacobian(field, x, [0, 1], 1e-5), want, rtol=0, atol=1e-9)
     assert calls
 
 
@@ -465,7 +490,7 @@ def test_abs_at_zero_falls_back_only_along_directions_that_move_it(monkeypatch):
         return difference(fill, x, j, h)
 
     monkeypatch.setattr(tangents, "_central_difference", counting)
-    jac = field.jacobian(x, [0, 1, 2], 1e-5)
+    jac = _jacobian(field, x, [0, 1, 2], 1e-5)
     assert calls == [0]
     np.testing.assert_allclose(jac, _central(field.fill, x, h=1e-5), rtol=0, atol=1e-9)
     np.testing.assert_array_equal(jac[1:], [[0.0, -0.5, 0.0], [0.0, 1.5, 0.0]])
@@ -477,26 +502,27 @@ def test_jacobian_of_what_the_fill_cannot_compile_is_the_walkers_error():
     walker's EvalError."""
     field = fe.VectorFieldExpr([fe.Coord(1), fe.Call("tan", fe.Coord(1))])
     with pytest.raises(EvalError, match="unknown function tan"):
-        field.jacobian(np.array([1.0, 2.0]), [0, 1], 1e-5)
+        _jacobian(field, np.array([1.0, 2.0]), [0, 1], 1e-5)
 
 
 def test_sqrt_at_zero_falls_back_into_an_eval_error():
     field = fe.VectorFieldExpr.parse(["sqrt(x1)"], 1)
     assert field.at(np.zeros(1))[0] == 0.0
     with pytest.raises(EvalError, match="sqrt of negative value -1e-05"):
-        field.jacobian(np.zeros(1), [0], 1e-5)
+        _jacobian(field, np.zeros(1), [0], 1e-5)
 
 
 def test_fallback_rejects_a_step_that_does_not_move_the_coordinate():
     field = fe.VectorFieldExpr.parse(["abs(x2 - 2)", "x2"], 2)
     with pytest.raises(SpecError, match=r"fd_step 1e-300 leaves x2 = 2.0 unchanged"):
-        field.jacobian(np.array([0.0, 2.0]), [0, 1], 1e-300)
+        _jacobian(field, np.array([0.0, 2.0]), [0, 1], 1e-300)
     # exact tangents need no step
-    np.testing.assert_array_equal(fe.VectorFieldExpr.parse(["x1*x2", "0"], 2).jacobian(
-        np.array([0.0, 2.0]), [0, 1], 1e-300), [[2.0, 0.0], [0.0, 0.0]])
+    field = fe.VectorFieldExpr.parse(["x1*x2", "0"], 2)
+    np.testing.assert_array_equal(_jacobian(field, np.array([0.0, 2.0]), [0, 1], 1e-300),
+                                  [[2.0, 0.0], [0.0, 0.0]])
 
 
 def test_non_finite_derivative_is_an_eval_error():
     field = fe.VectorFieldExpr.parse(["1/x1", "x2"], 2)
     with pytest.raises(EvalError, match=r"non-finite value -inf of derivative of vector field"):
-        field.jacobian(np.array([1e-200, 1.0]), [0, 1], 1e-5)
+        _jacobian(field, np.array([1e-200, 1.0]), [0, 1], 1e-5)

@@ -1,5 +1,5 @@
-"""Differential tests of the fill program: `LiteralFill.at` and
-`LiteralFill.jacobian`, run as one table of operations over a point stack,
+"""Differential tests of the fill program: `LiteralFill.values` and
+`tangents.fill_jacobian`, run as one table of operations over a point stack,
 against the compiled per-point fills they replaced (`fill_oracle`). Values
 and Jacobians must agree bit for bit, errors must have the same text, and
 the central-difference fallback must be called at the same points along the
@@ -56,10 +56,10 @@ def _oracle_jacobian(fill, xs, coords, calls):
 def _assert_same(fill, xs, coords, monkeypatch):
     """Values and Jacobians of `fill` over the stack xs (P, n) against the
     oracle's, point by point."""
-    assert _outcome(lambda: fill.at(xs)) == _outcome(lambda: fill_oracle.at(fill, xs))
+    assert _outcome(lambda: fill.values(xs)) == _outcome(lambda: fill_oracle.at(fill, xs))
     got_calls, want_calls = [], []
     monkeypatch.setattr(tangents, "_central_difference", _recording(got_calls))
-    got = _outcome(lambda: fill.jacobian(xs, coords, H))
+    got = _outcome(lambda: tangents.fill_jacobian(fill, xs, coords, H))
     monkeypatch.undo()
     want = _outcome(lambda: _oracle_jacobian(fill, xs, coords, want_calls))
     assert got == want
@@ -68,7 +68,7 @@ def _assert_same(fill, xs, coords, monkeypatch):
 
 def _fills(dec):
     s = dec.structure
-    return [s._phi_fill, s._metric_fill] + ([s.xi.fill] if s.is_contact else []) + [dec.fill]
+    return [s.phi_fill, s.metric_fill] + ([s.xi.fill] if s.is_contact else []) + [dec.fill]
 
 
 @pytest.mark.parametrize("metric", ["own", "conformal"])
@@ -129,7 +129,8 @@ _STACK = st.lists(st.lists(_COORDINATE, min_size=3, max_size=3), min_size=1, max
                 max_size=4), _STACK, st.sampled_from([[0, 1, 2], [2, 0], [1]]))
 def test_random_fills_match_the_oracle(entries, xs, coords):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        fill = fe.LiteralFill((len(entries),), (((i,), e) for i, e in enumerate(entries)))
+        fill = fe.LiteralFill((len(entries),), (((i,), (i,), e) for i, e in enumerate(entries)),
+                              "vector field")
         _assert_same(fill, xs, coords, monkeypatch)
 
 
@@ -141,8 +142,9 @@ def test_fault_classes_match_the_oracle(src, monkeypatch):
     """Each fault class at the origin and on the axes, beside a point where
     the entry is smooth."""
     xs = np.array([[0.0, 0.0, 0.0], [0.0, 1.5, -0.5], [0.75, -1.5, 2.0], [-0.0, 2.0, 2.0]])
-    fill = fe.LiteralFill((2, 2), [((0, 1), fe.parse(src, 3)), ((1, 0), fe.parse("x2*x3", 3)),
-                                   ((1, 1), fe.Num(4.0))])
+    fill = fe.LiteralFill((2, 2), [((0, 1), (0, 1), fe.parse(src, 3)),
+                                   ((1, 0), (1, 0), fe.parse("x2*x3", 3)),
+                                   ((1, 1), (1, 1), fe.Num(4.0))], "metric")
     _assert_same(fill, xs, [0, 1, 2], monkeypatch)
 
 
@@ -152,13 +154,14 @@ def test_math_rows_match_the_oracle_on_a_dense_stack(monkeypatch):
     inputs on common hosts (np.arccos at about 9% of points in (-1, 1),
     np.log at about 0.2% of points in (0, 5)), which 2000 points show."""
     xs = np.random.default_rng(11).uniform(0.05, 0.95, (2000, 3))
-    fill = fe.LiteralFill((5,), (((i,), fe.parse(src, 3)) for i, src in enumerate(
-        ["sin(3*x1)", "cos(x1*x2)", "arccos(x1 - x3)", "x1^x2", "(4*x2)^2.5"])))
+    fill = fe.LiteralFill((5,), (((i,), (i,), fe.parse(src, 3)) for i, src in enumerate(
+        ["sin(3*x1)", "cos(x1*x2)", "arccos(x1 - x3)", "x1^x2", "(4*x2)^2.5"])), "vector field")
     _assert_same(fill, xs, [0, 1, 2], monkeypatch)
 
 
 def test_a_coordinate_beyond_the_point_is_the_walkers_error(monkeypatch):
-    fill = fe.LiteralFill((2,), [((0,), fe.parse("x1", 3)), ((1,), fe.parse("x3 + 1", 3))])
+    fill = fe.LiteralFill((2,), [((0,), (0,), fe.parse("x1", 3)),
+                                 ((1,), (1,), fe.parse("x3 + 1", 3))], "vector field")
     _assert_same(fill, np.array([[1.0, 2.0], [0.5, 0.0]]), [0, 1], monkeypatch)
 
 
@@ -174,12 +177,12 @@ def test_long_fill_jacobian_memory_is_bounded():
     is a few rows and the peak about 70 kB."""
     entries = [fe.parse("+".join(f"x{(i + t) % 3 + 1}*{t}.{i}" for t in range(400)), 3)
                for i in range(3)]
-    fill = fe.LiteralFill((3,), (((i,), e) for i, e in enumerate(entries)))
+    fill = fe.LiteralFill((3,), (((i,), (i,), e) for i, e in enumerate(entries)), "vector field")
     xs = np.array(box_points(3, (1, 2, 3), 64, seed=3))
     fill.program()
     tracemalloc.start()
     try:
-        jac = fill.jacobian(xs, [0, 1, 2], H)
+        jac = tangents.fill_jacobian(fill, xs, [0, 1, 2], H)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import structure_oracle
-from slantkit import cli, verifier
+from slantkit import cli, tangents, verifier
 from slantkit import expr as fe
 from slantkit.classifier import _TangentSpace
 from slantkit.distribution import FrameStack
@@ -69,7 +69,8 @@ def test_stacked_fields_equal_their_points_bit_for_bit(fid, epsilon, metric):
 
 
 def test_fill_shapes():
-    fill = fe.LiteralFill((2, 3), [((0, 1), fe.parse("x1 + x2", 2)), ((1, 2), fe.Num(4.0))])
+    fill = fe.LiteralFill((2, 3), [((0, 1), (1, 0), fe.parse("x1 + x2", 2)),
+                                   ((1, 2), (2, 1), fe.Num(4.0))], "phi_columns")
     xs = np.array([[1.0, 2.0], [0.5, -0.5], [3.0, 0.0]])
     assert fill.at(xs).shape == (3, 2, 3)
     assert fill.at(xs[0]).shape == (2, 3)
@@ -83,10 +84,10 @@ def test_bare_literals_keep_their_bits():
     """Bare literals keep their bits in the fill and its values: -0.0,
     subnormals and +-1e308 included."""
     values = [-0.0, 5e-324, 1e308, 0.0, -2.5e-310, -1e308]
-    items = [((i // 3, i % 3), fe.Num(v)) for i, v in enumerate(values[:5])]
-    fill = fe.LiteralFill((2, 3), items + [((1, 2), fe.parse("x1", 1))])
+    items = [((i // 3, i % 3), (i // 3, i % 3), fe.Num(v)) for i, v in enumerate(values[:5])]
+    fill = fe.LiteralFill((2, 3), items + [((1, 2), (1, 2), fe.parse("x1", 1))], "metric")
     want = np.zeros((2, 3))
-    for idx, entry in items:
+    for idx, _, entry in items:
         want[idx] = entry.value
     assert _bits(fill.literals) == _bits(want)
     assert _bits(fill.at(np.array([[-1e308]]))[0]) == _bits(
@@ -105,8 +106,9 @@ def test_a_command_evaluates_each_fill_once(fid, command, tmp_path, monkeypatch)
     and no fill is built for a component field. Discovery (classify without
     a decomposition) evaluates the metric, phi and xi alone."""
     calls, specs = [], []
-    at = fe.LiteralFill.at
-    monkeypatch.setattr(fe.LiteralFill, "at", lambda fill, x: calls.append(id(fill)) or at(fill, x))
+    values = fe.LiteralFill.values
+    monkeypatch.setattr(fe.LiteralFill, "values",
+                        lambda fill, x: calls.append(id(fill)) or values(fill, x))
     monkeypatch.setattr(cli, "load_manifold_spec",
                         lambda source: specs.append(load_manifold_spec(source)) or specs[-1])
     doc = fixture_to_spec_dict(build_fixture(fid, k=2))
@@ -117,7 +119,7 @@ def test_a_command_evaluates_each_fill_once(fid, command, tmp_path, monkeypatch)
     assert cli.main(command + [str(path)]) == 0
     (spec,) = specs
     s, dec = spec.structure, spec.decomposition
-    want = [s._metric_fill, s._phi_fill] + ([s.xi.fill] if s.is_contact else [])
+    want = [s.metric_fill, s.phi_fill] + ([s.xi.fill] if s.is_contact else [])
     if dec is not None:
         want.append(dec.fill)
         assert not any("fill" in vars(f) for comp in dec.components for f in comp.fields)
@@ -214,7 +216,8 @@ def test_a_component_field_fault_before_a_later_phi_fault():
 def test_xi_vanishing_before_a_later_phi_fault():
     spec = load_manifold_spec(_faulty("ex8", [(0, 1), (1, 3)], phi={(0, 0): "0/x2"},
                                       xi={10: "1 - 0^abs(x1)"}))
-    with pytest.raises(RankError, match=r"^xi vanishes at the sample point$"):
+    point = re.escape(str(spec.points[1].tolist()))
+    with pytest.raises(RankError, match=f"^xi vanishes at {point}$"):
         FrameStack(spec.decomposition, spec.points)
 
 
@@ -237,9 +240,97 @@ def test_metric_checks_name_the_first_failing_point():
         FrameStack(load_manifold_spec(sym).decomposition, xs)
 
 
-# -- one fill for the decomposition's fields ------------------------------------
+# -- the names each fill gives its faults -----------------------------------------
 
 H = 1e-5
+
+_INF = "0^abs(x1)*10^300*10^300"     # inf where x1 = 0
+_AT_ORIGIN = f"at {[0.0] * 11}"
+_AT_TINY = f"at {[1e-200, 1e-200] + [0.0] * 9}"
+
+
+def _ex8_fault(derivative, phi=(), metric=(), xi=(), fields=()):
+    """ex8 at k = 2 at the points (1, 1, 0, ...) and (t, t, 0, ...), t = 1e-200
+    for a `derivative` fault and 0 otherwise, with a literal 0 of `phi`
+    ((column, row), entry), a diagonal of the identity `metric` ((i, j),
+    entry), a 0 of `xi` (i, entry) or the first 1 of a component's first
+    field (name, entry) replaced."""
+    doc = fixture_to_spec_dict(build_fixture("ex8", k=2))
+    n, t = doc["ambient_dim"], 1e-200 if derivative else 0.0
+    doc["sample_points"] = [[1.0, 1.0] + [0.0] * (n - 2), [t, t] + [0.0] * (n - 2)]
+    for (c, r), entry in phi:
+        assert doc["phi_columns"][c][r] == "0"
+        doc["phi_columns"][c][r] = entry
+    if metric:
+        doc["metric"] = [[dict(metric).get((i, j), str(int(i == j))) for j in range(n)]
+                         for i in range(n)]
+    for i, entry in xi:
+        assert doc["xi"][i] == "0"
+        doc["xi"][i] = entry
+    for name, entry in fields:
+        row = doc["distributions"][name][0]
+        row[row.index("1")] = entry
+    return load_manifold_spec(doc)
+
+
+@pytest.mark.parametrize("fill, faults, want", [
+    ("phi", dict(phi=[((0, 2), _INF)]),
+     f"non-finite value inf of phi_columns[0][2] {_AT_ORIGIN} in '{_INF}'"),
+    ("phi", dict(phi=[((1, 2), "0*(1/x1)")]),
+     f"non-finite value nan of derivative of phi_columns[1][2][0] {_AT_TINY} in '0*(1/x1)'"),
+    ("metric", dict(metric=[((1, 1), "1 + " + _INF)]),
+     f"non-finite value inf of metric[1][1] {_AT_ORIGIN} in '1+{_INF}'"),
+    ("metric", dict(metric=[((0, 0), "1 + 0*(1/x1)")]),
+     f"non-finite value nan of derivative of metric[0][0][0] {_AT_TINY} in '1+0*(1/x1)'"),
+    ("xi", dict(xi=[(0, _INF)]),
+     f"non-finite value inf of vector field[0] {_AT_ORIGIN} in '{_INF}'"),
+    ("xi", dict(xi=[(0, "0*(1/x2)")]),
+     f"non-finite value nan of derivative of vector field[0][1] {_AT_TINY} in '0*(1/x2)'"),
+    ("fields", dict(fields=[("D1", "1 + " + _INF)]),
+     f"non-finite value inf of vector field[2][2] {_AT_ORIGIN} in '1+{_INF}'"),
+    ("fields", dict(fields=[("D1", "1 + 0*(1/x2)")]),
+     f"non-finite value nan of derivative of vector field[2][2][1] {_AT_TINY} in '1+0*(1/x2)'"),
+    # the walker's error at a point wins over an earlier field's non-finite value there
+    ("fields", dict(fields=[("D1", "1 + " + _INF), ("D2", "1 + 0/x1")]),
+     "division by zero in '0/x1'"),
+    ("cli", None, "non-finite value nan of derivative of vector field[2][2][0] at "
+                  f"{[1e-200] + [0.0] * 9} in '1+0*(1/x1)'"),
+], ids=["phi", "phi-derivative", "metric", "metric-derivative", "xi", "xi-derivative",
+        "fields", "fields-derivative", "walker-first", "connection-probe"])
+def test_each_fill_names_its_faults(fill, faults, want, tmp_path, capsys):
+    """The messages of a non-finite value or derivative of phi, the metric,
+    xi and the components' fields, as their fills give them: the entry's
+    spec name ([j][i] for component i of field j), then the direction [m]
+    of a derivative, and the first point. Values come from `phi_at`,
+    `metric_at`, `xi_at` and `raw_at`, derivatives from the fill's checked
+    Jacobian; the last case is the connection probe's exit on ex3, where
+    D1's first field has a derivative along x1 but no finite one at 1e-200."""
+    if fill == "cli":
+        doc = fixture_to_spec_dict(build_fixture("ex3", k=2))
+        row = doc["distributions"]["D1"][0]
+        row[row.index("1")] = "1 + 0*(1/x1)"
+        doc["sample_points"] = [[1e-200 if i == 0 and v == 0.0 else v for i, v in enumerate(p)]
+                                for p in doc["sample_points"]]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["identities", str(path), "--connection"]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+        return
+    derivative = "derivative" in want
+    spec = _ex8_fault(derivative, **faults)
+    s, dec, xs = spec.structure, spec.decomposition, np.array(spec.points)
+    with pytest.raises(EvalError) as exc:
+        if derivative:
+            target = {"phi": s.phi_fill, "metric": s.metric_fill, "xi": s.xi.fill,
+                      "fields": dec.fill}[fill]
+            jac = tangents.fill_jacobian(target, xs, [j - 1 for j in dec.mask], H)
+            target.require_finite(jac, xs, derivative=True)
+        else:
+            {"phi": s.phi_at, "metric": s.metric_at, "xi": s.xi_at, "fields": dec.raw_at}[fill](xs)
+    assert str(exc.value) == want
+
+
+# -- one fill for the decomposition's fields ------------------------------------
 
 
 def _field_by_field(dec, xs, coords):
@@ -248,7 +339,7 @@ def _field_by_field(dec, xs, coords):
     zeros for a constant field (None when every field is constant)."""
     fields = [f for comp in dec.components for f in comp.fields]
     values = np.stack([f.at(xs) for f in fields], axis=-1)
-    jacs = [f.jacobian(xs, coords, H) for f in fields]
+    jacs = [tangents.fill_jacobian(f.fill, xs, coords, H) for f in fields]
     if all(jac is None for jac in jacs):
         return values, None
     zero = np.zeros(xs.shape[:-1] + (len(coords), xs.shape[-1]))
@@ -265,8 +356,9 @@ def _fill_cases():
 
 @pytest.mark.parametrize("case,metric", _fill_cases())
 def test_the_decomposition_fill_equals_its_fields_bit_for_bit(case, metric):
-    """`Decomposition.raw_at` and `raw_jacobian`, one fill over every
-    component's fields, against each field's own fill, column by column."""
+    """`Decomposition.raw_at` and the Jacobian of `Decomposition.fill`, one
+    fill over every component's fields, against each field's own fill,
+    column by column."""
     if case.startswith("rolling"):
         spec = load_manifold_spec(_rolling_spec(at_rest=case.endswith("at-rest")))
         dec, mask = spec.decomposition, spec.decomposition.mask
@@ -278,7 +370,7 @@ def test_the_decomposition_fill_equals_its_fields_bit_for_bit(case, metric):
     coords = [j - 1 for j in mask]
     values, jac = _field_by_field(dec, xs, coords)
     assert _bits(dec.raw_at(xs)) == _bits(values)
-    got = dec.raw_jacobian(xs, coords, H)
+    got = tangents.fill_jacobian(dec.fill, xs, coords, H)
     assert (got is None) == (jac is None) == (not case.startswith("rolling"))
     if jac is not None:
         assert _bits(got) == _bits(jac)
@@ -317,7 +409,7 @@ def test_a_faulting_tangent_sends_the_whole_fill_to_the_central_difference(tmp_p
     faults = (xs[:, :1] == 0.0) & (np.array(coords) == 0)   # (P, m): along x1 at x1 = 0
     assert faults.sum() >= 1
     _, want = _field_by_field(dec, xs, coords)
-    got = dec.raw_jacobian(xs, coords, H)
+    got = tangents.fill_jacobian(dec.fill, xs, coords, H)
     assert _bits(got[~faults]) == _bits(want[~faults])
     assert not np.array_equal(got[faults], want[faults])
     np.testing.assert_allclose(got[faults], want[faults], rtol=0, atol=1e-8)
@@ -342,22 +434,22 @@ def test_the_probe_evaluates_two_fills_per_point_chunk(tmp_path, monkeypatch):
     decomposition's fill once each, and takes two Jacobians per point chunk,
     phi's and the decomposition's; with one point per chunk, as the default
     ex9 spec at k = 32 has, that is two per point."""
-    counts = {"at": 0, "jacobian": 0}
+    counts = {"values": 0, "fill_jacobian": 0}
 
-    def counted(name):
-        method = getattr(fe.LiteralFill, name)
+    def counted(owner, name):
+        method = getattr(owner, name)
 
         def call(fill, *args):
             counts[name] += 1
             return method(fill, *args)
         return call
 
-    for name in counts:
-        monkeypatch.setattr(fe.LiteralFill, name, counted(name))
+    for owner, name in ((fe.LiteralFill, "values"), (tangents, "fill_jacobian")):
+        monkeypatch.setattr(owner, name, counted(owner, name))
     monkeypatch.setattr(verifier, "PROBE_ELEMENTS", 1)
     path = tmp_path / "spec.json"
     assert cli.main(["gallery", "emit", "ex9", "--k", "4", "--out", str(path)]) == 0
     points = len(json.loads(path.read_text())["sample_points"])
     assert cli.main(["identities", str(path), "--connection",
                      "--json", str(tmp_path / "out.json")]) == 0
-    assert counts == {"at": 3, "jacobian": 2 * points}
+    assert counts == {"values": 3, "fill_jacobian": 2 * points}
