@@ -10,8 +10,11 @@
                         [--out PATH]
 
 Exit codes: 0 success, 1 mathematical failure (with a witness in the
-report), 2 input or usage error. Reports are deterministic: the same spec,
-seed, and tolerances produce byte-identical JSON.
+report), 2 input or usage error. Reports are deterministic: on one host with
+one BLAS kernel, the same spec, seed, and tolerances produce byte-identical
+JSON. Across BLAS kernels, floats agree within their tolerances, and the
+verdicts, labels, named cases, exit codes and the witness of any failed
+check stay the same.
 """
 
 from __future__ import annotations

@@ -50,82 +50,71 @@ def dual_roundtrip_check(dec: Decomposition, point,
                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> DualRoundtripReport:
     """Verify f(w(D_i)) = D_i (principal angles), dim w(D_i) = dim D_i, and
     that each dual component carries the same slant value as its source, at
-    one point (`dual_roundtrips` of a one-point stack built for this call)."""
+    one point: `_roundtrip_columns` of a one-point stack built for this call."""
     x = np.asarray(point, dtype=float)
-    return dual_roundtrips(FrameStack(dec, [x]), tolerances)[0]
+    stack = FrameStack(dec, [x])
+    entries = [{"component": name, "dim": dim, "dim_source": rank,
+                "roundtrip_max_angle": float(angle[0]), "theta_source": float(src[0]),
+                "theta_dual": float(dual[0]), "passed": bool(ok[0])}
+               for name, dim, rank, angle, src, dual, ok in _roundtrip_columns(stack, tolerances)]
+    return DualRoundtripReport(x, entries, all(e["passed"] for e in entries),
+                               stack.h_basis.shape[-1])
 
 
-def dual_roundtrips(stack: FrameStack, tolerances: Tolerances = DEFAULT_TOLERANCES
-                    ) -> list[DualRoundtripReport]:
-    """`dual_roundtrip_check` at every point of the stack, each kernel one
-    stacked call per component, in frame coordinates: f(w(D_i)) = T[D, G] W_i."""
+def _roundtrip_columns(stack: FrameStack, tolerances: Tolerances) -> list[tuple]:
+    """The round trip of each proper component, in order, as (name,
+    dim w(D_i), dim D_i, angle, theta_source, theta_dual, passed), the last
+    four columns (P,) over the stack's points: the largest principal angle
+    between f(w(D_i)) = T[D, G] W_i (frame coordinates) and D_i, the slant
+    values of D_i and of w(D_i), and whether the point passes. Each kernel
+    is one stacked call per component, and the source's lambda is read
+    before the dual's, so a ComponentError names the source first."""
     duals, off = stack.duals, stack.offsets
     f_on_g, eye = stack.phi_adapted[:, :off[-1], stack.g_rows], np.eye(off[-1])
     fw_onbs = mgs_each(eye, [f_on_g @ wb for wb in duals])
     columns = []
     for slot, i in enumerate(stack.proper_indices):
         angles = principal_angle_values(eye, fw_onbs[slot], eye[:, off[i]:off[i + 1]])
-        theta_src = slant_thetas(stack, slant_lambdas(stack, [i], tolerances)[0], tolerances)
-        theta_dual = slant_thetas(stack, _dual_lambda(stack, slot, tolerances), tolerances)
-        columns.append((angles, theta_src, theta_dual))
-    reports = []
-    for p, x in enumerate(stack.x):
-        entries = []
-        passed = True
-        for (angles, theta_src, theta_dual), i, wb in zip(columns, stack.proper_indices, duals):
-            max_angle = float(angles[p, -1]) if angles.shape[-1] else 0.0
-            rank = stack.bases[i].shape[-1]
-            ok = (max_angle < tolerances.principal and wb.shape[-1] == rank
-                  and abs(theta_src[p] - theta_dual[p]) <= 1e-8)
-            passed = passed and ok
-            entries.append({"component": stack.dec.components[i].name, "dim": wb.shape[-1],
-                            "dim_source": rank, "roundtrip_max_angle": max_angle,
-                            "theta_source": theta_src[p], "theta_dual": theta_dual[p],
-                            "passed": ok})
-        reports.append(DualRoundtripReport(x, entries, passed, stack.h_basis.shape[-1]))
-    return reports
+        theta_src = np.array(slant_thetas(stack, slant_lambdas(stack, [i], tolerances)[0],
+                                          tolerances))
+        theta_dual = np.array(slant_thetas(stack, _dual_lambda(stack, slot, tolerances),
+                                           tolerances))
+        angle = angles[:, -1] if angles.shape[-1] else np.zeros(len(stack.x))
+        dim, rank = duals[slot].shape[-1], stack.bases[i].shape[-1]
+        ok = (angle < tolerances.principal) & (dim == rank) & (abs(theta_src - theta_dual) <= 1e-8)
+        columns.append((stack.dec.components[i].name, dim, rank, angle, theta_src, theta_dual, ok))
+    return columns
 
 
 def dual_report(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOLERANCES) -> dict:
-    """Round-trip and slant agreement of the dual, aggregated over points."""
+    """Round-trip and slant agreement of the dual: each component's columns
+    (`_roundtrip_columns`) reduced over the points."""
     points = list(points)
-    comp_rows: dict[str, dict] = {}
-    passed = True
-    h_dim = 0
-    for rt in dual_roundtrips(dec.frame_stack(points), tolerances) if points else ():
-        passed = passed and rt.passed
-        h_dim = rt.h_dim
-        for e in rt.entries:
-            row = comp_rows.setdefault(e["component"], {
-                "component": e["component"], "dim": e["dim"],
-                "max_angle": 0.0, "max_theta_gap": 0.0, "passed": True})
-            row["max_angle"] = max(row["max_angle"], e["roundtrip_max_angle"])
-            row["max_theta_gap"] = max(row["max_theta_gap"],
-                                       abs(e["theta_source"] - e["theta_dual"]))
-            row["passed"] = row["passed"] and e["passed"]
-    return {
-        "passed": passed,
-        "points_checked": len(points),
-        "h_dim": h_dim,
-        "components": [comp_rows[name] for name in sorted(comp_rows)],
-    }
+    if not points:
+        return {"passed": True, "points_checked": 0, "h_dim": 0, "components": []}
+    stack = dec.frame_stack(points)
+    rows = [{"component": name, "dim": dim, "max_angle": float(angle.max()),
+             "max_theta_gap": float(abs(src - dual).max()), "passed": bool(ok.all())}
+            for name, dim, _, angle, src, dual, ok in _roundtrip_columns(stack, tolerances)]
+    rows.sort(key=lambda row: row["component"])
+    return {"passed": all(row["passed"] for row in rows), "points_checked": len(points),
+            "h_dim": stack.h_basis.shape[-1], "components": rows}
 
 
 def expected_span_check(dec: Decomposition, point, expected_indices: list[set[int]],
                         tol: float = DEFAULT_TOLERANCES.principal) -> dict:
     """Compare each computed dual basis with an expected coordinate span
     (1-based indices). Used by the gallery oracles."""
-    frame = dec.frame_at(point)
-    dd = frame.dual()
-    n = dec.structure.n
-    results = []
-    passed = True
-    targets = mgs_each(frame.g, [np.eye(n)[:, sorted(i - 1 for i in idx_set)]
-                                 for idx_set in expected_indices])
+    stack = FrameStack(dec, [np.asarray(point, dtype=float)])
+    g, n = stack.g[0], dec.structure.n
+    targets = mgs_each(g, [np.eye(n)[:, sorted(i - 1 for i in idx_set)]
+                           for idx_set in expected_indices])
+    spans = []
     for slot, idx_set in enumerate(expected_indices):
-        angles = principal_angle_values(frame.g, dd.duals[slot], targets[slot])
+        dual = stack.basis_g[0] @ stack.duals[slot][0]
+        angles = principal_angle_values(g, dual, targets[slot])
         worst = float(angles[-1]) if angles.size else 0.0
-        ok = worst < tol and dd.duals[slot].shape[1] == len(idx_set)
-        passed = passed and ok
-        results.append({"expected": sorted(idx_set), "max_angle": worst, "passed": ok})
-    return {"point": frame.x.tolist(), "passed": passed, "spans": results}
+        spans.append({"expected": sorted(idx_set), "max_angle": worst,
+                      "passed": worst < tol and dual.shape[1] == len(idx_set)})
+    return {"point": stack.x[0].tolist(), "passed": all(s["passed"] for s in spans),
+            "spans": spans}

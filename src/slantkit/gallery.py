@@ -10,24 +10,27 @@ submanifolds cut out by zeroing two coordinates per block:
   parameter gamma (and delta where applicable) steering whether the slant
   functions stay separated and away from the degenerate values.
 
-Each fixture carries its decomposition D0 + D1 + ... + Dk, the closed-form
-slant expressions used as oracles, and the coordinate spans of the expected
-dual components.
+Each fixture carries its spec document (the CLI file format, without sample
+points), the structure and decomposition D0 + D1 + ... + Dk that the spec
+loader builds from it, the closed-form slant expressions used as oracles,
+and the coordinate spans of the expected dual components.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as fe
 from .classifier import classify
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .distribution import Decomposition, DistributionFrame
-from .duality import dual_roundtrips, expected_span_check
+from .distribution import Decomposition
+from .duality import dual_report, expected_span_check
 from .errors import ParamError
 from .sampling import DEFAULT_SEED, default_sample_points
+from .specfile import load_manifold_spec
 from .structure import KIND_CONTACT, KIND_HERMITIAN, StructureField, validate_structure
 from .verifier import run_identity_suite
 
@@ -42,11 +45,15 @@ class GalleryFixture:
     decomposition: Decomposition
     closed_form_thetas: list[fe.Expr]   # one per proper component, D1..Dk order
     expected_duals: list[set[int]]      # 1-based coordinate spans of w(D_j)
-    mask: tuple[int, ...] = field(default=())
+    doc: dict                           # its spec document, without sample points
 
     @property
     def k(self) -> int:
         return self.params["k"]
+
+    @property
+    def mask(self) -> tuple[int, ...]:
+        return self.decomposition.mask
 
     def default_points(self, seed: int = DEFAULT_SEED, count: int = 16) -> list[np.ndarray]:
         return default_sample_points(self.structure.n, self.mask, count=count, seed=seed)
@@ -207,56 +214,35 @@ def build_fixture(fid: str, k: int = 2, epsilon: int = -1,
             _hermitian_block(cols, j, epsilon, c1, c2)
         thetas.append(fe.parse(f"arccos({c1})", n))
 
-    xi = None
-    if contact:
-        xi = fe.VectorFieldExpr.parse(_unit_field(n, n), n)
-    structure = StructureField(
-        n, epsilon, KIND_CONTACT if contact else KIND_HERMITIAN,
-        [[fe.parse(src, n) for src in col] for col in cols], xi=xi)
-
     mask = sorted({1, 2} | {4 * j - 1 for j in range(1, k + 1)}
                   | {4 * j for j in range(1, k + 1)} | ({n} if contact else set()))
-    mask = tuple(mask)
-    d0 = DistributionFrame("D0", [fe.VectorFieldExpr.parse(_unit_field(n, i), n)
-                                  for i in (1, 2)], mask=mask)
-    proper = []
-    duals = []
-    for j in range(1, k + 1):
-        fields = [fe.VectorFieldExpr.parse(_unit_field(n, 4 * j - 1), n),
-                  fe.VectorFieldExpr.parse(_unit_field(n, 4 * j), n)]
-        proper.append(DistributionFrame(f"D{j}", fields, mask=mask))
-        duals.append({4 * j + 1, 4 * j + 2})
-    dec = Decomposition(structure, proper, invariant=d0, mask=mask)
-
+    doc = {
+        "ambient_dim": n,
+        "epsilon": epsilon,
+        "kind": KIND_CONTACT if contact else KIND_HERMITIAN,
+        "metric": "euclidean",
+        "phi_columns": [[fe.to_source(fe.parse(src, n)) for src in col] for col in cols],
+        "submanifold_mask": mask,
+        "distributions": {"D0": [_unit_field(n, 1), _unit_field(n, 2)], **{
+            f"D{j}": [_unit_field(n, 4 * j - 1), _unit_field(n, 4 * j)]
+            for j in range(1, k + 1)}},
+        "decomposition": {"invariant": "D0", "proper": [f"D{j}" for j in range(1, k + 1)]},
+    }
+    if contact:
+        doc["xi"] = _unit_field(n, n)
+    # the loader needs sample points; the fixture owns none, so the origin stands in
+    spec = load_manifold_spec({**doc, "sample_points": [[0] * n]})
+    duals = [{4 * j + 1, 4 * j + 2} for j in range(1, k + 1)]
     params["pointwise"] = pointwise
-    return GalleryFixture(fid, params, structure, dec, thetas, duals, mask)
+    return GalleryFixture(fid, params, spec.structure, spec.decomposition, thetas, duals, doc)
 
 
 def fixture_to_spec_dict(fx: GalleryFixture, points=None, seed: int = DEFAULT_SEED) -> dict:
-    """The fixture as a manifold spec document (the CLI file format)."""
-    n = fx.structure.n
+    """The fixture as a manifold spec document (the CLI file format): a copy
+    of its document, which shares nothing with it, and the sample points."""
     if points is None:
         points = fx.default_points(seed=seed)
-    dists = {}
-    for comp in fx.decomposition.components:
-        dists[comp.name] = [f.to_sources() for f in comp.fields]
-    doc = {
-        "ambient_dim": n,
-        "epsilon": fx.structure.epsilon,
-        "kind": fx.structure.kind,
-        "metric": "euclidean",
-        "phi_columns": [[fe.to_source(e) for e in col] for col in fx.structure.phi_columns],
-        "submanifold_mask": list(fx.mask),
-        "distributions": dists,
-        "decomposition": {
-            "invariant": fx.decomposition.invariant.name if fx.decomposition.invariant else None,
-            "proper": [c.name for c in fx.decomposition.proper],
-        },
-        "sample_points": [np.asarray(p).tolist() for p in points],
-    }
-    if fx.structure.is_contact:
-        doc["xi"] = fx.structure.xi.to_sources()
-    return doc
+    return {**copy.deepcopy(fx.doc), "sample_points": [np.asarray(p).tolist() for p in points]}
 
 
 def fixture_oracle_check(fx: GalleryFixture, points=None, tol: float = 1e-8,
@@ -292,8 +278,7 @@ def fixture_oracle_check(fx: GalleryFixture, points=None, tol: float = 1e-8,
 
     span_ok = all(expected_span_check(fx.decomposition, point, fx.expected_duals,
                                       tol=tolerances.principal)["passed"] for point in points)
-    roundtrip_ok = all(rt.passed for rt in dual_roundtrips(fx.decomposition.frame_stack(points),
-                                                           tolerances))
+    roundtrip_ok = dual_report(fx.decomposition, points, tolerances)["passed"]
     report["dual_spans_passed"] = span_ok
     report["dual_roundtrip_passed"] = roundtrip_ok
 

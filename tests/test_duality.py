@@ -16,9 +16,10 @@ from slantkit.duality import (
     expected_span_check,
 )
 from slantkit.errors import ComponentError
-from slantkit.gallery import build_fixture
+from slantkit.gallery import build_fixture, fixture_to_spec_dict
 from slantkit.linalg import principal_angle_values
 from slantkit.sampling import rng_for
+from slantkit.specfile import load_manifold_spec
 from slantkit.verifier import DUAL_KEYS, run_identity_suite
 
 from frame_maps import FrameMaps
@@ -192,6 +193,50 @@ def test_dual_report_aggregation(ex3):
     assert rep["passed"]
     assert rep["points_checked"] == 4
     assert {r["component"] for r in rep["components"]} == {"D1", "D2"}
+
+
+def _turned_ex9(points):
+    """ex9 (k = 3, gamma = 1.5) with each component's two coordinate fields
+    turned by 0.3 inside their plane: the same distributions, whose round-trip
+    angles and theta gaps are round-off that varies over the points (the
+    coordinate-aligned fields give exact zeros)."""
+    doc = fixture_to_spec_dict(build_fixture("ex9", k=3, epsilon=-1, gamma=1.5), points=points)
+    n = doc["ambient_dim"]
+    for name, fields in doc["distributions"].items():
+        a, b = (field.index("1") for field in fields)
+        u, v = ["0"] * n, ["0"] * n
+        u[a], u[b], v[a], v[b] = "cos(0.3)", "sin(0.3)", "-sin(0.3)", "cos(0.3)"
+        doc["distributions"][name] = [u, v]
+    return load_manifold_spec(doc).decomposition
+
+
+def test_dual_report_rows_reduce_the_per_point_checks():
+    """Each row of the stacked report is, bit for bit, the max or all over
+    the points of `dual_roundtrip_check`, the one-point view of the same
+    columns. theta varies over the points, and a principal tolerance at the
+    median round-trip angle makes some (point, component) pairs fail."""
+    fx = build_fixture("ex9", k=3, epsilon=-1, gamma=1.5)
+    points = fx.default_points()[:2] + fx.default_points()[-4:]    # origin, e_1, box points
+    dec = _turned_ex9(points)
+    angles = [e["roundtrip_max_angle"] for p in points
+              for e in dual_roundtrip_check(dec, p).entries]
+    tol = DEFAULT_TOLERANCES.override({"principal": float(np.median(angles))})
+    rep = dual_report(dec, points, tol)
+    checks = [dual_roundtrip_check(dec, p, tol) for p in points]
+    assert len({c.entries[0]["theta_source"] for c in checks}) == len(points)
+    assert 0 < sum(e["passed"] for c in checks for e in c.entries) < len(angles)
+    assert rep["passed"] == all(c.passed for c in checks)
+    assert rep["points_checked"] == len(points)
+    assert rep["h_dim"] == build_dual(dec, points[0]).h_dim
+    assert [row["component"] for row in rep["components"]] == ["D1", "D2", "D3"]
+    for slot, row in enumerate(rep["components"]):
+        entries = [c.entries[slot] for c in checks]
+        assert all(e["component"] == row["component"] for e in entries)
+        assert row["dim"] == entries[0]["dim"]
+        assert row["max_angle"] == max(e["roundtrip_max_angle"] for e in entries)
+        assert row["max_theta_gap"] == max(abs(e["theta_source"] - e["theta_dual"])
+                                           for e in entries)
+        assert row["passed"] == all(e["passed"] for e in entries)
 
 
 def test_dual_json_roundtrip(ex1):

@@ -119,6 +119,16 @@ class TestSpecEmission:
             b = component_slant(ex1.decomposition, p, idx).theta
             assert a == pytest.approx(b, abs=1e-14)
 
+    def test_emitted_docs_share_nothing_with_the_fixture(self, ex1):
+        first = fixture_to_spec_dict(ex1)
+        doc = fixture_to_spec_dict(ex1)
+        doc["phi_columns"][0][0] = doc["xi"][0] = "x3"
+        doc["distributions"]["D1"][0][2] = "7"
+        doc["submanifold_mask"].append(5)
+        doc["decomposition"]["proper"].pop()
+        assert fixture_to_spec_dict(ex1) == first
+        assert spec_digest(fixture_to_spec_dict(ex1)) == spec_digest(first)
+
     def test_digest_stable(self, ex1):
         doc = fixture_to_spec_dict(ex1)
         assert spec_digest(doc) == spec_digest(load_manifold_spec(doc).raw)
