@@ -101,20 +101,31 @@ def dual_report(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOL
             "h_dim": stack.h_basis.shape[-1], "components": rows}
 
 
+def expected_span_columns(stack: FrameStack, expected_indices: list[set[int]],
+                          tol: float = DEFAULT_TOLERANCES.principal) -> list[tuple]:
+    """Each proper component's computed dual basis against an expected
+    coordinate span (1-based indices), in order, as (sorted indices,
+    max_angle, passed), the last two (P,) over the stack's points: the
+    largest principal angle between the dual and the g-orthonormalised span,
+    and whether it is below `tol` with the dual of the span's dimension."""
+    g, n = stack.g, stack.dec.structure.n
+    targets = mgs_each(g, [np.broadcast_to(np.eye(n)[:, sorted(i - 1 for i in idx)],
+                                           (len(g), n, len(idx))) for idx in expected_indices])
+    columns = []
+    for slot, idx in enumerate(expected_indices):
+        dual = stack.basis_g @ stack.duals[slot]
+        angles = principal_angle_values(g, dual, targets[slot])
+        worst = angles[:, -1] if angles.shape[-1] else np.zeros(len(g))
+        columns.append((sorted(idx), worst, (worst < tol) & (dual.shape[-1] == len(idx))))
+    return columns
+
+
 def expected_span_check(dec: Decomposition, point, expected_indices: list[set[int]],
                         tol: float = DEFAULT_TOLERANCES.principal) -> dict:
-    """Compare each computed dual basis with an expected coordinate span
-    (1-based indices). Used by the gallery oracles."""
+    """`expected_span_columns` at one point, of a one-point stack built for
+    this call. Used by the gallery oracles."""
     stack = FrameStack(dec, [np.asarray(point, dtype=float)])
-    g, n = stack.g[0], dec.structure.n
-    targets = mgs_each(g, [np.eye(n)[:, sorted(i - 1 for i in idx_set)]
-                           for idx_set in expected_indices])
-    spans = []
-    for slot, idx_set in enumerate(expected_indices):
-        dual = stack.basis_g[0] @ stack.duals[slot][0]
-        angles = principal_angle_values(g, dual, targets[slot])
-        worst = float(angles[-1]) if angles.size else 0.0
-        spans.append({"expected": sorted(idx_set), "max_angle": worst,
-                      "passed": worst < tol and dual.shape[1] == len(idx_set)})
+    spans = [{"expected": idx, "max_angle": float(worst[0]), "passed": bool(ok[0])}
+             for idx, worst, ok in expected_span_columns(stack, expected_indices, tol)]
     return {"point": stack.x[0].tolist(), "passed": all(s["passed"] for s in spans),
             "spans": spans}

@@ -27,7 +27,7 @@ from . import expr as fe
 from .classifier import classify
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition
-from .duality import dual_report, expected_span_check
+from .duality import dual_report, expected_span_columns
 from .errors import ParamError
 from .sampling import DEFAULT_SEED, default_sample_points
 from .specfile import load_manifold_spec
@@ -276,8 +276,8 @@ def fixture_oracle_check(fx: GalleryFixture, points=None, tol: float = 1e-8,
     report["labels_passed"] = all(v["passed"] for v in label_results.values())
     report["classification"] = classification
 
-    span_ok = all(expected_span_check(fx.decomposition, point, fx.expected_duals,
-                                      tol=tolerances.principal)["passed"] for point in points)
+    span_ok = all(ok.all() for _, _, ok in expected_span_columns(
+        fx.decomposition.frame_stack(points), fx.expected_duals, tolerances.principal))
     roundtrip_ok = dual_report(fx.decomposition, points, tolerances)["passed"]
     report["dual_spans_passed"] = span_ok
     report["dual_roundtrip_passed"] = roundtrip_ok

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -94,7 +95,9 @@ def _indented(obj, newline: str, step: str) -> str:
     if obj is None or kind is bool:
         return "null" if obj is None else "true" if obj else "false"
     inner = newline + step
-    if kind is list:
+    if kind is list and obj and set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+        body = list(map(float.__repr__, obj))   # finite floats (a sum of them is finite) at once
+    elif kind is list:
         body = [_indented(v, inner, step) for v in obj]
     elif kind is dict:      # _encode_str refuses a key that is not a str
         body = [f"{_encode_str(k)}: {_indented(obj[k], inner, step)}" for k in sorted(obj)]

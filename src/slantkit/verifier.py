@@ -26,11 +26,17 @@ A draw in components (D_i, w(D_i) or H) is a coefficient block (P, K, r,
 trials): normal coefficients in the components' orthonormal bases (the r_i
 coordinate columns of D_i, the stack's G-coordinate bases of w(D_i) and H),
 zero-padded to the largest rank r. A map m on them is the image of the bases
-(P, K, n, r): a column gather of T's copy on the D_i, one matmul elsewhere,
-T_a @ image_b for a composite. A relation on one component at a time reads
-the image's (r, r) Gram blocks G_i alone, g(mX_i, mY_i) = X_i^T G_i Y_i, so
-no n-row vector is formed per component; a sum over components is one,
-scattered into the D rows (a matmul on w(D)).
+(P, n, K * r): a column gather of T's copy on the D_i, one matmul elsewhere,
+T_a @ image_b for a composite. The rows on a `forms.Side` read quadratic
+forms of the image's Gram G, g(mX, mY) = X^T G Y, not n-row vectors: a
+relation on each component reads G's (r, r) diagonal blocks, a sum over the
+components all of G, mX = eps sum_i c_i X_i the norm form of m - eps c_i,
+an angle the forms xy, xx and yy. A side row names its forms (`forms.Form`)
+in its `_case` parameters, and a side makes all of its rows' forms at once,
+on first use, so a key run alone has the bits of the full run;
+`run_identity_suite` takes the rows side by side and drops each side's
+tables after its last row. The structure axioms and the adjointness, split
+and angle.phi-dg rows read full vectors (P, 1, n, trials).
 
 The paper proves most identities twice: once on the proper components D_i
 with f and w, and once on their duals w(D_i) with the roles of f and w
@@ -43,7 +49,7 @@ of them); "D_0" and "H" are the invariant parts.
 The paper also proves its relations in families (the adjointness formulae,
 the split systems, the cos^2/sin^2/sin^4 metric and angle relations). Each
 family is one shape function; its members are `_case` rows that bind the
-maps, the draws and the coefficient (table in docs/taxonomy.md):
+maps or forms, the draws and the coefficient (table in docs/taxonomy.md):
 
     _adjoint           g(X, aY) = eps g(bX, Y)                   adj.*
     _double_adjoint    g(abX, Y) = eps g(bX, bY) = g(X, cbY)     adj2.*
@@ -73,11 +79,11 @@ from .classifier import classify, single_cluster_lambda, slant_lambdas
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, FrameStack
 from .errors import SpecError, UnsupportedError
+from .forms import TINY, Form, Side
 from .sampling import DEFAULT_SEED, rng_for
 from .tangents import frame_derivatives
 
 PI2_TOL = 1e-8
-TINY = 1e-300
 PROBE_ELEMENTS = 1 << 18    # bounds P * (q * n * r + m * n * (n + r)), a `frame_derivatives` chunk
 
 
@@ -110,6 +116,9 @@ class PointContext:
         self.cos, self.sin = np.sqrt(self.cos2), np.sqrt(self.sin2)
         # libm's pow, as a scalar sin^2 ** 2 rounds (numpy's square may differ by an ulp)
         self.sin4 = np.array([[[s ** 2] for s in row] for row in self.sin2[..., 0].tolist()])
+        inv = np.divide(1.0, self.sin, out=np.zeros_like(self.sin), where=self.sin > PI2_TOL)
+        slant = {"cos2": self.cos2, "sin2": self.sin2, "sin": self.sin, "sin4": self.sin4,
+                 "1/sin": inv, "1/sin2": inv * inv}     # 1/sin 0 where sin <= PI2_TOL
 
         targets = []    # (P, r, t) views, each point's filled in this order
 
@@ -162,15 +171,20 @@ class PointContext:
         cols = np.where(slot < np.diff(off)[:, None], np.array(off[:-1])[:, None] + slot, -1)
         x_basis = np.where(cols >= 0, np.eye(n)[:, cols], 0.0).transpose(1, 0, 2)[None]
         on_d, on_w = (t_f, t_w, t_phi), (t_w, t_f, t_phi)
-
-        def d_side(sl):
-            return Side(on_d, X[:, sl], Y[:, sl], x_basis[:, sl], sl, cols[sl])
+        duals = in_g(stack.duals, U)
 
         prop, inv = slice(ncomp - len(self.proper), ncomp), slice(0, ncomp - len(self.proper))
-        self.sides = {"D": d_side(prop), "D0+D": d_side(slice(0, ncomp)), "D_0": d_side(inv),
-                      "w(D)": Side(on_w, U, V, in_g(stack.duals, U), prop),
-                      "H": Side(on_w, u_h, v_h, in_g(hs, u_h), None)}
-        self.x_d, self.y_d = self.sides["D0+D"].x, self.sides["D0+D"].y
+        self.sides = {name: Side(on_d, X[:, sl], Y[:, sl], x_basis[:, sl], sl, self.eps, slant,
+                                 SIDE_FORMS.get(name, {}), cols[sl], duals if name == "D" else None)
+                      for name, sl in (("D", prop), ("D0+D", slice(0, ncomp)), ("D_0", inv))}
+        self.sides["w(D)"] = Side(on_w, U, V, duals, prop, self.eps, slant,
+                                  SIDE_FORMS.get("w(D)", {}))
+        self.sides["H"] = Side(on_w, u_h, v_h, in_g(hs, u_h), None, self.eps, slant,
+                               SIDE_FORMS.get("H", {}))
+        # the sums over D's components, in the coordinates of D
+        self.x_d, self.y_d = np.zeros((2, npts, 1, n, t))
+        for full_d, coef in ((self.x_d, X), (self.y_d, Y)):
+            full_d[:, 0, cols[cols >= 0]] = coef[:, cols >= 0]
         self.x_dxi, self.y_dxi = self.x_d, self.y_d
         if xi:
             self.x_dxi, self.y_dxi = self.x_d + xi[0], self.y_d + xi[1]
@@ -181,19 +195,15 @@ class PointContext:
     amb_perp = cached_property(lambda self: self.amb[0] - self.along_xi(self.eta(self.amb[0])))
 
     @staticmethod
-    def inner(u, v, gram=None):
-        """g(u, v) of frame coordinates (..., n, t), or of coefficient blocks
-        (..., r, t): their dot product over n (or r). With the Gram G (..., r,
-        r) of a map m's image, g(mu, mv) = u^T G v."""
-        return np.einsum("...it,...it->...t", u, v if gram is None else gram @ v)
+    def inner(u, v):
+        """g(u, v) of frame coordinates (..., n, t): their dot product over n."""
+        return np.einsum("...it,...it->...t", u, v)
 
-    def norm(self, u, gram=None):
-        return np.sqrt(np.maximum(self.inner(u, u, gram), 0.0))
+    def norm(self, u):
+        return np.sqrt(np.maximum(self.inner(u, u), 0.0))
 
-    def cos_angle(self, u, v, gram=None, drawn=False):
-        """cos<(u, v); with `drawn`, u and v are draws the context holds (`scale`)."""
-        nu, nv = (self.scale(a) if drawn else self.norm(a, gram) for a in (u, v))
-        return self.inner(u, v, gram) / np.maximum(nu * nv, TINY)
+    def cos_angle(self, u, v):
+        return self.inner(u, v) / np.maximum(self.norm(u) * self.norm(v), TINY)
 
     def eta(self, v):
         return v[..., self.xi_row, :]
@@ -222,91 +232,14 @@ class PointContext:
         scale = self.scale(a)
         if b is not None:
             scale = scale * self.scale(b)
-        return _worst(np.max(np.abs(diff) / np.maximum(scale, TINY), axis=-1), held)
+        return _rel(diff, scale, held)
 
     def cos_diff(self, cos_a, cos_b, held=True):
         """max |cos_a - cos_b| of two cosine tables (P, K, t)."""
         return _worst(np.max(np.abs(cos_a - cos_b), axis=-1), held)
 
 
-class Side:
-    """The draws in K components and the maps on them, over the stacked
-    points: one side of the D_i <-> w(D_i) duality ("D", "w(D)"), the whole
-    of D ("D0+D"), or the invariant part of a side ("D_0", "H"; K = 0 when
-    it is zero).
-
-    `own` (P, n, n) maps each component into itself (f on D_i, w on w(D_i));
-    `other` maps it onto its twin (w: D_i -> w(D_i), f: w(D_i) -> D_i); `phi`
-    is phi. `xs`/`ys` (P, K, r, t) are two draws' coefficients in the
-    components' g-orthonormal bases `basis` (P or 1, K, n, r), zero-padded to
-    the largest rank r, and `x`/`y` (P, 1, n, t) their sums over the
-    components. On the D_i the bases are the coordinate columns `cols` (K,
-    r), -1 for padding: a map's image is a column gather, a sum a scatter.
-    `comps` is the components' slice of the slant tables (None for H)."""
-
-    def __init__(self, maps, xs, ys, basis, comps, cols=None):
-        self.own, self.other, self.phi = maps
-        self.xs, self.ys, self.basis, self.comps, self.cols = xs, ys, basis, comps, cols
-        self._grams = {}
-
-    x = cached_property(lambda self: self.vector(self.xs))
-    y = cached_property(lambda self: self.vector(self.ys))
-
-    def chain(self, m):
-        """The matrices of the map `m`, applied last to first: "own",
-        "other", "phi", "square" (f2 on D, w2 on w(D)) or "round_trip" (fw
-        on D, wf on w(D))."""
-        return {"own": (self.own,), "other": (self.other,), "phi": (self.phi,),
-                "square": (self.own, self.own), "round_trip": (self.own, self.other)}[m]
-
-    def apply(self, m, v):
-        """m v for full vectors v (P, 1, n, t)."""
-        for mat in reversed(self.chain(m)):
-            v = mat[:, None] @ v
-        return v
-
-    def image(self, chain):
-        """(P, K, n, r): the bases under chain[0] @ ... @ chain[-1], each
-        matrix (P, n, n) applied to all K * r columns at once."""
-        *outer, last = chain
-        (npts, n, _), (k, r) = last.shape, self.xs.shape[1:3]
-        if self.cols is None:
-            img = last @ _flat(self.basis)
-        else:
-            img = np.where(self.cols >= 0, last[:, :, self.cols], 0.0).reshape(npts, n, k * r)
-        for mat in reversed(outer):
-            img = mat @ img
-        return np.moveaxis(img.reshape(npts, n, k, r), 2, 1)
-
-    def gram(self, m, shift=0.0):
-        """The Gram blocks (P, K, r, r) of the image of m - shift * id,
-        built on first use: g(mX_i, mY_i) = X_i^T G_i Y_i."""
-        if (m, shift) not in self._grams:
-            img = self.image(self.chain(m))
-            self._grams[m, shift] = _gram(img - shift * self.basis if shift else img)
-        return self._grams[m, shift]
-
-    def vector(self, coef):
-        """The full vector (P, 1, n, t) sum_k basis_k coef_k of coefficients
-        coef (P, K, r, t); (P, 0, n, t), held nowhere, when K = 0."""
-        npts, k, r, t = coef.shape
-        if self.cols is None:
-            out = _flat(self.basis) @ coef.reshape(npts, k * r, t)
-        else:
-            out = np.zeros((npts, self.basis.shape[2], t))
-            out[:, self.cols[self.cols >= 0]] = coef[:, self.cols >= 0]
-        return out[:, None][:, :k]
-
-
-def _flat(a):
-    """A block (P, K, n, r) as (P, n, K * r)."""
-    npts, k, n, r = a.shape
-    return np.moveaxis(a, 1, 2).reshape(npts, n, k * r)
-
-
-def _gram(img):
-    """The Gram blocks (P, K, r, r) of the columns of an image (P, K, n, r)."""
-    return np.swapaxes(img, -1, -2) @ img
+SIDE_FORMS: dict[str, dict] = {}    # side name -> {a Form with q None: the Forms of it read}
 
 
 @dataclass(frozen=True)
@@ -316,6 +249,7 @@ class IdentityCase:
     domain: str
     statement: str
     evaluator: object = field(repr=False)
+    side: str | None = None     # the `PointContext.sides` entry it reads
 
 
 def _case(key, settings, domain, statement, side=None, twin=None):
@@ -323,18 +257,21 @@ def _case(key, settings, domain, statement, side=None, twin=None):
 
     `_case(...)(fn)` registers fn(ctx); `_case(...)(shape, **params)` registers
     a family's shape with this member's parameters bound. A side evaluator
-    fn(ctx, side) sees the `PointContext.sides` entry `side`; a twin is
-    registered once per side of the duality. `twin`, a (key, domain,
-    statement) triple, registers the w(D) side right after the D side; a twin
-    whose keys are not adjacent registers its w(D) side with a later
-    `_case(..., side="w(D)")(fn)`."""
+    fn(ctx, side, **params) sees the `PointContext.sides` entry `side`, and its
+    `Form` parameters (alone or in a tuple) join that side's `SIDE_FORMS`; a
+    twin is registered once per side of the duality. `twin`, a (key, domain,
+    statement) triple, registers the w(D) side right after the D side."""
     def wrap(fn, **params):
-        if params:
-            fn = partial(fn, **params)
-        ev = fn if side is None else (lambda ctx: fn(ctx, ctx.sides[side]))
-        REGISTRY.append(IdentityCase(key, settings, domain, statement, ev))
+        ev = partial(fn, **params) if params else fn
+        if side is not None:
+            for f in (f for v in params.values() for f in (v if type(v) is tuple else [v])):
+                if isinstance(f, Form):
+                    forms = SIDE_FORMS.setdefault(side, {}).setdefault(f._replace(q=None), [])
+                    forms += [f] * (f not in forms)
+            ev = partial(lambda fn, ctx: fn(ctx, ctx.sides[side]), ev)
+        REGISTRY.append(IdentityCase(key, settings, domain, statement, ev, side))
         if twin is not None:
-            _case(twin[0], settings, *twin[1:], side="w(D)")(fn)
+            _case(twin[0], settings, *twin[1:], side="w(D)")(fn, **params)
         return fn
     return wrap
 
@@ -343,14 +280,15 @@ def _worst(residuals, held=True):
     """Per point, the largest of the residuals (P, K) over the components
     held there (a (P, K) mask): a NaN wins, and -inf marks a point where
     none is held."""
-    return np.max(np.where(held, residuals, -np.inf), axis=1, initial=-np.inf)
+    if held is not True:
+        residuals = np.where(held, residuals, -np.inf)
+    return np.max(residuals, axis=1, initial=-np.inf)
 
 
-def _component_sum(a):
-    """The sum of scalars a (P, K, t) over the component axis, kept with
-    length 1, term by term in component order (np.sum would pair the terms
-    up at t = 1)."""
-    return sum((a[:, k:k + 1] for k in range(1, a.shape[1])), a[:, :1])
+def _rel(diff, scale, held=True):
+    """The worst over the trials of |diff| / scale (P, K, t), over the held
+    components at each point (`_worst`)."""
+    return _worst(np.max(np.abs(diff) / np.maximum(scale, TINY), axis=-1), held)
 
 
 REGISTRY: list[IdentityCase] = []
@@ -393,18 +331,23 @@ def _isometry(ctx):
 # -- identity families ------------------------------------------------------------------
 #
 # A family is one shape; each member is a `_case` row binding the shape's maps by
-# name (a PointContext map "f", "w", "apply_phi", or a `Side.chain` name "own",
-# "other", "phi", "square", "round_trip"), its draws (PointContext attributes, or
-# the Side's) and its coefficient.
+# name (a PointContext map "f", "w", "apply_phi"), or on a Side its `Form`s (of
+# the images "own", "other", "phi", "square", "round_trip"), its draws and its
+# coefficient.
 
-def _weighted(ctx, side, coeff, v):
-    """c_i * v_i over the side's components (v (P, K, ...)), c_i the table
-    `coeff` ("cos2", "sin2", "sin" or "sin4" of theta_i) at each point; v
-    itself when `coeff` is None."""
+def _total(side, coeff, v):
+    """sum_i c_i * v_i (P, 1, t) over the side's components of v (P, K, t),
+    c_i the slant table `coeff` (1 for None)."""
     if coeff is None:
-        return v
-    c = getattr(ctx, coeff)[:, side.comps]
-    return c.reshape(c.shape + (1,) * (v.ndim - 3)) * v
+        return v.sum(axis=1, keepdims=True)
+    return np.swapaxes(side.slant[coeff], 1, 2) @ v
+
+
+def _weighted(side, coeff, v):
+    """c_i * v_i over the side's components (v (P, K, t)), c_i its slant
+    table `coeff` ("cos2", "sin2", "sin" or "sin4" of theta_i) at each
+    point; v itself when `coeff` is None."""
+    return v if coeff is None else side.slant[coeff] * v
 
 
 def _adjoint(ctx, a, b, draws):
@@ -439,56 +382,58 @@ def _eps_horizontal(ctx, x):
     return ctx.eps * (x - (ctx.along_xi(ctx.eta(x)) if ctx.contact else 0.0))
 
 
-def _summed_metric(ctx, side, m, coeff, norm=False):
+def _summed_metric(ctx, side, lhs, coeff):
     """g(mX, mY) = sum_i c_i * g(X_i, Y_i) for X, Y in the sum of the
-    side's components; with `norm`, Y = X."""
-    ys, y = (side.xs, side.x) if norm else (side.ys, side.y)
-    total = _component_sum(_weighted(ctx, side, coeff, ctx.inner(side.xs, ys)))
-    return ctx.rel(ctx.inner(side.apply(m, side.x), side.apply(m, y)) - total, side.x, y)
+    side's components, `lhs` the sum form of m, "xx" for Y = X."""
+    draws, sums, forms = side.tables()
+    scale = sums["norm"] * sums["norm" if lhs.q == "xx" else "norm_y"]
+    return _rel(forms[lhs] - _total(side, coeff, draws[lhs.q]), scale)
 
 
-def _summed_vector(ctx, side, m, coeff):
-    """mX = eps * sum_i c_i * X_i for X in the sum of the side's components."""
-    target = ctx.eps * side.vector(_weighted(ctx, side, coeff, side.xs))
-    return ctx.rel(ctx.norm(side.apply(m, side.x) - target), side.x)
+def _summed_vector(ctx, side, lhs):
+    """mX = eps * sum_i c_i * X_i for X in the sum of the side's components:
+    `lhs`, the norm form of m shifted by eps c_i, is 0."""
+    _, sums, forms = side.tables()
+    return _rel(forms[lhs], sums["norm"])
 
 
-def _summed_angle(ctx, side, m, coeff):
+def _summed_angle(ctx, side, lhs, rhs):
     """cos<(mX, mY) = cos<(sum_i c_i X_i, sum_i c_i Y_i) for X, Y in the sum
-    of the side's components."""
-    lhs = ctx.cos_angle(side.apply(m, side.x), side.apply(m, side.y))
-    sx, sy = (side.vector(_weighted(ctx, side, coeff, v)) for v in (side.xs, side.ys))
-    return ctx.cos_diff(lhs, ctx.cos_angle(sx, sy))
+    of the side's components, `lhs` and `rhs` their cos forms."""
+    forms = side.tables()[2]
+    return ctx.cos_diff(forms[lhs], forms[rhs])
 
 
-def _component_metric(ctx, side, m, coeff):
-    """g(mX_i, mY_i) = c_i * g(X_i, Y_i) on each of the side's components."""
-    lhs = ctx.inner(side.xs, side.ys, side.gram(m))
-    return ctx.rel(lhs - _weighted(ctx, side, coeff, ctx.inner(side.xs, side.ys)),
-                   side.xs, side.ys)
+def _component_metric(ctx, side, lhs, coeff):
+    """g(mX_i, mY_i) = c_i * g(X_i, Y_i) on each of the side's components,
+    `lhs` the xy form of m."""
+    draws, _, forms = side.tables()
+    return _rel(forms[lhs] - _weighted(side, coeff, draws["xy"]), draws["norm"] * draws["norm_y"])
 
 
-def _component_norm(ctx, side, m, coeff):
-    """|mX_i| = c_i * |X_i| on each of the side's components."""
-    lhs = ctx.norm(side.xs, side.gram(m))
-    return ctx.rel(lhs - _weighted(ctx, side, coeff, ctx.scale(side.xs)), side.xs)
+def _component_norm(ctx, side, lhs, coeff):
+    """|mX_i| = c_i * |X_i| on each of the side's components, `lhs` the norm
+    form of m."""
+    draws, _, forms = side.tables()
+    return _rel(forms[lhs] - _weighted(side, coeff, draws["norm"]), draws["norm"])
 
 
 def _component_angle(ctx, side, maps, pred=None):
-    """cos<(mX_i, mY_i) = cos<(X_i, Y_i) for each map m of `maps` on each
-    of the side's components where (cos, sin)(theta_i) satisfy `pred`."""
-    held, cos = ctx.held(side, pred), ctx.cos_angle(side.xs, side.ys, drawn=True)
-    worst = ctx.nowhere
+    """cos<(mX_i, mY_i) = cos<(X_i, Y_i) for the cos form of each map m of
+    `maps` on each of the side's components where (cos, sin)(theta_i)
+    satisfy `pred`."""
+    draws, _, forms = side.tables()
+    held, worst = ctx.held(side, pred), ctx.nowhere
     for m in maps:
-        worst = np.maximum(worst, ctx.cos_diff(ctx.cos_angle(side.xs, side.ys, side.gram(m)),
-                                               cos, held))
+        worst = np.maximum(worst, ctx.cos_diff(forms[m], draws["cos"], held))
     return worst
 
 
-def _eps_fixed(ctx, side, m, pred=None):
-    """mX_i = eps * X_i, |(m - eps) X_i| = 0, on each of the side's
-    components where (cos, sin)(theta_i) satisfy `pred`."""
-    return ctx.rel(ctx.norm(side.xs, side.gram(m, ctx.eps)), side.xs, held=ctx.held(side, pred))
+def _eps_fixed(ctx, side, lhs, pred=None):
+    """mX_i = eps * X_i on each of the side's components where (cos,
+    sin)(theta_i) satisfy `pred`: `lhs`, the norm form of m - eps, is 0."""
+    draws, _, forms = side.tables()
+    return _rel(forms[lhs], draws["norm"], ctx.held(side, pred))
 
 
 def _below_right_angle(c, s):
@@ -534,17 +479,17 @@ _case("adj2.w-square-cross", "both", "X in D, U in D-perp",
 # -- projector-sum identities on D: pr_i X = X_i ------------------------------------
 
 _case("dsum.metric.phi", "both", "X,Y in D", "g(phi X, phi Y) = sum_i g(pr_i X, pr_i Y)",
-      side="D0+D")(_summed_metric, m="phi", coeff=None)
+      side="D0+D")(_summed_metric, lhs=Form("phi", "xy", False), coeff=None)
 _case("dsum.metric.f", "both", "X,Y in D",
       "g(fX, fY) = sum_i cos^2(theta_i) * g(pr_i X, pr_i Y)", side="D0+D")(
-    _summed_metric, m="own", coeff="cos2")
+    _summed_metric, lhs=Form("own", "xy", False), coeff="cos2")
 _case("dsum.metric.w", "both", "X,Y in D",
       "g(wX, wY) = sum_{i>=1} sin^2(theta_i) * g(pr_i X, pr_i Y)", side="D0+D")(
-    _summed_metric, m="other", coeff="sin2")
+    _summed_metric, lhs=Form("other", "xy", False), coeff="sin2")
 _case("f2.projsum", "both", "X in D", "f2X = eps * sum_i cos^2(theta_i) * pr_i X",
-      side="D0+D")(_summed_vector, m="square", coeff="cos2")
+      side="D0+D")(_summed_vector, lhs=Form("square", "norm", False, "cos2"))
 _case("fw.projsum", "both", "X in D", "fwX = eps * sum_{i>=1} sin^2(theta_i) * pr_i X",
-      side="D0+D")(_summed_vector, m="round_trip", coeff="sin2")
+      side="D0+D")(_summed_vector, lhs=Form("round_trip", "norm", False, "sin2"))
 
 # -- the four-line split systems --------------------------------------------------
 
@@ -558,36 +503,37 @@ _case("split.g2", "both", "U in G", "wfU + w2U = eps * U")(
 
 # -- w^2 on components -------------------------------------------------------------
 
-@_case("w2.component", "both", "X_i in D_i",
-       "w2(D_i) inside w(D_i); w2(D_i) = 0 when theta_i = pi/2")
-def _w2comp(ctx):
-    d, duals = ctx.sides["D"], ctx.sides["w(D)"].basis    # zero-padded bases of w(D_i)
-    w2 = d.image((d.other, d.other))
-    outside = w2 - duals @ (np.swapaxes(duals, -1, -2) @ w2)
-    right = np.abs(ctx.sin2[:, d.comps, 0] - 1.0) <= PI2_TOL
-    return np.maximum(ctx.rel(ctx.norm(d.xs, _gram(w2)), d.xs, held=right),
-                      ctx.rel(ctx.norm(d.xs, _gram(outside)), d.xs, held=~right))
+def _w2comp(ctx, side, w2, outside):
+    draws, _, forms = side.tables()
+    right = np.abs(side.slant["sin2"][..., 0] - 1.0) <= PI2_TOL
+    return np.maximum(_rel(forms[w2], draws["norm"], right),
+                      _rel(forms[outside], draws["norm"], ~right))
+
+
+_case("w2.component", "both", "X_i in D_i",
+      "w2(D_i) inside w(D_i); w2(D_i) = 0 when theta_i = pi/2", side="D")(
+    _w2comp, w2=Form("w2", "norm"), outside=Form("outside", "norm"))
 
 
 # -- norm relations ------------------------------------------------------------------
 
 _case("norm.f-sum", "both", "X in D", "|fX|^2 = sum_i cos^2(theta_i) * |X_i|^2",
-      side="D0+D")(_summed_metric, m="own", coeff="cos2", norm=True)
+      side="D0+D")(_summed_metric, lhs=Form("own", "xx", False), coeff="cos2")
 _case("norm.w-dualsum", "both", "U in w(D)", "|wU|^2 = sum_i cos^2(theta_i) * |U_i|^2",
-      side="w(D)")(_summed_metric, m="own", coeff="cos2", norm=True)
+      side="w(D)")(_summed_metric, lhs=Form("own", "xx", False), coeff="cos2")
 _case("norm.f-invariant", "both", "X_0 in D_0", "|fX_0| = |X_0|", side="D_0")(
-    _component_norm, m="own", coeff=None)
+    _component_norm, lhs=Form("own", "norm"), coeff=None)
 _case("norm.wx-sin", "both", "X_i in D_i", "|wX_i| = sin(theta_i) * |X_i|", side="D",
       twin=("norm.fu-sin", "U_i in w(D_i)", "|fU_i| = sin(theta_i) * |U_i|"))(
-    _component_norm, m="other", coeff="sin")
+    _component_norm, lhs=Form("other", "norm"), coeff="sin")
 _case("norm.wx-sumsq", "both", "X in sum of proper D_i",
       "|wX|^2 = sum_i sin^2(theta_i) * |X_i|^2", side="D",
       twin=("norm.fu-sumsq", "U in w(D)", "|fU|^2 = sum_i sin^2(theta_i) * |U_i|^2"))(
-    _summed_metric, m="other", coeff="sin2", norm=True)
+    _summed_metric, lhs=Form("other", "xx", False), coeff="sin2")
 
 # -- angle (conformality) relations -----------------------------------------------
 
-_OWN_AND_PHI = ("own", "phi")
+_OWN_AND_PHI = (Form("own", "cos"), Form("phi", "cos"))
 
 _case("angle.f-invariant", "both", "X_0, Y_0 in D_0",
       "cos<(fX_0, fY_0) = cos<(phi X_0, phi Y_0) = cos<(X_0, Y_0)", side="D_0")(
@@ -597,7 +543,7 @@ _case("angle.f-slant", "both", "X_i, Y_i in D_i, theta_i < pi/2",
     _component_angle, maps=_OWN_AND_PHI, pred=_below_right_angle)
 _case("dual.w-metric-cos2", "both", "U_i, V_i in w(D_i)",
       "g(wU_i, wV_i) = cos^2(theta_i) * g(U_i, V_i)", side="w(D)")(
-    _component_metric, m="own", coeff="cos2")
+    _component_metric, lhs=Form("own", "xy"), coeff="cos2")
 _case("angle.w-h", "both", "U_0, V_0 in H",
       "cos<(wU_0, wV_0) = cos<(U_0, V_0) = cos<(phi U_0, phi V_0)", side="H")(
     _component_angle, maps=_OWN_AND_PHI)
@@ -617,12 +563,12 @@ _case("dual.wx-metric-sin2", "both", "X_i, Y_i in D_i",
       "g(wX_i, wY_i) = sin^2(theta_i) * g(X_i, Y_i)", side="D",
       twin=("dual.fu-metric-sin2", "U_i, V_i in w(D_i)",
             "g(fU_i, fV_i) = sin^2(theta_i) * g(U_i, V_i)"))(
-    _component_metric, m="other", coeff="sin2")
+    _component_metric, lhs=Form("other", "xy"), coeff="sin2")
 _case("angle.wx-conformal", "both", "X_i, Y_i in D_i, theta_i > 0",
       "cos<(wX_i, wY_i) = cos<(X_i, Y_i)", side="D",
       twin=("angle.fu-conformal", "U_i, V_i in w(D_i), theta_i > 0",
             "cos<(fU_i, fV_i) = cos<(U_i, V_i)"))(
-    _component_angle, maps=("other",), pred=_above_zero)
+    _component_angle, maps=(Form("other", "cos"),), pred=_above_zero)
 
 # -- summed relations across components ----------------------------------------------
 
@@ -630,12 +576,12 @@ _case("sum.w-metric", "both", "X, Y in sum of proper D_i",
       "g(wX, wY) = sum_i sin^2(theta_i) * g(X_i, Y_i)", side="D",
       twin=("sum.f-metric", "U, V in w(D)",
             "g(fU, fV) = sum_i sin^2(theta_i) * g(U_i, V_i)"))(
-    _summed_metric, m="other", coeff="sin2")
+    _summed_metric, lhs=Form("other", "xy", False), coeff="sin2")
 _case("sum.w-angle", "both", "X, Y in sum of proper D_i",
       "cos<(wX, wY) = cos<(sum sin(theta_i) X_i, sum sin(theta_i) Y_i)", side="D",
       twin=("sum.f-angle", "U, V in w(D)",
             "cos<(fU, fV) = cos<(sum sin(theta_i) U_i, sum sin(theta_i) V_i)"))(
-    _summed_angle, m="other", coeff="sin")
+    _summed_angle, lhs=Form("other", "cos", False), rhs=Form("id", "cos", False, scale="sin"))
 
 
 def _all_positive_sin(ctx):
@@ -643,32 +589,27 @@ def _all_positive_sin(ctx):
     return np.all(ctx.sin[:, ctx.proper, 0] > PI2_TOL, axis=1)
 
 
-@_case("invsin.x-metric", "both", "X, Y in sum of proper D_i, theta_i > 0",
-       "g(X, Y) = sum_i g(wX_i, wY_i) / sin^2(theta_i)", side="D",
-       twin=("invsin.u-metric", "U, V in w(D), theta_i > 0",
-             "g(U, V) = sum_i g(fU_i, fV_i) / sin^2(theta_i)"))
-def _invsin_metric(ctx, side):
-    held = _all_positive_sin(ctx)
-    if not held.any():
-        return ctx.nowhere
-    total = _component_sum(ctx.inner(side.xs, side.ys, side.gram("other"))
-                           / ctx.sin2[:, side.comps])
-    return ctx.rel(ctx.inner(side.x, side.y) - total, side.x, side.y, held[:, None])
+def _invsin_metric(ctx, side, lhs):
+    _, sums, forms = side.tables()
+    return _rel(sums["xy"] - _total(side, "1/sin2", forms[lhs]), sums["norm"] * sums["norm_y"],
+                _all_positive_sin(ctx)[:, None])
 
 
-@_case("invsin.x-angle", "both", "X, Y in sum of proper D_i, theta_i > 0",
-       "cos<(X, Y) = cos<(sum wX_i / sin(theta_i), sum wY_i / sin(theta_i))", side="D",
-       twin=("invsin.u-angle", "U, V in w(D), theta_i > 0",
-             "cos<(U, V) = cos<(sum fU_i / sin(theta_i), sum fV_i / sin(theta_i))"))
-def _invsin_angle(ctx, side):
-    held = _all_positive_sin(ctx)
-    if not held.any():
-        return ctx.nowhere
-    sx, sy = (side.apply("other", side.vector(v / ctx.sin[:, side.comps, None]))
-              for v in (side.xs, side.ys))
-    return ctx.cos_diff(ctx.cos_angle(side.x, side.y, drawn=True), ctx.cos_angle(sx, sy),
-                        held[:, None])
+def _invsin_angle(ctx, side, rhs):
+    _, sums, forms = side.tables()
+    return ctx.cos_diff(sums["cos"], forms[rhs], _all_positive_sin(ctx)[:, None])
 
+
+_case("invsin.x-metric", "both", "X, Y in sum of proper D_i, theta_i > 0",
+      "g(X, Y) = sum_i g(wX_i, wY_i) / sin^2(theta_i)", side="D",
+      twin=("invsin.u-metric", "U, V in w(D), theta_i > 0",
+            "g(U, V) = sum_i g(fU_i, fV_i) / sin^2(theta_i)"))(
+    _invsin_metric, lhs=Form("other", "xy"))
+_case("invsin.x-angle", "both", "X, Y in sum of proper D_i, theta_i > 0",
+      "cos<(X, Y) = cos<(sum wX_i / sin(theta_i), sum wY_i / sin(theta_i))", side="D",
+      twin=("invsin.u-angle", "U, V in w(D), theta_i > 0",
+            "cos<(U, V) = cos<(sum fU_i / sin(theta_i), sum fV_i / sin(theta_i))"))(
+    _invsin_angle, rhs=Form("other", "cos", False, scale="1/sin"))
 
 # -- sin^4 corollaries ------------------------------------------------------------
 
@@ -676,48 +617,50 @@ _case("sin4.fw-metric", "both", "X_i, Y_i in D_i",
       "g(fwX_i, fwY_i) = sin^4(theta_i) * g(X_i, Y_i)", side="D",
       twin=("sin4.wf-metric", "U_i, V_i in w(D_i)",
             "g(wfU_i, wfV_i) = sin^4(theta_i) * g(U_i, V_i)"))(
-    _component_metric, m="round_trip", coeff="sin4")
+    _component_metric, lhs=Form("round_trip", "xy"), coeff="sin4")
 _case("sin4.fw-angle", "both", "X_i, Y_i in D_i, theta_i > 0",
       "cos<(fwX_i, fwY_i) = cos<(X_i, Y_i)", side="D",
       twin=("sin4.wf-angle", "U_i, V_i in w(D_i), theta_i > 0",
             "cos<(wfU_i, wfV_i) = cos<(U_i, V_i)"))(
-    _component_angle, maps=("round_trip",), pred=_above_zero)
+    _component_angle, maps=(Form("round_trip", "cos"),), pred=_above_zero)
 _case("sin4sum.fw-metric", "both", "X, Y in sum of proper D_i",
       "g(fwX, fwY) = sum_i sin^4(theta_i) * g(X_i, Y_i)", side="D",
       twin=("sin4sum.wf-metric", "U, V in w(D)",
             "g(wfU, wfV) = sum_i sin^4(theta_i) * g(U_i, V_i)"))(
-    _summed_metric, m="round_trip", coeff="sin4")
+    _summed_metric, lhs=Form("round_trip", "xy", False), coeff="sin4")
 _case("sin4sum.fw-angle", "both", "X, Y in sum of proper D_i",
       "cos<(fwX, fwY) = cos<(sum sin^2(theta_i) X_i, sum sin^2(theta_i) Y_i)", side="D",
       twin=("sin4sum.wf-angle", "U, V in w(D)",
             "cos<(wfU, wfV) = cos<(sum sin^2(theta_i) U_i, sum sin^2(theta_i) V_i)"))(
-    _summed_angle, m="round_trip", coeff="sin2")
+    _summed_angle, lhs=Form("round_trip", "cos", False),
+    rhs=Form("id", "cos", False, scale="sin2"))
 
 # -- G-side component sums ---------------------------------------------------------
 
 _case("gside.wf-projsum", "both", "U in w(D)", "wfU = eps * sum_i sin^2(theta_i) * U_i",
-      side="w(D)")(_summed_vector, m="round_trip", coeff="sin2")
+      side="w(D)")(_summed_vector, lhs=Form("round_trip", "norm", False, "sin2"))
 _case("gside.w2-projsum", "both", "U in w(D)", "w2U = eps * sum_i cos^2(theta_i) * U_i",
-      side="w(D)")(_summed_vector, m="square", coeff="cos2")
+      side="w(D)")(_summed_vector, lhs=Form("square", "norm", False, "cos2"))
 _case("gside.metric.w", "both", "U, V in w(D)",
       "g(wU, wV) = sum_i cos^2(theta_i) * g(U_i, V_i)", side="w(D)")(
-    _summed_metric, m="own", coeff="cos2")
+    _summed_metric, lhs=Form("own", "xy", False), coeff="cos2")
 _case("gside.metric.phi", "both", "U, V in w(D)", "g(phi U, phi V) = sum_i g(U_i, V_i)",
-      side="w(D)")(_summed_metric, m="phi", coeff=None)
+      side="w(D)")(_summed_metric, lhs=Form("phi", "xy", False), coeff=None)
 
 # -- H relations ----------------------------------------------------------------------
 
-_case("h.w2", "both", "U_0 in H", "w2U_0 = eps * U_0", side="H")(_eps_fixed, m="square")
+_case("h.w2", "both", "U_0 in H", "w2U_0 = eps * U_0", side="H")(
+    _eps_fixed, lhs=Form("square", "norm", shift=True))
 _case("h.metric", "both", "U_0, V_0 in H", "g(wU_0, wV_0) = g(U_0, V_0)", side="H")(
-    _component_metric, m="own", coeff=None)
+    _component_metric, lhs=Form("own", "xy"), coeff=None)
 _case("h.norm", "both", "U_0 in H", "|wU_0| = |U_0|", side="H")(
-    _component_norm, m="own", coeff=None)
+    _component_norm, lhs=Form("own", "norm"), coeff=None)
 
 # -- the right-angle special case -------------------------------------------------------------
 
 _case("pi2.fw", "both", "X_j in D_j with theta_j = pi/2", "fwX_j = eps * X_j", side="D",
       twin=("pi2.wf", "U_j in w(D_j) with theta_j = pi/2", "wfU_j = eps * U_j"))(
-    _eps_fixed, m="round_trip", pred=_right_angle)
+    _eps_fixed, lhs=Form("round_trip", "norm", shift=True), pred=_right_angle)
 
 
 _DUAL_PREFIXES = ("gside.", "h.", "dual.", "invsin.u", "sum.f-", "sin4.wf",
@@ -776,26 +719,29 @@ def run_identity_suite(dec: Decomposition, points, trials: int = 50,
     tol = tolerances.identity
     setting = "contact" if dec.structure.is_contact else "hermitian"
     ctx = PointContext(dec, points, trials, seed, tolerances)
+    cases = [case for case in REGISTRY if wanted is None or case.key in wanted]
+    residuals = {}
+    # side by side, so that one side's tables are held at a time
+    for side in dict.fromkeys(case.side for case in cases):
+        for case in cases:
+            if case.side == side and case.settings in ("both", setting):
+                residuals[case.key] = case.evaluator(ctx)
+        if side is not None:
+            ctx.sides[side].release()
     entries = []
-    for case in REGISTRY:
-        if wanted is not None and case.key not in wanted:
-            continue
+    for case in cases:
         entry = {"key": case.key, "setting": case.settings, "domain": case.domain,
                  "statement": case.statement, "max_residual": None,
-                 "witness_point": None, "verdict": None}
-        if case.settings not in ("both", setting):
-            entry["verdict"] = "skipped(setting)"
-            entries.append(entry)
-            continue
-        residuals = case.evaluator(ctx)
-        p = int(np.argmax(residuals))   # the first nan, else the first largest
-        worst = float(residuals[p])
-        if worst == -np.inf:
-            entry["verdict"] = "skipped(vacuous)"
-        else:
-            entry["max_residual"] = worst
-            entry["witness_point"] = ctx.points[p].tolist()
-            entry["verdict"] = "pass" if worst <= tol else "fail"
+                 "witness_point": None, "verdict": "skipped(setting)"}
+        if case.key in residuals:
+            p = int(np.argmax(residuals[case.key]))   # the first nan, else the first largest
+            worst = float(residuals[case.key][p])
+            if worst == -np.inf:
+                entry["verdict"] = "skipped(vacuous)"
+            else:
+                entry["max_residual"] = worst
+                entry["witness_point"] = ctx.points[p].tolist()
+                entry["verdict"] = "pass" if worst <= tol else "fail"
         entries.append(entry)
     return SuiteReport(entries, tol, trials, seed)
 

@@ -2,13 +2,14 @@
 the per-component evaluators on full n-row vectors that it replaced
 (`tests/suite_oracle.py`), on every gallery fixture with eps = +-1 and
 k = 2, 3, on ex3 under the conformal metric (1 + x3^2/4) I, on
-decompositions whose components have unequal ranks, and at one trial on ten
-components, where a sum over the component axis must not pair its terms up.
+decompositions whose components have unequal ranks, at one trial on ten
+components, where a sum over the component axis must not pair its terms up,
+and on 60 box points of ex5 (eps = +1, k = 2, gamma = 2) at 50 trials.
 
 Every applicable key's residual at every point is finite, NaN or -inf where
-the oracle's is, and a finite one is within RESIDUAL_BOUND of it: the blocks
-sum their products in another order than the oracle's n-row products (the
-largest move seen on these cases is 3.3e-16). The keys that read no
+the oracle's is, and a finite one is within RESIDUAL_BOUND of it: the
+quadratic forms sum their products in another order than the oracle's n-row
+products (the largest move seen on these cases is 4.4e-16). The keys that read no
 component draw (structure axioms, adjointness, split systems, angle.phi-dg)
 see the same full vectors and maps as the oracle, and their residuals are
 the same bit for bit, sign bit included."""
@@ -48,6 +49,11 @@ def _suite_inputs(name):
         fid, epsilon, order = rest.split(",")
         spec = load_manifold_spec(unequal_rank_spec(fid, int(epsilon), order == "merged-first"))
         return spec.decomposition, spec.points, 13
+    if kind == "many-points":
+        fx = build_fixture("ex5", k=2, epsilon=1, gamma=2.0)
+        doc = fixture_to_spec_dict(fx, points=fx.default_points()[:1])
+        doc["sample_points"] = {"seed": 1, "count": 60}
+        return fx.decomposition, load_manifold_spec(doc).points, 50
     fx = build_fixture("ex9", k=9, epsilon=1, gamma=2.0)    # "one-trial"
     return fx.decomposition, fx.default_points()[:3], 1
 
@@ -56,7 +62,7 @@ CASES = ([f"gallery:{fid},{eps},{k}" for fid in FIXTURE_IDS for eps in (-1, 1) f
          + ["conformal:-1", "conformal:1"]
          + [f"unequal:{fid},{eps},{order}" for fid in ("ex1", "ex3") for eps in (-1, 1)
             for order in ("split-first", "merged-first")]
-         + ["one-trial"])
+         + ["one-trial", "many-points"])
 
 
 def test_registries_agree():

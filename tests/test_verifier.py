@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from slantkit import tangents, verifier
+from slantkit import forms, tangents, verifier
 from slantkit.classifier import classify, component_slant
 from slantkit.cli import main
 from slantkit.config import DEFAULT_TOLERANCES
@@ -25,6 +25,7 @@ from slantkit.verifier import (
     nabla_f2,
     run_identity_suite,
 )
+from test_duality import sub_decomposition_with_h
 
 CONTACT_ONLY = {"struct.contact-metric", "struct.contact-isometry"}
 HERMITIAN_ONLY = {"struct.isometry"}
@@ -37,8 +38,8 @@ def test_component_sum_adds_in_component_order(shape):
     `np.add.accumulate` along the axis (np.sum would pair the terms up)."""
     a = np.random.default_rng(sum(shape)).standard_normal(shape) * 10.0 ** np.arange(shape[2])
     want = np.add.accumulate(a, axis=1)[:, -1:]
-    assert np.array_equal(verifier._component_sum(a), want)
-    assert verifier._component_sum(a).tobytes() == want.tobytes()
+    assert np.array_equal(forms.component_sum(a), want)
+    assert forms.component_sum(a).tobytes() == want.tobytes()
 
 
 def test_registry_keys_unique():
@@ -203,6 +204,23 @@ def test_unequal_ranks(fid, epsilon, merged_first, tmp_path, capsys):
     assert main(["classify", str(path)]) == 0
     assert main(["dual", str(path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["ex9", "ex1-with-H"])
+def test_each_side_key_alone_has_the_bits_of_the_full_run(name):
+    """A side's forms are one batch, made on first use whichever of its rows
+    comes first, so a side key run alone (keys=[key]) reports the residual
+    and witness of the full run to the bit. ex1's sub-decomposition has a
+    nonzero H; between them the two quantify every side key somewhere."""
+    fx = build_fixture("ex9" if name == "ex9" else "ex1", k=3 if name == "ex9" else 2)
+    dec = fx.decomposition if name == "ex9" else sub_decomposition_with_h(fx)
+    points = fx.default_points()[:4]
+    full = {e["key"]: e for e in run_identity_suite(dec, points, trials=7).entries}
+    side_keys = [case.key for case in REGISTRY if case.side is not None]
+    assert len(side_keys) == 47
+    for key in side_keys:
+        alone = run_identity_suite(dec, points, trials=7, keys=[key]).entry(key)
+        assert json.dumps(alone) == json.dumps(full[key]), key
 
 
 SUITE_PEAK_BOUND_MB = 10.0
