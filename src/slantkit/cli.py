@@ -20,6 +20,7 @@ check stay the same.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -69,7 +70,11 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--identity-tol", type=float, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on first use and kept: parsing
+    leaves it as it was, so a process that runs many commands builds it
+    once."""
     parser = argparse.ArgumentParser(prog="slantkit", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,8 +11,9 @@ Grammar (whitespace insensitive):
     func   := 'sqrt' | 'abs' | 'sin' | 'cos' | 'arccos'
 
 `norm2` is a nullary identifier denoting the squared euclidean norm of the
-evaluation point. Parsed expressions are immutable and safe to share across
-threads; evaluation is pure.
+evaluation point. Parsed expressions are trees of the node classes below,
+which share a base class (`_Node`) that makes them immutable, so a tree is
+safe to share across threads; evaluation is pure.
 
 `LiteralFill` evaluates an array of expressions (phi, the metric, xi, or all
 of a decomposition's fields: one fill each) over a stack of points through
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,42 +41,128 @@ from .errors import DimensionError, EvalError, ParseError
 FUNCTIONS = ("sqrt", "abs", "sin", "cos", "arccos")
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Coord:
-    index: int  # 1-based
+class _Node:
+    """Base of the tree nodes: each class names its fields in `__slots__`.
+    A node is immutable and behaves like a frozen dataclass: it equals only
+    a node of its own class with equal fields, hashes as the tuple of its
+    fields, prints as `Bin(op='+', left=Coord(index=1), right=Num(value=2.0))`,
+    and pickles and copies through its constructor. The classes are written
+    out because a dataclass compiles its generated methods at every import
+    of the module, which every spec load pays.
+
+    `==`, `hash` and `repr` recurse by direct Python calls, one frame per
+    tree level, so a tree MAX_DEPTH deep stays within the default recursion
+    limit. A call from C, such as the tuple hash asking a child for its
+    hash, costs CPython 3.11 two levels of that limit; so a node keeps its
+    hash once computed (`_hash`), and computes its children's first. Two
+    threads that compute it at once store the same value."""
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _same(self, other)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        for value in self._fields():
+            if isinstance(value, _Node):
+                value.__hash__()
+        _set(self, "_hash", hash(self._fields()))
+        return self._hash
+
+    def __repr__(self):
+        return _text(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
 
 
-@dataclass(frozen=True)
-class Pi:
-    pass
+def _same(a: _Node, b: _Node) -> bool:
+    """Whether two nodes of one class have equal fields, compared as tuples
+    compare them (identity first); a child of the same class by recursion."""
+    for x, y in zip(a._fields(), b._fields()):
+        if x is y:
+            continue
+        if isinstance(x, _Node) and x.__class__ is y.__class__:
+            if not _same(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
 
 
-@dataclass(frozen=True)
-class Norm2:
-    pass
+def _text(e: _Node) -> str:
+    parts = []
+    for name in e.__slots__:
+        value = getattr(e, name)
+        parts.append(f"{name}={_text(value) if isinstance(value, _Node) else repr(value)}")
+    return f"{e.__class__.__qualname__}({', '.join(parts)})"
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Num(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+class Coord(_Node):
+    __slots__ = ("index",)  # 1-based
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Expr"
+class Pi(_Node):
+    __slots__ = ()
+
+
+class Norm2(_Node):
+    __slots__ = ()
+
+
+class Neg(_Node):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        _set(self, "operand", operand)
+
+
+class Bin(_Node):
+    __slots__ = ("op", "left", "right")  # op: one of + - * / ^
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class Call(_Node):
+    __slots__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: Expr):
+        _set(self, "func", func)
+        _set(self, "arg", arg)
 
 
 Expr = Num | Coord | Pi | Norm2 | Neg | Bin | Call
@@ -84,11 +170,11 @@ Expr = Num | Coord | Pi | Norm2 | Neg | Bin | Call
 ScalarFieldExpr = Expr  # the domain-type name used by the other modules
 
 # Deepest expression tree the parser accepts, in nodes from root to leaf; a
-# sum x1+x1+... of MAX_DEPTH terms is that deep. _eval, to_source and the fill
-# program's builder recurse once per tree level, the parser three times per level of
-# parentheses, function argument or exponent; those nest at most
-# MAX_DEPTH // 6 deep. Both bounds keep every recursion well under CPython's
-# default limit of 1000 frames.
+# sum x1+x1+... of MAX_DEPTH terms is that deep. _eval, to_source, the fill
+# program's builder and a node's ==, hash and repr recurse once per tree level,
+# the parser three times per level of parentheses, function argument or
+# exponent; those nest at most MAX_DEPTH // 6 deep. Both bounds keep every
+# recursion well under CPython's default limit of 1000 frames.
 MAX_DEPTH = 600
 # One token per match: a number, a word (an identifier, or a run of Unicode
 # digits and letters that no identifier starts with) or any other non-space

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from slantkit.cli import main
+from slantkit.cli import build_parser, main
 from slantkit.gallery import build_fixture, fixture_to_spec_dict
 
 
@@ -172,6 +172,22 @@ class TestDeterminism:
         doc = json.loads(out_path.read_text())
         assert doc["seed"] == 99
         assert doc["classification"]["seed"] == 99
+
+    def test_one_parser_serves_every_command_of_a_process(self, capsys, tmp_path, ex1_spec):
+        """The parser is built on first use and kept; a usage error leaves it
+        as it was, so the next command reports as the process's first did."""
+        path, _ = ex1_spec
+        argv = ("dual", str(path), "--seed", "3", "--identity-tol", "1e-8", "--json")
+        build_parser.cache_clear()
+        first = run(capsys, *argv, str(tmp_path / "first.json"))
+        assert first[0] == 0 and build_parser() is build_parser()
+        for bad in (("dual", str(path), "--seed", "x"), ("no-such-command",), ("dual",),
+                    ("gallery", "emit", "ex0")):
+            code, out, err = run(capsys, *bad)
+            assert code == 2 and out == "" and err.startswith("usage: slantkit")
+        again = run(capsys, *argv, str(tmp_path / "again.json"))
+        assert again == first
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "first.json").read_bytes()
 
 
 def test_tolerance_flags(capsys, tmp_path, ex1_spec):

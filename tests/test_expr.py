@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -224,6 +226,71 @@ def test_vector_field():
     assert not vf.is_zero_component(0)
     back = fe.VectorFieldExpr.parse(vf.to_sources(), 3)
     assert np.allclose(back.at([0.5, -0.25, 9.0]), vf.at([0.5, -0.25, 9.0]))
+
+
+# --- the nodes: immutable values, as frozen dataclasses were ----------------
+
+# (a builder of the node, its field names, its repr as the dataclasses printed
+# it, a builder of a node of its class that differs, or None)
+_NODE_CASES = [
+    (lambda: fe.Num(2.0), ("value",), "Num(value=2.0)", lambda: fe.Num(-0.5)),
+    (lambda: fe.Coord(3), ("index",), "Coord(index=3)", lambda: fe.Coord(1)),
+    (fe.Pi, (), "Pi()", None),
+    (fe.Norm2, (), "Norm2()", None),
+    (lambda: fe.Neg(fe.Coord(1)), ("operand",), "Neg(operand=Coord(index=1))",
+     lambda: fe.Neg(fe.Coord(2))),
+    (lambda: fe.Bin("+", fe.Coord(1), fe.Num(2.0)), ("op", "left", "right"),
+     "Bin(op='+', left=Coord(index=1), right=Num(value=2.0))",
+     lambda: fe.Bin("-", fe.Coord(1), fe.Num(2.0))),
+    (lambda: fe.Call("sin", fe.Bin("^", fe.Coord(2), fe.Neg(fe.Pi()))), ("func", "arg"),
+     "Call(func='sin', arg=Bin(op='^', left=Coord(index=2), right=Neg(operand=Pi())))",
+     lambda: fe.Call("sin", fe.Bin("^", fe.Coord(2), fe.Neg(fe.Norm2())))),
+]
+
+
+@pytest.mark.parametrize("build, names, text, differ", _NODE_CASES,
+                         ids=[text.split("(")[0] for _, _, text, _ in _NODE_CASES])
+def test_node_is_an_immutable_value(build, names, text, differ):
+    node, twin = build(), build()
+    cls, fields = type(node), tuple(getattr(node, name) for name in names)
+    assert cls.__match_args__ == names
+    assert cls(*fields) == node and cls(**dict(zip(names, fields))) == node
+    assert node is not twin and node == twin and not node != twin
+    assert hash(node) == hash(twin) == hash(fields)
+    assert repr(node) == text
+    if differ is not None:
+        assert node != differ() and not node == differ()
+    for case in _NODE_CASES:
+        other = case[0]()
+        if type(other) is not cls:
+            assert node != other and node.__eq__(other) is NotImplemented
+    for name in names + ("value",):
+        with pytest.raises(AttributeError):
+            setattr(node, name, fe.Num(1.0))
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert repr(node) == text
+    for copied in [copy.deepcopy(node)] + [pickle.loads(pickle.dumps(node, protocol))
+                                           for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
+        assert type(copied) is cls and copied == node and repr(copied) == text
+        assert copied is not node and hash(copied) == hash(node)
+
+
+def test_nodes_of_two_classes_differ():
+    assert fe.Pi() != fe.Norm2() and fe.Num(1.0) != fe.Coord(1)
+    assert fe.Num(1) == fe.Num(1.0) and fe.Num(-0.0) == fe.Num(0.0)
+
+
+def test_a_sum_max_depth_deep_compares_hashes_and_prints():
+    """One Python frame per tree level: a tree as deep as the parser allows
+    compares, hashes and prints under the default recursion limit."""
+    src = "+".join(["x1"] * fe.MAX_DEPTH)
+    node, twin = fe.parse(src, 1), fe.parse(src, 1)
+    assert node == twin and not node != twin
+    assert hash(node) == hash(twin)
+    assert node != fe.parse(src + "*x1", 1)
+    text = repr(node)
+    assert text == repr(twin) and text.count("Bin(op='+'") == fe.MAX_DEPTH - 1
 
 
 # --- literal fill: bare Num entries are copied, the rest walked per point -------

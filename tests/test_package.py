@@ -32,35 +32,50 @@ def test_submodules_are_attributes_and_other_names_are_not():
     assert not hasattr(slantkit, "no.such.module")
 
 
-# What `import slantkit` and then a spec load import, in a fresh interpreter.
+# What `import slantkit` and then a spec load import, in a fresh interpreter,
+# and the dataclasses that the loaded modules define.
 _IMPORT_PROBE = """
-import json, sys
+import dataclasses, json, sys
 def ours():
     return sorted(k for k in sys.modules if k.startswith("slantkit."))
 import slantkit
 bare = ours()
 from slantkit.specfile import load_manifold_spec
 load_manifold_spec(sys.argv[1])
-print(json.dumps([bare, ours()]))
+loaded = ours()
+defined = [f"{m}.{name}" for m in loaded for name, obj in vars(sys.modules[m]).items()
+           if isinstance(obj, type) and obj.__module__ == m and dataclasses.is_dataclass(obj)]
+print(json.dumps([bare, loaded, defined]))
 """
 
 SPEC_LOADER_MODULES = ["config", "distribution", "errors", "expr", "linalg", "sampling",
                        "specfile", "structure"]
 
 
-def test_import_and_spec_load_import_only_what_they_use(tmp_path):
-    """`import slantkit` imports no submodule (its exports load on first
-    use), and loading a spec imports only the spec loader's modules."""
+@pytest.fixture(scope="module")
+def spec_load_probe(tmp_path_factory):
     from slantkit.gallery import build_fixture, fixture_to_spec_dict
     fx = build_fixture("ex8", k=2, epsilon=-1, gamma=0.5)
-    spec = tmp_path / "ex8.json"
+    spec = tmp_path_factory.mktemp("probe") / "ex8.json"
     spec.write_text(json.dumps(fixture_to_spec_dict(fx, points=fx.default_points()[:2])))
     env = dict(os.environ, PYTHONPATH=str(Path(slantkit.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(spec)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    bare, loaded = json.loads(out)
+    return json.loads(out)
+
+
+def test_import_and_spec_load_import_only_what_they_use(spec_load_probe):
+    """`import slantkit` imports no submodule (its exports load on first
+    use), and loading a spec imports only the spec loader's modules."""
+    bare, loaded, _ = spec_load_probe
     assert bare == []
     assert loaded == [f"slantkit.{name}" for name in SPEC_LOADER_MODULES]
+
+
+def test_spec_load_defines_no_dataclass(spec_load_probe):
+    """A dataclass compiles its generated methods at every import of its
+    module; no module that a spec load imports defines one."""
+    assert spec_load_probe[2] == []
 
 
 def test_removed_per_point_functions_are_not_exported():
