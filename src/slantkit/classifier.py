@@ -3,9 +3,10 @@
 The slant value theta of a component D_i at a point is read off the
 restricted square f^2|D_i = eps * cos(theta)^2 * I: a valid component carries
 exactly one eigenvalue cluster, whose value lambda is the trace mean of the
-component's block of the frame's f^2 Gram (`single_cluster_lambda`), and
-eps * lambda = cos(theta)^2. The full spectrum of f^2|D clustered per point
-drives the generic / skew-CR / CR style verdicts.
+component's block of the frame's f^2 Gram, and eps * lambda = cos(theta)^2.
+`single_cluster_lambda` reads the blocks of all components at once, over a
+component axis. The full spectrum of f^2|D clustered per point drives the
+generic / skew-CR / CR style verdicts.
 
 Every statistic is an array pass over the point stack: one `eigvalsh` and one
 gap mask cluster all spectra (`_spectrum_table`); slant values, cluster tracks
@@ -49,7 +50,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, FrameStack, check_f_invariance
 from .errors import ComponentError, InvariantError, ModelError, SpecError
-from .linalg import column_norms, complement_columns
+from .linalg import column_norms, complement_columns, each_by_shape
 from .sampling import DEFAULT_SEED
 from .structure import StructureField
 from .taxonomy import VERDICT_LATTICE
@@ -76,7 +77,7 @@ class SlantSpectrum(NamedTuple):
         return {"point": self.point.tolist(), "clusters": [c.to_json_dict() for c in self.clusters]}
 
 
-def _alpha_theta(lam, epsilon: int, band: float) -> tuple[np.ndarray, np.ndarray]:
+def alpha_theta(lam, epsilon: int, band: float) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, theta) of each lambda of an array, eps * lambda = alpha^2 =
     cos(theta)^2, theta by `math.acos` per value. ModelError for the first
     lambda (C order) with eps * lambda outside [0, 1] beyond the band."""
@@ -108,7 +109,7 @@ def _spectrum_table(f2: np.ndarray, epsilon: int, tolerances: Tolerances) -> tup
             lam[rows, c], mult[rows, c] = evals[rows, a:b].mean(axis=1), b - a
         todo &= ~rows
     lam, mult = lam[:, mult.any(axis=0)], mult[:, mult.any(axis=0)]
-    return lam, *_alpha_theta(lam, epsilon, tolerances.lambda_band), mult
+    return lam, *alpha_theta(lam, epsilon, tolerances.lambda_band), mult
 
 
 def _spectra(x: np.ndarray, table) -> list[SlantSpectrum]:
@@ -130,61 +131,57 @@ def component_slant(dec: Decomposition, point, index: int,
     if not 0 <= index < len(dec.components):
         raise SpecError(f"component index {index} outside 0..{len(dec.components) - 1}")
     frame = dec.frame_at(point)
-    lam = single_cluster_lambda(dec.components[index].name, frame.f2_component(index), "at",
+    lam = single_cluster_lambda([dec.components[index].name], [frame.f2_component(index)], "at",
                                 frame.x, frame.epsilon, tolerances)
-    alpha, theta = _alpha_theta(lam, frame.epsilon, tolerances.lambda_band)
-    return SlantCluster(lam, float(alpha), float(theta), frame.bases[index].shape[-1])
-
-
-def slant_thetas(stack: FrameStack, lam: np.ndarray, tolerances: Tolerances) -> list[float]:
-    """The slant values of the lambdas `lam` (P,)."""
-    return _alpha_theta(lam, stack.epsilon, tolerances.lambda_band)[1].tolist()
+    (alpha,), (theta,) = alpha_theta(lam, frame.epsilon, tolerances.lambda_band)
+    return SlantCluster(float(lam[0]), float(alpha), float(theta), frame.bases[index].shape[-1])
 
 
 def slant_lambdas(stack: FrameStack, indices, tolerances: Tolerances = DEFAULT_TOLERANCES
-                  ) -> list[np.ndarray]:
-    """lambda (P,) of each component of `indices` over the stack, read by
-    `single_cluster_lambda` from its blocks of the f^2 Gram."""
+                  ) -> np.ndarray:
+    """lambda (P, len(indices)) of the components of `indices` over the
+    stack, read by `single_cluster_lambda` from their blocks of the f^2 Gram."""
     off = stack.offsets
-    return [single_cluster_lambda(stack.dec.components[i].name,
-                                  stack.f2[:, off[i]:off[i + 1], off[i]:off[i + 1]], "at",
-                                  stack.x, stack.epsilon, tolerances)
-            for i in indices]
+    blocks = [stack.f2[:, off[i]:off[i + 1], off[i]:off[i + 1]] for i in indices]
+    return single_cluster_lambda([stack.dec.components[i].name for i in indices], blocks, "at",
+                                 stack.x, stack.epsilon, tolerances)
 
 
-def single_cluster_lambda(name: str, mat: np.ndarray, place: str, x: np.ndarray, epsilon: int,
-                          tolerances: Tolerances = DEFAULT_TOLERANCES):
-    """lambda of the component `name` from its f^2 matrix `mat` (r x r,
-    symmetric, in an orthonormal basis of the component): the trace mean
-    tr(mat) / r, the mean of its single eigenvalue cluster. This is the one
-    reader of slant values.
+def _trace_certificate(mats: np.ndarray) -> np.ndarray:
+    """[tr(mat) / r, sqrt(2) * ||mat - lambda I||_F] (..., 2) of matrices (..., r, r)."""
+    lam = np.trace(mats, axis1=-2, axis2=-1) / mats.shape[-1]
+    dev = mats - lam[..., None, None] * np.eye(mats.shape[-1])
+    return np.stack([lam, math.sqrt(2.0) * np.sqrt(np.sum(dev * dev, axis=(-2, -1)))], axis=-1)
 
-    The cluster count is checked. The eigenvalue spread of `mat` is at most
-    sqrt(2) * ||mat - lambda I||_F, so a certificate at or below cluster/2
-    proves one cluster; otherwise `_spectrum_table` counts the clusters,
-    and more than one raises ComponentError naming `name`, `place` ("at",
-    or "to first order near" for the connection probe's first-order models)
-    and the point `x`. ModelError when a cluster lies outside the lambda band.
 
-    `mat` may also be a stack (..., r, r), `x` one point (n,) or one per
-    member (..., n): the certificate and the band are checked on every
-    member at once, eigvalsh runs only on members the certificate does not
-    clear, errors name the first failing member's point, and the result is
-    the array (...) of trace means (a float for one matrix)."""
-    r = mat.shape[-1]
-    stack = mat.reshape(-1, r, r)
-    band = tolerances.lambda_band
-    lam = np.trace(stack, axis1=1, axis2=2) / r
-    dev = stack - lam[:, None, None] * np.eye(r)
-    cert = math.sqrt(2.0) * np.sqrt(np.sum(dev * dev, axis=(1, 2)))
-    for i in np.flatnonzero(cert > 0.5 * tolerances.cluster):
-        point = np.broadcast_to(x, mat.shape[:-2] + x.shape[-1:]).reshape(len(stack), -1)[i]
-        _count_clusters(epsilon, name, stack[i], tolerances, f"{place} {point.tolist()}")
-    s = epsilon * lam
-    outside = ~((s >= -band) & (s <= 1.0 + band))     # a NaN is outside too
-    if outside.any():
-        _alpha_theta(lam[outside], epsilon, band)     # raises ModelError
-    return float(lam[0]) if mat.ndim == 2 else lam.reshape(mat.shape[:-2])
+def single_cluster_lambda(names: list[str], blocks: list[np.ndarray], place: str, x: np.ndarray,
+                          epsilon: int, tolerances: Tolerances = DEFAULT_TOLERANCES,
+                          checked=True) -> np.ndarray:
+    """lambda (..., K) of the K components `names` from their f^2 blocks
+    (..., r_i, r_i), one leading shape for all: the trace mean tr(block) / r_i.
+    This is the one reader of slant values; blocks of one rank form one stack.
+
+    The members where `checked` (broadcast to (..., K)) holds are checked one
+    component at a time, in order. A block's eigenvalue spread is at most
+    sqrt(2) * ||block - lambda I||_F, so a certificate at or below cluster/2
+    proves one cluster; `_count_clusters` decides each member it does not
+    clear (C order), placed `place` ("at", or "to first order near" for the
+    probe's models) at its point of `x`, (n,) or (..., n). Then ModelError
+    for the component's first lambda outside the band."""
+    table = (np.stack(each_by_shape(_trace_certificate, blocks), axis=-2) if blocks
+             else np.zeros(x.shape[:-1] + (0, 2)))
+    lam, cert = table[..., 0], table[..., 1]
+    band, todo = tolerances.lambda_band, np.broadcast_to(checked, lam.shape)
+    split, s = todo & (cert > 0.5 * tolerances.cluster), epsilon * lam
+    outside = todo & ~((s >= -band) & (s <= 1.0 + band))     # a NaN is outside too
+    points = np.broadcast_to(x, lam.shape[:-1] + x.shape[-1:])
+    for i in np.flatnonzero((split | outside).any(axis=tuple(range(lam.ndim - 1)))):
+        for member in map(tuple, np.argwhere(split[..., i])):
+            _count_clusters(epsilon, names[i], blocks[i][member], tolerances,
+                            f"{place} {points[member].tolist()}")
+        if outside[..., i].any():
+            alpha_theta(lam[..., i][outside[..., i]], epsilon, band)     # raises ModelError
+    return lam
 
 
 def _count_clusters(epsilon: int, name: str, mat: np.ndarray, tolerances: Tolerances,
@@ -353,12 +350,10 @@ def classify(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOLERA
     comps = dec.components
     inv_idx = 0 if dec.invariant is not None else None
     stack = dec.frame_stack(points)
-    lams = slant_lambdas(stack, range(len(comps)), tolerances)
-    lam = np.stack(lams, axis=1)
-    theta = _alpha_theta(lam.T, stack.epsilon, tolerances.lambda_band)[1].T
-    entries = [_component_entry(comp.name, comp.rank, ci == inv_idx, theta[:, ci],
-                                lam[:, ci], tolerances)
-               for ci, comp in enumerate(comps)]
+    lam = slant_lambdas(stack, range(len(comps)), tolerances)
+    theta = alpha_theta(lam, stack.epsilon, tolerances.lambda_band)[1]
+    entries = [_component_entry(comp.name, comp.rank, ci == inv_idx, th, lm, tolerances)
+               for ci, (comp, th, lm) in enumerate(zip(comps, theta.T, lam.T))]
     table = _spectrum_table(stack.f2, stack.epsilon, tolerances)
     tr = _analyze_tracks(table, stack.x, stack.epsilon, tolerances, points)
     return _verdicts(theta, entries, inv_idx, tr, points, tolerances, _DECLARED_WORDING,

@@ -211,8 +211,8 @@ def main(argv=None) -> int:
                 "identities": cmd_identities, "gallery": cmd_gallery}
     try:
         return commands[args.command](args)
-    except (SpecError, ParseError, ParamError, UnsupportedError, EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SpecError, ParseError, ParamError, UnsupportedError, EvalError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)      # OSError: a report or spec not written
         return USAGE_ERROR
     except SlantKitError as exc:
         print(f"failure: {exc}", file=sys.stderr)

@@ -10,17 +10,21 @@ broken inputs surface as ModelError instead of silent nonsense.
 The dual has no closed-form frame in general. Its bases are part of a
 command's frame stack (`distribution.FrameStack`), built once over all sample
 points in the G coordinates of the adapted frame, where w(D_i) is spanned by
-the block T[G, D_i]; the round-trip checks run over that stack.
+the block T[G, D_i]. The round-trip checks run over that stack: each kernel
+once per distinct rank, and the one slant reader once for all sources and
+once for all duals, over a component axis.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .classifier import single_cluster_lambda, slant_lambdas, slant_thetas
+from .classifier import alpha_theta, single_cluster_lambda, slant_lambdas
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, DualDecomposition, FrameStack, f2_gram
-from .linalg import mgs_each, principal_angle_values
+from .linalg import each_by_shape, mgs_each, principal_angle_values
 
 
 def build_dual(dec: Decomposition, point) -> DualDecomposition:
@@ -28,22 +32,9 @@ def build_dual(dec: Decomposition, point) -> DualDecomposition:
     return dec.frame_at(point).dual()
 
 
-def _dual_lambda(stack: FrameStack, slot: int, tolerances: Tolerances) -> np.ndarray:
-    """lambda (P,) of the dual w(D_i) of the proper component in `slot`:
-    `single_cluster_lambda` on the square of P_G phi restricted to it, W^T
-    T_GG^2 W in G coordinates, whose ComponentError names w(D_i)."""
-    t_gg, wb = stack.phi_adapted[:, stack.g_rows, stack.g_rows], stack.duals[slot]
-    mat = f2_gram(np.swapaxes(wb, -1, -2) @ (t_gg @ (t_gg @ wb)), stack.x)
-    name = stack.dec.components[stack.proper_indices[slot]].name
-    return single_cluster_lambda(f"w({name})", mat, "at", stack.x, stack.epsilon, tolerances)
-
-
 class DualRoundtripReport:
     def __init__(self, point, entries, passed, h_dim):
-        self.point = point
-        self.entries = entries
-        self.passed = passed
-        self.h_dim = h_dim
+        self.point, self.entries, self.passed, self.h_dim = point, entries, passed, h_dim
 
 
 def dual_roundtrip_check(dec: Decomposition, point,
@@ -66,24 +57,28 @@ def _roundtrip_columns(stack: FrameStack, tolerances: Tolerances) -> list[tuple]
     dim w(D_i), dim D_i, angle, theta_source, theta_dual, passed), the last
     four columns (P,) over the stack's points: the largest principal angle
     between f(w(D_i)) = T[D, G] W_i (frame coordinates) and D_i, the slant
-    values of D_i and of w(D_i), and whether the point passes. Each kernel
-    is one stacked call per component, and the source's lambda is read
-    before the dual's, so a ComponentError names the source first."""
-    duals, off = stack.duals, stack.offsets
+    values of D_i and of w(D_i) (read from W_i^T T_GG^2 W_i in G
+    coordinates), and whether the angle is below `tolerances.principal` and
+    the slant values agree within 1e-8 (the dimensions agree by
+    construction). Each kernel runs once per distinct rank, and every
+    source's lambda is read before any dual's."""
+    duals, off, proper, eps = stack.duals, stack.offsets, stack.proper_indices, stack.epsilon
     f_on_g, eye = stack.phi_adapted[:, :off[-1], stack.g_rows], np.eye(off[-1])
-    fw_onbs = mgs_each(eye, [f_on_g @ wb for wb in duals])
-    columns = []
-    for slot, i in enumerate(stack.proper_indices):
-        angles = principal_angle_values(eye, fw_onbs[slot], eye[:, off[i]:off[i + 1]])
-        theta_src = np.array(slant_thetas(stack, slant_lambdas(stack, [i], tolerances)[0],
-                                          tolerances))
-        theta_dual = np.array(slant_thetas(stack, _dual_lambda(stack, slot, tolerances),
-                                           tolerances))
-        angle = angles[:, -1] if angles.shape[-1] else np.zeros(len(stack.x))
-        dim, rank = duals[slot].shape[-1], stack.bases[i].shape[-1]
-        ok = (angle < tolerances.principal) & (dim == rank) & (abs(theta_src - theta_dual) <= 1e-8)
-        columns.append((stack.dec.components[i].name, dim, rank, angle, theta_src, theta_dual, ok))
-    return columns
+    t_gg = stack.phi_adapted[:, stack.g_rows, stack.g_rows]
+    angles = each_by_shape(partial(principal_angle_values, eye),
+                           mgs_each(eye, [f_on_g @ wb for wb in duals]),
+                           [eye[None, :, off[i]:off[i + 1]] for i in proper])
+    names = [stack.dec.components[i].name for i in proper]
+    lam = [slant_lambdas(stack, proper, tolerances)]
+    grams = each_by_shape(lambda wb: f2_gram(np.swapaxes(wb, -1, -2) @ (t_gg @ (t_gg @ wb)),
+                                             stack.x), duals)
+    lam.append(single_cluster_lambda([f"w({name})" for name in names], grams, "at", stack.x,
+                                     eps, tolerances))
+    theta_src, theta_dual = alpha_theta(np.stack(lam), eps, tolerances.lambda_band)[1]
+    return [(name, wb.shape[-1], stack.bases[i].shape[-1], a[:, -1], src, dual,
+             (a[:, -1] < tolerances.principal) & (abs(src - dual) <= 1e-8))
+            for name, i, wb, a, src, dual in zip(names, proper, duals, angles, theta_src.T,
+                                                 theta_dual.T)]
 
 
 def dual_report(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOLERANCES) -> dict:
@@ -107,17 +102,17 @@ def expected_span_columns(stack: FrameStack, expected_indices: list[set[int]],
     coordinate span (1-based indices), in order, as (sorted indices,
     max_angle, passed), the last two (P,) over the stack's points: the
     largest principal angle between the dual and the g-orthonormalised span,
-    and whether it is below `tol` with the dual of the span's dimension."""
+    and whether it is below `tol` with the dual of the span's dimension.
+    The angles run once per distinct pair of ranks (`each_by_shape`), so g
+    is factorised once per pair, not once per component."""
     g, n = stack.g, stack.dec.structure.n
     targets = mgs_each(g, [np.broadcast_to(np.eye(n)[:, sorted(i - 1 for i in idx)],
                                            (len(g), n, len(idx))) for idx in expected_indices])
-    columns = []
-    for slot, idx in enumerate(expected_indices):
-        dual = stack.basis_g @ stack.duals[slot]
-        angles = principal_angle_values(g, dual, targets[slot])
-        worst = angles[:, -1] if angles.shape[-1] else np.zeros(len(g))
-        columns.append((sorted(idx), worst, (worst < tol) & (dual.shape[-1] == len(idx))))
-    return columns
+    duals = [stack.basis_g @ stack.duals[slot] for slot in range(len(expected_indices))]
+    angles = each_by_shape(partial(principal_angle_values, g), duals, targets)
+    worst = [a[:, -1] if a.shape[-1] else np.zeros(len(g)) for a in angles]
+    return [(sorted(idx), w, (w < tol) & (dual.shape[-1] == len(idx)))
+            for idx, dual, w in zip(expected_indices, duals, worst)]
 
 
 def expected_span_check(dec: Decomposition, point, expected_indices: list[set[int]],

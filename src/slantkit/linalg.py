@@ -10,7 +10,8 @@ invariants.
 every other module calls it rather than writing its own contraction.
 `mgs_columns` is the one g-orthonormaliser: stacked CholeskyQR2, with the
 Gram-Schmidt loop as its fallback past CHOLQR2_COND_MAX and its rank test.
-`complement_columns` is the one complement algorithm.
+`complement_columns` is the one complement algorithm. `each_by_shape` runs a
+kernel over per-component arrays, one stacked call per shape (rank).
 
 `sym_eigen` and `projector_matrix` have no caller in the package. They stay
 because the benchmark's tracer (`perfbench/tracing.py`) wraps them by name
@@ -66,7 +67,7 @@ def mgs_columns(gmat: np.ndarray, raw: np.ndarray) -> np.ndarray:
     scale * ||L^-1||_F (scale: its largest column g-norm) exceeds
     CHOLQR2_COND_MAX; below that the loop's pivots stay far above RANK_TOL *
     scale, so only the loop decides rank and raises RankError."""
-    raw = np.array(raw, dtype=float)
+    raw = np.asarray(raw, dtype=float)
     with np.errstate(all="ignore"):
         gram = np.swapaxes(raw, -1, -2) @ gmat @ raw
         linv = _inverse_cholesky(gram)
@@ -82,14 +83,21 @@ def mgs_columns(gmat: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return out
 
 
+def each_by_shape(fn, *lists) -> list:
+    """fn of the members of `lists` (member i: lists[0][i], lists[1][i], ...),
+    one call per distinct tuple of member shapes on their stacks (m, ...),
+    giving a stack (m, ...) of results: member i's result is entry i."""
+    shapes = [tuple(a.shape for a in member) for member in zip(*lists)]
+    out = {}
+    for key in dict.fromkeys(shapes):
+        idx = [i for i, s in enumerate(shapes) if s == key]
+        out.update(zip(idx, fn(*(np.array([arrays[i] for i in idx]) for arrays in lists))))
+    return [out[i] for i in range(len(shapes))]
+
+
 def mgs_each(gmat: np.ndarray, raws: list[np.ndarray]) -> list[np.ndarray]:
     """`mgs_columns` of each matrix of `raws`, one stacked call per shape."""
-    out = [None] * len(raws)
-    for shape in dict.fromkeys(a.shape for a in raws):
-        idx = [i for i, a in enumerate(raws) if a.shape == shape]
-        for i, onb in zip(idx, mgs_columns(gmat, np.array([raws[i] for i in idx]))):
-            out[i] = onb
-    return out
+    return each_by_shape(lambda raw: mgs_columns(gmat, raw), raws)
 
 
 def _mgs_loop(gmat: np.ndarray, raw: np.ndarray) -> np.ndarray:

@@ -173,19 +173,17 @@ def _vector_field(sources, n: int, key: str, parsed: dict) -> fe.VectorFieldExpr
 
 
 def load_manifold_spec(source) -> ManifoldSpec:
-    """Load and schema-check a spec from a path, JSON text, or dict."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
+    """Load and schema-check a spec from a path or a dict."""
+    if isinstance(source, (str, Path)):
         try:
             raw = json.loads(Path(source).read_text())
         except FileNotFoundError:
             raise SpecError(f"spec file not found: {source}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            why = exc.strerror if isinstance(exc, OSError) else f"not text: {exc.reason}"
+            raise SpecError(f"spec file cannot be read: {source} ({why})") from None
         except json.JSONDecodeError as exc:
             raise SpecError(f"spec file is not valid JSON: {exc}") from None
-    elif isinstance(source, str):
-        try:
-            raw = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"spec text is not valid JSON: {exc}") from None
     elif isinstance(source, dict):
         raw = source
     else:

@@ -12,6 +12,7 @@ each fill checks its own Jacobian (`LiteralFill.require_finite`).
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -95,6 +96,12 @@ def _central_difference(fill: fe.LiteralFill, x: np.ndarray, j: int, h: float) -
     return (fill.values(plus) - fill.values(minus)) / (2.0 * h)
 
 
+def first_order_models(value: np.ndarray, deriv: np.ndarray, h: float) -> np.ndarray:
+    """value +- h * deriv, the first-order models at x +- hX: (P, 2, q, ...)
+    from value (P, ...) and deriv (P, q, ...)."""
+    return np.stack([value[:, None] + step * deriv for step in (h, -h)], axis=1)
+
+
 def frame_derivatives(stack: FrameStack, part: slice, dirs: np.ndarray, coords: list[int],
                       h: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact derivatives of the frame data at the points `part` of `stack`
@@ -148,11 +155,7 @@ def frame_derivatives(stack: FrameStack, part: slice, dirs: np.ndarray, coords: 
         jac = contract(jac)
         return (steps @ jac.reshape(npts, len(coords), -1)).reshape((npts, q) + jac.shape[2:])
 
-    def models(value, deriv):
-        """value +- h * deriv, the first-order models at x +- hX: (P, 2, q, ...)
-        from value (P, ...) and deriv (P, q, ...)."""
-        return np.stack([value[:, None] + step * deriv for step in (h, -h)], axis=1)
-
+    models = partial(first_order_models, h=h)
     Q, phi, g, off = stack.basis_d[part], stack.phi[part], stack.g[part], stack.offsets
     Qt = np.swapaxes(Q, -1, -2)
     xi = None if stack.xi is None else stack.xi[part]

@@ -81,7 +81,7 @@ from .distribution import Decomposition, FrameStack
 from .errors import SpecError, UnsupportedError
 from .forms import TINY, Form, Side
 from .sampling import DEFAULT_SEED, rng_for
-from .tangents import frame_derivatives
+from .tangents import first_order_models, frame_derivatives
 
 PI2_TOL = 1e-8
 PROBE_ELEMENTS = 1 << 18    # bounds P * (q * n * r + m * n * (n + r)), a `frame_derivatives` chunk
@@ -110,8 +110,8 @@ class PointContext:
         self.contact = stack.xi is not None
         ncomp = len(stack.bases)
         self.cos2 = np.ones((npts, ncomp, 1))
-        for i, lam in zip(self.proper, slant_lambdas(stack, self.proper, tolerances)):
-            self.cos2[:, i, 0] = np.minimum(np.maximum(self.eps * lam, 0.0), 1.0)
+        lam = slant_lambdas(stack, self.proper, tolerances)
+        self.cos2[:, self.proper, 0] = np.minimum(np.maximum(self.eps * lam, 0.0), 1.0)
         self.sin2 = 1.0 - self.cos2
         self.cos, self.sin = np.sqrt(self.cos2), np.sqrt(self.sin2)
         # libm's pow, as a scalar sin^2 ** 2 rounds (numpy's square may differ by an ulp)
@@ -810,7 +810,7 @@ def eigenvalue_directional_derivative(dec: Decomposition, point, comp_index: int
     h = tolerances.fd_step
     x = np.asarray(point, dtype=float)
     d = np.asarray(direction, dtype=float)
-    lam_p, lam_m = slant_lambdas(_displaced_frames(dec, x, d, h), [comp_index], tolerances)[0]
+    lam_p, lam_m = slant_lambdas(_displaced_frames(dec, x, d, h), [comp_index], tolerances)[:, 0]
     return float(lam_p - lam_m) / (2.0 * h)
 
 
@@ -876,14 +876,13 @@ def connection_criterion_report(dec: Decomposition, points,
         for lo in range(0, len(points), chunk):
             part = slice(lo, lo + chunk)
             d_f2, norms = frame_derivatives(stack, part, dirs[part], coords, h)
-            for i, comp in enumerate(comps):   # one cluster in the band on M_i +- h dM_i
-                cols = slice(off[i], off[i + 1])
-                block = d_f2[:, checked[:, i], cols, cols]
-                block = 0.5 * (block + np.swapaxes(block, -1, -2))
-                M = stack.f2[part, None, cols, cols]
-                single_cluster_lambda(comp.name, np.stack([M + h * block, M - h * block], 1),
-                                      "to first order near", stack.x[part, None, None],
-                                      stack.epsilon, tolerances)
+            # one cluster in the band on each M_i +- h dM_i (dM_i symmetrised), where checked
+            dm = (0.5 * (d + d.swapaxes(-1, -2))       # each symmetrised block, one at a time
+                  for d in (d_f2[..., a:b, a:b] for a, b in zip(off, off[1:])))
+            models = [first_order_models(stack.f2[part, a:b, a:b], d, h)
+                      for a, b, d in zip(off, off[1:], dm)]
+            single_cluster_lambda(dec.component_names(), models, "to first order near",
+                                  stack.x[part, None, None], stack.epsilon, tolerances, checked)
             nabla = np.maximum.reduceat(norms, off[:-1], axis=-1)
             traces = np.add.reduceat(np.einsum("pqii->pqi", d_f2), off[:-1], axis=-1)
             dlam = np.abs(traces) / np.diff(off)

@@ -11,6 +11,10 @@ f-invariance check drew each component's coordinates from every point's
 stream in turn, then walked its events point by point. `classify` and
 `discover` below are the drivers that read them (`_verdicts` runs with the
 oracle's `_first_coincidence` and `_first_agreeing_pair`).
+
+`single_cluster_lambda` read one component's blocks per call, and
+`slant_lambdas` called it once per component; `classify` reads its slant
+values through them.
 """
 
 import math
@@ -26,7 +30,6 @@ from slantkit.classifier import (
     _constancy_span,
     _TangentSpace,
     _witness_point,
-    slant_lambdas,
 )
 from slantkit.config import DEFAULT_TOLERANCES
 from slantkit.distribution import InvarianceReport
@@ -83,6 +86,36 @@ def _count_clusters(epsilon, name, mat, tolerances, where):
 def slant_thetas(stack, lam, tolerances):
     return [_lambda_to_alpha_theta(v, stack.epsilon, tolerances.lambda_band)[1]
             for v in lam.tolist()]
+
+
+def single_cluster_lambda(name, mat, place, x, epsilon, tolerances=DEFAULT_TOLERANCES):
+    """lambda of the component `name` from its f^2 matrix `mat` (r x r) or a
+    stack of them (..., r, r), `x` one point (n,) or one per member (..., n):
+    a float for one matrix, else the array (...) of trace means."""
+    r = mat.shape[-1]
+    stack = mat.reshape(-1, r, r)
+    band = tolerances.lambda_band
+    lam = np.trace(stack, axis1=1, axis2=2) / r
+    dev = stack - lam[:, None, None] * np.eye(r)
+    cert = math.sqrt(2.0) * np.sqrt(np.sum(dev * dev, axis=(1, 2)))
+    for i in np.flatnonzero(cert > 0.5 * tolerances.cluster):
+        point = np.broadcast_to(x, mat.shape[:-2] + x.shape[-1:]).reshape(len(stack), -1)[i]
+        classifier._count_clusters(epsilon, name, stack[i], tolerances,
+                                   f"{place} {point.tolist()}")
+    s = epsilon * lam
+    outside = ~((s >= -band) & (s <= 1.0 + band))     # a NaN is outside too
+    if outside.any():
+        classifier.alpha_theta(lam[outside], epsilon, band)     # raises ModelError
+    return float(lam[0]) if mat.ndim == 2 else lam.reshape(mat.shape[:-2])
+
+
+def slant_lambdas(stack, indices, tolerances=DEFAULT_TOLERANCES):
+    """lambda (P,) of each component of `indices`, one reader call each."""
+    off = stack.offsets
+    return [single_cluster_lambda(stack.dec.components[i].name,
+                                  stack.f2[:, off[i]:off[i + 1], off[i]:off[i + 1]], "at",
+                                  stack.x, stack.epsilon, tolerances)
+            for i in indices]
 
 
 def _first_coincidence(table, tol):

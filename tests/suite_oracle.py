@@ -49,8 +49,8 @@ class PointContext:
         self.points, self.eps, self.proper = list(stack.x), stack.epsilon, stack.proper_indices
         self.contact = stack.xi is not None
         self.cos2 = np.ones((npts, len(stack.bases)))
-        for i, lam in zip(self.proper, slant_lambdas(stack, self.proper, tolerances)):
-            self.cos2[:, i] = np.minimum(np.maximum(self.eps * lam, 0.0), 1.0)
+        lam = slant_lambdas(stack, self.proper, tolerances)
+        self.cos2[:, self.proper] = np.minimum(np.maximum(self.eps * lam, 0.0), 1.0)
         self.sin2 = 1.0 - self.cos2
         self.cos, self.sin = np.sqrt(self.cos2), np.sqrt(self.sin2)
         # libm's pow, as a scalar sin^2 ** 2 rounds (numpy's square may differ by an ulp)

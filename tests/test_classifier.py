@@ -7,13 +7,13 @@ import pytest
 from slantkit import cli, duality, gallery
 from slantkit import expr as fe
 from slantkit.classifier import (
+    alpha_theta,
     classify,
     component_slant,
     discover,
     single_cluster_lambda,
     slant_lambdas,
     slant_spectra,
-    slant_thetas,
     _TangentSpace,
 )
 from slantkit.config import DEFAULT_TOLERANCES
@@ -97,32 +97,38 @@ class TestComponentIndexAndNaN:
     def test_nan_matrix_is_a_model_error(self, ex1):
         frame = ex1.decomposition.frame_at(np.zeros(11))
         with pytest.raises(ModelError, match=r"^eps\*lambda = nan outside"):
-            single_cluster_lambda("D1", np.full((2, 2), np.nan), "at", frame.x, frame.epsilon)
+            single_cluster_lambda(["D1"], [np.full((2, 2), np.nan)], "at", frame.x, frame.epsilon)
 
     def test_nan_member_of_a_stack_is_a_model_error(self, ex1):
         stack = ex1.decomposition.frame_stack(ex1.default_points()[:2])
         mats = np.stack([np.zeros((2, 2)), np.full((2, 2), np.nan)])
         with pytest.raises(ModelError, match=r"^eps\*lambda = nan outside"):
-            single_cluster_lambda("D1", mats, "at", stack.x, stack.epsilon)
+            single_cluster_lambda(["D1"], [mats], "at", stack.x, stack.epsilon)
+
+
+def _thetas(stack, indices):
+    """The slant values (P,) of the one component of `indices` over the stack."""
+    lam = slant_lambdas(stack, indices)
+    return alpha_theta(lam, stack.epsilon, DEFAULT_TOLERANCES.lambda_band)[1][:, 0].tolist()
 
 
 class TestSlantFunctionTable:
     def test_constant_component(self, ex1):
         stack = ex1.decomposition.frame_stack(ex1.default_points()[:6])
-        values = slant_thetas(stack, slant_lambdas(stack, [2])[0], DEFAULT_TOLERANCES)
+        values = _thetas(stack, [2])
         assert max(values) - min(values) < 1e-12
         assert values[0] == pytest.approx(math.acos(0.6))
 
     def test_invariant_component(self, ex1):
         stack = ex1.decomposition.frame_stack(ex1.default_points()[:4])
-        values = slant_thetas(stack, slant_lambdas(stack, [0])[0], DEFAULT_TOLERANCES)
+        values = _thetas(stack, [0])
         assert all(t == pytest.approx(0.0) for t in values)
 
     def test_pointwise_boundary_value(self):
         # ex5 at gamma = 1: theta_1(0) = pi/2 since the numerator vanishes
         fx = build_fixture("ex5", k=2, epsilon=1, gamma=1.0)
         stack = fx.decomposition.frame_stack([np.zeros(10)])
-        values = slant_thetas(stack, slant_lambdas(stack, [1])[0], DEFAULT_TOLERANCES)
+        values = _thetas(stack, [1])
         assert values[0] == pytest.approx(math.pi / 2)
 
 
@@ -459,8 +465,9 @@ def _eigh_lambda(frame, basis, proj):
 
 @pytest.mark.parametrize("fid, k, epsilon, gamma", _GOLDEN_CASES)
 def test_trace_mean_lambda_matches_eigh_mean(fid, k, epsilon, gamma):
-    """component_slant and the dual's lambda (`duality._dual_lambda`) are
-    trace means; each equals the eigvalsh mean of the same block within 1e-12."""
+    """component_slant and the dual's lambda (`duality._roundtrip_columns`)
+    are trace means; each equals the eigvalsh mean of the same block within
+    1e-12."""
     fx = build_fixture(fid, k=k, epsilon=epsilon, gamma=gamma)
     dec = fx.decomposition
     for pt in box_points(fx.structure.n, fx.mask, 3, seed=11):
@@ -468,10 +475,8 @@ def test_trace_mean_lambda_matches_eigh_mean(fid, k, epsilon, gamma):
         for i, basis in enumerate(frame.bases):
             want = _eigh_lambda(frame, basis, maps.proj_d)
             assert component_slant(dec, pt, i).lam == pytest.approx(want, abs=1e-12)
-        for slot, i in enumerate(frame.proper_indices):
-            want = _eigh_lambda(frame, frame.dual().duals[slot], maps.proj_g)
-            stack = dec.frame_stack([pt])
-            theta = slant_thetas(stack, duality._dual_lambda(stack, slot, DEFAULT_TOLERANCES),
-                                 DEFAULT_TOLERANCES)[0]
-            cos2 = math.cos(theta) ** 2
+        columns = duality._roundtrip_columns(dec.frame_stack([pt]), DEFAULT_TOLERANCES)
+        for basis, (*_, theta_dual, _) in zip(frame.dual().duals, columns):
+            want = _eigh_lambda(frame, basis, maps.proj_g)
+            cos2 = math.cos(float(theta_dual[0])) ** 2
             assert cos2 == pytest.approx(min(max(epsilon * want, 0.0), 1.0), abs=1e-12)

@@ -1,5 +1,5 @@
 """Differential tests of the classifier statistics, computed as array passes
-over the point stack (`slant_spectra`, `slant_thetas`, `_analyze_tracks`,
+over the point stack (`slant_spectra`, `alpha_theta`, `_analyze_tracks`,
 `_first_coincidence`, `_first_agreeing_pair`, `check_f_invariance`),
 against the per-point versions they replaced (`classifier_oracle`). Report
 JSON must be byte-identical and errors must have the same text."""
@@ -192,19 +192,24 @@ def test_type_instability_and_alpha_flags():
 
 
 def test_slant_thetas_match_the_oracle():
+    """theta of each lambda of an array (`alpha_theta`), against the oracle's
+    one value at a time."""
     stack = SimpleNamespace(epsilon=-1)
     s = np.array([-0.0, 0.0, 1e-300, -1e-300, 0.25, 0.5, 1.0, 1.0 + 1e-7, -5e-7, 1e-9,
                   np.nextafter(1.0, 2.0), 5e-324])      # eps * lambda, inside the band
+
+    def thetas(lam):
+        return classifier.alpha_theta(lam, stack.epsilon, TOL.lambda_band)[1].tolist()
     for eps in (-1, 1):
         stack.epsilon = eps
         lam = eps * s
-        assert (_outcome(lambda: classifier.slant_thetas(stack, lam, TOL))
+        assert (_outcome(lambda: thetas(lam))
                 == _outcome(lambda: oracle.slant_thetas(stack, lam, TOL)))
-        assert [np.float64(t).tobytes() for t in classifier.slant_thetas(stack, lam, TOL)] == [
+        assert [np.float64(t).tobytes() for t in thetas(lam)] == [
             np.float64(t).tobytes() for t in oracle.slant_thetas(stack, lam, TOL)]
         for bad in (np.nan, -1.1 * eps, 2e-6 * eps):
             lam_bad = np.concatenate([lam, [bad, -5.0 * eps]])
-            assert (_outcome(lambda: classifier.slant_thetas(stack, lam_bad, TOL))
+            assert (_outcome(lambda: thetas(lam_bad))
                     == _outcome(lambda: oracle.slant_thetas(stack, lam_bad, TOL)))
             assert _outcome(lambda: oracle.slant_thetas(stack, lam_bad, TOL))[0] is None
 
@@ -311,3 +316,125 @@ def test_invariance_violation_matches_the_oracle(ex1):
     assert (_report(lambda: classifier.classify(bad, points))
             == _report(lambda: oracle.classify(bad, points)))
     assert _report(lambda: classifier.classify(bad, points))[0] is None
+
+
+# ---------------------------------------------------------------------------
+# The slant-value reader on a component axis against the per-component oracle
+# ---------------------------------------------------------------------------
+
+RANKS = (1, 2, 3, 8, 9, 13)
+
+
+def _random_blocks(rng, ranks, lead, eps):
+    """One f^2 block (*lead, r, r) per rank: lambda I, lambda inside the band,
+    plus a symmetric perturbation that the certificate clears (1e-12) or,
+    past rank 2, mostly not (2e-9, one cluster still)."""
+    blocks = []
+    for r in ranks:
+        lam = eps * rng.uniform(0.0, 1.0, lead)
+        scale = rng.choice([1e-12, 2e-9], lead)[..., None, None]
+        mat = lam[..., None, None] * np.eye(r) + scale * rng.standard_normal(lead + (r, r))
+        blocks.append(0.5 * (mat + np.swapaxes(mat, -1, -2)))
+    return blocks
+
+
+def _read_both(names, blocks, x, eps, checked=None):
+    """The reader's (lambda bytes, error) against the oracle's per-component
+    calls, each over the members its mask checks (the probe's selection of
+    `checked` directions along the third axis)."""
+    def new():
+        lam = classifier.single_cluster_lambda(names, blocks, "at", x, eps, TOL,
+                                               True if checked is None else checked)
+        cols = [lam[..., i] if checked is None else lam[:, :, checked[:, i], i]
+                for i in range(len(names))]
+        return [c.tobytes().hex() for c in cols]
+
+    def old():
+        cols = [oracle.single_cluster_lambda(
+            name, b if checked is None else b[:, :, checked[:, i]], "at", x, eps, TOL)
+            for i, (name, b) in enumerate(zip(names, blocks))]
+        return [np.asarray(c, dtype=float).tobytes().hex() for c in cols]
+    return _outcome(new), _outcome(old)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reader_matches_the_per_component_oracle(seed):
+    """Random stacks of blocks of mixed ranks, equal and unequal: the bits of
+    every lambda and the first error (type and text) are the oracle's."""
+    rng = np.random.default_rng(seed)
+    for eps in (-1, 1):
+        ranks = list(rng.choice(RANKS, size=rng.integers(1, 6)))
+        if seed % 3 == 0:
+            ranks += [ranks[0]]             # a rank twice
+        names = [f"D{i + 1}" for i in range(len(ranks))]
+        x = rng.standard_normal((5, 4))
+        blocks = _random_blocks(rng, ranks, (5,), eps)
+        new, old = _read_both(names, blocks, x, eps)
+        assert new == old and old[1] is None
+
+        i, j = (int(v) for v in rng.integers(len(ranks), size=2))
+        bad = [b.copy() for b in blocks]
+        if ranks[i] > 1:                    # a split cluster at point 3
+            bad[i][3, 0, 0] += 0.05 * eps
+        bad[i][1] = eps * 3.0 * np.eye(ranks[i])    # eps*lambda off the band at point 1
+        bad[j][2, 0, 0] = np.nan
+        new, old = _read_both(names, bad, x, eps)
+        assert new == old and old[0] is None
+
+
+def test_reader_errors_in_component_order():
+    """A split cluster at a later point than a lambda off the band: the
+    cluster error comes first. Two failing components: the earlier one is
+    named. A NaN entry fails the band."""
+    rng = np.random.default_rng(5)
+    eps, names = -1, ["D1", "D2", "D3"]
+    x = rng.standard_normal((4, 3))
+    blocks = _random_blocks(rng, [3, 2, 3], (4,), eps)
+    split = [b.copy() for b in blocks]
+    split[2][3, 0, 0] += 0.1
+    split[2][1] = eps * 3.0 * np.eye(3)     # off the band, and cleared by the certificate
+    new, old = _read_both(names, split, x, eps)
+    assert new == old and old[1].startswith("ComponentError: component 'D3' carries 2")
+    split[1][2] = -eps * 0.5 * np.eye(2)
+    new, old = _read_both(names, split, x, eps)
+    assert new == old and old[1].startswith("ModelError: eps*lambda = ")
+    nan = [b.copy() for b in blocks]
+    nan[0][0, 1, 1] = np.nan
+    new, old = _read_both(names, nan, x, eps)
+    assert new == old and old[1] == ("ModelError: eps*lambda = nan outside [0, 1] beyond the "
+                                      "tolerance band; structure or decomposition is invalid")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reader_with_the_probe_mask(seed):
+    """First-order models (P, 2, q, r_i, r_i) with the probe's mask (q, K) of
+    checked directions: faults at unchecked directions are not read; the
+    rest matches the oracle's read of the checked directions alone."""
+    rng = np.random.default_rng(100 + seed)
+    eps = (-1, 1)[seed % 2]
+    ranks = list(rng.choice(RANKS, size=3))
+    names = [f"D{i + 1}" for i in range(3)]
+    q = 5
+    checked = rng.random((q, 3)) < 0.6
+    checked[0] = True
+    x = rng.standard_normal((3, 1, 1, 6))
+    blocks = _random_blocks(rng, ranks, (3, 2, q), eps)
+    for i in range(3):                      # faults where the mask skips them
+        skip = np.flatnonzero(~checked[:, i])
+        if skip.size:
+            blocks[i][1, 0, skip[0]] = eps * 7.0 * np.eye(ranks[i])
+            if ranks[i] > 1:
+                blocks[i][2, 1, skip[-1], 0, 0] += 0.2
+    new, old = _read_both(names, blocks, x, eps, checked)
+    assert new == old and old[1] is None
+    i = int(rng.integers(3))
+    blocks[i][2, 1, 0] = eps * 9.0 * np.eye(ranks[i])     # a checked direction off the band
+    new, old = _read_both(names, blocks, x, eps, checked)
+    assert new == old and old[0] is None
+
+
+def test_reader_of_no_component():
+    """A decomposition of D0 alone has no proper component: the dual and the
+    suite read lambda (P, 0)."""
+    lam = classifier.single_cluster_lambda([], [], "at", np.zeros((3, 2)), -1, TOL)
+    assert lam.shape == (3, 0)

@@ -79,6 +79,42 @@ class TestValidate:
         assert code == 2
 
 
+class TestInputOutputFaults:
+    """A spec that cannot be read or decoded, and a report or spec that
+    cannot be written, are input errors: exit 2 with `error:`, no traceback."""
+
+    def _usage_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+        return out, err
+
+    def test_spec_path_is_a_directory(self, capsys, tmp_path):
+        _, err = self._usage_error(capsys, "validate", str(tmp_path))
+        assert err == f"error: spec file cannot be read: {tmp_path} (Is a directory)\n"
+
+    def test_spec_name_too_long(self, capsys, tmp_path):
+        path = str(tmp_path / ("s" * 300))
+        _, err = self._usage_error(capsys, "validate", path)
+        assert err == f"error: spec file cannot be read: {path} (File name too long)\n"
+
+    def test_spec_not_decodable(self, capsys, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xff\xfe")
+        _, err = self._usage_error(capsys, "validate", str(path))
+        assert err.startswith(f"error: spec file cannot be read: {path} (not text: ")
+
+    def test_json_report_path_is_a_directory(self, capsys, tmp_path, ex1_spec):
+        path, _ = ex1_spec
+        out, err = self._usage_error(capsys, "validate", str(path), "--json", str(tmp_path))
+        assert "passed: **yes**" in out
+        assert "Is a directory" in err
+
+    def test_gallery_out_in_a_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        _, err = self._usage_error(capsys, "gallery", "emit", "ex3", "--out", str(target))
+        assert "No such file or directory" in err and str(target) in err
+
+
 class TestClassify:
     def test_ex1_verdicts(self, capsys, ex1_spec):
         path, _ = ex1_spec
@@ -528,3 +564,47 @@ def test_asymmetric_fault_at_a_later_point_in_discovery(capsys, tmp_path):
     assert code == 1
     assert err.startswith("failure: restricted endomorphism square is asymmetric (residual ")
     assert err.endswith(f") at {x}; the decomposition or structure is invalid\n")
+
+
+_RELABEL_CASES = [(fid, gamma, eps) for fid, gamma in (
+    ("ex1", None), ("ex3", None), ("ex4", 0.5), ("ex5", 1.0), ("ex5", 2.0), ("ex8", 1.0),
+    ("ex9", 1.0), ("ex9", 1.5)) for eps in (-1, 1)]
+
+
+def _by_name(rows, key):
+    return {row[key]: row for row in rows}
+
+
+@pytest.mark.parametrize("fid, gamma, eps", _RELABEL_CASES)
+def test_component_order_is_a_relabelling(capsys, tmp_path, fid, gamma, eps):
+    """The proper components in the order D3, D1, D2 give, component by
+    component, the reports of D1, D2, D3: exit codes, labels, named cases,
+    verdicts and theta lists bit for bit, the dual section, the identity
+    verdicts and the connection probe's verdicts."""
+    doc = fixture_to_spec_dict(build_fixture(fid, k=3, epsilon=eps, gamma=gamma))
+    assert doc["decomposition"]["proper"] == ["D1", "D2", "D3"]
+    reports = []
+    for proper in (["D1", "D2", "D3"], ["D3", "D1", "D2"]):
+        path, report = tmp_path / "spec.json", tmp_path / "report.json"
+        path.write_text(json.dumps(dict(doc, decomposition=dict(doc["decomposition"],
+                                                                proper=proper))))
+        runs = {}
+        for argv in (["classify"], ["dual"], ["identities", "--connection"]):
+            code = run(capsys, *argv, str(path), "--json", str(report))[0]
+            runs[argv[0]] = code, json.loads(report.read_text())
+        reports.append(runs)
+    (a, b) = reports
+    assert ({cmd: code for cmd, (code, _) in a.items()}
+            == {cmd: code for cmd, (code, _) in b.items()})
+    cls_a, cls_b = a["classify"][1]["classification"], b["classify"][1]["classification"]
+    assert cls_a["labels"] == cls_b["labels"]
+    assert cls_a["named_cases"] == cls_b["named_cases"]
+    assert _by_name(cls_a["components"], "name") == _by_name(cls_b["components"], "name")
+    assert a["dual"][1]["dual"] == b["dual"][1]["dual"]
+    ids_a, ids_b = a["identities"][1]["identities"], b["identities"][1]["identities"]
+    assert ({e["key"]: e["verdict"] for e in ids_a["cases"]}
+            == {e["key"]: e["verdict"] for e in ids_b["cases"]})
+    con_a, con_b = a["identities"][1]["connection"], b["identities"][1]["connection"]
+    assert con_a["consistent"] == con_b["consistent"]
+    assert ({r["component"]: r["derivative_constant"] for r in con_a["components"]}
+            == {r["component"]: r["derivative_constant"] for r in con_b["components"]})

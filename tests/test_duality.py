@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from slantkit import expr as fe
-from slantkit.classifier import component_slant, slant_thetas
+from slantkit.classifier import component_slant
 from slantkit.config import DEFAULT_TOLERANCES
-from slantkit.distribution import Decomposition, DistributionFrame
+from slantkit.distribution import Decomposition, DistributionFrame, FrameStack
 from slantkit.duality import (
-    _dual_lambda,
+    _roundtrip_columns,
     build_dual,
     dual_report,
     dual_roundtrip_check,
@@ -23,6 +23,12 @@ from slantkit.specfile import load_manifold_spec
 from slantkit.verifier import DUAL_KEYS, run_identity_suite
 
 from frame_maps import FrameMaps
+
+
+def _replace_f2(stack, edit):
+    """Give a stack the f^2 Gram `edit(stack.f2)`, from which its sources'
+    lambdas are read."""
+    stack.__dict__["f2"] = edit(stack.f2)
 
 
 def sub_decomposition_with_h(ex1):
@@ -127,12 +133,11 @@ class TestRoundtrip:
         for pt in ex5_one.default_points()[:4]:
             frame = ex5_one.decomposition.frame_at(pt)
             dd = build_dual(ex5_one.decomposition, pt)
-            for slot, i in enumerate(frame.proper_indices):
+            columns = _roundtrip_columns(ex5_one.decomposition.frame_stack([pt]),
+                                         DEFAULT_TOLERANCES)
+            for i, (*_, theta_dual, _) in zip(frame.proper_indices, columns):
                 src = component_slant(ex5_one.decomposition, pt, i).theta
-                stack = ex5_one.decomposition.frame_stack([pt])
-                dual = slant_thetas(stack, _dual_lambda(stack, slot, DEFAULT_TOLERANCES),
-                                    DEFAULT_TOLERANCES)[0]
-                assert abs(src - dual) < 1e-8
+                assert abs(src - float(theta_dual[0])) < 1e-8
 
     def test_dual_slant_two_clusters_names_the_dual(self, ex1):
         # D1 + D2 declared as one proper component: its dual carries the
@@ -142,10 +147,34 @@ class TestRoundtrip:
         merged = Decomposition(
             dec.structure, [DistributionFrame("D12", d1.fields + d2.fields, mask=ex1.mask)],
             invariant=dec.invariant, mask=ex1.mask)
+        # the source D12 carries the same two clusters and is read first; a
+        # one-cluster f^2 Gram in its place lets the round trip reach the dual
+        stack = FrameStack(merged, [np.zeros(11)])
+        _replace_f2(stack, lambda f2: np.broadcast_to(-0.36 * np.eye(f2.shape[-1]), f2.shape))
         with pytest.raises(ComponentError,
                            match=re.escape("component 'w(D12)' carries 2 eigenvalue clusters")):
-            stack = merged.frame_stack([np.zeros(11)])
-            slant_thetas(stack, _dual_lambda(stack, 0, DEFAULT_TOLERANCES), DEFAULT_TOLERANCES)
+            _roundtrip_columns(stack, DEFAULT_TOLERANCES)
+
+    def test_every_source_is_read_before_any_dual(self, ex1):
+        """The round trip reads the sources' lambdas in one call, then the
+        duals': with the dual of D1 split in two and the later source D2
+        split too, the error names D2."""
+        dec = ex1.decomposition
+        stack = FrameStack(dec, [np.zeros(11)])
+        (w1, w2), h_basis, f_on_h = stack._dual
+        mixed = np.concatenate([w1[..., :1], w2[..., :1]], axis=-1)     # w(D1) and w(D2) columns
+        stack.__dict__["_dual"] = [mixed, w2], h_basis, f_on_h
+        with pytest.raises(ComponentError, match=re.escape("component 'w(D1)' carries 2 eig")):
+            _roundtrip_columns(stack, DEFAULT_TOLERANCES)
+        lo = stack.offsets[2]
+
+        def split_d2(f2):
+            f2 = f2.copy()
+            f2[:, lo, lo] += 0.1
+            return f2
+        _replace_f2(stack, split_d2)
+        with pytest.raises(ComponentError, match=re.escape("component 'D2' carries 2 eig")):
+            _roundtrip_columns(stack, DEFAULT_TOLERANCES)
 
 
 class TestDualIdentitySuite:

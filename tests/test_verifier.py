@@ -1002,3 +1002,41 @@ def test_twin_pair_verdicts(twin_verdicts, d_key, w_key):
             assert got == (expect(below_right),) * 2, name
         else:
             assert got == ("pass", "pass"), name
+
+
+def test_probe_reads_only_the_checked_pairs(monkeypatch):
+    """The probe's first-order cluster check reads a component's models only
+    along the directions it checks for that component: its own basis columns
+    and the masked coordinate directions. D1's fields of ex3 rotated within
+    D1 give basis columns that are no coordinate direction; a split model of
+    D0 along one of them leaves the report as it was, while one along a
+    checked direction raises."""
+    fx = build_fixture("ex3", k=2, epsilon=-1)
+    doc = fixture_to_spec_dict(fx, points=fx.default_points()[:4])
+    f1, f2 = doc["distributions"]["D1"]
+    doc["distributions"]["D1"] = [["0" if a == b == "0" else f"({a}) {op} ({b})"
+                                   for a, b in zip(f1, f2)] for op in "+-"]
+    spec = load_manifold_spec(doc)
+    dec, frame_derivatives = spec.decomposition, tangents.frame_derivatives
+    _, within, along_tm = verifier._stacked_directions(dec.frame_stack(spec.points))
+    checked = within | along_tm
+    assert not checked[:, 0].all()          # D0 skips D1's rotated columns
+    off = dec.frame_stack(spec.points).offsets
+    base = connection_criterion_report(dec, spec.points)
+
+    def split_at(row):
+        """frame_derivatives with D0's block split along direction `row`,
+        its diagonal (so each trace) unchanged."""
+        def split(*args):
+            d_f2, norms = frame_derivatives(*args)
+            d_f2 = d_f2.copy()
+            d_f2[:, row, off[0], off[0] + 1] += 1e-2
+            d_f2[:, row, off[0] + 1, off[0]] += 1e-2
+            return d_f2, norms
+        return split
+    monkeypatch.setattr(verifier, "frame_derivatives", split_at(np.flatnonzero(~checked[:, 0])[0]))
+    assert connection_criterion_report(dec, spec.points) == base
+    monkeypatch.setattr(verifier, "frame_derivatives", split_at(np.flatnonzero(checked[:, 0])[0]))
+    with pytest.raises(ComponentError, match=r"^component 'D0' carries 2 eigenvalue clusters .* "
+                                             r"to first order near"):
+        connection_criterion_report(dec, spec.points)
