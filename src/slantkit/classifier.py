@@ -342,8 +342,7 @@ def classify(dec: Decomposition, points, tolerances: Tolerances = DEFAULT_TOLERA
     points = list(points)
     if len(points) < 2:
         raise SpecError("classification needs at least two sample points")
-    inv_report = check_f_invariance(dec, points, trials=10, tol=tolerances.invariance,
-                                    seed=seed)
+    inv_report = check_f_invariance(dec, points, tol=tolerances.invariance)
     if not inv_report.passed:
         raise ModelError(f"f-invariance violated: {inv_report.witness}")
 

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    slantkit validate SPEC [--json PATH] [--seed N] [--trials N] [tol flags]
+    slantkit validate SPEC [--json PATH] [--seed N] [tol flags]
     slantkit classify SPEC [--json PATH] [--seed N] [--force] [tol flags]
     slantkit dual SPEC [--json PATH] [--seed N] [tol flags]
     slantkit identities SPEC [--json PATH] [--seed N] [--trials N]
@@ -8,6 +8,9 @@
     slantkit gallery list
     slantkit gallery emit ID [--k K] [--epsilon E] [--gamma G] [--delta D]
                         [--out PATH]
+
+The structure axioms and f-invariance are checked exactly: `--trials` (any
+command takes it) sets the random draws of the identity suite alone.
 
 Exit codes: 0 success, 1 mathematical failure (with a witness in the
 report), 2 input or usage error. Reports are deterministic: on one host with
@@ -60,7 +63,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--json", dest="json_path", metavar="PATH",
                    help="also write the full report as JSON")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=int, default=50,
+                   help="random draws per identity check (the identity suite only)")
     p.add_argument("--cluster-tol", type=float, default=None)
     p.add_argument("--angle-tol", type=float, default=None,
                    help="constancy tolerance on slant values (radians)")
@@ -117,24 +121,25 @@ def _emit(report: dict, args, title: str):
         Path(args.json_path).write_text(report_json(report))
 
 
-def _load(args):
+def _load(args, declared: bool = False):
+    """The spec, its tolerances and its structure verdict; a SpecError first
+    if the command needs a `declared` decomposition and the spec has none."""
     spec = load_manifold_spec(args.spec)
-    return spec, _tolerances(spec, args)
+    tol = _tolerances(spec, args)
+    if declared and spec.discovery:
+        raise SpecError(f"the {args.command} command needs a declared decomposition")
+    return spec, tol, validate_structure(spec.structure, spec.points, tol.structure, args.seed)
 
 
 def cmd_validate(args) -> int:
-    spec, tol = _load(args)
-    verdict = validate_structure(spec.structure, spec.points, trials=args.trials,
-                                 tol=tol.structure, seed=args.seed)
+    spec, _, verdict = _load(args)
     report = make_run_report(spec.digest(), args.seed, structure=verdict.to_json_dict())
     _emit(report, args, "Structure validation report")
     return 0 if verdict.passed else MATH_FAILURE
 
 
 def cmd_classify(args) -> int:
-    spec, tol = _load(args)
-    verdict = validate_structure(spec.structure, spec.points, trials=args.trials,
-                                 tol=tol.structure, seed=args.seed)
+    spec, tol, verdict = _load(args)
     if not verdict.passed and not args.force:
         report = make_run_report(spec.digest(), args.seed, structure=verdict.to_json_dict())
         _emit(report, args, "Classification report (structure failed)")
@@ -153,11 +158,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    spec, tol = _load(args)
-    if spec.discovery:
-        raise SpecError("the dual command needs a declared decomposition")
-    verdict = validate_structure(spec.structure, spec.points, trials=args.trials,
-                                 tol=tol.structure, seed=args.seed)
+    spec, tol, verdict = _load(args, declared=True)
     dual = dual_report(spec.decomposition, spec.points, tolerances=tol)
     report = make_run_report(spec.digest(), args.seed, structure=verdict.to_json_dict(),
                              dual=dual)
@@ -166,11 +167,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    spec, tol = _load(args)
-    if spec.discovery:
-        raise SpecError("the identities command needs a declared decomposition")
-    verdict = validate_structure(spec.structure, spec.points, trials=args.trials,
-                                 tol=tol.structure, seed=args.seed)
+    spec, tol, verdict = _load(args, declared=True)
     suite = run_identity_suite(spec.decomposition, spec.points, trials=args.trials,
                                tolerances=tol, seed=args.seed)
     connection = None

@@ -35,8 +35,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .errors import DimensionError, EvalError, InvariantError, ModelError, RankError, SpecError
 from .expr import LiteralFill
-from .linalg import complement_columns, g_inner, mgs_columns, mgs_each
-from .sampling import DEFAULT_SEED, rng_for
+from .linalg import complement_columns, g_inner, mgs_columns, mgs_each, spectral_norms
 from .structure import StructureField
 
 PAIRWISE_ORTHO_TOL = 1e-10
@@ -400,38 +399,33 @@ class InvarianceReport(NamedTuple):
     max_cross: float
     witness: dict
     tol: float
-    seed: int
 
 
-def check_f_invariance(dec: Decomposition, points, trials: int = 25,
-                       tol: float = DEFAULT_TOLERANCES.invariance,
-                       seed: int = DEFAULT_SEED) -> InvarianceReport:
-    """Measure, on random in-component vectors, how much f leaks out of each
-    component and how far phi(D_i) is from being orthogonal to D_j (i != j):
-    the off-diagonal blocks of T_DD (`FrameStack.phi_dd`) on the vectors'
-    coordinates. Point p draws the coordinates of every component, one
-    after another, from `rng_for(seed, 211, p)`; each (point, component)'s
-    worst leak and crosses are reduced by `invariance_maxima`."""
+def check_f_invariance(dec: Decomposition, points,
+                       tol: float = DEFAULT_TOLERANCES.invariance) -> InvarianceReport:
+    """How much f leaks out of each component, and how far phi(D_i) is from
+    being orthogonal to D_j (i != j), at the worst unit vector of D_i: read
+    off the blocks of T_DD (`FrameStack.phi_dd`). The leak of D_i is the
+    largest singular value of its columns outside its own rows, and its
+    cross to D_j the largest row norm of block (j, i); a block with a NaN
+    gives NaN, one with an inf inf. Each (point, component)'s leak and
+    crosses are reduced by `invariance_maxima`."""
     points = list(points)
     if not points:
         raise SpecError("check_f_invariance needs at least one point")
     stack = dec.frame_stack(points)
     off, inv, k = stack.offsets, stack.invariant_index, len(stack.offsets) - 1
-    coef = np.stack([rng_for(seed, 211, p).standard_normal((off[-1], trials))
-                     for p in range(len(points))])
     events = np.zeros((len(points), k, k + 1))
     for i, (lo, hi) in enumerate(zip(off, off[1:])):
-        norms = np.maximum(np.linalg.norm(coef[:, lo:hi], axis=1), 1e-300)
-        fv = stack.phi_dd[:, :, lo:hi] @ coef[:, lo:hi]
-        leak = np.linalg.norm(np.concatenate([fv[:, :lo], fv[:, hi:]], axis=1), axis=1)
-        events[:, i, 0] = (leak / norms).max(-1)
-        events[:, i, 1:] = np.maximum.reduceat((np.abs(fv) / norms[:, None]).max(-1), off[:-1], 1)
+        cols = stack.phi_dd[:, :, lo:hi]
+        events[:, i, 0] = spectral_norms(np.concatenate([cols[:, :lo], cols[:, hi:]], axis=1))
+        events[:, i, 1:] = np.maximum.reduceat(np.linalg.norm(cols, axis=-1), off[:-1], 1)
     due = np.concatenate([np.ones((k, 1), bool), ~np.eye(k, dtype=bool)], axis=1)
     if inv is not None:
         due[inv, 1:] = due[:, 1 + inv] = False
     worst, witness = invariance_maxima(np.where(due, events, 0.0), dec.component_names(), stack.x)
     return InvarianceReport(worst["f-leak"] <= tol and worst["phi-cross"] <= tol,
-                            worst["f-leak"], worst["phi-cross"], witness, tol, seed)
+                            worst["f-leak"], worst["phi-cross"], witness, tol)
 
 
 def invariance_maxima(events: np.ndarray, names: list[str], x: np.ndarray):

@@ -256,8 +256,7 @@ def fixture_oracle_check(fx: GalleryFixture, points=None, tol: float = 1e-8,
     points = list(points)
     report: dict = {"fixture": fx.id, "params": {k: v for k, v in fx.params.items()
                                                  if k != "pointwise"}}
-    verdict = validate_structure(fx.structure, points, trials=trials,
-                                 tol=tolerances.structure, seed=seed)
+    verdict = validate_structure(fx.structure, points, tolerances.structure, seed)
     report["structure_passed"] = verdict.passed
 
     classification = classify(fx.decomposition, points, tolerances, seed=seed)

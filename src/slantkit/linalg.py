@@ -12,6 +12,7 @@ every other module calls it rather than writing its own contraction.
 Gram-Schmidt loop as its fallback past CHOLQR2_COND_MAX and its rank test.
 `complement_columns` is the one complement algorithm. `each_by_shape` runs a
 kernel over per-component arrays, one stacked call per shape (rank).
+`spectral_norms` is the one reader of a largest singular value.
 
 `sym_eigen` and `projector_matrix` have no caller in the package. They stay
 because the benchmark's tracer (`perfbench/tracing.py`) wraps them by name
@@ -49,6 +50,18 @@ def column_norms(v: np.ndarray) -> np.ndarray:
     """2-norms of the columns v (..., m, 1), each equal bit for bit to
     np.linalg.norm of v[..., 0]: both take one BLAS dot product."""
     return np.sqrt(np.swapaxes(v, -1, -2) @ v)[..., 0, 0]
+
+
+def spectral_norms(a: np.ndarray) -> np.ndarray:
+    """The largest singular value of each matrix of a stack (..., m, n), bit
+    for bit np.linalg.norm(matrix, 2), by one batched `svd`; 0 if empty, NaN
+    if it holds a NaN, else inf if it holds an inf (LAPACK takes neither)."""
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
+    out = np.where(np.isnan(a).any(axis=(-2, -1)), np.nan, np.inf)
+    out[finite] = spectral_norms(a[finite])
+    return out
 
 
 def _inverse_cholesky(gram: np.ndarray) -> np.ndarray:

@@ -182,7 +182,7 @@ def frame_derivatives(stack: FrameStack, part: slice, dirs: np.ndarray, coords: 
             + (0.0 if dQ is None else (xi[:, None, None] @ dQ)[:, :, 0]))
         check_orthogonality(dec.component_names(), stack.owner, models(Qt @ Q, dgram),
                             xi_models, near, x_models)
-    Phi = Qt @ phi @ Q
+    Phi = stack.phi_dd[part]        # Q^T g phi Q with g = I exactly
     Phi2 = Phi @ Phi
     S = along(s.phi_fill, lambda jac: Qt[:, None] @ jac @ Q[:, None])
     Q, Qt, phi, Phi, Phi2 = (a[:, None] for a in (Q, Qt, phi, Phi, Phi2))   # over the q axis

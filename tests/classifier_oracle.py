@@ -7,9 +7,11 @@ Each point's eigenvalues were clustered by `cluster_eigenvalues` (also
 lambda converted to (alpha, theta) one value at a time; the
 cluster tracks were read from the per-point `SlantSpectrum` objects; the
 slant-table statistics looped over rows and column pairs; and the
-f-invariance check drew each component's coordinates from every point's
-stream in turn, then walked its events point by point. `classify` and
-`discover` below are the drivers that read them (`_verdicts` runs with the
+f-invariance check read each point's blocks of T_DD one at a time
+(`exact_f_invariance`), then walked its events point by point. The sampled
+check that the exact one replaced (`check_f_invariance`, which drew each
+component's coordinates from every point's stream in turn) stays as its
+lower bound. `classify` and `discover` below are the drivers that read them (`_verdicts` runs with the
 oracle's `_first_coincidence` and `_first_agreeing_pair`).
 
 `single_cluster_lambda` read one component's blocks per call, and
@@ -204,6 +206,9 @@ def _analyze_tracks(spectra, epsilon, tolerances, points):
 
 def check_f_invariance(dec, points, trials=25, tol=DEFAULT_TOLERANCES.invariance,
                        seed=DEFAULT_SEED):
+    """The sampled check that the exact one replaced: each component's worst
+    leak and crosses over `trials` seeded coefficient vectors per point, a
+    lower bound of `exact_f_invariance`."""
     points = list(points)
     if not points:
         raise SpecError("check_f_invariance needs at least one point")
@@ -221,10 +226,41 @@ def check_f_invariance(dec, points, trials=25, tol=DEFAULT_TOLERANCES.invariance
             if j != i and inv not in (i, j):
                 cross = np.abs(fv[:, off[j]:off[j + 1]]) / norms[:, None]
                 events.append(("phi-cross", [names[i], names[j]], cross.max(axis=(1, 2))))
-    return events_report(events, stack.x.tolist(), tol, seed)
+    return events_report(events, stack.x.tolist(), tol)
 
 
-def events_report(events, xs, tol, seed):
+def _norm2(a):
+    """np.linalg.norm(a, 2), NaN for a matrix with a NaN, inf for one with an
+    inf, 0 for an empty one."""
+    if np.isnan(a).any():
+        return math.nan
+    if np.isinf(a).any():
+        return math.inf
+    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+
+
+def exact_f_invariance(dec, points, tol=DEFAULT_TOLERANCES.invariance):
+    """The exact check, one point and one block of T_DD at a time: the leak
+    of D_i is the 2-norm of its columns outside its rows, its cross to D_j
+    the largest row norm of block (j, i)."""
+    points = list(points)
+    if not points:
+        raise SpecError("check_f_invariance needs at least one point")
+    stack = dec.frame_stack(points)
+    names, inv, off = dec.component_names(), stack.invariant_index, stack.offsets
+    events = []
+    for i, (lo, hi) in enumerate(zip(off, off[1:])):
+        cols = [t[:, lo:hi] for t in stack.phi_dd]
+        events.append(("f-leak", names[i], [_norm2(np.delete(c, np.s_[lo:hi], axis=0))
+                                            for c in cols]))
+        for j in range(len(names)):
+            if j != i and inv not in (i, j):
+                events.append(("phi-cross", [names[i], names[j]], [
+                    float(np.linalg.norm(c[off[j]:off[j + 1]], axis=1).max()) for c in cols]))
+    return events_report(events, stack.x.tolist(), tol)
+
+
+def events_report(events, xs, tol):
     """The InvarianceReport of the events (kind, components, values per
     point), walked point by point as `check_f_invariance` walks them."""
     worst, witness = {"f-leak": 0.0, "phi-cross": 0.0}, {}
@@ -236,7 +272,7 @@ def events_report(events, xs, tol, seed):
                            comps, "point": x, "residual": worst[kind]}
     max_leak, max_cross = worst["f-leak"], worst["phi-cross"]
     passed = max_leak <= tol and max_cross <= tol
-    return InvarianceReport(passed, max_leak, max_cross, witness, tol, seed)
+    return InvarianceReport(passed, max_leak, max_cross, witness, tol)
 
 
 @contextmanager
@@ -255,8 +291,7 @@ def classify(dec, points, tolerances=DEFAULT_TOLERANCES, seed=DEFAULT_SEED):
     points = list(points)
     if len(points) < 2:
         raise SpecError("classification needs at least two sample points")
-    inv_report = check_f_invariance(dec, points, trials=10, tol=tolerances.invariance,
-                                    seed=seed)
+    inv_report = exact_f_invariance(dec, points, tol=tolerances.invariance)
     if not inv_report.passed:
         raise ModelError(f"f-invariance violated: {inv_report.witness}")
 

@@ -2,7 +2,8 @@
 over the point stack (`slant_spectra`, `alpha_theta`, `_analyze_tracks`,
 `_first_coincidence`, `_first_agreeing_pair`, `check_f_invariance`),
 against the per-point versions they replaced (`classifier_oracle`). Report
-JSON must be byte-identical and errors must have the same text."""
+JSON must be byte-identical and errors must have the same text. The exact
+f-invariance check also bounds the sampled one it replaced."""
 
 import json
 from types import SimpleNamespace
@@ -255,14 +256,26 @@ def test_invariance_witness_matches_the_oracle(seed):
         due[inv] = due[:, inv] = False
     events = np.concatenate([leak[..., None], np.where(due, cross, 0.0)], axis=-1)
     worst, witness = distribution.invariance_maxima(events, names, x)
-    want = oracle.events_report(_oracle_events(leak, cross, names, inv), x.tolist(), 1e-10, 0)
+    want = oracle.events_report(_oracle_events(leak, cross, names, inv), x.tolist(), 1e-10)
     assert (worst["f-leak"], worst["phi-cross"], witness) == (
         want.max_leak, want.max_cross, want.witness)
 
 
-def _invariance(fn, dec, points, seed):
-    rep = fn(dec, points, trials=10, tol=TOL.invariance, seed=seed)
+def _invariance(rep):
     return rep.passed, rep.max_leak, rep.max_cross, rep.witness
+
+
+def _assert_exact_invariance(dec, points, seeds):
+    """check_f_invariance is the per-point exact oracle's report, bit for
+    bit, and no maximum of the sampled check (10 trials per seed) is above
+    the exact one."""
+    exact = distribution.check_f_invariance(dec, points, tol=TOL.invariance)
+    assert _invariance(exact) == _invariance(oracle.exact_f_invariance(dec, points, TOL.invariance))
+    for seed in seeds:
+        sampled = oracle.check_f_invariance(dec, points, 10, TOL.invariance, seed)
+        assert sampled.max_leak <= exact.max_leak * (1.0 + 1e-14)
+        assert sampled.max_cross <= exact.max_cross * (1.0 + 1e-14)
+    return exact
 
 
 @pytest.mark.parametrize("fid, k, epsilon, gamma, delta, count", [
@@ -273,13 +286,11 @@ def _invariance(fn, dec, points, seed):
     ("ex3", 2, -1, None, None, 5),
 ])
 def test_invariance_draws_match_the_oracle(fid, k, epsilon, gamma, delta, count):
-    """One draw of D * trials values per point stream gives the component
-    by component draws exactly, and the report is the oracle's."""
+    """The stacked exact check is the per-point oracle's, and the seeded
+    draws of the sampled check stay below it."""
     fx = build_fixture(fid, k=k, epsilon=epsilon, gamma=gamma, delta=delta)
-    points = fx.default_points(count=count)
-    for seed in (0, 7):
-        assert (_invariance(distribution.check_f_invariance, fx.decomposition, points, seed)
-                == _invariance(oracle.check_f_invariance, fx.decomposition, points, seed))
+    assert _assert_exact_invariance(fx.decomposition, fx.default_points(count=count),
+                                    (0, 7)).passed
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -296,9 +307,23 @@ def test_invariance_of_a_stack_with_nans_matches_the_oracle(seed):
                             phi_dd=phi_dd, x=rng.standard_normal((4, 2)))
     dec = SimpleNamespace(frame_stack=lambda points: stack,
                           component_names=lambda: [f"D{i}" for i in range(len(ranks))])
-    points = list(stack.x)
-    assert (_invariance(distribution.check_f_invariance, dec, points, seed)
-            == _invariance(oracle.check_f_invariance, dec, points, seed))
+    _assert_exact_invariance(dec, list(stack.x), (seed,))
+
+
+def test_invariance_of_a_stack_with_infs():
+    """A block with an inf (and no NaN) is an inf event, and so the maximum;
+    one with a NaN is a NaN event, never one."""
+    phi_dd = np.zeros((2, 3, 3))
+    phi_dd[0, 2, 0] = np.nan        # D0 -> D1 at point 0
+    phi_dd[1, 0, 1] = np.inf        # D1 -> D0 at point 1
+    stack = SimpleNamespace(offsets=(0, 1, 3), invariant_index=None, phi_dd=phi_dd,
+                            x=np.eye(2))
+    dec = SimpleNamespace(frame_stack=lambda points: stack,
+                          component_names=lambda: ["D0", "D1"])
+    rep = _assert_exact_invariance(dec, list(stack.x), ())
+    assert (rep.max_leak, rep.max_cross) == (np.inf, np.inf)
+    assert rep.witness == {"kind": "phi-cross", "components": ["D1", "D0"], "point": [0.0, 1.0],
+                           "residual": np.inf}
 
 
 def test_invariance_violation_matches_the_oracle(ex1):
@@ -311,8 +336,7 @@ def test_invariance_violation_matches_the_oracle(ex1):
              DistributionFrame("D2", [d2.fields[0], d1.fields[1]])]
     bad = Decomposition(dec.structure, mixed, dec.invariant, mask=dec.mask)
     points = ex1.default_points()[:6]
-    assert (_invariance(distribution.check_f_invariance, bad, points, 1)
-            == _invariance(oracle.check_f_invariance, bad, points, 1))
+    assert not _assert_exact_invariance(bad, points, (1,)).passed
     assert (_report(lambda: classifier.classify(bad, points))
             == _report(lambda: oracle.classify(bad, points)))
     assert _report(lambda: classifier.classify(bad, points))[0] is None

@@ -192,6 +192,87 @@ class TestDualAndIdentities:
         assert "struct.compat" in out
 
 
+class TestFailurePaths:
+    """Failures that only a spec made for them reaches."""
+
+    @staticmethod
+    def _run(capsys, tmp_path, doc, *argv):
+        """(exit code, stdout, stderr, the JSON report or None) of one command."""
+        spec, report = tmp_path / "spec.json", tmp_path / "report.json"
+        spec.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], str(spec), *argv[1:], "--json", str(report))
+        return code, out, err, json.loads(report.read_text()) if report.exists() else None
+
+    @staticmethod
+    def _ex3():
+        fx = build_fixture("ex3", k=2, epsilon=-1)
+        return fixture_to_spec_dict(fx, points=fx.default_points()[:5])
+
+    def test_declared_invariant_component_with_a_slant_value(self, capsys, tmp_path, ex1_spec):
+        doc = dict(ex1_spec[1], decomposition={"invariant": "D1", "proper": ["D0", "D2"]})
+        code, _, _, report = self._run(capsys, tmp_path, doc, "classify")
+        assert code == 0
+        evidence = report["classification"]["evidence"]
+        assert evidence["invariant-component"] == {
+            "max_theta": pytest.approx(1.5707963267948966),
+            "reason": "declared invariant component 'D1' measures a nonzero slant value"}
+        assert evidence["k-slant"] == evidence["invariant-component"]
+
+    def test_f_on_h_fails_the_dual(self, capsys, tmp_path):
+        """D2 left out of the decomposition, so it lies in H, and phi(e7) gets
+        a part along e1 in D0: f does not vanish on H."""
+        doc = dict(self._ex3(), decomposition={"invariant": "D0", "proper": ["D1"]})
+        doc["phi_columns"][6][0] = "0.5"
+        code, _, err, report = self._run(capsys, tmp_path, doc, "dual")
+        assert code == 1 and report is None
+        assert err.startswith("failure: f does not vanish on the computed H (residual 5.000e-01)"
+                              " at [0.0, 0.0, ")
+
+    def test_xi_vanishing_to_first_order_fails_the_probe(self, capsys, tmp_path, ex1_spec):
+        """xi = x1 e11 is not 0 at the sample points, but its first-order
+        model at x - h e1 is at x1 = h = fd_step."""
+        doc = json.loads(json.dumps(ex1_spec[1]))
+        doc["xi"] = ["0"] * 10 + ["x1"]
+        for i, point in enumerate(doc["sample_points"]):
+            point[0] = 1e-5 if i == 0 else point[0] or 1.0
+        code, _, err, report = self._run(capsys, tmp_path, doc, "identities", "--connection")
+        assert code == 1 and report is None
+        assert err == (f"failure: xi vanishes to first order near "
+                       f"{doc['sample_points'][0]}\n")
+
+    def test_classify_stops_at_a_failed_structure_without_force(self, capsys, tmp_path):
+        doc = self._ex3()
+        doc["phi_columns"] = [[f"2*({e})" for e in col] for col in doc["phi_columns"]]
+        code, out, err, report = self._run(capsys, tmp_path, doc, "classify")
+        assert code == 1
+        assert out.startswith("# Classification report (structure failed)")
+        assert err == "structure validation failed; use --force to classify anyway\n"
+        assert report["structure"]["passed"] is False
+        assert report["structure"]["residuals"]["metric-law"] == pytest.approx(3.0)
+        assert report["classification"] == report["dual"] == "skipped"
+
+    @pytest.mark.parametrize("command", ["dual", "identities"])
+    def test_discovery_spec_needs_a_declared_decomposition(self, capsys, tmp_path, command):
+        doc = dict(self._ex3(), decomposition=None)
+        code, out, err, report = self._run(capsys, tmp_path, doc, command)
+        assert (code, out, report) == (2, "", None)
+        assert err == f"error: the {command} command needs a declared decomposition\n"
+
+
+def test_structure_report_does_not_depend_on_trials(capsys, tmp_path, ex1_spec):
+    """The structure axioms are checked exactly: --trials and --seed change
+    nothing in the structure section but the seed it reports."""
+    path, _ = ex1_spec
+    sections = []
+    for trials, seed in (("2", "1"), ("90", "2")):
+        out_path = tmp_path / f"v{trials}.json"
+        assert run(capsys, "validate", str(path), "--trials", trials, "--seed", seed,
+                   "--json", str(out_path))[0] == 0
+        sections.append(json.loads(out_path.read_text())["structure"])
+    assert [s.pop("seed") for s in sections] == [1, 2]
+    assert sections[0] == sections[1]
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys, tmp_path, ex1_spec):
         path, _ = ex1_spec

@@ -132,8 +132,7 @@ class TestFSquared:
 
 class TestCheckFInvariance:
     def test_gallery_passes(self, ex1):
-        rep = check_f_invariance(ex1.decomposition, ex1.default_points()[:5],
-                                 trials=10, tol=1e-10)
+        rep = check_f_invariance(ex1.decomposition, ex1.default_points()[:5], tol=1e-10)
         assert rep.passed
 
     def test_mixed_halves_fail(self, ex1):
@@ -143,7 +142,7 @@ class TestCheckFInvariance:
             [unit_frame("A", n, [4, 7], mask=ex1.mask),
              unit_frame("B", n, [3, 8], mask=ex1.mask)],
             mask=ex1.mask)
-        rep = check_f_invariance(mixed, [np.zeros(n)], trials=10, tol=1e-10)
+        rep = check_f_invariance(mixed, [np.zeros(n)], tol=1e-10)
         assert not rep.passed
         assert rep.witness["kind"] in ("f-leak", "phi-cross")
 
@@ -153,7 +152,7 @@ class TestCheckFInvariance:
             ex1.structure,
             [unit_frame("P", n, [3, 4, 7, 8], mask=ex1.mask)],
             mask=ex1.mask)
-        rep = check_f_invariance(whole, ex1.default_points()[:3], trials=10, tol=1e-10)
+        rep = check_f_invariance(whole, ex1.default_points()[:3], tol=1e-10)
         assert rep.passed
 
 

@@ -36,7 +36,7 @@ class TestPhiAt:
         cols = [["0", "0"], ["0", "0"]]
         s = StructureField(2, -1, KIND_HERMITIAN, parse_columns(cols, 2))
         assert np.allclose(s.phi_at(np.zeros(2)), 0.0)
-        verdict = validate_structure(s, [np.zeros(2)], trials=5)
+        verdict = validate_structure(s, [np.zeros(2)])
         assert not verdict.passed
 
     def test_ex4_column_at_origin(self):
@@ -80,7 +80,7 @@ class TestNonFiniteEntries:
 class TestValidate:
     def test_ex1_passes(self, ex1):
         pts = [p for p in ex1.default_points()[:10]]
-        verdict = validate_structure(ex1.structure, pts, trials=10, tol=1e-10)
+        verdict = validate_structure(ex1.structure, pts, tol=1e-10)
         assert verdict.passed
         assert set(verdict.residuals) == {
             "compatibility", "metric-law", "squared-endomorphism",
@@ -89,7 +89,7 @@ class TestValidate:
     def test_identity_phi_fails(self):
         cols = [["1", "0"], ["0", "1"]]
         s = StructureField(2, -1, KIND_HERMITIAN, parse_columns(cols, 2))
-        verdict = validate_structure(s, [np.zeros(2)], trials=5)
+        verdict = validate_structure(s, [np.zeros(2)])
         assert not verdict.passed
         # phi^2 = I but eps = -1 wants -I: residual 2 on unit vectors
         assert verdict.residuals["squared-endomorphism"] == pytest.approx(2.0, rel=1e-6)
@@ -97,19 +97,19 @@ class TestValidate:
     def test_ex9_passes(self):
         fx = build_fixture("ex9", k=2, epsilon=-1, gamma=1.0)
         pts = fx.default_points()[:10]
-        verdict = validate_structure(fx.structure, pts, trials=10)
+        verdict = validate_structure(fx.structure, pts)
         assert verdict.passed
 
     def test_eval_error_becomes_witnessed_failure(self):
         cols = [["1/x1", "0"], ["0", "1"]]
         s = StructureField(2, 1, KIND_HERMITIAN, parse_columns(cols, 2))
-        verdict = validate_structure(s, [np.zeros(2)], trials=3)
+        verdict = validate_structure(s, [np.zeros(2)])
         assert not verdict.passed
         assert verdict.witness["axiom"] == "evaluation"
 
     def test_needs_points(self, ex1):
         with pytest.raises(SpecError):
-            validate_structure(ex1.structure, [], trials=3)
+            validate_structure(ex1.structure, [])
 
     def test_nan_residual_is_the_witness(self, monkeypatch, ex3):
         """A nan residual compares false against every number; it must still
@@ -117,7 +117,7 @@ class TestValidate:
         monkeypatch.setattr(structure, "_axiom_residuals", lambda *_: {
             "compatibility": np.array([0.0, float("nan"), 1e-12])})
         points = [np.full(10, float(i)) for i in range(3)]
-        verdict = validate_structure(ex3.structure, points, trials=3)
+        verdict = validate_structure(ex3.structure, points)
         assert not verdict.passed
         assert math.isnan(verdict.residuals["compatibility"])
         assert verdict.witness["axiom"] == "compatibility"
@@ -130,7 +130,7 @@ class TestValidate:
             "compatibility": np.array([5.0, 1e-3]),
             "metric-law": np.array([1e-12, float("nan")])})
         points = [np.full(10, float(i)) for i in range(2)]
-        verdict = validate_structure(ex3.structure, points, trials=3)
+        verdict = validate_structure(ex3.structure, points)
         assert not verdict.passed
         assert verdict.residuals["compatibility"] == 5.0
         assert math.isnan(verdict.residuals["metric-law"])
@@ -142,7 +142,7 @@ class TestValidate:
             "compatibility": np.array([1.0, 2.0, 2.0]),
             "metric-law": np.array([2.0, 2.0, 0.5])})
         points = [np.full(10, float(i)) for i in range(3)]
-        verdict = validate_structure(ex3.structure, points, trials=3)
+        verdict = validate_structure(ex3.structure, points)
         assert verdict.residuals == {"compatibility": 2.0, "metric-law": 2.0}
         assert verdict.witness == {"axiom": "metric-law", "point": points[0].tolist(),
                                    "residual": 2.0}
@@ -150,35 +150,64 @@ class TestValidate:
     def test_zero_table_has_no_witness(self, monkeypatch, ex3):
         monkeypatch.setattr(structure, "_axiom_residuals", lambda *_: {
             "compatibility": np.zeros(2), "metric-law": np.zeros(2)})
-        verdict = validate_structure(ex3.structure, [np.zeros(10)] * 2, trials=3)
+        verdict = validate_structure(ex3.structure, [np.zeros(10)] * 2)
         assert verdict.passed
         assert verdict.witness == {"axiom": None, "point": None, "residual": 0.0}
 
     def test_failing_points_between_good_ones_keep_their_places(self, monkeypatch):
         """Points 1 and 3 fail evaluation (x1 = 0, then x2 = 0); the first of
-        them is the witness, and the good points keep the pair streams of
-        their indices."""
+        them is the witness, and the kernel reads the fields of the good
+        points in their order; the seed is reported, not drawn from."""
         cols = [["1/x1", "0"], ["0", "1/x2"]]
         s = StructureField(2, 1, KIND_HERMITIAN, parse_columns(cols, 2))
         points = [np.array([1.0, 2.0]), np.array([0.0, 1.0]), np.array([-3.0, 0.5]),
                   np.array([1.0, 0.0])]
         seen = {}
 
-        def spy(s, g, phi, xi, pairs):
-            seen.update(phi=phi, xi=xi, pairs=pairs)
-            return {"compatibility": np.zeros(len(pairs))}
+        def spy(s, g, phi, xi):
+            seen.update(g=g, phi=phi, xi=xi)
+            return {"compatibility": np.zeros(len(phi))}
 
         monkeypatch.setattr(structure, "_axiom_residuals", spy)
-        verdict = validate_structure(s, points, trials=4, seed=11)
+        verdict = validate_structure(s, points, seed=11)
         assert not verdict.passed
+        assert verdict.seed == 11
         assert verdict.witness["axiom"] == "evaluation"
         assert verdict.witness["point"] == [0.0, 1.0]
         assert "'1/x1'" in verdict.witness["error"]
         assert verdict.residuals == {"compatibility": 0.0, "evaluation": float("inf")}
         assert seen["xi"] is None
         assert np.array_equal(seen["phi"], np.stack([s.phi_at(points[0]), s.phi_at(points[2])]))
-        want = [rng_for(11, 101, idx).standard_normal((2, 4, 2)) for idx in (0, 2)]
-        assert np.array_equal(seen["pairs"], np.stack(want))
+        assert np.array_equal(seen["g"], np.stack([np.eye(2)] * 2))
+
+    def test_a_tie_decided_by_round_off_names_the_first_cell(self, monkeypatch, ex3):
+        """Cells within the round-off floor of the worst are tied: the first
+        of them in point-major, then axiom order is the witness."""
+        worst = 3.0
+        monkeypatch.setattr(structure, "_axiom_residuals", lambda *_: {
+            "compatibility": np.array([0.5, 0.5]),
+            "metric-law": np.array([np.nextafter(worst, 0.0), worst]),
+            "squared-endomorphism": np.array([worst - 1e-14, worst])})
+        points = [np.full(10, float(i)) for i in range(2)]
+        verdict = validate_structure(ex3.structure, points)
+        assert verdict.residuals["metric-law"] == worst
+        assert verdict.witness == {"axiom": "metric-law", "point": points[0].tolist(),
+                                   "residual": np.nextafter(worst, 0.0)}
+
+    def test_residuals_at_round_off_name_no_witness(self, monkeypatch, ex3):
+        """At or below the floor min(ROUND_OFF * n, tol) nothing is named; just
+        above it, the worst cell is."""
+        floor = structure.ROUND_OFF * ex3.structure.n
+        for top, named in ((floor, False), (2 * floor, True)):
+            monkeypatch.setattr(structure, "_axiom_residuals", lambda *_: {
+                "compatibility": np.array([1e-17, top]), "metric-law": np.zeros(2)})
+            verdict = validate_structure(ex3.structure, [np.zeros(10), np.ones(10)])
+            assert verdict.passed and verdict.residuals["compatibility"] == top
+            assert (verdict.witness["axiom"] is not None) == named
+        verdict = validate_structure(ex3.structure, [np.zeros(10), np.ones(10)], tol=floor / 4)
+        assert not verdict.passed
+        assert verdict.witness == {"axiom": "compatibility", "point": [1.0] * 10,
+                                   "residual": 2 * floor}
 
 def indefinite_ex3():
     """ex3 k=2 with the explicit metric diag(-1, 1, ..., 1)."""
@@ -200,7 +229,7 @@ class TestMetricPositive:
     def test_validate_witnesses_metric_positive(self):
         fx, s = indefinite_ex3()
         points = fx.default_points()[:3]
-        verdict = validate_structure(s, points, trials=5)
+        verdict = validate_structure(s, points)
         assert not verdict.passed
         assert verdict.residuals == {"metric-positive": float("inf")}
         assert verdict.witness["axiom"] == "metric-positive"
@@ -214,7 +243,7 @@ class TestMetricPositive:
         s = StructureField(n, 1, KIND_HERMITIAN, fx.structure.phi_columns,
                            metric=parse_columns(eye, n))
         assert s.metric_is_euclidean
-        assert validate_structure(s, fx.default_points()[:3], trials=5).passed
+        assert validate_structure(s, fx.default_points()[:3]).passed
 
 
 class TestEta:
