@@ -27,14 +27,13 @@ w(D_i) is spanned by the block T[G, D_i], and H is their complement in G.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
-from typing import NamedTuple
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import DimensionError, EvalError, InvariantError, ModelError, RankError, SpecError
-from .expr import LiteralFill
+from .expr import LiteralFill, literal_table
 from .linalg import complement_columns, g_inner, mgs_columns, mgs_each, spectral_norms
 from .structure import StructureField
 
@@ -133,16 +132,15 @@ class DistributionFrame:
         if any(f.n != n for f in fields):
             raise DimensionError(f"distribution {name!r} mixes field dimensions")
         if mask is not None:
-            mask = tuple(sorted(set(int(i) for i in mask)))
+            mask = tuple(sorted(set(map(int, mask))))
             if mask and (mask[0] < 1 or mask[-1] > n):
                 raise DimensionError(f"mask indices for {name!r} outside 1..{n}")
-            outside = [i for i in range(1, n + 1) if i not in mask]
-            for f in fields:
-                for i in outside:
-                    if not f.is_zero_component(i - 1):
-                        raise InvariantError(
-                            f"distribution {name!r}: field component x{i} is not the "
-                            "literal 0 outside the submanifold mask")
+            # the entries of the fields' literal table (NaN where no literal) that are
+            # not 0, field by field
+            for at in np.flatnonzero(literal_table(chain(*(f.components for f in fields)))):
+                if at % n + 1 not in mask:
+                    raise InvariantError(f"distribution {name!r}: field component x{at % n + 1} "
+                                         "is not the literal 0 outside the submanifold mask")
         self.name, self.mask, self.n = name, mask, n
         self.fields, self.rank = tuple(fields), len(fields)
 
@@ -163,7 +161,7 @@ class Decomposition:
                 raise DimensionError(f"component {c.name!r} dimension differs from ambient")
         masks = {c.mask for c in comps if c.mask is not None}
         if mask is not None:
-            mask = tuple(sorted(set(int(i) for i in mask)))
+            mask = tuple(sorted(set(map(int, mask))))
         if masks:
             if len(masks) > 1 or (mask is not None and mask not in masks):
                 raise SpecError("components carry inconsistent submanifold masks")
@@ -183,9 +181,8 @@ class Decomposition:
         """The components' R = sum r_i fields, in order, as the columns of one
         fill (n, R), walked field by field as phi's is column by column. An
         entry is named `vector field[j][i]`: component i of field j."""
-        return LiteralFill((self.structure.n, len(self.entries)), (
-            ((i, j), (j, i), e) for j, field in enumerate(self.entries)
-            for i, e in enumerate(field)), "vector field")
+        return LiteralFill(chain(*self.entries), (len(self.entries), self.structure.n),
+                           "vector field", transpose=True)
 
     def raw_at(self, x: np.ndarray) -> np.ndarray:
         """The fields as the columns (..., n, R) of one matrix at x (..., n)."""
@@ -393,12 +390,13 @@ class DualDecomposition:
                 "h_basis": self.h_basis.tolist(), "f_on_h_residual": self.f_on_h_residual}
 
 
-class InvarianceReport(NamedTuple):
-    passed: bool
-    max_leak: float
-    max_cross: float
-    witness: dict
-    tol: float
+class InvarianceReport:
+    """Outcome of check_f_invariance: the largest leak and cross, and the
+    witness of the later of the two kinds' maxima."""
+
+    def __init__(self, passed: bool, max_leak: float, max_cross: float, witness: dict, tol: float):
+        self.passed, self.max_leak, self.max_cross = passed, max_leak, max_cross
+        self.witness, self.tol = witness, tol
 
 
 def check_f_invariance(dec: Decomposition, points,

@@ -16,15 +16,19 @@ which share a base class (`_Node`) that makes them immutable, so a tree is
 safe to share across threads; evaluation is pure.
 
 `LiteralFill` evaluates an array of expressions (phi, the metric, xi, or all
-of a decomposition's fields: one fill each) over a stack of points through
-one straight-line program, a table of operations built on first use and run
-over the whole stack, one array operation per row. No spec text becomes
-Python code. The tree walker `_eval` stays the oracle: it serves `evaluate`,
-and a point at which the program faults is walked instead, so `_eval` alone
-raises a domain error. Each fill knows the spec name of its entries, and
-it alone raises for a non-finite value or derivative, naming the entry and
-the point. `tangents.fill_jacobian` runs the same table forward over points
-and directions.
+of a decomposition's fields: one fill each) over a stack of points. It is
+built from its entries in walk order (phi column by column, the fields field
+by field, the metric row by row): its literal entries form one table, built
+by one array call and never evaluated, and the distinct trees of the others
+run as one straight-line program, a table of operations built on first use
+and run over the whole stack, one array operation per row. The parses of one
+spec share equal subtrees, which the program walks once. No spec text
+becomes Python code. The tree walker `_eval` stays the oracle: it serves
+`evaluate`, and a point at which the program faults is walked instead, so
+`_eval` alone raises a domain error. Each fill knows the spec name of its
+entries, and it alone raises for a non-finite value or derivative, naming
+the entry and the point. `tangents.fill_jacobian` runs the same table
+forward over points and directions.
 """
 
 from __future__ import annotations
@@ -167,35 +171,41 @@ class Call(_Node):
 
 Expr = Num | Coord | Pi | Norm2 | Neg | Bin | Call
 
-ScalarFieldExpr = Expr  # the domain-type name used by the other modules
-
 # Deepest expression tree the parser accepts, in nodes from root to leaf; a
 # sum x1+x1+... of MAX_DEPTH terms is that deep. _eval, to_source, the fill
 # program's builder and a node's ==, hash and repr recurse once per tree level,
-# the parser three times per level of parentheses, function argument or
-# exponent; those nest at most MAX_DEPTH // 6 deep. Both bounds keep every
-# recursion well under CPython's default limit of 1000 frames.
+# the parser four times per level of parentheses or function argument and
+# twice per exponent; those nest at most MAX_DEPTH // 6 deep. Both bounds keep
+# every recursion well under CPython's default limit of 1000 frames.
 MAX_DEPTH = 600
-# One token per match: a number, a word (an identifier, or a run of Unicode
-# digits and letters that no identifier starts with) or any other non-space
-# character. No match starts at a space, so findall skips spaces. \S and \w
-# test each character as `not str.isspace` and `str.isalnum or "_"` do; only
-# the ASCII 0-9 are digits of a number or a coordinate.
-_TOKEN = re.compile(r"[0-9]+(?:\.[0-9]*)?|\.[0-9]*|\w+|\S")
+# One token per match: an operator or parenthesis (tried first, as the most
+# common), a number, a word (an identifier, or a run of Unicode digits and
+# letters that no identifier starts with) or any other non-space character.
+# No match starts at a space, so findall skips spaces. \S and \w test each
+# character as `not str.isspace` and `str.isalnum or "_"` do; only the ASCII
+# 0-9 are digits of a number or a coordinate.
+_TOKEN = re.compile(r"[-+*/^()]|[0-9]+(?:\.[0-9]*)?|\.[0-9]*|\w+|\S")
 _COORD = re.compile(r"x[0-9]+")
 
 
 class _Parser:
-    """Recursive descent over the tokens of `_TOKEN`; each method returns
-    (node, height), the height counting nodes from the returned one down to
-    its deepest leaf. Token offsets are found only for an error."""
+    """Precedence climbing over the tokens of `_TOKEN`: `expr` reads the sums
+    and products of one level in one loop, and `factor` a signed power,
+    recursing only into a parenthesis, a function argument or an exponent.
+    Each returns (node, height), the height counting nodes from the returned
+    one down to its deepest leaf; a node too deep is an error at the next
+    token, or right after a call's ')'. A node equal to one in `nodes` is
+    that node: a leaf is keyed by its token, an operation by its op and its
+    operands' identities. Token offsets are found only for an error."""
 
-    def __init__(self, src: str, tokens: list[str], n: int):
+    def __init__(self, src: str, tokens: list[str], n: int, nodes: dict):
         self.src = src
         self.tokens = tokens + [""]  # "": the end of input
         self.n = n
+        self.nodes = nodes
         self.i = 0  # the next token
-        self.nesting = 0  # factor() calls under way
+        self.nesting = 0  # parentheses, function arguments and exponents open
+        self.deepest = 0  # the most of them open at once so far
 
     def error(self, message: str, i: int, end: bool = False) -> ParseError:
         """ParseError at the start of token i, or at its end; at the end of
@@ -205,12 +215,38 @@ class _Parser:
         start = [m.start() for m in _TOKEN.finditer(self.src)][i]
         return ParseError(message, start + len(self.tokens[i]) if end else start)
 
-    def node(self, e: Expr, *child_heights: int, closed: bool = False) -> tuple[Expr, int]:
-        """An operation node with its height; leaves have height 1. Too deep,
-        the error stands at the next token, or after a `closed` call's ')'."""
-        height = 1 + max(child_heights)
-        if height > MAX_DEPTH:
-            raise self.error("expression nested too deeply", self.i - closed, closed)
+    def inner(self, read: Callable) -> tuple[Expr, int]:
+        """`read()` one level of parentheses, argument or exponent deeper."""
+        self.nesting += 1
+        self.deepest = max(self.deepest, self.nesting)
+        e, height = read()
+        self.nesting -= 1
+        return e, height
+
+    def group(self) -> tuple[Expr, int]:
+        """The expression of the parenthesis or argument list just opened,
+        and its ')'. The tokens of a group or a text read before in these
+        parses are that read, kept in `nodes` as (node, height, the levels it
+        opens), when those levels fit here."""
+        tokens, start, base = self.tokens, self.i, self.nesting
+        try:
+            end, opened = start, 1
+            while opened:       # find the ')' that closes the group
+                close = tokens.index(")", end)
+                opened += tokens[end:close].count("(") - 1
+                end = close + 1
+            key = (tuple(tokens[start:end - 1]),)
+        except ValueError:      # no ')' does: the read below raises
+            key = None
+        if (hit := self.nodes.get(key)) is not None and base + hit[2] <= MAX_DEPTH // 6:
+            self.i, self.deepest = end, max(self.deepest, base + hit[2])
+            return hit[:2]
+        outer, self.deepest = self.deepest, base
+        e, height = self.inner(self.expr)
+        self.expect(")")
+        if key is not None:
+            self.nodes[key] = e, height, self.deepest - base
+        self.deepest = max(outer, self.deepest)
         return e, height
 
     def expect(self, tok: str):
@@ -219,94 +255,112 @@ class _Parser:
         self.i += 1
 
     def parse(self) -> Expr:
-        e, _ = self.expr()
+        if (hit := self.nodes.get(key := (tuple(self.tokens[:-1]),))) is not None:
+            return hit[0]       # a text or group read before
+        e, height = self.expr()
         if self.tokens[self.i]:
             raise self.error("trailing input", self.i)
+        self.nodes[key] = e, height, self.deepest + 1
         return e
 
     def expr(self) -> tuple[Expr, int]:
-        left, height = self.term()
-        while (op := self.tokens[self.i]) in ("+", "-"):
+        """expr := term (('+'|'-') term)*, term := factor (('*'|'/') factor)*;
+        each operator's node is made once its right operand is read."""
+        tokens, nodes, add, total, total_height = self.tokens, self.nodes, None, None, 0
+        while True:
+            left, height = self.factor()
+            while (op := tokens[self.i]) == "*" or op == "/":
+                self.i += 1
+                right, right_height = self.factor()
+                key = op, id(left), id(right)
+                left = nodes.get(key) or nodes.setdefault(key, Bin(op, left, right))
+                if (height := max(height, right_height) + 1) > MAX_DEPTH:
+                    raise self.error("expression nested too deeply", self.i)
+            if add:
+                key = add, id(total), id(left)
+                left = nodes.get(key) or nodes.setdefault(key, Bin(add, total, left))
+                if (height := max(total_height, height) + 1) > MAX_DEPTH:
+                    raise self.error("expression nested too deeply", self.i)
+            if (add := tokens[self.i]) != "+" and add != "-":
+                return left, height
             self.i += 1
-            right, right_height = self.term()
-            left, height = self.node(Bin(op, left, right), height, right_height)
-        return left, height
-
-    def term(self) -> tuple[Expr, int]:
-        left, height = self.factor()
-        while (op := self.tokens[self.i]) in ("*", "/"):
-            self.i += 1
-            right, right_height = self.factor()
-            left, height = self.node(Bin(op, left, right), height, right_height)
-        return left, height
+            total, total_height = left, height
 
     def factor(self) -> tuple[Expr, int]:
         """factor := '-'? atom ('^' factor)?, the atom read in place. Every
-        recursion of the grammar passes through here: a parenthesis or
-        function argument by way of expr and term, an exponent directly; a
-        nesting error stands right after the '(' or operator just read."""
+        recursion of the grammar passes through here; one level too many is
+        an error right after the '(' or operator just read."""
         if self.nesting > MAX_DEPTH // 6:
             raise self.error("expression nested too deeply", self.i - 1, end=True)
-        self.nesting += 1
-        tokens = self.tokens
-        negate = tokens[self.i] == "-"
-        self.i += negate
-        tok, at = tokens[self.i], self.i
-        self.i += 1
-        if not tok:
+        tokens, nodes, at = self.tokens, self.nodes, self.i
+        negate = tokens[at] == "-"
+        at += negate
+        tok = tokens[at]
+        self.i = at + 1
+        height = 1
+        if (base := nodes.get(tok)) is not None:    # a leaf read before
+            pass
+        elif not tok:
             raise self.error("unexpected end of input", at)
-        if tok == "(":
-            base, height = self.expr()
-            self.expect(")")
         elif tok[0] in "0123456789.":
             if tok == ".":
                 raise self.error("malformed number", at)
             if not math.isfinite(value := float(tok)):
                 # Num(inf) would render as "inf", which is outside the grammar
                 raise self.error("number literal overflows a double", at)
-            base, height = Num(value), 1
-        elif tok == "pi":
-            base, height = Pi(), 1
-        elif tok == "norm2":
-            base, height = Norm2(), 1
+            base = nodes[tok] = Num(value)
+        elif tok == "norm2" or tok == "pi":
+            base = nodes[tok] = Norm2() if tok == "norm2" else Pi()
+        elif tok == "(":
+            base, height = self.group()
         elif tok in FUNCTIONS:
             if tokens[self.i] != "(":
                 raise self.error(f"function {tok!r} needs an argument list", at)
             self.i += 1
-            arg, height = self.expr()
-            self.expect(")")
-            base, height = self.node(Call(tok, arg), height, closed=True)
+            arg, height = self.group()
+            base = nodes.get(key := (tok, id(arg))) or nodes.setdefault(key, Call(tok, arg))
+            if (height := height + 1) > MAX_DEPTH:
+                raise self.error("expression nested too deeply", self.i - 1, end=True)
         elif _COORD.fullmatch(tok):
             digits = tok[1:].lstrip("0")    # int() refuses a string of over 4300 digits
             if len(digits) > len(str(self.n)) or not 1 <= (idx := int(digits or "0")) <= self.n:
                 shown = tok if len(tok) <= 32 else f"{tok[:32]}... ({len(tok)} characters)"
                 raise self.error(f"coordinate {shown} out of range 1..{self.n}", at)
-            base, height = Coord(idx), 1
+            base = nodes[tok] = Coord(idx)
         elif tok[0].isalpha() or tok[0] == "_":
             raise self.error(f"unknown identifier {tok!r}", at)
         else:
             raise self.error(f"unexpected character {tok[0]!r}", at)
         if tokens[self.i] == "^":
             self.i += 1
-            exponent, exponent_height = self.factor()
-            base, height = self.node(Bin("^", base, exponent), height, exponent_height)
+            exponent, exponent_height = self.inner(self.factor)
+            key = "^", id(base), id(exponent)
+            base = nodes.get(key) or nodes.setdefault(key, Bin("^", base, exponent))
+            if (height := max(height, exponent_height) + 1) > MAX_DEPTH:
+                raise self.error("expression nested too deeply", self.i)
         if negate:
-            base, height = self.node(Neg(base), height)
-        self.nesting -= 1
+            base = nodes.get(key := ("neg", id(base))) or nodes.setdefault(key, Neg(base))
+            if (height := height + 1) > MAX_DEPTH:
+                raise self.error("expression nested too deeply", self.i)
         return base, height
 
 
-def parse(src: str, n: int) -> Expr:
-    """Parse `src` as a scalar field over x1..xn."""
+def parse(src: str, n: int, nodes: dict | None = None) -> Expr:
+    """Parse `src` as a scalar field over x1..xn. The parses that share the
+    dict `nodes` (those of one spec, over one n) share their equal subtrees,
+    which the program of a fill walks once, and read each token sequence of
+    a parenthesis, an argument list or a text once; by default a parse
+    shares only within itself."""
     tokens = _TOKEN.findall(src) if isinstance(src, str) else []
     if not tokens:
         raise ParseError("empty expression", 0)
     if n < 1:
         raise DimensionError("ambient dimension must be >= 1")
+    nodes = {} if nodes is None else nodes
     # a bare literal is read here; its errors (overflow) are the parser's
     if len(tokens) == 1 and tokens[0][0] in "0123456789" and math.isfinite(v := float(tokens[0])):
-        return Num(v)
-    return _Parser(src, tokens, n).parse()
+        return nodes.get(tokens[0]) or nodes.setdefault(tokens[0], Num(v))
+    return _Parser(src, tokens, n, nodes).parse()
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -448,22 +502,21 @@ _LEAVES = ("num", "x", "norm2")
 
 
 class _Program:
-    """The straight-line program of a fill's live entries: one row per
-    distinct operation, each after its operands, in _eval's order. Identical
-    subtrees share one row, because evaluation is pure; the entries of a fill
-    repeat most of their subexpressions. A row is a literal ("num", value),
+    """The straight-line program of the distinct trees of a fill's live
+    entries, one result each: one row per distinct operation, each after its
+    operands, in _eval's order. Identical subtrees share one row, because
+    evaluation is pure; the entries of a fill repeat most of their
+    subexpressions. A row is a literal ("num", value),
     ("num", 0.0, sign) for a zero, a coordinate ("x", 0-based index),
     ("norm2",), or an operation of the walker and the rows of its operands,
     such as ("/", 3, 7)."""
 
-    __slots__ = ("rows", "results", "literals", "steps", "coords", "broken", "constant",
-                 "where")
+    __slots__ = ("rows", "results", "literals", "steps", "coords", "broken", "constant")
 
-    def __init__(self, live):
+    def __init__(self, trees):
         rows: list[tuple] = []
         index: dict[tuple, int] = {}   # row -> its position
-        seen: dict[int, int] = {}      # id of a node met before -> its row (the
-        # entries of one spec text share one tree)
+        seen: dict[int, int] = {}      # id of a node met before -> its row
         moves: list[bool] = []         # per row, whether it depends on the point
         self.broken = False
 
@@ -497,7 +550,7 @@ class _Program:
             seen[id(e)] = r
             return r
 
-        self.results = [row(entry) for _, entry in live]
+        self.results = [row(tree) for tree in trees]
         self.rows = rows
         self.constant = not self.broken and not any(moves[r] for r in self.results)
         self.coords = [key[1] for key in rows if key[0] == "x"]
@@ -513,10 +566,9 @@ class _Program:
         # there) per row but the literals; a is the coordinate of an "x" row
         self.steps = [(i, key[0], _ARRAY_OPS.get(key[0]), *(key[1:] + (None, None))[:2], dying[i])
                       for i, key in enumerate(rows) if key[0] != "num"]
-        self.where = tuple(np.array(axis) for axis in zip(*(idx for idx, _ in live)))
 
     def run(self, x: np.ndarray, seeds: np.ndarray | None = None, rule: Callable | None = None):
-        """The entries over the points x (P, n): their values (P, L) and the
+        """The results over the points x (P, n): their values (P, L) and the
         points (P,) at which the program faults. With directions `seeds`
         (M, n), their tangents (P, M, L) instead, and the (point, direction)
         pairs (P, M) at which a value or a tangent faults: `rule(op, v, a,
@@ -572,42 +624,52 @@ class _Program:
         return out, dfault | fault
 
 
+def literal_table(entries) -> np.ndarray:
+    """The values of the bare `Num` entries of a sequence, NaN at any other
+    node: one array call."""
+    return np.array([e.value if e.__class__ is Num else math.nan for e in entries], float)
+
+
 class LiteralFill:
-    """Evaluates an array of expressions of `shape` at each point of a stack
-    x (..., n) as (..., *shape); a point (n,) is a stack of one. Bare `Num`
-    entries are copied from an array built once. The other entries run as
-    one straight-line program (`_Program`, built on first use) over the
-    whole stack, one array operation per row. A point at which the program
-    faults (a division by exact 0, a clamp violated, a `math` domain or range
-    error, a coordinate beyond the point's length) is walked instead, its
-    entries in the order given, so that its error is `_eval`'s. Constant
+    """Evaluates an array of expressions at each point of a stack x (..., n)
+    as (..., *array shape); a point (n,) is a stack of one. `entries` are the
+    expressions in walk order, the spec's own nesting of `shape`; the array
+    is that nesting, or with `transpose` its transpose (phi's column c, row r
+    is the array's (r, c)). Bare `Num` entries fill the table `literals`.
+    Only the entries that can be non-finite, the live ones (any other node)
+    and any non-finite literal, are kept as Python items (`named`, by walk
+    position). The distinct trees of the live ones (`live`) run as one
+    straight-line program (`_Program`, built on first use) over the whole
+    stack, whose results go to their entries' places (`where`, `picks`). A
+    point at which the program faults (a division by exact 0, a clamp
+    violated, a `math` domain or range error, a coordinate beyond the
+    point's length) is walked instead, tree by tree in the walk order of
+    their first entries, so that its error is `_eval`'s. Constant
     subexpressions are not folded, so `1/0` still raises EvalError when it
     is evaluated.
 
-    `items` yields (index into an array of `shape`, name, expression) in
-    walk order. The name is the entry's index in the spec's nesting (phi's
-    column c, row r as (c, r) for the array's (r, c)) and `label` names the
-    spec entry, so the fill alone reports a non-finite value: `values`
+    `label` names the spec entry and an entry's name is its index in the
+    nesting, so the fill alone reports a non-finite value: `values`
     evaluates, `at` also runs `require_finite`. Its Jacobian is
-    `tangents.fill_jacobian`, checked by the same method. Only the items
-    that can be non-finite, the live entries and any non-finite literal,
-    are kept (`named`)."""
+    `tangents.fill_jacobian`, checked by the same method. Every array it
+    returns is C-contiguous."""
 
-    __slots__ = ("literals", "live", "named", "label", "_program")
+    __slots__ = ("literals", "label", "transpose", "named", "live", "where", "picks", "_program")
 
-    def __init__(self, shape: tuple[int, ...], items, label: str):
-        self.literals = np.zeros(shape)
-        self.live, self.named, self.label = [], [], label
-        for item in items:
-            idx, _, entry = item
-            if isinstance(entry, Num):
-                self.literals[idx] = entry.value
-                if math.isfinite(entry.value):
-                    continue
-            else:
-                self.live.append((idx, entry))
-            self.named.append(item)     # an entry that can be non-finite
-        self._program = None
+    def __init__(self, entries, shape: tuple[int, ...], label: str, transpose: bool = False):
+        entries = list(entries)
+        table = literal_table(entries)
+        self.named = {k: entries[k] for k in np.flatnonzero(~np.isfinite(table)).tolist()}
+        at = [k for k, e in self.named.items() if e.__class__ is not Num]    # the live entries
+        table[at] = 0.0
+        code: dict[int, int] = {}       # the id of a live tree -> its place in `live`
+        self.picks = np.array([code.setdefault(id(self.named[k]), len(code)) for k in at], np.intp)
+        self.live = list({id(self.named[k]): self.named[k] for k in at}.values())
+        where = np.unravel_index(np.array(at, np.intp), shape)
+        self.where = where[::-1] if transpose else where
+        table = table.reshape(shape)
+        self.literals = np.ascontiguousarray(table.T) if transpose else table
+        self.label, self.transpose, self._program = label, transpose, None
 
     def program(self) -> _Program:
         if self._program is None:
@@ -620,11 +682,10 @@ class LiteralFill:
         xs = x.reshape(-1, x.shape[-1])
         out = np.repeat(self.literals[None], len(xs), axis=0)
         if self.live and len(xs):
-            program = self.program()
-            values, fault = program.run(xs)
+            values, fault = self.program().run(xs)
             for p in np.flatnonzero(fault):
-                values[p] = [_eval(entry, xs[p]) for _, entry in self.live]
-            out[(slice(None),) + program.where] = values
+                values[p] = [_eval(tree, xs[p]) for tree in self.live]
+            out[(slice(None),) + self.where] = values[:, self.picks]
         return out.reshape(x.shape[:-1] + self.literals.shape)
 
     def at(self, point) -> np.ndarray:
@@ -639,19 +700,22 @@ class LiteralFill:
         fill's values (..., *shape) at the points x (..., n), or with
         `derivative` its Jacobian (..., m, *shape): at the first point that
         has one, its first entry in walk order, then that entry's first
-        direction."""
+        direction. Only a live entry or a non-finite literal can be one."""
         bad = ~np.isfinite(values)
         if not bad.any():
             return
         xs = x.reshape(-1, x.shape[-1])
         bad = bad.reshape(len(xs), -1, *self.literals.shape)    # (P, m or 1, *shape)
         p = int(np.argmax(bad.reshape(len(xs), -1).any(axis=1)))
-        idx, name, entry = next(e for e in self.named if bad[(p, slice(None)) + e[0]].any())
+        walk = bad[p].any(axis=0).T if self.transpose else bad[p].any(axis=0)
+        k = int(np.argmax(walk))
+        name = tuple(int(i) for i in np.unravel_index(k, walk.shape))
+        idx = name[::-1] if self.transpose else name
         m = int(np.argmax(bad[(p, slice(None)) + idx]))
         what = f"derivative of {self.label}" if derivative else self.label
         where = "".join(f"[{i}]" for i in name + (m,) * derivative)
         raise EvalError(f"non-finite value {values.reshape(bad.shape)[(p, m) + idx]} of {what}"
-                        f"{where} at {xs[p].tolist()}", to_source(entry))
+                        f"{where} at {xs[p].tolist()}", to_source(self.named[k]))
 
 
 class VectorFieldExpr:
@@ -663,8 +727,7 @@ class VectorFieldExpr:
             raise DimensionError("a vector field needs at least one component")
         self.components = comps
 
-    fill = cached_property(lambda self: LiteralFill((self.n,), (
-        ((i,), (i,), c) for i, c in enumerate(self.components)), "vector field"))
+    fill = cached_property(lambda self: LiteralFill(self.components, (self.n,), "vector field"))
 
     @classmethod
     def parse(cls, sources, n: int) -> "VectorFieldExpr":
@@ -680,11 +743,6 @@ class VectorFieldExpr:
     def at(self, point) -> np.ndarray:
         """The field at a point (n,), or at each point of a stack (..., n)."""
         return self.fill.at(point)
-
-    def is_zero_component(self, index: int) -> bool:
-        """True when component `index` (0-based) is the literal constant 0."""
-        c = self.components[index]
-        return isinstance(c, Num) and c.value == 0.0
 
     def to_sources(self) -> list[str]:
         return [to_source(c) for c in self.components]

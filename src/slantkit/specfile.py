@@ -28,6 +28,7 @@ import json
 import math
 import numbers
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
@@ -150,26 +151,36 @@ def _is_finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _parse_all(sources, n: int, key: str, parsed: dict) -> list:
-    """Parse a row of expression strings; `key` names the row in errors.
-    `parsed` maps each text already parsed in this spec to its tree: a text
-    is parsed once, and the entries that repeat it share its frozen tree."""
-    for j, src in enumerate(sources):
-        if not isinstance(src, str):
-            raise SpecError(f"{key}[{j}] must be an expression string, not {src!r}")
-    for j, src in enumerate(sources):
-        if src not in parsed:
-            try:
-                parsed[src] = fe.parse(src, n)
-            except ParseError as exc:
-                raise ParseError(f"{key}[{j}]: {exc.reason}", exc.offset) from None
-    return [parsed[src] for src in sources]
+def _parse_all(sources, n: int, key: str, parsed: dict, nodes: dict) -> list:
+    """The trees of a row of expression strings, read once: each of its
+    distinct entries is checked to be a string, then each text new to this
+    spec is parsed, in the order of its first entry; `key` names the row in
+    errors. `parsed` maps each text already parsed to its tree, so a text is
+    parsed once and the entries that repeat it share its frozen tree; the
+    parses share `nodes`, so equal subtrees of two texts are one object."""
+    try:
+        texts = dict.fromkeys(sources)
+    except TypeError:   # an unhashable entry, which is no string
+        texts = {None: None}
+    if not texts.keys() <= parsed.keys():       # a text new to this spec, or no text
+        if not set(map(type, texts)) <= {str}:  # or a subclass of str
+            for j, src in enumerate(sources):
+                if not isinstance(src, str):
+                    raise SpecError(f"{key}[{j}] must be an expression string, not {src!r}")
+        for src in texts:
+            if src not in parsed:
+                try:
+                    parsed[src] = fe.parse(src, n, nodes)
+                except ParseError as exc:
+                    raise ParseError(f"{key}[{sources.index(src)}]: {exc.reason}",
+                                     exc.offset) from None
+    return list(map(parsed.__getitem__, sources))
 
 
-def _vector_field(sources, n: int, key: str, parsed: dict) -> fe.VectorFieldExpr:
+def _vector_field(sources, n: int, key: str, parsed: dict, nodes: dict) -> fe.VectorFieldExpr:
     if not isinstance(sources, list) or len(sources) != n:
         raise SpecError(f"{key} must be an array of {n} expression strings")
-    return fe.VectorFieldExpr(_parse_all(sources, n, key, parsed))
+    return fe.VectorFieldExpr(_parse_all(sources, n, key, parsed, nodes))
 
 
 def load_manifold_spec(source) -> ManifoldSpec:
@@ -201,27 +212,28 @@ def load_manifold_spec(source) -> ManifoldSpec:
     if kind not in KINDS:
         raise SpecError(f"kind must be one of {KINDS}")
 
-    parsed: dict[str, fe.Expr] = {}  # this load's parses, by text (n is fixed)
+    parsed, nodes = {}, {}  # this load's parses, by text (n is fixed), and their nodes
     metric_raw = raw.get("metric", "euclidean")
     metric = None
     if metric_raw != "euclidean":
         if (not isinstance(metric_raw, list) or len(metric_raw) != n
                 or any(not isinstance(row, list) or len(row) != n for row in metric_raw)):
             raise SpecError('metric must be "euclidean" or an n x n matrix of expressions')
-        metric = [_parse_all(row, n, f"metric[{i}]", parsed) for i, row in enumerate(metric_raw)]
+        metric = [_parse_all(row, n, f"metric[{i}]", parsed, nodes)
+                  for i, row in enumerate(metric_raw)]
 
     phi_raw = _need(raw, "phi_columns")
     if (not isinstance(phi_raw, list) or len(phi_raw) != n
             or any(not isinstance(col, list) or len(col) != n for col in phi_raw)):
         raise SpecError("phi_columns must be n arrays of n expression strings")
-    phi = [_parse_all(col, n, f"phi_columns[{i}]", parsed) for i, col in enumerate(phi_raw)]
+    phi = [_parse_all(col, n, f"phi_columns[{i}]", parsed, nodes) for i, col in enumerate(phi_raw)]
 
     xi = None
     if kind == "contact-like":
         xi_raw = raw.get("xi")
         if xi_raw is None:
             raise SpecError("contact-like specs need xi")
-        xi = _vector_field(xi_raw, n, "xi", parsed)
+        xi = _vector_field(xi_raw, n, "xi", parsed, nodes)
     elif raw.get("xi") is not None:
         raise SpecError("hermitian-like specs carry no xi")
 
@@ -244,7 +256,7 @@ def load_manifold_spec(source) -> ManifoldSpec:
     for name, fields_raw in dists_raw.items():
         if not isinstance(fields_raw, list) or not fields_raw:
             raise SpecError(f"distribution {name!r} must list at least one vector field")
-        fields = [_vector_field(src, n, f"distributions.{name}[{j}]", parsed)
+        fields = [_vector_field(src, n, f"distributions.{name}[{j}]", parsed, nodes)
                   for j, src in enumerate(fields_raw)]
         frames[name] = DistributionFrame(name, fields, mask=mask)
 
@@ -295,16 +307,25 @@ def _load_points(points_raw, n, mask) -> list[np.ndarray]:
                           seed=points_raw["seed"])
     if not isinstance(points_raw, list) or not points_raw:
         raise SpecError("sample_points must be a nonempty array or a generator object")
-    points = []
-    for row in points_raw:
-        if not isinstance(row, (list, tuple)) or len(row) != n:
-            raise SpecError(f"sample point {row!r} does not have {n} coordinates")
-        if not all(_is_finite_number(v) for v in row):
-            raise SpecError(f"sample point {row!r} must hold finite numbers")
-        arr = np.asarray(row, dtype=float)
-        if mask is not None:
-            outside = [i for i in range(n) if (i + 1) not in mask]
-            if outside and float(np.max(np.abs(arr[outside]), initial=0.0)) > 0:
-                raise SpecError("sample point leaves the submanifold mask")
-        points.append(arr)
-    return points
+    fits = [isinstance(row, (list, tuple)) and len(row) == n for row in points_raw]
+    rows = points_raw[:fits.index(False)] if False in fits else points_raw
+    try:    # JSON's floats and ints as one array; an int beyond the doubles overflows
+        if not set(map(type, chain(*rows))) <= {float, int}:
+            raise TypeError("a bool, a string or another type: each value is checked")
+        xs = np.array(rows, dtype=float).reshape(len(rows), n)
+        finite = np.isfinite(xs).all(axis=1)
+    except (TypeError, OverflowError):
+        finite = np.array([all(map(_is_finite_number, row)) for row in rows], bool)
+        xs = np.array([row if ok else [0] * n for row, ok in zip(rows, finite)],
+                      dtype=float).reshape(len(rows), n)
+    stop = len(rows) if finite.all() else int(np.argmin(finite))
+    outside = np.ones(n, bool)
+    outside[[i - 1 for i in mask or range(1, n + 1)]] = False
+    # the first row to fail a check raises, for its first: length, finite, mask
+    if (xs[:stop, outside] != 0.0).any():
+        raise SpecError("sample point leaves the submanifold mask")
+    if stop < len(rows):
+        raise SpecError(f"sample point {rows[stop]!r} must hold finite numbers")
+    if len(rows) < len(points_raw):
+        raise SpecError(f"sample point {points_raw[len(rows)]!r} does not have {n} coordinates")
+    return list(xs)

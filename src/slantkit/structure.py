@@ -18,6 +18,8 @@ point and axiom come from one stacked pass; nothing is drawn at random.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from . import expr as fe
@@ -68,19 +70,16 @@ class StructureField:
         self.metric_exprs = tuple(metric) if metric is not None else None
         self.xi = xi
         self._fields = None, None      # (key, fields) of the last `fields_at` stack
+        entries = chain(*metric) if metric is not None else [fe.Num(0.0)] * (n * n)
+        if metric is None:
+            entries[::n + 1] = [fe.Num(1.0)] * n
         # column c of phi holds the image of e_{c+1}; entries are walked
         # column by column, metric entries row by row
-        self.phi_fill = fe.LiteralFill((n, n), (
-            ((r, c), (c, r), e) for c, col in enumerate(phi_columns) for r, e in enumerate(col)),
-            "phi_columns")
-        self.metric_fill = fe.LiteralFill((n, n), (
-            ((i, i), (i, i), fe.Num(1.0)) for i in range(n)) if metric is None else (
-            ((i, j), (i, j), e) for i, row in enumerate(metric) for j, e in enumerate(row)),
-            "metric")
+        self.phi_fill = fe.LiteralFill(chain(*phi_columns), (n, n), "phi_columns", transpose=True)
+        self.metric_fill = fe.LiteralFill(entries, (n, n), "metric")
         # True when the metric is absent or the literal identity matrix.
-        self.metric_is_euclidean = metric is None or all(
-            isinstance(entry, fe.Num) and entry.value == (1.0 if i == j else 0.0)
-            for i, row in enumerate(metric) for j, entry in enumerate(row))
+        self.metric_is_euclidean = not self.metric_fill.live and np.array_equal(
+            self.metric_fill.literals, np.eye(n))
 
     @property
     def is_contact(self) -> bool:
@@ -131,13 +130,6 @@ class StructureField:
                 a.setflags(write=False)
             self._fields = key, fields
         return self._fields[1]
-
-    def eta(self, point, v) -> float:
-        """eta(v) = g(v, xi) at the point."""
-        if not self.is_contact:
-            raise KindError("eta is only defined for contact-like structures")
-        comps = np.asarray(v, dtype=float)
-        return float(comps @ self.metric_at(point) @ self.xi_at(point))
 
 
 class StructureVerdict:

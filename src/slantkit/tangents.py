@@ -78,7 +78,7 @@ def fill_jacobian(fill: fe.LiteralFill, x: np.ndarray, coords, h: float) -> np.n
     xs = x.reshape(-1, x.shape[-1])
     tangents, fault = program.run(xs, np.eye(x.shape[-1])[coords], _tangent)
     out = np.zeros((len(xs), len(coords)) + fill.literals.shape)
-    out[(slice(None), slice(None)) + program.where] = tangents
+    out[(slice(None), slice(None)) + fill.where] = tangents[..., fill.picks]
     for p, m in zip(*np.nonzero(fault)):
         out[p, m] = _central_difference(fill, xs[p], coords[m], h)
     return out.reshape(x.shape[:-1] + out.shape[1:])

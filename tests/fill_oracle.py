@@ -223,16 +223,21 @@ class _TangentWriter:
 _COMPILED: dict[tuple, tuple] = {}   # (id of a fill, writer) -> (the fill, its parts)
 
 
+def _entries(fill) -> list[tuple]:
+    """The fill's live entries in walk order: (index into its array, tree)."""
+    return [(tuple(map(int, idx)), fill.live[c]) for idx, c in zip(zip(*fill.where), fill.picks)]
+
+
 def _parts(fill, tangents: type | None) -> list[tuple[Callable | None, int]]:
     """`_compile` of the fill's live entries, once per fill."""
     key = (id(fill), tangents)
     if key not in _COMPILED or _COMPILED[key][0] is not fill:
-        _COMPILED[key] = (fill, _compile([entry for _, entry in fill.live], tangents))
+        _COMPILED[key] = (fill, _compile([entry for _, entry in _entries(fill)], tangents))
     return _COMPILED[key][1]
 
 
 def _where(fill) -> tuple:
-    return tuple(np.array(axis) for axis in zip(*(idx for idx, _ in fill.live)))
+    return tuple(np.array(axis) for axis in zip(*(idx for idx, _ in _entries(fill))))
 
 
 def at(fill, x: np.ndarray) -> np.ndarray:
@@ -250,7 +255,7 @@ def at(fill, x: np.ndarray) -> np.ndarray:
                 for part in parts:
                     row += part(xp)
             except _FAULTS:
-                row = [_eval(entry, xp) for _, entry in fill.live]
+                row = [_eval(entry, xp) for _, entry in _entries(fill)]
             values.append(row)
         out[(slice(None),) + _where(fill)] = values
     return out.reshape(x.shape[:-1] + fill.literals.shape)
@@ -266,7 +271,7 @@ def jacobian(fill, x: np.ndarray, coords, h: float, difference) -> np.ndarray | 
         return None
     coords = list(coords)
     seeds = np.eye(x.shape[0])[coords]
-    values = np.zeros((len(coords), len(fill.live)))
+    values = np.zeros((len(coords), len(_entries(fill))))
     faulted = set()
     start = 0
     for part, count in parts:

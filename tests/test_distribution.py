@@ -75,7 +75,7 @@ class TestFWSplit:
             idx = [0, 1, 2, 3, 6, 7, 10]
             v[idx] = rng.standard_normal(len(idx))
             w_part = FrameMaps(ex1.decomposition, pt).w(v)
-            assert abs(ex1.structure.eta(pt, w_part)) < 1e-12
+            assert abs(w_part @ ex1.structure.metric_at(pt) @ ex1.structure.xi_at(pt)) < 1e-12
 
 
 class TestFSquared:

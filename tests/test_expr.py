@@ -71,7 +71,7 @@ class TestParse:
             text = fe.to_source(e)
             assert fe.to_source(fe.parse(text, 1)) == text
             value = fe.evaluate(e, [0.5])
-            assert fe.LiteralFill((1,), [((0,), (0,), e)], "entry").at(np.array([0.5]))[0] == value
+            assert fe.LiteralFill([e], (1,), "entry").at(np.array([0.5]))[0] == value
             with pytest.raises(ParseError, match="nested too deeply"):
                 fe.parse(form(k + 1), 1)
 
@@ -118,6 +118,43 @@ class TestParse:
         assert got == want and type(got) is type(want)
         if isinstance(want, fe.Num):
             assert math.copysign(1.0, got.value) == math.copysign(1.0, want.value)
+
+
+def _parsed(parse, src, n):
+    """The tree's repr, or the error's type, message and offset."""
+    try:
+        return repr(parse(src, n))
+    except Exception as exc:  # noqa: BLE001 - any difference is a finding
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+_LEVELS = fe.MAX_DEPTH // 6
+_TEXTS = st.recursive(
+    st.sampled_from(["x1", "x2", "2.5", "norm2", "pi", "0", "x4", "1 +", "$"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map("".join),
+        inner.map(lambda e: f"({e})"), inner.map(lambda e: f"-{e}"),
+        st.tuples(st.sampled_from(fe.FUNCTIONS), inner).map(lambda t: f"{t[0]}({t[1]})")),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@example(["sin(x1^x1)", "(" * (_LEVELS - 2) + "sin(x1^x1)" + ")" * (_LEVELS - 2)])  # fits
+@example(["sin(x1^x1)", "(" * (_LEVELS - 1) + "sin(x1^x1)" + ")" * (_LEVELS - 1)])  # too deep
+@example(["(" * (_LEVELS - 1) + "sin(x1)" + ")" * (_LEVELS - 1), "cos((sin(x1)))"])
+@example(["x1^x1", "(" * (_LEVELS - 1) + "sin(x1^x1)" + ")" * (_LEVELS - 1)])  # a whole text
+@example(["sin(x1^x1)", "cos(sin(x1^x1))",     # a group reused inside a group reused deeper
+          "(" * (_LEVELS - 2) + "cos(sin(x1^x1))" + ")" * (_LEVELS - 2)])
+@example(["x1*(x2+1)", "(x1*(x2+1))", "sin((x1*(x2+1)))^2", "x1*(x2+1"])
+@given(st.lists(_TEXTS, min_size=2, max_size=6))
+def test_parses_sharing_nodes_agree_with_the_grammar(texts):
+    """Texts parsed in turn with one node table, as a spec load parses them:
+    a group or text read before is reused only where its nesting fits, so
+    each gives the oracle's tree or error."""
+    nodes = {}
+    for src in texts:
+        assert _parsed(lambda s, n: fe.parse(s, n, nodes), src, 3) == _parsed(
+            expr_oracle.parse, src, 3), src
 
 
 class TestEval:
@@ -222,8 +259,8 @@ def test_long_literal_roundtrip(int_digits, frac_digits):
 def test_vector_field():
     vf = fe.VectorFieldExpr.parse(["x2", "-(x1)", "0"], 3)
     assert np.allclose(vf.at([1.0, 2.0, 5.0]), [2.0, -1.0, 0.0])
-    assert vf.is_zero_component(2)
-    assert not vf.is_zero_component(0)
+    assert vf.fill.literals.tolist() == [0.0, 0.0, 0.0]
+    assert [axis.tolist() for axis in vf.fill.where] == [[0, 1]]
     back = fe.VectorFieldExpr.parse(vf.to_sources(), 3)
     assert np.allclose(back.at([0.5, -0.25, 9.0]), vf.at([0.5, -0.25, 9.0]))
 
@@ -408,7 +445,8 @@ def test_literal_fill_does_not_fold_constants():
     """Only bare Num entries are filled once; a constant subexpression such
     as 1/0 is evaluated, and raises, at every point."""
     field = fe.VectorFieldExpr.parse(["1/0", "2"], 2)
-    assert [idx for idx, _ in field.fill.live] == [(0,)]
+    assert field.fill.live == [field.components[0]]
+    assert [axis.tolist() for axis in field.fill.where] == [[0]]
     with pytest.raises(EvalError, match="division by zero"):
         field.at(np.zeros(2))
 
@@ -417,10 +455,10 @@ def test_literal_fill_does_not_fold_constants():
 def test_a_non_finite_literal_is_named_in_walk_order(literal_first):
     """A non-finite literal, which the parser never builds, is named like a
     live entry: the first non-finite entry in walk order raises."""
-    items = [((1,), fe.Num(math.inf)), ((0,), fe.parse("x1/x2", 2))]
+    entries = [fe.Num(math.inf), fe.parse("x1/x2", 2)]
     if not literal_first:
-        items.reverse()
-    fill = fe.LiteralFill((2,), [(idx, (k,), e) for k, (idx, e) in enumerate(items)], "entry")
+        entries.reverse()
+    fill = fe.LiteralFill(entries, (2,), "entry")
     source = "inf" if literal_first else "x1/x2"
     with pytest.raises(EvalError, match=re.escape(
             f"non-finite value inf of entry[0] at [1e+300, 1e-300] in '{source}'")):
@@ -444,7 +482,7 @@ def test_literal_fill_of_long_entries_matches_the_walker():
     values are the walker's, in order."""
     entries = [fe.parse("+".join(f"x{(i + t) % 3 + 1}*{t}.{i}" for t in range(400)), 3)
                for i in range(3)]
-    fill = fe.LiteralFill((3,), (((i,), (i,), e) for i, e in enumerate(entries)), "vector field")
+    fill = fe.LiteralFill(entries, (3,), "vector field")
     x = np.array([0.75, -1.5, 2.0])
     assert _same(fill.at(x), np.array(_walk(entries, x)))
     assert len(fill.program().rows) > 2400
@@ -477,8 +515,7 @@ def test_jacobian_matches_central_differences(monkeypatch):
     monkeypatch.setattr(tangents, "_central_difference",
                         lambda fill, x, j, h: fallbacks.append(j))
     entries = [fe.parse(src, 3) for src in _SMOOTH]
-    fill = fe.LiteralFill((len(entries),), (((i,), (i,), e) for i, e in enumerate(entries)),
-                          "vector field")
+    fill = fe.LiteralFill(entries, (len(entries),), "vector field")
     jac = tangents.fill_jacobian(fill, _POINT3, [0, 1, 2], 1e-5)
     assert jac.shape == (3, len(entries))
     np.testing.assert_allclose(jac, _central(fill, _POINT3), rtol=1e-8, atol=1e-8)

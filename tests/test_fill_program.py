@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import expr_oracle
 import fill_oracle
 from slantkit import expr as fe
 from slantkit import tangents
@@ -20,6 +21,7 @@ from slantkit.errors import SlantKitError
 from slantkit.gallery import FIXTURE_IDS, build_fixture, fixture_to_spec_dict
 from slantkit.sampling import box_points
 from slantkit.specfile import load_manifold_spec
+from slantkit.structure import KIND_HERMITIAN, StructureField
 
 H = 1e-5
 
@@ -138,8 +140,7 @@ _STACK = st.lists(st.lists(_COORDINATE, min_size=3, max_size=3), min_size=1, max
                 max_size=4), _STACK, st.sampled_from([[0, 1, 2], [2, 0], [1]]))
 def test_random_fills_match_the_oracle(entries, xs, coords):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        fill = fe.LiteralFill((len(entries),), (((i,), (i,), e) for i, e in enumerate(entries)),
-                              "vector field")
+        fill = fe.LiteralFill(entries, (len(entries),), "vector field")
         _assert_same(fill, xs, coords, monkeypatch)
 
 
@@ -151,9 +152,8 @@ def test_fault_classes_match_the_oracle(src, monkeypatch):
     """Each fault class at the origin and on the axes, beside a point where
     the entry is smooth."""
     xs = np.array([[0.0, 0.0, 0.0], [0.0, 1.5, -0.5], [0.75, -1.5, 2.0], [-0.0, 2.0, 2.0]])
-    fill = fe.LiteralFill((2, 2), [((0, 1), (0, 1), fe.parse(src, 3)),
-                                   ((1, 0), (1, 0), fe.parse("x2*x3", 3)),
-                                   ((1, 1), (1, 1), fe.Num(4.0))], "metric")
+    fill = fe.LiteralFill([fe.Num(0.0), fe.parse(src, 3), fe.parse("x2*x3", 3), fe.Num(4.0)],
+                          (2, 2), "metric")
     _assert_same(fill, xs, [0, 1, 2], monkeypatch)
 
 
@@ -163,14 +163,13 @@ def test_math_rows_match_the_oracle_on_a_dense_stack(monkeypatch):
     inputs on common hosts (np.arccos at about 9% of points in (-1, 1),
     np.log at about 0.2% of points in (0, 5)), which 2000 points show."""
     xs = np.random.default_rng(11).uniform(0.05, 0.95, (2000, 3))
-    fill = fe.LiteralFill((5,), (((i,), (i,), fe.parse(src, 3)) for i, src in enumerate(
-        ["sin(3*x1)", "cos(x1*x2)", "arccos(x1 - x3)", "x1^x2", "(4*x2)^2.5"])), "vector field")
+    fill = fe.LiteralFill([fe.parse(src, 3) for src in [
+        "sin(3*x1)", "cos(x1*x2)", "arccos(x1 - x3)", "x1^x2", "(4*x2)^2.5"]], (5,), "vector field")
     _assert_same(fill, xs, [0, 1, 2], monkeypatch)
 
 
 def test_a_coordinate_beyond_the_point_is_the_walkers_error(monkeypatch):
-    fill = fe.LiteralFill((2,), [((0,), (0,), fe.parse("x1", 3)),
-                                 ((1,), (1,), fe.parse("x3 + 1", 3))], "vector field")
+    fill = fe.LiteralFill([fe.parse("x1", 3), fe.parse("x3 + 1", 3)], (2,), "vector field")
     _assert_same(fill, np.array([[1.0, 2.0], [0.5, 0.0]]), [0, 1], monkeypatch)
 
 
@@ -186,7 +185,7 @@ def test_long_fill_jacobian_memory_is_bounded():
     is a few rows and the peak about 70 kB."""
     entries = [fe.parse("+".join(f"x{(i + t) % 3 + 1}*{t}.{i}" for t in range(400)), 3)
                for i in range(3)]
-    fill = fe.LiteralFill((3,), (((i,), (i,), e) for i, e in enumerate(entries)), "vector field")
+    fill = fe.LiteralFill(entries, (3,), "vector field")
     xs = np.array(box_points(3, (1, 2, 3), 64, seed=3))
     fill.program()
     tracemalloc.start()
@@ -199,3 +198,44 @@ def test_long_fill_jacobian_memory_is_bounded():
             for j in range(3)]
     np.testing.assert_allclose(jac, np.broadcast_to(want, (64, 3, 3)), rtol=1e-12)
     assert peak <= LONG_JACOBIAN_PEAK_BOUND, peak
+
+
+# -- the structure's fills against per-entry walks, in walk order ---------------
+
+# literal zeros of both signs, a non-finite literal, another literal and live
+# entries; each a shared object, as a spec's repeated texts are
+_ENTRIES = (fe.Num(0.0), fe.Num(-0.0), fe.Num(math.inf), fe.Num(2.5),
+            *(fe.parse(src, 3) for src in ("x1", "1/x2", "x1*x2 - x3", "sqrt(x3)", "x1^x2",
+                                           "0*x1")))
+
+
+def _walked(nesting, xs, transpose):
+    """Each entry's `_eval` at each point (P, *nesting), laid out as the fill
+    lays it out."""
+    table = np.array([[[fe._eval(e, x) for e in part] for part in nesting] for x in xs])
+    return table.transpose(0, 2, 1) if transpose else table
+
+
+@settings(max_examples=300, deadline=None)
+@example([fe.Num(0.0)] * 9, [fe.Num(0.0)] * 3 + [fe.Num(math.inf)] + [fe.Num(0.0)] * 5,
+         np.array([[1.0, 2.0, 3.0]]))    # the metric's only non-finite entry is a literal
+@given(st.lists(st.sampled_from(_ENTRIES), min_size=9, max_size=9),
+       st.lists(st.sampled_from(_ENTRIES), min_size=9, max_size=9), _STACK)
+def test_structure_fills_match_the_walker_in_walk_order(phi, metric, xs):
+    """phi (walked column by column) and the metric (row by row) over a
+    stack: the values of per-entry `_eval` walks, bit for bit, or their
+    error; C-contiguous; and `require_finite` names the oracle's first
+    non-finite entry: at the first point that has one, the first in the
+    spec's nesting."""
+    cols, rows = [phi[i:i + 3] for i in (0, 3, 6)], [metric[i:i + 3] for i in (0, 3, 6)]
+    s = StructureField(3, -1, KIND_HERMITIAN, cols, metric=rows)
+    for fill, nesting, label in ((s.phi_fill, cols, "phi_columns"),
+                                 (s.metric_fill, rows, "metric")):
+        want = _outcome(lambda: _walked(nesting, xs, fill.transpose))
+        assert _outcome(lambda: fill.values(xs)) == want
+        if want[1] is None:
+            values = fill.values(xs)
+            nested = values.transpose(0, 2, 1) if fill.transpose else values
+            assert values.flags.c_contiguous
+            assert (_outcome(lambda: fill.require_finite(values, xs))
+                    == _outcome(lambda: expr_oracle.require_finite(nested, nesting, xs, label)))

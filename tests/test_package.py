@@ -33,7 +33,7 @@ def test_submodules_are_attributes_and_other_names_are_not():
 
 
 # What `import slantkit` and then a spec load import, in a fresh interpreter,
-# and the dataclasses that the loaded modules define.
+# and the dataclasses and namedtuple classes that the loaded modules define.
 _IMPORT_PROBE = """
 import dataclasses, json, sys
 def ours():
@@ -44,7 +44,9 @@ from slantkit.specfile import load_manifold_spec
 load_manifold_spec(sys.argv[1])
 loaded = ours()
 defined = [f"{m}.{name}" for m in loaded for name, obj in vars(sys.modules[m]).items()
-           if isinstance(obj, type) and obj.__module__ == m and dataclasses.is_dataclass(obj)]
+           if isinstance(obj, type) and obj.__module__ == m and (dataclasses.is_dataclass(obj)
+                                                                  or issubclass(obj, tuple)
+                                                                  and hasattr(obj, "_fields"))]
 print(json.dumps([bare, loaded, defined]))
 """
 
@@ -73,8 +75,8 @@ def test_import_and_spec_load_import_only_what_they_use(spec_load_probe):
 
 
 def test_spec_load_defines_no_dataclass(spec_load_probe):
-    """A dataclass compiles its generated methods at every import of its
-    module; no module that a spec load imports defines one."""
+    """A dataclass or a namedtuple class compiles generated code at every
+    import of its module; no module that a spec load imports defines one."""
     assert spec_load_probe[2] == []
 
 

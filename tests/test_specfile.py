@@ -11,11 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slantkit import expr as fe
-from slantkit.errors import ParseError
+from slantkit.errors import ParseError, SpecError
 from slantkit.gallery import build_fixture, fixture_to_spec_dict
 from slantkit.report import make_run_report, report_json
 from slantkit.sampling import BOX_STREAM, box_points, rng_for
-from slantkit.specfile import _sanitize, canonical_dumps, load_manifold_spec, spec_digest
+from slantkit.specfile import (_is_finite_number, _load_points, _sanitize, canonical_dumps,
+                               load_manifold_spec, spec_digest)
 
 
 def _entry_texts(doc) -> list[str]:
@@ -35,7 +36,7 @@ def test_each_load_parses_each_distinct_text_once(monkeypatch):
     assert len(set(texts)) < len(texts)
     calls = []
     parse = fe.parse
-    monkeypatch.setattr(fe, "parse", lambda src, n: calls.append(src) or parse(src, n))
+    monkeypatch.setattr(fe, "parse", lambda src, *rest: calls.append(src) or parse(src, *rest))
     spec = load_manifold_spec(doc)
     assert sorted(calls) == sorted(set(texts))
     load_manifold_spec(doc)
@@ -44,6 +45,92 @@ def test_each_load_parses_each_distinct_text_once(monkeypatch):
     zeros = [e for col, col_src in zip(phi, doc["phi_columns"])
              for e, src in zip(col, col_src) if src == "0"]
     assert len(zeros) > 1 and all(e is zeros[0] for e in zeros)
+
+
+def test_identities_k8_parses_each_distinct_text_once_and_shares_subtrees(monkeypatch):
+    """The ex9 k = 8 spec (n = 34): 65 live entries of 1156 in phi, 35
+    distinct texts, each parsed once; a text that negates another holds that
+    text's tree, so the phi program walks it once."""
+    doc = fixture_to_spec_dict(build_fixture("ex9", k=8, epsilon=-1, gamma=1.5))
+    texts = _entry_texts(doc)
+    calls = []
+    parse = fe.parse
+    monkeypatch.setattr(fe, "parse", lambda src, *rest: calls.append(src) or parse(src, *rest))
+    fill = load_manifold_spec(doc).structure.phi_fill
+    assert len(calls) == len(set(calls)) == len(set(texts)) == 35
+    assert (len(fill.picks), fill.literals.size) == (65, 34 * 34)
+    by_text = dict(zip(texts, [e for col in fill_columns(doc, fill) for e in col]))
+    negated = [src for src in by_text if src.startswith("-((") and src[2:-1] in by_text]
+    assert negated and all(by_text[src].operand is by_text[src[2:-1]] for src in negated)
+
+
+def fill_columns(doc, fill):
+    """The trees of phi column by column, read off the fill (literals as Num)."""
+    n = doc["ambient_dim"]
+    trees = {tuple(idx): fill.live[c] for idx, c in zip(zip(*(a.tolist() for a in fill.where)),
+                                                          fill.picks.tolist())}
+    return [[trees.get((r, c), fe.Num(fill.literals[r, c])) for r in range(n)] for c in range(n)]
+
+
+def _old_points(points_raw, n, mask):
+    """The explicit-point checks as a per-row loop: length, then finite,
+    then mask; the first failing row raises."""
+    points = []
+    for row in points_raw:
+        if not isinstance(row, (list, tuple)) or len(row) != n:
+            raise SpecError(f"sample point {row!r} does not have {n} coordinates")
+        if not all(_is_finite_number(v) for v in row):
+            raise SpecError(f"sample point {row!r} must hold finite numbers")
+        arr = np.asarray(row, dtype=float)
+        outside = [i for i in range(n) if mask is not None and i + 1 not in mask]
+        if outside and float(np.max(np.abs(arr[outside]), initial=0.0)) > 0:
+            raise SpecError("sample point leaves the submanifold mask")
+        points.append(arr)
+    return points
+
+
+def _points_outcome(load, rows, n, mask):
+    try:
+        return [p.tolist() for p in load(rows, n, mask)], None
+    except SpecError as exc:
+        return None, str(exc)
+
+
+_ROW_VALUES = (0.0, -0.0, 1.5, 2, 0, True, False, "1.5", None, 1e400, -1e400, float("nan"),
+               10 ** 400, np.float64(0.5), [1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@example([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1e400, 0.0]], (3,))   # mask before finite
+@example([[0.0, 0.0, 1e400], [1.0, 0.0]], (3,))                        # finite before length
+@example([[0.0, 0.0, 1.0], "abc", [True, 0.0, 0.0]], None)             # length before finite
+@example([[0.0, 0.0, 10 ** 400]], None)                                # an int beyond the doubles
+@given(st.lists(st.one_of(st.lists(st.sampled_from(_ROW_VALUES), min_size=2, max_size=4),
+                          st.sampled_from(["abc", None, 3.0, (0.0, 1.0, 2.0)])),
+                min_size=1, max_size=5),
+       st.sampled_from([None, (1,), (3,), (1, 2, 3)]))
+def test_explicit_points_raise_for_the_first_failing_row(rows, mask):
+    """One array check of the explicit points gives the per-row loop's points
+    and messages: the first failing row raises, for its first failing check."""
+    want = _points_outcome(_old_points, rows, 3, mask)
+    assert _points_outcome(_load_points, rows, 3, mask) == want
+
+
+@pytest.mark.parametrize("case", ["length", "bool", "string", "overflow", "mask"])
+def test_explicit_point_messages(case):
+    """A spec's explicit points, the second row failing one check and the
+    third failing an earlier one: the second row's message."""
+    doc = fixture_to_spec_dict(build_fixture("ex3", k=2))
+    n, mask = doc["ambient_dim"], doc["submanifold_mask"]
+    bad = {"length": [0.0] * (n + 1), "bool": [True] + [0.0] * (n - 1),
+           "string": ["1"] + [0.0] * (n - 1), "overflow": [1e400] + [0.0] * (n - 1),
+           "mask": [1.0 if i + 1 not in mask else 0.0 for i in range(n)]}[case]
+    doc["sample_points"] = [[0.0] * n, bad, [0.0] * (n - 1)]
+    with pytest.raises(SpecError) as err:
+        load_manifold_spec(doc)
+    assert str(err.value) == {"length": f"sample point {bad!r} does not have {n} coordinates",
+                              "mask": "sample point leaves the submanifold mask"}.get(
+        case, f"sample point {bad!r} must hold finite numbers")
 
 
 def test_a_repeated_bad_text_names_its_first_entry():

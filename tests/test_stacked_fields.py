@@ -69,8 +69,9 @@ def test_stacked_fields_equal_their_points_bit_for_bit(fid, epsilon, metric):
 
 
 def test_fill_shapes():
-    fill = fe.LiteralFill((2, 3), [((0, 1), (1, 0), fe.parse("x1 + x2", 2)),
-                                   ((1, 2), (2, 1), fe.Num(4.0))], "phi_columns")
+    zero = fe.Num(0.0)      # walked column by column: column 1 row 0, column 2 row 1
+    fill = fe.LiteralFill([zero, zero, fe.parse("x1 + x2", 2), zero, zero, fe.Num(4.0)], (3, 2),
+                          "phi_columns", transpose=True)
     xs = np.array([[1.0, 2.0], [0.5, -0.5], [3.0, 0.0]])
     assert fill.at(xs).shape == (3, 2, 3)
     assert fill.at(xs[0]).shape == (2, 3)
@@ -84,11 +85,10 @@ def test_bare_literals_keep_their_bits():
     """Bare literals keep their bits in the fill and its values: -0.0,
     subnormals and +-1e308 included."""
     values = [-0.0, 5e-324, 1e308, 0.0, -2.5e-310, -1e308]
-    items = [((i // 3, i % 3), (i // 3, i % 3), fe.Num(v)) for i, v in enumerate(values[:5])]
-    fill = fe.LiteralFill((2, 3), items + [((1, 2), (1, 2), fe.parse("x1", 1))], "metric")
+    items = [fe.Num(v) for v in values[:5]]
+    fill = fe.LiteralFill(items + [fe.parse("x1", 1)], (2, 3), "metric")
     want = np.zeros((2, 3))
-    for idx, _, entry in items:
-        want[idx] = entry.value
+    want.flat[:5] = values[:5]
     assert _bits(fill.literals) == _bits(want)
     assert _bits(fill.at(np.array([[-1e308]]))[0]) == _bits(
         np.array([[-0.0, 5e-324, 1e308], [0.0, -2.5e-310, -1e308]]))

@@ -247,13 +247,16 @@ class TestMetricPositive:
 
 
 class TestEta:
+    """eta(v) = g(v, xi) at a point, as v @ metric_at(x) @ xi_at(x)."""
+
     def test_eta_of_xi_direction(self, ex1):
         p = np.zeros(11)
         v = np.eye(11)[:, 10]  # the unit field spanning ker(phi)
-        assert ex1.structure.eta(p, v) == pytest.approx(1.0)
+        assert v @ ex1.structure.metric_at(p) @ ex1.structure.xi_at(p) == pytest.approx(1.0)
 
     def test_eta_of_e1(self, ex1):
-        assert ex1.structure.eta(np.zeros(11), np.eye(11)[:, 0]) == 0.0
+        p = np.zeros(11)
+        assert np.eye(11)[:, 0] @ ex1.structure.metric_at(p) @ ex1.structure.xi_at(p) == 0.0
 
     def test_eta_annihilates_phi_image(self):
         fx = build_fixture("ex8", k=2, epsilon=-1, gamma=0.5, delta=1.0)
@@ -261,11 +264,12 @@ class TestEta:
         for pt in fx.default_points()[:4]:
             x = rng.standard_normal(11)
             img = fx.structure.phi_at(pt) @ x
-            assert abs(fx.structure.eta(pt, img)) < 1e-12
+            assert abs(img @ fx.structure.metric_at(pt) @ fx.structure.xi_at(pt)) < 1e-12
 
     def test_kind_error_on_hermitian(self, ex3):
+        p = np.zeros(10)
         with pytest.raises(KindError):
-            ex3.structure.eta(np.zeros(10), np.eye(10)[:, 0])
+            np.eye(10)[:, 0] @ ex3.structure.metric_at(p) @ ex3.structure.xi_at(p)
 
 
 def test_compatibility_invariant_across_gallery(ex1, ex3, ex4_zero, ex5_one):
