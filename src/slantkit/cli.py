@@ -9,8 +9,11 @@
     slantkit gallery emit ID [--k K] [--epsilon E] [--gamma G] [--delta D]
                         [--out PATH]
 
-The structure axioms and f-invariance are checked exactly: `--trials` (any
-command takes it) sets the random draws of the identity suite alone.
+The structure axioms, f-invariance and the identity suite are checked
+exactly, over all vectors: nothing is drawn at random, and `--seed` is only
+reported. `--trials` is accepted by every command and echoed in the
+identities section, but changes no number; it goes with ROADMAP item 2,
+when the benchmark's references are next captured.
 
 Exit codes: 0 success, 1 mathematical failure (with a witness in the
 report), 2 input or usage error. Reports are deterministic: on one host with
@@ -64,7 +67,8 @@ def _add_common(p: argparse.ArgumentParser):
                    help="also write the full report as JSON")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--trials", type=int, default=50,
-                   help="random draws per identity check (the identity suite only)")
+                   help="accepted and echoed in the identities section, but changes no "
+                        "number (the suite is exact); removed with ROADMAP item 2")
     p.add_argument("--cluster-tol", type=float, default=None)
     p.add_argument("--angle-tol", type=float, default=None,
                    help="constancy tolerance on slant values (radians)")
@@ -168,14 +172,14 @@ def cmd_dual(args) -> int:
 
 def cmd_identities(args) -> int:
     spec, tol, verdict = _load(args, declared=True)
-    suite = run_identity_suite(spec.decomposition, spec.points, trials=args.trials,
-                               tolerances=tol, seed=args.seed)
+    suite = run_identity_suite(spec.decomposition, spec.points, tolerances=tol)
     connection = None
     if args.connection:
         connection = connection_criterion_report(spec.decomposition, spec.points,
                                                  tolerances=tol, seed=args.seed)
+    identities = dict(suite.to_json_dict(), trials=args.trials, seed=args.seed)   # echoed only
     report = make_run_report(spec.digest(), args.seed, structure=verdict.to_json_dict(),
-                             identities=suite.to_json_dict(), connection=connection)
+                             identities=identities, connection=connection)
     _emit(report, args, "Identity suite report")
     ok = verdict.passed and suite.passed and (connection is None or connection["consistent"])
     return 0 if ok else MATH_FAILURE

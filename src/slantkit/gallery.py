@@ -247,7 +247,7 @@ def fixture_to_spec_dict(fx: GalleryFixture, points=None, seed: int = DEFAULT_SE
 
 def fixture_oracle_check(fx: GalleryFixture, points=None, tol: float = 1e-8,
                          tolerances: Tolerances = DEFAULT_TOLERANCES,
-                         seed: int = DEFAULT_SEED, trials: int = 25) -> dict:
+                         seed: int = DEFAULT_SEED) -> dict:
     """Run the whole pipeline on a fixture and compare every outcome with the
     fixture's stated claims: structure validity, closed-form slant values,
     classification labels, dual spans, dual round-trips, identity suite."""
@@ -281,8 +281,7 @@ def fixture_oracle_check(fx: GalleryFixture, points=None, tol: float = 1e-8,
     report["dual_spans_passed"] = span_ok
     report["dual_roundtrip_passed"] = roundtrip_ok
 
-    suite = run_identity_suite(fx.decomposition, points, trials=trials,
-                               tolerances=tolerances, seed=seed)
+    suite = run_identity_suite(fx.decomposition, points, tolerances=tolerances)
     report["identities_passed"] = suite.passed
     report["identities_failed_keys"] = suite.failed_keys()
 

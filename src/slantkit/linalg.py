@@ -52,16 +52,24 @@ def column_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.swapaxes(v, -1, -2) @ v)[..., 0, 0]
 
 
-def spectral_norms(a: np.ndarray) -> np.ndarray:
-    """The largest singular value of each matrix of a stack (..., m, n), bit
-    for bit np.linalg.norm(matrix, 2), by one batched `svd`; 0 if empty, NaN
-    if it holds a NaN, else inf if it holds an inf (LAPACK takes neither)."""
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """The min(m, n) singular values of each matrix of a stack (..., m, n),
+    largest first, by one batched `svd`; all NaN for a matrix that holds a
+    NaN, else all inf for one that holds an inf (LAPACK takes neither)."""
     finite = np.isfinite(a).all(axis=(-2, -1))
     if finite.all():
-        return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
-    out = np.where(np.isnan(a).any(axis=(-2, -1)), np.nan, np.inf)
-    out[finite] = spectral_norms(a[finite])
+        return np.linalg.svd(a, compute_uv=False)
+    out = np.repeat(np.where(np.isnan(a).any(axis=(-2, -1)), np.nan, np.inf)[..., None],
+                    min(a.shape[-2:]), axis=-1)
+    out[finite] = singular_values(a[finite])
     return out
+
+
+def spectral_norms(a: np.ndarray) -> np.ndarray:
+    """The largest singular value of each matrix of a stack (..., m, n), bit
+    for bit np.linalg.norm(matrix, 2); 0 if empty, NaN if it holds a NaN,
+    else inf if it holds an inf (`singular_values`)."""
+    return singular_values(a).max(axis=-1, initial=0.0)
 
 
 def _inverse_cholesky(gram: np.ndarray) -> np.ndarray:

@@ -114,8 +114,8 @@ def identities_markdown(suite: dict) -> list[str]:
     n_fail = sum(1 for c in cases if c["verdict"] == "fail")
     n_skip = len(cases) - n_pass - n_fail
     lines.append(f"- passed: **{_fmt(suite['passed'])}** ({n_pass} pass, {n_fail} fail, "
-                 f"{n_skip} skipped; tolerance {suite['tolerance']:g}, "
-                 f"{suite['trials']} trials, seed {suite['seed']})")
+                 f"{n_skip} skipped; tolerance {suite['tolerance']:g}; "
+                 "each residual exact over all vectors)")
     lines.append("")
     if n_fail:
         lines.append("| failing key | max residual | witness point |")

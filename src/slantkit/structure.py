@@ -162,20 +162,27 @@ def _axiom_residuals(s: StructureField, g: np.ndarray, phi: np.ndarray,
     of P points: metric and phi (P, n, n), xi (P, n) (None for the hermitian
     kind); one (P,) array per axiom. In the g-orthonormal frame of
     U = chol(g)^T (g = U^T U; the identity for the euclidean metric), phi is
-    T = U phi U^-1 and xi is e = U xi. With P = I, or I - e e^T for the
-    contact kind, and s1 the largest singular value: compatibility
-    s1(T^T - eps T), metric-law s1(T^T T - P), squared-endomorphism
-    s1(T^2 - eps P), xi-unit |e^T e - 1|, phi-xi |T e|, eta-phi |T^T e|."""
+    T = U phi U^-1 and xi is e = U xi (`frame_axiom_residuals`)."""
     t, e = phi, xi
     if not s.metric_is_euclidean:
         low = np.linalg.cholesky(g)
         t = np.swapaxes(np.linalg.solve(low, np.swapaxes(phi, -1, -2) @ low), -1, -2)
         e = None if xi is None else (np.swapaxes(low, -1, -2) @ xi[..., None])[..., 0]
-    tt, proj = np.swapaxes(t, -1, -2), np.eye(s.n)
+    return frame_axiom_residuals(t, e, s.epsilon)
+
+
+def frame_axiom_residuals(t: np.ndarray, e: np.ndarray | None, epsilon: int) -> dict:
+    """Each axiom's largest relative residual over all vectors, for phi T
+    (P, n, n) and xi e (P, n) (None for the hermitian kind) in a
+    g-orthonormal frame. With P = I, or I - e e^T for the contact kind, and
+    s1 the largest singular value: compatibility s1(T^T - eps T), metric-law
+    s1(T^T T - P), squared-endomorphism s1(T^2 - eps P), xi-unit
+    |e^T e - 1|, phi-xi |T e|, eta-phi |T^T e|."""
+    tt, proj = np.swapaxes(t, -1, -2), np.eye(t.shape[-1])
     if e is not None:
         proj = proj - e[:, :, None] * e[:, None, :]
     compat, law, square = spectral_norms(np.stack(
-        [tt - s.epsilon * t, tt @ t - proj, t @ t - s.epsilon * proj]))
+        [tt - epsilon * t, tt @ t - proj, t @ t - epsilon * proj]))
     out = {"compatibility": compat, "metric-law": law}
     if e is not None:
         out["xi-unit"] = np.abs((e[:, None] @ e[..., None])[:, 0, 0] - 1.0)

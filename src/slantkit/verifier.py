@@ -2,41 +2,39 @@
 
 Every identity carries a stable key in REGISTRY; the checked-in manifest
 (taxonomy module) mirrors the key list, so coverage changes are visible
-diffs. Each case evaluates both sides of its identity on seeded random
-vectors drawn in the relevant subspaces. The sample points and the
-components are array axes: `PointContext` stacks the draws of all P points
-and K components as (P, K, r, trials), each case runs once over the stack
-and returns one residual per point, a (P,) vector: the worst relative
-residual over the trials and the components quantified there, NaN when one
-is NaN, -inf where none is. `run_identity_suite` folds it over the points:
+diffs. Each identity holds for all vectors of a subspace, and each case
+reads its largest relative residual over all of them off one small matrix,
+as the structure check does: nothing is drawn at random. The sample points
+and the components are array axes: each case runs once over the stack of P
+points and K components and returns one residual per point, a (P,) vector:
+the worst over the components quantified there, NaN when one is NaN, -inf
+where none is. `run_identity_suite` folds it over the points:
 `max_residual` is its largest entry, a NaN exceeding every number, and
 `witness_point` the first point holding it. Keys whose setting does not
 match the structure kind report "skipped(setting)"; keys quantified at no
-sampled point (no invariant remainder H, no right-angle component) report
+sample point (no invariant remainder H, no right-angle component) report
 "skipped(vacuous)".
 
 The suite works in frame coordinates: a vector is its coefficients in the
 g-orthonormal adapted frame E = [basis_d | xi_unit | basis_g] of the
 command's `FrameStack`, so g(u, v) is a dot product and every map is a
 block-masked copy of the one matrix T = E^T g phi E (`FrameStack.phi_adapted`):
-f keeps the D rows of T, w the others, and eta is one coordinate. A draw in
-G or D-perp is normal in those coordinates; an ambient draw x enters as E^T g x.
+f keeps the D rows of T, w the others, and eta is one coordinate. D, D-perp,
+G and their sums are sets of coordinates; the components D_i, w(D_i) and H
+are the orthonormal bases of a `forms.Side`, where a map m is its image of
+the bases (P, n, K * r) and g(mX, mY) = X^T G Y with G that image's Gram.
 
-A draw in components (D_i, w(D_i) or H) is a coefficient block (P, K, r,
-trials): normal coefficients in the components' orthonormal bases (the r_i
-coordinate columns of D_i, the stack's G-coordinate bases of w(D_i) and H),
-zero-padded to the largest rank r. A map m on them is the image of the bases
-(P, n, K * r): a column gather of T's copy on the D_i, one matmul elsewhere,
-T_a @ image_b for a composite. The rows on a `forms.Side` read quadratic
-forms of the image's Gram G, g(mX, mY) = X^T G Y, not n-row vectors: a
-relation on each component reads G's (r, r) diagonal blocks, a sum over the
-components all of G, mX = eps sum_i c_i X_i the norm form of m - eps c_i,
-an angle the forms xy, xx and yy. A side row names its forms (`forms.Form`)
-in its `_case` parameters, and a side makes all of its rows' forms at once,
-on first use, so a key run alone has the bits of the full run;
-`run_identity_suite` takes the rows side by side and drops each side's
-tables after its last row. The structure axioms and the adjointness, split
-and angle.phi-dg rows read full vectors (P, 1, n, trials).
+With s_1 >= ... >= s_q the singular values of a map on a q-dimensional
+subspace (kappa = s_1 / s_q), each family's supremum over the subspace is
+(docs/taxonomy.md has the proof of the last):
+
+    bilinear  |g(X, RY)| / (|X| |Y|)                 s1(R)
+    vector    |MX| / |X|                             s1(M)
+    norm      | |mX| - c |X| | / |X|                 max_j |s_j - c|
+    angle     |cos<(AX, AY) - cos<(X, Y)|            2 (kappa - 1) / (kappa + 1)
+
+An angle relation between two maps, cos<(AX, AY) = cos<(CX, CY) with C
+invertible, is the angle form of A C^-1 (substitute Z = CX).
 
 The paper proves most identities twice: once on the proper components D_i
 with f and w, and once on their duals w(D_i) with the roles of f and w
@@ -49,7 +47,7 @@ of them); "D_0" and "H" are the invariant parts.
 The paper also proves its relations in families (the adjointness formulae,
 the split systems, the cos^2/sin^2/sin^4 metric and angle relations). Each
 family is one shape function; its members are `_case` rows that bind the
-maps or forms, the draws and the coefficient (table in docs/taxonomy.md):
+maps, the subspaces and the coefficient (table in docs/taxonomy.md):
 
     _adjoint           g(X, aY) = eps g(bX, Y)                   adj.*
     _double_adjoint    g(abX, Y) = eps g(bX, bY) = g(X, cbY)     adj2.*
@@ -79,8 +77,10 @@ from .classifier import classify, single_cluster_lambda, slant_lambdas
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .distribution import Decomposition, FrameStack
 from .errors import SpecError, UnsupportedError
-from .forms import TINY, Form, Side
-from .sampling import DEFAULT_SEED, rng_for
+from .forms import Side
+from .linalg import singular_values, spectral_norms
+from .sampling import DEFAULT_SEED
+from .structure import frame_axiom_residuals
 from .tangents import first_order_models, frame_derivatives
 
 PI2_TOL = 1e-8
@@ -89,157 +89,76 @@ PROBE_ELEMENTS = 1 << 18    # bounds P * (q * n * r + m * n * (n + r)), a `frame
 
 class PointContext:
     """The identity suite's data at all sample points in frame coordinates,
-    stacked on a leading point axis P: the maps, the slant tables `cos`,
-    `sin`, `cos2`, `sin2`, `sin4` (P, ncomp, 1), the full draws (P, 1, n,
-    trials) (ambient, D-perp, G, and the sums over D) and the `sides`, which
-    hold the component draws as coefficient blocks. Point p's draws come
-    from `rng_for(seed, 997, p)` in a fixed order."""
+    stacked on a leading point axis P: phi, f and w (P, n, n), the
+    coordinates `rows` of D, D-perp, G, D + <xi>, D + G and xi-perp, the
+    slant tables `cos`, `sin`, `cos2`, `sin2`, `sin4` (P, ncomp) and the
+    `sides`, which hold the components' bases and the maps on them."""
 
-    def __init__(self, dec: Decomposition, points, trials: int, seed: int,
-                 tolerances: Tolerances):
+    def __init__(self, dec: Decomposition, points, tolerances: Tolerances):
         stack = dec.frame_stack(points)
-        npts, n, t = len(stack.x), dec.structure.n, trials
+        npts, n = len(stack.x), dec.structure.n
         t_phi, off = stack.phi_adapted, stack.offsets
-        in_d = np.arange(n)[:, None] < off[-1]
-        t_f, t_w = np.where(in_d, t_phi, 0.0), np.where(in_d, 0.0, t_phi)
-        # the maps hold arrays only (as the sides do), so that no reference
-        # cycle keeps the context alive
-        self.apply_phi, self.f, self.w = (partial(np.matmul, m[:, None]) for m in (t_phi, t_f, t_w))
-        self.xi_row, self.e_xi = off[-1], np.eye(n)[:, off[-1]:off[-1] + 1]
+        d, self.contact = off[-1], stack.xi is not None
+        in_d = np.arange(n)[:, None] < d
+        self.phi, self.f, self.w = t_phi, np.where(in_d, t_phi, 0.0), np.where(in_d, 0.0, t_phi)
         self.points, self.eps, self.proper = list(stack.x), stack.epsilon, stack.proper_indices
-        self.contact = stack.xi is not None
+        every, g_rows = np.arange(n), np.arange(n)[stack.g_rows]
+        self.rows = {"D": every[:d], "perp": every[d:], "G": g_rows,
+                     "D+xi": every[:d + self.contact], "D+G": np.concatenate([every[:d], g_rows]),
+                     "xi-perp": np.delete(every, d) if self.contact else every}
+        self.identity, self.horizontal, self.xi = np.eye(n), np.eye(n), None
+        if self.contact:    # horizontal: X - eta(X) xi
+            self.horizontal[d, d] = 0.0
+            self.xi = np.broadcast_to(self.identity[d], (npts, n))
+
         ncomp = len(stack.bases)
-        self.cos2 = np.ones((npts, ncomp, 1))
+        self.cos2 = np.ones((npts, ncomp))
         lam = slant_lambdas(stack, self.proper, tolerances)
-        self.cos2[:, self.proper, 0] = np.minimum(np.maximum(self.eps * lam, 0.0), 1.0)
+        self.cos2[:, self.proper] = np.minimum(np.maximum(self.eps * lam, 0.0), 1.0)
         self.sin2 = 1.0 - self.cos2
         self.cos, self.sin = np.sqrt(self.cos2), np.sqrt(self.sin2)
         # libm's pow, as a scalar sin^2 ** 2 rounds (numpy's square may differ by an ulp)
-        self.sin4 = np.array([[[s ** 2] for s in row] for row in self.sin2[..., 0].tolist()])
+        self.sin4 = np.array([[s ** 2 for s in row] for row in self.sin2.tolist()])
+        # 1/sin is 0 where sin <= PI2_TOL
         inv = np.divide(1.0, self.sin, out=np.zeros_like(self.sin), where=self.sin > PI2_TOL)
-        slant = {"cos2": self.cos2, "sin2": self.sin2, "sin": self.sin, "sin4": self.sin4,
-                 "1/sin": inv, "1/sin2": inv * inv}     # 1/sin 0 where sin <= PI2_TOL
+        slant = {"cos": self.cos, "sin": self.sin, "cos2": self.cos2, "sin2": self.sin2,
+                 "sin4": self.sin4, "1/sin": inv, "1/sin2": inv * inv}
 
-        targets = []    # (P, r, t) views, each point's filled in this order
-
-        def full(rows):
-            """A full draw (P, 1, n, t), normal in the coordinates `rows`."""
-            a = np.zeros((npts, 1, n, t))
-            if rows.stop > rows.start:
-                targets.append(a[:, 0, rows])
-            return a
-
-        def coefficients(bases, interleaved=False):
-            """Two coefficient blocks (P, K, r, t) in the K `bases` (P, ., r_k),
-            drawn slot by slot, both blocks' slot k together when interleaved."""
-            ranks = [b.shape[-1] for b in bases]
-            a, b = np.zeros((2, npts, len(ranks), max(ranks, default=0), t))
-            slots = [out[:, k, :r] for k, r in enumerate(ranks) for out in (a, b)]
-            targets.extend(slots if interleaved else slots[0::2] + slots[1::2])
-            return a, b
-
-        def in_g(bases, block):
-            """The `bases` (P, |G|, r_k) of a coefficient block as (P, K, n, r)."""
-            out = np.zeros(block.shape[:2] + (n,) + block.shape[2:3])
+        def padded(bases, rows):
+            """The K `bases` (P, |rows|, r_k) in the coordinates `rows`, zero-padded
+            to the largest rank and laid side by side (P, n, K * r)."""
+            r = max((b.shape[-1] for b in bases), default=0)
+            out = np.zeros((npts, n, len(bases), r))
             for k, basis in enumerate(bases):
-                out[:, k, stack.g_rows, :basis.shape[-1]] = basis
-            return out
+                out[:, rows, k, :basis.shape[-1]] = basis
+            return out.reshape(npts, n, -1)
 
-        amb = full(slice(0, n)), full(slice(0, n))
-        X, Y = coefficients(stack.bases)
-        self.u_perp, self.v_perp = full(slice(off[-1], n)), full(slice(off[-1], n))
-        self.u_g, self.v_g = full(stack.g_rows), full(stack.g_rows)
-        U, V = coefficients(stack.duals, interleaved=True)
+        prop = slice(ncomp - len(self.proper), ncomp)
+        duals = padded(stack.duals, stack.g_rows)
         hs = [stack.h_basis] if stack.h_basis.shape[-1] else []
-        u_h, v_h = coefficients(hs)
-        xi = [full(slice(off[-1], off[-1] + 1)) for _ in range(2 * self.contact)]
-        # one draw per point stream, split into the targets in their order;
-        # the buffer holds as many points as fit in 2^14 values (128 kB), one
-        # at least, so the temporary stays small whatever the point count
-        ends = np.cumsum([0] + [v.shape[1] * v.shape[2] for v in targets])
-        step = max(1, 2 ** 14 // int(ends[-1]))
-        for p0 in range(0, npts, step):
-            rows = np.empty((min(step, npts - p0), ends[-1]))
-            for i, row in enumerate(rows):
-                rng_for(seed, 997, p0 + i).standard_normal(out=row)
-            for v, lo, hi in zip(targets, ends, ends[1:]):
-                v[p0:p0 + len(rows)] = rows[:, lo:hi].reshape((len(rows),) + v.shape[1:])
-        self.amb = tuple(np.swapaxes(stack.adapted, -1, -2)[:, None] @ (stack.g[:, None] @ a)
-                         for a in amb)
 
-        slot = np.arange(X.shape[2])
-        cols = np.where(slot < np.diff(off)[:, None], np.array(off[:-1])[:, None] + slot, -1)
-        x_basis = np.where(cols >= 0, np.eye(n)[:, cols], 0.0).transpose(1, 0, 2)[None]
-        on_d, on_w = (t_f, t_w, t_phi), (t_w, t_f, t_phi)
-        duals = in_g(stack.duals, U)
+        def d_side(comps):
+            """The Side of D's components `comps` (a slice): coordinate columns."""
+            ranks = np.diff(off)[comps]
+            slot = np.arange(max(ranks, default=0))
+            cols = np.where(slot < ranks[:, None], np.array(off[:-1])[comps, None] + slot, -1)
+            cols = cols.ravel()
+            basis = np.where(cols >= 0, self.identity[:, cols], 0.0)[None]
+            return Side((self.f, self.w, self.phi), basis, ranks, comps, slant, cols,
+                        duals if comps == prop else None)
 
-        prop, inv = slice(ncomp - len(self.proper), ncomp), slice(0, ncomp - len(self.proper))
-        self.sides = {name: Side(on_d, X[:, sl], Y[:, sl], x_basis[:, sl], sl, self.eps, slant,
-                                 SIDE_FORMS.get(name, {}), cols[sl], duals if name == "D" else None)
-                      for name, sl in (("D", prop), ("D0+D", slice(0, ncomp)), ("D_0", inv))}
-        self.sides["w(D)"] = Side(on_w, U, V, duals, prop, self.eps, slant,
-                                  SIDE_FORMS.get("w(D)", {}))
-        self.sides["H"] = Side(on_w, u_h, v_h, in_g(hs, u_h), None, self.eps, slant,
-                               SIDE_FORMS.get("H", {}))
-        # the sums over D's components, in the coordinates of D
-        self.x_d, self.y_d = np.zeros((2, npts, 1, n, t))
-        for full_d, coef in ((self.x_d, X), (self.y_d, Y)):
-            full_d[:, 0, cols[cols >= 0]] = coef[:, cols >= 0]
-        self.x_dxi, self.y_dxi = self.x_d, self.y_d
-        if xi:
-            self.x_dxi, self.y_dxi = self.x_d + xi[0], self.y_d + xi[1]
+        on_w = (self.w, self.f, self.phi)
+        self.sides = {"D": d_side(prop), "D0+D": d_side(slice(0, ncomp)),
+                      "D_0": d_side(slice(0, prop.start)),
+                      "w(D)": Side(on_w, duals, [b.shape[-1] for b in stack.duals], prop, slant),
+                      "H": Side(on_w, padded(hs, stack.g_rows), [b.shape[-1] for b in hs], None,
+                                slant)}
         self.nowhere = np.full(npts, -np.inf)   # the residual of a key quantified nowhere
-        self._scales = {}
 
-    # the first ambient draw less its xi part
-    amb_perp = cached_property(lambda self: self.amb[0] - self.along_xi(self.eta(self.amb[0])))
-
-    @staticmethod
-    def inner(u, v):
-        """g(u, v) of frame coordinates (..., n, t): their dot product over n."""
-        return np.einsum("...it,...it->...t", u, v)
-
-    def norm(self, u):
-        return np.sqrt(np.maximum(self.inner(u, u), 0.0))
-
-    def cos_angle(self, u, v):
-        return self.inner(u, v) / np.maximum(self.norm(u) * self.norm(v), TINY)
-
-    def eta(self, v):
-        return v[..., self.xi_row, :]
-
-    def along_xi(self, c):
-        """The vectors c_k xi_unit for coefficients c (..., t)."""
-        return self.e_xi * c[..., None, :]
-
-    def held(self, side, pred):
-        """(P, K) mask of the side's components where (cos, sin)(theta_i)
-        satisfy `pred`, every one without a `pred`."""
-        if pred is None:
-            return True
-        return pred(self.cos[:, side.comps, 0], self.sin[:, side.comps, 0])
-
-    # residuals: the worst over the trials and the held components at each point, (P,) --
-
-    def scale(self, a):
-        """|a| of a draw the context holds, taken once (the entry keeps `a`, so keeps its id)."""
-        if id(a) not in self._scales:
-            self._scales[id(a)] = a, self.norm(a)
-        return self._scales[id(a)][1]
-
-    def rel(self, diff, a, b=None, held=True):
-        """max |diff| / (|a| [,*|b|]) for draws a, b the context holds."""
-        scale = self.scale(a)
-        if b is not None:
-            scale = scale * self.scale(b)
-        return _rel(diff, scale, held)
-
-    def cos_diff(self, cos_a, cos_b, held=True):
-        """max |cos_a - cos_b| of two cosine tables (P, K, t)."""
-        return _worst(np.max(np.abs(cos_a - cos_b), axis=-1), held)
-
-
-SIDE_FORMS: dict[str, dict] = {}    # side name -> {a Form with q None: the Forms of it read}
+    @cached_property
+    def axioms(self):
+        """The structure axioms' residuals (`structure.frame_axiom_residuals`)."""
+        return frame_axiom_residuals(self.phi, self.xi, self.eps)
 
 
 @dataclass(frozen=True)
@@ -257,23 +176,24 @@ def _case(key, settings, domain, statement, side=None, twin=None):
 
     `_case(...)(fn)` registers fn(ctx); `_case(...)(shape, **params)` registers
     a family's shape with this member's parameters bound. A side evaluator
-    fn(ctx, side, **params) sees the `PointContext.sides` entry `side`, and its
-    `Form` parameters (alone or in a tuple) join that side's `SIDE_FORMS`; a
-    twin is registered once per side of the duality. `twin`, a (key, domain,
+    fn(ctx, side, **params) sees the `PointContext.sides` entry `side`, and
+    reads -inf at every point where the side has no component; a twin is
+    registered once per side of the duality. `twin`, a (key, domain,
     statement) triple, registers the w(D) side right after the D side."""
     def wrap(fn, **params):
         ev = partial(fn, **params) if params else fn
         if side is not None:
-            for f in (f for v in params.values() for f in (v if type(v) is tuple else [v])):
-                if isinstance(f, Form):
-                    forms = SIDE_FORMS.setdefault(side, {}).setdefault(f._replace(q=None), [])
-                    forms += [f] * (f not in forms)
-            ev = partial(lambda fn, ctx: fn(ctx, ctx.sides[side]), ev)
+            ev = partial(_on_side, ev, side)
         REGISTRY.append(IdentityCase(key, settings, domain, statement, ev, side))
         if twin is not None:
             _case(twin[0], settings, *twin[1:], side="w(D)")(fn, **params)
         return fn
     return wrap
+
+
+def _on_side(fn, name, ctx):
+    side = ctx.sides[name]
+    return fn(ctx, side) if side.ranks.size else ctx.nowhere
 
 
 def _worst(residuals, held=True):
@@ -285,10 +205,15 @@ def _worst(residuals, held=True):
     return np.max(residuals, axis=1, initial=-np.inf)
 
 
-def _rel(diff, scale, held=True):
-    """The worst over the trials of |diff| / scale (P, K, t), over the held
-    components at each point (`_worst`)."""
-    return _worst(np.max(np.abs(diff) / np.maximum(scale, TINY), axis=-1), held)
+def _angle(s, rank):
+    """The angle residual 2 (kappa - 1) / (kappa + 1) of a map with singular
+    values s (..., r), kappa = s_1 / s_rank (`rank` broadcasts against
+    s[..., 0]; the values past it are the zero padding's). The zero map
+    reads 1: the cosine of a zero vector is 0."""
+    s_min = np.take_along_axis(s, np.broadcast_to(np.asarray(rank)[..., None] - 1,
+                                                  s.shape[:-1] + (1,)), axis=-1)[..., 0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(s[..., 0] == 0.0, 1.0, 2.0 * (s[..., 0] - s_min) / (s[..., 0] + s_min))
 
 
 REGISTRY: list[IdentityCase] = []
@@ -296,144 +221,125 @@ REGISTRY: list[IdentityCase] = []
 
 # -- structure-level identities ------------------------------------------------
 
-@_case("struct.compat", "both", "X,Y ambient",
-       "g(phi X, Y) = eps * g(X, phi Y)")
-def _compat(ctx):
-    a, b = ctx.amb
-    diff = ctx.inner(ctx.apply_phi(a), b) - ctx.eps * ctx.inner(a, ctx.apply_phi(b))
-    return ctx.rel(diff, a, b)
+def _axiom(ctx, name):
+    return ctx.axioms[name]
 
 
-@_case("struct.contact-metric", "contact", "X,Y ambient",
-       "g(phi X, phi Y) = g(X, Y) - eta(X) * eta(Y)")
-def _contact_metric(ctx):
-    a, b = ctx.amb
-    diff = ctx.inner(ctx.apply_phi(a), ctx.apply_phi(b)) - (
-        ctx.inner(a, b) - ctx.eta(a) * ctx.eta(b))
-    return ctx.rel(diff, a, b)
+_case("struct.compat", "both", "X,Y ambient", "g(phi X, Y) = eps * g(X, phi Y)")(
+    _axiom, name="compatibility")
+_case("struct.contact-metric", "contact", "X,Y ambient",
+      "g(phi X, phi Y) = g(X, Y) - eta(X) * eta(Y)")(_axiom, name="metric-law")
 
 
 @_case("struct.contact-isometry", "contact", "X ambient, X perp xi",
        "|phi X| = |X| for X orthogonal to xi")
 def _contact_isometry(ctx):
-    a = ctx.amb_perp
-    return ctx.rel(ctx.norm(ctx.apply_phi(a)) - ctx.scale(a), a)
+    """The largest |s_j - 1| over the singular values of phi on xi-perp."""
+    return np.max(np.abs(singular_values(ctx.phi[:, :, ctx.rows["xi-perp"]]) - 1.0), axis=-1)
 
 
-@_case("struct.isometry", "hermitian", "X,Y ambient",
-       "g(phi X, phi Y) = g(X, Y)")
-def _isometry(ctx):
-    a, b = ctx.amb
-    diff = ctx.inner(ctx.apply_phi(a), ctx.apply_phi(b)) - ctx.inner(a, b)
-    return ctx.rel(diff, a, b)
+_case("struct.isometry", "hermitian", "X,Y ambient", "g(phi X, phi Y) = g(X, Y)")(
+    _axiom, name="metric-law")
 
 
 # -- identity families ------------------------------------------------------------------
 #
 # A family is one shape; each member is a `_case` row binding the shape's maps by
-# name (a PointContext map "f", "w", "apply_phi"), or on a Side its `Form`s (of
-# the images "own", "other", "phi", "square", "round_trip"), its draws and its
-# coefficient.
+# name (a PointContext map "f", "w", "phi", or a Side image "own", "other", "phi",
+# "square", "round_trip"), its coordinates or side, and its coefficient.
 
-def _total(side, coeff, v):
-    """sum_i c_i * v_i (P, 1, t) over the side's components of v (P, K, t),
-    c_i the slant table `coeff` (1 for None)."""
-    if coeff is None:
-        return v.sum(axis=1, keepdims=True)
-    return np.swapaxes(side.slant[coeff], 1, 2) @ v
-
-
-def _weighted(side, coeff, v):
-    """c_i * v_i over the side's components (v (P, K, t)), c_i its slant
-    table `coeff` ("cos2", "sin2", "sin" or "sin4" of theta_i) at each
-    point; v itself when `coeff` is None."""
-    return v if coeff is None else side.slant[coeff] * v
+def _adjoint(ctx, a, b, rows):
+    """g(X, aY) = eps * g(bX, Y) for X, Y in the coordinates `rows`: s1 of
+    a - eps b^T there."""
+    rx, ry = (ctx.rows[r] for r in rows)
+    a, b = getattr(ctx, a), getattr(ctx, b)
+    bt = np.swapaxes(b[:, ry[:, None], rx], -1, -2)
+    return spectral_norms(a[:, rx[:, None], ry] - ctx.eps * bt)
 
 
-def _adjoint(ctx, a, b, draws):
-    """g(X, aY) = eps * g(bX, Y) on the draw pair (X, Y)."""
-    x, y = (getattr(ctx, d) for d in draws)
-    diff = ctx.inner(x, getattr(ctx, a)(y)) - ctx.eps * ctx.inner(getattr(ctx, b)(x), y)
-    return ctx.rel(diff, x, y)
+def _double_adjoint(ctx, a, b, c, rows):
+    """g(abX, Y) = eps * g(bX, bY) = g(X, cbY) for X, Y in the coordinates
+    `rows`: the larger of s1((ab)^T - eps b^T b) and s1(eps b^T b - cb) there."""
+    rx, ry = (ctx.rows[r] for r in rows)
+    a, b, c = (getattr(ctx, m) for m in (a, b, c))
+    bx, by = b[:, :, rx], b[:, :, ry]
+    mid = ctx.eps * (np.swapaxes(bx, -1, -2) @ by)
+    lhs = np.swapaxes(a[:, ry] @ bx, -1, -2)
+    return np.maximum(spectral_norms(lhs - mid), spectral_norms(mid - c[:, rx] @ by))
 
 
-def _double_adjoint(ctx, a, b, c, draws):
-    """g(abX, Y) = eps * g(bX, bY) = g(X, cbY) on the draw pair (X, Y)."""
-    x, y = (getattr(ctx, d) for d in draws)
-    a, b, c = getattr(ctx, a), getattr(ctx, b), getattr(ctx, c)
-    lhs = ctx.inner(a(b(x)), y)
-    mid = ctx.eps * ctx.inner(b(x), b(y))
-    rhs = ctx.inner(x, c(b(y)))
-    return np.maximum(ctx.rel(lhs - mid, x, y), ctx.rel(mid - rhs, x, y))
+def _split(ctx, a, rows, rhs=None):
+    """One line of the split systems, a(fX) + a(wX) = eps * rhs X (or 0) for
+    X in the coordinates `rows`: s1 of af + aw - eps rhs there."""
+    x, a = ctx.rows[rows], getattr(ctx, a)
+    m = a @ ctx.f[:, :, x] + a @ ctx.w[:, :, x]
+    return spectral_norms(m if rhs is None else m - ctx.eps * getattr(ctx, rhs)[:, x])
 
 
-def _split(ctx, a, draw, rhs=None):
-    """One line of the split systems: a(fX) + a(wX) = rhs(ctx, X), or 0."""
-    x = getattr(ctx, draw)
-    a = getattr(ctx, a)
-    diff = a(ctx.f(x)) + a(ctx.w(x))
-    if rhs is not None:
-        diff = diff - rhs(ctx, x)
-    return ctx.rel(ctx.norm(diff), x)
+def _weight(side, coeff):
+    """c_i (P, K) of each of the side's components, the slant table `coeff`
+    ("cos2", "sin2", "sin" or "sin4" of theta_i); 1 for None."""
+    return np.ones((1, 1)) if coeff is None else side.slant[coeff]
 
 
-def _eps_horizontal(ctx, x):
-    """eps * (X - eta(X) xi), eps * X without xi."""
-    return ctx.eps * (x - (ctx.along_xi(ctx.eta(x)) if ctx.contact else 0.0))
+def _held(side, pred):
+    """(P, K) mask of the side's components where (cos, sin)(theta_i)
+    satisfy `pred`, every one without a `pred`."""
+    return True if pred is None else pred(side.slant["cos"], side.slant["sin"])
 
 
-def _summed_metric(ctx, side, lhs, coeff):
-    """g(mX, mY) = sum_i c_i * g(X_i, Y_i) for X, Y in the sum of the
-    side's components, `lhs` the sum form of m, "xx" for Y = X."""
-    draws, sums, forms = side.tables()
-    scale = sums["norm"] * sums["norm" if lhs.q == "xx" else "norm_y"]
-    return _rel(forms[lhs] - _total(side, coeff, draws[lhs.q]), scale)
+def _summed_metric(ctx, side, m, coeff):
+    """g(mX, mY) = sum_i c_i * g(X_i, Y_i) for X, Y in the sum of the side's
+    components (Y = X for the norm rows): s1(G - diag(c_i)), G the Gram of
+    m's image."""
+    col = side.column(coeff)
+    return spectral_norms(side.gram(m, False) - np.eye(col.shape[-1]) * col)
 
 
-def _summed_vector(ctx, side, lhs):
+def _summed_vector(ctx, side, m, coeff):
     """mX = eps * sum_i c_i * X_i for X in the sum of the side's components:
-    `lhs`, the norm form of m shifted by eps c_i, is 0."""
-    _, sums, forms = side.tables()
-    return _rel(forms[lhs], sums["norm"])
+    s1 of m's image less eps c_i times the bases."""
+    return spectral_norms(side.image(m) - ctx.eps * side.column(coeff) * side.image("id"))
 
 
-def _summed_angle(ctx, side, lhs, rhs):
-    """cos<(mX, mY) = cos<(sum_i c_i X_i, sum_i c_i Y_i) for X, Y in the sum
-    of the side's components, `lhs` and `rhs` their cos forms."""
-    forms = side.tables()[2]
-    return ctx.cos_diff(forms[lhs], forms[rhs])
+def _summed_angle(ctx, side, m, coeff):
+    """cos<(mX, mY) = cos<(CX, CY), C = diag(c_i), for X, Y in the sum of
+    the side's components: with Z = CX, the angle residual of m C^-1, the
+    slant table `coeff` naming 1/c_i."""
+    return _angle(singular_values(side.image(m) * side.column(coeff)), side.ranks.sum())
 
 
-def _component_metric(ctx, side, lhs, coeff):
-    """g(mX_i, mY_i) = c_i * g(X_i, Y_i) on each of the side's components,
-    `lhs` the xy form of m."""
-    draws, _, forms = side.tables()
-    return _rel(forms[lhs] - _weighted(side, coeff, draws["xy"]), draws["norm"] * draws["norm_y"])
+def _component_metric(ctx, side, m, coeff):
+    """g(mX_i, mY_i) = c_i * g(X_i, Y_i) on each of the side's components:
+    s1(G_ii - c_i I)."""
+    c = _weight(side, coeff)[..., None, None]
+    return _worst(spectral_norms(side.gram(m, True) - c * side.eye))
 
 
-def _component_norm(ctx, side, lhs, coeff):
-    """|mX_i| = c_i * |X_i| on each of the side's components, `lhs` the norm
-    form of m."""
-    draws, _, forms = side.tables()
-    return _rel(forms[lhs] - _weighted(side, coeff, draws["norm"]), draws["norm"])
+def _component_norm(ctx, side, m, coeff):
+    """|mX_i| = c_i * |X_i| on each of the side's components: the largest
+    |s_j - c_i| over the singular values of m on D_i."""
+    s = singular_values(side.blocks(side.image(m)))
+    return _worst(np.max(np.where(side.valid, np.abs(s - _weight(side, coeff)[..., None]), -np.inf),
+                         axis=-1, initial=-np.inf))
 
 
 def _component_angle(ctx, side, maps, pred=None):
-    """cos<(mX_i, mY_i) = cos<(X_i, Y_i) for the cos form of each map m of
-    `maps` on each of the side's components where (cos, sin)(theta_i)
-    satisfy `pred`."""
-    draws, _, forms = side.tables()
-    held, worst = ctx.held(side, pred), ctx.nowhere
+    """cos<(mX_i, mY_i) = cos<(X_i, Y_i) for each map m of `maps` on each of
+    the side's components where (cos, sin)(theta_i) satisfy `pred`: the
+    angle residual of m on D_i."""
+    held, worst = _held(side, pred), ctx.nowhere
     for m in maps:
-        worst = np.maximum(worst, ctx.cos_diff(forms[m], draws["cos"], held))
+        s = singular_values(side.blocks(side.image(m)))
+        worst = np.maximum(worst, _worst(_angle(s, side.ranks), held))
     return worst
 
 
-def _eps_fixed(ctx, side, lhs, pred=None):
+def _eps_fixed(ctx, side, m, pred=None):
     """mX_i = eps * X_i on each of the side's components where (cos,
-    sin)(theta_i) satisfy `pred`: `lhs`, the norm form of m - eps, is 0."""
-    draws, _, forms = side.tables()
-    return _rel(forms[lhs], draws["norm"], ctx.held(side, pred))
+    sin)(theta_i) satisfy `pred`: s1 of m - eps on D_i."""
+    diff = side.blocks(side.image(m) - ctx.eps * side.image("id"))
+    return _worst(spectral_norms(diff), _held(side, pred))
 
 
 def _below_right_angle(c, s):
@@ -450,90 +356,89 @@ def _right_angle(c, s):
 
 # -- skew/self-adjointness of f and w -------------------------------------------------------------
 
-# draw pairs: X,Y in D; X in D, U in D-perp; U,V in D-perp
-_XY, _XU, _UV = ("x_d", "y_d"), ("x_d", "u_perp"), ("u_perp", "v_perp")
+# coordinate pairs: X,Y in D; X in D, U in D-perp; U,V in D-perp
+_XY, _XU, _UV = ("D", "D"), ("D", "perp"), ("perp", "perp")
 
 _case("adj.f-on-d", "both", "X,Y in D", "g(X, fY) = eps * g(fX, Y)")(
-    _adjoint, a="f", b="f", draws=_XY)
+    _adjoint, a="f", b="f", rows=_XY)
 _case("adj.f-vs-w", "both", "X in D, U in D-perp", "g(X, fU) = eps * g(wX, U)")(
-    _adjoint, a="f", b="w", draws=_XU)
+    _adjoint, a="f", b="w", rows=_XU)
 _case("adj.w-on-perp", "both", "U,V in D-perp", "g(U, wV) = eps * g(wU, V)")(
-    _adjoint, a="w", b="w", draws=_UV)
+    _adjoint, a="w", b="w", rows=_UV)
 _case("adj2.f-square", "both", "X,Y in D", "g(f2X, Y) = eps * g(fX, fY) = g(X, f2Y)")(
-    _double_adjoint, a="f", b="f", c="f", draws=_XY)
+    _double_adjoint, a="f", b="f", c="f", rows=_XY)
 _case("adj2.fw-on-d", "both", "X,Y in D", "g(fwX, Y) = eps * g(wX, wY) = g(X, fwY)")(
-    _double_adjoint, a="f", b="w", c="f", draws=_XY)
+    _double_adjoint, a="f", b="w", c="f", rows=_XY)
 _case("adj2.wf-on-perp", "both", "U,V in D-perp",
       "g(wfU, V) = eps * g(fU, fV) = g(U, wfV)")(
-    _double_adjoint, a="w", b="f", c="w", draws=_UV)
+    _double_adjoint, a="w", b="f", c="w", rows=_UV)
 _case("adj2.w-square-perp", "both", "U,V in D-perp",
       "g(w2U, V) = eps * g(wU, wV) = g(U, w2V)")(
-    _double_adjoint, a="w", b="w", c="w", draws=_UV)
+    _double_adjoint, a="w", b="w", c="w", rows=_UV)
 _case("adj2.wf-cross", "both", "X in D, U in D-perp",
       "g(wfX, U) = eps * g(fX, fU) = g(X, f2U)")(
-    _double_adjoint, a="w", b="f", c="f", draws=_XU)
+    _double_adjoint, a="w", b="f", c="f", rows=_XU)
 _case("adj2.w-square-cross", "both", "X in D, U in D-perp",
       "g(w2X, U) = eps * g(wX, wU) = g(X, fwU)")(
-    _double_adjoint, a="w", b="w", c="f", draws=_XU)
+    _double_adjoint, a="w", b="w", c="f", rows=_XU)
 
 # -- projector-sum identities on D: pr_i X = X_i ------------------------------------
 
 _case("dsum.metric.phi", "both", "X,Y in D", "g(phi X, phi Y) = sum_i g(pr_i X, pr_i Y)",
-      side="D0+D")(_summed_metric, lhs=Form("phi", "xy", False), coeff=None)
+      side="D0+D")(_summed_metric, m="phi", coeff=None)
 _case("dsum.metric.f", "both", "X,Y in D",
       "g(fX, fY) = sum_i cos^2(theta_i) * g(pr_i X, pr_i Y)", side="D0+D")(
-    _summed_metric, lhs=Form("own", "xy", False), coeff="cos2")
+    _summed_metric, m="own", coeff="cos2")
 _case("dsum.metric.w", "both", "X,Y in D",
       "g(wX, wY) = sum_{i>=1} sin^2(theta_i) * g(pr_i X, pr_i Y)", side="D0+D")(
-    _summed_metric, lhs=Form("other", "xy", False), coeff="sin2")
+    _summed_metric, m="other", coeff="sin2")
 _case("f2.projsum", "both", "X in D", "f2X = eps * sum_i cos^2(theta_i) * pr_i X",
-      side="D0+D")(_summed_vector, lhs=Form("square", "norm", False, "cos2"))
+      side="D0+D")(_summed_vector, m="square", coeff="cos2")
 _case("fw.projsum", "both", "X in D", "fwX = eps * sum_{i>=1} sin^2(theta_i) * pr_i X",
-      side="D0+D")(_summed_vector, lhs=Form("round_trip", "norm", False, "sin2"))
+      side="D0+D")(_summed_vector, m="round_trip", coeff="sin2")
 
 # -- the four-line split systems --------------------------------------------------
 
 _case("split.d", "both", "X in D (+ <xi> when contact)",
-      "f2X + fwX = eps * (X - eta(X) xi)")(_split, a="f", draw="x_dxi", rhs=_eps_horizontal)
+      "f2X + fwX = eps * (X - eta(X) xi)")(_split, a="f", rows="D+xi", rhs="horizontal")
 _case("split.d2", "both", "X in D (+ <xi> when contact)", "wfX + w2X = 0")(
-    _split, a="w", draw="x_dxi")
-_case("split.g", "both", "U in G", "f2U + fwU = 0")(_split, a="f", draw="u_g")
+    _split, a="w", rows="D+xi")
+_case("split.g", "both", "U in G", "f2U + fwU = 0")(_split, a="f", rows="G")
 _case("split.g2", "both", "U in G", "wfU + w2U = eps * U")(
-    _split, a="w", draw="u_g", rhs=lambda ctx, u: ctx.eps * u)
+    _split, a="w", rows="G", rhs="identity")
 
 # -- w^2 on components -------------------------------------------------------------
 
-def _w2comp(ctx, side, w2, outside):
-    draws, _, forms = side.tables()
-    right = np.abs(side.slant["sin2"][..., 0] - 1.0) <= PI2_TOL
-    return np.maximum(_rel(forms[w2], draws["norm"], right),
-                      _rel(forms[outside], draws["norm"], ~right))
+def _w2comp(ctx, side):
+    """s1 of w^2 on D_i where theta_i = pi/2, else of w^2 less its part in w(D_i)."""
+    right = _held(side, _right_angle)
+    inside, outside = (spectral_norms(side.blocks(side.image(m))) for m in ("w2", "outside"))
+    return np.maximum(_worst(inside, right), _worst(outside, ~right))
 
 
 _case("w2.component", "both", "X_i in D_i",
-      "w2(D_i) inside w(D_i); w2(D_i) = 0 when theta_i = pi/2", side="D")(
-    _w2comp, w2=Form("w2", "norm"), outside=Form("outside", "norm"))
+      "w2(D_i) inside w(D_i); w2(D_i) = 0 when theta_i = pi/2", side="D")(_w2comp)
 
 
 # -- norm relations ------------------------------------------------------------------
 
 _case("norm.f-sum", "both", "X in D", "|fX|^2 = sum_i cos^2(theta_i) * |X_i|^2",
-      side="D0+D")(_summed_metric, lhs=Form("own", "xx", False), coeff="cos2")
+      side="D0+D")(_summed_metric, m="own", coeff="cos2")
 _case("norm.w-dualsum", "both", "U in w(D)", "|wU|^2 = sum_i cos^2(theta_i) * |U_i|^2",
-      side="w(D)")(_summed_metric, lhs=Form("own", "xx", False), coeff="cos2")
+      side="w(D)")(_summed_metric, m="own", coeff="cos2")
 _case("norm.f-invariant", "both", "X_0 in D_0", "|fX_0| = |X_0|", side="D_0")(
-    _component_norm, lhs=Form("own", "norm"), coeff=None)
+    _component_norm, m="own", coeff=None)
 _case("norm.wx-sin", "both", "X_i in D_i", "|wX_i| = sin(theta_i) * |X_i|", side="D",
       twin=("norm.fu-sin", "U_i in w(D_i)", "|fU_i| = sin(theta_i) * |U_i|"))(
-    _component_norm, lhs=Form("other", "norm"), coeff="sin")
+    _component_norm, m="other", coeff="sin")
 _case("norm.wx-sumsq", "both", "X in sum of proper D_i",
       "|wX|^2 = sum_i sin^2(theta_i) * |X_i|^2", side="D",
       twin=("norm.fu-sumsq", "U in w(D)", "|fU|^2 = sum_i sin^2(theta_i) * |U_i|^2"))(
-    _summed_metric, lhs=Form("other", "xx", False), coeff="sin2")
+    _summed_metric, m="other", coeff="sin2")
 
 # -- angle (conformality) relations -----------------------------------------------
 
-_OWN_AND_PHI = (Form("own", "cos"), Form("phi", "cos"))
+_OWN_AND_PHI = ("own", "phi")
 
 _case("angle.f-invariant", "both", "X_0, Y_0 in D_0",
       "cos<(fX_0, fY_0) = cos<(phi X_0, phi Y_0) = cos<(X_0, Y_0)", side="D_0")(
@@ -543,7 +448,7 @@ _case("angle.f-slant", "both", "X_i, Y_i in D_i, theta_i < pi/2",
     _component_angle, maps=_OWN_AND_PHI, pred=_below_right_angle)
 _case("dual.w-metric-cos2", "both", "U_i, V_i in w(D_i)",
       "g(wU_i, wV_i) = cos^2(theta_i) * g(U_i, V_i)", side="w(D)")(
-    _component_metric, lhs=Form("own", "xy"), coeff="cos2")
+    _component_metric, m="own", coeff="cos2")
 _case("angle.w-h", "both", "U_0, V_0 in H",
       "cos<(wU_0, wV_0) = cos<(U_0, V_0) = cos<(phi U_0, phi V_0)", side="H")(
     _component_angle, maps=_OWN_AND_PHI)
@@ -555,20 +460,20 @@ _case("angle.w-dual", "both", "U_i, V_i in w(D_i), theta_i < pi/2",
 @_case("angle.phi-dg", "both", "Z, W in D + G",
        "cos<(phi Z, phi W) = cos<(Z, W)")
 def _aphidg(ctx):
-    z, w = ctx.x_d + ctx.u_g, ctx.y_d + ctx.v_g
-    return ctx.cos_diff(ctx.cos_angle(ctx.apply_phi(z), ctx.apply_phi(w)), ctx.cos_angle(z, w))
+    dg = ctx.rows["D+G"]
+    return _angle(singular_values(ctx.phi[:, :, dg]), len(dg))
 
 
 _case("dual.wx-metric-sin2", "both", "X_i, Y_i in D_i",
       "g(wX_i, wY_i) = sin^2(theta_i) * g(X_i, Y_i)", side="D",
       twin=("dual.fu-metric-sin2", "U_i, V_i in w(D_i)",
             "g(fU_i, fV_i) = sin^2(theta_i) * g(U_i, V_i)"))(
-    _component_metric, lhs=Form("other", "xy"), coeff="sin2")
+    _component_metric, m="other", coeff="sin2")
 _case("angle.wx-conformal", "both", "X_i, Y_i in D_i, theta_i > 0",
       "cos<(wX_i, wY_i) = cos<(X_i, Y_i)", side="D",
       twin=("angle.fu-conformal", "U_i, V_i in w(D_i), theta_i > 0",
             "cos<(fU_i, fV_i) = cos<(U_i, V_i)"))(
-    _component_angle, maps=(Form("other", "cos"),), pred=_above_zero)
+    _component_angle, maps=("other",), pred=_above_zero)
 
 # -- summed relations across components ----------------------------------------------
 
@@ -576,40 +481,37 @@ _case("sum.w-metric", "both", "X, Y in sum of proper D_i",
       "g(wX, wY) = sum_i sin^2(theta_i) * g(X_i, Y_i)", side="D",
       twin=("sum.f-metric", "U, V in w(D)",
             "g(fU, fV) = sum_i sin^2(theta_i) * g(U_i, V_i)"))(
-    _summed_metric, lhs=Form("other", "xy", False), coeff="sin2")
+    _summed_metric, m="other", coeff="sin2")
 _case("sum.w-angle", "both", "X, Y in sum of proper D_i",
       "cos<(wX, wY) = cos<(sum sin(theta_i) X_i, sum sin(theta_i) Y_i)", side="D",
       twin=("sum.f-angle", "U, V in w(D)",
             "cos<(fU, fV) = cos<(sum sin(theta_i) U_i, sum sin(theta_i) V_i)"))(
-    _summed_angle, lhs=Form("other", "cos", False), rhs=Form("id", "cos", False, scale="sin"))
+    _summed_angle, m="other", coeff="1/sin")
 
 
-def _all_positive_sin(ctx):
-    """(P,) mask of the points where every proper theta_i > 0."""
-    return np.all(ctx.sin[:, ctx.proper, 0] > PI2_TOL, axis=1)
+def _all_positive_sin(ctx, side, shape, **params):
+    """A shape's residual at the points where every proper theta_i > 0."""
+    held = np.all(ctx.sin[:, ctx.proper] > PI2_TOL, axis=1)
+    return np.where(held, shape(ctx, side, **params), -np.inf)
 
 
-def _invsin_metric(ctx, side, lhs):
-    _, sums, forms = side.tables()
-    return _rel(sums["xy"] - _total(side, "1/sin2", forms[lhs]), sums["norm"] * sums["norm_y"],
-                _all_positive_sin(ctx)[:, None])
-
-
-def _invsin_angle(ctx, side, rhs):
-    _, sums, forms = side.tables()
-    return ctx.cos_diff(sums["cos"], forms[rhs], _all_positive_sin(ctx)[:, None])
+def _invsin_metric(ctx, side):
+    """The residual is block diagonal: the largest s1(I - G_ii / sin^2) over
+    the components, G the Gram of the other map's image."""
+    gram = side.gram("other", True) * side.slant["1/sin2"][..., None, None]
+    return _worst(spectral_norms(side.eye - gram))
 
 
 _case("invsin.x-metric", "both", "X, Y in sum of proper D_i, theta_i > 0",
       "g(X, Y) = sum_i g(wX_i, wY_i) / sin^2(theta_i)", side="D",
       twin=("invsin.u-metric", "U, V in w(D), theta_i > 0",
             "g(U, V) = sum_i g(fU_i, fV_i) / sin^2(theta_i)"))(
-    _invsin_metric, lhs=Form("other", "xy"))
+    _all_positive_sin, shape=_invsin_metric)
 _case("invsin.x-angle", "both", "X, Y in sum of proper D_i, theta_i > 0",
       "cos<(X, Y) = cos<(sum wX_i / sin(theta_i), sum wY_i / sin(theta_i))", side="D",
       twin=("invsin.u-angle", "U, V in w(D), theta_i > 0",
             "cos<(U, V) = cos<(sum fU_i / sin(theta_i), sum fV_i / sin(theta_i))"))(
-    _invsin_angle, rhs=Form("other", "cos", False, scale="1/sin"))
+    _all_positive_sin, shape=_summed_angle, m="other", coeff="1/sin")
 
 # -- sin^4 corollaries ------------------------------------------------------------
 
@@ -617,50 +519,48 @@ _case("sin4.fw-metric", "both", "X_i, Y_i in D_i",
       "g(fwX_i, fwY_i) = sin^4(theta_i) * g(X_i, Y_i)", side="D",
       twin=("sin4.wf-metric", "U_i, V_i in w(D_i)",
             "g(wfU_i, wfV_i) = sin^4(theta_i) * g(U_i, V_i)"))(
-    _component_metric, lhs=Form("round_trip", "xy"), coeff="sin4")
+    _component_metric, m="round_trip", coeff="sin4")
 _case("sin4.fw-angle", "both", "X_i, Y_i in D_i, theta_i > 0",
       "cos<(fwX_i, fwY_i) = cos<(X_i, Y_i)", side="D",
       twin=("sin4.wf-angle", "U_i, V_i in w(D_i), theta_i > 0",
             "cos<(wfU_i, wfV_i) = cos<(U_i, V_i)"))(
-    _component_angle, maps=(Form("round_trip", "cos"),), pred=_above_zero)
+    _component_angle, maps=("round_trip",), pred=_above_zero)
 _case("sin4sum.fw-metric", "both", "X, Y in sum of proper D_i",
       "g(fwX, fwY) = sum_i sin^4(theta_i) * g(X_i, Y_i)", side="D",
       twin=("sin4sum.wf-metric", "U, V in w(D)",
             "g(wfU, wfV) = sum_i sin^4(theta_i) * g(U_i, V_i)"))(
-    _summed_metric, lhs=Form("round_trip", "xy", False), coeff="sin4")
+    _summed_metric, m="round_trip", coeff="sin4")
 _case("sin4sum.fw-angle", "both", "X, Y in sum of proper D_i",
       "cos<(fwX, fwY) = cos<(sum sin^2(theta_i) X_i, sum sin^2(theta_i) Y_i)", side="D",
       twin=("sin4sum.wf-angle", "U, V in w(D)",
             "cos<(wfU, wfV) = cos<(sum sin^2(theta_i) U_i, sum sin^2(theta_i) V_i)"))(
-    _summed_angle, lhs=Form("round_trip", "cos", False),
-    rhs=Form("id", "cos", False, scale="sin2"))
+    _summed_angle, m="round_trip", coeff="1/sin2")
 
 # -- G-side component sums ---------------------------------------------------------
 
 _case("gside.wf-projsum", "both", "U in w(D)", "wfU = eps * sum_i sin^2(theta_i) * U_i",
-      side="w(D)")(_summed_vector, lhs=Form("round_trip", "norm", False, "sin2"))
+      side="w(D)")(_summed_vector, m="round_trip", coeff="sin2")
 _case("gside.w2-projsum", "both", "U in w(D)", "w2U = eps * sum_i cos^2(theta_i) * U_i",
-      side="w(D)")(_summed_vector, lhs=Form("square", "norm", False, "cos2"))
+      side="w(D)")(_summed_vector, m="square", coeff="cos2")
 _case("gside.metric.w", "both", "U, V in w(D)",
       "g(wU, wV) = sum_i cos^2(theta_i) * g(U_i, V_i)", side="w(D)")(
-    _summed_metric, lhs=Form("own", "xy", False), coeff="cos2")
+    _summed_metric, m="own", coeff="cos2")
 _case("gside.metric.phi", "both", "U, V in w(D)", "g(phi U, phi V) = sum_i g(U_i, V_i)",
-      side="w(D)")(_summed_metric, lhs=Form("phi", "xy", False), coeff=None)
+      side="w(D)")(_summed_metric, m="phi", coeff=None)
 
 # -- H relations ----------------------------------------------------------------------
 
-_case("h.w2", "both", "U_0 in H", "w2U_0 = eps * U_0", side="H")(
-    _eps_fixed, lhs=Form("square", "norm", shift=True))
+_case("h.w2", "both", "U_0 in H", "w2U_0 = eps * U_0", side="H")(_eps_fixed, m="square")
 _case("h.metric", "both", "U_0, V_0 in H", "g(wU_0, wV_0) = g(U_0, V_0)", side="H")(
-    _component_metric, lhs=Form("own", "xy"), coeff=None)
+    _component_metric, m="own", coeff=None)
 _case("h.norm", "both", "U_0 in H", "|wU_0| = |U_0|", side="H")(
-    _component_norm, lhs=Form("own", "norm"), coeff=None)
+    _component_norm, m="own", coeff=None)
 
 # -- the right-angle special case -------------------------------------------------------------
 
 _case("pi2.fw", "both", "X_j in D_j with theta_j = pi/2", "fwX_j = eps * X_j", side="D",
       twin=("pi2.wf", "U_j in w(D_j) with theta_j = pi/2", "wfU_j = eps * U_j"))(
-    _eps_fixed, lhs=Form("round_trip", "norm", shift=True), pred=_right_angle)
+    _eps_fixed, m="round_trip", pred=_right_angle)
 
 
 _DUAL_PREFIXES = ("gside.", "h.", "dual.", "invsin.u", "sum.f-", "sin4.wf",
@@ -676,11 +576,9 @@ DUAL_KEYS = tuple(case.key for case in REGISTRY
 # ---------------------------------------------------------------------------
 
 class SuiteReport:
-    def __init__(self, entries, tol, trials, seed):
+    def __init__(self, entries, tol):
         self.entries = entries
         self.tol = tol
-        self.trials = trials
-        self.seed = seed
 
     @property
     def passed(self) -> bool:
@@ -696,13 +594,11 @@ class SuiteReport:
         raise KeyError(key)
 
     def to_json_dict(self) -> dict:
-        return {"tolerance": self.tol, "trials": self.trials, "seed": self.seed,
-                "passed": self.passed, "cases": self.entries}
+        return {"tolerance": self.tol, "passed": self.passed, "cases": self.entries}
 
 
-def run_identity_suite(dec: Decomposition, points, trials: int = 50,
-                       tolerances: Tolerances = DEFAULT_TOLERANCES,
-                       seed: int = DEFAULT_SEED, keys=None) -> SuiteReport:
+def run_identity_suite(dec: Decomposition, points,
+                       tolerances: Tolerances = DEFAULT_TOLERANCES, keys=None) -> SuiteReport:
     """Evaluate every applicable registry identity over the stacked sample
     points and report the worst residual per key, with the first point
     holding it as witness (a NaN residual is the worst). Report-only: never
@@ -710,18 +606,16 @@ def run_identity_suite(dec: Decomposition, points, trials: int = 50,
     points = list(points)
     if not points:
         raise SpecError("identity suite needs at least one point")
-    if trials < 1:
-        raise SpecError("trials must be >= 1")
     wanted = None if keys is None else set(keys)
     unknown = sorted((wanted or set()) - {case.key for case in REGISTRY})
     if unknown:
         raise SpecError(f"unknown identity keys: {', '.join(unknown)}")
     tol = tolerances.identity
     setting = "contact" if dec.structure.is_contact else "hermitian"
-    ctx = PointContext(dec, points, trials, seed, tolerances)
+    ctx = PointContext(dec, points, tolerances)
     cases = [case for case in REGISTRY if wanted is None or case.key in wanted]
     residuals = {}
-    # side by side, so that one side's tables are held at a time
+    # side by side, so that one side's images are held at a time
     for side in dict.fromkeys(case.side for case in cases):
         for case in cases:
             if case.side == side and case.settings in ("both", setting):
@@ -743,7 +637,7 @@ def run_identity_suite(dec: Decomposition, points, trials: int = 50,
                 entry["witness_point"] = ctx.points[p].tolist()
                 entry["verdict"] = "pass" if worst <= tol else "fail"
         entries.append(entry)
-    return SuiteReport(entries, tol, trials, seed)
+    return SuiteReport(entries, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""The identity suite's evaluators as they were before the component became
-an array axis of `slantkit.verifier.PointContext`, kept as the oracle of the
-differential suite tests.
+"""The identity suite's sampled evaluators, kept as lower bounds of the
+exact suite (`slantkit.verifier`) in the differential suite tests.
 
-Here the draws of each component are a separate (P, n, t) stack, and every
-shape loops over the components in Python. Its REGISTRY holds the same keys
-in the same order as the package's; each evaluator returns one residual per
-point, and the package's must match them (`tests/test_suite_oracle.py` says
-how closely).
+Each residual is the worst relative residual of its identity over seeded
+random vectors: the draws of each component are a separate (P, n, t) stack,
+and every shape loops over the components in Python. Its REGISTRY holds the
+same keys in the same order as the package's; each evaluator returns one
+residual per point, and the package's exact one must not be below it by
+more than round-off (`tests/test_suite_oracle.py`).
 """
 
 from __future__ import annotations

@@ -237,7 +237,7 @@ def test_c4_duality(fid):
 def test_c5_identity_suite_full(fid, epsilon):
     fx = build_fixture(fid, k=2, epsilon=epsilon)
     pts = sample20(fx)[:10]
-    rep = run_identity_suite(fx.decomposition, pts, trials=100, seed=SEED)
+    rep = run_identity_suite(fx.decomposition, pts)
     failed = rep.failed_keys()
     assert not failed, failed
     for entry in rep.entries:
@@ -259,7 +259,7 @@ def test_c5_every_key_exercised_somewhere(ex1):
         (fx3.decomposition, fx3.default_points(seed=SEED)[:4]),
         (sub_decomposition_with_h(ex1), ex1.default_points(seed=SEED)[:4]),
     ]:
-        rep = run_identity_suite(dec, pts, trials=30, seed=SEED)
+        rep = run_identity_suite(dec, pts)
         assert not rep.failed_keys()
         passed |= {e["key"] for e in rep.entries if e["verdict"] == "pass"}
     assert passed == {c.key for c in REGISTRY}
@@ -269,7 +269,7 @@ def test_c5_sensitivity_to_phi_perturbation(ex1):
     doc = fixture_to_spec_dict(ex1, points=ex1.default_points(seed=SEED)[:6])
     doc["phi_columns"][1][0] = "-1 + 1/1000"
     spec = load_manifold_spec(doc)
-    rep = run_identity_suite(spec.decomposition, spec.points, trials=50, seed=SEED)
+    rep = run_identity_suite(spec.decomposition, spec.points)
     compat = rep.entry("struct.compat")
     assert compat["verdict"] == "fail"
     assert compat["max_residual"] >= 1e-4

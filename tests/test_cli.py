@@ -273,6 +273,22 @@ def test_structure_report_does_not_depend_on_trials(capsys, tmp_path, ex1_spec):
     assert sections[0] == sections[1]
 
 
+def test_identities_report_does_not_depend_on_trials(capsys, tmp_path, ex1_spec):
+    """The identity suite is exact: --trials and --seed change nothing in
+    the identities report but the trials and seeds it echoes."""
+    path, _ = ex1_spec
+    reports = []
+    for trials, seed in (("2", "1"), ("90", "2")):
+        out_path = tmp_path / f"i{trials}.json"
+        assert run(capsys, "identities", str(path), "--trials", trials, "--seed", seed,
+                   "--json", str(out_path))[0] == 0
+        reports.append(json.loads(out_path.read_text()))
+    echoed = [(r.pop("seed"), r["structure"].pop("seed"), r["identities"].pop("trials"),
+               r["identities"].pop("seed")) for r in reports]
+    assert echoed == [(1, 1, 2, 1), (2, 2, 90, 2)]
+    assert reports[0] == reports[1]
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys, tmp_path, ex1_spec):
         path, _ = ex1_spec

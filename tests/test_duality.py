@@ -179,15 +179,14 @@ class TestRoundtrip:
 
 class TestDualIdentitySuite:
     def test_gallery_all_pass(self, ex1):
-        rep = run_identity_suite(ex1.decomposition, ex1.default_points()[:3],
-                                 trials=30, keys=DUAL_KEYS)
+        rep = run_identity_suite(ex1.decomposition, ex1.default_points()[:3], keys=DUAL_KEYS)
         assert rep.passed
         keys = {e["key"] for e in rep.entries}
         assert keys == set(DUAL_KEYS)
 
     def test_h_identities_exercised(self, ex1):
         dec = sub_decomposition_with_h(ex1)
-        rep = run_identity_suite(dec, ex1.default_points()[:3], trials=30, keys=DUAL_KEYS)
+        rep = run_identity_suite(dec, ex1.default_points()[:3], keys=DUAL_KEYS)
         assert rep.passed
         for key in ("h.w2", "h.metric", "h.norm", "angle.w-h"):
             entry = rep.entry(key)

@@ -80,7 +80,7 @@ class TestOracleChecks:
     ])
     def test_fixture_oracle(self, fid, kwargs):
         fx = build_fixture(fid, k=2, epsilon=-1, **kwargs)
-        rep = fixture_oracle_check(fx, points=fx.default_points()[:8], trials=15)
+        rep = fixture_oracle_check(fx, points=fx.default_points()[:8])
         assert rep["passed"], {k: v for k, v in rep.items() if k != "classification"}
 
     def test_ex8_gamma_zero_is_pointwise_k_slant_but_not_generic(self):
@@ -88,7 +88,7 @@ class TestOracleChecks:
         # functions stay distinct everywhere, yet one eigenvalue function
         # touches 0 at the origin only
         fx = build_fixture("ex8", k=2, epsilon=-1, gamma=0.0, delta=1.0)
-        rep = fixture_oracle_check(fx, points=fx.default_points()[:8], trials=10)
+        rep = fixture_oracle_check(fx, points=fx.default_points()[:8])
         assert rep["passed"]
         cls = rep["classification"]
         assert cls.labels["pointwise-k-slant"]
@@ -96,8 +96,7 @@ class TestOracleChecks:
         assert np.linalg.norm(cls.evidence["generic"]["point"]) < 1e-9
 
     def test_ex4_gamma_zero_witness_at_origin(self, ex4_zero):
-        rep = fixture_oracle_check(ex4_zero, points=ex4_zero.default_points()[:8],
-                                   trials=10)
+        rep = fixture_oracle_check(ex4_zero, points=ex4_zero.default_points()[:8])
         assert rep["passed"]
         cls = rep["classification"]
         assert not cls.labels["pointwise-k-slant"]
